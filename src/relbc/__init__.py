@@ -5,7 +5,7 @@ Subpackages by concern:
 - :mod:`relbc.field` — GF(2^n) arithmetic (XOR add, carry-less multiply,
   inversion) in canonical little-endian bit order.
 - :mod:`relbc.protocol` — the four agent state machines, answer operations,
-  transcripts, and backward-chain verification.
+  transcripts, and verification: one forward pass over the answer chain.
 - :mod:`relbc.planner` — closed-form schedule, security-bound, and resource
   planning from a spacetime configuration.
 - :mod:`relbc.simnet` — deterministic discrete-event simulation with
@@ -13,7 +13,7 @@ Subpackages by concern:
 - :mod:`relbc.transport` — live mode: framed byte-stream agents with real
   (monotonic) clocks and deadline enforcement.
 - :mod:`relbc.storage` — tape and transcript files, streaming generation and
-  constant-memory backward verification.
+  constant-memory forward verification.
 - :mod:`relbc.cli` — the `relbc` command.
 """
 
@@ -53,13 +53,11 @@ from .protocol import (
     SequencingError,
     Tape,
     Transcript,
-    UnverifiableTranscriptError,
     Verdict,
     alice_commit_answer,
     alice_reveal,
     alice_sustain_answer,
     bob_verify,
-    recover_chain,
     run_honest_protocol,
 )
 

@@ -42,7 +42,7 @@ from .planner import (
     resource_plan,
     save_plan,
 )
-from .protocol import honest_round_stream
+from .protocol import RevealMessage, Transcript, bob_verify, honest_round_stream
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
@@ -53,7 +53,7 @@ from .storage import (
 )
 from .transport import EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, SessionConfig, run_agent
 
-CASE1_ROUNDS = 5_068_195_604  # case-1 / 24 h round count, for bench projection
+CASE1_ROUNDS = 5_068_218_630  # resource_plan(case1).m, the 24 h round count
 
 
 def _builtin_config(name: str) -> str | None:
@@ -252,31 +252,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     records = list(honest_round_stream(spec, secrets, challenges, 1, m))
     gen_dt = time.perf_counter() - t0
-    from .protocol import _recover_ints
-
-    xs = [r.challenge for r in records]
-    ys = [r.answer for r in records]
+    transcript = Transcript(spec=spec, m=m, tau1_ns=1_000_000, tau2_ns=1_000_000,
+                            rounds=records, reveal=RevealMessage(1, secrets[-1]))
     t0 = time.perf_counter()
-    a1 = _recover_ints(spec, xs, ys, secrets[-1], full_chain=False)[0]
+    verdict = bob_verify(transcript)
     ver_dt = time.perf_counter() - t0
-    assert a1 == secrets[0]
+    if not verdict.accepted:
+        print(f"error: the honest bench transcript was rejected: {verdict!r}",
+              file=sys.stderr)
+        return EXIT_REJECT
     ver_rate = m / ver_dt
-    case1_hours = CASE1_ROUNDS / ver_rate / 3600.0
+    case1_rounds = resource_plan(_resolve_config("case1")).m
+    case1_hours = case1_rounds / ver_rate / 3600.0
 
     rows = {
         "mul_ops_per_s": mul_rate,
         "mul_us_per_op": 1e6 / mul_rate,
         "answer_gen_rounds_per_s": m / gen_dt,
         "verify_rounds_per_s": ver_rate,
-        "case1_rounds": CASE1_ROUNDS,
+        "case1_rounds": case1_rounds,
         "case1_verify_hours_projected": case1_hours,
     }
     print(f"{'GF(2^128) multiply':34s} {mul_rate:12,.0f} ops/s   "
           f"({1e6 / mul_rate:.2f} us/op)")
     print(f"{'honest answer generation':34s} {m / gen_dt:12,.0f} rounds/s")
-    print(f"{'backward chain verification':34s} {ver_rate:12,.0f} rounds/s")
+    print(f"{'transcript verification':34s} {ver_rate:12,.0f} rounds/s")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
-          f"({CASE1_ROUNDS:.3g} rounds)")
+          f"({case1_rounds:.3g} rounds)")
     outputs = []
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2))

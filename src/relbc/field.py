@@ -10,9 +10,8 @@ the FieldSpec methods.
 Multiplication fast path: for n <= 255 operands are "spread" (each coefficient
 bit placed in its own byte-wide slot), multiplied as ordinary integers (slot
 sums never exceed 255, so no carry crosses a slot boundary), and the product's
-per-slot parities are the carry-less product. Chained operations can stay in
-spread form; `_smul`/`_sxor`/`_compact` are the internal primitives the
-protocol and storage layers use for long multiplication chains. If gmpy2 is
+per-slot parities are the carry-less product. The spread form never leaves
+this module: every other layer multiplies through `FieldSpec.mul`. If gmpy2 is
 importable the same code runs on mpz limbs, which is roughly 2x faster; there
 is no algorithmic difference and the pure-int fallback is fully supported.
 """
@@ -159,10 +158,6 @@ class FieldSpec:
         return _mpz(int.from_bytes(
             bin(v)[2:].encode().translate(_BIN_TO_SLOTS)[::-1], "little"
         ))
-
-    def _sxor(self, sa, sb):
-        """XOR of two parity-collapsed spread values."""
-        return (sa + sb) & self._par_mask
 
     def _smul(self, sa, sb):
         """Reduced product of two parity-collapsed spread values."""
@@ -369,41 +364,12 @@ def random_element(rng: random.Random, spec: FieldSpec, nonzero: bool = False) -
     return FieldElement(spec, spec.random_int(rng, nonzero=nonzero))
 
 
-def _batch_inverse_spread(spec: FieldSpec, values: Sequence[int]) -> list:
-    """Spread-form inverses of `values` via Montgomery's trick.
-
-    3 multiplications per element plus one EEA inversion, all in spread form;
-    internal building block for chained verification.
-    """
-    smul, spread = spec._smul, spec._spread
-    svals = []
-    acc = spread(1)
-    prefix = [acc]
-    for i, v in enumerate(values):
-        if v == 0:
-            raise NonInvertibleError(f"zero at batch index {i}")
-        sv = spread(v)
-        svals.append(sv)
-        acc = smul(acc, sv)
-        prefix.append(acc)
-    inv_acc = spread(spec.inv(spec._compact(acc)))
-    out = [None] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = smul(inv_acc, prefix[i])
-        inv_acc = smul(inv_acc, svals[i])
-    return out
-
-
 def batch_inverse(spec: FieldSpec, values: Sequence[int]) -> list[int]:
     """Invert many elements with one EEA inversion (Montgomery's trick).
 
     Cost: 3 multiplications per element plus a single inversion. Raises
     NonInvertibleError if any input is zero.
     """
-    if not values:
-        return []
-    if spec._spread_ok:
-        return [spec._compact(sv) for sv in _batch_inverse_spread(spec, values)]
     prefix = [1] * (len(values) + 1)
     acc = 1
     for i, v in enumerate(values):

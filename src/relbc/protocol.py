@@ -9,8 +9,11 @@ answer chain is
     y_k = x_k * a_{k-1} XOR a_k           for 2 <= k <= m
     y_{m+1} = a_m            (reveal, together with the claimed bit)
 
-Verification recovers the chain backward from the revealed a_m:
-a_{k-1} = (y_k XOR a_k) * x_k^-1, then checks y_1 against the claimed bit.
+Verification runs the chain forward, one multiply per round: the claimed
+bit fixes a_1 = y_1 XOR d*x_1, then a_k = x_k * a_{k-1} XOR y_k, and the
+result must equal the revealed a_m. Each step is a bijection when x_k != 0,
+so this accepts exactly when the paper's backward recursion
+a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reproduce y_1.
 
 Everything here is pure and deterministic; timing is produced by the
 simulator (`simnet`) or the live runner (`transport`) and only *checked*
@@ -20,15 +23,9 @@ here (per-round answer deadlines use station-local clock deltas).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .field import (
-    FieldElement,
-    FieldSpec,
-    NonInvertibleError,
-    _batch_inverse_spread,
-    batch_inverse,
-)
+from .field import FieldElement, FieldSpec
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -42,10 +39,6 @@ REJECT_ZERO_CHALLENGE = "zero-challenge"
 REJECT_BIT_MISMATCH = "bit-mismatch"
 REJECT_MALFORMED = "malformed-transcript"
 
-# Verification chunk size: bounds memory for the backward pass and is the
-# batch-inversion granularity.
-VERIFY_CHUNK = 4096
-
 
 class ProtocolError(Exception):
     """Protocol-logic violation (bad state transition, malformed input)."""
@@ -53,10 +46,6 @@ class ProtocolError(Exception):
 
 class SequencingError(ProtocolError):
     """An agent was driven out of its expected round order."""
-
-
-class UnverifiableTranscriptError(ProtocolError):
-    """The transcript cannot be verified at all (e.g. a zero challenge)."""
 
 
 def station_of(k: int) -> int:
@@ -81,8 +70,8 @@ class RevealMessage:
 @dataclass
 class Tape:
     """Pre-shared randomness: the committing side's secrets a_1..a_m or the
-    challenger side's x_1..x_m (challenges are sampled nonzero so the
-    backward recursion is always defined).
+    challenger side's x_1..x_m (challenges are sampled nonzero so every
+    sustain step of the chain is a bijection).
 
     Elements are canonical ints under `spec`; element k of round k is
     ``elements[k-1]``.
@@ -283,109 +272,51 @@ class AliceAgent:
 # -- verification --------------------------------------------------------------
 
 
-def _recover_ints(spec: FieldSpec, challenges: Sequence[int],
-                  answers: Sequence[int], a_m: int,
-                  full_chain: bool = True) -> list[int]:
-    """Backward chain recovery from round data (challenges[i] is x_{i+1}).
+def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
+                  reveal: RevealMessage | None,
+                  rounds: Iterable[RoundRecord]) -> Verdict:
+    """Every verdict rule, in one forward pass over the round records.
 
-    Returns [a_1..a_m] when `full_chain`, else just [a_1]; uses batch
-    inversion per chunk; raises UnverifiableTranscriptError on a zero
-    challenge.
+    `reveal` is None for an aborted transcript. The chain is run forward from
+    a_1 = y_1 XOR d*x_1 (see the module docstring) and must end at the
+    revealed a_m. Precedence, highest first: aborted, malformed (the only
+    early return), timing, a zero challenge among x_2..x_m, bit mismatch.
     """
-    m = len(challenges)
-    chain = [0] * m if full_chain else [0]
-    if full_chain:
-        chain[m - 1] = a_m
-    use_spread = spec._spread_ok
-    if use_spread:
-        smul, spread, sxor = spec._smul, spec._spread, spec._sxor
-        compact = spec._compact
-        s_cur = spread(a_m)
-    else:
-        a_cur = a_m
-    hi = m  # recover a_{k-1} for k in (lo+1 .. hi], chunked
-    while hi >= 2:
-        lo = max(1, hi - VERIFY_CHUNK)
-        xs = challenges[lo:hi]  # x_{lo+1} .. x_hi
-        try:
-            if use_spread:
-                sxinvs = _batch_inverse_spread(spec, xs)
-                for i in range(hi - 1, lo - 1, -1):
-                    s_cur = smul(sxor(spread(answers[i]), s_cur), sxinvs[i - lo])
-                    if full_chain:
-                        chain[i - 1] = compact(s_cur)
-            else:
-                xinvs = batch_inverse(spec, xs)
-                for i in range(hi - 1, lo - 1, -1):
-                    a_cur = spec.mul(answers[i] ^ a_cur, xinvs[i - lo])
-                    if full_chain:
-                        chain[i - 1] = a_cur
-        except NonInvertibleError as exc:
-            raise UnverifiableTranscriptError(
-                "zero challenge makes the chain unrecoverable"
-            ) from exc
-        hi = lo
-    if not full_chain:
-        if m == 1:
-            chain[0] = a_m
-        elif use_spread:
-            chain[0] = compact(s_cur)
+    if reveal is None:
+        return Verdict.reject(REJECT_ABORTED)
+    d = reveal.bit
+    if m < 1 or d not in (0, 1):
+        return Verdict.reject(REJECT_MALFORMED)
+    mul = spec.mul
+    late = zero = False
+    a = k = 0
+    for k, rec in enumerate(rounds, start=1):
+        if k > m or rec.k != k or rec.station != station_of(k):
+            return Verdict.reject(REJECT_MALFORMED)
+        x = rec.challenge
+        if rec.answer_received_at - rec.challenge_issued_at > (tau1_ns if k & 1 else tau2_ns):
+            late = True
+        if k == 1:
+            a = rec.answer ^ x if d else rec.answer
         else:
-            chain[0] = a_cur
-    return chain
-
-
-def recover_chain(transcript: Transcript) -> list[FieldElement]:
-    """Recompute a_1..a_m from a complete transcript's reveal."""
-    if not transcript.is_complete:
-        raise ProtocolError("cannot recover the chain of an incomplete transcript")
-    _check_round_layout(transcript)
-    xs = [r.challenge for r in transcript.rounds]
-    ys = [r.answer for r in transcript.rounds]
-    ints = _recover_ints(transcript.spec, xs, ys, transcript.reveal.final_secret)
-    return [FieldElement(transcript.spec, v) for v in ints]
-
-
-def _check_round_layout(t: Transcript) -> None:
-    if len(t.rounds) != t.m:
-        raise ProtocolError(
-            f"transcript has {len(t.rounds)} rounds, expected m={t.m}"
-        )
-    for i, rec in enumerate(t.rounds, start=1):
-        if rec.k != i or rec.station != station_of(i):
-            raise ProtocolError(f"round {i} record is out of order or misplaced")
-
-
-def commit_answer_matches(spec: FieldSpec, x1: int, y1: int, a1: int, d: int) -> bool:
-    return y1 == (x1 ^ a1 if d else a1)
+            zero = zero or not x
+            a = mul(x, a) ^ rec.answer
+    if k != m:
+        return Verdict.reject(REJECT_MALFORMED)
+    if late:
+        return Verdict.reject(REJECT_TIMING)
+    if zero:
+        return Verdict.reject(REJECT_ZERO_CHALLENGE)
+    if a == reveal.final_secret:
+        return Verdict.accept(d)
+    return Verdict.reject(REJECT_BIT_MISMATCH)
 
 
 def bob_verify(transcript: Transcript) -> Verdict:
-    """Full verification: timing bounds, backward chain, commit-bit check."""
-    if transcript.status != STATUS_COMPLETE or transcript.reveal is None:
-        return Verdict.reject(REJECT_ABORTED)
-    try:
-        _check_round_layout(transcript)
-    except ProtocolError:
-        return Verdict.reject(REJECT_MALFORMED)
-    d = transcript.reveal.bit
-    if d not in (0, 1):
-        return Verdict.reject(REJECT_MALFORMED)
-    for rec in transcript.rounds:
-        bound = transcript.tau_ns(rec.station)
-        if rec.answer_received_at - rec.challenge_issued_at > bound:
-            return Verdict.reject(REJECT_TIMING)
-    spec = transcript.spec
-    xs = [r.challenge for r in transcript.rounds]
-    ys = [r.answer for r in transcript.rounds]
-    try:
-        a1 = _recover_ints(spec, xs, ys, transcript.reveal.final_secret,
-                           full_chain=False)[0]
-    except UnverifiableTranscriptError:
-        return Verdict.reject(REJECT_ZERO_CHALLENGE)
-    if commit_answer_matches(spec, xs[0], ys[0], a1, d):
-        return Verdict.accept(d)
-    return Verdict.reject(REJECT_BIT_MISMATCH)
+    """Full verification of an in-memory transcript (see `verify_rounds`)."""
+    t = transcript
+    return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns,
+                         t.reveal if t.is_complete else None, t.rounds)
 
 
 # -- honest drive (reference harness) ------------------------------------------
@@ -405,22 +336,14 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
     it_a = iter(secrets)
     it_x = iter(challenges)
     times = iter(issue_times) if issue_times is not None else None
-    use_spread = spec._spread_ok
     a_prev = None
-    s_prev = None
     for k in range(1, m + 1):
         a_k = next(it_a)
         x_k = next(it_x)
         if k == 1:
             y = x_k ^ a_k if d else a_k
-        elif use_spread:
-            y = spec._compact(
-                spec._sxor(spec._smul(spec._spread(x_k), s_prev), spec._spread(a_k))
-            )
         else:
             y = spec.mul(x_k, a_prev) ^ a_k
-        if use_spread:
-            s_prev = spec._spread(a_k)
         a_prev = a_k
         issued = next(times) if times is not None else k * 1000
         yield RoundRecord(k, station_of(k), x_k, y, issued, issued + answer_delay_ns)

@@ -10,9 +10,9 @@ only nonzero elements.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
-fixed-size round records (k, station, x, y, two timestamps), so the backward
-verification pass can seek any record in O(1) and stream the file in reverse
-chunks with memory independent of its length.
+fixed-size round records (k, station, x, y, two timestamps), so any record
+can be sought in O(1) and verification streams the file forward in blocks
+with memory independent of its length.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .field import FieldSpec, NonInvertibleError, _batch_inverse_spread, batch_inverse
+from .field import FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
-    REJECT_ABORTED,
-    REJECT_BIT_MISMATCH,
-    REJECT_MALFORMED,
-    REJECT_TIMING,
-    REJECT_ZERO_CHALLENGE,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     RevealMessage,
@@ -41,9 +36,8 @@ from .protocol import (
     STATUS_COMPLETE,
     Transcript,
     Verdict,
-    commit_answer_matches,
     honest_round_stream,
-    station_of,
+    verify_rounds,
 )
 
 TAPE_MAGIC = b"RBCT"
@@ -57,6 +51,7 @@ PROVENANCE_ENTROPY = 0
 PROVENANCE_SEEDED = 1
 
 _WRITE_CHUNK_ELEMENTS = 1 << 14
+VERIFY_BLOCK_ROUNDS = 4096  # round records per read in verify_file
 
 
 class StorageError(Exception):
@@ -465,14 +460,27 @@ class VerifyStats:
         return self.rounds / self.seconds if self.seconds > 0 else float("inf")
 
 
-def verify_file(path: str | Path, plan: ProtocolPlan | None = None,
-                chunk_rounds: int = 4096) -> tuple[Verdict, VerifyStats]:
-    """Stream a transcript file backward and verify it in constant memory.
+def _iter_records(f, h: TranscriptHeader) -> Iterator[RoundRecord]:
+    """The header's round records, front to back, read in fixed-size blocks."""
+    eb, size = h.spec.element_bytes, h.record_size
+    left = h.round_count
+    while left:
+        want = min(left, VERIFY_BLOCK_ROUNDS)
+        data = f.read(want * size)
+        for off in range(0, len(data) - size + 1, size):
+            yield _unpack_record(data, off, eb)
+        if len(data) != want * size:
+            raise StorageError(f"short read while reading round records: wanted "
+                               f"{want * size} bytes, got {len(data)}")
+        left -= want
 
-    Reads fixed-size round records in reverse chunk order (O(1) seeks), runs
-    the backward chain with per-chunk batch inversion, then checks the commit
-    round against the claimed bit. Memory is bounded by `chunk_rounds`
-    regardless of file size.
+
+def verify_file(path: str | Path,
+                plan: ProtocolPlan | None = None) -> tuple[Verdict, VerifyStats]:
+    """Stream a transcript file forward and verify it in constant memory.
+
+    Round records are read front to back, `VERIFY_BLOCK_ROUNDS` at a time,
+    and fed to `protocol.verify_rounds`, the same pass `bob_verify` uses.
     """
     t0 = time.perf_counter()
     with open(path, "rb") as f:
@@ -482,62 +490,10 @@ def verify_file(path: str | Path, plan: ProtocolPlan | None = None,
                 f"{path}: transcript was produced under plan {h.plan_hash[:12]}..., "
                 f"supplied plan is {plan.plan_hash[:12]}..."
             )
-        spec = h.spec
-        eb = spec.element_bytes
-        rec_size = h.record_size
-
-        def stats() -> VerifyStats:
-            return VerifyStats(h.round_count, time.perf_counter() - t0)
-
-        if h.status != STATUS_COMPLETE or h.reveal is None:
-            return Verdict.reject(REJECT_ABORTED), stats()
-        if h.round_count != h.m or h.m < 1 or h.reveal.bit not in (0, 1):
-            return Verdict.reject(REJECT_MALFORMED), stats()
-
-        use_spread = spec._spread_ok
-        if use_spread:
-            smul, sxor, spread = spec._smul, spec._sxor, spec._spread
-            s_cur = spread(h.reveal.final_secret)
-        else:
-            a_cur = h.reveal.final_secret
-        first_x = first_y = None
-        hi = h.m  # rounds (lo+1 .. hi] remain to be consumed, newest first
-        while hi >= 1:
-            lo = max(0, hi - chunk_rounds)
-            f.seek(h.records_base + lo * rec_size)
-            data = _read_exact(f, (hi - lo) * rec_size, f"rounds {lo + 1}..{hi}")
-            xs, ys = [], []
-            for i in range(hi - lo):
-                rec = _unpack_record(data, i * rec_size, eb)
-                k = lo + i + 1
-                if rec.k != k or rec.station != station_of(k):
-                    return Verdict.reject(REJECT_MALFORMED), stats()
-                bound = h.tau1_ns if rec.station == 1 else h.tau2_ns
-                if rec.answer_received_at - rec.challenge_issued_at > bound:
-                    return Verdict.reject(REJECT_TIMING), stats()
-                xs.append(rec.challenge)
-                ys.append(rec.answer)
-            if lo == 0:
-                first_x, first_y = xs[0], ys[0]
-                xs_chain, ys_chain = xs[1:], ys[1:]
-            else:
-                xs_chain, ys_chain = xs, ys
-            try:
-                if use_spread:
-                    sxinvs = _batch_inverse_spread(spec, xs_chain)
-                    for i in range(len(xs_chain) - 1, -1, -1):
-                        s_cur = smul(sxor(spread(ys_chain[i]), s_cur), sxinvs[i])
-                else:
-                    xinvs = batch_inverse(spec, xs_chain)
-                    for i in range(len(xs_chain) - 1, -1, -1):
-                        a_cur = spec.mul(ys_chain[i] ^ a_cur, xinvs[i])
-            except NonInvertibleError:
-                return Verdict.reject(REJECT_ZERO_CHALLENGE), stats()
-            hi = lo
-        a1 = spec._compact(s_cur) if use_spread else a_cur
-        if commit_answer_matches(spec, first_x, first_y, a1, h.reveal.bit):
-            return Verdict.accept(h.reveal.bit), stats()
-        return Verdict.reject(REJECT_BIT_MISMATCH), stats()
+        reveal = h.reveal if h.status == STATUS_COMPLETE else None
+        verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns, reveal,
+                                _iter_records(f, h))
+    return verdict, VerifyStats(h.round_count, time.perf_counter() - t0)
 
 
 def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,

@@ -6,7 +6,7 @@ import random
 
 from relbc.field import FieldSpec
 from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
-from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, Tape
+from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord, Tape
 
 
 def schoolbook_mul(a: int, b: int, n: int, poly: int) -> int:
@@ -24,6 +24,16 @@ def schoolbook_mul(a: int, b: int, n: int, poly: int) -> int:
         if (p >> i) & 1:
             p ^= full << (i - n)
     return p
+
+
+def backward_chain(spec: FieldSpec, rounds: list[RoundRecord], a_m: int) -> list[int]:
+    """a_1..a_m by the paper's recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from
+    the revealed a_m, the oracle for the forward verifier. Raises
+    NonInvertibleError on a zero challenge among x_2..x_m."""
+    chain = [a_m]
+    for rec in reversed(rounds[1:]):
+        chain.append(spec.mul(rec.answer ^ chain[-1], spec.inv(rec.challenge)))
+    return chain[::-1]
 
 
 def small_plan(m_target: int, n: int = 8, tau: float = 3e-6, t_m: float = 3.3e-6,

@@ -178,9 +178,10 @@ def test_criterion_07_binding_tamper_suite():
     """Every tamper class flips the verdict on 100 seeded instances.
 
     Challenge tampering targets sustain rounds (k >= 2): those challenges
-    feed the backward chain. x_1 is immaterial to a bit-0 commitment by
-    construction (y_1 = a_1 never reads it), so altering it there is
-    undetectable in principle, not an implementation gap.
+    multiply into the forward chain a_k = x_k * a_{k-1} XOR y_k. x_1 is
+    immaterial to a bit-0 commitment by construction (y_1 = a_1 never reads
+    it), so altering it there is undetectable in principle, not an
+    implementation gap.
     """
     m = 12
     checked = {"reveal-bit": 0, "answer": 0, "challenge": 0, "final-secret": 0}
@@ -301,7 +302,7 @@ def test_criterion_11_scale_projection(tmp_path):
             (spec.random_int(rng) for _ in range(m)),
             (spec.random_int(rng, nonzero=True) for _ in range(m)), 1)
         tracemalloc.start()
-        verdict, _ = verify_file(path, chunk_rounds=2048)
+        verdict, _ = verify_file(path)
         _, peaks[m] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert verdict.accepted

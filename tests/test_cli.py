@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from relbc.cli import main
+from relbc.cli import CASE1_ROUNDS, main
+from relbc.planner import load_plan
 from relbc.storage import TapeReader, read_transcript
 
 from helpers import small_plan
@@ -120,3 +121,12 @@ class TestBench:
         data = json.loads((in_tmp / "bench.json").read_text())
         assert data["verify_rounds_per_s"] > 0
         assert data["case1_verify_hours_projected"] > 0
+
+    def test_projects_from_case1_plan(self, in_tmp, capsys):
+        run_cli(capsys, "plan", "case1", "--out", "plan.json")
+        m = load_plan(in_tmp / "plan.json").m
+        code, _, _ = run_cli(capsys, "bench", "--mul-ops", "100",
+                             "--rounds", "100", "--json", "bench.json")
+        assert code == 0
+        assert json.loads((in_tmp / "bench.json").read_text())["case1_rounds"] == m
+        assert CASE1_ROUNDS == m

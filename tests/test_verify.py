@@ -1,0 +1,144 @@
+"""One verdict per transcript: bob_verify, verify_file and the paper's
+backward recursion agree, faults and all."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from relbc.field import NonInvertibleError, gf2_8
+from relbc.protocol import (
+    REJECT_ABORTED,
+    REJECT_BIT_MISMATCH,
+    REJECT_MALFORMED,
+    REJECT_TIMING,
+    REJECT_ZERO_CHALLENGE,
+    RevealMessage,
+    Transcript,
+    Verdict,
+    bob_verify,
+    run_honest_protocol,
+    station_of,
+)
+from relbc.storage import VERIFY_BLOCK_ROUNDS, read_transcript, verify_file, write_transcript
+
+from helpers import backward_chain, random_tapes
+
+S8 = gf2_8()
+TAU_NS = 1_000
+
+
+def backward_verdict(t: Transcript) -> Verdict:
+    """The verdict of the backward recursion, with bob_verify's precedence."""
+    if not t.is_complete:
+        return Verdict.reject(REJECT_ABORTED)
+    d = t.reveal.bit
+    if (t.m < 1 or d not in (0, 1) or len(t.rounds) != t.m
+            or any(r.k != k or r.station != station_of(k)
+                   for k, r in enumerate(t.rounds, start=1))):
+        return Verdict.reject(REJECT_MALFORMED)
+    if any(r.answer_received_at - r.challenge_issued_at > t.tau_ns(r.station)
+           for r in t.rounds):
+        return Verdict.reject(REJECT_TIMING)
+    try:
+        a1 = backward_chain(t.spec, t.rounds, t.reveal.final_secret)[0]
+    except NonInvertibleError:
+        return Verdict.reject(REJECT_ZERO_CHALLENGE)
+    first = t.rounds[0]
+    if first.answer == (first.challenge ^ a1 if d else a1):
+        return Verdict.accept(d)
+    return Verdict.reject(REJECT_BIT_MISMATCH)
+
+
+def honest(m: int, seed: int, d: int) -> Transcript:
+    secrets, challenges = random_tapes(S8, m, seed=seed)
+    return run_honest_protocol(S8, secrets, challenges, d, tau1_ns=TAU_NS, tau2_ns=TAU_NS)
+
+
+FAULTS = ("answer", "challenge", "zero-challenge", "late", "station",
+          "reveal-bit", "reveal-secret")
+
+
+def apply_fault(t: Transcript, kind: str, i: int, bit: int) -> None:
+    """Tamper with round index i (0-based) or the reveal; `bit` picks a bit."""
+    rec = t.rounds[i]
+    if kind == "answer":
+        rec.answer ^= 1 << bit
+    elif kind == "challenge":
+        rec.challenge ^= 1 << bit
+    elif kind == "zero-challenge":
+        rec.challenge = 0
+    elif kind == "late":
+        rec.answer_received_at = rec.challenge_issued_at + TAU_NS + 1
+    elif kind == "station":
+        rec.station = 3 - rec.station
+    elif kind == "reveal-bit":
+        t.reveal = RevealMessage(t.reveal.bit ^ 1, t.reveal.final_secret)
+    else:
+        t.reveal = RevealMessage(t.reveal.bit, t.reveal.final_secret ^ (1 << bit))
+
+
+def assert_one_verdict(t: Transcript, path) -> Verdict:
+    verdict = bob_verify(t)
+    write_transcript(t, path)
+    assert verify_file(path)[0] == verdict
+    assert backward_verdict(t) == verdict
+    return verdict
+
+
+fault = st.tuples(st.sampled_from(FAULTS), st.integers(0, 10**6), st.integers(0, 7))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 40), seed=st.integers(0, 2**32), d=st.integers(0, 1),
+       faults=st.lists(fault, max_size=3))
+def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults):
+    t = honest(m, seed, d)
+    for kind, where, bit in faults:
+        apply_fault(t, kind, where % m, bit)
+    verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
+    if not faults:
+        assert verdict == Verdict.accept(d)
+
+
+@pytest.mark.parametrize("faults", [
+    [],
+    [("answer", VERIFY_BLOCK_ROUNDS, 3)],
+    [("challenge", 2 * VERIFY_BLOCK_ROUNDS + 1, 5)],
+    [("zero-challenge", -1, 0)],
+    [("late", 0, 0), ("zero-challenge", -1, 0)],
+    [("station", 0, 0), ("zero-challenge", -1, 0)],
+    [("late", VERIFY_BLOCK_ROUNDS - 1, 0), ("station", 2 * VERIFY_BLOCK_ROUNDS, 0)],
+], ids=["honest", "answer", "challenge", "zero", "late+zero", "station+zero",
+        "late+station"])
+def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
+    m = 2 * VERIFY_BLOCK_ROUNDS + 3
+    t = honest(m, seed=5, d=1)
+    for kind, i, bit in faults:
+        apply_fault(t, kind, i, bit)
+    verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
+    assert verdict.accepted == (not faults)
+
+
+def test_zero_rounds_is_malformed(tmp_path):
+    t = Transcript(spec=S8, m=0, tau1_ns=TAU_NS, tau2_ns=TAU_NS,
+                   reveal=RevealMessage(0, 0))
+    assert bob_verify(t) == Verdict.reject(REJECT_MALFORMED)
+    path = tmp_path / "t.rbcx"
+    write_transcript(t, path)
+    assert bob_verify(read_transcript(path)) == Verdict.reject(REJECT_MALFORMED)
+    assert verify_file(path)[0] == Verdict.reject(REJECT_MALFORMED)
+
+
+@pytest.mark.parametrize("first_fault, reason", [
+    ("late", REJECT_TIMING),
+    ("station", REJECT_MALFORMED),
+])
+def test_early_fault_outranks_late_zero_challenge(tmp_path, first_fault, reason):
+    """A fault in round 1 and a zero x_m give one verdict, whichever end the
+    verifier reads first."""
+    t = honest(5000, seed=6, d=0)
+    apply_fault(t, first_fault, 0, 0)
+    t.rounds[-1].challenge = 0
+    path = tmp_path / "t.rbcx"
+    write_transcript(t, path)
+    assert verify_file(path)[0] == bob_verify(t) == Verdict.reject(reason)
