@@ -7,7 +7,8 @@ Subcommands:
     simulate  run the discrete-event simulation, write transcript + audit
     run       run one live agent (A1/A2/B1/B2) over TCP
     verify    stream-verify a transcript file
-    bench     field and verification throughput, with a case-1 projection
+    bench     field, verification and simulate+verify throughput, with a
+              case-1 projection
 
 Exit codes are stable for scripting: 0 success/accept, 1 usage or config
 error, 2 protocol abort, 3 verification reject. Every command writes a run
@@ -34,6 +35,7 @@ from .planner import (
     PlannerError,
     ProtocolPlan,
     SpacetimeConfig,
+    compute_tq,
     format_plan_table,
     load_config,
     load_plan,
@@ -94,6 +96,11 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
+    """The duration T at which the planner lands exactly on `rounds` (even)."""
+    return (rounds + 1.5) * compute_tq(cfg) / 2.0
+
+
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     if getattr(args, "plan", None):
         return load_plan(args.plan)
@@ -104,10 +111,7 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     if getattr(args, "n", None):
         overrides["n"] = args.n
     if getattr(args, "rounds", None):
-        # pick T so the planner lands exactly on the requested (even) count
-        from .planner import compute_tq
-
-        overrides["T"] = (args.rounds + 1.5) * compute_tq(cfg) / 2.0
+        overrides["T"] = _duration_for_rounds(cfg, args.rounds)
     if overrides:
         cfg = SpacetimeConfig(**{**cfg.to_dict(), **overrides})
     return resource_plan(cfg)
@@ -262,8 +266,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_REJECT
     ver_rate = m / ver_dt
-    case1_rounds = resource_plan(_resolve_config("case1")).m
+    case1 = _resolve_config("case1")
+    case1_rounds = resource_plan(case1).m
     case1_hours = case1_rounds / ver_rate / 3600.0
+
+    # one honest run of the acceptance sweep: case-1 geometry, m = --rounds
+    sim_plan = resource_plan(SpacetimeConfig(
+        **{**case1.to_dict(), "T": _duration_for_rounds(case1, m)}))
+    t0 = time.perf_counter()
+    sim_transcript, _ = run_simulation(sim_plan, seed=args.seed, bit=1)
+    sim_verdict = bob_verify(sim_transcript)
+    sim_dt = time.perf_counter() - t0
+    if not sim_verdict.accepted:
+        print(f"error: the honest bench simulation was rejected: {sim_verdict!r}",
+              file=sys.stderr)
+        return EXIT_REJECT
 
     rows = {
         "mul_ops_per_s": mul_rate,
@@ -272,6 +289,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "verify_rounds_per_s": ver_rate,
         "case1_rounds": case1_rounds,
         "case1_verify_hours_projected": case1_hours,
+        "sim_verify_runs_per_s": 1.0 / sim_dt,
     }
     print(f"{'GF(2^128) multiply':34s} {mul_rate:12,.0f} ops/s   "
           f"({1e6 / mul_rate:.2f} us/op)")
@@ -279,6 +297,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'transcript verification':34s} {ver_rate:12,.0f} rounds/s")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
           f"({case1_rounds:.3g} rounds)")
+    print(f"{'honest simulate+verify':34s} {1.0 / sim_dt:12,.2f} runs/s   "
+          f"(m = {sim_plan.m})")
     outputs = []
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2))

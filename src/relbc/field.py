@@ -10,23 +10,17 @@ the FieldSpec methods.
 Multiplication fast path: for n <= 255 operands are "spread" (each coefficient
 bit placed in its own byte-wide slot), multiplied as ordinary integers (slot
 sums never exceed 255, so no carry crosses a slot boundary), and the product's
-per-slot parities are the carry-less product. The spread form never leaves
-this module: every other layer multiplies through `FieldSpec.mul`. If gmpy2 is
-importable the same code runs on mpz limbs, which is roughly 2x faster; there
-is no algorithmic difference and the pure-int fallback is fully supported.
+per-slot parities are the carry-less product. The spread form is built and
+compacted big-endian: the binary digits of `bin(v)`, most significant first,
+map byte for byte onto the slots, so neither conversion reverses a string.
+The spread form never leaves this module: every other layer multiplies
+through `FieldSpec.mul`.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Sequence
-
-try:  # optional accelerator; identical semantics on plain ints
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised on gmpy2-free installs
-    def _mpz(x):
-        return x
-
 
 class FieldError(Exception):
     """Base class for field arithmetic errors."""
@@ -139,27 +133,25 @@ class FieldSpec:
             return
         n = self.n
         self._slot_bytes = n  # one byte-wide slot per coefficient
-        par = int.from_bytes(b"\x01" * (2 * n), "little")
-        self._par_mask = _mpz(par)
-        self._lo_mask = _mpz((1 << (8 * n)) - 1)
+        self._par_mask = int.from_bytes(b"\x01" * (2 * n), "little")
+        self._lo_mask = (1 << (8 * n)) - 1
         self._s_poly = self._spread(self.poly)
 
     # -- spread-domain primitives (internal fast path) --------------------
     #
-    # Spread form places coefficient i in byte slot i. The carry-less product
-    # of two <=255-coefficient polynomials then falls out of one ordinary
-    # integer multiplication: per-slot sums stay below 256, so no carry ever
-    # crosses a slot, and masking each slot to its low bit takes parities.
+    # Spread form places coefficient i in byte slot i, counted from the least
+    # significant byte. The carry-less product of two <=255-coefficient
+    # polynomials then falls out of one ordinary integer multiplication:
+    # per-slot sums stay below 256, so no carry ever crosses a slot, and
+    # masking each slot to its low bit takes parities.
     # Values passed between these helpers are always parity-collapsed
     # (every slot is 0 or 1).
 
-    def _spread(self, v: int):
+    def _spread(self, v: int) -> int:
         """Compact int -> spread form (coefficient i in byte slot i)."""
-        return _mpz(int.from_bytes(
-            bin(v)[2:].encode().translate(_BIN_TO_SLOTS)[::-1], "little"
-        ))
+        return int.from_bytes(bin(v)[2:].encode().translate(_BIN_TO_SLOTS), "big")
 
-    def _smul(self, sa, sb):
+    def _smul(self, sa: int, sb: int) -> int:
         """Reduced product of two parity-collapsed spread values."""
         p = (sa * sb) & self._par_mask
         hi = p >> (8 * self.n)
@@ -168,10 +160,9 @@ class FieldSpec:
             hi = p >> (8 * self.n)
         return p
 
-    def _compact(self, sv) -> int:
+    def _compact(self, sv: int) -> int:
         """Spread form (parity-collapsed, reduced) -> compact int."""
-        raw = sv.to_bytes(self._slot_bytes, "little").translate(_SLOTS_TO_BIN)
-        return int(raw[::-1], 2)
+        return int(sv.to_bytes(self._slot_bytes, "big").translate(_SLOTS_TO_BIN), 2)
 
     # -- raw-int operations ----------------------------------------------
 

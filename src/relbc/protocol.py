@@ -279,8 +279,10 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
 
     `reveal` is None for an aborted transcript. The chain is run forward from
     a_1 = y_1 XOR d*x_1 (see the module docstring) and must end at the
-    revealed a_m. Precedence, highest first: aborted, malformed (the only
-    early return), timing, a zero challenge among x_2..x_m, bit mismatch.
+    revealed a_m. A round is on time when its answer is received no earlier
+    than its challenge was issued and at most its station's deadline later.
+    Precedence, highest first: aborted, malformed (the only early return),
+    timing, a zero challenge among x_2..x_m, bit mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)
@@ -288,14 +290,15 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     if m < 1 or d not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
     mul = spec.mul
-    late = zero = False
+    taus = (tau2_ns, tau1_ns)  # indexed by k & 1
+    mistimed = zero = False
     a = k = 0
     for k, rec in enumerate(rounds, start=1):
-        if k > m or rec.k != k or rec.station != station_of(k):
+        if k > m or rec.k != k or rec.station != 2 - (k & 1):  # station_of(k)
             return Verdict.reject(REJECT_MALFORMED)
         x = rec.challenge
-        if rec.answer_received_at - rec.challenge_issued_at > (tau1_ns if k & 1 else tau2_ns):
-            late = True
+        if not 0 <= rec.answer_received_at - rec.challenge_issued_at <= taus[k & 1]:
+            mistimed = True
         if k == 1:
             a = rec.answer ^ x if d else rec.answer
         else:
@@ -303,7 +306,7 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
             a = mul(x, a) ^ rec.answer
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
-    if late:
+    if mistimed:
         return Verdict.reject(REJECT_TIMING)
     if zero:
         return Verdict.reject(REJECT_ZERO_CHALLENGE)

@@ -12,7 +12,12 @@ light itself would miss the deadline by t_M.
 
 The engine is single-threaded and reproducible: events are processed in
 (time, sequence) order and identical inputs give byte-identical transcripts
-and reports. Parallelism is only across independent runs (`run_many`).
+and reports. Every round start and deadline, and the reveal, is known before
+the run, so they form one presorted schedule that is consumed from its end;
+only the events a run creates (arrivals, covert relays) go through a small
+heap, and the two are merged by (time, sequence). A clock with zero rate is a
+pure offset and converts in closed form; drifting clocks are inverted by a
+fixed-point search. Parallelism is only across independent runs (`run_many`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from heapq import heappush, heappop, heapify
+from heapq import heappush, heappop
 from typing import Iterable, Sequence
 
 from .field import FieldSpec
@@ -97,9 +102,16 @@ class ClockModel:
         return round(self.rate * global_ns)
 
     def local_at_global(self, global_ns: int) -> int:
+        if not self.rate:  # exact rate: no drift, a pure offset
+            return global_ns + self.offset_ns
         return global_ns + self.offset_ns + self.drift_ns(global_ns)
 
     def global_at_local(self, local_ns: int) -> int:
+        """The global time g at which this clock reaches `local_ns`:
+        local_at_global(g) >= local_ns > local_at_global(g - 1), found by a
+        fixed-point iteration and a step search (for g > 0)."""
+        if not self.rate:  # the closed form of the search below
+            return local_ns - self.offset_ns
         g = local_ns - self.offset_ns
         for _ in range(4):
             g = local_ns - self.offset_ns - self.drift_ns(g)
@@ -241,53 +253,75 @@ def run_simulation(plan: ProtocolPlan,
     clocks = clocks or {}
     clk = {agent: clocks.get(agent, EXACT_CLOCK) for agent in AGENTS}
     c = plan.config.c
-    travel_ba = {1: _travel_ns(pos["B1"], pos["A1"], c),
-                 2: _travel_ns(pos["B2"], pos["A2"], c)}
-    travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
     t_l_ns = plan.t_l_ns
-    tau = {1: plan.tau1_ns, 2: plan.tau2_ns}
+    # per-station lookups, indexed by station number (1 or 2)
+    b_clk = (None, clk["B1"], clk["B2"])
+    b_local_at = (None, clk["B1"].local_at_global, clk["B2"].local_at_global)
+    travel_ba = (0, _travel_ns(pos["B1"], pos["A1"], c), _travel_ns(pos["B2"], pos["A2"], c))
+    travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
+    tau = (0, plan.tau1_ns, plan.tau2_ns)
 
-    alice = {1: AliceAgent(1, spec, secrets, bit, m),
-             2: AliceAgent(2, spec, secrets, bit, m)}
-    bob = {1: BobAgent(1, spec, challenges, m), 2: BobAgent(2, spec, challenges, m)}
+    alice = (None, AliceAgent(1, spec, secrets, bit, m), AliceAgent(2, spec, secrets, bit, m))
+    bob = (None, BobAgent(1, spec, challenges, m), BobAgent(2, spec, challenges, m))
 
     reveal_round = m + 1
     reveal_station = station_of(reveal_round)
 
     # per-round state (index k)
     records: list[RoundRecord | None] = [None] * (reveal_round + 1)
-    issue_global = [0] * (reveal_round + 1)
-    deadline_global = [0] * (reveal_round + 1)
+    issue_local = [0] * (reveal_round + 1)
     pending_x = [0] * (reveal_round + 1)
+    # global-frame diagnostics, gathered while the schedule is built: each
+    # new minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
+    # (k, min over pairs 1..k), and the first rounds starting > t_M off nominal
+    slack_steps: list[tuple[int, int]] = []
+    margin_rounds: list[int] = []
+    t_m_ns = plan.t_m_ns
 
     transcript = Transcript(spec=spec, m=m, tau1_ns=plan.tau1_ns,
                             tau2_ns=plan.tau2_ns, plan_hash=plan.plan_hash)
     reveal_received = False
 
-    heap: list[tuple[int, int, int, int, int]] = []
-    seq = 0
+    # The static schedule: every (time, seq) pair packed into one int,
+    # time << shift | seq, which orders like the pair in under a third of the
+    # memory of a tuple. seq is the build order: 2k-2 starts round k, 2k-1 is its
+    # deadline, 2m is the reveal deadline and 2m+1 the reveal send.
+    shift = (2 * m + 1).bit_length()
+    schedule: list[int] = []
+    prev_start = 0
     for k in range(1, reveal_round + 1):
         st = station_of(k)
-        b_clk = clk[f"B{st}"]
-        start_local = plan.round_start_ns(k)
-        g_start = b_clk.global_at_local(start_local)
-        g_deadline = b_clk.global_at_local(start_local + tau[st])
-        issue_global[k] = g_start
-        deadline_global[k] = g_deadline
+        to_global = b_clk[st].global_at_local
+        start_local = issue_local[k] = plan.round_start_ns(k)
+        g_start = to_global(start_local)
+        g_deadline = to_global(start_local + tau[st])
+        if k > 1:
+            slack = prev_start + t_l_ns - g_deadline
+            if not slack_steps or slack < slack_steps[-1][1]:
+                slack_steps.append((k - 1, slack))
+        prev_start = g_start
+        if len(margin_rounds) < 100 and abs(g_start - start_local) > t_m_ns:
+            margin_rounds.append(k)
         if k <= m:
-            heap.append((g_start, seq, _EV_START, k, 0))
-            seq += 1
+            schedule.append(g_start << shift | len(schedule))
         # fires one tick past the deadline so an arrival exactly at the
         # deadline is still counted as on time
-        heap.append((g_deadline + 1, seq, _EV_DEADLINE, k, 0))
-        seq += 1
+        schedule.append((g_deadline + 1) << shift | len(schedule))
     # the committer self-schedules the reveal on her own clock
     a_clk = clk[f"A{reveal_station}"]
-    g_reveal_send = a_clk.global_at_local(plan.round_start_ns(reveal_round))
-    heap.append((g_reveal_send, seq, _EV_REVEAL_SEND, reveal_round, 0))
-    seq += 1
-    heapify(heap)
+    schedule.append(a_clk.global_at_local(issue_local[reveal_round]) << shift
+                    | len(schedule))
+    # Descending, so the next event is popped off the end and its entry freed.
+    # Events created while running go to a small heap of (time, seq, kind, k,
+    # payload); their seq numbers continue past the static ones, so merging
+    # the two by (time, seq) processes events in the same order as one heap.
+    schedule.sort(reverse=True)
+    seq_mask = (1 << shift) - 1
+    two_m = 2 * m
+    dynamic: list[tuple[int, int, int, int, int]] = []
+    seq = len(schedule)
 
+    skind = strategy.kind
     # relay-strategy bookkeeping
     covert_known: set[int] = set()   # challenge indexes relayed to the peer
     relay_waiting: dict[int, int] = {}  # round stalled on a relay -> station
@@ -303,64 +337,64 @@ def run_simulation(plan: ProtocolPlan,
         abort_round = k
         abort_reason = reason
 
-    def answer_round(st: int, k: int, x: int, send_global: int) -> tuple[int, int, int]:
-        """Compute the honest answer and its arrival event at B_st."""
+    def answer_round(st: int, k: int, x: int, send_global: int) -> tuple[int, int]:
+        """Compute the honest answer and its arrival time at B_st."""
         y = alice[st].handle_challenge(k, x)
         arrive = send_global + travel_ba[st]
         assert arrive >= send_global  # causality
-        return arrive, k, y
+        return arrive, y
 
-    while heap:
-        t, _, kind, k, payload = heappop(heap)
+    while schedule or dynamic:
+        if dynamic and (not schedule or dynamic[0][0] < schedule[-1] >> shift):
+            t, _, kind, k, payload = heappop(dynamic)
+        else:
+            key = schedule.pop()
+            t, s = key >> shift, key & seq_mask
+            if s < two_m:
+                k = (s >> 1) + 1
+                kind = _EV_DEADLINE if s & 1 else _EV_START
+            else:
+                k = reveal_round
+                kind = _EV_REVEAL_SEND if s & 1 else _EV_DEADLINE
         if aborted:
             break
         events += 1
         if kind == _EV_START:
-            st = station_of(k)
-            x = bob[st].issue_challenge(k)
-            pending_x[k] = x
+            st = 1 if k & 1 else 2
+            x = pending_x[k] = bob[st].issue_challenge(k)
             arrive = t + travel_ba[st]
             assert arrive >= t  # causality: delivery never precedes emission
-            heappush(heap, (arrive, seq, _EV_CH_ARRIVE, k, x))
+            heappush(dynamic, (arrive, seq, _EV_CH_ARRIVE, k, x))
             seq += 1
         elif kind == _EV_CH_ARRIVE:
-            st = station_of(k)
+            st = 1 if k & 1 else 2
             x = payload
-            skind = strategy.kind
             if skind == RELAY:
                 # covertly forward this challenge to the peer agent
-                heappush(heap, (t + travel_aa, seq, _EV_COVERT, k, x))
+                heappush(dynamic, (t + travel_aa, seq, _EV_COVERT, k, x))
                 seq += 1
                 if k == 1 or (k - 1) in covert_known:
-                    arrive, _, y = answer_round(st, k, x, t)
-                    heappush(heap, (arrive, seq, _EV_ANS_ARRIVE, k, y))
+                    arrive, y = answer_round(st, k, x, t)
+                    heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
                     seq += 1
                 else:
                     relay_waiting[k] = st
             elif skind == LATE_DECISION and k == strategy.target_round:
-                target_arrival = deadline_global[k] - strategy.margin_ns
+                deadline = b_clk[st].global_at_local(issue_local[k] + tau[st])
+                target_arrival = deadline - strategy.margin_ns
                 send = max(t, target_arrival - travel_ba[st])
-                arrive, _, y = answer_round(st, k, x, send)
+                arrive, y = answer_round(st, k, x, send)
                 arrive = max(arrive, target_arrival)
-                heappush(heap, (arrive, seq, _EV_ANS_ARRIVE, k, y))
+                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
                 seq += 1
             else:  # honest content, immediate answer
-                arrive, _, y = answer_round(st, k, x, t)
-                heappush(heap, (arrive, seq, _EV_ANS_ARRIVE, k, y))
-                seq += 1
-        elif kind == _EV_COVERT:
-            covert_known.add(k)
-            nxt = k + 1
-            if nxt in relay_waiting:
-                st = relay_waiting.pop(nxt)
-                arrive, _, y = answer_round(st, nxt, pending_x[nxt], t)
-                heappush(heap, (arrive, seq, _EV_ANS_ARRIVE, nxt, y))
+                arrive, y = answer_round(st, k, x, t)
+                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
                 seq += 1
         elif kind == _EV_ANS_ARRIVE:
-            st = station_of(k)
-            b_clk = clk[f"B{st}"]
-            received_local = b_clk.local_at_global(t)
-            issued_local = plan.round_start_ns(k)
+            st = 1 if k & 1 else 2
+            received_local = b_local_at[st](t)
+            issued_local = issue_local[k]
             records[k] = RoundRecord(k, st, pending_x[k], payload,
                                      issued_local, received_local)
             if received_local - issued_local > tau[st]:
@@ -371,20 +405,26 @@ def run_simulation(plan: ProtocolPlan,
                     do_abort(k, ABORT_TIMEOUT)
             elif not reveal_received:
                 do_abort(k, ABORT_TIMEOUT)
+        elif kind == _EV_COVERT:
+            covert_known.add(k)
+            nxt = k + 1
+            if nxt in relay_waiting:
+                st = relay_waiting.pop(nxt)
+                arrive, y = answer_round(st, nxt, pending_x[nxt], t)
+                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, nxt, y))
+                seq += 1
         elif kind == _EV_REVEAL_SEND:
             msg = alice[reveal_station].reveal()
-            if strategy.kind == WRONG_BIT_REVEAL:
+            if skind == WRONG_BIT_REVEAL:
                 msg = RevealMessage(msg.bit ^ 1, msg.final_secret)
             arrive = t + travel_ba[reveal_station]
-            heappush(heap, (arrive, seq, _EV_REVEAL_ARRIVE, reveal_round, 0))
+            heappush(dynamic, (arrive, seq, _EV_REVEAL_ARRIVE, reveal_round, 0))
             seq += 1
             transcript.reveal = msg
         elif kind == _EV_REVEAL_ARRIVE:
-            b_clk = clk[f"B{reveal_station}"]
-            received_local = b_clk.local_at_global(t)
+            received_local = b_local_at[reveal_station](t)
             transcript.reveal_received_at = received_local
-            issued_local = plan.round_start_ns(reveal_round)
-            if received_local - issued_local > tau[reveal_station]:
+            if received_local - issue_local[reveal_round] > tau[reveal_station]:
                 do_abort(k, ABORT_DEADLINE)
             else:
                 reveal_received = True
@@ -405,21 +445,15 @@ def run_simulation(plan: ProtocolPlan,
         transcript.mark_aborted(ABORT_TIMEOUT, reveal_round)
         aborted, abort_round, abort_reason = True, reveal_round, ABORT_TIMEOUT
 
-    # global-frame diagnostics
+    # global-frame diagnostics over the pairs and rounds the run reached
     worst_slack: int | None = None
-    last_pair = reveal_round if (reveal_received or not aborted) else (len(rounds))
-    for k in range(1, last_pair):
-        slack = issue_global[k] + t_l_ns - deadline_global[k + 1]
-        if worst_slack is None or slack < worst_slack:
-            worst_slack = slack
-    margin_violations = []
-    t_m_ns = plan.t_m_ns
-    for k in range(1, (reveal_round if not aborted else len(rounds)) + 1):
-        nominal = plan.round_start_ns(k)
-        if abs(issue_global[k] - nominal) > t_m_ns:
-            margin_violations.append(k)
-            if len(margin_violations) >= 100:
-                break
+    last_pair = reveal_round if (reveal_received or not aborted) else len(rounds)
+    for k, slack in slack_steps:
+        if k >= last_pair:
+            break
+        worst_slack = slack
+    last_round = reveal_round if not aborted else len(rounds)
+    margin_violations = [k for k in margin_rounds if k <= last_round]
     discipline = [a for a in AGENTS if clk[a].pps_violation]
 
     report = SimReport(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .field import FieldSpec
+from .field import FieldError, FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
     ROLE_ALICE_SECRETS,
@@ -76,6 +76,14 @@ def _read_exact(f, size: int, what: str) -> bytes:
         raise StorageError(f"short read while reading {what}: wanted {size} bytes, "
                            f"got {len(data)}")
     return data
+
+
+def _header_spec(n: int, poly: int, error: type[StorageError], where) -> FieldSpec:
+    """The field a file header names, or `error` if it names no valid field."""
+    try:
+        return FieldSpec(n, poly)
+    except FieldError as exc:
+        raise error(f"{where}: bad field in header: {exc}") from exc
 
 
 # -- tapes ---------------------------------------------------------------------
@@ -181,7 +189,7 @@ class TapeReader:
             role_code, count, provenance, seed = _TAPE_META.unpack(meta)
             if role_code not in _ROLE_NAMES:
                 raise TapeFormatError(f"{self.path}: unknown role code {role_code}")
-            self.spec = FieldSpec(n, poly)
+            self.spec = _header_spec(n, poly, TapeFormatError, self.path)
             self.role = _ROLE_NAMES[role_code]
             self.count = count
             self.provenance = provenance
@@ -392,14 +400,19 @@ def read_transcript_header(f) -> TranscriptHeader:
     if version != FORMAT_VERSION:
         raise TranscriptFormatError(f"unsupported transcript version {version}")
     poly = int.from_bytes(_read_exact(f, poly_len, "transcript polynomial"), "little")
-    spec = FieldSpec(n, poly)
+    spec = _header_spec(n, poly, TranscriptFormatError, "transcript")
     m, round_count, scale, tau1, tau2 = _XH_META.unpack(
         _read_exact(f, _XH_META.size, "transcript metadata"))
     status_code, abort_round, reason_len = _XH_STATUS.unpack(
         _read_exact(f, _XH_STATUS.size, "transcript status"))
     if status_code not in _STATUS_NAMES:
         raise TranscriptFormatError(f"unknown status code {status_code}")
-    reason = _read_exact(f, reason_len, "abort reason").decode() if reason_len else None
+    reason = None
+    if reason_len:
+        try:
+            reason = _read_exact(f, reason_len, "abort reason").decode()
+        except UnicodeDecodeError as exc:
+            raise TranscriptFormatError(f"abort reason is not UTF-8: {exc}") from exc
     reveal_flag, bit = _XH_REVEAL.unpack(_read_exact(f, _XH_REVEAL.size, "reveal flag"))
     a_m = int.from_bytes(_read_exact(f, spec.element_bytes, "reveal payload"), "little")
     (reveal_at,) = struct.unpack(">q", _read_exact(f, 8, "reveal timestamp"))

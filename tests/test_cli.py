@@ -96,6 +96,16 @@ class TestSimulateAndVerify:
         code, out, _ = run_cli(capsys, "verify", "bad.rbcx")
         assert code == 3 and "REJECT" in out
 
+    def test_verify_corrupt_width_exit_1(self, in_tmp, capsys):
+        code, _, _ = run_cli(capsys, "simulate", "--rounds", "20", "--n", "8",
+                             "--out", "t.rbcx")
+        assert code == 0
+        data = bytearray((in_tmp / "t.rbcx").read_bytes())
+        data[38:42] = (129).to_bytes(4, "big")  # the header's bit width
+        (in_tmp / "bad.rbcx").write_bytes(bytes(data))
+        code, _, err = run_cli(capsys, "verify", "bad.rbcx")
+        assert code == 1 and err.startswith("error:")
+
     def test_simulate_is_reproducible(self, in_tmp, capsys):
         run_cli(capsys, "simulate", "--rounds", "20", "--n", "8", "--seed", "9",
                 "--out", "a.rbcx")
@@ -118,9 +128,11 @@ class TestBench:
                                "--rounds", "500", "--json", "bench.json")
         assert code == 0
         assert "projected case-1 verification" in out
+        assert "honest simulate+verify" in out
         data = json.loads((in_tmp / "bench.json").read_text())
         assert data["verify_rounds_per_s"] > 0
         assert data["case1_verify_hours_projected"] > 0
+        assert data["sim_verify_runs_per_s"] > 0
 
     def test_projects_from_case1_plan(self, in_tmp, capsys):
         run_cli(capsys, "plan", "case1", "--out", "plan.json")

@@ -1,10 +1,14 @@
 """Simulator: determinism, honest completeness, adversaries, clocks, audit."""
 
+import hashlib
+import json
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relbc.field import gf2_8
+from relbc.field import FieldSpec, gf2_8
 from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
 from relbc.protocol import bob_verify
 from relbc.simnet import (
@@ -168,6 +172,84 @@ class TestClocks:
         clk = ClockModel(rate=5e-9, discipline="pps")
         for g in (10**9 - 1, 5 * 10**9 + 7, 3600 * 10**9 + 123):
             assert abs(clk.local_at_global(g) - g) <= 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(-10**9, 10**9), local=st.integers(0, 10**15),
+           discipline=st.sampled_from(["none", "pps"]))
+    def test_exact_rate_is_a_pure_offset(self, offset, local, discipline):
+        clk = ClockModel(offset_ns=offset, discipline=discipline)
+        assert clk.global_at_local(local) == local - offset
+        assert clk.local_at_global(local) == local + offset
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(-10**5, 10**5), local=st.integers(10**6, 10**14),
+           rate=st.floats(-8e-9, 8e-9))
+    def test_pps_inverse_is_the_first_crossing(self, offset, local, rate):
+        """Within tolerance, global_at_local(L) is the g where the local clock
+        steps from below L to at least L."""
+        clk = ClockModel(offset_ns=offset, rate=rate, discipline="pps")
+        assert not clk.pps_violation
+        g = clk.global_at_local(local)
+        assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
+
+
+# Output pin for the simulator: the sha256 of every transcript and report on
+# this grid, computed before the event loop and clock model were last
+# reworked. Any change to simulated output changes it. B2's offset puts its
+# round starts beyond t_M, and m=240 gives more than the 100 margin
+# violations a report lists.
+GOLDEN_STRATEGIES = [
+    AdversaryStrategy("honest"),
+    AdversaryStrategy("relay"),
+    AdversaryStrategy("late-decision", target_round=3, margin_ns=-1),
+    AdversaryStrategy("wrong-bit-reveal"),
+    AdversaryStrategy("placement-cheat"),
+]
+GOLDEN_CLOCKS = [
+    {},
+    {"A1": ClockModel(offset_ns=40), "A2": ClockModel(offset_ns=-25),
+     "B1": ClockModel(offset_ns=1234), "B2": ClockModel(offset_ns=-5077)},
+    {"A1": ClockModel(offset_ns=37, rate=3e-9, discipline="pps"),
+     "A2": ClockModel(offset_ns=-53, rate=-4e-9, discipline="pps"),
+     "B1": ClockModel(offset_ns=71, rate=2e-9, discipline="pps"),
+     "B2": ClockModel(offset_ns=-29, rate=-5e-9, discipline="pps")},
+]
+GOLDEN_DIGEST = "e2fe72f31c3ae5f2df8edf42149c90b597bebd7fd4df38b71a5e2175c02d87d0"
+
+
+def test_golden_digest():
+    h = hashlib.sha256()
+    for plan in (small_plan(20, n=8), small_plan(240, n=8), small_plan(12, n=128)):
+        for clocks in GOLDEN_CLOCKS:
+            for strategy in GOLDEN_STRATEGIES:
+                for seed, bit in ((1, 0), (2, 1)):
+                    t, rep = run_simulation(plan, clocks=clocks, strategy=strategy,
+                                            seed=seed, bit=bit)
+                    h.update(transcript_to_bytes(t))
+                    h.update(json.dumps(asdict(rep), sort_keys=True).encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+# tracemalloc peak of one honest m=10^4, n=128 run with supplied tapes, on
+# Python 3.11.7: 3.94 MB with one heap of tuples holding every event and
+# per-round global start and deadline lists; 2.52 MB with the packed
+# presorted schedule, freed as it is consumed, and running diagnostics.
+PEAK_BOUND_BYTES = 3_000_000
+
+
+def test_run_memory_bound():
+    plan = small_plan(10_000, n=128)
+    spec = FieldSpec(128)
+    tapes = make_tapes(plan, spec, 1)
+    run_simulation(plan, seed=1, bit=0, tapes=tapes, spec=spec)  # warm caches
+    tracemalloc.start()
+    try:
+        _, rep = run_simulation(plan, seed=1, bit=0, tapes=tapes, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.aborted
+    assert peak < PEAK_BOUND_BYTES, peak
 
 
 class TestAudit:

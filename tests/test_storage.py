@@ -100,6 +100,15 @@ class TestTapeFiles:
         with pytest.raises(TapeFormatError, match="magic"):
             TapeReader(path)
 
+    def test_bad_width_is_format_error(self, tmp_path):
+        path = tmp_path / "t.tape"
+        write_tape(path, S8, "alice-secrets", iter([1, 2]), 2)
+        data = bytearray(path.read_bytes())
+        data[6:10] = (129).to_bytes(4, "big")  # the header's bit width
+        path.write_bytes(bytes(data))
+        with pytest.raises(TapeFormatError, match="bad field"):
+            TapeReader(path)
+
     def test_exhaustion_error(self, tmp_path):
         path = tmp_path / "t.tape"
         write_tape(path, S8, "alice-secrets", iter([1, 2]), 2)
@@ -178,6 +187,28 @@ class TestTranscriptFiles:
         u = read_transcript(path)
         assert u.status == "aborted" and u.abort_round == 7
         assert u.abort_reason == "deadline"
+
+    def test_bad_width_is_format_error(self, tmp_path):
+        path = tmp_path / "t.rbcx"
+        write_transcript(_transcript(m=4), path)
+        data = bytearray(path.read_bytes())
+        data[38:42] = (129).to_bytes(4, "big")  # the header's bit width
+        path.write_bytes(bytes(data))
+        with pytest.raises(TranscriptFormatError, match="bad field"):
+            read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="bad field"):
+            verify_file(path)
+
+    def test_undecodable_abort_reason_is_format_error(self, tmp_path):
+        t = _transcript(m=4)
+        t.reveal = None
+        t.mark_aborted("deadline", 3)
+        path = tmp_path / "a.rbcx"
+        write_transcript(t, path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"deadline", b"\xff" * 8, 1))
+        with pytest.raises(TranscriptFormatError, match="UTF-8"):
+            read_transcript(path)
 
     def test_verify_file_accepts_honest(self, tmp_path):
         t = _transcript(m=500, n=128, d=1)

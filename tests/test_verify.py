@@ -35,8 +35,8 @@ def backward_verdict(t: Transcript) -> Verdict:
             or any(r.k != k or r.station != station_of(k)
                    for k, r in enumerate(t.rounds, start=1))):
         return Verdict.reject(REJECT_MALFORMED)
-    if any(r.answer_received_at - r.challenge_issued_at > t.tau_ns(r.station)
-           for r in t.rounds):
+    if not all(0 <= r.answer_received_at - r.challenge_issued_at <= t.tau_ns(r.station)
+               for r in t.rounds):
         return Verdict.reject(REJECT_TIMING)
     try:
         a1 = backward_chain(t.spec, t.rounds, t.reveal.final_secret)[0]
@@ -53,7 +53,7 @@ def honest(m: int, seed: int, d: int) -> Transcript:
     return run_honest_protocol(S8, secrets, challenges, d, tau1_ns=TAU_NS, tau2_ns=TAU_NS)
 
 
-FAULTS = ("answer", "challenge", "zero-challenge", "late", "station",
+FAULTS = ("answer", "challenge", "zero-challenge", "late", "early", "station",
           "reveal-bit", "reveal-secret")
 
 
@@ -68,6 +68,8 @@ def apply_fault(t: Transcript, kind: str, i: int, bit: int) -> None:
         rec.challenge = 0
     elif kind == "late":
         rec.answer_received_at = rec.challenge_issued_at + TAU_NS + 1
+    elif kind == "early":
+        rec.answer_received_at = rec.challenge_issued_at - 1
     elif kind == "station":
         rec.station = 3 - rec.station
     elif kind == "reveal-bit":
@@ -142,3 +144,13 @@ def test_early_fault_outranks_late_zero_challenge(tmp_path, first_fault, reason)
     path = tmp_path / "t.rbcx"
     write_transcript(t, path)
     assert verify_file(path)[0] == bob_verify(t) == Verdict.reject(reason)
+
+
+@pytest.mark.parametrize("i", [0, 7, -1])
+def test_answer_before_its_challenge_is_mistimed(tmp_path, i):
+    """A negative turnaround is a timing fault, in either verifier."""
+    t = honest(20, seed=7, d=1)
+    apply_fault(t, "early", i, 0)
+    path = tmp_path / "t.rbcx"
+    write_transcript(t, path)
+    assert bob_verify(t) == verify_file(path)[0] == Verdict.reject(REJECT_TIMING)
