@@ -486,8 +486,10 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan,
     and reports the worst slack (honest schedules leave ~t_M). The committer
     offset allowances cancel: sitting closer to the far station means
     learning the challenge earlier but also having to emit the answer
-    earlier, both at light speed. Per-round answer lateness is reported
-    separately. Timestamps must exist for every recorded round.
+    earlier, both at light speed. A round whose answer is received before
+    its challenge was issued or more than tau after it is reported
+    separately, by the rule `protocol.verify_rounds` applies. Timestamps
+    must exist for every recorded round.
     """
     scale = max(1, transcript.scale_factor)
     t_l_ns = plan.t_l_ns * scale
@@ -501,8 +503,8 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan,
         if rec.answer_received_at is None or rec.challenge_issued_at is None:
             return AuditReport(False, 0, None,
                                [(rec.k, "missing timestamps: audit incomplete")], [])
-        bound = transcript.tau_ns(rec.station)
-        if rec.answer_received_at - rec.challenge_issued_at > bound:
+        turnaround = rec.answer_received_at - rec.challenge_issued_at
+        if not 0 <= turnaround <= transcript.tau_ns(rec.station):
             late_rounds.append(rec.k)
     pairs = 0
     for i in range(len(rounds) - 1):
@@ -527,7 +529,7 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan,
                                f"reveal arrived {-slack} ns inside the light "
                                f"cone of round {last.k}"))
     for k in late_rounds:
-        violations.append((k, "answer received after its deadline"))
+        violations.append((k, "answer received outside its window"))
     return AuditReport(not violations, pairs, worst, violations, late_rounds)
 
 

@@ -23,8 +23,23 @@ every plan time by `scale_factor` (default 1000), preserving all ratios;
 the transcript records the factor so audits scale alongside.
 
 Topology: A1 and B2's link both terminate at B1's listener; A2 connects to
-B2. B1 picks the session epoch and ships it to B2 in a SCHEDULE frame; the
-residual loopback skew (microseconds) is absorbed by the scaled margins.
+B2's listener. B1 picks the session epoch and ships it to B2 in a SCHEDULE
+frame; the residual loopback skew (microseconds) is absorbed by the scaled
+margins. Both verifiers run the same `_run_bob`; only these two steps
+depend on the station.
+
+The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
+for even m, B2 for odd m. That station's committer sends it, its verifier
+puts it in its RECORDS payload (reveal flag 1), and the other verifier takes
+it from there. A session needs m >= 2, so that the revealing committer has a
+round of its own to time the reveal from.
+
+Every byte a peer sends goes through `decode_frame` and one `_parse_*`
+function, which raise `MalformedFrameError` on any layout fault (an ABORT
+reason is decoded with replacement and cannot fail). That error,
+a dropped or timed-out link, and a committer-side sequencing error all end
+in `run_agent`, the one place that turns a peer failure into an
+`AgentResult` with EXIT_ABORT.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ import time
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
-from .field import FieldSpec
+from .field import FieldError, FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
     AliceAgent,
@@ -60,12 +75,17 @@ FRAME_SCHEDULE = 0x06
 FRAME_RECORDS = 0x07
 FRAME_VERDICT = 0x08
 
-_FRAME_TYPES = frozenset((FRAME_CHALLENGE, FRAME_ANSWER, FRAME_REVEAL, FRAME_ABORT,
-                          FRAME_HELLO, FRAME_SCHEDULE, FRAME_RECORDS, FRAME_VERDICT))
+_FRAME_NAMES = {FRAME_CHALLENGE: "CHALLENGE", FRAME_ANSWER: "ANSWER", FRAME_REVEAL: "REVEAL",
+                FRAME_ABORT: "ABORT", FRAME_HELLO: "HELLO", FRAME_SCHEDULE: "SCHEDULE",
+                FRAME_RECORDS: "RECORDS", FRAME_VERDICT: "VERDICT"}
 
 MAX_FRAME_PAYLOAD = 1 << 24
 
 _HEAD = struct.Struct(">IBQ")  # length, type, round
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+_VERDICT = struct.Struct(">BB32sH")  # accepted, bit, transcript sha256, reason length
 
 ROLES = ("A1", "A2", "B1", "B2")
 
@@ -74,6 +94,7 @@ ABORT_CONNECTION = "connection"
 ABORT_DEADLINE = "deadline"
 ABORT_TAPE = "tape"
 ABORT_MISMATCH = "transcript-mismatch"
+ABORT_MALFORMED = "malformed-frame"
 
 EXIT_ACCEPT = 0
 EXIT_USAGE = 1
@@ -86,11 +107,17 @@ class TransportError(Exception):
 
 
 class MalformedFrameError(TransportError):
-    """Frame violates the wire layout; carries the faulting byte offset."""
+    """A peer's bytes violate the wire layout or the frame order; carries
+    the faulting byte offset within the frame."""
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _bad_payload(message: str, pos: int) -> MalformedFrameError:
+    """Malformed payload, with `pos` counted from the start of the payload."""
+    return MalformedFrameError(message, _HEAD.size + pos)
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,7 @@ class WireFrame:
 
 
 def encode_frame(ftype: int, round_index: int, payload: bytes = b"") -> bytes:
-    if ftype not in _FRAME_TYPES:
+    if ftype not in _FRAME_NAMES:
         raise MalformedFrameError(f"unknown frame type 0x{ftype:02x}", 4)
     if len(payload) > MAX_FRAME_PAYLOAD:
         raise MalformedFrameError(f"payload too large: {len(payload)}", 0)
@@ -112,7 +139,7 @@ def decode_frame(data: bytes) -> WireFrame:
     """Decode one complete frame; rejects truncation, oversize, unknown type."""
     if len(data) < 4:
         raise MalformedFrameError("truncated before length field", len(data))
-    (length,) = struct.unpack_from(">I", data)
+    (length,) = _U32.unpack_from(data)
     if length < 9:
         raise MalformedFrameError(f"length {length} below fixed fields", 0)
     if length > 9 + MAX_FRAME_PAYLOAD:
@@ -123,10 +150,18 @@ def decode_frame(data: bytes) -> WireFrame:
             min(len(data), 4 + length),
         )
     ftype = data[4]
-    if ftype not in _FRAME_TYPES:
+    if ftype not in _FRAME_NAMES:
         raise MalformedFrameError(f"unknown frame type 0x{ftype:02x}", 4)
-    (round_index,) = struct.unpack_from(">Q", data, 5)
+    (round_index,) = _U64.unpack_from(data, 5)
     return WireFrame(ftype, round_index, data[13:])
+
+
+def _expect(frame: WireFrame, ftype: int) -> bytes:
+    """The payload of `frame`, which must be of type `ftype`."""
+    if frame.type != ftype:
+        raise MalformedFrameError(
+            f"expected {_FRAME_NAMES[ftype]}, got {_FRAME_NAMES[frame.type]}", 4)
+    return frame.payload
 
 
 def send_frame(sock: socket.socket, ftype: int, round_index: int,
@@ -156,7 +191,7 @@ def recv_frame(sock: socket.socket, deadline_ns: int | None = None) -> WireFrame
         sock.settimeout(None)
     try:
         head = _recv_exact(sock, 4)
-        (length,) = struct.unpack(">I", head)
+        (length,) = _U32.unpack(head)
         if length < 9 or length > 9 + MAX_FRAME_PAYLOAD:
             raise MalformedFrameError(f"bad frame length {length}", 0)
         body = _recv_exact(sock, length)
@@ -170,6 +205,17 @@ class AbortReport:
     reason: str
     round_index: int | None = None
     detail: str = ""
+
+
+def _abort_report(frame: WireFrame, default: str, detail: str = "") -> AbortReport:
+    """The report for a received ABORT frame; never raises on its payload."""
+    return AbortReport(frame.payload.decode(errors="replace") or default,
+                       frame.round_index or None, detail)
+
+
+class _Abort(Exception):
+    """Ends a role early; `run_agent` returns its one argument, an
+    AbortReport, with EXIT_ABORT."""
 
 
 @dataclass
@@ -207,6 +253,10 @@ class SessionConfig:
             raise TransportError(f"unknown role {self.role!r}")
         if self.scale_factor < 1:
             raise TransportError("scale factor must be >= 1")
+        if self.plan.m < 2:
+            raise TransportError(
+                f"a live session needs m >= 2 rounds, got m={self.plan.m}: the "
+                "revealing committer times the reveal from its own last round")
 
 
 class _TapeFileView:
@@ -238,59 +288,105 @@ def _sleep_until_ns(target_ns: int) -> int:
         time.sleep(min(delta / 2e9, 0.05) if delta > 1_000_000 else 2e-4)
 
 
+# -- payloads -------------------------------------------------------------------
+
+
 def _hello_payload(role: str, plan_hash: str) -> bytes:
     return ROLES.index(role).to_bytes(1, "big") + bytes.fromhex(plan_hash)
 
 
 def _parse_hello(payload: bytes) -> tuple[str, str]:
     if len(payload) != 33:
-        raise MalformedFrameError(f"HELLO payload must be 33 bytes, got {len(payload)}", 13)
+        raise _bad_payload(f"HELLO payload must be 33 bytes, got {len(payload)}", 0)
+    if payload[0] >= len(ROLES):
+        raise _bad_payload(f"unknown role byte {payload[0]}", 0)
     return ROLES[payload[0]], payload[1:].hex()
 
 
-def _records_payload(records: list[RoundRecord], eb: int,
+def _parse_schedule(payload: bytes) -> int:
+    """Nanoseconds from receipt to the session epoch."""
+    if len(payload) != _U64.size:
+        raise _bad_payload(f"SCHEDULE payload must be 8 bytes, got {len(payload)}", 0)
+    return _U64.unpack(payload)[0]
+
+
+def _parse_element(spec: FieldSpec, data: bytes, pos: int = 0) -> int:
+    try:
+        return spec.decode(data)
+    except FieldError as exc:
+        raise _bad_payload(str(exc), pos) from None
+
+
+def _reveal_payload(spec: FieldSpec, reveal: RevealMessage) -> bytes:
+    return bytes([reveal.bit]) + spec.encode(reveal.final_secret)
+
+
+def _parse_reveal(spec: FieldSpec, data: bytes, pos: int = 0) -> RevealMessage:
+    if not data:
+        raise _bad_payload("empty reveal", pos)
+    return RevealMessage(data[0], _parse_element(spec, data[1:], pos + 1))
+
+
+def _records_payload(records: list[RoundRecord], spec: FieldSpec,
                      reveal: RevealMessage | None, reveal_at: int) -> bytes:
-    out = bytearray(struct.pack(">I", len(records)))
-    for rec in records:
-        out += _pack_record(rec, eb)
+    eb = spec.element_bytes
+    out = _U32.pack(len(records)) + b"".join(_pack_record(rec, eb) for rec in records)
     if reveal is None:
-        out += b"\x00"
-    else:
-        out += b"\x01" + bytes([reveal.bit]) + reveal.final_secret.to_bytes(eb, "little")
-        out += struct.pack(">q", reveal_at)
-    return bytes(out)
+        return out + b"\x00"
+    return out + b"\x01" + _reveal_payload(spec, reveal) + _I64.pack(reveal_at)
 
 
-def _parse_records(payload: bytes, eb: int) -> tuple[list[RoundRecord], RevealMessage | None, int]:
-    (count,) = struct.unpack_from(">I", payload)
+def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], RevealMessage | None, int]:
+    """A peer's RECORDS: count, that many records, a reveal flag byte and,
+    when the flag is 1, the reveal and its receipt time. Nothing may trail."""
+    eb, size = spec.element_bytes, len(payload)
+    if size < _U32.size + 1:
+        raise _bad_payload(f"RECORDS payload of {size} bytes is truncated", size)
+    (count,) = _U32.unpack_from(payload)
     rec_size = _record_size(eb)
-    pos = 4
-    records = []
-    for _ in range(count):
-        records.append(_unpack_record(payload, pos, eb))
-        pos += rec_size
-    has_reveal = payload[pos]
-    pos += 1
-    if not has_reveal:
+    flag_at = _U32.size + count * rec_size
+    if flag_at >= size:
+        raise _bad_payload(f"RECORDS count {count} overruns the payload", size)
+    flag = payload[flag_at]
+    if flag > 1:
+        raise _bad_payload(f"reveal flag {flag} is neither 0 nor 1", flag_at)
+    end = flag_at + 1 + flag * (1 + eb + _I64.size)
+    if size != end:
+        raise _bad_payload(f"RECORDS payload is {size} bytes, its layout {end}",
+                           min(size, end))
+    records = [_unpack_record(payload, _U32.size + i * rec_size, eb) for i in range(count)]
+    if any((rec.challenge | rec.answer) > spec.mask for rec in records):
+        raise _bad_payload(f"a record element exceeds {spec.n} bits", _U32.size)
+    if not flag:
         return records, None, 0
-    bit = payload[pos]
-    a_m = int.from_bytes(payload[pos + 1:pos + 1 + eb], "little")
-    (reveal_at,) = struct.unpack_from(">q", payload, pos + 1 + eb)
-    return records, RevealMessage(bit, a_m), reveal_at
+    reveal = _parse_reveal(spec, payload[flag_at + 1:end - _I64.size], flag_at + 1)
+    return records, reveal, _I64.unpack_from(payload, end - _I64.size)[0]
 
 
 def _verdict_payload(verdict: Verdict, sha: bytes) -> bytes:
     reason = (verdict.reason or "").encode()
     bit = verdict.bit if verdict.bit is not None else 0xFF
-    return struct.pack(">BB32sH", int(verdict.accepted), bit, sha, len(reason)) + reason
+    return _VERDICT.pack(int(verdict.accepted), bit, sha, len(reason)) + reason
 
 
 def _parse_verdict(payload: bytes) -> tuple[Verdict, bytes]:
-    accepted, bit, sha, reason_len = struct.unpack_from(">BB32sH", payload)
-    reason = payload[36:36 + reason_len].decode() if reason_len else None
+    if len(payload) < _VERDICT.size:
+        raise _bad_payload(f"VERDICT payload of {len(payload)} bytes is truncated",
+                           len(payload))
+    accepted, bit, sha, reason_len = _VERDICT.unpack_from(payload)
+    if len(payload) != _VERDICT.size + reason_len:
+        raise _bad_payload(f"VERDICT reason is {len(payload) - _VERDICT.size} bytes, "
+                           f"its length field {reason_len}", _VERDICT.size)
+    try:
+        reason = payload[_VERDICT.size:].decode()
+    except UnicodeDecodeError as exc:
+        raise _bad_payload("VERDICT reason is not UTF-8", _VERDICT.size + exc.start) from None
     if accepted:
         return Verdict.accept(bit), sha
     return Verdict.reject(reason or "unknown"), sha
+
+
+# -- session plumbing -------------------------------------------------------------
 
 
 class _Session:
@@ -302,29 +398,28 @@ class _Session:
         self.spec = FieldSpec(self.plan.n)
         self.scale = cfg.scale_factor
         self.station = int(cfg.role[1])
-        self.is_bob = cfg.role.startswith("B")
         self.m = self.plan.m
+        self.hosts_reveal = station_of(self.m + 1) == self.station
+        tau = self.plan.tau1_ns if self.station == 1 else self.plan.tau2_ns
+        self.tau_ns = tau * self.scale   # this station's scaled answer deadline
         self.sockets: dict[str, socket.socket] = {}
         self.listener: socket.socket | None = None
+        self.tape: TapeReader | None = None
         self.epoch_ns: int | None = None
 
-    # scaled schedule helpers ------------------------------------------------
     def start_ns(self, k: int) -> int:
         return self.plan.round_start_ns(k) * self.scale
 
-    def tau_eff(self, station: int) -> int:
-        tau = self.plan.tau1_ns if station == 1 else self.plan.tau2_ns
-        return tau * self.scale
+    def recv(self, sock: socket.socket) -> WireFrame:
+        """The next frame, within the session's I/O timeout."""
+        return recv_frame(sock, time.monotonic_ns() + int(self.cfg.io_timeout_s * 1e9))
 
     def close(self) -> None:
-        for s in self.sockets.values():
+        owned = [self.listener] if self.cfg.listen_socket is None else []
+        for s in [*self.sockets.values(), *owned, self.tape]:
             try:
-                s.close()
-            except OSError:
-                pass
-        if self.listener is not None and self.cfg.listen_socket is None:
-            try:
-                self.listener.close()
+                if s is not None:
+                    s.close()
             except OSError:
                 pass
 
@@ -352,30 +447,29 @@ def _abort_all(ses: _Session, reason: str, round_index: int) -> None:
             pass
 
 
-def _expect_hello(ses: _Session, sock: socket.socket) -> str | None:
-    """Receive + answer a HELLO; returns the peer role or None on hash
-    mismatch (mismatch is answered with ABORT)."""
-    frame = recv_frame(sock, time.monotonic_ns() + int(ses.cfg.io_timeout_s * 1e9))
-    if frame.type != FRAME_HELLO:
-        raise TransportError(f"expected HELLO, got type 0x{frame.type:02x}")
-    role, plan_hash = _parse_hello(frame.payload)
+def _expect_hello(ses: _Session, sock: socket.socket) -> str:
+    """Receive and answer a HELLO; returns the peer role. A plan-hash
+    mismatch is answered with ABORT and ends the role."""
+    role, plan_hash = _parse_hello(_expect(ses.recv(sock), FRAME_HELLO))
     if plan_hash != ses.plan.plan_hash:
         send_frame(sock, FRAME_ABORT, 0, ABORT_CONFIG.encode())
-        return None
+        raise _Abort(AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
     send_frame(sock, FRAME_HELLO, 0, _hello_payload(ses.cfg.role, ses.plan.plan_hash))
     return role
 
 
-def _send_hello(ses: _Session, sock: socket.socket) -> bool:
-    """Initiate a HELLO exchange; False on plan-hash mismatch or peer abort."""
+def _connect_peer(ses: _Session, role: str) -> socket.socket:
+    """Connect to `role` and exchange HELLOs; a plan-hash mismatch or a
+    peer ABORT ends the role."""
+    addr = ses.cfg.peers.get(role)
+    if addr is None:
+        raise TransportError(f"{ses.cfg.role} needs the address of {role}")
+    sock = ses.sockets[role] = _connect(addr, ses.cfg.io_timeout_s)
     send_frame(sock, FRAME_HELLO, 0, _hello_payload(ses.cfg.role, ses.plan.plan_hash))
-    frame = recv_frame(sock, time.monotonic_ns() + int(ses.cfg.io_timeout_s * 1e9))
-    if frame.type == FRAME_ABORT:
-        return False
-    if frame.type != FRAME_HELLO:
-        raise TransportError(f"expected HELLO reply, got type 0x{frame.type:02x}")
-    _, plan_hash = _parse_hello(frame.payload)
-    return plan_hash == ses.plan.plan_hash
+    frame = ses.recv(sock)
+    if frame.type == FRAME_ABORT or _parse_hello(_expect(frame, FRAME_HELLO))[1] != ses.plan.plan_hash:
+        raise _Abort(AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
+    return sock
 
 
 def _drain_abort(sock: socket.socket) -> WireFrame | None:
@@ -383,9 +477,7 @@ def _drain_abort(sock: socket.socket) -> WireFrame | None:
     sock.setblocking(False)
     try:
         head = sock.recv(4, socket.MSG_PEEK)
-    except (BlockingIOError, InterruptedError):
-        return None
-    except OSError:
+    except OSError:  # nothing pending, or the link is gone
         return None
     finally:
         sock.setblocking(True)
@@ -397,98 +489,78 @@ def _drain_abort(sock: socket.socket) -> WireFrame | None:
         return None
 
 
+def _load_tape(ses: _Session) -> _TapeFileView:
+    """This role's tape: the secrets for a committer, the challenges for a
+    verifier. A tape shorter than m ends the role before it connects."""
+    kind, path = (("challenge", ses.cfg.challenges_path) if ses.cfg.role[0] == "B"
+                  else ("secrets", ses.cfg.secrets_path))
+    if path is None:
+        raise TransportError(f"{ses.cfg.role} needs a {kind} tape")
+    ses.tape = TapeReader(path)
+    if ses.tape.count < ses.m:
+        raise _Abort(AbortReport(ABORT_TAPE, None, f"{kind} tape too short"))
+    if ses.tape.spec != ses.spec:
+        raise TransportError(f"{kind} tape field does not match the plan")
+    return _TapeFileView(ses.tape)
+
+
 def run_agent(cfg: SessionConfig) -> AgentResult:
-    """Run one agent role to completion; see module docstring for topology."""
+    """Run one agent role to completion; see module docstring for topology.
+
+    This is where every peer failure ends: a dropped or timed-out link, a
+    malformed frame (also announced to the other peers with an ABORT), or an
+    out-of-sequence round all give EXIT_ABORT with their cause.
+    """
     ses = _Session(cfg)
     try:
-        if cfg.role == "B1":
-            return _run_b1(ses)
-        if cfg.role == "B2":
-            return _run_b2(ses)
-        return _run_alice(ses)
+        return _run_bob(ses) if cfg.role[0] == "B" else _run_alice(ses)
+    except _Abort as exc:
+        (report,) = exc.args
+    except (ConnectionError, TimeoutError) as exc:
+        report = AbortReport(ABORT_CONNECTION, None, str(exc))
+    except MalformedFrameError as exc:
+        report = AbortReport(ABORT_MALFORMED, None, str(exc))
+        _abort_all(ses, ABORT_MALFORMED, 0)
+    except ProtocolError as exc:
+        report = AbortReport("protocol", None, str(exc))
     finally:
         ses.close()
+    return AgentResult(cfg.role, EXIT_ABORT, abort=report)
 
 
 # -- committer side ---------------------------------------------------------
 
 
-def _load_alice_tape(ses: _Session):
-    cfg = ses.cfg
-    if cfg.secrets_path is None:
-        raise TransportError("committer roles need secrets_path")
-    reader = TapeReader(cfg.secrets_path)
-    if reader.count < ses.m:
-        reader.close()
-        return None
-    if reader.spec != ses.spec:
-        reader.close()
-        raise TransportError("secrets tape field does not match the plan")
-    return _TapeFileView(reader)
-
-
 def _run_alice(ses: _Session) -> AgentResult:
     cfg = ses.cfg
-    tape = _load_alice_tape(ses)
-    if tape is None:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_TAPE, None, "secrets tape too short"))
-    agent = AliceAgent(ses.station, ses.spec, tape, cfg.bit, ses.m)
-    sock = _connect(cfg.peers[f"B{ses.station}"], cfg.io_timeout_s)
-    ses.sockets["B"] = sock
-    if not _send_hello(ses, sock):
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
-
-    reveal_station = station_of(ses.m + 1)
-    my_rounds = range(ses.station, ses.m + 1, 2)
-    last_round = max(my_rounds) if ses.station <= ses.m else 0
-    gap_to_reveal = (ses.start_ns(ses.m + 1) - ses.start_ns(ses.m - 1)
-                     if ses.m >= 2 else ses.start_ns(ses.m + 1))
-    timeout_ns = int(cfg.io_timeout_s * 1e9)
-    last_recv_ns = 0
+    agent = AliceAgent(ses.station, ses.spec, _load_tape(ses), cfg.bit, ses.m)
+    sock = _connect_peer(ses, f"B{ses.station}")
+    last_round = ses.m if station_of(ses.m) == ses.station else ses.m - 1
+    while True:
+        frame = ses.recv(sock)
+        if frame.type == FRAME_ABORT:
+            raise _Abort(_abort_report(frame, ABORT_DEADLINE))
+        k = frame.round_index
+        x = _parse_element(ses.spec, _expect(frame, FRAME_CHALLENGE))
+        last_recv_ns = time.monotonic_ns()
+        if cfg.delay_round == k and cfg.delay_extra_s > 0:
+            time.sleep(cfg.delay_extra_s)
+        send_frame(sock, FRAME_ANSWER, k, ses.spec.encode(agent.handle_challenge(k, x)))
+        if k == last_round:
+            break
+    if ses.hosts_reveal:
+        # self-schedule the reveal one schedule interval after the last
+        # own-round challenge arrived
+        _sleep_until_ns(last_recv_ns + ses.start_ns(ses.m + 1) - ses.start_ns(ses.m - 1))
+        send_frame(sock, FRAME_REVEAL, ses.m + 1, _reveal_payload(ses.spec, agent.reveal()))
+    # wait for the verifier's outcome: ABORT, or EOF on clean completion
     try:
-        while True:
-            frame = recv_frame(sock, time.monotonic_ns() + timeout_ns)
-            if frame.type == FRAME_ABORT:
-                return AgentResult(cfg.role, EXIT_ABORT,
-                                   abort=AbortReport(frame.payload.decode() or ABORT_DEADLINE,
-                                                     frame.round_index or None))
-            if frame.type != FRAME_CHALLENGE:
-                raise TransportError(f"unexpected frame type 0x{frame.type:02x}")
-            k = frame.round_index
-            x = ses.spec.decode(frame.payload)
-            last_recv_ns = time.monotonic_ns()
-            if cfg.delay_round == k and cfg.delay_extra_s > 0:
-                time.sleep(cfg.delay_extra_s)
-            y = agent.handle_challenge(k, x)
-            send_frame(sock, FRAME_ANSWER, k, ses.spec.encode(y))
-            if k == last_round and ses.station == reveal_station:
-                # self-schedule the reveal one schedule interval after the
-                # last own-round challenge arrived
-                _sleep_until_ns(last_recv_ns + gap_to_reveal)
-                msg = agent.reveal()
-                payload = bytes([msg.bit]) + ses.spec.encode(msg.final_secret)
-                send_frame(sock, FRAME_REVEAL, ses.m + 1, payload)
-            if k == last_round:
-                break
-        # wait for the verifier's outcome: ABORT, or EOF on clean completion
-        sock.settimeout(cfg.io_timeout_s)
-        try:
-            frame = recv_frame(sock)
-            if frame.type == FRAME_ABORT:
-                return AgentResult(cfg.role, EXIT_ABORT,
-                                   abort=AbortReport(frame.payload.decode() or ABORT_DEADLINE,
-                                                     frame.round_index or None))
-        except (ConnectionError, TimeoutError):
-            pass
+        frame = recv_frame(sock)
+    except (ConnectionError, TimeoutError):
         return AgentResult(cfg.role, EXIT_ACCEPT)
-    except (ConnectionError, TimeoutError) as exc:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_CONNECTION, None, str(exc)))
-    except ProtocolError as exc:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport("protocol", None, str(exc)))
+    if frame.type == FRAME_ABORT:
+        raise _Abort(_abort_report(frame, ABORT_DEADLINE))
+    return AgentResult(cfg.role, EXIT_ACCEPT)
 
 
 # -- verifier side ------------------------------------------------------------
@@ -499,96 +571,66 @@ def _bob_listener(ses: _Session) -> socket.socket:
         return ses.cfg.listen_socket
     if ses.cfg.listen is None:
         raise TransportError(f"{ses.cfg.role} needs a listen address")
-    lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    lst.bind(ses.cfg.listen)
-    lst.listen(2)
-    return lst
+    return socket.create_server(ses.cfg.listen, backlog=2)
 
 
-def _accept_role(ses: _Session, expect: set[str]) -> dict[str, socket.socket]:
+def _accept_role(ses: _Session, expect: set[str]) -> None:
     """Accept connections until each expected peer has said HELLO."""
-    got: dict[str, socket.socket] = {}
     ses.listener.settimeout(ses.cfg.io_timeout_s)
-    while set(got) != expect:
+    while not expect <= set(ses.sockets):
         conn, _ = ses.listener.accept()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         role = _expect_hello(ses, conn)
-        if role is None:
-            raise _HandshakeAbort()
-        if role not in expect or role in got:
+        if role not in expect or role in ses.sockets:
             conn.close()
-            raise TransportError(f"unexpected peer {role}")
-        got[role] = conn
-    return got
-
-
-class _HandshakeAbort(Exception):
-    pass
+            raise _Abort(AbortReport(ABORT_CONFIG, None, f"unexpected peer {role}"))
+        ses.sockets[role] = conn
 
 
 def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
                     bob_link: socket.socket, challenges) -> tuple[list[RoundRecord], RevealMessage | None, int, AbortReport | None]:
-    """Issue this station's challenges on schedule; returns records and, at
-    station 1, the reveal. Aborts propagate over both links."""
-    cfg = ses.cfg
+    """Issue this station's challenges on schedule, then, at the station that
+    hosts round m+1, wait for the reveal. Returns the records, the reveal
+    and its receipt time, and the abort if there was one; aborts propagate
+    over both links."""
     agent = BobAgent(ses.station, ses.spec, challenges, ses.m)
     records: list[RoundRecord] = []
-    reveal: RevealMessage | None = None
-    reveal_at = 0
-    tau_eff = ses.tau_eff(ses.station)
-    reveal_round = ses.m + 1
-    hosts_reveal = station_of(reveal_round) == ses.station
-    my_rounds = list(range(ses.station, ses.m + 1, 2))
-
-    for k in my_rounds:
-        # harvest a propagated abort from the peer verifier between rounds
-        frame = _drain_abort(bob_link)
-        if frame is not None and frame.type == FRAME_ABORT:
-            return records, None, 0, AbortReport(frame.payload.decode() or ABORT_DEADLINE,
-                                                 frame.round_index or None, "peer abort")
-        x = agent.issue_challenge(k)
-        _sleep_until_ns(ses.epoch_ns + ses.start_ns(k))
-        issued = time.monotonic_ns()
-        send_frame(alice_sock, FRAME_CHALLENGE, k, ses.spec.encode(x))
-        deadline = issued + tau_eff
+    reveal, reveal_at = None, 0
+    steps = list(range(ses.station, ses.m + 1, 2))
+    if ses.hosts_reveal:
+        steps.append(ses.m + 1)
+    for k in steps:
+        start = ses.epoch_ns + ses.start_ns(k)
+        if k <= ses.m:
+            # harvest a propagated abort from the peer verifier between rounds
+            frame = _drain_abort(bob_link)
+            if frame is not None and frame.type == FRAME_ABORT:
+                return records, None, 0, _abort_report(frame, ABORT_DEADLINE, "peer abort")
+            x = agent.issue_challenge(k)
+            _sleep_until_ns(start)
+            start = time.monotonic_ns()
+            send_frame(alice_sock, FRAME_CHALLENGE, k, ses.spec.encode(x))
+            expect, what = FRAME_ANSWER, "answer"
+        else:
+            expect, what = FRAME_REVEAL, "reveal"
         try:
-            frame = recv_frame(alice_sock, deadline)
-            received = time.monotonic_ns()
+            frame = recv_frame(alice_sock, start + ses.tau_ns)
         except TimeoutError:
-            received = time.monotonic_ns()
             frame = None
-        if frame is None or frame.type != FRAME_ANSWER or frame.round_index != k:
-            report = AbortReport(ABORT_DEADLINE, k, "no answer within tau")
+        received = time.monotonic_ns()
+        if frame is None or frame.type != expect or frame.round_index != k:
+            report = AbortReport(ABORT_DEADLINE, k, f"no {what} within tau")
+        else:
+            if k <= ses.m:
+                y = _parse_element(ses.spec, frame.payload)
+                records.append(RoundRecord(k, ses.station, x, y, start, received))
+            else:
+                reveal, reveal_at = _parse_reveal(ses.spec, frame.payload), received
+            late = received - start > ses.tau_ns
+            report = AbortReport(ABORT_DEADLINE, k, f"{what} after tau") if late else None
+        if report is not None:
             _abort_all(ses, ABORT_DEADLINE, k)
             return records, None, 0, report
-        y = ses.spec.decode(frame.payload)
-        records.append(RoundRecord(k, ses.station, x, y, issued, received))
-        if received - issued > tau_eff:
-            report = AbortReport(ABORT_DEADLINE, k, "answer after tau")
-            _abort_all(ses, ABORT_DEADLINE, k)
-            return records, None, 0, report
-
-    if hosts_reveal:
-        deadline = ses.epoch_ns + ses.start_ns(reveal_round) + ses.tau_eff(station_of(reveal_round))
-        try:
-            frame = recv_frame(alice_sock, deadline)
-            received = time.monotonic_ns()
-        except TimeoutError:
-            received = time.monotonic_ns()
-            frame = None
-        if frame is None or frame.type != FRAME_REVEAL:
-            report = AbortReport(ABORT_DEADLINE, reveal_round, "no reveal within tau")
-            _abort_all(ses, ABORT_DEADLINE, reveal_round)
-            return records, None, 0, report
-        bit = frame.payload[0]
-        a_m = ses.spec.decode(frame.payload[1:])
-        reveal = RevealMessage(bit, a_m)
-        reveal_at = received
-        if received - (ses.epoch_ns + ses.start_ns(reveal_round)) > ses.tau_eff(station_of(reveal_round)):
-            report = AbortReport(ABORT_DEADLINE, reveal_round, "reveal after tau")
-            _abort_all(ses, ABORT_DEADLINE, reveal_round)
-            return records, reveal, reveal_at, report
     return records, reveal, reveal_at, None
 
 
@@ -598,13 +640,12 @@ def _assemble_and_judge(ses: _Session, own: list[RoundRecord],
                         aborted: AbortReport | None) -> AgentResult:
     """Merge halves, verify, and byte-compare outcomes with the peer."""
     cfg = ses.cfg
-    rounds = sorted(own + theirs, key=lambda r: r.k)
     transcript = Transcript(
         spec=ses.spec,
         m=ses.m,
         tau1_ns=ses.plan.tau1_ns * ses.scale,
         tau2_ns=ses.plan.tau2_ns * ses.scale,
-        rounds=rounds,
+        rounds=sorted(own + theirs, key=lambda r: r.k),
         reveal=reveal,
         reveal_received_at=reveal_at,
         plan_hash=ses.plan.plan_hash,
@@ -616,18 +657,14 @@ def _assemble_and_judge(ses: _Session, own: list[RoundRecord],
         return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript, abort=aborted)
 
     verdict = bob_verify(transcript)
-    blob = transcript_to_bytes(transcript)
-    sha = hashlib.sha256(blob).digest()
+    sha = hashlib.sha256(transcript_to_bytes(transcript)).digest()
     send_frame(bob_link, FRAME_VERDICT, 0, _verdict_payload(verdict, sha))
-    frame = recv_frame(bob_link, time.monotonic_ns() + int(cfg.io_timeout_s * 1e9))
+    frame = ses.recv(bob_link)
     if frame.type == FRAME_ABORT:
-        report = AbortReport(frame.payload.decode() or ABORT_MISMATCH, frame.round_index or None)
-        return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript, abort=report)
-    if frame.type != FRAME_VERDICT:
-        raise TransportError(f"expected VERDICT, got 0x{frame.type:02x}")
-    peer_verdict, peer_sha = _parse_verdict(frame.payload)
-    agrees = peer_sha == sha and peer_verdict.accepted == verdict.accepted
-    if not agrees:
+        return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript,
+                           abort=_abort_report(frame, ABORT_MISMATCH))
+    peer_verdict, peer_sha = _parse_verdict(_expect(frame, FRAME_VERDICT))
+    if peer_sha != sha or peer_verdict.accepted != verdict.accepted:
         report = AbortReport(ABORT_MISMATCH, None, "verifiers disagree")
         return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript,
                            verdict=verdict, transcript_sha=sha.hex(),
@@ -637,109 +674,37 @@ def _assemble_and_judge(ses: _Session, own: list[RoundRecord],
                        transcript_sha=sha.hex(), peer_agrees=True)
 
 
-def _load_challenges(ses: _Session):
-    if ses.cfg.challenges_path is None:
-        raise TransportError("verifier roles need challenges_path")
-    reader = TapeReader(ses.cfg.challenges_path)
-    if reader.count < ses.m:
-        reader.close()
-        return None
-    if reader.spec != ses.spec:
-        reader.close()
-        raise TransportError("challenge tape field does not match the plan")
-    return _TapeFileView(reader)
-
-
-def _run_b1(ses: _Session) -> AgentResult:
-    cfg = ses.cfg
-    challenges = _load_challenges(ses)
-    if challenges is None:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_TAPE, None, "challenge tape too short"))
+def _run_bob(ses: _Session) -> AgentResult:
+    """One verifier, B1 or B2: the module docstring says which links it
+    makes and which way the reveal travels in RECORDS."""
+    challenges = _load_tape(ses)
     ses.listener = _bob_listener(ses)
-    try:
-        try:
-            peers = _accept_role(ses, {"A1", "B2"})
-        except _HandshakeAbort:
-            return AgentResult(cfg.role, EXIT_ABORT,
-                               abort=AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
-        ses.sockets.update(peers)
-        alice_sock, bob_link = peers["A1"], peers["B2"]
-        # fix the session epoch and ship it to B2
-        ses.epoch_ns = time.monotonic_ns() + int(cfg.start_delay_s * 1e9)
-        start_in = ses.epoch_ns - time.monotonic_ns()
-        send_frame(bob_link, FRAME_SCHEDULE, 0, struct.pack(">Q", start_in))
-        own, reveal, reveal_at, aborted = _bob_round_loop(ses, alice_sock, bob_link, challenges)
-        if aborted is None:
-            send_frame(bob_link, FRAME_RECORDS, 0,
-                       _records_payload(own, ses.spec.element_bytes, reveal, reveal_at))
-            frame = recv_frame(bob_link, time.monotonic_ns() + int(cfg.io_timeout_s * 1e9))
-            if frame.type == FRAME_ABORT:
-                aborted = AbortReport(frame.payload.decode() or ABORT_DEADLINE,
-                                      frame.round_index or None, "peer abort")
-                theirs = []
-            elif frame.type != FRAME_RECORDS:
-                raise TransportError(f"expected RECORDS, got 0x{frame.type:02x}")
-            else:
-                theirs, _, _ = _parse_records(frame.payload, ses.spec.element_bytes)
-        else:
-            theirs = []
-        return _assemble_and_judge(ses, own, theirs, reveal, reveal_at, bob_link, aborted)
-    except (ConnectionError, TimeoutError) as exc:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_CONNECTION, None, str(exc)))
-
-
-def _run_b2(ses: _Session) -> AgentResult:
-    cfg = ses.cfg
-    challenges = _load_challenges(ses)
-    if challenges is None:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_TAPE, None, "challenge tape too short"))
-    ses.listener = _bob_listener(ses)
-    try:
-        bob_link = _connect(cfg.peers["B1"], cfg.io_timeout_s)
-        ses.sockets["B1"] = bob_link
-        if not _send_hello(ses, bob_link):
-            return AgentResult(cfg.role, EXIT_ABORT,
-                               abort=AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
-        try:
-            peers = _accept_role(ses, {"A2"})
-        except _HandshakeAbort:
-            return AgentResult(cfg.role, EXIT_ABORT,
-                               abort=AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
-        ses.sockets.update(peers)
-        alice_sock = peers["A2"]
-        frame = recv_frame(bob_link, time.monotonic_ns() + int(cfg.io_timeout_s * 1e9))
+    if ses.station == 1:
+        _accept_role(ses, {"A1", "B2"})
+        bob_link = ses.sockets["B2"]
+        ses.epoch_ns = time.monotonic_ns() + int(ses.cfg.start_delay_s * 1e9)
+        send_frame(bob_link, FRAME_SCHEDULE, 0, _U64.pack(ses.epoch_ns - time.monotonic_ns()))
+    else:
+        bob_link = _connect_peer(ses, "B1")
+        _accept_role(ses, {"A2"})
+        frame = ses.recv(bob_link)
         if frame.type == FRAME_ABORT:
-            return AgentResult(cfg.role, EXIT_ABORT,
-                               abort=AbortReport(frame.payload.decode() or ABORT_CONFIG,
-                                                 frame.round_index or None))
-        if frame.type != FRAME_SCHEDULE:
-            raise TransportError(f"expected SCHEDULE, got 0x{frame.type:02x}")
-        (start_in,) = struct.unpack(">Q", frame.payload)
-        ses.epoch_ns = time.monotonic_ns() + start_in
-        own, _, _, aborted = _bob_round_loop(ses, alice_sock, bob_link, challenges)
-        reveal: RevealMessage | None = None
-        reveal_at = 0
-        if aborted is None:
-            send_frame(bob_link, FRAME_RECORDS, 0,
-                       _records_payload(own, ses.spec.element_bytes, None, 0))
-            frame = recv_frame(bob_link, time.monotonic_ns() + int(cfg.io_timeout_s * 1e9))
-            if frame.type == FRAME_ABORT:
-                aborted = AbortReport(frame.payload.decode() or ABORT_DEADLINE,
-                                      frame.round_index or None, "peer abort")
-                theirs = []
-            elif frame.type != FRAME_RECORDS:
-                raise TransportError(f"expected RECORDS, got 0x{frame.type:02x}")
-            else:
-                theirs, reveal, reveal_at = _parse_records(frame.payload, ses.spec.element_bytes)
+            raise _Abort(_abort_report(frame, ABORT_CONFIG))
+        ses.epoch_ns = time.monotonic_ns() + _parse_schedule(_expect(frame, FRAME_SCHEDULE))
+    own, reveal, reveal_at, aborted = _bob_round_loop(
+        ses, ses.sockets[f"A{ses.station}"], bob_link, challenges)
+    theirs: list[RoundRecord] = []
+    if aborted is None:
+        send_frame(bob_link, FRAME_RECORDS, 0, _records_payload(own, ses.spec, reveal, reveal_at))
+        frame = ses.recv(bob_link)
+        if frame.type == FRAME_ABORT:
+            aborted = _abort_report(frame, ABORT_DEADLINE, "peer abort")
         else:
-            theirs = []
-        return _assemble_and_judge(ses, own, theirs, reveal, reveal_at, bob_link, aborted)
-    except (ConnectionError, TimeoutError) as exc:
-        return AgentResult(cfg.role, EXIT_ABORT,
-                           abort=AbortReport(ABORT_CONNECTION, None, str(exc)))
+            theirs, peer_reveal, peer_reveal_at = _parse_records(
+                _expect(frame, FRAME_RECORDS), ses.spec)
+            if not ses.hosts_reveal:
+                reveal, reveal_at = peer_reveal, peer_reveal_at
+    return _assemble_and_judge(ses, own, theirs, reveal, reveal_at, bob_link, aborted)
 
 
 def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
@@ -760,15 +725,9 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
     generate_tape(plan, "alice-secrets", secrets_path, seed=seed)
     generate_tape(plan, "bob-challenges", challenges_path, seed=seed + 1)
 
-    listeners = {}
-    addrs = {}
-    for role in ("B1", "B2"):
-        lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lst.bind(("127.0.0.1", 0))
-        lst.listen(2)
-        listeners[role] = lst
-        addrs[role] = lst.getsockname()
+    listeners = {role: socket.create_server(("127.0.0.1", 0), backlog=2)
+                 for role in ("B1", "B2")}
+    addrs = {role: lst.getsockname() for role, lst in listeners.items()}
 
     def cfg_for(role: str) -> SessionConfig:
         common = dict(plan=plan, scale_factor=scale_factor, bit=bit)
@@ -779,12 +738,11 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
             return SessionConfig(role=role, challenges_path=challenges_path,
                                  listen_socket=listeners["B2"],
                                  peers={"B1": addrs["B1"]}, **common)
-        station = role[1]
+        delayed = role == "A1"
         return SessionConfig(role=role, secrets_path=secrets_path,
-                             peers={f"B{station}": addrs[f"B{station}"]},
-                             delay_round=delay_round if role == "A1" else None,
-                             delay_extra_s=delay_extra_s if role == "A1" else 0.0,
-                             **common)
+                             peers={f"B{role[1]}": addrs[f"B{role[1]}"]},
+                             delay_round=delay_round if delayed else None,
+                             delay_extra_s=delay_extra_s if delayed else 0.0, **common)
 
     results: dict[str, AgentResult] = {}
     errors: dict[str, BaseException] = {}
@@ -801,11 +759,8 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
         t.start()
     for t in threads:
         t.join(timeout=120)
-    for role, lst in listeners.items():
-        try:
-            lst.close()
-        except OSError:
-            pass
+    for lst in listeners.values():
+        lst.close()
     if errors:
         role, exc = next(iter(errors.items()))
         raise TransportError(f"{role} crashed: {exc!r}") from exc

@@ -67,6 +67,21 @@ class TestTape:
             assert r.count == 24 and r.seed == 5
 
 
+class TestRun:
+    def test_plan_below_two_rounds_exit_1(self, in_tmp, capsys):
+        """At m=1 the revealing committer has no round to time the reveal
+        from, so a live role refuses the plan before it listens."""
+        import dataclasses
+
+        from relbc.planner import save_plan
+
+        save_plan(dataclasses.replace(small_plan(8, n=128), m=1), in_tmp / "plan.json")
+        code, _, err = run_cli(capsys, "run", "--role", "B1", "--plan", "plan.json",
+                               "--challenges", "x.tape", "--listen", "127.0.0.1:0")
+        assert code == 1
+        assert err.startswith("error:") and "m >= 2" in err
+
+
 class TestSimulateAndVerify:
     def test_honest_then_verify(self, in_tmp, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--strategy", "honest",

@@ -285,6 +285,17 @@ class TestAudit:
         assert k_bad in audit.late_answer_rounds
         assert any(k == k_bad for k, _ in audit.violations)
 
+    def test_answer_before_its_challenge_flagged(self):
+        """The audit times a round by the verifier's rule, 0 <= turnaround <= tau."""
+        t, _ = run_simulation(PLAN8, seed=1, bit=0)
+        rec = t.rounds[4]
+        rec.answer_received_at = rec.challenge_issued_at - 1
+        assert bob_verify(t).reason == "timing"
+        audit = no_signaling_audit(t, PLAN8)
+        assert not audit.ok
+        assert audit.late_answer_rounds == [5]
+        assert (5, "answer received outside its window") in audit.violations
+
     def test_cone_violation_flagged(self):
         t, _ = run_simulation(PLAN8, seed=1, bit=0)
         # pull round 6's issue stamp far later: round 5 -> 6 breaks the cone

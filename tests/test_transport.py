@@ -1,14 +1,17 @@
 """Wire framing and live loopback sessions."""
 
+import dataclasses
 import random
 import socket
+import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relbc.simnet import run_simulation
 from relbc.field import FieldSpec
-from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES
+from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord
 from relbc.storage import write_tape
 from relbc.transport import (
     EXIT_ABORT,
@@ -23,6 +26,7 @@ from relbc.transport import (
     FRAME_VERDICT,
     MalformedFrameError,
     SessionConfig,
+    TransportError,
     WireFrame,
     decode_frame,
     encode_frame,
@@ -177,3 +181,188 @@ class TestLoopback:
         assert out["A1"].abort.reason == "config"
         assert out["B1"].exit_code == EXIT_ABORT
         assert out["B1"].abort.reason == "config"
+
+
+# -- hostile peer bytes ---------------------------------------------------------
+# The payload parsers are reached through the module, so each test below fails
+# on its own where a parser is missing or raises something else.
+
+from relbc import transport as T  # noqa: E402
+
+S128 = FieldSpec(128)
+S12 = FieldSpec(12, 0x9)  # x^12 + x^3 + 1: 2-byte elements with 4 spare bits
+
+
+class TestMalformedPayloads:
+    def test_hello_role_byte_out_of_range(self):
+        for role_byte in (4, 0xFF):
+            with pytest.raises(MalformedFrameError):
+                T._parse_hello(bytes([role_byte]) + bytes(32))
+
+    def test_records_empty(self):
+        with pytest.raises(MalformedFrameError):
+            T._parse_records(b"", S128)
+
+    def test_records_over_counted(self):
+        with pytest.raises(MalformedFrameError):
+            T._parse_records(struct.pack(">I", 5), S128)
+
+    def test_records_without_reveal_flag(self):
+        with pytest.raises(MalformedFrameError):
+            T._parse_records(struct.pack(">I", 0), S128)
+
+    def test_records_trailing_bytes(self):
+        good = T._records_payload([], S128, None, 0)
+        assert T._parse_records(good, S128) == ([], None, 0)
+        with pytest.raises(MalformedFrameError):
+            T._parse_records(good + b"\x00", S128)
+
+    def test_records_element_wider_than_field(self):
+        rec = RoundRecord(2, 2, 1 << 12, 0, 0, 0)  # x^12 does not fit n=12
+        with pytest.raises(MalformedFrameError):
+            T._parse_records(T._records_payload([rec], S12, None, 0), S12)
+
+    def test_verdict_short(self):
+        with pytest.raises(MalformedFrameError):
+            T._parse_verdict(b"\x01\x00")
+
+    def test_verdict_reason_not_utf8(self):
+        payload = struct.pack(">BB32sH", 0, 0xFF, bytes(32), 2) + b"\xff\xfe"
+        with pytest.raises(MalformedFrameError):
+            T._parse_verdict(payload)
+
+    def test_schedule_not_eight_bytes(self):
+        assert T._parse_schedule(struct.pack(">Q", 5)) == 5
+        for size in (0, 7, 9):
+            with pytest.raises(MalformedFrameError):
+                T._parse_schedule(bytes(size))
+
+    def test_element_of_wrong_length(self):
+        """CHALLENGE and ANSWER payloads, and the element inside a REVEAL."""
+        for size in (0, 15, 17):
+            with pytest.raises(MalformedFrameError):
+                T._parse_element(S128, bytes(size))
+        with pytest.raises(MalformedFrameError):
+            T._parse_reveal(S128, b"\x01" + bytes(15))
+
+    def test_reveal_empty(self):
+        with pytest.raises(MalformedFrameError):
+            T._parse_reveal(S128, b"")
+
+
+def _records_like(spec):
+    """Payloads with a plausible RECORDS shape, so the property also reaches
+    the flag, the reveal and the element-width checks."""
+    rec_size = T._record_size(spec.element_bytes)
+    return st.integers(0, 3).flatmap(lambda count: st.builds(
+        lambda body, tail: struct.pack(">I", count) + body + tail,
+        st.binary(min_size=count * rec_size, max_size=count * rec_size),
+        st.binary(max_size=2 * spec.element_bytes + 12)))
+
+
+_PARSERS = {
+    "decode_frame": decode_frame,
+    "hello": lambda b: T._parse_hello(b),
+    "schedule": lambda b: T._parse_schedule(b),
+    "element": lambda b: T._parse_element(S12, b),
+    "reveal": lambda b: T._parse_reveal(S12, b),
+    "records": lambda b: T._parse_records(b, S12),
+    "verdict": lambda b: T._parse_verdict(b),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_PARSERS)),
+       data=st.one_of(st.binary(max_size=80), _records_like(S12)))
+def test_parsers_return_or_raise_malformed(name, data):
+    try:
+        _PARSERS[name](data)
+    except MalformedFrameError:
+        pass
+
+
+def _tapes(tmp_path, plan):
+    spec = FieldSpec(plan.n)
+    rng = random.Random(1)
+    a_path, x_path = tmp_path / "a.tape", tmp_path / "x.tape"
+    write_tape(a_path, spec, ROLE_ALICE_SECRETS,
+               iter([spec.random_int(rng) for _ in range(plan.m)]), plan.m)
+    write_tape(x_path, spec, ROLE_BOB_CHALLENGES,
+               iter([spec.random_int(rng, nonzero=True) for _ in range(plan.m)]), plan.m)
+    return a_path, x_path
+
+
+def test_fake_b1_short_schedule_aborts_b2(tmp_path):
+    """A fake B1 shakes hands, then sends B2 a 7-byte SCHEDULE."""
+    plan = lab_plan(m=8)
+    _, x_path = _tapes(tmp_path, plan)
+    fake_b1 = socket.create_server(("127.0.0.1", 0))
+    b2_listener = socket.create_server(("127.0.0.1", 0))
+    cfg = SessionConfig(role="B2", plan=plan, challenges_path=x_path,
+                        listen_socket=b2_listener,
+                        peers={"B1": fake_b1.getsockname()}, io_timeout_s=5.0)
+    out = {}
+    thread = threading.Thread(target=lambda: out.setdefault("B2", run_agent(cfg)),
+                              daemon=True)
+    thread.start()
+    hello = lambda role: T._hello_payload(role, plan.plan_hash)  # noqa: E731
+    fake_b1.settimeout(5.0)
+    b1_conn, _ = fake_b1.accept()
+    assert T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
+    b1_conn.sendall(encode_frame(FRAME_HELLO, 0, hello("B1")))
+    a2 = socket.create_connection(b2_listener.getsockname(), timeout=5.0)
+    a2.sendall(encode_frame(FRAME_HELLO, 0, hello("A2")))
+    assert T.recv_frame(a2, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
+    b1_conn.sendall(encode_frame(FRAME_SCHEDULE, 0, bytes(7)))
+    thread.join(20)
+    assert not thread.is_alive()
+    told = T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9)
+    for s in (b1_conn, a2, fake_b1, b2_listener):
+        s.close()
+    result = out["B2"]
+    assert result.exit_code == EXIT_ABORT
+    assert result.abort.reason == "malformed-frame"
+    assert told.type == FRAME_ABORT and told.payload == b"malformed-frame"
+
+
+def test_odd_m_session_accepts(tmp_path):
+    """With m odd the reveal is round m+1 at station 2: B2 carries it in its
+    RECORDS and both verifiers accept the same transcript."""
+    plan = dataclasses.replace(lab_plan(m=12), m=11)
+    results = run_loopback_session(plan, tmp_path, bit=1, scale_factor=1000, seed=31)
+    for role in ("B1", "B2"):
+        r = results[role]
+        assert r.exit_code == EXIT_ACCEPT, (role, r.abort)
+        assert r.verdict.accepted and r.verdict.bit == 1
+        assert r.peer_agrees
+    assert results["B1"].transcript_sha == results["B2"].transcript_sha
+    assert results["A2"].exit_code == EXIT_ACCEPT
+
+
+def test_session_refuses_fewer_than_two_rounds():
+    plan = dataclasses.replace(lab_plan(m=8), m=1)
+    for role in ("A2", "B1"):
+        with pytest.raises(TransportError, match="m >= 2"):
+            SessionConfig(role=role, plan=plan)
+
+
+def test_unexpected_peer_role_aborts_b1(tmp_path):
+    """A connection whose HELLO names a role B1 does not accept (A2) ends B1
+    with a config abort instead of an exception out of run_agent."""
+    plan = lab_plan(m=8)
+    _, x_path = _tapes(tmp_path, plan)
+    b1_listener = socket.create_server(("127.0.0.1", 0))
+    cfg = SessionConfig(role="B1", plan=plan, challenges_path=x_path,
+                        listen_socket=b1_listener, io_timeout_s=5.0)
+    out = {}
+    thread = threading.Thread(target=lambda: out.setdefault("B1", run_agent(cfg)),
+                              daemon=True)
+    thread.start()
+    intruder = socket.create_connection(b1_listener.getsockname(), timeout=5.0)
+    intruder.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("A2", plan.plan_hash)))
+    thread.join(20)
+    assert not thread.is_alive()
+    intruder.close()
+    b1_listener.close()
+    assert out["B1"].exit_code == EXIT_ABORT
+    assert out["B1"].abort.reason == "config"
