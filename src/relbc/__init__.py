@@ -2,10 +2,10 @@
 
 Subpackages by concern:
 
-- :mod:`relbc.field` — GF(2^n) arithmetic (XOR add, carry-less multiply,
-  inversion) in canonical little-endian bit order.
-- :mod:`relbc.protocol` — the four agent state machines, answer operations,
-  transcripts, and verification: one forward pass over the answer chain.
+- :mod:`relbc.field` — GF(2^n) arithmetic on plain ints (XOR add,
+  carry-less multiply, inversion) in canonical little-endian bit order.
+- :mod:`relbc.protocol` — the four agent state machines, tapes, transcripts,
+  and verification: one forward pass over the answer chain.
 - :mod:`relbc.planner` — closed-form schedule, security-bound, and resource
   planning from a spacetime configuration.
 - :mod:`relbc.simnet` — deterministic discrete-event simulation with
@@ -18,18 +18,12 @@ Subpackages by concern:
 """
 
 from .field import (
-    FieldElement,
     FieldError,
-    FieldMismatchError,
     FieldSpec,
     NonInvertibleError,
-    add,
     batch_inverse,
     gf2_8,
     gf2_128,
-    inv,
-    mul,
-    random_element,
 )
 from .planner import (
     InfeasibleGeometryError,
@@ -54,9 +48,6 @@ from .protocol import (
     Tape,
     Transcript,
     Verdict,
-    alice_commit_answer,
-    alice_reveal,
-    alice_sustain_answer,
     bob_verify,
     run_honest_protocol,
 )

@@ -2,10 +2,9 @@
 irreducible polynomial, and inversion.
 
 Elements are plain Python ints in canonical little-endian bit order (bit i is
-the coefficient of x^i), always reduced below 2^n. A :class:`FieldSpec` pins
-the bit width and reduction polynomial; :class:`FieldElement` is a thin typed
-wrapper used at API boundaries, while bulk code paths work on raw ints through
-the FieldSpec methods.
+the coefficient of x^i), always reduced below 2^n; addition is `^`. A
+:class:`FieldSpec` pins the bit width and reduction polynomial, and every
+layer multiplies, inverts, draws and serializes elements through its methods.
 
 Multiplication fast path: for n <= 255 operands are "spread" (each coefficient
 bit placed in its own byte-wide slot), multiplied as ordinary integers (slot
@@ -26,24 +25,14 @@ class FieldError(Exception):
     """Base class for field arithmetic errors."""
 
 
-class FieldMismatchError(FieldError):
-    """Operands belong to different field specs."""
-
-
 class NonInvertibleError(FieldError):
     """Inversion of zero (or a non-unit) was requested."""
 
 
 __all__ = [
     "FieldError",
-    "FieldMismatchError",
     "NonInvertibleError",
     "FieldSpec",
-    "FieldElement",
-    "add",
-    "mul",
-    "inv",
-    "random_element",
     "batch_inverse",
     "gf2_128",
     "gf2_8",
@@ -171,9 +160,6 @@ class FieldSpec:
             raise FieldError(f"value does not fit in {self.n} bits: {v!r}")
         return v
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if self._spread_ok:
             return self._compact(self._smul(self._spread(a), self._spread(b)))
@@ -218,35 +204,13 @@ class FieldSpec:
             g1 ^= g2 << j
         return _poly_mod(g1, self.full_poly)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
-
     def random_int(self, rng: random.Random, nonzero: bool = False) -> int:
         v = rng.getrandbits(self.n)
         while nonzero and v == 0:
             v = rng.getrandbits(self.n)
         return v
 
-    # -- element construction / serialization -----------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.validate(value))
+    # -- serialization ---------------------------------------------------
 
     def encode(self, v: int) -> bytes:
         """Canonical wire/file form: little-endian bytes, bit i = coeff of x^i."""
@@ -267,92 +231,6 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(n={self.n}, poly=0x{self.poly:x})"
-
-
-class FieldElement:
-    """An element of one GF(2^n), tied to its :class:`FieldSpec`.
-
-    Immutable; arithmetic between elements of different specs raises
-    :class:`FieldMismatchError`.
-    """
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", spec.validate(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatchError(f"field mismatch: {self.spec} vs {other.spec}")
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.spec, self.value ^ self._check(other).value)
-
-    __sub__ = __add__
-    __xor__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.spec, self.spec.mul(self.value, self._check(other).value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.spec == other.spec and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        width = (self.spec.n + 3) // 4
-        return f"<GF(2^{self.spec.n}): 0x{self.value:0{width}x}>"
-
-    def to_bytes(self) -> bytes:
-        return self.spec.encode(self.value)
-
-    @classmethod
-    def from_bytes(cls, spec: FieldSpec, data: bytes) -> "FieldElement":
-        return cls(spec, spec.decode(data))
-
-
-# -- spec-level operations on elements ------------------------------------
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field addition (bitwise XOR)."""
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field multiplication (carry-less product mod the reduction polynomial)."""
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises NonInvertibleError on zero."""
-    return a.inverse()
-
-
-def random_element(rng: random.Random, spec: FieldSpec, nonzero: bool = False) -> FieldElement:
-    """Uniform element from `rng`; with `nonzero`, resample until != 0."""
-    return FieldElement(spec, spec.random_int(rng, nonzero=nonzero))
 
 
 def batch_inverse(spec: FieldSpec, values: Sequence[int]) -> list[int]:

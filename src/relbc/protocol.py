@@ -1,5 +1,5 @@
-"""Four-agent commitment protocol logic: commit / sustain / reveal answers,
-tapes, transcripts, and the receiving party's full verification.
+"""Four-agent commitment protocol logic: the agents' state machines, tapes,
+transcripts, and the receiving party's full verification.
 
 Round k is 1-based. Odd rounds run at station 1, even rounds at station 2;
 round m+1 is the reveal and carries no challenge. The committing party's
@@ -8,6 +8,11 @@ answer chain is
     y_1 = a_1                (commit 0)   or   x_1 XOR a_1   (commit 1)
     y_k = x_k * a_{k-1} XOR a_k           for 2 <= k <= m
     y_{m+1} = a_m            (reveal, together with the claimed bit)
+
+Elements are ints and products go through `FieldSpec.mul`. The rule is
+written twice, each in its own hot loop: `AliceAgent.handle_challenge`
+answers online, reading the tape by index and guarding the round order;
+`honest_round_stream` answers offline from iterators in constant memory.
 
 Verification runs the chain forward, one multiply per round: the claimed
 bit fixes a_1 = y_1 XOR d*x_1, then a_k = x_k * a_{k-1} XOR y_k, and the
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Iterable, Iterator
 
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -95,10 +100,6 @@ class Tape:
     def __getitem__(self, i: int) -> int:
         return self.elements[i]
 
-    def element(self, k: int) -> FieldElement:
-        """Round-k element as a typed FieldElement (1-based)."""
-        return FieldElement(self.spec, self.elements[k - 1])
-
 
 @dataclass(slots=True)
 class RoundRecord:
@@ -167,27 +168,6 @@ class Verdict:
         if self.accepted:
             return f"Verdict(accept bit={self.bit})"
         return f"Verdict(reject: {self.reason})"
-
-
-# -- pure answer operations -------------------------------------------------
-
-
-def alice_commit_answer(x1: FieldElement, a1: FieldElement, d: int) -> FieldElement:
-    """Round-1 answer: a1 commits 0, x1 XOR a1 commits 1."""
-    check_bit(d)
-    masked = x1 + a1  # validates the shared spec for both branches
-    return masked if d else a1
-
-
-def alice_sustain_answer(xk: FieldElement, a_prev: FieldElement,
-                         ak: FieldElement) -> FieldElement:
-    """Round-k answer for 2 <= k <= m: x_k * a_{k-1} XOR a_k."""
-    return xk * a_prev + ak
-
-
-def alice_reveal(d: int, a_m: FieldElement) -> RevealMessage:
-    """The opening message (d, a_m); sequencing guards live on the agent."""
-    return RevealMessage(check_bit(d), a_m.value)
 
 
 # -- agent state machines -----------------------------------------------------
@@ -326,19 +306,17 @@ def bob_verify(transcript: Transcript) -> Verdict:
 
 
 def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
-                        challenges: Iterable[int], d: int, m: int,
-                        issue_times: Iterable[int] | None = None,
-                        answer_delay_ns: int = 1) -> Iterator[RoundRecord]:
+                        challenges: Iterable[int], d: int, m: int) -> Iterator[RoundRecord]:
     """Yield the m honest RoundRecords without materializing the tapes.
 
     `secrets` and `challenges` are consumed lazily, so arbitrarily long
-    transcripts can be generated in constant memory. Timestamps default to a
-    fixed 1 ns turnaround on a synthetic schedule (1 us per round).
+    transcripts can be generated in constant memory. Timestamps are those of
+    `run_honest_protocol`: a synthetic schedule of 1 us per round and a
+    fixed 1 ns turnaround.
     """
     check_bit(d)
     it_a = iter(secrets)
     it_x = iter(challenges)
-    times = iter(issue_times) if issue_times is not None else None
     a_prev = None
     for k in range(1, m + 1):
         a_k = next(it_a)
@@ -348,8 +326,8 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
         else:
             y = spec.mul(x_k, a_prev) ^ a_k
         a_prev = a_k
-        issued = next(times) if times is not None else k * 1000
-        yield RoundRecord(k, station_of(k), x_k, y, issued, issued + answer_delay_ns)
+        issued = k * 1000
+        yield RoundRecord(k, station_of(k), x_k, y, issued, issued + 1)
 
 
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int,

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .field import FieldSpec
 from .planner import ProtocolPlan, NS
@@ -68,18 +68,6 @@ _EV_REVEAL_ARRIVE = 6
 
 class SimulationError(Exception):
     """Malformed simulation input (placement, plan, strategy)."""
-
-
-@dataclass(frozen=True)
-class NodePlacement:
-    """Agent position in meters along the station axis."""
-
-    agent: str
-    position_m: float
-
-    def __post_init__(self):
-        if self.agent not in AGENTS:
-            raise SimulationError(f"unknown agent {self.agent!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +202,7 @@ def _travel_ns(pos_a: float, pos_b: float, c: float) -> int:
 
 
 def run_simulation(plan: ProtocolPlan,
-                   placements: Iterable[NodePlacement] | dict[str, float] | None = None,
+                   placements: dict[str, float] | None = None,
                    clocks: dict[str, ClockModel] | None = None,
                    strategy: AdversaryStrategy | None = None,
                    seed: int = 0,
@@ -240,12 +228,8 @@ def run_simulation(plan: ProtocolPlan,
 
     if placements is None:
         pos = default_placements(plan, strategy)
-    elif isinstance(placements, dict):
-        pos = {"B1": 0.0, "B2": plan.config.L, **placements}
     else:
-        pos = {"B1": 0.0, "B2": plan.config.L}
-        for p in placements:
-            pos[p.agent] = p.position_m
+        pos = {"B1": 0.0, "B2": plan.config.L, **placements}
     for agent in AGENTS:
         if agent not in pos:
             raise SimulationError(f"placement missing for {agent}")
@@ -473,8 +457,7 @@ def run_simulation(plan: ProtocolPlan,
     return transcript, report
 
 
-def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan,
-                       placements: Iterable[NodePlacement] | None = None) -> AuditReport:
+def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan) -> AuditReport:
     """Check every consecutive round pair against the light cone.
 
     The answer to round k+1 must be independent of challenge k: even at light

@@ -374,22 +374,7 @@ def transcript_to_bytes(transcript: Transcript) -> bytes:
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
-    write_transcript_stream(
-        path,
-        transcript.spec,
-        transcript.m,
-        iter(transcript.rounds),
-        len(transcript.rounds),
-        transcript.reveal,
-        transcript.reveal_received_at,
-        transcript.tau1_ns,
-        transcript.tau2_ns,
-        status=transcript.status,
-        abort_round=transcript.abort_round,
-        abort_reason=transcript.abort_reason,
-        plan_hash=transcript.plan_hash,
-        scale_factor=transcript.scale_factor,
-    )
+    Path(path).write_bytes(transcript_to_bytes(transcript))
 
 
 def read_transcript_header(f) -> TranscriptHeader:
@@ -441,9 +426,15 @@ def read_transcript(path: str | Path) -> Transcript:
     with open(path, "rb") as f:
         h = read_transcript_header(f)
         expected = h.round_count * h.record_size
-        body = _read_exact(f, expected, "round records")
-        if f.read(1):
+        size = Path(path).stat().st_size - h.records_base
+        if size > expected:
             raise TranscriptFormatError(f"{path}: trailing bytes after round records")
+        if size < expected:
+            raise TranscriptFormatError(
+                f"{path}: body is {size} bytes, header promises "
+                f"{h.round_count} x {h.record_size}"
+            )
+        body = _read_exact(f, expected, "round records")
     eb = h.spec.element_bytes
     rounds = [_unpack_record(body, i * h.record_size, eb)
               for i in range(h.round_count)]
@@ -527,15 +518,12 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
             last_secret = v
             yield v
 
-    def rounds() -> Iterator[RoundRecord]:
-        yield from honest_round_stream(spec, tap(secrets), challenges, d, m)
-
     # a placeholder reveal cannot be used: the header precedes the rounds, and
     # a_m is only known after streaming. Write rounds to the final file first
     # via a temporary header, then rewrite the header in place.
     path = Path(path)
     write_transcript_stream(
-        path, spec, m, rounds(), m,
+        path, spec, m, honest_round_stream(spec, tap(secrets), challenges, d, m), m,
         reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1,
         tau1_ns=tau1_ns, tau2_ns=tau2_ns, plan_hash=plan_hash,
     )

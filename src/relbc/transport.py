@@ -179,16 +179,13 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket, deadline_ns: int | None = None) -> WireFrame:
-    """Read one frame; with a deadline, raises TimeoutError once
-    monotonic_ns passes it."""
-    if deadline_ns is not None:
-        remaining = deadline_ns - time.monotonic_ns()
-        if remaining <= 0:
-            raise TimeoutError("deadline already passed")
-        sock.settimeout(remaining / 1e9)
-    else:
-        sock.settimeout(None)
+def recv_frame(sock: socket.socket, deadline_ns: int) -> WireFrame:
+    """Read one frame; raises TimeoutError once monotonic_ns passes
+    `deadline_ns`."""
+    remaining = deadline_ns - time.monotonic_ns()
+    if remaining <= 0:
+        raise TimeoutError("deadline already passed")
+    sock.settimeout(remaining / 1e9)
     try:
         head = _recv_exact(sock, 4)
         (length,) = _U32.unpack(head)
@@ -553,9 +550,10 @@ def _run_alice(ses: _Session) -> AgentResult:
         # own-round challenge arrived
         _sleep_until_ns(last_recv_ns + ses.start_ns(ses.m + 1) - ses.start_ns(ses.m - 1))
         send_frame(sock, FRAME_REVEAL, ses.m + 1, _reveal_payload(ses.spec, agent.reveal()))
-    # wait for the verifier's outcome: ABORT, or EOF on clean completion
+    # wait for the verifier's outcome: ABORT, or EOF (or silence past the
+    # I/O timeout) on completion
     try:
-        frame = recv_frame(sock)
+        frame = ses.recv(sock)
     except (ConnectionError, TimeoutError):
         return AgentResult(cfg.role, EXIT_ACCEPT)
     if frame.type == FRAME_ABORT:

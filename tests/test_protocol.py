@@ -1,24 +1,22 @@
-"""Protocol logic: answer operations, agents, chain recovery, verification."""
+"""Protocol logic: answers, agents, chain recovery, verification."""
 
 import random
 
 import pytest
 
-from relbc.field import FieldMismatchError, NonInvertibleError, gf2_8, gf2_128
+from relbc.field import NonInvertibleError, gf2_8, gf2_128
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
     REJECT_TIMING,
     REJECT_ZERO_CHALLENGE,
+    ROLE_ALICE_SECRETS,
     AliceAgent,
     BobAgent,
     ProtocolError,
     RevealMessage,
     SequencingError,
     Tape,
-    alice_commit_answer,
-    alice_reveal,
-    alice_sustain_answer,
     bob_verify,
     honest_round_stream,
     run_honest_protocol,
@@ -31,45 +29,51 @@ S8 = gf2_8()
 S128 = gf2_128()
 
 
+def commit_answer(spec, x1, a1, d):
+    """y_1 as A1 answers round 1 of a one-round commitment to `d`."""
+    secrets = Tape(ROLE_ALICE_SECRETS, spec, [a1])
+    return AliceAgent(1, spec, secrets, d, 1).handle_challenge(1, x1)
+
+
+def sustain_answer(spec, xk, a_prev, ak):
+    """y_2 = x_2 * a_1 XOR a_2 as A2 answers round 2 of a two-round run."""
+    secrets = Tape(ROLE_ALICE_SECRETS, spec, [a_prev, ak])
+    return AliceAgent(2, spec, secrets, 0, 2).handle_challenge(2, xk)
+
+
 class TestCommitAnswer:
     def test_bit_zero_returns_secret(self):
         rng = random.Random(0)
         for _ in range(20):
-            x = S128.element(S128.random_int(rng))
-            a = S128.element(S128.random_int(rng))
-            assert alice_commit_answer(x, a, 0) == a
+            x, a = S128.random_int(rng), S128.random_int(rng)
+            assert commit_answer(S128, x, a, 0) == a
 
     def test_bit_one_xors(self):
-        a = S8.element(0x5A)
-        assert alice_commit_answer(S8.zero, a, 1) == a
-        assert alice_commit_answer(a, a, 1).value == 0
+        assert commit_answer(S8, 0, 0x5A, 1) == 0x5A
+        assert commit_answer(S8, 0x5A, 0x5A, 1) == 0
+        assert commit_answer(S8, 0x53, 0xCA, 1) == 0x99
 
-    def test_rejects_bad_bit_and_mismatch(self):
+    def test_rejects_bad_bit(self):
         with pytest.raises(ProtocolError):
-            alice_commit_answer(S8.element(1), S8.element(2), 2)
-        with pytest.raises(FieldMismatchError):
-            alice_commit_answer(S8.element(1), S128.element(2), 0)
+            commit_answer(S8, 1, 2, 2)
 
 
 class TestSustainAnswer:
     def test_zero_prev_annihilates_product(self):
         rng = random.Random(1)
-        x = S128.element(S128.random_int(rng))
-        ak = S128.element(S128.random_int(rng))
-        assert alice_sustain_answer(x, S128.zero, ak) == ak
+        x, ak = S128.random_int(rng), S128.random_int(rng)
+        assert sustain_answer(S128, x, 0, ak) == ak
 
     def test_unit_challenge(self):
         rng = random.Random(2)
-        prev = S8.element(S8.random_int(rng))
-        ak = S8.element(S8.random_int(rng))
-        assert alice_sustain_answer(S8.one, prev, ak) == prev + ak
+        prev, ak = S8.random_int(rng), S8.random_int(rng)
+        assert sustain_answer(S8, 1, prev, ak) == prev ^ ak
 
     def test_matches_schoolbook_oracle(self):
         rng = random.Random(3)
         for _ in range(100):
             x, prev, ak = (S8.random_int(rng) for _ in range(3))
-            got = alice_sustain_answer(S8.element(x), S8.element(prev), S8.element(ak))
-            assert got.value == schoolbook_mul(x, prev, 8, 0x1B) ^ ak
+            assert sustain_answer(S8, x, prev, ak) == schoolbook_mul(x, prev, 8, 0x1B) ^ ak
 
 
 class TestAgents:
@@ -112,10 +116,6 @@ class TestAgents:
         with pytest.raises(SequencingError):
             a1.reveal()  # m+1 = 2 belongs to station 2
         assert a2.reveal().final_secret == secrets[0]
-
-    def test_alice_reveal_op(self):
-        msg = alice_reveal(0, S8.element(0x2F))
-        assert msg == RevealMessage(0, 0x2F)
 
 
 class TestRoundTrip:
@@ -218,8 +218,7 @@ class TestHiding:
         secret gives a uniform first answer."""
         for x1 in (0x00, 0x1D, 0xFF):
             for d in (0, 1):
-                image = {alice_commit_answer(S8.element(x1), S8.element(a), d).value
-                         for a in range(256)}
+                image = {commit_answer(S8, x1, a, d) for a in range(256)}
                 assert image == set(range(256))
 
 
@@ -249,10 +248,6 @@ class TestTape:
     def test_unknown_role(self):
         with pytest.raises(ProtocolError):
             Tape("carol-hints", S8, [1])
-
-    def test_element_accessor_is_one_based(self):
-        tape = Tape("alice-secrets", S8, [10, 20, 30])
-        assert tape.element(2).value == 20
 
 
 def test_station_of():

@@ -1,9 +1,13 @@
 """Tape/transcript files: round-trips, streaming access, forward verify."""
 
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbc.field import gf2_8, gf2_128
 from relbc.protocol import (
@@ -263,6 +267,20 @@ class TestTranscriptFiles:
         with pytest.raises(TranscriptFormatError, match="trailing"):
             read_transcript(path)
 
+    @pytest.mark.parametrize("count", [2**40, 2**62])
+    def test_round_count_beyond_body_is_format_error(self, tmp_path, count):
+        """A corrupt round count is checked against the file's size before
+        the body is read, so it never sizes a read buffer."""
+        path = tmp_path / "t.rbcx"
+        write_transcript(_transcript(m=4), path)
+        data = bytearray(path.read_bytes())
+        data[53:61] = count.to_bytes(8, "big")  # the header's round count (n=8)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TranscriptFormatError, match="header promises"):
+            read_transcript(path)
+        with pytest.raises(StorageError):
+            verify_file(path)
+
 
 class TestStreamedGeneration:
     def test_file_generation_matches_in_memory(self, tmp_path):
@@ -316,3 +334,60 @@ class TestConstantMemory:
             assert verdict.accepted
             peaks.append(peak)
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
+
+
+def _seed_files() -> list[bytes]:
+    """Valid tape and transcript files (complete, aborted, n=8 and n=128)
+    for the mutation property below."""
+    aborted = _transcript(m=5)
+    aborted.reveal = None
+    aborted.mark_aborted("deadline", 3)
+    out = [transcript_to_bytes(t) for t in (_transcript(m=6), _transcript(m=3, n=128),
+                                            aborted)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tape"
+        for spec, role in ((S8, "alice-secrets"), (S128, "bob-challenges")):
+            write_tape(path, spec, role, iter(range(1, 7)), 6)
+            out.append(path.read_bytes())
+    return out
+
+
+SEED_FILES = _seed_files()
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file with a few bytes set, runs cut or inserted, or an 8-byte
+    big-endian field overwritten (counts, lengths, timestamps)."""
+    data = bytearray(draw(st.sampled_from(SEED_FILES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["set", "cut", "insert", "u64"]))
+        i = draw(st.integers(0, len(data)))
+        if op == "set" and i < len(data):
+            data[i] = draw(st.integers(0, 255))
+        elif op == "cut":
+            del data[i:i + draw(st.integers(1, 24))]
+        elif op == "insert":
+            data[i:i] = draw(st.binary(min_size=1, max_size=24))
+        elif op == "u64":
+            data[i:i + 8] = draw(st.integers(0, 2**64 - 1)).to_bytes(8, "big")
+    return bytes(data)
+
+
+def _read_tape(path):
+    with TapeReader(path) as r:
+        return r.read_all()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), mutated_files()))
+def test_file_readers_return_or_raise_storage_error(tmp_path_factory, data):
+    """On arbitrary or mutated bytes every file reader returns a result or
+    raises StorageError, which `relbc verify` reports with exit 1."""
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    path.write_bytes(data)
+    for read in (_read_tape, read_transcript, verify_file):
+        try:
+            read(path)
+        except StorageError:
+            pass

@@ -325,6 +325,35 @@ def test_fake_b1_short_schedule_aborts_b2(tmp_path):
     assert told.type == FRAME_ABORT and told.payload == b"malformed-frame"
 
 
+def test_silent_verifier_does_not_hold_committer(tmp_path):
+    """A fake B1 at m=2 reads A1's reveal and then keeps the link open in
+    silence; A1 counts the I/O timeout as completion instead of waiting
+    for ever."""
+    plan = lab_plan(m=2)
+    a_path, _ = _tapes(tmp_path, plan)
+    fake_b1 = socket.create_server(("127.0.0.1", 0))
+    cfg = SessionConfig(role="A1", plan=plan, secrets_path=a_path,
+                        peers={"B1": fake_b1.getsockname()}, io_timeout_s=1.0)
+    out = {}
+    thread = threading.Thread(target=lambda: out.setdefault("A1", run_agent(cfg)),
+                              daemon=True)
+    thread.start()
+    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+    fake_b1.settimeout(5.0)
+    conn, _ = fake_b1.accept()
+    assert T.recv_frame(conn, deadline()).type == FRAME_HELLO
+    conn.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("B1", plan.plan_hash)))
+    conn.sendall(encode_frame(FRAME_CHALLENGE, 1, FieldSpec(plan.n).encode(3)))
+    assert T.recv_frame(conn, deadline()).type == FRAME_ANSWER
+    assert T.recv_frame(conn, deadline()).type == FRAME_REVEAL
+    thread.join(10)
+    alive = thread.is_alive()
+    for s in (conn, fake_b1):
+        s.close()
+    assert not alive, "A1 still waits on a silent verifier"
+    assert out["A1"].exit_code == EXIT_ACCEPT
+
+
 def test_odd_m_session_accepts(tmp_path):
     """With m odd the reveal is round m+1 at station 2: B2 carries it in its
     RECORDS and both verifiers accept the same transcript."""
