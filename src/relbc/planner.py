@@ -131,12 +131,14 @@ def parse_config(text: str) -> SpacetimeConfig:
             raise PlannerError(f"config line {lineno}: unknown key {key!r}")
         if key == "name":
             values[key] = val
-        elif key == "n":
-            values[key] = int(val)
         elif key in ("T", "tau1", "tau2", "t_m"):
             values[key] = parse_duration(val)
         else:
-            values[key] = float(val)
+            try:
+                values[key] = int(val) if key == "n" else float(val)
+            except ValueError:
+                raise PlannerError(f"config line {lineno}: {key} = {val!r} is not "
+                                   f"a number") from None
     missing = {"L", "l1", "l2", "tau1", "tau2", "t_m", "T"} - values.keys()
     if missing:
         raise PlannerError(f"config is missing keys: {sorted(missing)}")
@@ -302,11 +304,6 @@ class ProtocolPlan:
         d["plan_hash"] = self.plan_hash
         return json.dumps(d, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ProtocolPlan":
-        plan = cls.from_dict(json.loads(text))
-        return plan
-
 
 def resource_plan(cfg: SpacetimeConfig) -> ProtocolPlan:
     """Evaluate every planned quantity for `cfg`."""
@@ -342,12 +339,19 @@ def resource_plan(cfg: SpacetimeConfig) -> ProtocolPlan:
 
 
 def load_plan(path: str | Path) -> ProtocolPlan:
-    text = Path(path).read_text()
-    data = json.loads(text)
-    plan = ProtocolPlan.from_dict(data)
+    """The plan saved at `path`; PlannerError if the file holds no plan or
+    its stored hash is not the plan's."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise TypeError(f"top level is a {type(data).__name__}, not an object")
+        plan = ProtocolPlan.from_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise PlannerError(f"plan file {path} holds no plan: "
+                           f"{type(exc).__name__}: {exc}") from exc
     stored = data.get("plan_hash")
     if stored is not None and stored != plan.plan_hash:
-        raise PlannerError(f"plan file {path} hash mismatch: stored {stored[:12]}..., "
+        raise PlannerError(f"plan file {path} hash mismatch: stored {str(stored)[:12]}..., "
                            f"recomputed {plan.plan_hash[:12]}...")
     return plan
 

@@ -3,22 +3,24 @@ transcripts, and the receiving party's full verification.
 
 Round k is 1-based. Odd rounds run at station 1, even rounds at station 2;
 round m+1 is the reveal and carries no challenge. The committing party's
-answer chain is
+answer chain starts at a_0 = d, the committed bit, and has one rule:
 
-    y_1 = a_1                (commit 0)   or   x_1 XOR a_1   (commit 1)
-    y_k = x_k * a_{k-1} XOR a_k           for 2 <= k <= m
+    y_k = x_k * a_{k-1} XOR a_k           for 1 <= k <= m
     y_{m+1} = a_m            (reveal, together with the claimed bit)
 
-Elements are ints and products go through `FieldSpec.mul`. The rule is
-written twice, each in its own hot loop: `AliceAgent.handle_challenge`
-answers online, reading the tape by index and guarding the round order;
-`honest_round_stream` answers offline from iterators in constant memory.
+so y_1 = a_1 commits 0 and y_1 = x_1 XOR a_1 commits 1 (Lunghi et al.,
+PRL 115, 030502 (2015)). Elements are ints and products go through
+`FieldSpec.mul`. The rule is written twice, each in its own hot loop:
+`AliceAgent.handle_challenge` answers online, reading the tape by index and
+guarding the round order; `honest_round_stream` answers offline from
+iterators in constant memory.
 
-Verification runs the chain forward, one multiply per round: the claimed
-bit fixes a_1 = y_1 XOR d*x_1, then a_k = x_k * a_{k-1} XOR y_k, and the
-result must equal the revealed a_m. Each step is a bijection when x_k != 0,
-so this accepts exactly when the paper's backward recursion
-a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reproduce y_1.
+Verification runs the chain forward from the claimed a_0 = d, one multiply
+per round: a_k = x_k * a_{k-1} XOR y_k, and the result must equal the
+revealed a_m. Each step is a bijection when x_k != 0, so this accepts
+exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1
+from a_m would reach a_0 = d. A zero challenge, x_1 included, is rejected:
+it would let a round bind nothing.
 
 Everything here is pure and deterministic; timing is produced by the
 simulator (`simnet`) or the live runner (`transport`) and only *checked*
@@ -76,7 +78,7 @@ class RevealMessage:
 class Tape:
     """Pre-shared randomness: the committing side's secrets a_1..a_m or the
     challenger side's x_1..x_m (challenges are sampled nonzero so every
-    sustain step of the chain is a bijection).
+    step of the chain is a bijection).
 
     Elements are canonical ints under `spec`; element k of round k is
     ``elements[k-1]``.
@@ -225,11 +227,8 @@ class AliceAgent:
             raise SequencingError(
                 f"A{self.station} expected round {self.next_k}, got {k}"
             )
-        spec = self.spec
-        if k == 1:
-            y = x_k ^ self.secrets[0] if self.d else self.secrets[0]
-        else:
-            y = spec.mul(x_k, self.secrets[k - 2]) ^ self.secrets[k - 1]
+        a_prev = self.secrets[k - 2] if k > 1 else self.d
+        y = self.spec.mul(x_k, a_prev) ^ self.secrets[k - 1]
         self.next_k += 2
         return y
 
@@ -258,11 +257,12 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     """Every verdict rule, in one forward pass over the round records.
 
     `reveal` is None for an aborted transcript. The chain is run forward from
-    a_1 = y_1 XOR d*x_1 (see the module docstring) and must end at the
-    revealed a_m. A round is on time when its answer is received no earlier
-    than its challenge was issued and at most its station's deadline later.
-    Precedence, highest first: aborted, malformed (the only early return),
-    timing, a zero challenge among x_2..x_m, bit mismatch.
+    a_0 = d, the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
+    docstring) and must end at the revealed a_m. A round is on time when its
+    answer is received no earlier than its challenge was issued and at most
+    its station's deadline later. Precedence, highest first: aborted,
+    malformed (the only early return), timing, a zero challenge among
+    x_1..x_m, bit mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)
@@ -272,18 +272,15 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     mul = spec.mul
     taus = (tau2_ns, tau1_ns)  # indexed by k & 1
     mistimed = zero = False
-    a = k = 0
+    a, k = d, 0
     for k, rec in enumerate(rounds, start=1):
         if k > m or rec.k != k or rec.station != 2 - (k & 1):  # station_of(k)
             return Verdict.reject(REJECT_MALFORMED)
         x = rec.challenge
         if not 0 <= rec.answer_received_at - rec.challenge_issued_at <= taus[k & 1]:
             mistimed = True
-        if k == 1:
-            a = rec.answer ^ x if d else rec.answer
-        else:
-            zero = zero or not x
-            a = mul(x, a) ^ rec.answer
+        zero = zero or not x
+        a = mul(x, a) ^ rec.answer
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
     if mistimed:
@@ -310,21 +307,20 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
     """Yield the m honest RoundRecords without materializing the tapes.
 
     `secrets` and `challenges` are consumed lazily, so arbitrarily long
-    transcripts can be generated in constant memory. Timestamps are those of
+    transcripts can be generated in constant memory. The answers follow the
+    one round rule y_k = x_k * a_{k-1} XOR a_k from a_0 = d, as
+    `AliceAgent.handle_challenge` gives them. Timestamps are those of
     `run_honest_protocol`: a synthetic schedule of 1 us per round and a
     fixed 1 ns turnaround.
     """
     check_bit(d)
     it_a = iter(secrets)
     it_x = iter(challenges)
-    a_prev = None
+    a_prev = d
     for k in range(1, m + 1):
         a_k = next(it_a)
         x_k = next(it_x)
-        if k == 1:
-            y = x_k ^ a_k if d else a_k
-        else:
-            y = spec.mul(x_k, a_prev) ^ a_k
+        y = spec.mul(x_k, a_prev) ^ a_k
         a_prev = a_k
         issued = k * 1000
         yield RoundRecord(k, station_of(k), x_k, y, issued, issued + 1)

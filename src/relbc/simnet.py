@@ -171,10 +171,6 @@ class AuditReport:
     violations: list[tuple[int, str]]    # (round index, what went wrong)
     late_answer_rounds: list[int]
 
-    @property
-    def worst_slack_seconds(self) -> float | None:
-        return None if self.worst_slack_ns is None else self.worst_slack_ns / NS
-
 
 def default_placements(plan: ProtocolPlan,
                        strategy: AdversaryStrategy | None = None) -> dict[str, float]:

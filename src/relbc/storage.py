@@ -13,6 +13,12 @@ recorded round count, scale factor, deadlines, status, reveal) followed by
 fixed-size round records (k, station, x, y, two timestamps), so any record
 can be sought in O(1) and verification streams the file forward in blocks
 with memory independent of its length.
+
+In memory a transcript file is a `protocol.Transcript`: the writer takes its
+header fields from one, and the header reader returns one with no rounds.
+Every reader checks that the body holds exactly the elements or records the
+header counts; the transcript readers also reject an element that exceeds
+the field's n bits.
 """
 
 from __future__ import annotations
@@ -76,6 +82,18 @@ def _read_exact(f, size: int, what: str) -> bytes:
         raise StorageError(f"short read while reading {what}: wanted {size} bytes, "
                            f"got {len(data)}")
     return data
+
+
+def _check_body(path, base: int, count: int, item_size: int,
+                error: type[StorageError]) -> None:
+    """The file at `path` holds exactly `count` items of `item_size` bytes
+    after its header, which ends at offset `base`; checked before any read,
+    so a corrupt count never sizes a buffer."""
+    body = Path(path).stat().st_size - base
+    if body > count * item_size:
+        raise error(f"{path}: trailing bytes after {count} x {item_size} body bytes")
+    if body < count * item_size:
+        raise error(f"{path}: body is {body} bytes, header promises {count} x {item_size}")
 
 
 def _header_spec(n: int, poly: int, error: type[StorageError], where) -> FieldSpec:
@@ -196,12 +214,8 @@ class TapeReader:
             self.seed = seed
             self._base = self._f.tell()
             self._index = 0
-            body = self.path.stat().st_size - self._base
-            if body != count * self.spec.element_bytes:
-                raise TapeFormatError(
-                    f"{self.path}: body is {body} bytes, header promises "
-                    f"{count} x {self.spec.element_bytes}"
-                )
+            _check_body(self.path, self._base, count, self.spec.element_bytes,
+                        TapeFormatError)
         except Exception:
             self._f.close()
             raise
@@ -214,10 +228,6 @@ class TapeReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def position(self) -> int:
-        return self._index
 
     def seek(self, index: int) -> None:
         """Position the cursor at element `index` (0-based)."""
@@ -242,10 +252,6 @@ class TapeReader:
     def __iter__(self) -> Iterator[int]:
         while self._index < self.count:
             yield self.read()
-
-    def read_all(self) -> list[int]:
-        self.seek(0)
-        return list(self)
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -282,54 +288,30 @@ def _unpack_record(data: bytes, offset: int, eb: int) -> RoundRecord:
     return RoundRecord(k, station, x, y, issued, received)
 
 
-@dataclass
-class TranscriptHeader:
-    """Parsed transcript-file header plus the offset of the round records."""
-
-    spec: FieldSpec
-    plan_hash: str
-    m: int
-    round_count: int
-    scale_factor: int
-    tau1_ns: int
-    tau2_ns: int
-    status: str
-    abort_round: int | None
-    abort_reason: str | None
-    reveal: RevealMessage | None
-    reveal_received_at: int
-    records_base: int
-    record_size: int
-
-
-def _write_transcript_to(f, spec: FieldSpec, m: int,
-                         rounds: Iterable[RoundRecord], round_count: int,
-                         reveal: RevealMessage | None, reveal_received_at: int,
-                         tau1_ns: int, tau2_ns: int,
-                         status: str = STATUS_COMPLETE,
-                         abort_round: int | None = None,
-                         abort_reason: str | None = None,
-                         plan_hash: str = "", scale_factor: int = 1) -> None:
+def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
+                         round_count: int) -> None:
+    """Write the header of `t` (its own rounds are not read), then `rounds`."""
+    spec = t.spec
     eb = spec.element_bytes
     poly_bytes = spec.poly.to_bytes((spec.n + 7) // 8, "little")
-    hash_bytes = bytes.fromhex(plan_hash) if plan_hash else b"\x00" * 32
+    hash_bytes = bytes.fromhex(t.plan_hash) if t.plan_hash else b"\x00" * 32
     if len(hash_bytes) != 32:
         raise TranscriptFormatError("plan hash must be 32 bytes (sha256) or empty")
-    reason = (abort_reason or "").encode()
+    reason = (t.abort_reason or "").encode()
     f.write(_XH_FIXED.pack(TRANSCRIPT_MAGIC, FORMAT_VERSION, hash_bytes,
                            spec.n, len(poly_bytes)))
     f.write(poly_bytes)
-    f.write(_XH_META.pack(m, round_count, scale_factor, tau1_ns, tau2_ns))
-    f.write(_XH_STATUS.pack(_STATUS_CODES[status], abort_round or 0, len(reason)))
+    f.write(_XH_META.pack(t.m, round_count, t.scale_factor, t.tau1_ns, t.tau2_ns))
+    f.write(_XH_STATUS.pack(_STATUS_CODES[t.status], t.abort_round or 0, len(reason)))
     f.write(reason)
-    if reveal is None:
+    if t.reveal is None:
         f.write(_XH_REVEAL.pack(0, 0))
         f.write(b"\x00" * eb)
         f.write(struct.pack(">q", 0))
     else:
-        f.write(_XH_REVEAL.pack(1, reveal.bit))
-        f.write(reveal.final_secret.to_bytes(eb, "little"))
-        f.write(struct.pack(">q", reveal_received_at))
+        f.write(_XH_REVEAL.pack(1, t.reveal.bit))
+        f.write(t.reveal.final_secret.to_bytes(eb, "little"))
+        f.write(struct.pack(">q", t.reveal_received_at))
     written = 0
     buf = bytearray()
     for rec in rounds:
@@ -354,22 +336,19 @@ def write_transcript_stream(path: str | Path, spec: FieldSpec, m: int,
                             abort_reason: str | None = None,
                             plan_hash: str = "", scale_factor: int = 1) -> None:
     """Write a transcript file from a round iterator (constant memory)."""
+    header = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns,
+                        reveal=reveal, reveal_received_at=reveal_received_at,
+                        status=status, abort_reason=abort_reason,
+                        abort_round=abort_round, plan_hash=plan_hash,
+                        scale_factor=scale_factor)
     with open(path, "wb") as f:
-        _write_transcript_to(f, spec, m, rounds, round_count, reveal,
-                             reveal_received_at, tau1_ns, tau2_ns, status,
-                             abort_round, abort_reason, plan_hash, scale_factor)
+        _write_transcript_to(f, header, rounds, round_count)
 
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:
     """Serialize a transcript to its canonical file bytes."""
     buf = io.BytesIO()
-    _write_transcript_to(
-        buf, transcript.spec, transcript.m, iter(transcript.rounds),
-        len(transcript.rounds), transcript.reveal, transcript.reveal_received_at,
-        transcript.tau1_ns, transcript.tau2_ns, transcript.status,
-        transcript.abort_round, transcript.abort_reason, transcript.plan_hash,
-        transcript.scale_factor,
-    )
+    _write_transcript_to(buf, transcript, transcript.rounds, len(transcript.rounds))
     return buf.getvalue()
 
 
@@ -377,7 +356,9 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
     Path(path).write_bytes(transcript_to_bytes(transcript))
 
 
-def read_transcript_header(f) -> TranscriptHeader:
+def read_transcript_header(f) -> tuple[Transcript, int]:
+    """The header at the start of `f` as a `Transcript` with no rounds, plus
+    the recorded round count; leaves `f` at the first round record."""
     head = _read_exact(f, _XH_FIXED.size, "transcript header")
     magic, version, hash_bytes, n, poly_len = _XH_FIXED.unpack(head)
     if magic != TRANSCRIPT_MAGIC:
@@ -400,58 +381,58 @@ def read_transcript_header(f) -> TranscriptHeader:
             raise TranscriptFormatError(f"abort reason is not UTF-8: {exc}") from exc
     reveal_flag, bit = _XH_REVEAL.unpack(_read_exact(f, _XH_REVEAL.size, "reveal flag"))
     a_m = int.from_bytes(_read_exact(f, spec.element_bytes, "reveal payload"), "little")
+    if a_m > spec.mask:
+        raise TranscriptFormatError(f"revealed a_m exceeds {spec.n} bits")
     (reveal_at,) = struct.unpack(">q", _read_exact(f, 8, "reveal timestamp"))
-    reveal = RevealMessage(bit, a_m) if reveal_flag else None
-    plan_hash = hash_bytes.hex() if hash_bytes != b"\x00" * 32 else ""
-    return TranscriptHeader(
+    header = Transcript(
         spec=spec,
-        plan_hash=plan_hash,
         m=m,
-        round_count=round_count,
-        scale_factor=scale,
         tau1_ns=tau1,
         tau2_ns=tau2,
-        status=_STATUS_NAMES[status_code],
-        abort_round=abort_round or None,
-        abort_reason=reason,
-        reveal=reveal,
+        reveal=RevealMessage(bit, a_m) if reveal_flag else None,
         reveal_received_at=reveal_at,
-        records_base=f.tell(),
-        record_size=_record_size(spec.element_bytes),
+        status=_STATUS_NAMES[status_code],
+        abort_reason=reason,
+        abort_round=abort_round or None,
+        plan_hash=hash_bytes.hex() if hash_bytes != b"\x00" * 32 else "",
+        scale_factor=scale,
     )
+    return header, round_count
+
+
+def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[RoundRecord]]:
+    """The header of transcript file `f` (see `read_transcript_header`), its
+    round count, checked against the file's size, and an iterator over its
+    round records, read front to back `VERIFY_BLOCK_ROUNDS` at a time."""
+    header, count = read_transcript_header(f)
+    spec = header.spec
+    eb, mask = spec.element_bytes, spec.mask
+    size = _record_size(eb)
+    _check_body(path, f.tell(), count, size, TranscriptFormatError)
+
+    def records() -> Iterator[RoundRecord]:
+        left = count
+        while left:
+            want = min(left, VERIFY_BLOCK_ROUNDS)
+            data = _read_exact(f, want * size, "round records")
+            for off in range(0, want * size, size):
+                rec = _unpack_record(data, off, eb)
+                if (rec.challenge | rec.answer) > mask:
+                    raise TranscriptFormatError(
+                        f"{path}: round {count - left + off // size + 1} has an "
+                        f"element that exceeds {spec.n} bits")
+                yield rec
+            left -= want
+
+    return header, count, records()
 
 
 def read_transcript(path: str | Path) -> Transcript:
     """Load a whole transcript into memory (use verify_file for huge ones)."""
     with open(path, "rb") as f:
-        h = read_transcript_header(f)
-        expected = h.round_count * h.record_size
-        size = Path(path).stat().st_size - h.records_base
-        if size > expected:
-            raise TranscriptFormatError(f"{path}: trailing bytes after round records")
-        if size < expected:
-            raise TranscriptFormatError(
-                f"{path}: body is {size} bytes, header promises "
-                f"{h.round_count} x {h.record_size}"
-            )
-        body = _read_exact(f, expected, "round records")
-    eb = h.spec.element_bytes
-    rounds = [_unpack_record(body, i * h.record_size, eb)
-              for i in range(h.round_count)]
-    return Transcript(
-        spec=h.spec,
-        m=h.m,
-        tau1_ns=h.tau1_ns,
-        tau2_ns=h.tau2_ns,
-        rounds=rounds,
-        reveal=h.reveal,
-        reveal_received_at=h.reveal_received_at,
-        status=h.status,
-        abort_reason=h.abort_reason,
-        abort_round=h.abort_round,
-        plan_hash=h.plan_hash,
-        scale_factor=h.scale_factor,
-    )
+        transcript, _, records = _open_transcript(f, path)
+        transcript.rounds = list(records)
+    return transcript
 
 
 @dataclass
@@ -464,40 +445,26 @@ class VerifyStats:
         return self.rounds / self.seconds if self.seconds > 0 else float("inf")
 
 
-def _iter_records(f, h: TranscriptHeader) -> Iterator[RoundRecord]:
-    """The header's round records, front to back, read in fixed-size blocks."""
-    eb, size = h.spec.element_bytes, h.record_size
-    left = h.round_count
-    while left:
-        want = min(left, VERIFY_BLOCK_ROUNDS)
-        data = f.read(want * size)
-        for off in range(0, len(data) - size + 1, size):
-            yield _unpack_record(data, off, eb)
-        if len(data) != want * size:
-            raise StorageError(f"short read while reading round records: wanted "
-                               f"{want * size} bytes, got {len(data)}")
-        left -= want
-
-
 def verify_file(path: str | Path,
                 plan: ProtocolPlan | None = None) -> tuple[Verdict, VerifyStats]:
     """Stream a transcript file forward and verify it in constant memory.
 
-    Round records are read front to back, `VERIFY_BLOCK_ROUNDS` at a time,
-    and fed to `protocol.verify_rounds`, the same pass `bob_verify` uses.
+    Round records are read as `read_transcript` reads them and fed to
+    `protocol.verify_rounds`, the same pass `bob_verify` uses. Reading stops
+    once the verdict is settled (an aborted transcript or a malformed round),
+    so a fault in a later record is not reported.
     """
     t0 = time.perf_counter()
     with open(path, "rb") as f:
-        h = read_transcript_header(f)
+        h, count, records = _open_transcript(f, path)
         if plan is not None and h.plan_hash and h.plan_hash != plan.plan_hash:
             raise PlanHashMismatchError(
                 f"{path}: transcript was produced under plan {h.plan_hash[:12]}..., "
                 f"supplied plan is {plan.plan_hash[:12]}..."
             )
-        reveal = h.reveal if h.status == STATUS_COMPLETE else None
-        verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns, reveal,
-                                _iter_records(f, h))
-    return verdict, VerifyStats(h.round_count, time.perf_counter() - t0)
+        verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns,
+                                h.reveal if h.is_complete else None, records)
+    return verdict, VerifyStats(count, time.perf_counter() - t0)
 
 
 def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
@@ -527,9 +494,9 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
         reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1,
         tau1_ns=tau1_ns, tau2_ns=tau2_ns, plan_hash=plan_hash,
     )
-    # patch the reveal payload with the true a_m
+    # patch the reveal payload with the true a_m; the header ends with it
+    # and the 8-byte reveal timestamp
     with open(path, "r+b") as f:
-        h = read_transcript_header(f)
-        reveal_payload_offset = h.records_base - 8 - spec.element_bytes
-        f.seek(reveal_payload_offset)
+        read_transcript_header(f)
+        f.seek(f.tell() - 8 - spec.element_bytes)
         f.write(last_secret.to_bytes(spec.element_bytes, "little"))

@@ -27,11 +27,12 @@ def schoolbook_mul(a: int, b: int, n: int, poly: int) -> int:
 
 
 def backward_chain(spec: FieldSpec, rounds: list[RoundRecord], a_m: int) -> list[int]:
-    """a_1..a_m by the paper's recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from
-    the revealed a_m, the oracle for the forward verifier. Raises
-    NonInvertibleError on a zero challenge among x_2..x_m."""
+    """a_0..a_m by the paper's recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from
+    the revealed a_m, the oracle for the forward verifier; an honest chain
+    ends at a_0 = d, the committed bit. Raises NonInvertibleError on a zero
+    challenge among x_1..x_m."""
     chain = [a_m]
-    for rec in reversed(rounds[1:]):
+    for rec in reversed(rounds):
         chain.append(spec.mul(rec.answer ^ chain[-1], spec.inv(rec.challenge)))
     return chain[::-1]
 

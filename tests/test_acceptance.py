@@ -177,11 +177,11 @@ def test_criterion_06_protocol_round_trip():
 def test_criterion_07_binding_tamper_suite():
     """Every tamper class flips the verdict on 100 seeded instances.
 
-    Challenge tampering targets sustain rounds (k >= 2): those challenges
-    multiply into the forward chain a_k = x_k * a_{k-1} XOR y_k. x_1 is
-    immaterial to a bit-0 commitment by construction (y_1 = a_1 never reads
-    it), so altering it there is undetectable in principle, not an
-    implementation gap.
+    Challenge tampering targets rounds k >= 2: those challenges multiply a
+    secret in the forward chain a_k = x_k * a_{k-1} XOR y_k. x_1 multiplies
+    a_0 = d, so a bit-0 commitment never reads it (y_1 = a_1): altering it
+    to another nonzero value is undetectable in principle, not an
+    implementation gap (x_1 = 0 is rejected as a zero challenge).
     """
     m = 12
     checked = {"reveal-bit": 0, "answer": 0, "challenge": 0, "final-secret": 0}

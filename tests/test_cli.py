@@ -52,6 +52,15 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "nope.cfg")
         assert code == 1 and "no such file" in err
 
+    @pytest.mark.parametrize("line", ["l1 = abc", "n = x"])
+    def test_non_numeric_config_value_exit_1(self, in_tmp, capsys, line):
+        cfg = in_tmp / "bad.cfg"
+        cfg.write_text("L = 7000\nl1 = 450\nl2 = 450\ntau1 = 3us\ntau2 = 3us\n"
+                       f"t_m = 3.3us\nT = 1s\n{line}\n")
+        code, _, err = run_cli(capsys, "plan", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "line 8" in err
+
 
 class TestTape:
     def test_generate_and_read(self, in_tmp, capsys):
@@ -120,6 +129,23 @@ class TestSimulateAndVerify:
         (in_tmp / "bad.rbcx").write_bytes(bytes(data))
         code, _, err = run_cli(capsys, "verify", "bad.rbcx")
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "holds no plan"),
+        ('{"m": 4}', "holds no plan"),
+        ("[1, 2]", "holds no plan"),
+        (None, "hash mismatch"),
+    ], ids=["not-json", "no-config", "list", "numeric-hash"])
+    def test_verify_bad_plan_file_exit_1(self, in_tmp, capsys, text, message):
+        code, _, _ = run_cli(capsys, "simulate", "--rounds", "20", "--n", "8",
+                             "--out", "t.rbcx")
+        assert code == 0
+        if text is None:  # a whole plan whose stored hash is a number
+            text = json.dumps({**json.loads(small_plan(20).to_json()), "plan_hash": 5})
+        (in_tmp / "bad.json").write_text(text)
+        code, _, err = run_cli(capsys, "verify", "t.rbcx", "--plan", "bad.json")
+        assert code == 1
+        assert err.startswith("error:") and message in err
 
     def test_simulate_is_reproducible(self, in_tmp, capsys):
         run_cli(capsys, "simulate", "--rounds", "20", "--n", "8", "--seed", "9",

@@ -150,18 +150,18 @@ class TestRecoverChain:
     def test_single_round_returns_reveal(self):
         secrets, challenges = random_tapes(S8, 1, seed=11)
         t = run_honest_protocol(S8, secrets, challenges, 0)
-        assert backward_chain(S8, t.rounds, t.reveal.final_secret) == [secrets[0]]
+        assert backward_chain(S8, t.rounds, t.reveal.final_secret) == [0, secrets[0]]
 
     def test_five_round_roundtrip(self):
         secrets, challenges = random_tapes(S8, 5, seed=12)
         t = run_honest_protocol(S8, secrets, challenges, 1)
-        assert backward_chain(S8, t.rounds, t.reveal.final_secret) == secrets.elements
+        assert backward_chain(S8, t.rounds, t.reveal.final_secret) == [1, *secrets.elements]
 
     def test_flipped_answer_changes_recovered_root(self):
         secrets, challenges = random_tapes(S8, 5, seed=13)
         t = run_honest_protocol(S8, secrets, challenges, 1)
         t.rounds[2].answer ^= 0x10
-        assert backward_chain(S8, t.rounds, t.reveal.final_secret)[0] != secrets[0]
+        assert backward_chain(S8, t.rounds, t.reveal.final_secret)[0] != 1
         assert bob_verify(t).reason == REJECT_BIT_MISMATCH
 
     def test_zero_challenge_unverifiable(self):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbc.field import gf2_8, gf2_128
+from relbc.field import FieldSpec, gf2_8, gf2_128
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
     REJECT_TIMING,
+    RevealMessage,
+    bob_verify,
     run_honest_protocol,
 )
 from relbc.storage import (
@@ -37,6 +39,7 @@ from helpers import random_tapes, small_plan
 
 S8 = gf2_8()
 S128 = gf2_128()
+S12 = FieldSpec(12, 0x9)  # x^12 + x^3 + 1: 2-byte elements with 4 spare bits
 
 
 class TestTapeFiles:
@@ -57,7 +60,7 @@ class TestTapeFiles:
         with TapeReader(path) as r:
             assert r.count == plan.m and r.role == "bob-challenges"
             assert r.spec == S128
-            values = r.read_all()
+            values = list(r)
         rng = random.Random(3)
         expected = [S128.random_int(rng, nonzero=True) for _ in range(plan.m)]
         assert values == expected
@@ -74,7 +77,7 @@ class TestTapeFiles:
         path = tmp_path / "t.tape"
         generate_tape(plan, "alice-secrets", path, seed=1)
         with TapeReader(path) as r:
-            full = r.read_all()
+            full = list(r)
         rng = random.Random(4)
         for _ in range(10):
             k = rng.randrange(0, 51)
@@ -165,7 +168,7 @@ class TestSizing:
 
 
 def _transcript(m=20, n=8, seed=0, d=1):
-    spec = gf2_8() if n == 8 else gf2_128()
+    spec = {8: S8, 12: S12, 128: S128}[n]
     secrets, challenges = random_tapes(spec, m, seed=seed)
     return run_honest_protocol(spec, secrets, challenges, d)
 
@@ -266,6 +269,25 @@ class TestTranscriptFiles:
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(TranscriptFormatError, match="trailing"):
             read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="trailing"):
+            verify_file(path)
+
+    @pytest.mark.parametrize("where", ["challenge", "answer", "reveal"])
+    def test_non_canonical_element_is_format_error(self, tmp_path, where):
+        """An element stored with a bit at or above n (here x XOR the full
+        polynomial, the same residue) is rejected, as the wire parser does."""
+        t = _transcript(m=6, n=12)
+        if where == "reveal":
+            t.reveal = RevealMessage(t.reveal.bit, t.reveal.final_secret ^ S12.full_poly)
+        else:
+            rec = t.rounds[2]
+            setattr(rec, where, getattr(rec, where) ^ S12.full_poly)
+        path = tmp_path / "t.rbcx"
+        write_transcript(t, path)
+        with pytest.raises(TranscriptFormatError, match="exceeds 12 bits"):
+            read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="exceeds 12 bits"):
+            verify_file(path)
 
     @pytest.mark.parametrize("count", [2**40, 2**62])
     def test_round_count_beyond_body_is_format_error(self, tmp_path, count):
@@ -336,14 +358,18 @@ class TestConstantMemory:
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
 
 
-def _seed_files() -> list[bytes]:
-    """Valid tape and transcript files (complete, aborted, n=8 and n=128)
-    for the mutation property below."""
+def _seed_transcripts() -> list[bytes]:
+    """Valid transcript files (complete, aborted, n=8 and n=128) for the
+    mutation properties below."""
     aborted = _transcript(m=5)
     aborted.reveal = None
     aborted.mark_aborted("deadline", 3)
-    out = [transcript_to_bytes(t) for t in (_transcript(m=6), _transcript(m=3, n=128),
-                                            aborted)]
+    return [transcript_to_bytes(t) for t in (_transcript(m=6), _transcript(m=3, n=128),
+                                             aborted)]
+
+
+def _seed_tapes() -> list[bytes]:
+    out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tape"
         for spec, role in ((S8, "alice-secrets"), (S128, "bob-challenges")):
@@ -352,14 +378,15 @@ def _seed_files() -> list[bytes]:
     return out
 
 
-SEED_FILES = _seed_files()
+SEED_TRANSCRIPTS = _seed_transcripts()
+SEED_FILES = SEED_TRANSCRIPTS + _seed_tapes()
 
 
 @st.composite
-def mutated_files(draw):
+def mutated_files(draw, seeds=SEED_FILES):
     """A valid file with a few bytes set, runs cut or inserted, or an 8-byte
     big-endian field overwritten (counts, lengths, timestamps)."""
-    data = bytearray(draw(st.sampled_from(SEED_FILES)))
+    data = bytearray(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["set", "cut", "insert", "u64"]))
         i = draw(st.integers(0, len(data)))
@@ -376,7 +403,7 @@ def mutated_files(draw):
 
 def _read_tape(path):
     with TapeReader(path) as r:
-        return r.read_all()
+        return list(r)
 
 
 @settings(max_examples=400, deadline=None)
@@ -391,3 +418,19 @@ def test_file_readers_return_or_raise_storage_error(tmp_path_factory, data):
             read(path)
         except StorageError:
             pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mutated_files(SEED_TRANSCRIPTS))
+def test_verify_file_agrees_with_read_transcript(tmp_path_factory, data):
+    """The streaming verifier raises StorageError exactly when the in-memory
+    reader does, and otherwise gives the in-memory verdict."""
+    path = tmp_path_factory.getbasetemp() / "mutated.rbcx"
+    path.write_bytes(data)
+    try:
+        expected = bob_verify(read_transcript(path))
+    except StorageError:
+        with pytest.raises(StorageError):
+            verify_file(path)
+    else:
+        assert verify_file(path)[0] == expected

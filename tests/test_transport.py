@@ -126,8 +126,8 @@ class TestLoopback:
         with TapeReader(tmp_path / "alice.tape") as ar, \
                 TapeReader(tmp_path / "bob.tape") as xr:
             from relbc.protocol import Tape
-            tapes = (Tape(ROLE_ALICE_SECRETS, spec, ar.read_all()),
-                     Tape(ROLE_BOB_CHALLENGES, spec, xr.read_all()))
+            tapes = (Tape(ROLE_ALICE_SECRETS, spec, list(ar)),
+                     Tape(ROLE_BOB_CHALLENGES, spec, list(xr)))
         sim, _ = run_simulation(plan, tapes=tapes, bit=1)
         assert [(r.k, r.station, r.challenge, r.answer) for r in live.rounds] == \
             [(r.k, r.station, r.challenge, r.answer) for r in sim.rounds]

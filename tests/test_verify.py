@@ -39,11 +39,10 @@ def backward_verdict(t: Transcript) -> Verdict:
                for r in t.rounds):
         return Verdict.reject(REJECT_TIMING)
     try:
-        a1 = backward_chain(t.spec, t.rounds, t.reveal.final_secret)[0]
+        a0 = backward_chain(t.spec, t.rounds, t.reveal.final_secret)[0]
     except NonInvertibleError:
         return Verdict.reject(REJECT_ZERO_CHALLENGE)
-    first = t.rounds[0]
-    if first.answer == (first.challenge ^ a1 if d else a1):
+    if a0 == d:
         return Verdict.accept(d)
     return Verdict.reject(REJECT_BIT_MISMATCH)
 
@@ -144,6 +143,19 @@ def test_early_fault_outranks_late_zero_challenge(tmp_path, first_fault, reason)
     path = tmp_path / "t.rbcx"
     write_transcript(t, path)
     assert verify_file(path)[0] == bob_verify(t) == Verdict.reject(reason)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_zero_first_challenge_is_rejected_under_either_bit(tmp_path, d):
+    """With x_1 = 0, y_1 = x_1 * a_0 XOR a_1 holds for a_0 = 0 and a_0 = 1
+    alike, so the transcript binds no bit: it is a zero challenge like any
+    other."""
+    t = honest(6, seed=8, d=0)
+    t.rounds[0].challenge = 0
+    t.reveal = RevealMessage(d, t.reveal.final_secret)
+    path = tmp_path / "t.rbcx"
+    write_transcript(t, path)
+    assert bob_verify(t) == verify_file(path)[0] == Verdict.reject(REJECT_ZERO_CHALLENGE)
 
 
 @pytest.mark.parametrize("i", [0, 7, -1])
