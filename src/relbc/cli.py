@@ -7,8 +7,8 @@ Subcommands:
     simulate  run the discrete-event simulation, write transcript + audit
     run       run one live agent (A1/A2/B1/B2) over TCP
     verify    stream-verify a transcript file
-    bench     field, verification and simulate+verify throughput, with a
-              case-1 projection
+    bench     time `verify_file` on a generated honest n=128 file and project
+              the wall time of verifying case-1's 24 h transcript
 
 Exit codes are stable for scripting: 0 success/accept, 1 usage or config
 error, 2 protocol abort, 3 verification reject. Every command writes a run
@@ -23,7 +23,7 @@ import argparse
 import json
 import random
 import sys
-import time
+import tempfile
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -44,11 +44,11 @@ from .planner import (
     resource_plan,
     save_plan,
 )
-from .protocol import RevealMessage, Transcript, bob_verify, honest_round_stream
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
     StorageError,
+    generate_honest_transcript_file,
     generate_tape,
     verify_file,
     write_transcript,
@@ -241,64 +241,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    m = args.rounds
+    if m < 1:
+        print("error: --rounds must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     spec = FieldSpec(128)
     rng = random.Random(args.seed)
-    pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(args.mul_ops)]
-    t0 = time.perf_counter()
-    for a, b in pairs:
-        spec.mul(a, b)
-    mul_dt = time.perf_counter() - t0
-    mul_rate = args.mul_ops / mul_dt
-
-    m = args.rounds
-    secrets = [spec.random_int(rng) for _ in range(m)]
-    challenges = [spec.random_int(rng, nonzero=True) for _ in range(m)]
-    t0 = time.perf_counter()
-    records = list(honest_round_stream(spec, secrets, challenges, 1, m))
-    gen_dt = time.perf_counter() - t0
-    transcript = Transcript(spec=spec, m=m, tau1_ns=1_000_000, tau2_ns=1_000_000,
-                            rounds=records, reveal=RevealMessage(1, secrets[-1]))
-    t0 = time.perf_counter()
-    verdict = bob_verify(transcript)
-    ver_dt = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bench.rbcx"
+        generate_honest_transcript_file(
+            path, spec, m, (spec.random_int(rng) for _ in range(m)),
+            (spec.random_int(rng, nonzero=True) for _ in range(m)), 1)
+        verdict, stats = verify_file(path)
     if not verdict.accepted:
         print(f"error: the honest bench transcript was rejected: {verdict!r}",
               file=sys.stderr)
         return EXIT_REJECT
-    ver_rate = m / ver_dt
-    case1 = _resolve_config("case1")
-    case1_rounds = resource_plan(case1).m
-    case1_hours = case1_rounds / ver_rate / 3600.0
-
-    # one honest run of the acceptance sweep: case-1 geometry, m = --rounds
-    sim_plan = resource_plan(SpacetimeConfig(
-        **{**case1.to_dict(), "T": _duration_for_rounds(case1, m)}))
-    t0 = time.perf_counter()
-    sim_transcript, _ = run_simulation(sim_plan, seed=args.seed, bit=1)
-    sim_verdict = bob_verify(sim_transcript)
-    sim_dt = time.perf_counter() - t0
-    if not sim_verdict.accepted:
-        print(f"error: the honest bench simulation was rejected: {sim_verdict!r}",
-              file=sys.stderr)
-        return EXIT_REJECT
-
+    rate = stats.rounds_per_second
+    case1_rounds = resource_plan(_resolve_config("case1")).m
+    case1_hours = case1_rounds / rate / 3600.0
     rows = {
-        "mul_ops_per_s": mul_rate,
-        "mul_us_per_op": 1e6 / mul_rate,
-        "answer_gen_rounds_per_s": m / gen_dt,
-        "verify_rounds_per_s": ver_rate,
+        "verify_rounds_per_s": rate,
         "case1_rounds": case1_rounds,
         "case1_verify_hours_projected": case1_hours,
-        "sim_verify_runs_per_s": 1.0 / sim_dt,
     }
-    print(f"{'GF(2^128) multiply':34s} {mul_rate:12,.0f} ops/s   "
-          f"({1e6 / mul_rate:.2f} us/op)")
-    print(f"{'honest answer generation':34s} {m / gen_dt:12,.0f} rounds/s")
-    print(f"{'transcript verification':34s} {ver_rate:12,.0f} rounds/s")
+    print(f"{'transcript-file verification':34s} {rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
           f"({case1_rounds:.3g} rounds)")
-    print(f"{'honest simulate+verify':34s} {1.0 / sim_dt:12,.2f} runs/s   "
-          f"(m = {sim_plan.m})")
     outputs = []
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2))
@@ -372,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="field/verification throughput")
-    p.add_argument("--mul-ops", type=int, default=20000)
-    p.add_argument("--rounds", type=int, default=20000)
+    p = sub.add_parser("bench", help="transcript-file verification throughput "
+                                     "and the case-1 projection")
+    p.add_argument("--rounds", type=int, default=20000,
+                   help="rounds in the generated honest n=128 file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="also write machine-readable results here")
     p.add_argument("--manifest", help="run manifest path")

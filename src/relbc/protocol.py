@@ -327,8 +327,7 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
 
 
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int,
-                        tau1_ns: int = 1_000_000, tau2_ns: int = 1_000_000,
-                        plan_hash: str = "") -> Transcript:
+                        tau1_ns: int = 1_000_000, tau2_ns: int = 1_000_000) -> Transcript:
     """Drive all four agents over in-memory tapes; returns a complete transcript.
 
     This is the reference harness used by tests and by transcript-file
@@ -340,8 +339,7 @@ def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int
         raise ProtocolError("challenge tape shorter than the secrets tape")
     alices = {1: AliceAgent(1, spec, secrets, d, m), 2: AliceAgent(2, spec, secrets, d, m)}
     bobs = {1: BobAgent(1, spec, challenges, m), 2: BobAgent(2, spec, challenges, m)}
-    t = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns,
-                   plan_hash=plan_hash)
+    t = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns)
     for k in range(1, m + 1):
         s = station_of(k)
         x_k = bobs[s].issue_challenge(k)

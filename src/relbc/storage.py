@@ -6,7 +6,7 @@ of `relbc.field`.
 
 Tape file ("RBCT"): header (magic, version, field, role, element count,
 seed provenance) followed by fixed-size elements. Challenge tapes contain
-only nonzero elements.
+only nonzero elements; the writer and the reader both enforce it.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
@@ -17,8 +17,10 @@ with memory independent of its length.
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
 Every reader checks that the body holds exactly the elements or records the
-header counts; the transcript readers also reject an element that exceeds
-the field's n bits.
+header counts, and rejects an element that exceeds the field's n bits. Each
+header has one valid encoding: the polynomial takes (n+7)//8 bytes, the
+reveal flag is 0 or 1, and behind flag 0 the bit, a_m and timestamp are 0.
+So writing back what a reader returned rebuilds the file byte for byte.
 """
 
 from __future__ import annotations
@@ -96,12 +98,22 @@ def _check_body(path, base: int, count: int, item_size: int,
         raise error(f"{path}: body is {body} bytes, header promises {count} x {item_size}")
 
 
-def _header_spec(n: int, poly: int, error: type[StorageError], where) -> FieldSpec:
-    """The field a file header names, or `error` if it names no valid field."""
+def _poly_bytes(spec: FieldSpec) -> bytes:
+    """The reduction polynomial as a header stores it: (n+7)//8 bytes."""
+    return spec.poly.to_bytes(spec.element_bytes, "little")
+
+
+def _header_spec(n: int, poly_bytes: bytes, error: type[StorageError], where) -> FieldSpec:
+    """The field a file header names, or `error` if it names no valid field
+    or stores its polynomial in other than `_poly_bytes` length."""
     try:
-        return FieldSpec(n, poly)
+        spec = FieldSpec(n, int.from_bytes(poly_bytes, "little"))
     except FieldError as exc:
         raise error(f"{where}: bad field in header: {exc}") from exc
+    if len(poly_bytes) != spec.element_bytes:
+        raise error(f"{where}: polynomial field is {len(poly_bytes)} bytes, "
+                    f"n={n} needs {spec.element_bytes}")
+    return spec
 
 
 # -- tapes ---------------------------------------------------------------------
@@ -111,43 +123,15 @@ _TAPE_HEAD = struct.Struct(">4sHIH")       # magic, version, n, poly byte length
 _TAPE_META = struct.Struct(">BQBQ")        # role, count, provenance, seed
 
 
-def tape_element_count(plan: ProtocolPlan, role: str) -> int:
-    """Elements a tape must hold under `plan`: the full m-element sequence
-    for either role (each challenger agent consumes only its station's
-    parity, (m+1)//2 rounds at station 1 and m//2 at station 2)."""
-    if role not in _ROLE_CODES:
-        raise StorageError(f"unknown tape role {role!r}")
-    return plan.m
-
-
-def tape_sizing(plan: ProtocolPlan) -> dict:
-    """Sizing arithmetic for one commitment at `plan` scale.
-
-    Cross-checks the planner: total protocol data (challenges + answers +
-    reveal) equals plan.bytes_total to within one round's rounding.
-    """
-    eb = plan.element_bytes
-    per_tape = plan.m * eb
-    per_station_stream = {
-        1: ((plan.m + 1) // 2) * eb,
-        2: (plan.m // 2) * eb,
-    }
-    return {
-        "element_bytes": eb,
-        "tape_bytes": {ROLE_ALICE_SECRETS: per_tape, ROLE_BOB_CHALLENGES: per_tape},
-        "per_station_challenge_stream_bytes": per_station_stream,
-        "protocol_data_bytes": plan.bytes_total,
-    }
-
-
 def write_tape(path: str | Path, spec: FieldSpec, role: str,
                elements: Iterable[int], count: int,
                provenance: int = PROVENANCE_SEEDED, seed: int = 0) -> None:
-    """Stream `count` elements to a tape file."""
+    """Stream `count` elements to a tape file; each must fit in n bits, and
+    a challenge tape's must be nonzero."""
     if role not in _ROLE_CODES:
         raise StorageError(f"unknown tape role {role!r}")
-    eb = spec.element_bytes
-    poly_bytes = spec.poly.to_bytes((spec.n + 7) // 8, "little")
+    eb, mask = spec.element_bytes, spec.mask
+    poly_bytes = _poly_bytes(spec)
     nonzero_required = role == ROLE_BOB_CHALLENGES
     with open(path, "wb") as f:
         f.write(_TAPE_HEAD.pack(TAPE_MAGIC, FORMAT_VERSION, spec.n, len(poly_bytes)))
@@ -158,6 +142,8 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
         for v in elements:
             if written == count:
                 break
+            if v > mask:
+                raise StorageError(f"tape element {written} exceeds {spec.n} bits")
             if nonzero_required and v == 0:
                 raise StorageError("challenge tapes must not contain zero elements")
             buf += v.to_bytes(eb, "little")
@@ -171,11 +157,12 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
 
 
 def generate_tape(plan: ProtocolPlan, role: str, path: str | Path,
-                  seed: int | None = None, spec: FieldSpec | None = None) -> int:
-    """Generate a tape per `plan` (seeded = reproducible, None = system
-    entropy); returns the element count."""
-    spec = spec or FieldSpec(plan.n)
-    count = tape_element_count(plan, role)
+                  seed: int | None = None) -> int:
+    """Generate a tape of `plan.m` elements for `role` (seeded = reproducible,
+    None = system entropy); returns the element count. Either role's tape
+    holds the full sequence: each agent consumes only its station's parity."""
+    spec = FieldSpec(plan.n)
+    count = plan.m
     if seed is None:
         rng: random.Random = random.SystemRandom()
         provenance, seed_field = PROVENANCE_ENTROPY, 0
@@ -201,8 +188,7 @@ class TapeReader:
                 raise TapeFormatError(f"{self.path}: not a tape file (magic {magic!r})")
             if version != FORMAT_VERSION:
                 raise TapeFormatError(f"{self.path}: unsupported tape version {version}")
-            poly = int.from_bytes(_read_exact(self._f, poly_len, "tape polynomial"),
-                                  "little")
+            poly = _read_exact(self._f, poly_len, "tape polynomial")
             meta = _read_exact(self._f, _TAPE_META.size, "tape metadata")
             role_code, count, provenance, seed = _TAPE_META.unpack(meta)
             if role_code not in _ROLE_NAMES:
@@ -210,6 +196,7 @@ class TapeReader:
             self.spec = _header_spec(n, poly, TapeFormatError, self.path)
             self.role = _ROLE_NAMES[role_code]
             self.count = count
+            self._nonzero = self.role == ROLE_BOB_CHALLENGES
             self.provenance = provenance
             self.seed = seed
             self._base = self._f.tell()
@@ -237,7 +224,8 @@ class TapeReader:
         self._f.seek(self._base + index * self.spec.element_bytes)
 
     def read(self) -> int:
-        """Next element; raises on exhaustion or a short read."""
+        """Next element; raises on exhaustion, a short read, an element that
+        exceeds n bits, or a zero in a challenge tape."""
         if self._index >= self.count:
             raise TapeFormatError(f"{self.path}: tape exhausted at element {self.count}")
         eb = self.spec.element_bytes
@@ -246,8 +234,14 @@ class TapeReader:
             raise TapeFormatError(
                 f"{self.path}: short read at element {self._index}"
             )
+        v = int.from_bytes(data, "little")
+        if v > self.spec.mask:
+            raise TapeFormatError(
+                f"{self.path}: element {self._index} exceeds {self.spec.n} bits")
+        if self._nonzero and v == 0:
+            raise TapeFormatError(f"{self.path}: challenge element {self._index} is zero")
         self._index += 1
-        return int.from_bytes(data, "little")
+        return v
 
     def __iter__(self) -> Iterator[int]:
         while self._index < self.count:
@@ -293,7 +287,7 @@ def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
     """Write the header of `t` (its own rounds are not read), then `rounds`."""
     spec = t.spec
     eb = spec.element_bytes
-    poly_bytes = spec.poly.to_bytes((spec.n + 7) // 8, "little")
+    poly_bytes = _poly_bytes(spec)
     hash_bytes = bytes.fromhex(t.plan_hash) if t.plan_hash else b"\x00" * 32
     if len(hash_bytes) != 32:
         raise TranscriptFormatError("plan hash must be 32 bytes (sha256) or empty")
@@ -365,7 +359,7 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
         raise TranscriptFormatError(f"not a transcript file (magic {magic!r})")
     if version != FORMAT_VERSION:
         raise TranscriptFormatError(f"unsupported transcript version {version}")
-    poly = int.from_bytes(_read_exact(f, poly_len, "transcript polynomial"), "little")
+    poly = _read_exact(f, poly_len, "transcript polynomial")
     spec = _header_spec(n, poly, TranscriptFormatError, "transcript")
     m, round_count, scale, tau1, tau2 = _XH_META.unpack(
         _read_exact(f, _XH_META.size, "transcript metadata"))
@@ -380,10 +374,14 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
         except UnicodeDecodeError as exc:
             raise TranscriptFormatError(f"abort reason is not UTF-8: {exc}") from exc
     reveal_flag, bit = _XH_REVEAL.unpack(_read_exact(f, _XH_REVEAL.size, "reveal flag"))
+    if reveal_flag > 1:
+        raise TranscriptFormatError(f"reveal flag is {reveal_flag}, not 0 or 1")
     a_m = int.from_bytes(_read_exact(f, spec.element_bytes, "reveal payload"), "little")
     if a_m > spec.mask:
         raise TranscriptFormatError(f"revealed a_m exceeds {spec.n} bits")
     (reveal_at,) = struct.unpack(">q", _read_exact(f, 8, "reveal timestamp"))
+    if not reveal_flag and (bit or a_m or reveal_at):
+        raise TranscriptFormatError("reveal fields are set behind reveal flag 0")
     header = Transcript(
         spec=spec,
         m=m,
@@ -457,10 +455,10 @@ def verify_file(path: str | Path,
     t0 = time.perf_counter()
     with open(path, "rb") as f:
         h, count, records = _open_transcript(f, path)
-        if plan is not None and h.plan_hash and h.plan_hash != plan.plan_hash:
+        if plan is not None and h.plan_hash != plan.plan_hash:
             raise PlanHashMismatchError(
-                f"{path}: transcript was produced under plan {h.plan_hash[:12]}..., "
-                f"supplied plan is {plan.plan_hash[:12]}..."
+                f"{path}: transcript plan hash {h.plan_hash[:12] or '(none)'} does not "
+                f"match the supplied plan's {plan.plan_hash[:12]}"
             )
         verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns,
                                 h.reveal if h.is_complete else None, records)
@@ -469,11 +467,11 @@ def verify_file(path: str | Path,
 
 def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
                                     secrets: Iterable[int], challenges: Iterable[int],
-                                    d: int, tau1_ns: int = 1_000_000,
-                                    tau2_ns: int = 1_000_000,
-                                    plan_hash: str = "") -> None:
+                                    d: int) -> None:
     """Forward-generate an honest m-round transcript file in constant memory.
 
+    The file is byte for byte what `run_honest_protocol` with its default
+    deadlines (1 ms each, no plan hash) writes for the same tapes.
     `secrets` and `challenges` may be TapeReader iterators; the final secret
     must be recoverable, so the secrets stream is tee'd one element behind.
     """
@@ -492,7 +490,7 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     write_transcript_stream(
         path, spec, m, honest_round_stream(spec, tap(secrets), challenges, d, m), m,
         reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1,
-        tau1_ns=tau1_ns, tau2_ns=tau2_ns, plan_hash=plan_hash,
+        tau1_ns=1_000_000, tau2_ns=1_000_000,
     )
     # patch the reveal payload with the true a_m; the header ends with it
     # and the 8-byte reveal timestamp

@@ -241,9 +241,6 @@ class SessionConfig:
     peers: dict[str, tuple[str, int]] = dfield(default_factory=dict)
     start_delay_s: float = 0.3
     io_timeout_s: float = 10.0
-    # fault injection: committer stalls this round by this much before answering
-    delay_round: int | None = None
-    delay_extra_s: float = 0.0
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -540,8 +537,6 @@ def _run_alice(ses: _Session) -> AgentResult:
         k = frame.round_index
         x = _parse_element(ses.spec, _expect(frame, FRAME_CHALLENGE))
         last_recv_ns = time.monotonic_ns()
-        if cfg.delay_round == k and cfg.delay_extra_s > 0:
-            time.sleep(cfg.delay_extra_s)
         send_frame(sock, FRAME_ANSWER, k, ses.spec.encode(agent.handle_challenge(k, x)))
         if k == last_round:
             break
@@ -706,9 +701,7 @@ def _run_bob(ses: _Session) -> AgentResult:
 
 
 def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
-                         scale_factor: int = 1000, seed: int = 0,
-                         delay_round: int | None = None,
-                         delay_extra_s: float = 0.0) -> dict[str, AgentResult]:
+                         scale_factor: int = 1000, seed: int = 0) -> dict[str, AgentResult]:
     """Convenience harness: generate tapes, run all four agents in threads on
     loopback sockets, return each role's result. Used by tests and the demo.
     """
@@ -736,11 +729,8 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
             return SessionConfig(role=role, challenges_path=challenges_path,
                                  listen_socket=listeners["B2"],
                                  peers={"B1": addrs["B1"]}, **common)
-        delayed = role == "A1"
         return SessionConfig(role=role, secrets_path=secrets_path,
-                             peers={f"B{role[1]}": addrs[f"B{role[1]}"]},
-                             delay_round=delay_round if delayed else None,
-                             delay_extra_s=delay_extra_s if delayed else 0.0, **common)
+                             peers={f"B{role[1]}": addrs[f"B{role[1]}"]}, **common)
 
     results: dict[str, AgentResult] = {}
     errors: dict[str, BaseException] = {}

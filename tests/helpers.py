@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 
+from relbc import transport
 from relbc.field import FieldSpec
 from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
 from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord, Tape
@@ -80,3 +82,16 @@ def plan_grid(count: int = 20, n: int = 8, seed: int = 99):
         except Exception:
             continue
     return plans
+
+
+def stall_committer(monkeypatch, station: int, k: int, seconds: float) -> None:
+    """Make the live committer at `station` sleep `seconds` before it answers
+    round `k`, so the verifier's deadline for that round passes."""
+
+    class StallingAlice(transport.AliceAgent):
+        def handle_challenge(self, k_now: int, x_k: int) -> int:
+            if self.station == station and k_now == k:
+                time.sleep(seconds)
+            return super().handle_challenge(k_now, x_k)
+
+    monkeypatch.setattr(transport, "AliceAgent", StallingAlice)

@@ -40,7 +40,7 @@ from relbc.storage import (
 )
 from relbc.transport import EXIT_ABORT, EXIT_ACCEPT, run_loopback_session
 
-from helpers import plan_grid, random_tapes, schoolbook_mul, small_plan
+from helpers import plan_grid, random_tapes, schoolbook_mul, small_plan, stall_committer
 
 DAY = SECONDS_PER_DAY
 YEAR_DAYS = 365.0  # documented year convention (365.25 also accepted, see test 4)
@@ -260,7 +260,7 @@ def test_criterion_09_no_signaling_audit():
                 f"injected late answer flagged at round {k_bad}")
 
 
-def test_criterion_10_live_loopback(tmp_path):
+def test_criterion_10_live_loopback(tmp_path, monkeypatch):
     # raw tau = 10 us and t_Q = 26 us become 10 ms / 26 ms at scale 1000:
     # roomy enough for four Python threads on a small host, ~2.6 s per run
     plan = small_plan(200, n=128, tau=10e-6, t_m=1e-6,
@@ -279,9 +279,9 @@ def test_criterion_10_live_loopback(tmp_path):
     verdict, _ = verify_file(out)
     assert verdict.accepted and verdict.bit == 1
 
+    stall_committer(monkeypatch, station=1, k=7, seconds=0.1)
     delayed = run_loopback_session(plan, tmp_path / "delayed", bit=1,
-                                   scale_factor=1000, seed=43,
-                                   delay_round=7, delay_extra_s=0.1)
+                                   scale_factor=1000, seed=43)
     for role in ("B1", "B2"):
         assert delayed[role].exit_code == EXIT_ABORT
         assert delayed[role].abort.round_index == 7
@@ -325,7 +325,7 @@ def test_criterion_11_scale_projection(tmp_path):
     # the bench subcommand's own extrapolation (reported, never asserted
     # against any external wall-clock figure)
     bench_json = tmp_path / "bench.json"
-    code = cli_main(["bench", "--mul-ops", "2000", "--rounds", "5000",
+    code = cli_main(["bench", "--rounds", "5000",
                      "--json", str(bench_json)])
     assert code == 0
     bench = json.loads(bench_json.read_text())

@@ -5,11 +5,20 @@ import re
 
 import pytest
 
+from relbc import cli
 from relbc.cli import CASE1_ROUNDS, main
-from relbc.planner import load_plan
-from relbc.storage import TapeReader, read_transcript
+from relbc.field import gf2_8
+from relbc.planner import load_plan, save_plan
+from relbc.protocol import Verdict, run_honest_protocol
+from relbc.storage import (
+    TapeReader,
+    VerifyStats,
+    read_transcript,
+    verify_file,
+    write_transcript,
+)
 
-from helpers import small_plan
+from helpers import random_tapes, small_plan
 
 
 @pytest.fixture()
@@ -64,8 +73,6 @@ class TestPlan:
 
 class TestTape:
     def test_generate_and_read(self, in_tmp, capsys):
-        from relbc.planner import save_plan
-
         plan = small_plan(24, n=128)
         save_plan(plan, in_tmp / "plan.json")
         code, out, _ = run_cli(capsys, "tape", "--plan", "plan.json",
@@ -81,8 +88,6 @@ class TestRun:
         """At m=1 the revealing committer has no round to time the reveal
         from, so a live role refuses the plan before it listens."""
         import dataclasses
-
-        from relbc.planner import save_plan
 
         save_plan(dataclasses.replace(small_plan(8, n=128), m=1), in_tmp / "plan.json")
         code, _, err = run_cli(capsys, "run", "--role", "B1", "--plan", "plan.json",
@@ -115,7 +120,6 @@ class TestSimulateAndVerify:
         assert code == 0
         t = read_transcript(in_tmp / "t.rbcx")
         t.rounds[10].answer ^= 1
-        from relbc.storage import write_transcript
         write_transcript(t, in_tmp / "bad.rbcx")
         code, out, _ = run_cli(capsys, "verify", "bad.rbcx")
         assert code == 3 and "REJECT" in out
@@ -147,6 +151,19 @@ class TestSimulateAndVerify:
         assert code == 1
         assert err.startswith("error:") and message in err
 
+    def test_verify_hashless_file_under_plan_exit_1(self, in_tmp, capsys):
+        """A file with no plan hash does not show which plan it ran under, so
+        `--plan` refuses it."""
+        spec = gf2_8()
+        write_transcript(run_honest_protocol(spec, *random_tapes(spec, 20, seed=1), 1),
+                         in_tmp / "t.rbcx")
+        save_plan(small_plan(20), in_tmp / "plan.json")
+        code, out, _ = run_cli(capsys, "verify", "t.rbcx")
+        assert code == 0 and "ACCEPT bit=1" in out
+        code, out, err = run_cli(capsys, "verify", "t.rbcx", "--plan", "plan.json")
+        assert code == 1 and "ACCEPT" not in out
+        assert "plan mismatch" in err and "(none)" in err
+
     def test_simulate_is_reproducible(self, in_tmp, capsys):
         run_cli(capsys, "simulate", "--rounds", "20", "--n", "8", "--seed", "9",
                 "--out", "a.rbcx")
@@ -165,21 +182,51 @@ class TestSimulateAndVerify:
 
 class TestBench:
     def test_smoke(self, in_tmp, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--mul-ops", "500",
-                               "--rounds", "500", "--json", "bench.json")
+        code, out, _ = run_cli(capsys, "bench", "--rounds", "500", "--json", "bench.json")
         assert code == 0
         assert "projected case-1 verification" in out
-        assert "honest simulate+verify" in out
         data = json.loads((in_tmp / "bench.json").read_text())
+        assert set(data) == {"verify_rounds_per_s", "case1_rounds",
+                             "case1_verify_hours_projected"}
         assert data["verify_rounds_per_s"] > 0
-        assert data["case1_verify_hours_projected"] > 0
-        assert data["sim_verify_runs_per_s"] > 0
+        assert data["case1_verify_hours_projected"] == pytest.approx(
+            data["case1_rounds"] / data["verify_rounds_per_s"] / 3600)
+        manifest = json.loads((in_tmp / "bench.json.manifest.json").read_text())
+        assert manifest["seeds"] == [0]
+
+    def test_rate_is_verify_files(self, in_tmp, capsys, monkeypatch):
+        """The reported rate is the one `verify_file` measures on the
+        generated file, which an honest verdict accepts."""
+        seen = []
+
+        def spy(path, plan=None):
+            verdict, stats = verify_file(path, plan)
+            seen.append((verdict, stats))
+            return verdict, stats
+
+        monkeypatch.setattr(cli, "verify_file", spy)
+        code, _, _ = run_cli(capsys, "bench", "--rounds", "300", "--json", "bench.json")
+        assert code == 0
+        [(verdict, stats)] = seen
+        assert verdict.accepted and stats.rounds == 300
+        data = json.loads((in_tmp / "bench.json").read_text())
+        assert data["verify_rounds_per_s"] == stats.rounds_per_second
+
+    def test_reject_exits_3(self, in_tmp, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_file",
+                            lambda path, plan=None: (Verdict.reject("bit-mismatch"),
+                                                     VerifyStats(10, 1.0)))
+        code, _, err = run_cli(capsys, "bench", "--rounds", "10")
+        assert code == 3 and "rejected" in err
+
+    def test_zero_rounds_exit_1(self, in_tmp, capsys):
+        code, _, err = run_cli(capsys, "bench", "--rounds", "0")
+        assert code == 1 and err.startswith("error:")
 
     def test_projects_from_case1_plan(self, in_tmp, capsys):
         run_cli(capsys, "plan", "case1", "--out", "plan.json")
         m = load_plan(in_tmp / "plan.json").m
-        code, _, _ = run_cli(capsys, "bench", "--mul-ops", "100",
-                             "--rounds", "100", "--json", "bench.json")
+        code, _, _ = run_cli(capsys, "bench", "--rounds", "100", "--json", "bench.json")
         assert code == 0
         assert json.loads((in_tmp / "bench.json").read_text())["case1_rounds"] == m
         assert CASE1_ROUNDS == m

@@ -1,5 +1,6 @@
 """Tape/transcript files: round-trips, streaming access, forward verify."""
 
+import io
 import random
 import tempfile
 import tracemalloc
@@ -27,8 +28,7 @@ from relbc.storage import (
     generate_honest_transcript_file,
     generate_tape,
     read_transcript,
-    tape_element_count,
-    tape_sizing,
+    read_transcript_header,
     transcript_to_bytes,
     verify_file,
     write_tape,
@@ -124,6 +124,52 @@ class TestTapeFiles:
             with pytest.raises(TapeFormatError, match="exhausted"):
                 r.read()
 
+    def test_generate_counts_and_roles(self, tmp_path):
+        plan = small_plan(12)
+        path = tmp_path / "t.tape"
+        for role in ("alice-secrets", "bob-challenges"):
+            assert generate_tape(plan, role, path, seed=1) == 12
+            with TapeReader(path) as r:
+                assert r.count == 12 and r.role == role
+        with pytest.raises(StorageError, match="role"):
+            generate_tape(plan, "nope", path, seed=1)
+
+    def test_element_beyond_n_bits(self, tmp_path):
+        """0x1003 has bit 12 set: the writer refuses it, and the reader
+        refuses it when a file holds it anyway."""
+        path = tmp_path / "t.tape"
+        with pytest.raises(StorageError, match="exceeds 12 bits"):
+            write_tape(path, S12, "alice-secrets", iter([1, 0x1003, 2]), 3)
+        write_tape(path, S12, "alice-secrets", iter([1, 0x0003, 2]), 3)
+        data = bytearray(path.read_bytes())
+        data[-3] = 0x10  # element 1's high byte
+        path.write_bytes(bytes(data))
+        with TapeReader(path) as r:
+            assert r.read() == 1
+            with pytest.raises(TapeFormatError, match="element 1 exceeds 12 bits"):
+                r.read()
+
+    def test_zero_challenge_read_is_format_error(self, tmp_path):
+        path = tmp_path / "x.tape"
+        write_tape(path, S8, "bob-challenges", iter([5, 6, 7]), 3)
+        data = bytearray(path.read_bytes())
+        data[-2] = 0
+        path.write_bytes(bytes(data))
+        with TapeReader(path) as r:
+            assert r.read() == 5
+            with pytest.raises(TapeFormatError, match="element 1 is zero"):
+                r.read()
+
+    def test_long_polynomial_field_is_format_error(self, tmp_path):
+        path = tmp_path / "t.tape"
+        write_tape(path, S8, "alice-secrets", iter([1, 2]), 2)
+        data = bytearray(path.read_bytes())
+        data[10:12] = (2).to_bytes(2, "big")  # the polynomial's byte length
+        data[13:13] = b"\x00"                # and one more zero byte of it
+        path.write_bytes(bytes(data))
+        with pytest.raises(TapeFormatError, match="polynomial field is 2 bytes"):
+            TapeReader(path)
+
     def test_entropy_mode_counts(self, tmp_path):
         plan = small_plan(16, n=8)
         path = tmp_path / "e.tape"
@@ -133,25 +179,6 @@ class TestTapeFiles:
 
 
 class TestSizing:
-    def test_matches_planner_totals(self):
-        for m, n in ((10, 8), (200, 128), (5000, 128)):
-            plan = small_plan(m, n=n)
-            s = tape_sizing(plan)
-            eb = plan.element_bytes
-            assert s["tape_bytes"]["alice-secrets"] == plan.m * eb
-            # challenges + answers + reveal == planner's total, within a round
-            stored = 2 * plan.m * eb + eb
-            assert abs(s["protocol_data_bytes"] - stored) <= 2 * eb
-            per_station = s["per_station_challenge_stream_bytes"]
-            assert per_station[1] + per_station[2] == plan.m * eb
-
-    def test_element_counts(self):
-        plan = small_plan(12)
-        assert tape_element_count(plan, "alice-secrets") == 12
-        assert tape_element_count(plan, "bob-challenges") == 12
-        with pytest.raises(StorageError):
-            tape_element_count(plan, "nope")
-
     def test_metropolitan_24h_sizing_arithmetic(self):
         """The published deployment: ~81 GB per party's tape, ~162 GB of
         protocol data over 24 hours (arithmetic only, no file)."""
@@ -161,16 +188,21 @@ class TestSizing:
         cfg = parse_config(resources.files("relbc")
                            .joinpath("configs/case1.cfg").read_text())
         plan = resource_plan(cfg)
-        s = tape_sizing(plan)
-        assert s["tape_bytes"]["alice-secrets"] / 1e9 == pytest.approx(81.0, rel=0.05)
-        assert s["tape_bytes"]["bob-challenges"] / 1e9 == pytest.approx(81.0, rel=0.05)
-        assert s["protocol_data_bytes"] / 1e9 == pytest.approx(162.0, rel=0.05)
+        assert plan.m * plan.element_bytes / 1e9 == pytest.approx(81.0, rel=0.05)
+        assert plan.bytes_total / 1e9 == pytest.approx(162.0, rel=0.05)
 
 
 def _transcript(m=20, n=8, seed=0, d=1):
     spec = {8: S8, 12: S12, 128: S128}[n]
     secrets, challenges = random_tapes(spec, m, seed=seed)
     return run_honest_protocol(spec, secrets, challenges, d)
+
+
+def _header_end(data: bytes) -> int:
+    """Offset of the first round record in transcript bytes `data`."""
+    f = io.BytesIO(data)
+    read_transcript_header(f)
+    return f.tell()
 
 
 class TestTranscriptFiles:
@@ -261,6 +293,48 @@ class TestTranscriptFiles:
         assert verdict.accepted
         with pytest.raises(PlanHashMismatchError):
             verify_file(path, plan=other)
+        t.plan_hash = ""
+        write_transcript(t, path)
+        with pytest.raises(PlanHashMismatchError, match="none"):
+            verify_file(path, plan=plan)
+
+    @pytest.mark.parametrize("aborted, field, value", [
+        (False, "flag", 7),
+        (True, "flag", 2),
+        (True, "bit", 1),
+        (True, "a_m", 5),
+        (True, "timestamp", 1),
+    ])
+    def test_reveal_has_one_encoding(self, tmp_path, aborted, field, value):
+        """The reveal flag is 0 or 1, and behind flag 0 every reveal field is
+        zero; any other byte would read back as a transcript that writes
+        different bytes."""
+        t = _transcript(m=8)
+        if aborted:
+            t.reveal = None
+            t.mark_aborted("deadline", 3)
+        data = bytearray(transcript_to_bytes(t))
+        end = _header_end(data)  # flag, bit, a_m (1 byte at n=8), timestamp
+        offset = {"flag": end - 11, "bit": end - 10, "a_m": end - 9,
+                  "timestamp": end - 1}[field]
+        data[offset] = value
+        path = tmp_path / "t.rbcx"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TranscriptFormatError, match="reveal"):
+            read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="reveal"):
+            verify_file(path)
+
+    def test_long_polynomial_field_is_format_error(self, tmp_path):
+        data = bytearray(transcript_to_bytes(_transcript(m=4)))
+        data[42:44] = (2).to_bytes(2, "big")  # the polynomial's byte length
+        data[45:45] = b"\x00"                # and one more zero byte of it
+        path = tmp_path / "t.rbcx"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TranscriptFormatError, match="polynomial field is 2 bytes"):
+            read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="polynomial field is 2 bytes"):
+            verify_file(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         t = _transcript(m=5)
@@ -379,7 +453,8 @@ def _seed_tapes() -> list[bytes]:
 
 
 SEED_TRANSCRIPTS = _seed_transcripts()
-SEED_FILES = SEED_TRANSCRIPTS + _seed_tapes()
+SEED_TAPES = _seed_tapes()
+SEED_FILES = SEED_TRANSCRIPTS + SEED_TAPES
 
 
 @st.composite
@@ -434,3 +509,35 @@ def test_verify_file_agrees_with_read_transcript(tmp_path_factory, data):
             verify_file(path)
     else:
         assert verify_file(path)[0] == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mutated_files(SEED_TRANSCRIPTS))
+def test_read_transcript_round_trips(tmp_path_factory, data):
+    """Each transcript has one encoding: whatever `read_transcript` accepts,
+    `transcript_to_bytes` writes back byte for byte."""
+    path = tmp_path_factory.getbasetemp() / "mutated.rbcx"
+    path.write_bytes(data)
+    try:
+        t = read_transcript(path)
+    except StorageError:
+        return
+    assert transcript_to_bytes(t) == data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=mutated_files(SEED_TAPES))
+def test_tape_reader_round_trips(tmp_path_factory, data):
+    """Whatever `TapeReader` accepts, `write_tape` rebuilds from the fields
+    and elements it read."""
+    path = tmp_path_factory.getbasetemp() / "mutated.tape"
+    path.write_bytes(data)
+    try:
+        with TapeReader(path) as r:
+            fields = (r.spec, r.role, list(r), r.count, r.provenance, r.seed)
+    except StorageError:
+        return
+    spec, role, elements, count, provenance, seed = fields
+    rebuilt = tmp_path_factory.getbasetemp() / "rebuilt.tape"
+    write_tape(rebuilt, spec, role, iter(elements), count, provenance, seed)
+    assert rebuilt.read_bytes() == data

@@ -34,7 +34,7 @@ from relbc.transport import (
     run_loopback_session,
 )
 
-from helpers import small_plan
+from helpers import small_plan, stall_committer
 
 ALL_TYPES = (FRAME_CHALLENGE, FRAME_ANSWER, FRAME_REVEAL, FRAME_ABORT,
              FRAME_HELLO, FRAME_SCHEDULE, FRAME_RECORDS, FRAME_VERDICT)
@@ -102,11 +102,12 @@ class TestLoopback:
         assert results["A1"].exit_code == EXIT_ACCEPT
         assert results["A2"].exit_code == EXIT_ACCEPT
 
-    def test_delayed_committer_aborts_at_round(self, tmp_path):
+    def test_delayed_committer_aborts_at_round(self, tmp_path, monkeypatch):
         plan = lab_plan(m=20)
         # round 7 is station 1; stall well past the scaled 5 ms deadline
+        stall_committer(monkeypatch, station=1, k=7, seconds=0.1)
         results = run_loopback_session(plan, tmp_path, bit=0, scale_factor=1000,
-                                       seed=12, delay_round=7, delay_extra_s=0.1)
+                                       seed=12)
         b1 = results["B1"]
         assert b1.exit_code == EXIT_ABORT
         assert b1.abort.round_index == 7
