@@ -704,7 +704,16 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
                          scale_factor: int = 1000, seed: int = 0) -> dict[str, AgentResult]:
     """Convenience harness: generate tapes, run all four agents in threads on
     loopback sockets, return each role's result. Used by tests and the demo.
+
+    The agent threads run on one CPU. They share the GIL, so they never run
+    Python in parallel; on one CPU each challenge or answer wakes its reader
+    with a local context switch. On a virtual machine, waking a thread on an
+    idle second vCPU waits for the host to schedule that vCPU. On a 2-vCPU
+    VM, m=200 sessions at scale 1000 run after two seconds of load on both
+    vCPUs missed the 10 ms deadline in 5 of 12 sessions on two CPUs and in
+    none of 12 on one.
     """
+    import os
     import threading
 
     from .storage import generate_tape
@@ -735,8 +744,15 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
     results: dict[str, AgentResult] = {}
     errors: dict[str, BaseException] = {}
 
+    try:
+        cpus = {max(os.sched_getaffinity(0))}
+    except (AttributeError, OSError):
+        cpus = None
+
     def runner(role: str) -> None:
         try:
+            if cpus is not None:
+                os.sched_setaffinity(0, cpus)   # this thread only, on Linux
             results[role] = run_agent(cfg_for(role))
         except BaseException as exc:  # surfaced to the caller below
             errors[role] = exc

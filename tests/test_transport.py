@@ -1,6 +1,7 @@
 """Wire framing and live loopback sessions."""
 
 import dataclasses
+import os
 import random
 import socket
 import struct
@@ -101,6 +102,26 @@ class TestLoopback:
         assert results["B1"].transcript_sha == results["B2"].transcript_sha
         assert results["A1"].exit_code == EXIT_ACCEPT
         assert results["A2"].exit_code == EXIT_ACCEPT
+
+    def test_agents_share_one_cpu(self, tmp_path, monkeypatch):
+        """All four agent threads run on one CPU; the caller's set is kept."""
+        import relbc.transport as transport
+
+        before = os.sched_getaffinity(0)
+        seen = {}
+        real_run_agent = transport.run_agent
+
+        def recording_run_agent(cfg):
+            seen[cfg.role] = os.sched_getaffinity(0)
+            return real_run_agent(cfg)
+
+        monkeypatch.setattr(transport, "run_agent", recording_run_agent)
+        results = run_loopback_session(lab_plan(m=4), tmp_path, bit=0,
+                                       scale_factor=1000, seed=13)
+        assert sorted(seen) == ["A1", "A2", "B1", "B2"]
+        assert all(s == {max(before)} for s in seen.values()), seen
+        assert os.sched_getaffinity(0) == before
+        assert results["B1"].exit_code == EXIT_ACCEPT, results["B1"].abort
 
     def test_delayed_committer_aborts_at_round(self, tmp_path, monkeypatch):
         plan = lab_plan(m=20)
