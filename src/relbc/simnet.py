@@ -92,7 +92,14 @@ class ClockModel:
     def local_at_global(self, global_ns: int) -> int:
         if not self.rate:  # exact rate: no drift, a pure offset
             return global_ns + self.offset_ns
-        return global_ns + self.offset_ns + self.drift_ns(global_ns)
+        local = global_ns + self.offset_ns + self.drift_ns(global_ns)
+        if global_ns >= NS and self.discipline == "pps":
+            # the pulse pulls a fast clock back at each whole second; it holds
+            # its last reading until global time catches up, so it never
+            # runs backward
+            last = global_ns - global_ns % NS - 1
+            return max(local, last + self.offset_ns + self.drift_ns(last))
+        return local
 
     def global_at_local(self, local_ns: int) -> int:
         """The global time g at which this clock reaches `local_ns`:

@@ -243,6 +243,14 @@ class TapeReader:
         self._index += 1
         return v
 
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> int:
+        """Element `index` (0-based); moves the cursor past it."""
+        self.seek(index)
+        return self.read()
+
     def __iter__(self) -> Iterator[int]:
         while self._index < self.count:
             yield self.read()

@@ -23,10 +23,12 @@ every plan time by `scale_factor` (default 1000), preserving all ratios;
 the transcript records the factor so audits scale alongside.
 
 Topology: A1 and B2's link both terminate at B1's listener; A2 connects to
-B2's listener. B1 picks the session epoch and ships it to B2 in a SCHEDULE
-frame; the residual loopback skew (microseconds) is absorbed by the scaled
-margins. Both verifiers run the same `_run_bob`; only these two steps
-depend on the station.
+B2's listener. Each end of a new link sends its HELLO (role and plan hash)
+and then reads the peer's, so neither side waits for the other to speak
+first; a plan-hash mismatch is answered with ABORT `config`. B1 picks the
+session epoch and ships it to B2 in a SCHEDULE frame; the residual loopback
+skew (microseconds) is absorbed by the scaled margins. Both verifiers run
+the same `_run_bob`; only these two steps depend on the station.
 
 The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
 for even m, B2 for odd m. That station's committer sends it, its verifier
@@ -36,10 +38,13 @@ round of its own to time the reveal from.
 
 Every byte a peer sends goes through `decode_frame` and one `_parse_*`
 function, which raise `MalformedFrameError` on any layout fault (an ABORT
-reason is decoded with replacement and cannot fail). That error,
-a dropped or timed-out link, and a committer-side sequencing error all end
-in `run_agent`, the one place that turns a peer failure into an
-`AgentResult` with EXIT_ABORT.
+reason is decoded with replacement and cannot fail). Every frame an agent
+waits for goes through `_Session.expect`, the one place a received ABORT
+ends the role. That, a malformed frame, a missed deadline, a dropped or
+timed-out link and a committer-side sequencing error all end in
+`run_agent`, the one place that turns a failure into an `AgentResult` with
+EXIT_ABORT; a verifier's result carries the rounds it holds, marked
+aborted at the abort round.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import hashlib
 import socket
 import struct
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -56,6 +62,8 @@ from .planner import ProtocolPlan
 from .protocol import (
     AliceAgent,
     BobAgent,
+    ROLE_ALICE_SECRETS,
+    ROLE_BOB_CHALLENGES,
     ProtocolError,
     RevealMessage,
     RoundRecord,
@@ -156,14 +164,6 @@ def decode_frame(data: bytes) -> WireFrame:
     return WireFrame(ftype, round_index, data[13:])
 
 
-def _expect(frame: WireFrame, ftype: int) -> bytes:
-    """The payload of `frame`, which must be of type `ftype`."""
-    if frame.type != ftype:
-        raise MalformedFrameError(
-            f"expected {_FRAME_NAMES[ftype]}, got {_FRAME_NAMES[frame.type]}", 4)
-    return frame.payload
-
-
 def send_frame(sock: socket.socket, ftype: int, round_index: int,
                payload: bytes = b"") -> None:
     sock.sendall(encode_frame(ftype, round_index, payload))
@@ -202,12 +202,6 @@ class AbortReport:
     reason: str
     round_index: int | None = None
     detail: str = ""
-
-
-def _abort_report(frame: WireFrame, default: str, detail: str = "") -> AbortReport:
-    """The report for a received ABORT frame; never raises on its payload."""
-    return AbortReport(frame.payload.decode(errors="replace") or default,
-                       frame.round_index or None, detail)
 
 
 class _Abort(Exception):
@@ -251,20 +245,6 @@ class SessionConfig:
             raise TransportError(
                 f"a live session needs m >= 2 rounds, got m={self.plan.m}: the "
                 "revealing committer times the reveal from its own last round")
-
-
-class _TapeFileView:
-    """Indexable view over a tape file (constant memory, O(1) element seek)."""
-
-    def __init__(self, reader: TapeReader):
-        self._r = reader
-
-    def __len__(self) -> int:
-        return self._r.count
-
-    def __getitem__(self, i: int) -> int:
-        self._r.seek(i)
-        return self._r.read()
 
 
 def _sleep_until_ns(target_ns: int) -> int:
@@ -384,7 +364,9 @@ def _parse_verdict(payload: bytes) -> tuple[Verdict, bytes]:
 
 
 class _Session:
-    """State shared by one agent's serial protocol loop."""
+    """State shared by one agent's serial protocol loop. A verifier keeps
+    the rounds and the reveal it holds here, so that `run_agent` can return
+    them when the role ends early."""
 
     def __init__(self, cfg: SessionConfig):
         self.cfg = cfg
@@ -400,6 +382,9 @@ class _Session:
         self.listener: socket.socket | None = None
         self.tape: TapeReader | None = None
         self.epoch_ns: int | None = None
+        self.records: list[RoundRecord] = []   # own rounds, then the peer's
+        self.reveal: RevealMessage | None = None
+        self.reveal_at = 0
 
     def start_ns(self, k: int) -> int:
         return self.plan.round_start_ns(k) * self.scale
@@ -407,6 +392,41 @@ class _Session:
     def recv(self, sock: socket.socket) -> WireFrame:
         """The next frame, within the session's I/O timeout."""
         return recv_frame(sock, time.monotonic_ns() + int(self.cfg.io_timeout_s * 1e9))
+
+    def expect(self, sock: socket.socket, ftype: int, on_abort: str,
+               detail: str = "") -> WireFrame:
+        """The next frame, which must be of type `ftype`. A received ABORT
+        ends the role with the ABORT's reason, or `on_abort` when it gives
+        none; any other type is malformed."""
+        frame = self.recv(sock)
+        if frame.type == FRAME_ABORT:
+            raise _Abort(AbortReport(frame.payload.decode(errors="replace") or on_abort,
+                                     frame.round_index or None, detail))
+        if frame.type != ftype:
+            raise MalformedFrameError(
+                f"expected {_FRAME_NAMES[ftype]}, got {_FRAME_NAMES[frame.type]}", 4)
+        return frame
+
+    def transcript(self, aborted: AbortReport | None = None) -> Transcript:
+        """The rounds and reveal this verifier holds, in round order. An
+        aborted transcript carries no reveal, is marked at the abort round and
+        holds no later round: one this station ran before a peer verifier's
+        ABORT reached it is dropped."""
+        t = Transcript(
+            spec=self.spec,
+            m=self.m,
+            tau1_ns=self.plan.tau1_ns * self.scale,
+            tau2_ns=self.plan.tau2_ns * self.scale,
+            rounds=sorted(self.records, key=lambda r: r.k),
+            plan_hash=self.plan.plan_hash,
+            scale_factor=self.scale,
+        )
+        if aborted is None:
+            t.reveal, t.reveal_received_at = self.reveal, self.reveal_at
+        else:
+            t.rounds = [r for r in t.rounds if r.k <= (aborted.round_index or self.m)]
+            t.mark_aborted(aborted.reason, aborted.round_index or 0)
+        return t
 
     def close(self) -> None:
         owned = [self.listener] if self.cfg.listen_socket is None else []
@@ -432,78 +452,81 @@ def _connect(addr: tuple[str, int], timeout: float) -> socket.socket:
     raise TransportError(f"cannot connect to {addr}: {last_err}")
 
 
-def _abort_all(ses: _Session, reason: str, round_index: int) -> None:
+def _send_abort(socks: Iterable[socket.socket], reason: str,
+                round_index: int) -> None:
+    """Announce an abort on each of `socks`; a link already gone is skipped."""
     frame = encode_frame(FRAME_ABORT, round_index, reason.encode())
-    for sock in ses.sockets.values():
+    for sock in socks:
         try:
             sock.sendall(frame)
         except OSError:
             pass
 
 
-def _expect_hello(ses: _Session, sock: socket.socket) -> str:
-    """Receive and answer a HELLO; returns the peer role. A plan-hash
-    mismatch is answered with ABORT and ends the role."""
-    role, plan_hash = _parse_hello(_expect(ses.recv(sock), FRAME_HELLO))
-    if plan_hash != ses.plan.plan_hash:
-        send_frame(sock, FRAME_ABORT, 0, ABORT_CONFIG.encode())
-        raise _Abort(AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
+def _handshake(ses: _Session, sock: socket.socket) -> str:
+    """Send this role's HELLO, then read the peer's; returns the peer role.
+    A peer ABORT or a plan-hash mismatch ends the role; the mismatch is
+    answered with ABORT `config`."""
     send_frame(sock, FRAME_HELLO, 0, _hello_payload(ses.cfg.role, ses.plan.plan_hash))
+    role, plan_hash = _parse_hello(ses.expect(sock, FRAME_HELLO, ABORT_CONFIG).payload)
+    if plan_hash != ses.plan.plan_hash:
+        _send_abort([sock], ABORT_CONFIG, 0)
+        raise _Abort(AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
     return role
 
 
 def _connect_peer(ses: _Session, role: str) -> socket.socket:
-    """Connect to `role` and exchange HELLOs; a plan-hash mismatch or a
-    peer ABORT ends the role."""
+    """Connect to `role` and exchange HELLOs."""
     addr = ses.cfg.peers.get(role)
     if addr is None:
         raise TransportError(f"{ses.cfg.role} needs the address of {role}")
     sock = ses.sockets[role] = _connect(addr, ses.cfg.io_timeout_s)
-    send_frame(sock, FRAME_HELLO, 0, _hello_payload(ses.cfg.role, ses.plan.plan_hash))
-    frame = ses.recv(sock)
-    if frame.type == FRAME_ABORT or _parse_hello(_expect(frame, FRAME_HELLO))[1] != ses.plan.plan_hash:
-        raise _Abort(AbortReport(ABORT_CONFIG, None, "plan hash mismatch"))
+    _handshake(ses, sock)
     return sock
 
 
-def _drain_abort(sock: socket.socket) -> WireFrame | None:
-    """Non-blocking poll for a pending frame (abort propagation)."""
+def _take_peer_abort(ses: _Session, sock: socket.socket) -> None:
+    """Between rounds, end the role if the peer verifier has aborted.
+    Nothing pending, or EOF, lets the round go ahead. The peer sends nothing
+    but ABORT before RECORDS, so any other frame is malformed."""
     sock.setblocking(False)
     try:
-        head = sock.recv(4, socket.MSG_PEEK)
+        pending = sock.recv(4, socket.MSG_PEEK)
     except OSError:  # nothing pending, or the link is gone
-        return None
+        return
     finally:
         sock.setblocking(True)
-    if not head:
-        return None
-    try:
-        return recv_frame(sock, time.monotonic_ns() + 1_000_000_000)
-    except (TransportError, TimeoutError, ConnectionError):
-        return None
+    if pending:
+        ses.expect(sock, FRAME_ABORT, ABORT_DEADLINE, "peer abort")
 
 
-def _load_tape(ses: _Session) -> _TapeFileView:
+def _load_tape(ses: _Session) -> TapeReader:
     """This role's tape: the secrets for a committer, the challenges for a
-    verifier. A tape shorter than m ends the role before it connects."""
-    kind, path = (("challenge", ses.cfg.challenges_path) if ses.cfg.role[0] == "B"
-                  else ("secrets", ses.cfg.secrets_path))
+    verifier. A tape of the other role or of another field is refused; one
+    shorter than m ends the role before it connects."""
+    kind, path = ((ROLE_BOB_CHALLENGES, ses.cfg.challenges_path) if ses.cfg.role[0] == "B"
+                  else (ROLE_ALICE_SECRETS, ses.cfg.secrets_path))
     if path is None:
         raise TransportError(f"{ses.cfg.role} needs a {kind} tape")
     ses.tape = TapeReader(path)
+    if ses.tape.role != kind:
+        raise TransportError(f"{path} is a {ses.tape.role} tape; "
+                             f"{ses.cfg.role} needs a {kind} tape")
     if ses.tape.count < ses.m:
         raise _Abort(AbortReport(ABORT_TAPE, None, f"{kind} tape too short"))
     if ses.tape.spec != ses.spec:
         raise TransportError(f"{kind} tape field does not match the plan")
-    return _TapeFileView(ses.tape)
+    return ses.tape
 
 
 def run_agent(cfg: SessionConfig) -> AgentResult:
     """Run one agent role to completion; see module docstring for topology.
 
-    This is where every peer failure ends: a dropped or timed-out link, a
+    This is where every early end of a role turns into EXIT_ABORT with its
+    cause: a peer ABORT, a missed deadline, a dropped or timed-out link, a
     malformed frame (also announced to the other peers with an ABORT), or an
-    out-of-sequence round all give EXIT_ABORT with their cause.
+    out-of-sequence round. A verifier's result carries the transcript it
+    holds, marked aborted.
     """
     ses = _Session(cfg)
     try:
@@ -514,28 +537,26 @@ def run_agent(cfg: SessionConfig) -> AgentResult:
         report = AbortReport(ABORT_CONNECTION, None, str(exc))
     except MalformedFrameError as exc:
         report = AbortReport(ABORT_MALFORMED, None, str(exc))
-        _abort_all(ses, ABORT_MALFORMED, 0)
+        _send_abort(ses.sockets.values(), ABORT_MALFORMED, 0)
     except ProtocolError as exc:
         report = AbortReport("protocol", None, str(exc))
     finally:
         ses.close()
-    return AgentResult(cfg.role, EXIT_ABORT, abort=report)
+    transcript = ses.transcript(report) if cfg.role[0] == "B" else None
+    return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript, abort=report)
 
 
 # -- committer side ---------------------------------------------------------
 
 
 def _run_alice(ses: _Session) -> AgentResult:
-    cfg = ses.cfg
-    agent = AliceAgent(ses.station, ses.spec, _load_tape(ses), cfg.bit, ses.m)
+    agent = AliceAgent(ses.station, ses.spec, _load_tape(ses), ses.cfg.bit, ses.m)
     sock = _connect_peer(ses, f"B{ses.station}")
     last_round = ses.m if station_of(ses.m) == ses.station else ses.m - 1
     while True:
-        frame = ses.recv(sock)
-        if frame.type == FRAME_ABORT:
-            raise _Abort(_abort_report(frame, ABORT_DEADLINE))
+        frame = ses.expect(sock, FRAME_CHALLENGE, ABORT_DEADLINE)
         k = frame.round_index
-        x = _parse_element(ses.spec, _expect(frame, FRAME_CHALLENGE))
+        x = _parse_element(ses.spec, frame.payload)
         last_recv_ns = time.monotonic_ns()
         send_frame(sock, FRAME_ANSWER, k, ses.spec.encode(agent.handle_challenge(k, x)))
         if k == last_round:
@@ -545,15 +566,13 @@ def _run_alice(ses: _Session) -> AgentResult:
         # own-round challenge arrived
         _sleep_until_ns(last_recv_ns + ses.start_ns(ses.m + 1) - ses.start_ns(ses.m - 1))
         send_frame(sock, FRAME_REVEAL, ses.m + 1, _reveal_payload(ses.spec, agent.reveal()))
-    # wait for the verifier's outcome: ABORT, or EOF (or silence past the
-    # I/O timeout) on completion
+    # wait for the verifier's outcome: an ABORT, or EOF (or silence past the
+    # I/O timeout) on completion; the verifier sends nothing else here
     try:
-        frame = ses.recv(sock)
+        ses.expect(sock, FRAME_ABORT, ABORT_DEADLINE)
     except (ConnectionError, TimeoutError):
-        return AgentResult(cfg.role, EXIT_ACCEPT)
-    if frame.type == FRAME_ABORT:
-        raise _Abort(_abort_report(frame, ABORT_DEADLINE))
-    return AgentResult(cfg.role, EXIT_ACCEPT)
+        pass
+    return AgentResult(ses.cfg.role, EXIT_ACCEPT)
 
 
 # -- verifier side ------------------------------------------------------------
@@ -573,7 +592,7 @@ def _accept_role(ses: _Session, expect: set[str]) -> None:
     while not expect <= set(ses.sockets):
         conn, _ = ses.listener.accept()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        role = _expect_hello(ses, conn)
+        role = _handshake(ses, conn)
         if role not in expect or role in ses.sockets:
             conn.close()
             raise _Abort(AbortReport(ABORT_CONFIG, None, f"unexpected peer {role}"))
@@ -581,26 +600,22 @@ def _accept_role(ses: _Session, expect: set[str]) -> None:
 
 
 def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
-                    bob_link: socket.socket, challenges) -> tuple[list[RoundRecord], RevealMessage | None, int, AbortReport | None]:
+                    bob_link: socket.socket, challenges: TapeReader) -> None:
     """Issue this station's challenges on schedule, then, at the station that
-    hosts round m+1, wait for the reveal. Returns the records, the reveal
-    and its receipt time, and the abort if there was one; aborts propagate
-    over both links."""
+    hosts round m+1, wait for the reveal. The records and the reveal go to
+    `ses`; a missed deadline is announced over both links and ends the role."""
     agent = BobAgent(ses.station, ses.spec, challenges, ses.m)
-    records: list[RoundRecord] = []
-    reveal, reveal_at = None, 0
     steps = list(range(ses.station, ses.m + 1, 2))
     if ses.hosts_reveal:
         steps.append(ses.m + 1)
     for k in steps:
         start = ses.epoch_ns + ses.start_ns(k)
         if k <= ses.m:
-            # harvest a propagated abort from the peer verifier between rounds
-            frame = _drain_abort(bob_link)
-            if frame is not None and frame.type == FRAME_ABORT:
-                return records, None, 0, _abort_report(frame, ABORT_DEADLINE, "peer abort")
             x = agent.issue_challenge(k)
             _sleep_until_ns(start)
+            # an abort the peer verifier sent while this station slept stops
+            # the challenge from going out
+            _take_peer_abort(ses, bob_link)
             start = time.monotonic_ns()
             send_frame(alice_sock, FRAME_CHALLENGE, k, ses.spec.encode(x))
             expect, what = FRAME_ANSWER, "answer"
@@ -612,64 +627,23 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
             frame = None
         received = time.monotonic_ns()
         if frame is None or frame.type != expect or frame.round_index != k:
-            report = AbortReport(ABORT_DEADLINE, k, f"no {what} within tau")
+            missed = f"no {what} within tau"
         else:
             if k <= ses.m:
                 y = _parse_element(ses.spec, frame.payload)
-                records.append(RoundRecord(k, ses.station, x, y, start, received))
+                ses.records.append(RoundRecord(k, ses.station, x, y, start, received))
             else:
-                reveal, reveal_at = _parse_reveal(ses.spec, frame.payload), received
-            late = received - start > ses.tau_ns
-            report = AbortReport(ABORT_DEADLINE, k, f"{what} after tau") if late else None
-        if report is not None:
-            _abort_all(ses, ABORT_DEADLINE, k)
-            return records, None, 0, report
-    return records, reveal, reveal_at, None
-
-
-def _assemble_and_judge(ses: _Session, own: list[RoundRecord],
-                        theirs: list[RoundRecord], reveal: RevealMessage | None,
-                        reveal_at: int, bob_link: socket.socket,
-                        aborted: AbortReport | None) -> AgentResult:
-    """Merge halves, verify, and byte-compare outcomes with the peer."""
-    cfg = ses.cfg
-    transcript = Transcript(
-        spec=ses.spec,
-        m=ses.m,
-        tau1_ns=ses.plan.tau1_ns * ses.scale,
-        tau2_ns=ses.plan.tau2_ns * ses.scale,
-        rounds=sorted(own + theirs, key=lambda r: r.k),
-        reveal=reveal,
-        reveal_received_at=reveal_at,
-        plan_hash=ses.plan.plan_hash,
-        scale_factor=ses.scale,
-    )
-    if aborted is not None:
-        transcript.reveal = None
-        transcript.mark_aborted(aborted.reason, aborted.round_index or 0)
-        return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript, abort=aborted)
-
-    verdict = bob_verify(transcript)
-    sha = hashlib.sha256(transcript_to_bytes(transcript)).digest()
-    send_frame(bob_link, FRAME_VERDICT, 0, _verdict_payload(verdict, sha))
-    frame = ses.recv(bob_link)
-    if frame.type == FRAME_ABORT:
-        return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript,
-                           abort=_abort_report(frame, ABORT_MISMATCH))
-    peer_verdict, peer_sha = _parse_verdict(_expect(frame, FRAME_VERDICT))
-    if peer_sha != sha or peer_verdict.accepted != verdict.accepted:
-        report = AbortReport(ABORT_MISMATCH, None, "verifiers disagree")
-        return AgentResult(cfg.role, EXIT_ABORT, transcript=transcript,
-                           verdict=verdict, transcript_sha=sha.hex(),
-                           peer_agrees=False, abort=report)
-    code = EXIT_ACCEPT if verdict.accepted else EXIT_REJECT
-    return AgentResult(cfg.role, code, transcript=transcript, verdict=verdict,
-                       transcript_sha=sha.hex(), peer_agrees=True)
+                ses.reveal, ses.reveal_at = _parse_reveal(ses.spec, frame.payload), received
+            missed = f"{what} after tau" if received - start > ses.tau_ns else None
+        if missed:
+            _send_abort(ses.sockets.values(), ABORT_DEADLINE, k)
+            raise _Abort(AbortReport(ABORT_DEADLINE, k, missed))
 
 
 def _run_bob(ses: _Session) -> AgentResult:
     """One verifier, B1 or B2: the module docstring says which links it
-    makes and which way the reveal travels in RECORDS."""
+    makes and which way the reveal travels in RECORDS. The halves are
+    merged, verified, and byte-compared with the peer's outcome."""
     challenges = _load_tape(ses)
     ses.listener = _bob_listener(ses)
     if ses.station == 1:
@@ -680,24 +654,32 @@ def _run_bob(ses: _Session) -> AgentResult:
     else:
         bob_link = _connect_peer(ses, "B1")
         _accept_role(ses, {"A2"})
-        frame = ses.recv(bob_link)
-        if frame.type == FRAME_ABORT:
-            raise _Abort(_abort_report(frame, ABORT_CONFIG))
-        ses.epoch_ns = time.monotonic_ns() + _parse_schedule(_expect(frame, FRAME_SCHEDULE))
-    own, reveal, reveal_at, aborted = _bob_round_loop(
-        ses, ses.sockets[f"A{ses.station}"], bob_link, challenges)
-    theirs: list[RoundRecord] = []
-    if aborted is None:
-        send_frame(bob_link, FRAME_RECORDS, 0, _records_payload(own, ses.spec, reveal, reveal_at))
-        frame = ses.recv(bob_link)
-        if frame.type == FRAME_ABORT:
-            aborted = _abort_report(frame, ABORT_DEADLINE, "peer abort")
-        else:
-            theirs, peer_reveal, peer_reveal_at = _parse_records(
-                _expect(frame, FRAME_RECORDS), ses.spec)
-            if not ses.hosts_reveal:
-                reveal, reveal_at = peer_reveal, peer_reveal_at
-    return _assemble_and_judge(ses, own, theirs, reveal, reveal_at, bob_link, aborted)
+        frame = ses.expect(bob_link, FRAME_SCHEDULE, ABORT_CONFIG)
+        ses.epoch_ns = time.monotonic_ns() + _parse_schedule(frame.payload)
+    _bob_round_loop(ses, ses.sockets[f"A{ses.station}"], bob_link, challenges)
+
+    send_frame(bob_link, FRAME_RECORDS, 0,
+               _records_payload(ses.records, ses.spec, ses.reveal, ses.reveal_at))
+    frame = ses.expect(bob_link, FRAME_RECORDS, ABORT_DEADLINE, "peer abort")
+    theirs, peer_reveal, peer_reveal_at = _parse_records(frame.payload, ses.spec)
+    ses.records += theirs
+    if not ses.hosts_reveal:
+        ses.reveal, ses.reveal_at = peer_reveal, peer_reveal_at
+
+    transcript = ses.transcript()
+    verdict = bob_verify(transcript)
+    sha = hashlib.sha256(transcript_to_bytes(transcript)).digest()
+    send_frame(bob_link, FRAME_VERDICT, 0, _verdict_payload(verdict, sha))
+    peer_verdict, peer_sha = _parse_verdict(
+        ses.expect(bob_link, FRAME_VERDICT, ABORT_MISMATCH).payload)
+    if peer_sha != sha or peer_verdict.accepted != verdict.accepted:
+        report = AbortReport(ABORT_MISMATCH, None, "verifiers disagree")
+        return AgentResult(ses.cfg.role, EXIT_ABORT, transcript=transcript,
+                           verdict=verdict, transcript_sha=sha.hex(),
+                           peer_agrees=False, abort=report)
+    code = EXIT_ACCEPT if verdict.accepted else EXIT_REJECT
+    return AgentResult(ses.cfg.role, code, transcript=transcript, verdict=verdict,
+                       transcript_sha=sha.hex(), peer_agrees=True)
 
 
 def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,

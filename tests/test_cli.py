@@ -95,6 +95,23 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and "m >= 2" in err
 
+    @pytest.mark.parametrize("role, tape_flag, other", [
+        ("B1", "--challenges", "alice-secrets"),
+        ("A1", "--secrets", "bob-challenges"),
+    ])
+    def test_tape_of_the_other_role_exit_1(self, in_tmp, capsys, role, tape_flag, other):
+        """A verifier given the secrets tape would issue the committer's
+        secrets as challenges; each role refuses a tape made for the other
+        before it listens or connects."""
+        save_plan(small_plan(8, n=128), in_tmp / "plan.json")
+        assert run_cli(capsys, "tape", "--plan", "plan.json", "--role", other,
+                       "--out", "t.tape")[0] == 0
+        code, _, err = run_cli(capsys, "run", "--role", role, "--plan", "plan.json",
+                               tape_flag, "t.tape", "--listen", "127.0.0.1:0",
+                               "--peer", "B1=127.0.0.1:1")
+        assert code == 1
+        assert err.startswith("error:") and f"{other} tape" in err
+
 
 class TestSimulateAndVerify:
     def test_honest_then_verify(self, in_tmp, capsys):

@@ -192,6 +192,21 @@ class TestClocks:
         g = clk.global_at_local(local)
         assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(offset=st.integers(-10**5, 10**5), second=st.integers(1, 10**6),
+           rate=st.floats(-1e-7, 1e-7), pick=st.integers(0, 119))
+    def test_pps_clock_never_runs_backward(self, offset, second, rate, pick):
+        """Where the pulse pulls a fast clock back at a whole second, the
+        clock holds its reading instead of decreasing, and global_at_local
+        still gives the first crossing."""
+        clk = ClockModel(offset_ns=offset, rate=rate, discipline="pps")
+        whole = second * 10**9
+        readings = [clk.local_at_global(g) for g in range(whole - 5, whole + 115)]
+        assert readings == sorted(readings)
+        local = readings[pick]
+        g = clk.global_at_local(local)
+        assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
+
 
 # Output pin for the simulator: the sha256 of every transcript and report on
 # this grid, computed before the event loop and clock model were last

@@ -135,6 +135,11 @@ class TestLoopback:
         b2 = results["B2"]
         assert b2.exit_code == EXIT_ABORT
         assert b2.abort.round_index == 7
+        # each verifier returns the rounds it holds, marked aborted at round 7
+        for r, held in ((b1, [1, 3, 5]), (b2, [2, 4, 6])):
+            assert r.transcript.status == "aborted"
+            assert r.transcript.abort_round == 7
+            assert [rec.k for rec in r.transcript.rounds] == held
 
     def test_transcript_matches_simulation_except_timestamps(self, tmp_path):
         """Same tapes + plan through the simulator and the live path give the
@@ -314,6 +319,16 @@ def _tapes(tmp_path, plan):
     return a_path, x_path
 
 
+def _run_in_thread(cfg):
+    """Start `run_agent(cfg)` in a daemon thread; its result lands in the
+    returned dict under the role."""
+    out = {}
+    thread = threading.Thread(target=lambda: out.setdefault(cfg.role, run_agent(cfg)),
+                              daemon=True)
+    thread.start()
+    return thread, out
+
+
 def test_fake_b1_short_schedule_aborts_b2(tmp_path):
     """A fake B1 shakes hands, then sends B2 a 7-byte SCHEDULE."""
     plan = lab_plan(m=8)
@@ -323,10 +338,7 @@ def test_fake_b1_short_schedule_aborts_b2(tmp_path):
     cfg = SessionConfig(role="B2", plan=plan, challenges_path=x_path,
                         listen_socket=b2_listener,
                         peers={"B1": fake_b1.getsockname()}, io_timeout_s=5.0)
-    out = {}
-    thread = threading.Thread(target=lambda: out.setdefault("B2", run_agent(cfg)),
-                              daemon=True)
-    thread.start()
+    thread, out = _run_in_thread(cfg)
     hello = lambda role: T._hello_payload(role, plan.plan_hash)  # noqa: E731
     fake_b1.settimeout(5.0)
     b1_conn, _ = fake_b1.accept()
@@ -356,10 +368,7 @@ def test_silent_verifier_does_not_hold_committer(tmp_path):
     fake_b1 = socket.create_server(("127.0.0.1", 0))
     cfg = SessionConfig(role="A1", plan=plan, secrets_path=a_path,
                         peers={"B1": fake_b1.getsockname()}, io_timeout_s=1.0)
-    out = {}
-    thread = threading.Thread(target=lambda: out.setdefault("A1", run_agent(cfg)),
-                              daemon=True)
-    thread.start()
+    thread, out = _run_in_thread(cfg)
     deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
     fake_b1.settimeout(5.0)
     conn, _ = fake_b1.accept()
@@ -405,10 +414,7 @@ def test_unexpected_peer_role_aborts_b1(tmp_path):
     b1_listener = socket.create_server(("127.0.0.1", 0))
     cfg = SessionConfig(role="B1", plan=plan, challenges_path=x_path,
                         listen_socket=b1_listener, io_timeout_s=5.0)
-    out = {}
-    thread = threading.Thread(target=lambda: out.setdefault("B1", run_agent(cfg)),
-                              daemon=True)
-    thread.start()
+    thread, out = _run_in_thread(cfg)
     intruder = socket.create_connection(b1_listener.getsockname(), timeout=5.0)
     intruder.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("A2", plan.plan_hash)))
     thread.join(20)
@@ -417,3 +423,52 @@ def test_unexpected_peer_role_aborts_b1(tmp_path):
     b1_listener.close()
     assert out["B1"].exit_code == EXIT_ABORT
     assert out["B1"].abort.reason == "config"
+
+
+def test_abort_in_place_of_hello_ends_b1_with_its_reason(tmp_path):
+    """A connector that answers the HELLO exchange with ABORT `config` ends
+    B1 with that reason, as any received ABORT does."""
+    plan = lab_plan(m=8)
+    _, x_path = _tapes(tmp_path, plan)
+    b1_listener = socket.create_server(("127.0.0.1", 0))
+    thread, out = _run_in_thread(SessionConfig(
+        role="B1", plan=plan, challenges_path=x_path, listen_socket=b1_listener,
+        io_timeout_s=5.0))
+    peer = socket.create_connection(b1_listener.getsockname(), timeout=5.0)
+    peer.sendall(encode_frame(FRAME_ABORT, 0, b"config"))
+    thread.join(20)
+    assert not thread.is_alive()
+    peer.close()
+    b1_listener.close()
+    assert out["B1"].exit_code == EXIT_ABORT
+    assert out["B1"].abort.reason == "config"
+
+
+@pytest.mark.parametrize("junk", [encode_frame(FRAME_VERDICT, 0, bytes(35)),
+                                  struct.pack(">I", 3)],
+                         ids=["verdict-frame", "bad-length-header"])
+def test_peer_verifier_junk_between_rounds_is_malformed(tmp_path, junk):
+    """A fake B2 shakes hands and then sends B1 something other than an
+    ABORT before the fake A1 connects. B1 ends with malformed-frame before
+    round 1, instead of dropping the bytes and running on, and tells A1."""
+    plan = lab_plan(m=8)
+    _, x_path = _tapes(tmp_path, plan)
+    b1_listener = socket.create_server(("127.0.0.1", 0))
+    thread, out = _run_in_thread(SessionConfig(
+        role="B1", plan=plan, challenges_path=x_path, listen_socket=b1_listener,
+        io_timeout_s=5.0))
+    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+    peers = {}
+    for role, after_hello in (("B2", junk), ("A1", b"")):
+        sock = peers[role] = socket.create_connection(b1_listener.getsockname(), timeout=5.0)
+        sock.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload(role, plan.plan_hash))
+                     + after_hello)
+        assert T.recv_frame(sock, deadline()).type == FRAME_HELLO
+    thread.join(20)
+    assert not thread.is_alive()
+    told = T.recv_frame(peers["A1"], deadline())
+    for s in (*peers.values(), b1_listener):
+        s.close()
+    assert out["B1"].exit_code == EXIT_ABORT
+    assert out["B1"].abort.reason == "malformed-frame"
+    assert told == WireFrame(FRAME_ABORT, 0, b"malformed-frame")
