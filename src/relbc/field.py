@@ -12,8 +12,14 @@ sums never exceed 255, so no carry crosses a slot boundary), and the product's
 per-slot parities are the carry-less product. The spread form is built and
 compacted big-endian: the binary digits of `bin(v)`, most significant first,
 map byte for byte onto the slots, so neither conversion reverses a string.
-The spread form never leaves this module: every other layer multiplies
-through `FieldSpec.mul`.
+
+Chain kernel: `FieldSpec.fold` runs a <- x*a XOR y over a block of encoded
+(x, y) pairs. It spreads the whole block with one conversion and keeps the
+accumulator spread from the first pair to the last, compacting it once; the
+product and its reduction are `_smul`'s, the same as in `mul`. For n = 256
+it falls back to `mul` per pair. The spread form still never leaves this
+module: every other layer multiplies through `FieldSpec.mul` or folds
+through `FieldSpec.fold`.
 """
 
 from __future__ import annotations
@@ -121,7 +127,7 @@ class FieldSpec:
         if not self._spread_ok:
             return
         n = self.n
-        self._slot_bytes = n  # one byte-wide slot per coefficient
+        self._slot_bytes = 8 * self.element_bytes  # a slot for every bit of an encoding
         self._par_mask = int.from_bytes(b"\x01" * (2 * n), "little")
         self._lo_mask = (1 << (8 * n)) - 1
         self._s_poly = self._spread(self.poly)
@@ -150,7 +156,8 @@ class FieldSpec:
         return p
 
     def _compact(self, sv: int) -> int:
-        """Spread form (parity-collapsed, reduced) -> compact int."""
+        """Spread form (parity-collapsed, at most 8 * element_bytes slots) ->
+        compact int."""
         return int(sv.to_bytes(self._slot_bytes, "big").translate(_SLOTS_TO_BIN), 2)
 
     # -- raw-int operations ----------------------------------------------
@@ -164,6 +171,33 @@ class FieldSpec:
         if self._spread_ok:
             return self._compact(self._smul(self._spread(a), self._spread(b)))
         return self._mul_generic(a, b)
+
+    def fold(self, a: int, pairs: bytes) -> int:
+        """Run the chain a <- x*a XOR y over a block of pairs; returns the last a.
+
+        `pairs` is x_1||y_1||...||x_r||y_r, each element in its canonical
+        `element_bytes` encoding. For n <= 255 the whole block is spread at
+        once and `a` stays spread from the first pair to the last: read
+        little-endian, the block is one int whose binary digits hold every
+        element most significant bit first, which is the spread layout, so
+        pair j sits 2j+1 and 2j+2 element widths from the end of the string.
+        """
+        eb = self.element_bytes
+        if not self._spread_ok:
+            fb = int.from_bytes
+            for o in range(0, len(pairs), 2 * eb):
+                a = self.mul(fb(pairs[o:o + eb], "little"), a) ^ fb(
+                    pairs[o + eb:o + 2 * eb], "little")
+            return a
+        w = 8 * eb  # slots per element
+        # the 0x01 byte past the block keeps bin() from dropping leading
+        # zeros: three bytes from its "0b1" precede the block's slots in s
+        s = bin(int.from_bytes(pairs + b"\x01", "little")).encode().translate(_BIN_TO_SLOTS)
+        smul, fb = self._smul, int.from_bytes
+        sa = self._spread(a)
+        for j in range(len(s) - w, 3, -2 * w):  # s[j:j + w] is x, s[j - w:j] is y
+            sa = smul(fb(s[j:j + w], "big"), sa) ^ fb(s[j - w:j], "big")
+        return self._compact(sa)
 
     def _mul_generic(self, a: int, b: int) -> int:
         p = 0

@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
+from .field import DEFAULT_POLYS
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum
 
 SECONDS_PER_DAY = 86_400.0
@@ -92,8 +94,9 @@ class SpacetimeConfig:
                 f"allowances exceed the separation: l1 + l2 = {self.l1 + self.l2} m "
                 f">= L = {self.L} m"
             )
-        if self.n < 4 or self.n > 1024:
-            raise PlannerError(f"string width n must be in [4, 1024], got {self.n}")
+        if self.n not in DEFAULT_POLYS:
+            raise PlannerError(f"string width n = {self.n} has no reduction polynomial; "
+                               f"use one of {sorted(DEFAULT_POLYS)}")
 
     @property
     def t_l(self) -> float:

@@ -16,11 +16,12 @@ guarding the round order; `honest_round_stream` answers offline from
 iterators in constant memory.
 
 Verification runs the chain forward from the claimed a_0 = d, one multiply
-per round: a_k = x_k * a_{k-1} XOR y_k, and the result must equal the
-revealed a_m. Each step is a bijection when x_k != 0, so this accepts
-exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1
-from a_m would reach a_0 = d. A zero challenge, x_1 included, is rejected:
-it would let a round bind nothing.
+per round: a_k = x_k * a_{k-1} XOR y_k, folded a block of rounds at a time
+by `FieldSpec.fold`, and the result must equal the revealed a_m. Each step
+is a bijection when x_k != 0, so this accepts exactly when the paper's
+backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach
+a_0 = d. A zero challenge, x_1 included, is rejected: it would let a round
+bind nothing.
 
 Everything here is pure and deterministic; timing is produced by the
 simulator (`simnet`) or the live runner (`transport`) and only *checked*
@@ -45,6 +46,11 @@ REJECT_TIMING = "timing"
 REJECT_ZERO_CHALLENGE = "zero-challenge"
 REJECT_BIT_MISMATCH = "bit-mismatch"
 REJECT_MALFORMED = "malformed-transcript"
+
+# Rounds per block of `verify_rounds`. `FieldSpec.fold` spreads a block's
+# elements in one piece, eight bytes for each of their bytes, so this bounds
+# the verifier's memory.
+VERIFY_BLOCK_ROUNDS = 256
 
 
 class ProtocolError(Exception):
@@ -113,6 +119,20 @@ class RoundRecord:
     answer: int
     challenge_issued_at: int
     answer_received_at: int
+
+    def row(self, eb: int) -> tuple[int, int, bytes, int, int]:
+        """This record as a row (k, station, x||y, issued, received), the
+        elements in their canonical `eb`-byte encodings: the form files,
+        frames and `verify_rounds` carry."""
+        return (self.k, self.station,
+                self.challenge.to_bytes(eb, "little") + self.answer.to_bytes(eb, "little"),
+                self.challenge_issued_at, self.answer_received_at)
+
+    @classmethod
+    def from_row(cls, row: tuple[int, int, bytes, int, int], eb: int) -> "RoundRecord":
+        k, station, xy, issued, received = row
+        return cls(k, station, int.from_bytes(xy[:eb], "little"),
+                   int.from_bytes(xy[eb:], "little"), issued, received)
 
 
 @dataclass
@@ -253,34 +273,40 @@ class AliceAgent:
 
 def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
                   reveal: RevealMessage | None,
-                  rounds: Iterable[RoundRecord]) -> Verdict:
-    """Every verdict rule, in one forward pass over the round records.
+                  blocks: Iterable[list[tuple[int, int, bytes, int, int]]]) -> Verdict:
+    """Every verdict rule, in one forward pass over blocks of round rows.
 
-    `reveal` is None for an aborted transcript. The chain is run forward from
-    a_0 = d, the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
-    docstring) and must end at the revealed a_m. A round is on time when its
-    answer is received no earlier than its challenge was issued and at most
-    its station's deadline later. Precedence, highest first: aborted,
-    malformed (the only early return), timing, a zero challenge among
-    x_1..x_m, bit mismatch.
+    Each block is a list of at most `VERIFY_BLOCK_ROUNDS` `RoundRecord.row`
+    tuples (k, station, x||y, issued, received). `reveal` is None for an
+    aborted transcript. The chain is run forward from a_0 = d,
+    the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
+    docstring), one `FieldSpec.fold` per block, and must end at the revealed
+    a_m. A round is on time when its answer is received no earlier than its
+    challenge was issued and at most its station's deadline later.
+    Precedence, highest first: aborted, malformed (the only early return; no
+    later block is asked for), timing, a zero challenge among x_1..x_m, bit
+    mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)
     d = reveal.bit
     if m < 1 or d not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
-    mul = spec.mul
+    fold = spec.fold
+    zero_x = bytes(spec.element_bytes)
     taus = (tau2_ns, tau1_ns)  # indexed by k & 1
     mistimed = zero = False
     a, k = d, 0
-    for k, rec in enumerate(rounds, start=1):
-        if k > m or rec.k != k or rec.station != 2 - (k & 1):  # station_of(k)
-            return Verdict.reject(REJECT_MALFORMED)
-        x = rec.challenge
-        if not 0 <= rec.answer_received_at - rec.challenge_issued_at <= taus[k & 1]:
-            mistimed = True
-        zero = zero or not x
-        a = mul(x, a) ^ rec.answer
+    for rows in blocks:
+        for rk, station, xy, issued, received in rows:
+            k += 1
+            if k > m or rk != k or station != 2 - (k & 1):  # station_of(k)
+                return Verdict.reject(REJECT_MALFORMED)
+            if not 0 <= received - issued <= taus[k & 1]:
+                mistimed = True
+            if xy.startswith(zero_x):
+                zero = True
+        a = fold(a, b"".join([row[2] for row in rows]))
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
     if mistimed:
@@ -295,8 +321,11 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
 def bob_verify(transcript: Transcript) -> Verdict:
     """Full verification of an in-memory transcript (see `verify_rounds`)."""
     t = transcript
+    eb, rounds = t.spec.element_bytes, t.rounds
+    blocks = ([rec.row(eb) for rec in rounds[i:i + VERIFY_BLOCK_ROUNDS]]
+              for i in range(0, len(rounds), VERIFY_BLOCK_ROUNDS))
     return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns,
-                         t.reveal if t.is_complete else None, t.rounds)
+                         t.reveal if t.is_complete else None, blocks)
 
 
 # -- honest drive (reference harness) ------------------------------------------

@@ -25,6 +25,7 @@ So writing back what a reader returned rebuilds the file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import io
 import random
 import struct
@@ -43,6 +44,7 @@ from .protocol import (
     STATUS_ABORTED,
     STATUS_COMPLETE,
     Transcript,
+    VERIFY_BLOCK_ROUNDS,
     Verdict,
     honest_round_stream,
     verify_rounds,
@@ -59,7 +61,6 @@ PROVENANCE_ENTROPY = 0
 PROVENANCE_SEEDED = 1
 
 _WRITE_CHUNK_ELEMENTS = 1 << 14
-VERIFY_BLOCK_ROUNDS = 4096  # round records per read in verify_file
 
 
 class StorageError(Exception):
@@ -263,31 +264,21 @@ _XH_FIXED = struct.Struct(">4sH32sIH")     # magic, version, plan hash, n, poly 
 _XH_META = struct.Struct(">QQIqq")         # m, round count, scale, tau1, tau2
 _XH_STATUS = struct.Struct(">BQH")         # status, abort round, reason length
 _XH_REVEAL = struct.Struct(">BB")          # reveal flag, claimed bit
-_REC_HEAD = struct.Struct(">QB")           # k, station
-_REC_TIMES = struct.Struct(">qq")          # issued, received (station-local ns)
 
 _STATUS_CODES = {STATUS_COMPLETE: 1, STATUS_ABORTED: 2}
 _STATUS_NAMES = {v: k for k, v in _STATUS_CODES.items()}
 
 
+@functools.cache
+def _record_struct(eb: int) -> struct.Struct:
+    """One round record: k, station, x||y (each element `eb` bytes,
+    little-endian), issued and received (station-local ns). It packs and
+    unpacks `RoundRecord.row` tuples."""
+    return struct.Struct(f">QB{2 * eb}sqq")
+
+
 def _record_size(eb: int) -> int:
-    return _REC_HEAD.size + 2 * eb + _REC_TIMES.size
-
-
-def _pack_record(rec: RoundRecord, eb: int) -> bytes:
-    return (_REC_HEAD.pack(rec.k, rec.station)
-            + rec.challenge.to_bytes(eb, "little")
-            + rec.answer.to_bytes(eb, "little")
-            + _REC_TIMES.pack(rec.challenge_issued_at, rec.answer_received_at))
-
-
-def _unpack_record(data: bytes, offset: int, eb: int) -> RoundRecord:
-    k, station = _REC_HEAD.unpack_from(data, offset)
-    p = offset + _REC_HEAD.size
-    x = int.from_bytes(data[p:p + eb], "little")
-    y = int.from_bytes(data[p + eb:p + 2 * eb], "little")
-    issued, received = _REC_TIMES.unpack_from(data, p + 2 * eb)
-    return RoundRecord(k, station, x, y, issued, received)
+    return _record_struct(eb).size
 
 
 def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
@@ -316,10 +307,12 @@ def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
         f.write(struct.pack(">q", t.reveal_received_at))
     written = 0
     buf = bytearray()
+    record = _record_struct(eb)
+    chunk = _WRITE_CHUNK_ELEMENTS * record.size
     for rec in rounds:
-        buf += _pack_record(rec, eb)
+        buf += record.pack(*rec.row(eb))
         written += 1
-        if len(buf) >= _WRITE_CHUNK_ELEMENTS * _record_size(eb):
+        if len(buf) >= chunk:
             f.write(buf)
             buf.clear()
     f.write(buf)
@@ -406,38 +399,47 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     return header, round_count
 
 
-def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[RoundRecord]]:
+def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[tuple]]]:
     """The header of transcript file `f` (see `read_transcript_header`), its
     round count, checked against the file's size, and an iterator over its
-    round records, read front to back `VERIFY_BLOCK_ROUNDS` at a time."""
+    round records as blocks of `RoundRecord.row` tuples, read front to back
+    `VERIFY_BLOCK_ROUNDS` at a time.
+
+    A record with an element of n bits or more ends the iteration with
+    TranscriptFormatError, after a block of the records before it, so that a
+    fault the verifier meets first still settles the verdict."""
     header, count = read_transcript_header(f)
     spec = header.spec
-    eb, mask = spec.element_bytes, spec.mask
-    size = _record_size(eb)
-    _check_body(path, f.tell(), count, size, TranscriptFormatError)
+    eb = spec.element_bytes
+    top = spec.n % 8  # bits an element may use in its last byte; 0 means all
+    record = _record_struct(eb)
+    _check_body(path, f.tell(), count, record.size, TranscriptFormatError)
 
-    def records() -> Iterator[RoundRecord]:
-        left = count
-        while left:
-            want = min(left, VERIFY_BLOCK_ROUNDS)
-            data = _read_exact(f, want * size, "round records")
-            for off in range(0, want * size, size):
-                rec = _unpack_record(data, off, eb)
-                if (rec.challenge | rec.answer) > mask:
-                    raise TranscriptFormatError(
-                        f"{path}: round {count - left + off // size + 1} has an "
-                        f"element that exceeds {spec.n} bits")
-                yield rec
-            left -= want
+    def blocks() -> Iterator[list[tuple]]:
+        done = 0
+        while done < count:
+            want = min(count - done, VERIFY_BLOCK_ROUNDS)
+            rows = list(record.iter_unpack(_read_exact(f, want * record.size, "round records")))
+            if top:
+                for i, row in enumerate(rows):
+                    xy = row[2]
+                    if (xy[eb - 1] | xy[-1]) >> top:  # the last bytes of x and y
+                        yield rows[:i]
+                        raise TranscriptFormatError(
+                            f"{path}: round {done + i + 1} has an element that exceeds "
+                            f"{spec.n} bits")
+            yield rows
+            done += want
 
-    return header, count, records()
+    return header, count, blocks()
 
 
 def read_transcript(path: str | Path) -> Transcript:
     """Load a whole transcript into memory (use verify_file for huge ones)."""
     with open(path, "rb") as f:
-        transcript, _, records = _open_transcript(f, path)
-        transcript.rounds = list(records)
+        transcript, _, blocks = _open_transcript(f, path)
+        eb = transcript.spec.element_bytes
+        transcript.rounds = [RoundRecord.from_row(row, eb) for rows in blocks for row in rows]
     return transcript
 
 
@@ -455,21 +457,21 @@ def verify_file(path: str | Path,
                 plan: ProtocolPlan | None = None) -> tuple[Verdict, VerifyStats]:
     """Stream a transcript file forward and verify it in constant memory.
 
-    Round records are read as `read_transcript` reads them and fed to
+    Blocks of round rows are read as `read_transcript` reads them and fed to
     `protocol.verify_rounds`, the same pass `bob_verify` uses. Reading stops
     once the verdict is settled (an aborted transcript or a malformed round),
     so a fault in a later record is not reported.
     """
     t0 = time.perf_counter()
     with open(path, "rb") as f:
-        h, count, records = _open_transcript(f, path)
+        h, count, blocks = _open_transcript(f, path)
         if plan is not None and h.plan_hash != plan.plan_hash:
             raise PlanHashMismatchError(
                 f"{path}: transcript plan hash {h.plan_hash[:12] or '(none)'} does not "
                 f"match the supplied plan's {plan.plan_hash[:12]}"
             )
         verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns,
-                                h.reveal if h.is_complete else None, records)
+                                h.reveal if h.is_complete else None, blocks)
     return verdict, VerifyStats(count, time.perf_counter() - t0)
 
 

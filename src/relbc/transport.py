@@ -72,7 +72,7 @@ from .protocol import (
     bob_verify,
     station_of,
 )
-from .storage import TapeReader, _pack_record, _record_size, _unpack_record, transcript_to_bytes
+from .storage import TapeReader, _record_size, _record_struct, transcript_to_bytes
 
 FRAME_CHALLENGE = 0x01
 FRAME_ANSWER = 0x02
@@ -304,7 +304,8 @@ def _parse_reveal(spec: FieldSpec, data: bytes, pos: int = 0) -> RevealMessage:
 def _records_payload(records: list[RoundRecord], spec: FieldSpec,
                      reveal: RevealMessage | None, reveal_at: int) -> bytes:
     eb = spec.element_bytes
-    out = _U32.pack(len(records)) + b"".join(_pack_record(rec, eb) for rec in records)
+    pack = _record_struct(eb).pack
+    out = _U32.pack(len(records)) + b"".join(pack(*rec.row(eb)) for rec in records)
     if reveal is None:
         return out + b"\x00"
     return out + b"\x01" + _reveal_payload(spec, reveal) + _I64.pack(reveal_at)
@@ -328,7 +329,8 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
     if size != end:
         raise _bad_payload(f"RECORDS payload is {size} bytes, its layout {end}",
                            min(size, end))
-    records = [_unpack_record(payload, _U32.size + i * rec_size, eb) for i in range(count)]
+    records = [RoundRecord.from_row(row, eb)
+               for row in _record_struct(eb).iter_unpack(payload[_U32.size:flag_at])]
     if any((rec.challenge | rec.answer) > spec.mask for rec in records):
         raise _bad_payload(f"a record element exceeds {spec.n} bits", _U32.size)
     if not flag:
@@ -449,7 +451,7 @@ def _connect(addr: tuple[str, int], timeout: float) -> socket.socket:
         except OSError as exc:
             last_err = exc
             time.sleep(0.02)
-    raise TransportError(f"cannot connect to {addr}: {last_err}")
+    raise ConnectionError(f"cannot connect to {addr}: {last_err}")
 
 
 def _send_abort(socks: Iterable[socket.socket], reason: str,

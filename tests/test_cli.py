@@ -70,6 +70,16 @@ class TestPlan:
         assert code == 1
         assert err.startswith("error:") and "line 8" in err
 
+    def test_width_without_polynomial_exit_1(self, in_tmp, capsys):
+        """n = 24 names no field, so no plan is written for it."""
+        cfg = in_tmp / "n24.cfg"
+        cfg.write_text("L = 7000\nl1 = 450\nl2 = 450\ntau1 = 3us\ntau2 = 3us\n"
+                       "t_m = 3.3us\nT = 1s\nn = 24\n")
+        code, _, err = run_cli(capsys, "plan", str(cfg), "--out", "plan.json")
+        assert code == 1
+        assert err.startswith("error:") and "n = 24" in err
+        assert not (in_tmp / "plan.json").exists()
+
 
 class TestTape:
     def test_generate_and_read(self, in_tmp, capsys):

@@ -232,3 +232,32 @@ def test_spread_mul_matches_generic(operands):
     spec, a, b = operands
     assert spec._spread_ok
     assert spec.mul(a, b) == spec._mul_generic(a, b)
+
+
+FOLD_SPECS = [FieldSpec(n, poly) for n, poly in DEFAULT_POLYS.items()] + [FieldSpec(12, 0x9)]
+
+
+@st.composite
+def fold_blocks(draw):
+    """A field (n = 256 takes the fallback), a start value of 0, 1 or any,
+    and a block of 0, 1 or many (x, y) pairs in which x is often 0."""
+    spec = draw(st.sampled_from(FOLD_SPECS))
+    value = st.integers(0, spec.mask)
+    a = draw(st.one_of(st.sampled_from([0, 1]), value))
+    count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    x = st.one_of(st.just(0), value)
+    pairs = draw(st.lists(st.tuples(x, value), min_size=count, max_size=count))
+    return spec, a, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_blocks())
+def test_fold_matches_mul_loop(block):
+    """`fold` runs a <- x*a XOR y over a block of encoded pairs exactly as
+    the per-pair `mul` loop does."""
+    spec, a, pairs = block
+    encoded = b"".join(spec.encode(x) + spec.encode(y) for x, y in pairs)
+    expected = a
+    for x, y in pairs:
+        expected = spec.mul(x, expected) ^ y
+    assert spec.fold(a, encoded) == expected

@@ -14,6 +14,7 @@ from relbc.field import FieldSpec, gf2_8, gf2_128
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
+    REJECT_MALFORMED,
     REJECT_TIMING,
     RevealMessage,
     bob_verify,
@@ -363,6 +364,22 @@ class TestTranscriptFiles:
         with pytest.raises(TranscriptFormatError, match="exceeds 12 bits"):
             verify_file(path)
 
+    @pytest.mark.parametrize("wide, station", [(4, 2), (2, 4)])
+    def test_first_of_wide_element_and_malformed_round_decides(self, tmp_path, wide,
+                                                               station):
+        """Within one read block, a wide element and a malformed round are
+        met in file order: the earlier one raises or rejects."""
+        t = _transcript(m=6, n=12)
+        t.rounds[wide].answer ^= S12.full_poly
+        t.rounds[station].station = 3 - t.rounds[station].station
+        path = tmp_path / "t.rbcx"
+        write_transcript(t, path)
+        if station < wide:
+            assert verify_file(path)[0].reason == REJECT_MALFORMED
+        else:
+            with pytest.raises(TranscriptFormatError, match="round 3 has an element"):
+                verify_file(path)
+
     @pytest.mark.parametrize("count", [2**40, 2**62])
     def test_round_count_beyond_body_is_format_error(self, tmp_path, count):
         """A corrupt round count is checked against the file's size before
@@ -430,6 +447,8 @@ class TestConstantMemory:
             assert verdict.accepted
             peaks.append(peak)
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
+        # FieldSpec.fold spreads each block whole, so the block size shows here
+        assert peaks[1] < 1 << 20
 
 
 def _seed_transcripts() -> list[bytes]:

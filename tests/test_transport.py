@@ -385,6 +385,19 @@ def test_silent_verifier_does_not_hold_committer(tmp_path):
     assert out["A1"].exit_code == EXIT_ACCEPT
 
 
+def test_peer_without_listener_is_a_connection_abort(tmp_path):
+    """A committer whose verifier never listens ends, once its connect
+    window closes, with a typed `connection` abort and not a usage error."""
+    plan = lab_plan(m=4)
+    a_path, _ = _tapes(tmp_path, plan)
+    with socket.create_server(("127.0.0.1", 0)) as closed:
+        addr = closed.getsockname()  # nothing listens there once it closes
+    result = run_agent(SessionConfig(role="A1", plan=plan, secrets_path=a_path,
+                                     peers={"B1": addr}, io_timeout_s=0.3))
+    assert result.exit_code == EXIT_ABORT
+    assert result.abort.reason == "connection"
+
+
 def test_odd_m_session_accepts(tmp_path):
     """With m odd the reveal is round m+1 at station 2: B2 carries it in its
     RECORDS and both verifiers accept the same transcript."""

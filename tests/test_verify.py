@@ -109,8 +109,9 @@ def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults):
     [("late", 0, 0), ("zero-challenge", -1, 0)],
     [("station", 0, 0), ("zero-challenge", -1, 0)],
     [("late", VERIFY_BLOCK_ROUNDS - 1, 0), ("station", 2 * VERIFY_BLOCK_ROUNDS, 0)],
+    [("answer", VERIFY_BLOCK_ROUNDS - 1, 0), ("challenge", VERIFY_BLOCK_ROUNDS, 7)],
 ], ids=["honest", "answer", "challenge", "zero", "late+zero", "station+zero",
-        "late+station"])
+        "late+station", "answer+challenge-at-seam"])
 def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
     m = 2 * VERIFY_BLOCK_ROUNDS + 3
     t = honest(m, seed=5, d=1)
