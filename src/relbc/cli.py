@@ -4,7 +4,8 @@ Subcommands:
 
     plan      evaluate a config: human table + machine-readable plan file
     tape      generate a pre-shared randomness tape for a plan
-    simulate  run the discrete-event simulation, write transcript + audit
+    simulate  run the discrete-event simulation, write transcript + audit,
+              and verify a completed transcript
     run       run one live agent (A1/A2/B1/B2) over TCP
     verify    stream-verify a transcript file
     bench     time `verify_file` on a generated honest n=128 file and project
@@ -44,6 +45,7 @@ from .planner import (
     resource_plan,
     save_plan,
 )
+from .protocol import bob_verify
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
@@ -172,13 +174,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"strategy={args.strategy} seed={args.seed} bit={args.bit} m={plan.m}")
     if report.aborted:
         print(f"ABORT at round {report.abort_round}: {report.abort_reason}")
+        code = EXIT_ABORT
     else:
         print(f"complete: {report.rounds_recorded} rounds; "
               f"audit {'ok' if audit.ok else 'VIOLATIONS'}; "
               f"worst slack {audit.worst_slack_ns} ns")
+        verdict = bob_verify(transcript)
+        if verdict.accepted:
+            print(f"ACCEPT bit={verdict.bit}")
+            code = EXIT_ACCEPT
+        else:
+            print(f"REJECT: {verdict.reason}")
+            code = EXIT_REJECT
     print(f"transcript -> {out}\naudit      -> {audit_path}")
     _write_manifest(args, [str(out), str(audit_path)], plan.plan_hash, seeds=[args.seed])
-    return EXIT_ABORT if report.aborted else EXIT_ACCEPT
+    return code
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -13,17 +13,23 @@ light itself would miss the deadline by t_M.
 The engine is single-threaded and reproducible: events are processed in
 (time, sequence) order and identical inputs give byte-identical transcripts
 and reports. Every round start and deadline, and the reveal, is known before
-the run, so they form one presorted schedule that is consumed from its end;
-only the events a run creates (arrivals, covert relays) go through a small
-heap, and the two are merged by (time, sequence). A clock with zero rate is a
-pure offset and converts in closed form; drifting clocks are inverted by a
-fixed-point search. Parallelism is only across independent runs (`run_many`).
+the run. They form a presorted schedule that is converted to the global frame
+in chunks of rounds as the run reaches them, so a run that aborts early stops
+converting; a chunk's events are released once no later chunk can hold an
+earlier one. Only the events a run creates (arrivals, covert relays) go
+through a small heap, and the two are merged by (time, sequence). A clock
+with zero rate is a pure offset and converts in closed form; a drifting clock
+is inverted by iterating its drift estimate until it settles, then stepping
+to the exact crossing. A committer whose clock reaches the reveal before she
+has answered her rounds ends the run as an `early-reveal` abort. Parallelism
+is only across independent runs (`run_many`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Sequence
@@ -37,6 +43,7 @@ from .protocol import (
     ROLE_BOB_CHALLENGES,
     RevealMessage,
     RoundRecord,
+    SequencingError,
     Tape,
     Transcript,
     bob_verify,
@@ -55,6 +62,10 @@ STRATEGIES = (HONEST, LATE_DECISION, RELAY, WRONG_BIT_REVEAL, PLACEMENT_CHEAT)
 
 ABORT_DEADLINE = "deadline"
 ABORT_TIMEOUT = "timeout"
+ABORT_EARLY_REVEAL = "early-reveal"
+
+# rounds converted to the global frame at a time as a run reaches them
+SCHEDULE_CHUNK_ROUNDS = 256
 
 # event kinds (processed in (time, seq) order)
 _EV_START = 0
@@ -103,13 +114,20 @@ class ClockModel:
 
     def global_at_local(self, local_ns: int) -> int:
         """The global time g at which this clock reaches `local_ns`:
-        local_at_global(g) >= local_ns > local_at_global(g - 1), found by a
-        fixed-point iteration and a step search (for g > 0)."""
+        local_at_global(g) >= local_ns > local_at_global(g - 1) (for g > 0),
+        found by iterating the drift estimate until it stops changing and
+        then a step search."""
+        base = local_ns - self.offset_ns
         if not self.rate:  # the closed form of the search below
-            return local_ns - self.offset_ns
-        g = local_ns - self.offset_ns
+            return base
+        # the drift estimate usually settles after one or two steps; stop
+        # there, or after four, and let the step search make it exact
+        g = base
         for _ in range(4):
-            g = local_ns - self.offset_ns - self.drift_ns(g)
+            nxt = base - self.drift_ns(g)
+            if nxt == g:
+                break
+            g = nxt
         while self.local_at_global(g) < local_ns:
             g += 1
         while g > 0 and self.local_at_global(g - 1) >= local_ns:
@@ -242,8 +260,8 @@ def run_simulation(plan: ProtocolPlan,
     c = plan.config.c
     t_l_ns = plan.t_l_ns
     # per-station lookups, indexed by station number (1 or 2)
-    b_clk = (None, clk["B1"], clk["B2"])
     b_local_at = (None, clk["B1"].local_at_global, clk["B2"].local_at_global)
+    b_global_at = (None, clk["B1"].global_at_local, clk["B2"].global_at_local)
     travel_ba = (0, _travel_ns(pos["B1"], pos["A1"], c), _travel_ns(pos["B2"], pos["A2"], c))
     travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
     tau = (0, plan.tau1_ns, plan.tau2_ns)
@@ -269,44 +287,73 @@ def run_simulation(plan: ProtocolPlan,
                             tau2_ns=plan.tau2_ns, plan_hash=plan.plan_hash)
     reveal_received = False
 
-    # The static schedule: every (time, seq) pair packed into one int,
-    # time << shift | seq, which orders like the pair in under a third of the
-    # memory of a tuple. seq is the build order: 2k-2 starts round k, 2k-1 is its
-    # deadline, 2m is the reveal deadline and 2m+1 the reveal send.
+    # The static schedule: every round start and deadline, and the reveal,
+    # with its (time, seq) pair packed into one int, time << shift | seq,
+    # which orders like the pair in under a third of the memory of a tuple.
+    # seq is fixed by the round: 2k-2 starts round k, 2k-1 is its deadline,
+    # 2m is the reveal deadline and 2m+1 the reveal send. The rounds are
+    # converted to the global frame a chunk at a time, as the run reaches
+    # them, so an aborted run stops converting; built events wait in `held`
+    # (ascending) until they are released to `schedule` (descending, so the
+    # next event is popped off the end and its entry freed). Events created
+    # while running go to a small heap of (time, seq, kind, k, payload);
+    # their seq numbers continue past the static ones, so merging the two by
+    # (time, seq) processes events in the same order as one heap.
     shift = (2 * m + 1).bit_length()
-    schedule: list[int] = []
-    prev_start = 0
-    for k in range(1, reveal_round + 1):
-        st = station_of(k)
-        to_global = b_clk[st].global_at_local
-        start_local = issue_local[k] = plan.round_start_ns(k)
-        g_start = to_global(start_local)
-        g_deadline = to_global(start_local + tau[st])
-        if k > 1:
-            slack = prev_start + t_l_ns - g_deadline
-            if not slack_steps or slack < slack_steps[-1][1]:
-                slack_steps.append((k - 1, slack))
-        prev_start = g_start
-        if len(margin_rounds) < 100 and abs(g_start - start_local) > t_m_ns:
-            margin_rounds.append(k)
-        if k <= m:
-            schedule.append(g_start << shift | len(schedule))
-        # fires one tick past the deadline so an arrival exactly at the
-        # deadline is still counted as on time
-        schedule.append((g_deadline + 1) << shift | len(schedule))
-    # the committer self-schedules the reveal on her own clock
-    a_clk = clk[f"A{reveal_station}"]
-    schedule.append(a_clk.global_at_local(issue_local[reveal_round]) << shift
-                    | len(schedule))
-    # Descending, so the next event is popped off the end and its entry freed.
-    # Events created while running go to a small heap of (time, seq, kind, k,
-    # payload); their seq numbers continue past the static ones, so merging
-    # the two by (time, seq) processes events in the same order as one heap.
-    schedule.sort(reverse=True)
     seq_mask = (1 << shift) - 1
     two_m = 2 * m
+    # the committer self-schedules the reveal on her own clock, so it is
+    # built up front
+    issue_local[reveal_round] = plan.round_start_ns(reveal_round)
+    a_clk = clk[f"A{reveal_station}"]
+    held = [a_clk.global_at_local(issue_local[reveal_round]) << shift | two_m + 1]
+    schedule: list[int] = []
+    next_k = 1   # the first round not built yet
+    prev_start = 0
+
+    def build_chunk() -> None:
+        """Build the next SCHEDULE_CHUNK_ROUNDS rounds, then release every
+        held event earlier than the next unbuilt round's global start at
+        each station. Round starts rise in local time and global_at_local
+        never decreases, so no unbuilt event can come earlier; and every
+        released event is later than those still in `schedule`."""
+        nonlocal next_k, prev_start
+        k_end = min(next_k + SCHEDULE_CHUNK_ROUNDS, reveal_round + 1)
+        for k in range(next_k, k_end):
+            st = 1 if k & 1 else 2
+            start_local = issue_local[k] = plan.round_start_ns(k)
+            g_start = b_global_at[st](start_local)
+            g_deadline = b_global_at[st](start_local + tau[st])
+            if k > 1:
+                slack = prev_start + t_l_ns - g_deadline
+                if not slack_steps or slack < slack_steps[-1][1]:
+                    slack_steps.append((k - 1, slack))
+            prev_start = g_start
+            if len(margin_rounds) < 100 and abs(g_start - start_local) > t_m_ns:
+                margin_rounds.append(k)
+            if k <= m:
+                held.append(g_start << shift | 2 * k - 2)
+                # fires one tick past the deadline so an arrival exactly at
+                # the deadline is still counted as on time
+                held.append((g_deadline + 1) << shift | 2 * k - 1)
+            else:
+                held.append((g_deadline + 1) << shift | two_m)
+        next_k = k_end
+        held.sort()
+        if k_end > reveal_round:
+            cut = len(held)
+        else:
+            bound = b_global_at[station_of(k_end)](plan.round_start_ns(k_end))
+            if k_end < reveal_round:
+                bound = min(bound, b_global_at[station_of(k_end + 1)](
+                    plan.round_start_ns(k_end + 1)))
+            cut = bisect_left(held, bound << shift)
+        released = held[:cut]
+        del held[:cut]
+        schedule[:0] = released[::-1]
+
     dynamic: list[tuple[int, int, int, int, int]] = []
-    seq = len(schedule)
+    seq = two_m + 2
 
     skind = strategy.kind
     # relay-strategy bookkeeping
@@ -331,7 +378,14 @@ def run_simulation(plan: ProtocolPlan,
         assert arrive >= send_global  # causality
         return arrive, y
 
-    while schedule or dynamic:
+    while True:
+        if not schedule:  # once per chunk: build on unless the run is over
+            if aborted:
+                break
+            while not schedule and next_k <= reveal_round:
+                build_chunk()
+            if not schedule and not dynamic:
+                break
         if dynamic and (not schedule or dynamic[0][0] < schedule[-1] >> shift):
             t, _, kind, k, payload = heappop(dynamic)
         else:
@@ -367,7 +421,7 @@ def run_simulation(plan: ProtocolPlan,
                 else:
                     relay_waiting[k] = st
             elif skind == LATE_DECISION and k == strategy.target_round:
-                deadline = b_clk[st].global_at_local(issue_local[k] + tau[st])
+                deadline = b_global_at[st](issue_local[k] + tau[st])
                 target_arrival = deadline - strategy.margin_ns
                 send = max(t, target_arrival - travel_ba[st])
                 arrive, y = answer_round(st, k, x, send)
@@ -401,7 +455,12 @@ def run_simulation(plan: ProtocolPlan,
                 heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, nxt, y))
                 seq += 1
         elif kind == _EV_REVEAL_SEND:
-            msg = alice[reveal_station].reveal()
+            try:
+                msg = alice[reveal_station].reveal()
+            except SequencingError:
+                # her clock reached the reveal before she answered her rounds
+                do_abort(k, ABORT_EARLY_REVEAL)
+                continue
             if skind == WRONG_BIT_REVEAL:
                 msg = RevealMessage(msg.bit ^ 1, msg.final_secret)
             arrive = t + travel_ba[reveal_station]
@@ -432,9 +491,12 @@ def run_simulation(plan: ProtocolPlan,
         transcript.mark_aborted(ABORT_TIMEOUT, reveal_round)
         aborted, abort_round, abort_reason = True, reveal_round, ABORT_TIMEOUT
 
-    # global-frame diagnostics over the pairs and rounds the run reached
+    # global-frame diagnostics over the pairs and rounds the run reached; a
+    # run that aborts after the reveal arrived may not have built them all
     worst_slack: int | None = None
     last_pair = reveal_round if (reveal_received or not aborted) else len(rounds)
+    while next_k <= last_pair:
+        build_chunk()
     for k, slack in slack_steps:
         if k >= last_pair:
             break

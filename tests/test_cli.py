@@ -129,7 +129,7 @@ class TestSimulateAndVerify:
                                "--rounds", "1000", "--n", "8", "--seed", "3",
                                "--bit", "1", "--out", "t.rbcx")
         assert code == 0
-        assert "complete: 1000 rounds" in out
+        assert "complete: 1000 rounds" in out and "ACCEPT bit=1" in out
         code, out, _ = run_cli(capsys, "verify", "t.rbcx")
         assert code == 0 and "ACCEPT bit=1" in out
         audit = json.loads((in_tmp / "t.audit.json").read_text())
@@ -140,6 +140,16 @@ class TestSimulateAndVerify:
                                "--rounds", "50", "--n", "8", "--out", "r.rbcx")
         assert code == 2
         assert "ABORT at round 2" in out
+
+    def test_wrong_bit_reveal_rejects_with_exit_3(self, in_tmp, capsys):
+        """The run completes, so the abort exit does not apply; the verifier
+        rejects the flipped bit."""
+        code, out, _ = run_cli(capsys, "simulate", "--strategy", "wrong-bit-reveal",
+                               "--rounds", "50", "--n", "8", "--out", "w.rbcx")
+        assert code == 3
+        assert "complete: 50 rounds" in out and "REJECT: bit-mismatch" in out
+        code, out, _ = run_cli(capsys, "verify", "w.rbcx")
+        assert code == 3 and "REJECT: bit-mismatch" in out
 
     def test_verify_tampered_exit_3(self, in_tmp, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--rounds", "40", "--n", "8",

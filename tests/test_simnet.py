@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbc.field import FieldSpec, gf2_8
-from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
-from relbc.protocol import bob_verify
+from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
+from relbc.protocol import REJECT_ABORTED, bob_verify
 from relbc.simnet import (
+    ABORT_EARLY_REVEAL,
+    SCHEDULE_CHUNK_ROUNDS,
     AdversaryStrategy,
     ClockModel,
     SimulationError,
@@ -207,6 +209,39 @@ class TestClocks:
         g = clk.global_at_local(local)
         assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
 
+    @settings(max_examples=400, deadline=None)
+    @given(offset=st.integers(-10**9, 10**9), rate=st.floats(-1e-6, 1e-6),
+           discipline=st.sampled_from(["none", "pps"]),
+           local=st.one_of(
+               st.integers(0, 10**15),
+               st.tuples(st.integers(0, 10**6), st.integers(-200, 200), st.booleans())))
+    def test_inverse_meets_its_definition(self, offset, rate, discipline, local):
+        """global_at_local(L) is the first global time the clock reads at
+        least L, for any rate and offset, and for L near a whole second of
+        local or of global time, where a pps pulse steps the clock."""
+        clk = ClockModel(offset_ns=offset, rate=rate, discipline=discipline)
+        if isinstance(local, tuple):
+            second, delta, at_pulse = local
+            local = max(0, second * NS + delta + (offset if at_pulse else 0))
+        g = clk.global_at_local(local)
+        assert clk.local_at_global(g) >= local
+        if g > 0:
+            assert local > clk.local_at_global(g - 1)
+
+    @pytest.mark.parametrize("ahead_ns", [40_000, 1_000_000])
+    def test_early_reveal_is_an_abort(self, ahead_ns):
+        """A committer clock ahead of her station's by more than a round
+        interval reaches the reveal before she has answered her last round:
+        the run aborts at the reveal round instead of raising."""
+        plan = small_plan(200, n=8)
+        t, rep = run_simulation(plan, clocks={"A1": ClockModel(offset_ns=ahead_ns)},
+                                seed=1, bit=0)
+        assert rep.aborted and not rep.reveal_received
+        assert (rep.abort_round, rep.abort_reason) == (plan.m + 1, ABORT_EARLY_REVEAL)
+        assert t.status == "aborted" and t.reveal is None
+        assert (t.abort_round, t.abort_reason) == (plan.m + 1, ABORT_EARLY_REVEAL)
+        assert bob_verify(t).reason == REJECT_ABORTED
+
 
 # Output pin for the simulator: the sha256 of every transcript and report on
 # this grid, computed before the event loop and clock model were last
@@ -243,6 +278,82 @@ def test_golden_digest():
                     h.update(transcript_to_bytes(t))
                     h.update(json.dumps(asdict(rep), sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+# A second output pin, also computed before the schedule was built lazily:
+# m=1000 (four schedule chunks), each committer clock equal to its station's,
+# and the stations' clocks offset from each other by more than a chunk's
+# time span (256 rounds, about 4.4 ms), so one station's events are built
+# chunks before the other's run. late-decision on round m aborts after the
+# reveal has arrived.
+CHUNK_GOLDEN_STRATEGIES = GOLDEN_STRATEGIES + [
+    AdversaryStrategy("late-decision", target_round=1000, margin_ns=-1)]
+CHUNK_GOLDEN_CLOCKS = [
+    (ClockModel(), ClockModel(offset_ns=-6_000_000)),
+    (ClockModel(offset_ns=-71, rate=2e-9, discipline="pps"),
+     ClockModel(offset_ns=9_000_029, rate=-5e-9, discipline="pps")),
+    (ClockModel(offset_ns=5_000_000, rate=1e-6), ClockModel(offset_ns=-1000, rate=-2e-6)),
+]
+CHUNK_GOLDEN_DIGEST = "3396f3209f79591e66386f1b6bb78e4077a9fe35cc5361284903bcea658fb9d3"
+
+
+def test_chunk_crossing_golden_digest():
+    plan = small_plan(1000, n=8)
+    h = hashlib.sha256()
+    for b1, b2 in CHUNK_GOLDEN_CLOCKS:
+        clocks = {"A1": b1, "B1": b1, "A2": b2, "B2": b2}
+        for strategy in CHUNK_GOLDEN_STRATEGIES:
+            for seed, bit in ((1, 0), (2, 1)):
+                t, rep = run_simulation(plan, clocks=clocks, strategy=strategy,
+                                        seed=seed, bit=bit)
+                h.update(transcript_to_bytes(t))
+                h.update(json.dumps(asdict(rep), sort_keys=True).encode())
+    assert h.hexdigest() == CHUNK_GOLDEN_DIGEST
+
+
+def test_aborted_run_builds_only_what_it_reaches():
+    """A relay run aborts at round 2, so it converts about one chunk of
+    rounds to the global frame, not all 2m+3 round and reveal times."""
+    calls = [0]
+
+    class CountingClock(ClockModel):
+        def global_at_local(self, local_ns):
+            calls[0] += 1
+            return super().global_at_local(local_ns)
+
+    clocks = {agent: CountingClock(offset_ns=offset, rate=rate, discipline="pps")
+              for agent, offset, rate in (("A1", 37, 3e-9), ("A2", -53, -4e-9),
+                                          ("B1", 71, 2e-9), ("B2", -29, -5e-9))}
+    plan = small_plan(10_000, n=8)
+    _, rep = run_simulation(plan, clocks=clocks, strategy=AdversaryStrategy("relay"),
+                            seed=1, bit=0)
+    assert rep.aborted and rep.abort_round == 2
+    assert calls[0] <= 2 * (2 * SCHEDULE_CHUNK_ROUNDS + 3), calls[0]
+
+
+def test_abort_after_reveal_reports_every_pair():
+    """The reveal (round m+1 = 257, on A1's exact clock) arrives while B1's
+    clock, behind and slow, has not reached round 257; round 256 at B2 then
+    times out. The run stops before it built round 257, yet the report's
+    worst slack covers every pair through (256, 257), as an oracle taking
+    the minimum over the plan's schedule in the global frame finds."""
+    plan = small_plan(256, n=8)
+    clocks = {"B1": ClockModel(offset_ns=-20_000, rate=-2e-5),
+              "B2": ClockModel(offset_ns=-15_000)}
+    _, rep = run_simulation(plan, clocks=clocks, seed=1, bit=0, strategy=AdversaryStrategy(
+        "late-decision", target_round=256, margin_ns=-1))
+    assert rep.reveal_received and rep.aborted and rep.abort_round == 256
+
+    def global_time(k, until):
+        clk = clocks["B1" if k & 1 else "B2"]
+        return clk.global_at_local(plan.round_start_ns(k) + until)
+
+    def tau(k):
+        return plan.tau1_ns if k & 1 else plan.tau2_ns
+
+    assert rep.worst_true_slack_ns == min(
+        global_time(k, 0) + plan.t_l_ns - global_time(k + 1, tau(k + 1))
+        for k in range(1, plan.m + 1))
 
 
 # tracemalloc peak of one honest m=10^4, n=128 run with supplied tapes, on
