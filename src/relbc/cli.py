@@ -45,7 +45,7 @@ from .planner import (
     resource_plan,
     save_plan,
 )
-from .protocol import bob_verify
+from .protocol import Verdict, bob_verify
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
@@ -153,6 +153,15 @@ def cmd_tape(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_verdict(verdict: Verdict) -> int:
+    """Print the verdict line and return its exit code."""
+    if verdict.accepted:
+        print(f"ACCEPT bit={verdict.bit}")
+        return EXIT_ACCEPT
+    print(f"REJECT: {verdict.reason}")
+    return EXIT_REJECT
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     plan = _plan_for_args(args)
     strategy = AdversaryStrategy(kind=args.strategy, target_round=args.target_round,
@@ -179,13 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"complete: {report.rounds_recorded} rounds; "
               f"audit {'ok' if audit.ok else 'VIOLATIONS'}; "
               f"worst slack {audit.worst_slack_ns} ns")
-        verdict = bob_verify(transcript)
-        if verdict.accepted:
-            print(f"ACCEPT bit={verdict.bit}")
-            code = EXIT_ACCEPT
-        else:
-            print(f"REJECT: {verdict.reason}")
-            code = EXIT_REJECT
+        code = _print_verdict(bob_verify(transcript))
     print(f"transcript -> {out}\naudit      -> {audit_path}")
     _write_manifest(args, [str(out), str(audit_path)], plan.plan_hash, seeds=[args.seed])
     return code
@@ -201,12 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rate = stats.rounds_per_second
     print(f"rounds: {stats.rounds}   time: {stats.seconds:.3f} s   "
           f"throughput: {rate:,.0f} rounds/s")
-    if verdict.accepted:
-        print(f"ACCEPT bit={verdict.bit}")
-        code = EXIT_ACCEPT
-    else:
-        print(f"REJECT: {verdict.reason}")
-        code = EXIT_REJECT
+    code = _print_verdict(verdict)
     _write_manifest(args, [], None)
     return code
 
