@@ -22,8 +22,6 @@ from .field import (
     FieldSpec,
     NonInvertibleError,
     batch_inverse,
-    gf2_8,
-    gf2_128,
 )
 from .planner import (
     InfeasibleGeometryError,

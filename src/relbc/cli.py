@@ -55,7 +55,15 @@ from .storage import (
     verify_file,
     write_transcript,
 )
-from .transport import EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, SessionConfig, run_agent
+from .transport import (
+    EXIT_ABORT,
+    EXIT_ACCEPT,
+    EXIT_REJECT,
+    EXIT_USAGE,
+    SessionConfig,
+    TransportError,
+    run_agent,
+)
 
 CASE1_ROUNDS = 5_068_218_630  # resource_plan(case1).m, the 24 h round count
 
@@ -110,9 +118,9 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     overrides = {}
     if getattr(args, "duration", None):
         overrides["T"] = parse_duration(args.duration, year_days=args.year_days)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         overrides["n"] = args.n
-    if getattr(args, "rounds", None):
+    if getattr(args, "rounds", None) is not None:
         overrides["T"] = _duration_for_rounds(cfg, args.rounds)
     if overrides:
         cfg = SpacetimeConfig(**{**cfg.to_dict(), **overrides})
@@ -209,17 +217,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    peers = {}
-    for spec_str in args.peer or []:
-        role, _, addr = spec_str.partition("=")
+def _addresses(args: argparse.Namespace) -> tuple[tuple[str, int] | None,
+                                                 dict[str, tuple[str, int]]]:
+    """The --listen address and the --peer map; a value without a port in
+    0..65535 after its last colon raises TransportError."""
+    def address(flag: str, value: str, addr: str) -> tuple[str, int]:
         host, _, port = addr.rpartition(":")
-        peers[role] = (host, int(port))
-    listen = None
-    if args.listen:
-        host, _, port = args.listen.rpartition(":")
-        listen = (host, int(port))
+        if not port.isdecimal() or int(port) > 65535:
+            form = "ROLE=HOST:PORT" if flag == "--peer" else "HOST:PORT"
+            raise TransportError(f"{flag} {value!r}: expected {form} with a port in 0..65535")
+        return host, int(port)
+
+    peers = {}
+    for value in args.peer or []:
+        role, _, addr = value.partition("=")
+        peers[role] = address("--peer", value, addr)
+    listen = address("--listen", args.listen, args.listen) if args.listen else None
+    return listen, peers
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    listen, peers = _addresses(args)
+    plan = load_plan(args.plan)
     cfg = SessionConfig(
         role=args.role,
         plan=plan,
@@ -362,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .transport import TransportError
-
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

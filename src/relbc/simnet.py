@@ -21,8 +21,10 @@ through a small heap, and the two are merged by (time, sequence). A clock
 with zero rate is a pure offset and converts in closed form; a drifting clock
 is inverted by iterating its drift estimate until it settles, then stepping
 to the exact crossing. A committer whose clock reaches the reveal before she
-has answered her rounds ends the run as an `early-reveal` abort. Parallelism
-is only across independent runs (`run_many`).
+has answered her rounds ends the run as an `early-reveal` abort, and so does
+a reveal that reaches its verifier before round m+1 opens there: the reveal
+keeps the answer rule 0 <= received - issued <= tau. Parallelism is only
+across independent runs (`run_many`).
 """
 
 from __future__ import annotations
@@ -470,7 +472,10 @@ def run_simulation(plan: ProtocolPlan,
         elif kind == _EV_REVEAL_ARRIVE:
             received_local = b_local_at[reveal_station](t)
             transcript.reveal_received_at = received_local
-            if received_local - issue_local[reveal_round] > tau[reveal_station]:
+            turnaround = received_local - issue_local[reveal_round]
+            if turnaround < 0:  # before round m+1 opens at its verifier
+                do_abort(k, ABORT_EARLY_REVEAL)
+            elif turnaround > tau[reveal_station]:
                 do_abort(k, ABORT_DEADLINE)
             else:
                 reveal_received = True
@@ -492,11 +497,10 @@ def run_simulation(plan: ProtocolPlan,
         aborted, abort_round, abort_reason = True, reveal_round, ABORT_TIMEOUT
 
     # global-frame diagnostics over the pairs and rounds the run reached; a
-    # run that aborts after the reveal arrived may not have built them all
+    # run builds round m+1 before the reveal can land inside its window
     worst_slack: int | None = None
     last_pair = reveal_round if (reveal_received or not aborted) else len(rounds)
-    while next_k <= last_pair:
-        build_chunk()
+    assert next_k > last_pair
     for k, slack in slack_steps:
         if k >= last_pair:
             break

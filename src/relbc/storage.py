@@ -16,11 +16,14 @@ with memory independent of its length.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
-Every reader checks that the body holds exactly the elements or records the
-header counts, and rejects an element that exceeds the field's n bits. Each
-header has one valid encoding: the polynomial takes (n+7)//8 bytes, the
-reveal flag is 0 or 1, and behind flag 0 the bit, a_m and timestamp are 0.
-So writing back what a reader returned rebuilds the file byte for byte.
+Each header names a field of the `relbc.field` table: a width in
+`DEFAULT_POLYS` followed by exactly that width's polynomial in n/8 bytes;
+any other width or polynomial is a format error. Every table width fills
+whole bytes, so every element a body can hold is a field element. Every
+reader checks that the body holds exactly the elements or records the header
+counts. Each header has one valid encoding: the reveal flag is 0 or 1, and
+behind flag 0 the bit, a_m and timestamp are 0. So writing back what a
+reader returned rebuilds the file byte for byte.
 """
 
 from __future__ import annotations
@@ -100,20 +103,23 @@ def _check_body(path, base: int, count: int, item_size: int,
 
 
 def _poly_bytes(spec: FieldSpec) -> bytes:
-    """The reduction polynomial as a header stores it: (n+7)//8 bytes."""
+    """The reduction polynomial as a header stores it: n/8 bytes."""
     return spec.poly.to_bytes(spec.element_bytes, "little")
 
 
 def _header_spec(n: int, poly_bytes: bytes, error: type[StorageError], where) -> FieldSpec:
-    """The field a file header names, or `error` if it names no valid field
-    or stores its polynomial in other than `_poly_bytes` length."""
+    """The table field a file header names, or `error` unless the header
+    names a table width and carries exactly that width's `_poly_bytes`."""
     try:
-        spec = FieldSpec(n, int.from_bytes(poly_bytes, "little"))
+        spec = FieldSpec(n)
     except FieldError as exc:
         raise error(f"{where}: bad field in header: {exc}") from exc
     if len(poly_bytes) != spec.element_bytes:
         raise error(f"{where}: polynomial field is {len(poly_bytes)} bytes, "
                     f"n={n} needs {spec.element_bytes}")
+    if poly_bytes != _poly_bytes(spec):
+        raise error(f"{where}: bad field in header: polynomial "
+                    f"0x{int.from_bytes(poly_bytes, 'little'):x} is not n={n}'s 0x{spec.poly:x}")
     return spec
 
 
@@ -225,8 +231,8 @@ class TapeReader:
         self._f.seek(self._base + index * self.spec.element_bytes)
 
     def read(self) -> int:
-        """Next element; raises on exhaustion, a short read, an element that
-        exceeds n bits, or a zero in a challenge tape."""
+        """Next element; raises on exhaustion, a short read, or a zero in a
+        challenge tape."""
         if self._index >= self.count:
             raise TapeFormatError(f"{self.path}: tape exhausted at element {self.count}")
         eb = self.spec.element_bytes
@@ -236,9 +242,6 @@ class TapeReader:
                 f"{self.path}: short read at element {self._index}"
             )
         v = int.from_bytes(data, "little")
-        if v > self.spec.mask:
-            raise TapeFormatError(
-                f"{self.path}: element {self._index} exceeds {self.spec.n} bits")
         if self._nonzero and v == 0:
             raise TapeFormatError(f"{self.path}: challenge element {self._index} is zero")
         self._index += 1
@@ -378,8 +381,6 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     if reveal_flag > 1:
         raise TranscriptFormatError(f"reveal flag is {reveal_flag}, not 0 or 1")
     a_m = int.from_bytes(_read_exact(f, spec.element_bytes, "reveal payload"), "little")
-    if a_m > spec.mask:
-        raise TranscriptFormatError(f"revealed a_m exceeds {spec.n} bits")
     (reveal_at,) = struct.unpack(">q", _read_exact(f, 8, "reveal timestamp"))
     if not reveal_flag and (bit or a_m or reveal_at):
         raise TranscriptFormatError("reveal fields are set behind reveal flag 0")
@@ -403,32 +404,16 @@ def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[tuple]]]:
     """The header of transcript file `f` (see `read_transcript_header`), its
     round count, checked against the file's size, and an iterator over its
     round records as blocks of `RoundRecord.row` tuples, read front to back
-    `VERIFY_BLOCK_ROUNDS` at a time.
-
-    A record with an element of n bits or more ends the iteration with
-    TranscriptFormatError, after a block of the records before it, so that a
-    fault the verifier meets first still settles the verdict."""
+    `VERIFY_BLOCK_ROUNDS` at a time."""
     header, count = read_transcript_header(f)
-    spec = header.spec
-    eb = spec.element_bytes
-    top = spec.n % 8  # bits an element may use in its last byte; 0 means all
-    record = _record_struct(eb)
+    record = _record_struct(header.spec.element_bytes)
     _check_body(path, f.tell(), count, record.size, TranscriptFormatError)
 
     def blocks() -> Iterator[list[tuple]]:
         done = 0
         while done < count:
             want = min(count - done, VERIFY_BLOCK_ROUNDS)
-            rows = list(record.iter_unpack(_read_exact(f, want * record.size, "round records")))
-            if top:
-                for i, row in enumerate(rows):
-                    xy = row[2]
-                    if (xy[eb - 1] | xy[-1]) >> top:  # the last bytes of x and y
-                        yield rows[:i]
-                        raise TranscriptFormatError(
-                            f"{path}: round {done + i + 1} has an element that exceeds "
-                            f"{spec.n} bits")
-            yield rows
+            yield list(record.iter_unpack(_read_exact(f, want * record.size, "round records")))
             done += want
 
     return header, count, blocks()

@@ -331,8 +331,6 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
                            min(size, end))
     records = [RoundRecord.from_row(row, eb)
                for row in _record_struct(eb).iter_unpack(payload[_U32.size:flag_at])]
-    if any((rec.challenge | rec.answer) > spec.mask for rec in records):
-        raise _bad_payload(f"a record element exceeds {spec.n} bits", _U32.size)
     if not flag:
         return records, None, 0
     reveal = _parse_reveal(spec, payload[flag_at + 1:end - _I64.size], flag_at + 1)

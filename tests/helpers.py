@@ -28,6 +28,17 @@ def schoolbook_mul(a: int, b: int, n: int, poly: int) -> int:
     return p
 
 
+def with_header_field(data: bytes, n_at: int, n: int, poly: int) -> bytes:
+    """Tape or transcript file bytes `data` with the header's field renamed
+    to width `n` and polynomial `poly`, which keeps the stored polynomial's
+    byte length. `n_at` is the offset of the header's 4-byte width, which
+    the 2-byte polynomial length and the polynomial follow."""
+    start = n_at + 6
+    size = int.from_bytes(data[n_at + 4:start], "big")
+    return (data[:n_at] + n.to_bytes(4, "big") + data[n_at + 4:start]
+            + poly.to_bytes(size, "little") + data[start + size:])
+
+
 def backward_chain(spec: FieldSpec, rounds: list[RoundRecord], a_m: int) -> list[int]:
     """a_0..a_m by the paper's recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from
     the revealed a_m, the oracle for the forward verifier; an honest chain

@@ -16,7 +16,7 @@ import time
 import tracemalloc
 
 from relbc.cli import main as cli_main
-from relbc.field import gf2_8, gf2_128
+from relbc.field import FieldSpec
 from relbc.planner import (
     SECONDS_PER_DAY,
     SpacetimeConfig,
@@ -45,8 +45,8 @@ from helpers import plan_grid, random_tapes, schoolbook_mul, small_plan, stall_c
 DAY = SECONDS_PER_DAY
 YEAR_DAYS = 365.0  # documented year convention (365.25 also accepted, see test 4)
 
-S8 = gf2_8()
-S128 = gf2_128()
+S8 = FieldSpec(8)
+S128 = FieldSpec(128)
 
 _WORKERS = max(2, min(4, os.cpu_count() or 1))
 

@@ -7,18 +7,19 @@ import pytest
 
 from relbc import cli
 from relbc.cli import CASE1_ROUNDS, main
-from relbc.field import gf2_8
-from relbc.planner import load_plan, save_plan
+from relbc.field import FieldSpec
+from relbc.planner import PlannerError, load_plan, save_plan
 from relbc.protocol import Verdict, run_honest_protocol
 from relbc.storage import (
     TapeReader,
     VerifyStats,
     read_transcript,
+    transcript_to_bytes,
     verify_file,
     write_transcript,
 )
 
-from helpers import random_tapes, small_plan
+from helpers import random_tapes, small_plan, with_header_field
 
 
 @pytest.fixture()
@@ -122,8 +123,36 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and f"{other} tape" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--peer", "B1=nohost"), ("--peer", "B1"), ("--listen", "127.0.0.1:99999")])
+    def test_bad_address_exit_1(self, in_tmp, capsys, flag, value):
+        save_plan(small_plan(8, n=128), in_tmp / "plan.json")
+        code, _, err = run_cli(capsys, "run", "--role", "B2", "--plan", "plan.json",
+                               "--challenges", "x.tape", flag, value)
+        assert code == 1
+        assert err.startswith(f"error: {flag} {value!r}")
+
 
 class TestSimulateAndVerify:
+    @pytest.mark.parametrize("flag", ["--rounds", "--n"])
+    def test_zero_override_reaches_planner(self, flag):
+        """A 0 is an override, not an unset flag: the planner refuses it
+        rather than plan case-1's 24 h run."""
+        args = cli.build_parser().parse_args(["simulate", flag, "0", "--out", "t.rbcx"])
+        with pytest.raises(PlannerError):
+            cli._plan_for_args(args)
+
+    @pytest.mark.parametrize("width, n, poly", [(16, 12, 0x9), (128, 128, 0x85)],
+                             ids=["n12", "n128-0x85"])
+    def test_verify_field_outside_table_exit_1(self, in_tmp, capsys, width, n, poly):
+        spec = FieldSpec(width)
+        data = transcript_to_bytes(
+            run_honest_protocol(spec, *random_tapes(spec, 4, seed=1), 1))
+        (in_tmp / "t.rbcx").write_bytes(with_header_field(data, 38, n, poly))
+        code, out, err = run_cli(capsys, "verify", "t.rbcx")
+        assert code == 1 and "ACCEPT" not in out
+        assert err.startswith("error:") and "bad field" in err
+
     def test_honest_then_verify(self, in_tmp, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--strategy", "honest",
                                "--rounds", "1000", "--n", "8", "--seed", "3",
@@ -191,7 +220,7 @@ class TestSimulateAndVerify:
     def test_verify_hashless_file_under_plan_exit_1(self, in_tmp, capsys):
         """A file with no plan hash does not show which plan it ran under, so
         `--plan` refuses it."""
-        spec = gf2_8()
+        spec = FieldSpec(8)
         write_transcript(run_honest_protocol(spec, *random_tapes(spec, 20, seed=1), 1),
                          in_tmp / "t.rbcx")
         save_plan(small_plan(20), in_tmp / "plan.json")

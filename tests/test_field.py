@@ -12,45 +12,48 @@ from relbc.field import (
     FieldSpec,
     NonInvertibleError,
     batch_inverse,
-    gf2_8,
-    gf2_128,
 )
 
 from helpers import schoolbook_mul
 
-S8 = gf2_8()
-S128 = gf2_128()
+S8 = FieldSpec(8)
+S128 = FieldSpec(128)
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two GF(2) polynomials, ints as bit vectors."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
 
 
 class TestFieldSpec:
     def test_known_polys_accepted(self):
+        """The table is n = 8..128 and each polynomial f is irreducible, by
+        Rabin's test: x^(2^n) = x mod f, and x^(2^(n/2)) - x shares no
+        factor with f (2 is the only prime dividing a power-of-two n)."""
+        assert sorted(DEFAULT_POLYS) == [8, 16, 32, 64, 128]
         for n, poly in DEFAULT_POLYS.items():
-            FieldSpec(n, poly)
-
-    def test_reducible_poly_rejected(self):
-        # x^8 + 1 = (x + 1)^8 over GF(2)
-        with pytest.raises(FieldError):
-            FieldSpec(8, 0x01)
-        # divisible by x
-        with pytest.raises(FieldError):
-            FieldSpec(8, 0x1A)
-
-    def test_unknown_large_poly_rejected(self):
-        with pytest.raises(FieldError):
-            FieldSpec(128, 0x87 ^ 0x2)
-
-    def test_degree_must_fit(self):
-        with pytest.raises(FieldError):
-            FieldSpec(8, 1 << 8)
+            spec = FieldSpec(n)
+            assert spec.poly == poly and spec.element_bytes * 8 == n
+            r = 2  # x
+            for i in range(n):
+                if i == n // 2:
+                    half = r
+                r = schoolbook_mul(r, r, n, poly)
+            assert r == 2 and _gf2_gcd(poly | 1 << n, half ^ 2) == 1
 
     def test_bad_width(self):
-        for n in (0, -1, 2000):
+        """Only table widths: no spare-bit width such as 12, and no 256."""
+        for n in (0, -1, 12, 256, 2000, 8.0, "8"):
             with pytest.raises(FieldError):
-                FieldSpec(n, 0x3)
+                FieldSpec(n)
 
     def test_equality_is_by_value(self):
-        assert FieldSpec(8, 0x1B) == gf2_8()
-        assert FieldSpec(8, 0x1B) != FieldSpec(128, 0x87)
+        assert FieldSpec(8) == S8 and hash(FieldSpec(8)) == hash(S8)
+        assert FieldSpec(8) != FieldSpec(128)
 
 
 class TestMul:
@@ -72,7 +75,7 @@ class TestMul:
         rng = random.Random(3)
         for _ in range(500):
             a, b = S128.random_int(rng), S128.random_int(rng)
-            assert S128.mul(a, b) == S128._mul_generic(a, b)
+            assert S128.mul(a, b) == schoolbook_mul(a, b, 128, 0x87)
 
     def test_oracle_sample_n128(self):
         rng = random.Random(4)
@@ -212,14 +215,14 @@ class TestFieldElement:
             S128.decode(b"\x00" * 15)
 
 
-SPREAD_SPECS = [FieldSpec(n, poly) for n, poly in DEFAULT_POLYS.items() if n <= 255]
+TABLE_SPECS = [FieldSpec(n) for n in DEFAULT_POLYS]
 
 
 @st.composite
 def spread_operands(draw):
-    """A field with a spread fast path, and two operands that include the
-    edge values 0, 1 and the all-ones mask."""
-    spec = draw(st.sampled_from(SPREAD_SPECS))
+    """A table field, and two operands that include the edge values 0, 1
+    and the all-ones mask."""
+    spec = draw(st.sampled_from(TABLE_SPECS))
     value = st.one_of(st.sampled_from([0, 1, spec.mask]), st.integers(0, spec.mask))
     return spec, draw(value), draw(value)
 
@@ -227,21 +230,17 @@ def spread_operands(draw):
 @settings(max_examples=500, deadline=None)
 @given(spread_operands())
 def test_spread_mul_matches_generic(operands):
-    """The spread fast path and the shift-and-reduce path give one product
-    in every field the fast path serves."""
+    """The spread multiply and the schoolbook shift-and-reduce oracle give
+    one product in every table field."""
     spec, a, b = operands
-    assert spec._spread_ok
-    assert spec.mul(a, b) == spec._mul_generic(a, b)
-
-
-FOLD_SPECS = [FieldSpec(n, poly) for n, poly in DEFAULT_POLYS.items()] + [FieldSpec(12, 0x9)]
+    assert spec.mul(a, b) == schoolbook_mul(a, b, spec.n, spec.poly)
 
 
 @st.composite
 def fold_blocks(draw):
-    """A field (n = 256 takes the fallback), a start value of 0, 1 or any,
-    and a block of 0, 1 or many (x, y) pairs in which x is often 0."""
-    spec = draw(st.sampled_from(FOLD_SPECS))
+    """A table field, a start value of 0, 1 or any, and a block of 0, 1 or
+    many (x, y) pairs in which x is often 0."""
+    spec = draw(st.sampled_from(TABLE_SPECS))
     value = st.integers(0, spec.mask)
     a = draw(st.one_of(st.sampled_from([0, 1]), value))
     count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from relbc.field import NonInvertibleError, gf2_8, gf2_128
+from relbc.field import FieldSpec, NonInvertibleError
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
@@ -25,8 +25,8 @@ from relbc.protocol import (
 
 from helpers import backward_chain, random_tapes, schoolbook_mul
 
-S8 = gf2_8()
-S128 = gf2_128()
+S8 = FieldSpec(8)
+S128 = FieldSpec(128)
 
 
 def commit_answer(spec, x1, a1, d):

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbc.field import FieldSpec, gf2_8
+from relbc.field import FieldSpec
 from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
 from relbc.protocol import REJECT_ABORTED, bob_verify
 from relbc.simnet import (
@@ -42,7 +42,7 @@ class TestDeterminism:
         assert transcript_to_bytes(t1) != transcript_to_bytes(t2)
 
     def test_explicit_tapes_used(self):
-        tapes = make_tapes(PLAN8, gf2_8(), 123)
+        tapes = make_tapes(PLAN8, FieldSpec(8), 123)
         t1, _ = run_simulation(PLAN8, seed=0, bit=0, tapes=tapes)
         t2, _ = run_simulation(PLAN8, seed=999, bit=0, tapes=tapes)
         assert [(r.challenge, r.answer) for r in t1.rounds] == \
@@ -242,6 +242,21 @@ class TestClocks:
         assert (t.abort_round, t.abort_reason) == (plan.m + 1, ABORT_EARLY_REVEAL)
         assert bob_verify(t).reason == REJECT_ABORTED
 
+    @pytest.mark.parametrize("ahead_ns", [1, 20_000])
+    def test_reveal_before_its_round_opens_is_an_abort(self, ahead_ns):
+        """A committer clock ahead of her station's by less than a round
+        interval answers every round, but her reveal reaches the station
+        before round m+1 opens there: a negative turnaround is an early
+        reveal, not extra slack."""
+        plan = small_plan(200, n=8)
+        t, rep = run_simulation(plan, clocks={"A1": ClockModel(offset_ns=ahead_ns)},
+                                seed=1, bit=0)
+        assert rep.aborted and not rep.reveal_received
+        assert (rep.abort_round, rep.abort_reason) == (plan.m + 1, ABORT_EARLY_REVEAL)
+        assert t.reveal_received_at == plan.round_start_ns(plan.m + 1) - ahead_ns
+        assert t.status == "aborted" and t.reveal is None
+        assert bob_verify(t).reason == REJECT_ABORTED
+
 
 # Output pin for the simulator: the sha256 of every transcript and report on
 # this grid, computed before the event loop and clock model were last
@@ -332,17 +347,21 @@ def test_aborted_run_builds_only_what_it_reaches():
 
 
 def test_abort_after_reveal_reports_every_pair():
-    """The reveal (round m+1 = 257, on A1's exact clock) arrives while B1's
-    clock, behind and slow, has not reached round 257; round 256 at B2 then
-    times out. The run stops before it built round 257, yet the report's
-    worst slack covers every pair through (256, 257), as an oracle taking
-    the minimum over the plan's schedule in the global frame finds."""
+    """The reveal (round m+1 = 257) leaves A1, 300 m from B1 on an exact
+    clock, and lands inside round 257's window on B1's clock, which is
+    behind A1's by less than the travel time and slow; round 256 at B2, far
+    behind, then times out. The report's worst slack covers every pair
+    through (256, 257), as an oracle taking the minimum over the plan's
+    schedule in the global frame finds."""
     plan = small_plan(256, n=8)
-    clocks = {"B1": ClockModel(offset_ns=-20_000, rate=-2e-5),
-              "B2": ClockModel(offset_ns=-15_000)}
-    _, rep = run_simulation(plan, clocks=clocks, seed=1, bit=0, strategy=AdversaryStrategy(
-        "late-decision", target_round=256, margin_ns=-1))
+    clocks = {"B1": ClockModel(offset_ns=-500, rate=-2e-5),
+              "B2": ClockModel(offset_ns=-20_000)}
+    t, rep = run_simulation(plan, clocks=clocks, seed=1, bit=0,
+                            placements={"A1": 300.0, "A2": plan.config.L},
+                            strategy=AdversaryStrategy("late-decision", target_round=256,
+                                                       margin_ns=-1))
     assert rep.reveal_received and rep.aborted and rep.abort_round == 256
+    assert 0 <= t.reveal_received_at - plan.round_start_ns(257) <= plan.tau1_ns
 
     def global_time(k, until):
         clk = clocks["B1" if k & 1 else "B2"]

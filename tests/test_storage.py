@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbc.field import FieldSpec, gf2_8, gf2_128
+from relbc.field import FieldSpec
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
-    REJECT_MALFORMED,
     REJECT_TIMING,
-    RevealMessage,
     bob_verify,
     run_honest_protocol,
 )
@@ -36,11 +34,16 @@ from relbc.storage import (
     write_transcript,
 )
 
-from helpers import random_tapes, small_plan
+from helpers import random_tapes, small_plan, with_header_field
 
-S8 = gf2_8()
-S128 = gf2_128()
-S12 = FieldSpec(12, 0x9)  # x^12 + x^3 + 1: 2-byte elements with 4 spare bits
+S8 = FieldSpec(8)
+S128 = FieldSpec(128)
+
+# (table width a file is written at, width and polynomial its header then
+# names): a spare-bit width, a polynomial other than the table's, and a
+# reducible one (x^8 + 1 = (x + 1)^8)
+OUTSIDE_TABLE = pytest.mark.parametrize("width, n, poly", [
+    (16, 12, 0x9), (128, 128, 0x85), (8, 8, 0x01)], ids=["n12", "n128-0x85", "n8-0x01"])
 
 
 class TestTapeFiles:
@@ -136,19 +139,19 @@ class TestTapeFiles:
             generate_tape(plan, "nope", path, seed=1)
 
     def test_element_beyond_n_bits(self, tmp_path):
-        """0x1003 has bit 12 set: the writer refuses it, and the reader
-        refuses it when a file holds it anyway."""
+        """0x103 has bit 8 set: the writer refuses it rather than store it
+        in more than an n=8 element's one byte."""
         path = tmp_path / "t.tape"
-        with pytest.raises(StorageError, match="exceeds 12 bits"):
-            write_tape(path, S12, "alice-secrets", iter([1, 0x1003, 2]), 3)
-        write_tape(path, S12, "alice-secrets", iter([1, 0x0003, 2]), 3)
-        data = bytearray(path.read_bytes())
-        data[-3] = 0x10  # element 1's high byte
-        path.write_bytes(bytes(data))
-        with TapeReader(path) as r:
-            assert r.read() == 1
-            with pytest.raises(TapeFormatError, match="element 1 exceeds 12 bits"):
-                r.read()
+        with pytest.raises(StorageError, match="element 1 exceeds 8 bits"):
+            write_tape(path, S8, "alice-secrets", iter([1, 0x103, 2]), 3)
+
+    @OUTSIDE_TABLE
+    def test_header_outside_table_is_format_error(self, tmp_path, width, n, poly):
+        path = tmp_path / "t.tape"
+        write_tape(path, FieldSpec(width), "alice-secrets", iter([1, 2]), 2)
+        path.write_bytes(with_header_field(path.read_bytes(), 6, n, poly))
+        with pytest.raises(TapeFormatError, match="bad field"):
+            TapeReader(path)
 
     def test_zero_challenge_read_is_format_error(self, tmp_path):
         path = tmp_path / "x.tape"
@@ -194,7 +197,7 @@ class TestSizing:
 
 
 def _transcript(m=20, n=8, seed=0, d=1):
-    spec = {8: S8, 12: S12, 128: S128}[n]
+    spec = FieldSpec(n)
     secrets, challenges = random_tapes(spec, m, seed=seed)
     return run_honest_protocol(spec, secrets, challenges, d)
 
@@ -347,38 +350,17 @@ class TestTranscriptFiles:
         with pytest.raises(TranscriptFormatError, match="trailing"):
             verify_file(path)
 
-    @pytest.mark.parametrize("where", ["challenge", "answer", "reveal"])
-    def test_non_canonical_element_is_format_error(self, tmp_path, where):
-        """An element stored with a bit at or above n (here x XOR the full
-        polynomial, the same residue) is rejected, as the wire parser does."""
-        t = _transcript(m=6, n=12)
-        if where == "reveal":
-            t.reveal = RevealMessage(t.reveal.bit, t.reveal.final_secret ^ S12.full_poly)
-        else:
-            rec = t.rounds[2]
-            setattr(rec, where, getattr(rec, where) ^ S12.full_poly)
+    @OUTSIDE_TABLE
+    def test_header_outside_table_is_format_error(self, tmp_path, width, n, poly):
+        """A header must name a table field; so no file whose elements have
+        spare bits, or that uses another polynomial, is ever read."""
         path = tmp_path / "t.rbcx"
-        write_transcript(t, path)
-        with pytest.raises(TranscriptFormatError, match="exceeds 12 bits"):
+        data = transcript_to_bytes(_transcript(m=4, n=width))
+        path.write_bytes(with_header_field(data, 38, n, poly))
+        with pytest.raises(TranscriptFormatError, match="bad field"):
             read_transcript(path)
-        with pytest.raises(TranscriptFormatError, match="exceeds 12 bits"):
+        with pytest.raises(TranscriptFormatError, match="bad field"):
             verify_file(path)
-
-    @pytest.mark.parametrize("wide, station", [(4, 2), (2, 4)])
-    def test_first_of_wide_element_and_malformed_round_decides(self, tmp_path, wide,
-                                                               station):
-        """Within one read block, a wide element and a malformed round are
-        met in file order: the earlier one raises or rejects."""
-        t = _transcript(m=6, n=12)
-        t.rounds[wide].answer ^= S12.full_poly
-        t.rounds[station].station = 3 - t.rounds[station].station
-        path = tmp_path / "t.rbcx"
-        write_transcript(t, path)
-        if station < wide:
-            assert verify_file(path)[0].reason == REJECT_MALFORMED
-        else:
-            with pytest.raises(TranscriptFormatError, match="round 3 has an element"):
-                verify_file(path)
 
     @pytest.mark.parametrize("count", [2**40, 2**62])
     def test_round_count_beyond_body_is_format_error(self, tmp_path, count):

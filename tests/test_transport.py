@@ -216,8 +216,8 @@ class TestLoopback:
 
 from relbc import transport as T  # noqa: E402
 
+S8 = FieldSpec(8)
 S128 = FieldSpec(128)
-S12 = FieldSpec(12, 0x9)  # x^12 + x^3 + 1: 2-byte elements with 4 spare bits
 
 
 class TestMalformedPayloads:
@@ -245,9 +245,10 @@ class TestMalformedPayloads:
             T._parse_records(good + b"\x00", S128)
 
     def test_records_element_wider_than_field(self):
-        rec = RoundRecord(2, 2, 1 << 12, 0, 0, 0)  # x^12 does not fit n=12
+        """A record of n=16 elements does not fit an n=8 session's layout."""
+        rec = RoundRecord(2, 2, 1 << 8, 0, 0, 0)
         with pytest.raises(MalformedFrameError):
-            T._parse_records(T._records_payload([rec], S12, None, 0), S12)
+            T._parse_records(T._records_payload([rec], FieldSpec(16), None, 0), S8)
 
     def test_verdict_short(self):
         with pytest.raises(MalformedFrameError):
@@ -279,7 +280,7 @@ class TestMalformedPayloads:
 
 def _records_like(spec):
     """Payloads with a plausible RECORDS shape, so the property also reaches
-    the flag, the reveal and the element-width checks."""
+    the flag and the reveal checks."""
     rec_size = T._record_size(spec.element_bytes)
     return st.integers(0, 3).flatmap(lambda count: st.builds(
         lambda body, tail: struct.pack(">I", count) + body + tail,
@@ -291,16 +292,16 @@ _PARSERS = {
     "decode_frame": decode_frame,
     "hello": lambda b: T._parse_hello(b),
     "schedule": lambda b: T._parse_schedule(b),
-    "element": lambda b: T._parse_element(S12, b),
-    "reveal": lambda b: T._parse_reveal(S12, b),
-    "records": lambda b: T._parse_records(b, S12),
+    "element": lambda b: T._parse_element(S8, b),
+    "reveal": lambda b: T._parse_reveal(S8, b),
+    "records": lambda b: T._parse_records(b, S8),
     "verdict": lambda b: T._parse_verdict(b),
 }
 
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(_PARSERS)),
-       data=st.one_of(st.binary(max_size=80), _records_like(S12)))
+       data=st.one_of(st.binary(max_size=80), _records_like(S8)))
 def test_parsers_return_or_raise_malformed(name, data):
     try:
         _PARSERS[name](data)

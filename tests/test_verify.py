@@ -4,7 +4,7 @@ backward recursion agree, faults and all."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relbc.field import NonInvertibleError, gf2_8
+from relbc.field import FieldSpec, NonInvertibleError
 from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
@@ -22,7 +22,7 @@ from relbc.storage import VERIFY_BLOCK_ROUNDS, read_transcript, verify_file, wri
 
 from helpers import backward_chain, random_tapes
 
-S8 = gf2_8()
+S8 = FieldSpec(8)
 TAU_NS = 1_000
 
 
