@@ -8,8 +8,9 @@ Subcommands:
               and verify a completed transcript
     run       run one live agent (A1/A2/B1/B2) over TCP
     verify    stream-verify a transcript file
-    bench     time `verify_file` on a generated honest n=128 file and project
-              the wall time of verifying case-1's 24 h transcript
+    bench     time `generate_honest_transcript_file` and `verify_file` on an
+              honest n=128 file and project the wall time of verifying
+              case-1's 24 h transcript
 
 Exit codes are stable for scripting: 0 success/accept, 1 usage or config
 error, 2 protocol abort, 3 verification reject. Every command writes a run
@@ -25,6 +26,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -45,14 +47,16 @@ from .planner import (
     resource_plan,
     save_plan,
 )
-from .protocol import Verdict, bob_verify
+from .protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, Verdict, bob_verify
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
     StorageError,
+    TapeReader,
     generate_honest_transcript_file,
     generate_tape,
     verify_file,
+    write_tape,
     write_transcript,
 )
 from .transport import (
@@ -275,10 +279,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec = FieldSpec(128)
     rng = random.Random(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bench.rbcx"
-        generate_honest_transcript_file(
-            path, spec, m, (spec.random_int(rng) for _ in range(m)),
-            (spec.random_int(rng, nonzero=True) for _ in range(m)), 1)
+        work = Path(tmp)
+        secrets, challenges, path = work / "a.tape", work / "x.tape", work / "bench.rbcx"
+        write_tape(secrets, spec, ROLE_ALICE_SECRETS, (spec.random_int(rng) for _ in range(m)), m)
+        write_tape(challenges, spec, ROLE_BOB_CHALLENGES,
+                   (spec.random_int(rng, nonzero=True) for _ in range(m)), m)
+        t0 = time.perf_counter()
+        with TapeReader(secrets) as a, TapeReader(challenges) as x:
+            generate_honest_transcript_file(path, spec, m, a, x, 1)
+        gen_rate = m / (time.perf_counter() - t0)
         verdict, stats = verify_file(path)
     if not verdict.accepted:
         print(f"error: the honest bench transcript was rejected: {verdict!r}",
@@ -288,10 +297,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     case1_rounds = resource_plan(_resolve_config("case1")).m
     case1_hours = case1_rounds / rate / 3600.0
     rows = {
+        "gen_rounds_per_s": gen_rate,
         "verify_rounds_per_s": rate,
         "case1_rounds": case1_rounds,
         "case1_verify_hours_projected": case1_hours,
     }
+    print(f"{'transcript-file generation':34s} {gen_rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'transcript-file verification':34s} {rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
           f"({case1_rounds:.3g} rounds)")
@@ -368,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="transcript-file verification throughput "
-                                     "and the case-1 projection")
+    p = sub.add_parser("bench", help="transcript-file generation and verification "
+                                     "throughput and the case-1 projection")
     p.add_argument("--rounds", type=int, default=20000,
                    help="rounds in the generated honest n=128 file")
     p.add_argument("--seed", type=int, default=0)

@@ -15,12 +15,15 @@ parities are the carry-less product. The spread form is built and compacted
 big-endian: the binary digits of `bin(v)`, most significant first, map byte
 for byte onto the slots, so neither conversion reverses a string.
 
-Chain kernel: `FieldSpec.fold` runs a <- x*a XOR y over a block of encoded
-(x, y) pairs. It spreads the whole block with one conversion and keeps the
-accumulator spread from the first pair to the last, compacting it once; the
+Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
+over a block of encoded (x, y) pairs, and `FieldSpec.answers` gives the
+honest answers y_j = x_j*a_{j-1} XOR a_j for a block of encoded challenges
+and secrets. Each spreads its whole input with one conversion (`_slots`)
+and keeps the running a spread from the first round to the last; `fold`
+compacts it once, `answers` compacts all its answers in one conversion. The
 product and its reduction are `_smul`'s, the same as in `mul`. The spread
-form never leaves this module: every other layer multiplies through
-`FieldSpec.mul` or folds through `FieldSpec.fold`.
+form never leaves this module: every other layer goes through `mul`,
+`fold` or `answers`.
 """
 
 from __future__ import annotations
@@ -123,25 +126,57 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         return self._compact(self._smul(self._spread(a), self._spread(b)))
 
+    def _slots(self, block: bytes) -> bytes:
+        """Every element of a block of encodings spread at once: one byte per
+        coefficient. Read little-endian, the block is one int whose binary
+        digits hold every element most significant bit first, which is the
+        spread layout, so element i of the block (counted from 1) begins i
+        element widths from the end of the result. The 0x01 byte past the
+        block keeps bin() from dropping leading zeros: three bytes from its
+        "0b1" precede the block's slots."""
+        return bin(int.from_bytes(block + b"\x01", "little")).encode().translate(_BIN_TO_SLOTS)
+
     def fold(self, a: int, pairs: bytes) -> int:
         """Run the chain a <- x*a XOR y over a block of pairs; returns the last a.
 
         `pairs` is x_1||y_1||...||x_r||y_r, each element in its canonical
-        `element_bytes` encoding. The whole block is spread at once and `a`
-        stays spread from the first pair to the last: read little-endian,
-        the block is one int whose binary digits hold every element most
-        significant bit first, which is the spread layout, so pair j sits
-        2j+1 and 2j+2 element widths from the end of the string.
+        `element_bytes` encoding. The whole block is spread by one `_slots`
+        and `a` stays spread from the first pair to the last: x_j begins 2j-1
+        and y_j 2j element widths from the end of the slots.
         """
         w = self.n  # slots per element
-        # the 0x01 byte past the block keeps bin() from dropping leading
-        # zeros: three bytes from its "0b1" precede the block's slots in s
-        s = bin(int.from_bytes(pairs + b"\x01", "little")).encode().translate(_BIN_TO_SLOTS)
+        s = self._slots(pairs)
         smul, fb = self._smul, int.from_bytes
         sa = self._spread(a)
         for j in range(len(s) - w, 3, -2 * w):  # s[j:j + w] is x, s[j - w:j] is y
             sa = smul(fb(s[j:j + w], "big"), sa) ^ fb(s[j - w:j], "big")
         return self._compact(sa)
+
+    def answers(self, a: int, xs: bytes, secrets: bytes) -> bytes:
+        """The answers y_j = x_j*a_{j-1} XOR a_j of one block, from a_0 = a.
+
+        `xs` is x_1||...||x_r and `secrets` a_1||...||a_r, each element in
+        its canonical `element_bytes` encoding; returns y_1||...||y_r in the
+        same encoding. Both inputs are spread by one `_slots`, each a_j
+        stays spread as the next round's a_{j-1}, and the r answers are
+        compacted by one conversion.
+        """
+        if len(xs) != len(secrets):
+            raise FieldError(f"{len(xs)} challenge bytes for {len(secrets)} secret bytes")
+        if not xs:
+            return b""
+        w = self.n
+        s = self._slots(xs + secrets)
+        off = 8 * len(xs)  # x_j sits this many slots after a_j
+        smul, fb = self._smul, int.from_bytes
+        sa = self._spread(a)
+        ys = []
+        for j in range(len(s) - off - w, 2, -w):  # s[j:j + w] is a round's a, s[j + off:] its x
+            sn = fb(s[j:j + w], "big")
+            ys.append(smul(fb(s[j + off:j + off + w], "big"), sa) ^ sn)
+            sa = sn
+        bits = b"".join([y.to_bytes(w, "big") for y in reversed(ys)]).translate(_SLOTS_TO_BIN)
+        return int(bits, 2).to_bytes(len(xs), "little")
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""

@@ -9,11 +9,11 @@ answer chain starts at a_0 = d, the committed bit, and has one rule:
     y_{m+1} = a_m            (reveal, together with the claimed bit)
 
 so y_1 = a_1 commits 0 and y_1 = x_1 XOR a_1 commits 1 (Lunghi et al.,
-PRL 115, 030502 (2015)). Elements are ints and products go through
-`FieldSpec.mul`. The rule is written twice, each in its own hot loop:
-`AliceAgent.handle_challenge` answers online, reading the tape by index and
-guarding the round order; `honest_round_stream` answers offline from
-iterators in constant memory.
+PRL 115, 030502 (2015)). Elements are ints. The rule is written twice,
+each in its own hot loop: `AliceAgent.handle_challenge` answers online, one
+`FieldSpec.mul` per round, reading the tape by index and guarding the round
+order; offline, `FieldSpec.answers` answers a block of rounds at a time, and
+`honest_row_blocks` feeds it from iterators in constant memory.
 
 Verification runs the chain forward from the claimed a_0 = d, one multiply
 per round: a_k = x_k * a_{k-1} XOR y_k, folded a block of rounds at a time
@@ -31,7 +31,8 @@ here (per-round answer deadlines use station-local clock deltas).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Iterator
+from itertools import islice, repeat
+from typing import Generator, Iterable, Iterator
 
 from .field import FieldSpec
 
@@ -109,6 +110,11 @@ class Tape:
         return self.elements[i]
 
 
+# A round as files, frames and `verify_rounds` carry it: (k, station, x||y,
+# issued, received), the elements in their canonical encodings.
+Row = tuple[int, int, bytes, int, int]
+
+
 @dataclass(slots=True)
 class RoundRecord:
     """One challenge/answer exchange with station-local timestamps (ns)."""
@@ -120,16 +126,14 @@ class RoundRecord:
     challenge_issued_at: int
     answer_received_at: int
 
-    def row(self, eb: int) -> tuple[int, int, bytes, int, int]:
-        """This record as a row (k, station, x||y, issued, received), the
-        elements in their canonical `eb`-byte encodings: the form files,
-        frames and `verify_rounds` carry."""
+    def row(self, eb: int) -> Row:
+        """This record as a `Row`, the elements `eb` bytes each."""
         return (self.k, self.station,
                 self.challenge.to_bytes(eb, "little") + self.answer.to_bytes(eb, "little"),
                 self.challenge_issued_at, self.answer_received_at)
 
     @classmethod
-    def from_row(cls, row: tuple[int, int, bytes, int, int], eb: int) -> "RoundRecord":
+    def from_row(cls, row: Row, eb: int) -> "RoundRecord":
         k, station, xy, issued, received = row
         return cls(k, station, int.from_bytes(xy[:eb], "little"),
                    int.from_bytes(xy[eb:], "little"), issued, received)
@@ -273,7 +277,7 @@ class AliceAgent:
 
 def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
                   reveal: RevealMessage | None,
-                  blocks: Iterable[list[tuple[int, int, bytes, int, int]]]) -> Verdict:
+                  blocks: Iterable[list[Row]]) -> Verdict:
     """Every verdict rule, in one forward pass over blocks of round rows.
 
     Each block is a list of at most `VERIFY_BLOCK_ROUNDS` `RoundRecord.row`
@@ -318,41 +322,69 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     return Verdict.reject(REJECT_BIT_MISMATCH)
 
 
+def row_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[list[Row]]:
+    """`records` as blocks of at most `VERIFY_BLOCK_ROUNDS` rows."""
+    it = iter(records)
+    while rows := [rec.row(eb) for rec in islice(it, VERIFY_BLOCK_ROUNDS)]:
+        yield rows
+
+
 def bob_verify(transcript: Transcript) -> Verdict:
     """Full verification of an in-memory transcript (see `verify_rounds`)."""
     t = transcript
-    eb, rounds = t.spec.element_bytes, t.rounds
-    blocks = ([rec.row(eb) for rec in rounds[i:i + VERIFY_BLOCK_ROUNDS]]
-              for i in range(0, len(rounds), VERIFY_BLOCK_ROUNDS))
-    return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns,
-                         t.reveal if t.is_complete else None, blocks)
+    return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns, t.reveal if t.is_complete else None,
+                         row_blocks(t.rounds, t.spec.element_bytes))
 
 
 # -- honest drive (reference harness) ------------------------------------------
 
 
-def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
-                        challenges: Iterable[int], d: int, m: int) -> Iterator[RoundRecord]:
-    """Yield the m honest RoundRecords without materializing the tapes.
+def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
+                      d: int, m: int) -> Generator[list[Row], None, int]:
+    """The m honest rounds as blocks of `RoundRecord.row` tuples, without
+    materializing the tapes; the generator's return value is a_m.
 
-    `secrets` and `challenges` are consumed lazily, so arbitrarily long
+    `secrets` and `challenges` are consumed lazily, `VERIFY_BLOCK_ROUNDS`
+    elements at a time and never past element m, so arbitrarily long
     transcripts can be generated in constant memory. The answers follow the
-    one round rule y_k = x_k * a_{k-1} XOR a_k from a_0 = d, as
-    `AliceAgent.handle_challenge` gives them. Timestamps are those of
-    `run_honest_protocol`: a synthetic schedule of 1 us per round and a
-    fixed 1 ns turnaround.
+    round rule from a_0 = d, one `FieldSpec.answers` per block. Timestamps
+    are those of `run_honest_protocol`: a synthetic schedule of 1 us per
+    round and a fixed 1 ns turnaround. A source that ends before element m
+    raises ProtocolError; the bit is checked on the call.
     """
     check_bit(d)
-    it_a = iter(secrets)
-    it_x = iter(challenges)
-    a_prev = d
-    for k in range(1, m + 1):
-        a_k = next(it_a)
-        x_k = next(it_x)
-        y = spec.mul(x_k, a_prev) ^ a_k
-        a_prev = a_k
-        issued = k * 1000
-        yield RoundRecord(k, station_of(k), x_k, y, issued, issued + 1)
+    eb = spec.element_bytes
+
+    def encoded(source: Iterator[int], count: int, name: str, k: int) -> bytes:
+        block = b"".join(map(int.to_bytes, islice(source, count), repeat(eb), repeat("little")))
+        if len(block) != count * eb:
+            raise ProtocolError(f"{name} element source exhausted at "
+                                f"{k - 1 + len(block) // eb}/{m}")
+        return block
+
+    def blocks() -> Generator[list[Row], None, int]:
+        it_a, it_x = iter(secrets), iter(challenges)
+        a = d
+        for k0 in range(1, m + 1, VERIFY_BLOCK_ROUNDS):
+            r = min(VERIFY_BLOCK_ROUNDS, m + 1 - k0)
+            sec = encoded(it_a, r, "secrets", k0)
+            xs = encoded(it_x, r, "challenge", k0)
+            ys = spec.answers(a, xs, sec)
+            a = int.from_bytes(sec[-eb:], "little")
+            yield [(k, 2 - (k & 1), xs[i:i + eb] + ys[i:i + eb], 1000 * k, 1000 * k + 1)
+                   for k, i in zip(range(k0, k0 + r), range(0, r * eb, eb))]  # station_of(k)
+        return a
+
+    return blocks()
+
+
+def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
+                        challenges: Iterable[int], d: int, m: int) -> Iterator[RoundRecord]:
+    """The rounds of `honest_row_blocks`, one `RoundRecord` each."""
+    eb = spec.element_bytes
+    for rows in honest_row_blocks(spec, secrets, challenges, d, m):
+        for row in rows:
+            yield RoundRecord.from_row(row, eb)
 
 
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int,

@@ -6,13 +6,16 @@ of `relbc.field`.
 
 Tape file ("RBCT"): header (magic, version, field, role, element count,
 seed provenance) followed by fixed-size elements. Challenge tapes contain
-only nonzero elements; the writer and the reader both enforce it.
+only nonzero elements; the writer and the reader both enforce it. A
+`TapeReader` iterates a block of elements per file read.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
 fixed-size round records (k, station, x, y, two timestamps), so any record
 can be sought in O(1) and verification streams the file forward in blocks
-with memory independent of its length.
+with memory independent of its length. Records are written a block of
+`RoundRecord.row` tuples at a time; honest generation writes the row blocks
+of `protocol.honest_row_blocks` without building a record per round.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
@@ -34,6 +37,7 @@ import random
 import struct
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -42,14 +46,17 @@ from .planner import ProtocolPlan
 from .protocol import (
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
+    ProtocolError,
     RevealMessage,
     RoundRecord,
+    Row,
     STATUS_ABORTED,
     STATUS_COMPLETE,
     Transcript,
     VERIFY_BLOCK_ROUNDS,
     Verdict,
-    honest_round_stream,
+    honest_row_blocks,
+    row_blocks,
     verify_rounds,
 )
 
@@ -64,6 +71,7 @@ PROVENANCE_ENTROPY = 0
 PROVENANCE_SEEDED = 1
 
 _WRITE_CHUNK_ELEMENTS = 1 << 14
+_READ_BLOCK_ELEMENTS = 1 << 10
 
 
 class StorageError(Exception):
@@ -228,14 +236,14 @@ class TapeReader:
         if index < 0 or index > self.count:
             raise TapeFormatError(f"seek to {index} outside 0..{self.count}")
         self._index = index
-        self._f.seek(self._base + index * self.spec.element_bytes)
 
     def read(self) -> int:
-        """Next element; raises on exhaustion, a short read, or a zero in a
-        challenge tape."""
+        """The element at the cursor, which moves past it; raises on
+        exhaustion, a short read, or a zero in a challenge tape."""
         if self._index >= self.count:
             raise TapeFormatError(f"{self.path}: tape exhausted at element {self.count}")
         eb = self.spec.element_bytes
+        self._f.seek(self._base + self._index * eb)
         data = self._f.read(eb)
         if len(data) != eb:
             raise TapeFormatError(
@@ -256,8 +264,31 @@ class TapeReader:
         return self.read()
 
     def __iter__(self) -> Iterator[int]:
+        """The elements from the cursor on, which follows each one yielded.
+
+        Reads `_READ_BLOCK_ELEMENTS` elements per file read, and a zero
+        anywhere in a challenge tape's block raises before the block's first
+        element is yielded. Moving the cursor between two elements (`seek`,
+        `read`, an index) makes the next element the one it names.
+        """
+        eb, fb = self.spec.element_bytes, int.from_bytes
         while self._index < self.count:
-            yield self.read()
+            start = self._index
+            want = min(self.count - start, _READ_BLOCK_ELEMENTS)
+            self._f.seek(self._base + start * eb)
+            data = self._f.read(want * eb)
+            if len(data) != want * eb:
+                raise TapeFormatError(
+                    f"{self.path}: short read at element {start + len(data) // eb}")
+            block = [fb(data[i:i + eb], "little") for i in range(0, len(data), eb)]
+            if self._nonzero and 0 in block:
+                raise TapeFormatError(
+                    f"{self.path}: challenge element {start + block.index(0)} is zero")
+            for index, v in enumerate(block, start + 1):
+                self._index = index
+                yield v
+                if self._index != index:  # the cursor moved: read from there
+                    break
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -284,9 +315,8 @@ def _record_size(eb: int) -> int:
     return _record_struct(eb).size
 
 
-def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
-                         round_count: int) -> None:
-    """Write the header of `t` (its own rounds are not read), then `rounds`."""
+def _write_header(f, t: Transcript, round_count: int) -> None:
+    """Write the header of `t`; its own rounds are not read."""
     spec = t.spec
     eb = spec.element_bytes
     poly_bytes = _poly_bytes(spec)
@@ -308,21 +338,28 @@ def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
         f.write(_XH_REVEAL.pack(1, t.reveal.bit))
         f.write(t.reveal.final_secret.to_bytes(eb, "little"))
         f.write(struct.pack(">q", t.reveal_received_at))
+
+
+def _write_rows(f, eb: int, blocks: Iterable[list[Row]], round_count: int) -> None:
+    """Write round records packed from `blocks` of `RoundRecord.row`
+    tuples, one write per block; there must be exactly `round_count`."""
+    pack = _record_struct(eb).pack
     written = 0
-    buf = bytearray()
-    record = _record_struct(eb)
-    chunk = _WRITE_CHUNK_ELEMENTS * record.size
-    for rec in rounds:
-        buf += record.pack(*rec.row(eb))
-        written += 1
-        if len(buf) >= chunk:
-            f.write(buf)
-            buf.clear()
-    f.write(buf)
+    for rows in blocks:
+        f.write(b"".join(starmap(pack, rows)))
+        written += len(rows)
     if written != round_count:
         raise TranscriptFormatError(
             f"round iterator produced {written} records, expected {round_count}"
         )
+
+
+def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
+                         round_count: int) -> None:
+    """Write the header of `t` (its own rounds are not read), then `rounds`."""
+    eb = t.spec.element_bytes
+    _write_header(f, t, round_count)
+    _write_rows(f, eb, row_blocks(rounds, eb), round_count)
 
 
 def write_transcript_stream(path: str | Path, spec: FieldSpec, m: int,
@@ -400,7 +437,7 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     return header, round_count
 
 
-def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[tuple]]]:
+def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[Row]]]:
     """The header of transcript file `f` (see `read_transcript_header`), its
     round count, checked against the file's size, and an iterator over its
     round records as blocks of `RoundRecord.row` tuples, read front to back
@@ -409,7 +446,7 @@ def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[tuple]]]:
     record = _record_struct(header.spec.element_bytes)
     _check_body(path, f.tell(), count, record.size, TranscriptFormatError)
 
-    def blocks() -> Iterator[list[tuple]]:
+    def blocks() -> Iterator[list[Row]]:
         done = 0
         while done < count:
             want = min(count - done, VERIFY_BLOCK_ROUNDS)
@@ -466,30 +503,35 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     """Forward-generate an honest m-round transcript file in constant memory.
 
     The file is byte for byte what `run_honest_protocol` with its default
-    deadlines (1 ms each, no plan hash) writes for the same tapes.
-    `secrets` and `challenges` may be TapeReader iterators; the final secret
-    must be recoverable, so the secrets stream is tee'd one element behind.
+    deadlines (1 ms each, no plan hash) writes for the same tapes. The rows
+    come from `protocol.honest_row_blocks`, a block at a time. `secrets` and
+    `challenges` may be TapeReader iterators; a source that ends before
+    element m raises StorageError, and a failed write leaves no file.
     """
-    last_secret = 0
-
-    def tap(source: Iterable[int]) -> Iterator[int]:
-        nonlocal last_secret
-        for v in source:
-            last_secret = v
-            yield v
-
-    # a placeholder reveal cannot be used: the header precedes the rounds, and
-    # a_m is only known after streaming. Write rounds to the final file first
-    # via a temporary header, then rewrite the header in place.
     path = Path(path)
-    write_transcript_stream(
-        path, spec, m, honest_round_stream(spec, tap(secrets), challenges, d, m), m,
-        reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1,
-        tau1_ns=1_000_000, tau2_ns=1_000_000,
-    )
-    # patch the reveal payload with the true a_m; the header ends with it
-    # and the 8-byte reveal timestamp
-    with open(path, "r+b") as f:
-        read_transcript_header(f)
-        f.seek(f.tell() - 8 - spec.element_bytes)
-        f.write(last_secret.to_bytes(spec.element_bytes, "little"))
+    eb = spec.element_bytes
+    rows = honest_row_blocks(spec, secrets, challenges, d, m)
+    a_m = 0
+
+    def blocks() -> Iterator[list[Row]]:
+        nonlocal a_m
+        a_m = yield from rows
+
+    # the header precedes the rounds and a_m is known only after them, so
+    # the header is written with a_m = 0 and its reveal payload patched;
+    # the header ends with that payload and the 8-byte reveal timestamp
+    header = Transcript(spec=spec, m=m, tau1_ns=1_000_000, tau2_ns=1_000_000,
+                        reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1)
+    try:
+        with open(path, "wb") as f:
+            _write_header(f, header, m)
+            reveal_at = f.tell() - 8 - eb
+            _write_rows(f, eb, blocks(), m)
+            f.seek(reveal_at)
+            f.write(a_m.to_bytes(eb, "little"))
+    except ProtocolError as exc:  # a source ended early
+        path.unlink(missing_ok=True)
+        raise StorageError(str(exc)) from exc
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise

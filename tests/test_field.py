@@ -260,3 +260,35 @@ def test_fold_matches_mul_loop(block):
     for x, y in pairs:
         expected = spec.mul(x, expected) ^ y
     assert spec.fold(a, encoded) == expected
+
+
+@st.composite
+def answer_blocks(draw):
+    """A table field, a start value, and a block of 1, 2, 255 or 256
+    (x, a) pairs, every element often 0, 1 or the all-ones mask."""
+    spec = draw(st.sampled_from(TABLE_SPECS))
+    value = st.one_of(st.sampled_from([0, 1, spec.mask]), st.integers(0, spec.mask))
+    count = draw(st.sampled_from([1, 2, 255, 256]))
+    pairs = draw(st.lists(st.tuples(value, value), min_size=count, max_size=count))
+    return spec, draw(value), pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(answer_blocks())
+def test_answers_match_schoolbook(block):
+    """`answers` gives y_j = x_j*a_{j-1} XOR a_j from a_0 = a, as the
+    schoolbook oracle does element by element."""
+    spec, a, pairs = block
+    expected, prev = [], a
+    for x, a_j in pairs:
+        expected.append(schoolbook_mul(x, prev, spec.n, spec.poly) ^ a_j)
+        prev = a_j
+    xs = b"".join(spec.encode(x) for x, _ in pairs)
+    secrets = b"".join(spec.encode(a_j) for _, a_j in pairs)
+    assert spec.answers(a, xs, secrets) == b"".join(spec.encode(y) for y in expected)
+
+
+def test_answers_empty_and_unequal_blocks():
+    assert S8.answers(1, b"", b"") == b""
+    with pytest.raises(FieldError):
+        S8.answers(1, b"\x01\x02", b"\x01")

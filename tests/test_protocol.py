@@ -17,8 +17,10 @@ from relbc.protocol import (
     RevealMessage,
     SequencingError,
     Tape,
+    VERIFY_BLOCK_ROUNDS,
     bob_verify,
     honest_round_stream,
+    honest_row_blocks,
     run_honest_protocol,
     station_of,
 )
@@ -141,6 +143,36 @@ class TestRoundTrip:
         stream = list(honest_round_stream(S8, secrets.elements, challenges.elements, 1, 10))
         assert [(r.k, r.challenge, r.answer) for r in stream] == \
             [(r.k, r.challenge, r.answer) for r in t.rounds]
+
+    @pytest.mark.parametrize("m", [1, VERIFY_BLOCK_ROUNDS, VERIFY_BLOCK_ROUNDS + 1])
+    def test_row_blocks_match_driver(self, m):
+        """`honest_row_blocks` gives the driver's rows in blocks of
+        `VERIFY_BLOCK_ROUNDS`, reads no element past m, and returns a_m."""
+        spec = FieldSpec(16)
+        secrets, challenges = random_tapes(spec, m + 3, seed=m)
+        t = run_honest_protocol(spec, Tape(ROLE_ALICE_SECRETS, spec, secrets.elements[:m]),
+                                challenges, 0)
+        it_a, it_x = iter(secrets.elements), iter(challenges.elements)
+        gen = honest_row_blocks(spec, it_a, it_x, 0, m)
+        blocks = []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                blocks.append(next(gen))
+        assert [len(b) for b in blocks[:-1]] == [VERIFY_BLOCK_ROUNDS] * (len(blocks) - 1)
+        assert [row for b in blocks for row in b] == [rec.row(2) for rec in t.rounds]
+        assert stop.value.value == t.reveal.final_secret
+        assert next(it_a) == secrets[m] and next(it_x) == challenges[m]
+
+    @pytest.mark.parametrize("short", ["secrets", "challenge"])
+    def test_short_source_is_protocol_error(self, short):
+        full = [1, 2, 3, 4, 5]
+        sources = {"secrets": full, "challenge": full, short: full[:3]}
+        with pytest.raises(ProtocolError, match=f"{short} element source exhausted at 3/5"):
+            list(honest_round_stream(S8, sources["secrets"], sources["challenge"], 1, 5))
+
+    def test_bad_bit_raises_on_call(self):
+        with pytest.raises(ProtocolError):
+            honest_row_blocks(S8, [1], [1], 2, 1)
 
 
 class TestRecoverChain:

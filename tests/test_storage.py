@@ -1,5 +1,6 @@
 """Tape/transcript files: round-trips, streaming access, forward verify."""
 
+import hashlib
 import io
 import random
 import tempfile
@@ -44,6 +45,21 @@ S128 = FieldSpec(128)
 # reducible one (x^8 + 1 = (x + 1)^8)
 OUTSIDE_TABLE = pytest.mark.parametrize("width, n, poly", [
     (16, 12, 0x9), (128, 128, 0x85), (8, 8, 0x01)], ids=["n12", "n128-0x85", "n8-0x01"])
+
+# sha256 of `generate_honest_transcript_file` output by (n, m): tapes drawn
+# from random.Random(1000 * n + m), secrets then challenges, bit m & 1
+GENERATION_GOLDEN = {
+    (8, 1): "756957bb2c53306c70f87703483f11bc6892d96881104b6450ed96abc3ca1084",
+    (8, 255): "e93038eae31ea7a1c7d48e9a8af4a2e233974cf20331aa13bea9a8122d9d7c9c",
+    (8, 256): "8c1d2687b0bbbcc979bd3f230dece61c02c95047c782c7e7df86e67852993216",
+    (8, 257): "adb26941be45828843c908367453fca918b705701020293d859621def377ab60",
+    (8, 1000): "b2d75947000500904704b39f3350970bef863c62eccbb8f42bf37f7239a839d1",
+    (128, 1): "9cb62e92e74a712268dd06c103b27f569e0302cbd62986894662eafafd5864f1",
+    (128, 255): "a4422217f5f8d417dc3448ef48b32741d69d16494368ec8bde68908a866d5433",
+    (128, 256): "2f03ae87b6928f0b4521627e4c4a88d5109db4f1fa6bee197341d0eefc477773",
+    (128, 257): "c17110d6f3e2bf7750f451180c46916793a8a2e28c8b9f7d9519669b36f984d1",
+    (128, 1000): "ab7ac92f06b6e3fd8304f1069b65f3aef3d336e0d92fdf4007cb67777066fc40",
+}
 
 
 class TestTapeFiles:
@@ -180,6 +196,53 @@ class TestTapeFiles:
         generate_tape(plan, "alice-secrets", path, seed=None)
         with TapeReader(path) as r:
             assert r.count == 16 and r.provenance == 0
+
+
+    def test_seek_then_iterate_across_blocks(self, tmp_path):
+        """`seek(j)` then `list(r)` starts at element j, on either side of
+        the iterator's block boundaries."""
+        path = tmp_path / "t.tape"
+        generate_tape(small_plan(3000, n=8), "alice-secrets", path, seed=5)
+        with TapeReader(path) as r:
+            full = list(r)
+            assert len(full) == r.count > 2 * 1024
+            for j in (0, 1, 1023, 1024, 1025, 2047, r.count - 1, r.count):
+                r.seek(j)
+                assert list(r) == full[j:]
+
+    def test_cursor_moves_during_iteration(self, tmp_path):
+        """`read`, `seek` and an index between two elements of an iterator
+        act at the cursor, and the iterator goes on from where they leave it."""
+        path = tmp_path / "t.tape"
+        generate_tape(small_plan(3000, n=16), "alice-secrets", path, seed=6)
+        with TapeReader(path) as r:
+            full = list(r)
+            r.seek(0)
+            it = iter(r)
+            assert [next(it) for _ in range(5)] == full[:5]
+            assert r.read() == full[5]
+            assert next(it) == full[6]
+            r.seek(2000)
+            assert r.read() == full[2000]
+            assert next(it) == full[2001]
+            assert r[10] == full[10]
+            assert next(it) == full[11]
+            r.seek(r.count - 1)
+            assert list(it) == full[-1:]
+
+    def test_zero_challenge_in_later_block_names_element(self, tmp_path):
+        path = tmp_path / "x.tape"
+        count = 400
+        write_tape(path, S8, "bob-challenges", iter([7] * count), count)
+        data = bytearray(path.read_bytes())
+        data[len(data) - count + 300] = 0  # n=8: one byte per element
+        path.write_bytes(bytes(data))
+        with TapeReader(path) as r:
+            with pytest.raises(TapeFormatError, match="challenge element 300 is zero"):
+                list(r)
+            assert r[299] == 7
+            with pytest.raises(TapeFormatError, match="challenge element 300 is zero"):
+                r.read()
 
 
 class TestSizing:
@@ -404,6 +467,41 @@ class TestStreamedGeneration:
             generate_honest_transcript_file(out, S128, plan.m, ar, xr, 0)
         verdict, _ = verify_file(out)
         assert verdict.accepted and verdict.bit == 0
+
+
+    @pytest.mark.parametrize("short", ["secrets", "challenges"])
+    def test_short_source_is_storage_error_and_no_file(self, tmp_path, short):
+        """A source that ends before element m is a StorageError naming the
+        count, and the partial file is removed."""
+        path = tmp_path / "short.rbcx"
+        sources = {"secrets": iter(range(1, 11)), "challenges": iter(range(1, 11))}
+        sources[short] = iter([1, 2, 3])
+        with pytest.raises(StorageError, match="element source exhausted at 3/10"):
+            generate_honest_transcript_file(path, S8, 10, sources["secrets"],
+                                            sources["challenges"], 1)
+        assert not path.exists()
+
+    def test_short_tape_source_is_storage_error_and_no_file(self, tmp_path):
+        a_path, x_path = tmp_path / "a.tape", tmp_path / "x.tape"
+        generate_tape(small_plan(300, n=8), "alice-secrets", a_path, seed=1)
+        generate_tape(small_plan(300, n=8), "bob-challenges", x_path, seed=2)
+        out = tmp_path / "t.rbcx"
+        with TapeReader(a_path) as ar, TapeReader(x_path) as xr:
+            with pytest.raises(StorageError, match=f"exhausted at {ar.count}/"):
+                generate_honest_transcript_file(out, S8, ar.count + 1, ar, xr, 0)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, m", list(GENERATION_GOLDEN))
+    def test_generation_golden(self, tmp_path, n, m):
+        """The bytes of an honest generated file, fixed before generation
+        went a block at a time: m on both sides of a 256-round block."""
+        spec = FieldSpec(n)
+        rng = random.Random(1000 * n + m)
+        secrets = [spec.random_int(rng) for _ in range(m)]
+        challenges = [spec.random_int(rng, nonzero=True) for _ in range(m)]
+        path = tmp_path / "g.rbcx"
+        generate_honest_transcript_file(path, spec, m, iter(secrets), iter(challenges), m & 1)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATION_GOLDEN[(n, m)]
 
 
 class TestConstantMemory:
