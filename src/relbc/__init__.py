@@ -4,7 +4,7 @@ Subpackages by concern:
 
 - :mod:`relbc.field` — GF(2^n) arithmetic on plain ints (XOR add,
   carry-less multiply, inversion) in canonical little-endian bit order.
-- :mod:`relbc.protocol` — the four agent state machines, tapes, transcripts,
+- :mod:`relbc.protocol` — the committer's state machine, tapes, transcripts,
   and verification: one forward pass over the answer chain.
 - :mod:`relbc.planner` — closed-form schedule, security-bound, and resource
   planning from a spacetime configuration.
@@ -38,7 +38,6 @@ from .planner import (
 )
 from .protocol import (
     AliceAgent,
-    BobAgent,
     ProtocolError,
     RevealMessage,
     RoundRecord,

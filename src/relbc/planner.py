@@ -281,10 +281,6 @@ class ProtocolPlan:
         odds = (k - 1) // 2
         return evens * self.gap_to_station2_ns + odds * self.gap_to_station1_ns
 
-    def deadline_ns(self, k: int) -> int:
-        tau = self.tau1_ns if k & 1 else self.tau2_ns
-        return self.round_start_ns(k) + tau
-
     def to_dict(self) -> dict:
         d = {k: v for k, v in asdict(self).items()}
         d["config"] = self.config.to_dict()

@@ -1,5 +1,5 @@
-"""Four-agent commitment protocol logic: the agents' state machines, tapes,
-transcripts, and the receiving party's full verification.
+"""Four-agent commitment protocol logic: the committer's state machine,
+tapes, transcripts, and the receiving party's full verification.
 
 Round k is 1-based. Odd rounds run at station 1, even rounds at station 2;
 round m+1 is the reveal and carries no challenge. The committing party's
@@ -22,6 +22,9 @@ is a bijection when x_k != 0, so this accepts exactly when the paper's
 backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach
 a_0 = d. A zero challenge, x_1 included, is rejected: it would let a round
 bind nothing.
+
+A verifier keeps no state beyond its challenge tape, so its callers send
+x_k = challenges[k - 1] straight from the tape; only the committer computes.
 
 Everything here is pure and deterministic; timing is produced by the
 simulator (`simnet`) or the live runner (`transport`) and only *checked*
@@ -196,39 +199,16 @@ class Verdict:
         return f"Verdict(reject: {self.reason})"
 
 
-# -- agent state machines -----------------------------------------------------
-
-
-class BobAgent:
-    """Challenger-side agent at one station: issues x_k for its parity."""
-
-    def __init__(self, station: int, spec: FieldSpec, challenges: Tape, m: int):
-        if station not in (1, 2):
-            raise ProtocolError(f"station must be 1 or 2, got {station}")
-        self.station = station
-        self.spec = spec
-        self.challenges = challenges
-        self.m = m
-        self.next_k = station  # station 1 issues odd rounds, station 2 even
-        self.aborted = False
-
-    def issue_challenge(self, k: int) -> int:
-        if self.aborted:
-            raise SequencingError(f"B{self.station} already aborted")
-        if k != self.next_k or k > self.m:
-            self.aborted = True
-            raise SequencingError(
-                f"B{self.station} expected round {self.next_k}, got {k}"
-            )
-        self.next_k += 2
-        return self.challenges[k - 1]
+# -- committer state machine ---------------------------------------------------
 
 
 class AliceAgent:
     """Committing-side agent at one station: answers its parity's rounds.
 
     Both agents hold the full secrets tape and the agreed bit; the reveal is
-    issued by whichever station hosts round m+1.
+    issued by whichever station hosts round m+1. Over the wire the round
+    index comes from the peer, so an out-of-order round raises
+    SequencingError.
     """
 
     def __init__(self, station: int, spec: FieldSpec, secrets: Tape, d: int, m: int):
@@ -241,13 +221,9 @@ class AliceAgent:
         self.m = m
         self.next_k = station
         self.revealed = False
-        self.aborted = False
 
     def handle_challenge(self, k: int, x_k: int) -> int:
-        if self.aborted:
-            raise SequencingError(f"A{self.station} already aborted")
         if k != self.next_k or k > self.m:
-            self.aborted = True
             raise SequencingError(
                 f"A{self.station} expected round {self.next_k}, got {k}"
             )
@@ -389,21 +365,21 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
 
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int,
                         tau1_ns: int = 1_000_000, tau2_ns: int = 1_000_000) -> Transcript:
-    """Drive all four agents over in-memory tapes; returns a complete transcript.
+    """Drive both committer agents over in-memory tapes, each round's
+    challenge read from the challenge tape; returns a complete transcript.
 
-    This is the reference harness used by tests and by transcript-file
-    generation; the discrete-event simulator and the live transport produce
-    the same records with physical timestamps instead.
+    This is the reference that streamed generation is compared against; the
+    discrete-event simulator and the live transport produce the same records
+    with physical timestamps instead.
     """
     m = len(secrets)
     if len(challenges) < m:
         raise ProtocolError("challenge tape shorter than the secrets tape")
     alices = {1: AliceAgent(1, spec, secrets, d, m), 2: AliceAgent(2, spec, secrets, d, m)}
-    bobs = {1: BobAgent(1, spec, challenges, m), 2: BobAgent(2, spec, challenges, m)}
     t = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns)
     for k in range(1, m + 1):
         s = station_of(k)
-        x_k = bobs[s].issue_challenge(k)
+        x_k = challenges[k - 1]
         y_k = alices[s].handle_challenge(k, x_k)
         issued = k * 1000
         t.rounds.append(RoundRecord(k, s, x_k, y_k, issued, issued + 1))

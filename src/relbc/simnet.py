@@ -3,8 +3,9 @@
 Agents sit on a 1-D axis (stations at 0 and L); every message, including the
 adversary's covert relays, travels at the configured speed of light. Times
 are integer nanoseconds in a global frame; each agent owns a ClockModel
-mapping its local clock to the global frame, and the challengers schedule,
-stamp, and enforce deadlines strictly on their local clocks.
+mapping its local clock to the global frame, and the verifiers schedule,
+stamp, and enforce deadlines strictly on their local clocks; round k's
+challenge is read from the tape, challenges[k - 1], when the round starts.
 
 Round k+1 starts t_L - (tau_{station(k+1)} + t_M) after round k starts, so an
 answer that depends on the previous round's challenge cannot arrive on time:
@@ -40,7 +41,6 @@ from .field import FieldSpec
 from .planner import ProtocolPlan, NS
 from .protocol import (
     AliceAgent,
-    BobAgent,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     RevealMessage,
@@ -69,6 +69,12 @@ ABORT_EARLY_REVEAL = "early-reveal"
 # rounds converted to the global frame at a time as a run reaches them
 SCHEDULE_CHUNK_ROUNDS = 256
 
+# a pps-disciplined clock whose error over one second exceeds this is out of spec
+PPS_TOLERANCE_NS = 8
+
+# placement-cheat puts A1 at this multiple of its allowed offset l1
+CHEAT_OFFSET_FACTOR = 2.0
+
 # event kinds (processed in (time, seq) order)
 _EV_START = 0
 _EV_CH_ARRIVE = 1
@@ -91,7 +97,6 @@ class ClockModel:
     offset_ns: int = 0
     rate: float = 0.0
     discipline: str = "none"          # "none" | "pps"
-    pps_tolerance_ns: int = 8
 
     def __post_init__(self):
         if self.discipline not in ("none", "pps"):
@@ -139,7 +144,7 @@ class ClockModel:
     @property
     def pps_violation(self) -> bool:
         """True when the per-second accumulated error exceeds the tolerance."""
-        return self.discipline == "pps" and abs(self.rate) * NS > self.pps_tolerance_ns
+        return self.discipline == "pps" and abs(self.rate) * NS > PPS_TOLERANCE_NS
 
 
 EXACT_CLOCK = ClockModel()
@@ -157,13 +162,13 @@ class AdversaryStrategy:
                        speed and answer sustain rounds only once the previous
                        round's challenge has been relayed over
       wrong-bit-reveal honest rounds, flipped bit in the reveal
-      placement-cheat  honest behavior from beyond the allowed offset
+      placement-cheat  honest behavior from beyond the allowed offset, A1 at
+                       l1 * CHEAT_OFFSET_FACTOR
     """
 
     kind: str = HONEST
     target_round: int = 1
     margin_ns: int = 1
-    cheat_offset_factor: float = 2.0  # placement-cheat: A1 at l1 * factor
 
     def __post_init__(self):
         if self.kind not in STRATEGIES:
@@ -205,7 +210,7 @@ def default_placements(plan: ProtocolPlan,
     L = plan.config.L
     pos = {"B1": 0.0, "A1": 0.0, "B2": L, "A2": L}
     if strategy is not None and strategy.kind == PLACEMENT_CHEAT:
-        pos["A1"] = min(plan.config.l1 * strategy.cheat_offset_factor, L / 2)
+        pos["A1"] = min(plan.config.l1 * CHEAT_OFFSET_FACTOR, L / 2)
     return pos
 
 
@@ -269,7 +274,6 @@ def run_simulation(plan: ProtocolPlan,
     tau = (0, plan.tau1_ns, plan.tau2_ns)
 
     alice = (None, AliceAgent(1, spec, secrets, bit, m), AliceAgent(2, spec, secrets, bit, m))
-    bob = (None, BobAgent(1, spec, challenges, m), BobAgent(2, spec, challenges, m))
 
     reveal_round = m + 1
     reveal_station = station_of(reveal_round)
@@ -277,7 +281,6 @@ def run_simulation(plan: ProtocolPlan,
     # per-round state (index k)
     records: list[RoundRecord | None] = [None] * (reveal_round + 1)
     issue_local = [0] * (reveal_round + 1)
-    pending_x = [0] * (reveal_round + 1)
     # global-frame diagnostics, gathered while the schedule is built: each
     # new minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
     # (k, min over pairs 1..k), and the first rounds starting > t_M off nominal
@@ -404,7 +407,7 @@ def run_simulation(plan: ProtocolPlan,
         events += 1
         if kind == _EV_START:
             st = 1 if k & 1 else 2
-            x = pending_x[k] = bob[st].issue_challenge(k)
+            x = challenges[k - 1]
             arrive = t + travel_ba[st]
             assert arrive >= t  # causality: delivery never precedes emission
             heappush(dynamic, (arrive, seq, _EV_CH_ARRIVE, k, x))
@@ -438,7 +441,7 @@ def run_simulation(plan: ProtocolPlan,
             st = 1 if k & 1 else 2
             received_local = b_local_at[st](t)
             issued_local = issue_local[k]
-            records[k] = RoundRecord(k, st, pending_x[k], payload,
+            records[k] = RoundRecord(k, st, challenges[k - 1], payload,
                                      issued_local, received_local)
             if received_local - issued_local > tau[st]:
                 do_abort(k, ABORT_DEADLINE)
@@ -453,7 +456,7 @@ def run_simulation(plan: ProtocolPlan,
             nxt = k + 1
             if nxt in relay_waiting:
                 st = relay_waiting.pop(nxt)
-                arrive, y = answer_round(st, nxt, pending_x[nxt], t)
+                arrive, y = answer_round(st, nxt, challenges[nxt - 1], t)
                 heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, nxt, y))
                 seq += 1
         elif kind == _EV_REVEAL_SEND:

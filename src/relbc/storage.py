@@ -26,7 +26,8 @@ whole bytes, so every element a body can hold is a field element. Every
 reader checks that the body holds exactly the elements or records the header
 counts. Each header has one valid encoding: the reveal flag is 0 or 1, and
 behind flag 0 the bit, a_m and timestamp are 0. So writing back what a
-reader returned rebuilds the file byte for byte.
+reader returned rebuilds the file byte for byte. A writer that fails
+removes its file (`_new_file`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import io
 import random
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
@@ -110,6 +112,19 @@ def _check_body(path, base: int, count: int, item_size: int,
         raise error(f"{path}: body is {body} bytes, header promises {count} x {item_size}")
 
 
+@contextmanager
+def _new_file(path: str | Path):
+    """`path` opened for writing, and removed if the write raises, so no
+    file is left whose header promises more than its body holds."""
+    f = open(path, "wb")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _poly_bytes(spec: FieldSpec) -> bytes:
     """The reduction polynomial as a header stores it: n/8 bytes."""
     return spec.poly.to_bytes(spec.element_bytes, "little")
@@ -142,13 +157,13 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
                elements: Iterable[int], count: int,
                provenance: int = PROVENANCE_SEEDED, seed: int = 0) -> None:
     """Stream `count` elements to a tape file; each must fit in n bits, and
-    a challenge tape's must be nonzero."""
+    a challenge tape's must be nonzero. A failed write leaves no file."""
     if role not in _ROLE_CODES:
         raise StorageError(f"unknown tape role {role!r}")
     eb, mask = spec.element_bytes, spec.mask
     poly_bytes = _poly_bytes(spec)
     nonzero_required = role == ROLE_BOB_CHALLENGES
-    with open(path, "wb") as f:
+    with _new_file(path) as f:
         f.write(_TAPE_HEAD.pack(TAPE_MAGIC, FORMAT_VERSION, spec.n, len(poly_bytes)))
         f.write(poly_bytes)
         f.write(_TAPE_META.pack(_ROLE_CODES[role], count, provenance, seed))
@@ -365,18 +380,13 @@ def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
 def write_transcript_stream(path: str | Path, spec: FieldSpec, m: int,
                             rounds: Iterable[RoundRecord], round_count: int,
                             reveal: RevealMessage | None, reveal_received_at: int,
-                            tau1_ns: int, tau2_ns: int,
-                            status: str = STATUS_COMPLETE,
-                            abort_round: int | None = None,
-                            abort_reason: str | None = None,
-                            plan_hash: str = "", scale_factor: int = 1) -> None:
-    """Write a transcript file from a round iterator (constant memory)."""
+                            tau1_ns: int, tau2_ns: int) -> None:
+    """Write a transcript file, status complete and no plan hash, from a round
+    iterator (constant memory); there must be exactly `round_count` rounds.
+    A failed write leaves no file."""
     header = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns,
-                        reveal=reveal, reveal_received_at=reveal_received_at,
-                        status=status, abort_reason=abort_reason,
-                        abort_round=abort_round, plan_hash=plan_hash,
-                        scale_factor=scale_factor)
-    with open(path, "wb") as f:
+                        reveal=reveal, reveal_received_at=reveal_received_at)
+    with _new_file(path) as f:
         _write_transcript_to(f, header, rounds, round_count)
 
 
@@ -508,7 +518,6 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     `challenges` may be TapeReader iterators; a source that ends before
     element m raises StorageError, and a failed write leaves no file.
     """
-    path = Path(path)
     eb = spec.element_bytes
     rows = honest_row_blocks(spec, secrets, challenges, d, m)
     a_m = 0
@@ -523,15 +532,11 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     header = Transcript(spec=spec, m=m, tau1_ns=1_000_000, tau2_ns=1_000_000,
                         reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1)
     try:
-        with open(path, "wb") as f:
+        with _new_file(path) as f:
             _write_header(f, header, m)
             reveal_at = f.tell() - 8 - eb
             _write_rows(f, eb, blocks(), m)
             f.seek(reveal_at)
             f.write(a_m.to_bytes(eb, "little"))
     except ProtocolError as exc:  # a source ended early
-        path.unlink(missing_ok=True)
         raise StorageError(str(exc)) from exc
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise

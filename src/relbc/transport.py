@@ -28,7 +28,9 @@ and then reads the peer's, so neither side waits for the other to speak
 first; a plan-hash mismatch is answered with ABORT `config`. B1 picks the
 session epoch and ships it to B2 in a SCHEDULE frame; the residual loopback
 skew (microseconds) is absorbed by the scaled margins. Both verifiers run
-the same `_run_bob`; only these two steps depend on the station.
+the same `_run_bob`; only these two steps depend on the station. A
+verifier reads x_k = challenges[k - 1] from its `TapeReader`; the committer's
+`AliceAgent` refuses a round index out of order, as the peer sends it.
 
 The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
 for even m, B2 for odd m. That station's committer sends it, its verifier
@@ -61,7 +63,6 @@ from .field import FieldError, FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
     AliceAgent,
-    BobAgent,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     ProtocolError,
@@ -604,14 +605,13 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
     """Issue this station's challenges on schedule, then, at the station that
     hosts round m+1, wait for the reveal. The records and the reveal go to
     `ses`; a missed deadline is announced over both links and ends the role."""
-    agent = BobAgent(ses.station, ses.spec, challenges, ses.m)
     steps = list(range(ses.station, ses.m + 1, 2))
     if ses.hosts_reveal:
         steps.append(ses.m + 1)
     for k in steps:
         start = ses.epoch_ns + ses.start_ns(k)
         if k <= ses.m:
-            x = agent.issue_challenge(k)
+            x = challenges[k - 1]
             _sleep_until_ns(start)
             # an abort the peer verifier sent while this station slept stops
             # the challenge from going out

@@ -286,7 +286,8 @@ class TestSchedule:
     def test_deadline_hits_light_cone_minus_margin(self):
         plan = small_plan(10)
         for k in range(1, 10):
-            lhs = plan.deadline_ns(k + 1) + plan.t_m_ns
+            tau = plan.tau1_ns if (k + 1) & 1 else plan.tau2_ns
+            lhs = plan.round_start_ns(k + 1) + tau + plan.t_m_ns
             rhs = plan.round_start_ns(k) + plan.t_l_ns
             assert abs(lhs - rhs) <= 1
 

@@ -16,6 +16,7 @@ from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
     REJECT_TIMING,
+    ProtocolError,
     bob_verify,
     run_honest_protocol,
 )
@@ -33,6 +34,7 @@ from relbc.storage import (
     verify_file,
     write_tape,
     write_transcript,
+    write_transcript_stream,
 )
 
 from helpers import random_tapes, small_plan, with_header_field
@@ -502,6 +504,88 @@ class TestStreamedGeneration:
         path = tmp_path / "g.rbcx"
         generate_honest_transcript_file(path, spec, m, iter(secrets), iter(challenges), m & 1)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATION_GOLDEN[(n, m)]
+
+
+def _failing(values, exc):
+    """A source that yields `values` and then raises `exc` itself."""
+    yield from values
+    raise exc
+
+
+def _stream(path, records, round_count, challenge=None):
+    """`write_transcript_stream` given the first `records` rounds of an
+    honest 10-round n=8 run and told to expect `round_count`; `challenge`,
+    when given, replaces round 2's x."""
+    t = _transcript(m=10)
+    rounds = t.rounds[:records]
+    if challenge is not None:
+        rounds[1].challenge = challenge
+    write_transcript_stream(path, S8, t.m, iter(rounds), round_count, t.reveal,
+                            t.reveal_received_at, t.tau1_ns, t.tau2_ns)
+
+
+def _generate_from_zero_tape(path):
+    """Generation read from a challenge tape whose second element was
+    overwritten with zero."""
+    a_path, x_path = path.with_suffix(".a"), path.with_suffix(".x")
+    write_tape(a_path, S8, "alice-secrets", iter([1, 2, 3]), 3)
+    write_tape(x_path, S8, "bob-challenges", iter([5, 6, 7]), 3)
+    data = bytearray(x_path.read_bytes())
+    data[-2] = 0
+    x_path.write_bytes(bytes(data))
+    with TapeReader(a_path) as ar, TapeReader(x_path) as xr:
+        generate_honest_transcript_file(path, S8, 3, ar, xr, 0)
+
+
+# every file writer with each way it can fail: (the write, its error, match);
+# a generation source that ends early is in TestStreamedGeneration
+FAILED_WRITES = {
+    "tape-short-source": (
+        lambda p: write_tape(p, S8, "alice-secrets", iter([1, 2, 3]), 5),
+        StorageError, "exhausted at 3/5"),
+    "tape-zero-challenge": (
+        lambda p: write_tape(p, S8, "bob-challenges", iter([1, 0, 3]), 3),
+        StorageError, "zero elements"),
+    "tape-element-beyond-n-bits": (
+        lambda p: write_tape(p, S8, "alice-secrets", iter([1, 0x103, 2]), 3),
+        StorageError, "exceeds 8 bits"),
+    "tape-unknown-role": (
+        lambda p: write_tape(p, S8, "nope", iter([1]), 1), StorageError, "role"),
+    "tape-source-raises": (
+        lambda p: write_tape(p, S8, "alice-secrets", _failing([1, 2], KeyError("boom")), 5),
+        KeyError, "boom"),
+    "stream-too-few-records": (
+        lambda p: _stream(p, 5, 10), TranscriptFormatError, "produced 5 records, expected 10"),
+    "stream-too-many-records": (
+        lambda p: _stream(p, 10, 5), TranscriptFormatError, "produced 10 records, expected 5"),
+    "stream-element-beyond-n-bits": (
+        lambda p: _stream(p, 10, 10, challenge=0x103), OverflowError, "too big"),
+    "stream-source-raises": (
+        lambda p: write_transcript_stream(p, S8, 10, _failing([], KeyError("boom")), 10,
+                                          None, 0, 1000, 1000),
+        KeyError, "boom"),
+    "generate-zero-challenge-on-tape": (
+        _generate_from_zero_tape, TapeFormatError, "element 1 is zero"),
+    "generate-source-raises": (
+        lambda p: generate_honest_transcript_file(p, S8, 10, _failing([1, 2], KeyError("boom")),
+                                                  iter(range(1, 11)), 1),
+        KeyError, "boom"),
+    "generate-bad-bit": (
+        lambda p: generate_honest_transcript_file(p, S8, 10, iter(range(1, 11)),
+                                                  iter(range(1, 11)), 2),
+        ProtocolError, "bit must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILED_WRITES))
+def test_failed_write_leaves_no_file(tmp_path, case):
+    """Each writer that raises removes what it had written, so no file is
+    left whose header promises more than its body holds."""
+    write, error, match = FAILED_WRITES[case]
+    path = tmp_path / "out"
+    with pytest.raises(error, match=match):
+        write(path)
+    assert not path.exists()
 
 
 class TestConstantMemory:

@@ -386,6 +386,44 @@ def test_silent_verifier_does_not_hold_committer(tmp_path):
     assert out["A1"].exit_code == EXIT_ACCEPT
 
 
+@pytest.mark.parametrize("rounds", [[3], [1, 1]], ids=["round-3-first", "round-1-twice"])
+def test_committer_refuses_a_challenge_out_of_order(tmp_path, rounds):
+    """A fake B1 at m=4 sends A1 CHALLENGE frames for `rounds`, the last one
+    out of order. Over the wire the round index comes from the peer, so A1
+    answers the frames in order and ends with a `protocol` abort at the
+    faulty one, without answering it."""
+    plan = lab_plan(m=4)
+    a_path, _ = _tapes(tmp_path, plan)
+    fake_b1 = socket.create_server(("127.0.0.1", 0))
+    cfg = SessionConfig(role="A1", plan=plan, secrets_path=a_path,
+                        peers={"B1": fake_b1.getsockname()}, io_timeout_s=5.0)
+    thread, out = _run_in_thread(cfg)
+    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+    fake_b1.settimeout(5.0)
+    conn, _ = fake_b1.accept()
+    assert T.recv_frame(conn, deadline()).type == FRAME_HELLO
+    conn.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("B1", plan.plan_hash)))
+    x = FieldSpec(plan.n).encode(3)
+    *in_order, faulty = rounds
+    for k in in_order:
+        conn.sendall(encode_frame(FRAME_CHALLENGE, k, x))
+        answer = T.recv_frame(conn, deadline())
+        assert (answer.type, answer.round_index) == (FRAME_ANSWER, k)
+    conn.sendall(encode_frame(FRAME_CHALLENGE, faulty, x))
+    thread.join(10)
+    alive = thread.is_alive()
+    conn.settimeout(5.0)
+    rest = b""
+    while chunk := conn.recv(4096):  # everything A1 sent before it closed
+        rest += chunk
+    for s in (conn, fake_b1):
+        s.close()
+    assert not alive
+    assert rest == b"", "A1 answered the out-of-order challenge"
+    assert out["A1"].exit_code == EXIT_ABORT
+    assert out["A1"].abort.reason == "protocol"
+
+
 def test_peer_without_listener_is_a_connection_abort(tmp_path):
     """A committer whose verifier never listens ends, once its connect
     window closes, with a typed `connection` abort and not a usage error."""
