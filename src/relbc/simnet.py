@@ -45,6 +45,8 @@ from .protocol import (
     ROLE_BOB_CHALLENGES,
     RevealMessage,
     RoundRecord,
+    STATUS_ABORTED,
+    STATUS_COMPLETE,
     SequencingError,
     Tape,
     Transcript,
@@ -78,11 +80,10 @@ CHEAT_OFFSET_FACTOR = 2.0
 # event kinds (processed in (time, seq) order)
 _EV_START = 0
 _EV_CH_ARRIVE = 1
-_EV_ANS_ARRIVE = 2
+_EV_ARRIVE = 2       # an answer at its verifier, or the reveal (k = m+1)
 _EV_DEADLINE = 3
 _EV_COVERT = 4
 _EV_REVEAL_SEND = 5
-_EV_REVEAL_ARRIVE = 6
 
 
 class SimulationError(Exception):
@@ -276,10 +277,11 @@ def run_simulation(plan: ProtocolPlan,
     alice = (None, AliceAgent(1, spec, secrets, bit, m), AliceAgent(2, spec, secrets, bit, m))
 
     reveal_round = m + 1
-    reveal_station = station_of(reveal_round)
 
-    # per-round state (index k)
-    records: list[RoundRecord | None] = [None] * (reveal_round + 1)
+    # settled[k] is round k's record once its answer has arrived, on time or
+    # not, and settled[m + 1] the reveal once it has arrived on time; a
+    # deadline that finds its entry unset is a timeout
+    settled: list = [None] * (reveal_round + 1)
     issue_local = [0] * (reveal_round + 1)
     # global-frame diagnostics, gathered while the schedule is built: each
     # new minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
@@ -287,10 +289,6 @@ def run_simulation(plan: ProtocolPlan,
     slack_steps: list[tuple[int, int]] = []
     margin_rounds: list[int] = []
     t_m_ns = plan.t_m_ns
-
-    transcript = Transcript(spec=spec, m=m, tau1_ns=plan.tau1_ns,
-                            tau2_ns=plan.tau2_ns, plan_hash=plan.plan_hash)
-    reveal_received = False
 
     # The static schedule: every round start and deadline, and the reveal,
     # with its (time, seq) pair packed into one int, time << shift | seq,
@@ -310,7 +308,7 @@ def run_simulation(plan: ProtocolPlan,
     # the committer self-schedules the reveal on her own clock, so it is
     # built up front
     issue_local[reveal_round] = plan.round_start_ns(reveal_round)
-    a_clk = clk[f"A{reveal_station}"]
+    a_clk = clk[f"A{station_of(reveal_round)}"]
     held = [a_clk.global_at_local(issue_local[reveal_round]) << shift | two_m + 1]
     schedule: list[int] = []
     next_k = 1   # the first round not built yet
@@ -357,7 +355,7 @@ def run_simulation(plan: ProtocolPlan,
         del held[:cut]
         schedule[:0] = released[::-1]
 
-    dynamic: list[tuple[int, int, int, int, int]] = []
+    dynamic: list[tuple] = []
     seq = two_m + 2
 
     skind = strategy.kind
@@ -365,28 +363,12 @@ def run_simulation(plan: ProtocolPlan,
     covert_known: set[int] = set()   # challenge indexes relayed to the peer
     relay_waiting: dict[int, int] = {}  # round stalled on a relay -> station
 
-    aborted = False
-    abort_round: int | None = None
-    abort_reason: str | None = None
+    abort: tuple[int, str] | None = None   # (round, reason)
+    reveal_at = 0   # when the reveal reached its verifier, on its clock
     events = 0
 
-    def do_abort(k: int, reason: str) -> None:
-        nonlocal aborted, abort_round, abort_reason
-        aborted = True
-        abort_round = k
-        abort_reason = reason
-
-    def answer_round(st: int, k: int, x: int, send_global: int) -> tuple[int, int]:
-        """Compute the honest answer and its arrival time at B_st."""
-        y = alice[st].handle_challenge(k, x)
-        arrive = send_global + travel_ba[st]
-        assert arrive >= send_global  # causality
-        return arrive, y
-
-    while True:
+    while abort is None:
         if not schedule:  # once per chunk: build on unless the run is over
-            if aborted:
-                break
             while not schedule and next_k <= reveal_round:
                 build_chunk()
             if not schedule and not dynamic:
@@ -396,119 +378,98 @@ def run_simulation(plan: ProtocolPlan,
         else:
             key = schedule.pop()
             t, s = key >> shift, key & seq_mask
+            k = (s >> 1) + 1
             if s < two_m:
-                k = (s >> 1) + 1
                 kind = _EV_DEADLINE if s & 1 else _EV_START
             else:
-                k = reveal_round
                 kind = _EV_REVEAL_SEND if s & 1 else _EV_DEADLINE
-        if aborted:
-            break
         events += 1
+        st = 1 if k & 1 else 2
         if kind == _EV_START:
-            st = 1 if k & 1 else 2
-            x = challenges[k - 1]
-            arrive = t + travel_ba[st]
-            assert arrive >= t  # causality: delivery never precedes emission
-            heappush(dynamic, (arrive, seq, _EV_CH_ARRIVE, k, x))
+            heappush(dynamic, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, 0))
             seq += 1
         elif kind == _EV_CH_ARRIVE:
-            st = 1 if k & 1 else 2
-            x = payload
+            arrive = t + travel_ba[st]
             if skind == RELAY:
-                # covertly forward this challenge to the peer agent
-                heappush(dynamic, (t + travel_aa, seq, _EV_COVERT, k, x))
+                # covertly forward this challenge to the peer agent, and hold
+                # a sustain round until the previous challenge has come over
+                heappush(dynamic, (t + travel_aa, seq, _EV_COVERT, k, 0))
                 seq += 1
-                if k == 1 or (k - 1) in covert_known:
-                    arrive, y = answer_round(st, k, x, t)
-                    heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
-                    seq += 1
-                else:
+                if k > 1 and k - 1 not in covert_known:
                     relay_waiting[k] = st
+                    continue
             elif skind == LATE_DECISION and k == strategy.target_round:
                 deadline = b_global_at[st](issue_local[k] + tau[st])
-                target_arrival = deadline - strategy.margin_ns
-                send = max(t, target_arrival - travel_ba[st])
-                arrive, y = answer_round(st, k, x, send)
-                arrive = max(arrive, target_arrival)
-                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
-                seq += 1
-            else:  # honest content, immediate answer
-                arrive, y = answer_round(st, k, x, t)
-                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, k, y))
-                seq += 1
-        elif kind == _EV_ANS_ARRIVE:
-            st = 1 if k & 1 else 2
-            received_local = b_local_at[st](t)
-            issued_local = issue_local[k]
-            records[k] = RoundRecord(k, st, challenges[k - 1], payload,
-                                     issued_local, received_local)
-            if received_local - issued_local > tau[st]:
-                do_abort(k, ABORT_DEADLINE)
-        elif kind == _EV_DEADLINE:
+                arrive = max(arrive, deadline - strategy.margin_ns)
+            y = alice[st].handle_challenge(k, challenges[k - 1])
+            heappush(dynamic, (arrive, seq, _EV_ARRIVE, k, y))
+            seq += 1
+        elif kind == _EV_ARRIVE:
+            # one rule for every answer and the reveal: on time at its
+            # verifier means 0 <= received - issued <= tau on that clock
+            received = b_local_at[st](t)
+            turnaround = received - issue_local[k]
             if k <= m:
-                if records[k] is None:
-                    do_abort(k, ABORT_TIMEOUT)
-            elif not reveal_received:
-                do_abort(k, ABORT_TIMEOUT)
+                settled[k] = RoundRecord(k, st, challenges[k - 1], payload,
+                                         issue_local[k], received)
+            else:
+                reveal_at = received
+            if not 0 <= turnaround <= tau[st]:
+                # of the arrivals, only the reveal can come before its round
+                early = k > m and turnaround < 0
+                abort = (k, ABORT_EARLY_REVEAL if early else ABORT_DEADLINE)
+            elif k > m:
+                settled[k] = payload
+        elif kind == _EV_DEADLINE:
+            if settled[k] is None:
+                abort = (k, ABORT_TIMEOUT)
         elif kind == _EV_COVERT:
             covert_known.add(k)
             nxt = k + 1
             if nxt in relay_waiting:
                 st = relay_waiting.pop(nxt)
-                arrive, y = answer_round(st, nxt, challenges[nxt - 1], t)
-                heappush(dynamic, (arrive, seq, _EV_ANS_ARRIVE, nxt, y))
+                y = alice[st].handle_challenge(nxt, challenges[nxt - 1])
+                heappush(dynamic, (t + travel_ba[st], seq, _EV_ARRIVE, nxt, y))
                 seq += 1
         elif kind == _EV_REVEAL_SEND:
             try:
-                msg = alice[reveal_station].reveal()
+                msg = alice[st].reveal()
             except SequencingError:
                 # her clock reached the reveal before she answered her rounds
-                do_abort(k, ABORT_EARLY_REVEAL)
+                abort = (k, ABORT_EARLY_REVEAL)
                 continue
             if skind == WRONG_BIT_REVEAL:
                 msg = RevealMessage(msg.bit ^ 1, msg.final_secret)
-            arrive = t + travel_ba[reveal_station]
-            heappush(dynamic, (arrive, seq, _EV_REVEAL_ARRIVE, reveal_round, 0))
+            heappush(dynamic, (t + travel_ba[st], seq, _EV_ARRIVE, k, msg))
             seq += 1
-            transcript.reveal = msg
-        elif kind == _EV_REVEAL_ARRIVE:
-            received_local = b_local_at[reveal_station](t)
-            transcript.reveal_received_at = received_local
-            turnaround = received_local - issue_local[reveal_round]
-            if turnaround < 0:  # before round m+1 opens at its verifier
-                do_abort(k, ABORT_EARLY_REVEAL)
-            elif turnaround > tau[reveal_station]:
-                do_abort(k, ABORT_DEADLINE)
-            else:
-                reveal_received = True
 
-    # assemble the contiguous round prefix
+    # the contiguous round prefix
     rounds: list[RoundRecord] = []
-    for k in range(1, m + 1):
-        rec = records[k]
+    for rec in settled[1:reveal_round]:
         if rec is None:
             break
         rounds.append(rec)
-    transcript.rounds = rounds
-    if aborted:
-        transcript.reveal = None
-        transcript.mark_aborted(abort_reason, abort_round)
-    elif not reveal_received:
-        transcript.reveal = None
-        transcript.mark_aborted(ABORT_TIMEOUT, reveal_round)
-        aborted, abort_round, abort_reason = True, reveal_round, ABORT_TIMEOUT
+    reveal_received = settled[reveal_round] is not None
+    abort_round, abort_reason = abort or (None, None)
+    transcript = Transcript(spec=spec, m=m, tau1_ns=plan.tau1_ns, tau2_ns=plan.tau2_ns,
+                            rounds=rounds,
+                            reveal=None if abort else settled[reveal_round],
+                            reveal_received_at=reveal_at,
+                            status=STATUS_ABORTED if abort else STATUS_COMPLETE,
+                            abort_reason=abort_reason, abort_round=abort_round,
+                            plan_hash=plan.plan_hash)
 
     # global-frame diagnostics over the pairs and rounds the run reached; a
-    # run builds round m+1 before the reveal can land inside its window
+    # run builds round m+1 before the reveal can land inside its window, and
+    # a run that ends unaborted has received the reveal
     worst_slack: int | None = None
-    last_pair = reveal_round if (reveal_received or not aborted) else len(rounds)
+    last_pair = reveal_round if reveal_received else len(rounds)
     assert next_k > last_pair
     for k, slack in slack_steps:
         if k >= last_pair:
             break
         worst_slack = slack
-    last_round = reveal_round if not aborted else len(rounds)
+    last_round = len(rounds) if abort else reveal_round
     margin_violations = [k for k in margin_rounds if k <= last_round]
     discipline = [a for a in AGENTS if clk[a].pps_violation]
 
@@ -516,7 +477,7 @@ def run_simulation(plan: ProtocolPlan,
         strategy=strategy.kind,
         seed=seed,
         bit=bit,
-        aborted=aborted,
+        aborted=abort is not None,
         abort_round=abort_round,
         abort_reason=abort_reason,
         rounds_recorded=len(rounds),
