@@ -21,11 +21,16 @@ earlier one. Only the events a run creates (arrivals, covert relays) go
 through a small heap, and the two are merged by (time, sequence). A clock
 with zero rate is a pure offset and converts in closed form; a drifting clock
 is inverted by iterating its drift estimate until it settles, then stepping
-to the exact crossing. A committer whose clock reaches the reveal before she
-has answered her rounds ends the run as an `early-reveal` abort, and so does
-a reveal that reaches its verifier before round m+1 opens there: the reveal
-keeps the answer rule 0 <= received - issued <= tau. Parallelism is only
-across independent runs (`run_many`).
+to the exact crossing. A pps-disciplined clock holds its reading at every
+pulse, the one at global time 0 included, so no clock runs backward.
+
+One arrival rule judges every answer and the reveal, which is round m+1:
+it is on time when 0 <= received - issued <= tau on its verifier's clock.
+An arrival outside that window ends the run as a `deadline` abort, and one
+still missing at its deadline as a `timeout`. Only the reveal can end it as
+`early-reveal`: when it reaches its verifier before round m+1 opens there,
+or when the committer's clock reaches the reveal before she has answered
+her rounds. Parallelism is only across independent runs (`run_many`).
 """
 
 from __future__ import annotations
@@ -112,17 +117,18 @@ class ClockModel:
         if not self.rate:  # exact rate: no drift, a pure offset
             return global_ns + self.offset_ns
         local = global_ns + self.offset_ns + self.drift_ns(global_ns)
-        if global_ns >= NS and self.discipline == "pps":
-            # the pulse pulls a fast clock back at each whole second; it holds
-            # its last reading until global time catches up, so it never
-            # runs backward
+        if (self.rate > 0 and self.discipline == "pps"
+                and global_ns % NS <= self.rate * NS):
+            # the pulse pulls a fast clock back at each whole second, 0
+            # included; it holds its last reading until global time catches
+            # up, which takes at most rate * NS ns, so it never runs backward
             last = global_ns - global_ns % NS - 1
             return max(local, last + self.offset_ns + self.drift_ns(last))
         return local
 
     def global_at_local(self, local_ns: int) -> int:
         """The global time g at which this clock reaches `local_ns`:
-        local_at_global(g) >= local_ns > local_at_global(g - 1) (for g > 0),
+        local_at_global(g) >= local_ns > local_at_global(g - 1),
         found by iterating the drift estimate until it stops changing and
         then a step search."""
         base = local_ns - self.offset_ns
@@ -138,7 +144,7 @@ class ClockModel:
             g = nxt
         while self.local_at_global(g) < local_ns:
             g += 1
-        while g > 0 and self.local_at_global(g - 1) >= local_ns:
+        while self.local_at_global(g - 1) >= local_ns:
             g -= 1
         return g
 

@@ -6,14 +6,18 @@ import tracemalloc
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relbc.field import FieldSpec
 from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
-from relbc.protocol import REJECT_ABORTED, bob_verify
+from relbc.protocol import REJECT_ABORTED, REJECT_TIMING, bob_verify, station_of
 from relbc.simnet import (
+    ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
+    ABORT_TIMEOUT,
+    AGENTS,
     SCHEDULE_CHUNK_ROUNDS,
+    STRATEGIES,
     AdversaryStrategy,
     ClockModel,
     SimulationError,
@@ -195,12 +199,13 @@ class TestClocks:
         assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
 
     @settings(max_examples=200, deadline=None)
-    @given(offset=st.integers(-10**5, 10**5), second=st.integers(1, 10**6),
+    @given(offset=st.integers(-10**5, 10**5), second=st.integers(0, 10**6),
            rate=st.floats(-1e-7, 1e-7), pick=st.integers(0, 119))
+    @example(offset=71, second=0, rate=8e-9, pick=0)
     def test_pps_clock_never_runs_backward(self, offset, second, rate, pick):
         """Where the pulse pulls a fast clock back at a whole second, the
-        clock holds its reading instead of decreasing, and global_at_local
-        still gives the first crossing."""
+        pulse at global time 0 included, the clock holds its reading instead
+        of decreasing, and global_at_local still gives the first crossing."""
         clk = ClockModel(offset_ns=offset, rate=rate, discipline="pps")
         whole = second * 10**9
         readings = [clk.local_at_global(g) for g in range(whole - 5, whole + 115)]
@@ -224,9 +229,7 @@ class TestClocks:
             second, delta, at_pulse = local
             local = max(0, second * NS + delta + (offset if at_pulse else 0))
         g = clk.global_at_local(local)
-        assert clk.local_at_global(g) >= local
-        if g > 0:
-            assert local > clk.local_at_global(g - 1)
+        assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
 
     @pytest.mark.parametrize("ahead_ns", [40_000, 1_000_000])
     def test_early_reveal_is_an_abort(self, ahead_ns):
@@ -256,6 +259,45 @@ class TestClocks:
         assert t.reveal_received_at == plan.round_start_ns(plan.m + 1) - ahead_ns
         assert t.status == "aborted" and t.reveal is None
         assert bob_verify(t).reason == REJECT_ABORTED
+
+
+clock_models = st.builds(ClockModel, offset_ns=st.integers(-30_000, 30_000),
+                         rate=st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5)),
+                         discipline=st.sampled_from(["none", "pps"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clocks=st.fixed_dictionaries({agent: clock_models for agent in AGENTS}),
+       kind=st.sampled_from(STRATEGIES), target_round=st.integers(1, PLAN8.m),
+       margin_ns=st.integers(-50, 50), seed=st.integers(0, 2**16), bit=st.integers(0, 1))
+def test_one_arrival_rule_on_random_clocks(clocks, kind, target_round, margin_ns, seed, bit):
+    """Every answer and the reveal are on time when 0 <= received - issued
+    <= tau at their station: an unaborted run meets that everywhere, and each
+    abort names a round or reveal that missed it. With skewed clocks a round
+    can be recorded after a later round's abort, so the prefix may run past
+    the abort round."""
+    plan, m = PLAN8, PLAN8.m
+    t, rep = run_simulation(plan, clocks=clocks, seed=seed, bit=bit,
+                            strategy=AdversaryStrategy(kind, target_round, margin_ns))
+    assert rep.rounds_recorded == len(t.rounds)
+    assert [rec.k for rec in t.rounds] == list(range(1, len(t.rounds) + 1))
+    assert (t.abort_round, t.abort_reason) == (rep.abort_round, rep.abort_reason)
+    on_time = {rec.k: 0 <= rec.answer_received_at - rec.challenge_issued_at
+               <= t.tau_ns(rec.station) for rec in t.rounds}
+    reveal_turnaround = t.reveal_received_at - plan.round_start_ns(m + 1)
+    reveal_on_time = 0 <= reveal_turnaround <= t.tau_ns(station_of(m + 1))
+    k, reason = rep.abort_round, rep.abort_reason
+    if not rep.aborted:
+        assert len(t.rounds) == m and all(on_time.values()) and reveal_on_time
+        assert bob_verify(t).reason != REJECT_TIMING
+    elif k <= m:
+        assert reason in (ABORT_DEADLINE, ABORT_TIMEOUT)
+        if reason == ABORT_DEADLINE:
+            assert not on_time.get(k, False)
+        else:
+            assert len(t.rounds) < k
+    elif reason in (ABORT_DEADLINE, ABORT_EARLY_REVEAL):
+        assert not reveal_on_time
 
 
 # Output pin for the simulator: the sha256 of every transcript and report on
