@@ -13,7 +13,8 @@ Subcommands:
               case-1's 24 h transcript
 
 Exit codes are stable for scripting: 0 success/accept, 1 usage or config
-error, 2 protocol abort, 3 verification reject. Every command writes a run
+error (argparse's usage errors included), 2 protocol abort, 3 verification
+reject. Every command writes a run
 manifest (JSON) recording the resolved inputs, seeds, plan hash, and output
 paths; re-running the recorded argv reproduces the outputs bit-for-bit
 (live `run` timestamps excepted).
@@ -125,6 +126,9 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     if getattr(args, "n", None) is not None:
         overrides["n"] = args.n
     if getattr(args, "rounds", None) is not None:
+        if args.rounds > 1 and args.rounds % 2:
+            raise PlannerError(f"--rounds {args.rounds}: the planner rounds m down "
+                               f"to even, so an odd count above 1 cannot be planned")
         overrides["T"] = _duration_for_rounds(cfg, args.rounds)
     if overrides:
         cfg = SpacetimeConfig(**{**cfg.to_dict(), **overrides})
@@ -314,8 +318,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error; argparse's own 2 is the code of a
+    protocol abort. Subparsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="relbc",
         description="Multi-round relativistic bit commitment toolkit",
     )

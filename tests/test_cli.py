@@ -134,13 +134,34 @@ class TestRun:
 
 
 class TestSimulateAndVerify:
-    @pytest.mark.parametrize("flag", ["--rounds", "--n"])
-    def test_zero_override_reaches_planner(self, flag):
+    @pytest.mark.parametrize("argv, match", [
+        pytest.param(["--rounds", "0"], None, id="--rounds"),
+        pytest.param(["--n", "0"], None, id="--n"),
+        pytest.param(["--rounds", "7"], "rounds m down to even", id="--rounds-odd")])
+    def test_zero_override_reaches_planner(self, argv, match):
         """A 0 is an override, not an unset flag: the planner refuses it
-        rather than plan case-1's 24 h run."""
-        args = cli.build_parser().parse_args(["simulate", flag, "0", "--out", "t.rbcx"])
-        with pytest.raises(PlannerError):
+        rather than plan case-1's 24 h run. An odd --rounds above 1 is
+        refused too, rather than planned as one round fewer."""
+        args = cli.build_parser().parse_args(["simulate", *argv, "--out", "t.rbcx"])
+        with pytest.raises(PlannerError, match=match):
             cli._plan_for_args(args)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--strategy", "bogus"], ["simulate", "--rounds", "x"],
+        ["verify"], ["nosuch"], []], ids=lambda argv: "-".join(argv) or "none")
+    def test_usage_error_exit_1(self, capsys, argv):
+        """argparse's usage errors exit 1, not 2, the code of a protocol abort."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]],
+                             ids="-".join)
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
     @pytest.mark.parametrize("width, n, poly", [(16, 12, 0x9), (128, 128, 0x85)],
                              ids=["n12", "n128-0x85"])
