@@ -14,10 +14,9 @@ Subcommands:
 
 Exit codes are stable for scripting: 0 success/accept, 1 usage or config
 error (argparse's usage errors included), 2 protocol abort, 3 verification
-reject. Every command writes a run
-manifest (JSON) recording the resolved inputs, seeds, plan hash, and output
-paths; re-running the recorded argv reproduces the outputs bit-for-bit
-(live `run` timestamps excepted).
+reject. Every command writes a run manifest (JSON) recording the resolved
+inputs, seeds, plan hash, and output paths; re-running the recorded argv
+reproduces the outputs bit-for-bit (live `run` timestamps excepted).
 """
 
 from __future__ import annotations

@@ -114,16 +114,21 @@ class ClockModel:
         return round(self.rate * global_ns)
 
     def local_at_global(self, global_ns: int) -> int:
-        if not self.rate:  # exact rate: no drift, a pure offset
+        # drift_ns written out: this runs several times per simulated round
+        rate = self.rate
+        if not rate:  # exact rate: no drift, a pure offset
             return global_ns + self.offset_ns
-        local = global_ns + self.offset_ns + self.drift_ns(global_ns)
-        if (self.rate > 0 and self.discipline == "pps"
-                and global_ns % NS <= self.rate * NS):
-            # the pulse pulls a fast clock back at each whole second, 0
-            # included; it holds its last reading until global time catches
-            # up, which takes at most rate * NS ns, so it never runs backward
-            last = global_ns - global_ns % NS - 1
-            return max(local, last + self.offset_ns + self.drift_ns(last))
+        if self.discipline != "pps":
+            return global_ns + self.offset_ns + round(rate * global_ns)
+        into = global_ns % NS
+        local = global_ns + self.offset_ns + round(rate * into)
+        if into <= rate * NS:
+            # the pulse pulls a fast clock (rate > 0) back at each whole
+            # second, 0 included; it holds its last reading until global time
+            # catches up, which takes at most rate * NS ns, so it never runs
+            # backward
+            held = global_ns - into - 1 + self.offset_ns + round(rate * (NS - 1))
+            return max(local, held)
         return local
 
     def global_at_local(self, local_ns: int) -> int:
@@ -287,7 +292,7 @@ def run_simulation(plan: ProtocolPlan,
     # settled[k] is round k's record once its answer has arrived, on time or
     # not, and settled[m + 1] the reveal once it has arrived on time; a
     # deadline that finds its entry unset is a timeout
-    settled: list = [None] * (reveal_round + 1)
+    settled: list[RoundRecord | RevealMessage | None] = [None] * (reveal_round + 1)
     issue_local = [0] * (reveal_round + 1)
     # global-frame diagnostics, gathered while the schedule is built: each
     # new minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
