@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import tracemalloc
 from dataclasses import asdict
 
@@ -366,6 +367,32 @@ def test_chunk_crossing_golden_digest():
                 h.update(transcript_to_bytes(t))
                 h.update(json.dumps(asdict(rep), sort_keys=True).encode())
     assert h.hexdigest() == CHUNK_GOLDEN_DIGEST
+
+
+# A third output pin, over what the fixed grids above do not reach: 2,000
+# seeded runs, each with random station and committer clocks (offsets up to
+# 30 us, drift of either sign, both disciplines) and a random strategy,
+# target round and margin.
+RANDOM_CLOCK_GOLDEN_DIGEST = "489e524d3c56def432b87174c09221a78db376f75394289b9e7581de0574ef23"
+
+
+def test_random_clock_golden_digest():
+    plans = {m: small_plan(m, n=8) for m in (20, 300)}
+    rng = random.Random(2015)
+    h = hashlib.sha256()
+    for i in range(2000):
+        m = rng.choice((20, 300))
+        spread = rng.choice((0, 100, 3_000, 30_000))
+        clocks = {a: ClockModel(rng.randint(-spread, spread),
+                                rng.choice((0.0, rng.uniform(-1e-5, 1e-5))),
+                                rng.choice(("none", "pps"))) for a in AGENTS}
+        strategy = AdversaryStrategy(rng.choice(STRATEGIES), rng.randint(1, m),
+                                     rng.randint(-50, 50))
+        t, rep = run_simulation(plans[m], clocks=clocks, strategy=strategy,
+                                seed=i, bit=i & 1)
+        h.update(transcript_to_bytes(t))
+        h.update(json.dumps(asdict(rep), sort_keys=True).encode())
+    assert h.hexdigest() == RANDOM_CLOCK_GOLDEN_DIGEST
 
 
 def test_aborted_run_builds_only_what_it_reaches():
