@@ -13,12 +13,10 @@ light itself would miss the deadline by t_M.
 
 The engine is single-threaded and reproducible: events are processed in
 (time, sequence) order and identical inputs give byte-identical transcripts
-and reports. Every round start and deadline, and the reveal, is known before
-the run. They form a presorted schedule that is converted to the global frame
-in chunks of rounds as the run reaches them, so a run that aborts early stops
-converting; a chunk's events are released once no later chunk can hold an
-earlier one. Only the events a run creates (arrivals, covert relays) go
-through a small heap, and the two are merged by (time, sequence). A clock
+and reports. Every event waits in one queue. A round's start and deadline
+are converted to the global frame once each and queued as the run reaches
+the round, so the queue holds only the rounds in flight and a run that
+aborts early stops converting. A clock
 with zero rate is a pure offset and converts in closed form; a drifting clock
 is inverted by iterating its drift estimate until it settles, then stepping
 to the exact crossing. A pps-disciplined clock holds its reading at every
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Sequence
@@ -72,9 +69,6 @@ STRATEGIES = (HONEST, LATE_DECISION, RELAY, WRONG_BIT_REVEAL, PLACEMENT_CHEAT)
 ABORT_DEADLINE = "deadline"
 ABORT_TIMEOUT = "timeout"
 ABORT_EARLY_REVEAL = "early-reveal"
-
-# rounds converted to the global frame at a time as a run reaches them
-SCHEDULE_CHUNK_ROUNDS = 256
 
 # a pps-disciplined clock whose error over one second exceeds this is out of spec
 PPS_TOLERANCE_NS = 8
@@ -288,86 +282,46 @@ def run_simulation(plan: ProtocolPlan,
     alice = (None, AliceAgent(1, spec, secrets, bit, m), AliceAgent(2, spec, secrets, bit, m))
 
     reveal_round = m + 1
+    xs = challenges.elements   # x_k is xs[k - 1]
 
     # settled[k] is round k's record once its answer has arrived, on time or
     # not, and settled[m + 1] the reveal once it has arrived on time; a
     # deadline that finds its entry unset is a timeout
     settled: list[RoundRecord | RevealMessage | None] = [None] * (reveal_round + 1)
     issue_local = [0] * (reveal_round + 1)
-    # global-frame diagnostics, gathered while the schedule is built: each
-    # new minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
+    # global-frame diagnostics, gathered as rounds are queued: each new
+    # minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
     # (k, min over pairs 1..k), and the first rounds starting > t_M off nominal
     slack_steps: list[tuple[int, int]] = []
     margin_rounds: list[int] = []
     t_m_ns = plan.t_m_ns
 
-    # The static schedule: every round start and deadline, and the reveal,
-    # with its (time, seq) pair packed into one int, time << shift | seq,
-    # which orders like the pair in under a third of the memory of a tuple.
-    # seq is fixed by the round: 2k-2 starts round k, 2k-1 is its deadline,
-    # 2m is the reveal deadline and 2m+1 the reveal send. The rounds are
-    # converted to the global frame a chunk at a time, as the run reaches
-    # them, so an aborted run stops converting; built events wait in `held`
-    # (ascending) until they are released to `schedule` (descending, so the
-    # next event is popped off the end and its entry freed). Events created
-    # while running go to a small heap of (time, seq, kind, k, payload);
-    # their seq numbers continue past the static ones, so merging the two by
-    # (time, seq) processes events in the same order as one heap.
-    shift = (2 * m + 1).bit_length()
-    seq_mask = (1 << shift) - 1
-    two_m = 2 * m
-    # the committer self-schedules the reveal on her own clock, so it is
-    # built up front
+    def global_start(k: int) -> int:
+        """Round k's start in the global frame, its local start recorded as
+        issue_local[k]."""
+        start_local = issue_local[k] = plan.round_start_ns(k)
+        return b_global_at[1 if k & 1 else 2](start_local)
+
+    # One queue of (time, seq, kind, k, payload). seq is fixed for the
+    # scheduled events: 2k-2 starts round k, 2k-1 is its deadline, 2m is the
+    # reveal deadline and 2m+1 the reveal send; events created while running
+    # (arrivals, covert relays) number on from 2m+2. Rounds are queued as the
+    # run reaches them, so an aborted run stops converting: round k is queued
+    # once the queue is empty or its head is no earlier than the horizon, the
+    # global start of round k or k+1, whichever is earlier. Each station's
+    # starts rise in local time and global_at_local never decreases, so no
+    # unqueued event can come before the horizon, and queueing on a tie lets
+    # seq order it. The committer self-schedules the reveal on her own clock,
+    # so it is queued up front.
     issue_local[reveal_round] = plan.round_start_ns(reveal_round)
     a_clk = clk[f"A{station_of(reveal_round)}"]
-    held = [a_clk.global_at_local(issue_local[reveal_round]) << shift | two_m + 1]
-    schedule: list[int] = []
-    next_k = 1   # the first round not built yet
+    queue: list[tuple] = [(a_clk.global_at_local(issue_local[reveal_round]),
+                           2 * m + 1, _EV_REVEAL_SEND, reveal_round, None)]
+    seq = 2 * m + 2
+    next_k = 1   # the first round not queued yet
+    g_next, g_after = global_start(1), global_start(2)   # its start and the next's
+    horizon = min(g_next, g_after)
     prev_start = 0
-
-    def build_chunk() -> None:
-        """Build the next SCHEDULE_CHUNK_ROUNDS rounds, then release every
-        held event earlier than the next unbuilt round's global start at
-        each station. Round starts rise in local time and global_at_local
-        never decreases, so no unbuilt event can come earlier; and every
-        released event is later than those still in `schedule`."""
-        nonlocal next_k, prev_start
-        k_end = min(next_k + SCHEDULE_CHUNK_ROUNDS, reveal_round + 1)
-        for k in range(next_k, k_end):
-            st = 1 if k & 1 else 2
-            start_local = issue_local[k] = plan.round_start_ns(k)
-            g_start = b_global_at[st](start_local)
-            g_deadline = b_global_at[st](start_local + tau[st])
-            if k > 1:
-                slack = prev_start + t_l_ns - g_deadline
-                if not slack_steps or slack < slack_steps[-1][1]:
-                    slack_steps.append((k - 1, slack))
-            prev_start = g_start
-            if len(margin_rounds) < 100 and abs(g_start - start_local) > t_m_ns:
-                margin_rounds.append(k)
-            if k <= m:
-                held.append(g_start << shift | 2 * k - 2)
-                # fires one tick past the deadline so an arrival exactly at
-                # the deadline is still counted as on time
-                held.append((g_deadline + 1) << shift | 2 * k - 1)
-            else:
-                held.append((g_deadline + 1) << shift | two_m)
-        next_k = k_end
-        held.sort()
-        if k_end > reveal_round:
-            cut = len(held)
-        else:
-            bound = b_global_at[station_of(k_end)](plan.round_start_ns(k_end))
-            if k_end < reveal_round:
-                bound = min(bound, b_global_at[station_of(k_end + 1)](
-                    plan.round_start_ns(k_end + 1)))
-            cut = bisect_left(held, bound << shift)
-        released = held[:cut]
-        del held[:cut]
-        schedule[:0] = released[::-1]
-
-    dynamic: list[tuple] = []
-    seq = two_m + 2
 
     skind = strategy.kind
     # relay-strategy bookkeeping
@@ -379,32 +333,45 @@ def run_simulation(plan: ProtocolPlan,
     events = 0
 
     while abort is None:
-        if not schedule:  # once per chunk: build on unless the run is over
-            while not schedule and next_k <= reveal_round:
-                build_chunk()
-            if not schedule and not dynamic:
-                break
-        if dynamic and (not schedule or dynamic[0][0] < schedule[-1] >> shift):
-            t, _, kind, k, payload = heappop(dynamic)
-        else:
-            key = schedule.pop()
-            t, s = key >> shift, key & seq_mask
-            k = (s >> 1) + 1
-            if s < two_m:
-                kind = _EV_DEADLINE if s & 1 else _EV_START
+        while next_k <= reveal_round and (not queue or queue[0][0] >= horizon):
+            k = next_k
+            st = 1 if k & 1 else 2
+            g_start = g_next
+            g_deadline = b_global_at[st](issue_local[k] + tau[st])
+            if k > 1:
+                slack = prev_start + t_l_ns - g_deadline
+                if not slack_steps or slack < slack_steps[-1][1]:
+                    slack_steps.append((k - 1, slack))
+            prev_start = g_start
+            if len(margin_rounds) < 100 and abs(g_start - issue_local[k]) > t_m_ns:
+                margin_rounds.append(k)
+            # a deadline fires one tick past it so an arrival exactly at the
+            # deadline is still counted as on time
+            if k <= m:
+                heappush(queue, (g_start, 2 * k - 2, _EV_START, k, None))
+                heappush(queue, (g_deadline + 1, 2 * k - 1, _EV_DEADLINE, k, None))
             else:
-                kind = _EV_REVEAL_SEND if s & 1 else _EV_DEADLINE
+                heappush(queue, (g_deadline + 1, 2 * m, _EV_DEADLINE, k, None))
+            next_k = k + 1
+            if k + 2 <= reveal_round:
+                g_next, g_after = g_after, global_start(k + 2)
+                horizon = min(g_next, g_after)
+            else:
+                g_next = horizon = g_after
+        if not queue:
+            break
+        t, _, kind, k, payload = heappop(queue)
         events += 1
         st = 1 if k & 1 else 2
         if kind == _EV_START:
-            heappush(dynamic, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, 0))
+            heappush(queue, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, 0))
             seq += 1
         elif kind == _EV_CH_ARRIVE:
             arrive = t + travel_ba[st]
             if skind == RELAY:
                 # covertly forward this challenge to the peer agent, and hold
                 # a sustain round until the previous challenge has come over
-                heappush(dynamic, (t + travel_aa, seq, _EV_COVERT, k, 0))
+                heappush(queue, (t + travel_aa, seq, _EV_COVERT, k, 0))
                 seq += 1
                 if k > 1 and k - 1 not in covert_known:
                     relay_waiting[k] = st
@@ -412,8 +379,8 @@ def run_simulation(plan: ProtocolPlan,
             elif skind == LATE_DECISION and k == strategy.target_round:
                 deadline = b_global_at[st](issue_local[k] + tau[st])
                 arrive = max(arrive, deadline - strategy.margin_ns)
-            y = alice[st].handle_challenge(k, challenges[k - 1])
-            heappush(dynamic, (arrive, seq, _EV_ARRIVE, k, y))
+            y = alice[st].handle_challenge(k, xs[k - 1])
+            heappush(queue, (arrive, seq, _EV_ARRIVE, k, y))
             seq += 1
         elif kind == _EV_ARRIVE:
             # one rule for every answer and the reveal: on time at its
@@ -421,7 +388,7 @@ def run_simulation(plan: ProtocolPlan,
             received = b_local_at[st](t)
             turnaround = received - issue_local[k]
             if k <= m:
-                settled[k] = RoundRecord(k, st, challenges[k - 1], payload,
+                settled[k] = RoundRecord(k, st, xs[k - 1], payload,
                                          issue_local[k], received)
             else:
                 reveal_at = received
@@ -439,8 +406,8 @@ def run_simulation(plan: ProtocolPlan,
             nxt = k + 1
             if nxt in relay_waiting:
                 st = relay_waiting.pop(nxt)
-                y = alice[st].handle_challenge(nxt, challenges[nxt - 1])
-                heappush(dynamic, (t + travel_ba[st], seq, _EV_ARRIVE, nxt, y))
+                y = alice[st].handle_challenge(nxt, xs[nxt - 1])
+                heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, nxt, y))
                 seq += 1
         elif kind == _EV_REVEAL_SEND:
             try:
@@ -451,7 +418,7 @@ def run_simulation(plan: ProtocolPlan,
                 continue
             if skind == WRONG_BIT_REVEAL:
                 msg = RevealMessage(msg.bit ^ 1, msg.final_secret)
-            heappush(dynamic, (t + travel_ba[st], seq, _EV_ARRIVE, k, msg))
+            heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, k, msg))
             seq += 1
 
     # the contiguous round prefix
@@ -471,7 +438,7 @@ def run_simulation(plan: ProtocolPlan,
                             plan_hash=plan.plan_hash)
 
     # global-frame diagnostics over the pairs and rounds the run reached; a
-    # run builds round m+1 before the reveal can land inside its window, and
+    # run queues round m+1 before the reveal can land inside its window, and
     # a run that ends unaborted has received the reveal
     worst_slack: int | None = None
     last_pair = reveal_round if reveal_received else len(rounds)
