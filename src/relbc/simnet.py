@@ -16,11 +16,11 @@ The engine is single-threaded and reproducible: events are processed in
 and reports. Every event waits in one queue. A round's start and deadline
 are converted to the global frame once each and queued as the run reaches
 the round, so the queue holds only the rounds in flight and a run that
-aborts early stops converting. A clock
-with zero rate is a pure offset and converts in closed form; a drifting clock
-is inverted by iterating its drift estimate until it settles, then stepping
-to the exact crossing. A pps-disciplined clock holds its reading at every
-pulse, the one at global time 0 included, so no clock runs backward.
+aborts early stops converting. A clock with zero rate is a pure offset and
+converts in closed form; a drifting clock is inverted by iterating its drift
+estimate until it settles, then stepping to the exact crossing. A
+pps-disciplined clock holds its reading at every pulse, the one at global
+time 0 included, so no clock runs backward.
 
 One arrival rule judges every answer and the reveal, which is round m+1:
 it is on time when 0 <= received - issued <= tau on its verifier's clock.
@@ -306,20 +306,21 @@ def run_simulation(plan: ProtocolPlan,
     # scheduled events: 2k-2 starts round k, 2k-1 is its deadline, 2m is the
     # reveal deadline and 2m+1 the reveal send; events created while running
     # (arrivals, covert relays) number on from 2m+2. Rounds are queued as the
-    # run reaches them, so an aborted run stops converting: round k is queued
-    # once the queue is empty or its head is no earlier than the horizon, the
-    # global start of round k or k+1, whichever is earlier. Each station's
-    # starts rise in local time and global_at_local never decreases, so no
-    # unqueued event can come before the horizon, and queueing on a tie lets
-    # seq order it. The committer self-schedules the reveal on her own clock,
-    # so it is queued up front.
+    # run reaches them, so an aborted run stops converting: the first round
+    # not queued, k, is queued once the queue is empty or its head is no
+    # earlier than the horizon, the global start of round k or k+1, whichever
+    # is earlier. Each station's starts rise in local time and global_at_local
+    # never decreases, so no unqueued event can come before the horizon, and
+    # queueing on a tie lets seq order it. The committer self-schedules the
+    # reveal on her own clock, so it is queued up front.
     issue_local[reveal_round] = plan.round_start_ns(reveal_round)
     a_clk = clk[f"A{station_of(reveal_round)}"]
     queue: list[tuple] = [(a_clk.global_at_local(issue_local[reveal_round]),
                            2 * m + 1, _EV_REVEAL_SEND, reveal_round, None)]
     seq = 2 * m + 2
     next_k = 1   # the first round not queued yet
-    g_next, g_after = global_start(1), global_start(2)   # its start and the next's
+    # its global start and the next round's, inf past the reveal
+    g_next, g_after = global_start(1), global_start(2)
     horizon = min(g_next, g_after)
     prev_start = 0
 
@@ -333,7 +334,9 @@ def run_simulation(plan: ProtocolPlan,
     events = 0
 
     while abort is None:
-        while next_k <= reveal_round and (not queue or queue[0][0] >= horizon):
+        if not queue or queue[0][0] >= horizon:
+            if next_k > reveal_round:
+                break
             k = next_k
             st = 1 if k & 1 else 2
             g_start = g_next
@@ -353,13 +356,10 @@ def run_simulation(plan: ProtocolPlan,
             else:
                 heappush(queue, (g_deadline + 1, 2 * m, _EV_DEADLINE, k, None))
             next_k = k + 1
-            if k + 2 <= reveal_round:
-                g_next, g_after = g_after, global_start(k + 2)
-                horizon = min(g_next, g_after)
-            else:
-                g_next = horizon = g_after
-        if not queue:
-            break
+            g_next, g_after = g_after, (global_start(k + 2) if k + 2 <= reveal_round
+                                        else math.inf)
+            horizon = min(g_next, g_after)
+            continue
         t, _, kind, k, payload = heappop(queue)
         events += 1
         st = 1 if k & 1 else 2
