@@ -117,6 +117,11 @@ def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
 
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     if getattr(args, "plan", None):
+        fixed = [flag for flag in ("--rounds", "--n", "--duration")
+                 if getattr(args, flag[2:], None) is not None]
+        if fixed:
+            raise PlannerError(f"--plan fixes the round count, width and duration; "
+                               f"drop {', '.join(fixed)} or plan from --config")
         return load_plan(args.plan)
     cfg = _resolve_config(args.config)
     overrides = {}
@@ -220,7 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"rounds: {stats.rounds}   time: {stats.seconds:.3f} s   "
           f"throughput: {rate:,.0f} rounds/s")
     code = _print_verdict(verdict)
-    _write_manifest(args, [], None)
+    _write_manifest(args, [], plan.plan_hash if plan else None)
     return code
 
 

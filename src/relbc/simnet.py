@@ -560,7 +560,6 @@ def run_many(plan: ProtocolPlan, strategy: AdversaryStrategy,
     if processes is not None and processes > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
-        with ctx.Pool(processes) as pool:
+        with mp.get_context("fork").Pool(processes) as pool:
             return pool.map(_run_one_summary, jobs, chunksize=4)
     return [_run_one_summary(job) for job in jobs]

@@ -137,11 +137,14 @@ class TestSimulateAndVerify:
     @pytest.mark.parametrize("argv, match", [
         pytest.param(["--rounds", "0"], None, id="--rounds"),
         pytest.param(["--n", "0"], None, id="--n"),
-        pytest.param(["--rounds", "7"], "rounds m down to even", id="--rounds-odd")])
+        pytest.param(["--rounds", "7"], "rounds m down to even", id="--rounds-odd"),
+        pytest.param(["--plan", "p.json", "--rounds", "20", "--n", "8"],
+                     "drop --rounds, --n", id="--plan-with-overrides")])
     def test_zero_override_reaches_planner(self, argv, match):
         """A 0 is an override, not an unset flag: the planner refuses it
         rather than plan case-1's 24 h run. An odd --rounds above 1 is
-        refused too, rather than planned as one round fewer."""
+        refused too, rather than planned as one round fewer, and so is an
+        override beside --plan, rather than ignored."""
         args = cli.build_parser().parse_args(["simulate", *argv, "--out", "t.rbcx"])
         with pytest.raises(PlannerError, match=match):
             cli._plan_for_args(args)
@@ -250,6 +253,18 @@ class TestSimulateAndVerify:
         code, out, err = run_cli(capsys, "verify", "t.rbcx", "--plan", "plan.json")
         assert code == 1 and "ACCEPT" not in out
         assert "plan mismatch" in err and "(none)" in err
+
+    def test_verify_manifest_records_plan_hash(self, in_tmp, capsys):
+        plan = small_plan(20, n=8)
+        save_plan(plan, in_tmp / "plan.json")
+        code, _, _ = run_cli(capsys, "simulate", "--plan", "plan.json", "--out", "t.rbcx")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "t.rbcx", "--plan", "plan.json",
+                               "--manifest", "v.json")
+        assert code == 0 and "ACCEPT" in out
+        manifest = json.loads((in_tmp / "v.json").read_text())
+        assert manifest["subcommand"] == "verify"
+        assert manifest["plan_hash"] == plan.plan_hash
 
     def test_simulate_is_reproducible(self, in_tmp, capsys):
         run_cli(capsys, "simulate", "--rounds", "20", "--n", "8", "--seed", "9",

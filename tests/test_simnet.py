@@ -337,12 +337,11 @@ def test_golden_digest():
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
-# A second output pin, also computed before the schedule was built lazily:
-# m=1000 (four schedule chunks), each committer clock equal to its station's,
-# and the stations' clocks offset from each other by more than a chunk's
-# time span (256 rounds, about 4.4 ms), so one station's events are built
-# chunks before the other's run. late-decision on round m aborts after the
-# reveal has arrived.
+# A second output pin, also computed before rounds were queued as the run
+# reaches them: m=1000, each committer clock equal to its station's, and the
+# stations' clocks offset from each other by up to about 9 ms, some 500
+# rounds, so one station's rounds are queued long before the other's run.
+# late-decision on round m aborts after the reveal has arrived.
 CHUNK_GOLDEN_STRATEGIES = GOLDEN_STRATEGIES + [
     AdversaryStrategy("late-decision", target_round=1000, margin_ns=-1)]
 CHUNK_GOLDEN_CLOCKS = [
@@ -463,8 +462,9 @@ def test_abort_after_reveal_reports_every_pair():
 
 # tracemalloc peak of one honest m=10^4, n=128 run with supplied tapes, on
 # Python 3.11.7: 3.94 MB with one heap of tuples holding every event and
-# per-round global start and deadline lists; 2.52 MB with the packed
-# presorted schedule, freed as it is consumed, and running diagnostics.
+# per-round global start and deadline lists; 2.52 MB with a presorted
+# schedule freed as it is consumed, and the same with one queue holding only
+# the rounds in flight, each with running diagnostics.
 PEAK_BOUND_BYTES = 3_000_000
 
 
