@@ -393,42 +393,45 @@ def test_random_clock_golden_digest():
     assert h.hexdigest() == RANDOM_CLOCK_GOLDEN_DIGEST
 
 
-class CountingClock(ClockModel):
-    """A clock that counts its conversions to the global frame in `calls`."""
-
+def counting_clocks(params: dict) -> tuple[dict, list[int]]:
+    """A clock for every agent, built from its (offset, rate, discipline) in
+    `params` or exact, and a list whose one entry counts their conversions
+    to the global frame."""
     calls = [0]
 
-    def global_at_local(self, local_ns):
-        self.calls[0] += 1
-        return super().global_at_local(local_ns)
+    class CountingClock(ClockModel):
+        def global_at_local(self, local_ns):
+            calls[0] += 1
+            return super().global_at_local(local_ns)
+
+    return {agent: CountingClock(*params.get(agent, ())) for agent in AGENTS}, calls
 
 
-PPS_COUNTING_CLOCKS = {agent: (offset, rate, "pps") for agent, offset, rate in (
+PPS_CLOCK_PARAMS = {agent: (offset, rate, "pps") for agent, offset, rate in (
     ("A1", 37, 3e-9), ("A2", -53, -4e-9), ("B1", 71, 2e-9), ("B2", -29, -5e-9))}
 
 
-@pytest.mark.parametrize("params", [{}, PPS_COUNTING_CLOCKS], ids=["exact", "pps"])
+@pytest.mark.parametrize("params", [{}, PPS_CLOCK_PARAMS], ids=["exact", "pps"])
 def test_full_run_converts_each_time_once(params):
     """An honest run converts each round's start and deadline, and the
     reveal send, to the global frame once: 2m+3 conversions in all."""
-    CountingClock.calls[0] = 0
-    clocks = {agent: CountingClock(*params.get(agent, ())) for agent in AGENTS}
+    clocks, calls = counting_clocks(params)
     plan = small_plan(1000, n=8)
     _, rep = run_simulation(plan, clocks=clocks, seed=1, bit=0)
     assert not rep.aborted
-    assert CountingClock.calls[0] == 2 * plan.m + 3
+    assert calls[0] == 2 * plan.m + 3
 
 
 def test_aborted_run_builds_only_what_it_reaches():
     """A relay run aborts at round 2, so it converts the times of the first
     few rounds to the global frame, not all 2m+3 round and reveal times."""
-    CountingClock.calls[0] = 0
-    clocks = {agent: CountingClock(*PPS_COUNTING_CLOCKS[agent]) for agent in AGENTS}
+    clocks, calls = counting_clocks(PPS_CLOCK_PARAMS)
     plan = small_plan(10_000, n=8)
     _, rep = run_simulation(plan, clocks=clocks, strategy=AdversaryStrategy("relay"),
                             seed=1, bit=0)
     assert rep.aborted and rep.abort_round == 2
-    assert CountingClock.calls[0] <= 2 * 4 + 1, CountingClock.calls[0]
+    # the starts and deadlines of at most four rounds, and the reveal send
+    assert calls[0] <= 2 * 4 + 1, calls[0]
 
 
 def test_abort_after_reveal_reports_every_pair():
