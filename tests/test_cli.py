@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, manifests."""
 
+import hashlib
 import json
 import re
 
@@ -80,6 +81,31 @@ class TestPlan:
         assert code == 1
         assert err.startswith("error:") and "n = 24" in err
         assert not (in_tmp / "plan.json").exists()
+
+
+class TestPinnedOutputs:
+    """Plan hashes and a simulate transcript pinned byte for byte: every
+    agent checks the plan by its hash, so the way arguments become a plan
+    must not move them."""
+
+    @pytest.mark.parametrize("argv, plan_hash", [
+        (["case1"], "f02c86b79d2944c8699569e721393dddfaf4d1d9d7a889e90f0ffd5d099cf1d2"),
+        (["case1", "--duration", "10ms"],
+         "604fde270b00dd44f0524d75241e661fee40620e896bf29e5dfafed9e6c1dbdc"),
+        (["case2", "--duration", "1y", "--year-days", "365.25"],
+         "49486f66d36e5857f2f3a30defe2505826fcb35610cfd272a7b82cc0c2766b44"),
+    ], ids=["case1", "case1-10ms", "case2-1y-365.25"])
+    def test_plan_hash(self, in_tmp, capsys, argv, plan_hash):
+        code, _, _ = run_cli(capsys, "plan", *argv, "--out", "plan.json")
+        assert code == 0
+        assert json.loads((in_tmp / "plan.json").read_text())["plan_hash"] == plan_hash
+
+    def test_simulate_transcript(self, in_tmp, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--rounds", "200", "--n", "8",
+                               "--seed", "3", "--bit", "1", "--out", "t.rbcx")
+        assert code == 0 and "ACCEPT bit=1" in out.splitlines()
+        assert hashlib.sha256((in_tmp / "t.rbcx").read_bytes()).hexdigest() == \
+            "3c99dc793e9b8adc93968d84c74eff413d7d07b90364c49615fca3dd37654d1d"
 
 
 class TestTape:
