@@ -5,7 +5,7 @@ Subcommands:
     plan      evaluate a config: human table + machine-readable plan file
     tape      generate a pre-shared randomness tape for a plan
     simulate  run the discrete-event simulation, write transcript + audit,
-              and verify a completed transcript
+              and verify the transcript file it wrote when the run completed
     run       run one live agent (A1/A2/B1/B2) over TCP
     verify    stream-verify a transcript file
     bench     time `generate_honest_transcript_file` and `verify_file` on an
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import tempfile
 import time
@@ -34,7 +33,7 @@ from pathlib import Path
 from . import __version__
 from .field import FieldSpec
 from .planner import (
-    InfeasibleGeometryError,
+    DEFAULT_YEAR_DAYS,
     PlannerError,
     ProtocolPlan,
     SpacetimeConfig,
@@ -47,7 +46,7 @@ from .planner import (
     resource_plan,
     save_plan,
 )
-from .protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, Verdict, bob_verify
+from .protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, Verdict
 from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
 from .storage import (
     PlanHashMismatchError,
@@ -56,7 +55,6 @@ from .storage import (
     generate_honest_transcript_file,
     generate_tape,
     verify_file,
-    write_tape,
     write_transcript,
 )
 from .transport import (
@@ -115,42 +113,42 @@ def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
     return (rounds + 1.5) * compute_tq(cfg) / 2.0
 
 
+PLANNING_FLAGS = ("--config", "--rounds", "--n", "--duration", "--year-days")
+
+
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
+    """The one place arguments become a plan. `--plan` is loaded as it is and
+    refuses every planning flag beside it; otherwise `--config` (case1 unless
+    given) is planned with the given overrides, in 365-day years unless
+    `--year-days` says otherwise."""
+    given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in PLANNING_FLAGS}
+    given = {flag: value for flag, value in given.items() if value is not None}
     if getattr(args, "plan", None):
-        fixed = [flag for flag in ("--rounds", "--n", "--duration")
-                 if getattr(args, flag[2:], None) is not None]
-        if fixed:
-            raise PlannerError(f"--plan fixes the round count, width and duration; "
-                               f"drop {', '.join(fixed)} or plan from --config")
+        if given:
+            raise PlannerError(f"--plan fixes the config, round count, width and duration; "
+                               f"drop {', '.join(given)}, or drop --plan to plan from them")
         return load_plan(args.plan)
-    cfg = _resolve_config(args.config)
+    cfg = _resolve_config(given.get("--config", "case1"))
     overrides = {}
-    if getattr(args, "duration", None):
-        overrides["T"] = parse_duration(args.duration, year_days=args.year_days)
-    if getattr(args, "n", None) is not None:
-        overrides["n"] = args.n
-    if getattr(args, "rounds", None) is not None:
-        if args.rounds > 1 and args.rounds % 2:
-            raise PlannerError(f"--rounds {args.rounds}: the planner rounds m down "
+    if "--duration" in given:
+        overrides["T"] = parse_duration(given["--duration"],
+                                        year_days=given.get("--year-days", DEFAULT_YEAR_DAYS))
+    if "--n" in given:
+        overrides["n"] = given["--n"]
+    if "--rounds" in given:
+        rounds = given["--rounds"]
+        if rounds > 1 and rounds % 2:
+            raise PlannerError(f"--rounds {rounds}: the planner rounds m down "
                                f"to even, so an odd count above 1 cannot be planned")
-        overrides["T"] = _duration_for_rounds(cfg, args.rounds)
+        overrides["T"] = _duration_for_rounds(cfg, rounds)
     if overrides:
         cfg = SpacetimeConfig(**{**cfg.to_dict(), **overrides})
     return resource_plan(cfg)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args.config)
-    if args.duration:
-        cfg = SpacetimeConfig(**{**cfg.to_dict(),
-                                 "T": parse_duration(args.duration, year_days=args.year_days)})
-    try:
-        plan = resource_plan(cfg)
-    except InfeasibleGeometryError as exc:
-        print(f"infeasible configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    label = cfg.name or Path(args.config).stem
-    print(format_plan_table([(label, plan)]))
+    plan = _plan_for_args(args)
+    print(format_plan_table([(plan.config.name or Path(args.config).stem, plan)]))
     print(f"\nt_Q = {plan.t_q * 1e6:.4f} us   t_L = {plan.t_l * 1e6:.4f} us   "
           f"m = {plan.m}   eps_old = {plan.epsilon_exponential:.3g}")
     print(f"min separation for these deadlines: {plan.min_separation_m / 1000:.3f} km")
@@ -160,7 +158,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         save_plan(plan, args.out)
         outputs.append(str(args.out))
         print(f"plan written to {args.out}")
-    _write_manifest(args, outputs, plan.plan_hash, resolved=cfg.to_dict())
+    _write_manifest(args, outputs, plan.plan_hash, resolved=plan.config.to_dict())
     return 0
 
 
@@ -208,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"complete: {report.rounds_recorded} rounds; "
               f"audit {'ok' if audit.ok else 'VIOLATIONS'}; "
               f"worst slack {audit.worst_slack_ns} ns")
-        code = _print_verdict(bob_verify(transcript))
+        code = _print_verdict(verify_file(out, plan)[0])
     print(f"transcript -> {out}\naudit      -> {audit_path}")
     _write_manifest(args, [str(out), str(audit_path)], plan.plan_hash, seeds=[args.seed])
     return code
@@ -280,18 +278,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    m = args.rounds
-    if m < 1:
-        print("error: --rounds must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    spec = FieldSpec(128)
-    rng = random.Random(args.seed)
+    plan = _plan_for_args(args)
+    spec, m = FieldSpec(plan.n), plan.m
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         secrets, challenges, path = work / "a.tape", work / "x.tape", work / "bench.rbcx"
-        write_tape(secrets, spec, ROLE_ALICE_SECRETS, (spec.random_int(rng) for _ in range(m)), m)
-        write_tape(challenges, spec, ROLE_BOB_CHALLENGES,
-                   (spec.random_int(rng, nonzero=True) for _ in range(m)), m)
+        generate_tape(plan, ROLE_ALICE_SECRETS, secrets, seed=args.seed)
+        generate_tape(plan, ROLE_BOB_CHALLENGES, challenges, seed=args.seed + 1)
         t0 = time.perf_counter()
         with TapeReader(secrets) as a, TapeReader(challenges) as x:
             generate_honest_transcript_file(path, spec, m, a, x, 1)
@@ -338,32 +331,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"relbc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", help="run manifest path")
+    duration = argparse.ArgumentParser(add_help=False)
+    duration.add_argument("--duration", help="override commitment duration (e.g. 24h, 1y, 600)")
+    duration.add_argument("--year-days", type=float,
+                          help="days per year for the 'y' duration unit (365, the default, "
+                               "or 365.25)")
 
-    p = sub.add_parser("plan", help="evaluate a spacetime config")
+    p = sub.add_parser("plan", parents=[duration, manifest], help="evaluate a spacetime config")
     p.add_argument("config", help="config file path or built-in name (case1, case2)")
-    p.add_argument("--duration", help="override commitment duration (e.g. 24h, 1y, 600)")
-    p.add_argument("--year-days", type=float, default=365.0,
-                   help="days per year for the 'y' duration unit (365 or 365.25)")
     p.add_argument("--out", help="write the machine-readable plan JSON here")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("tape", help="generate a pre-shared randomness tape")
+    p = sub.add_parser("tape", parents=[manifest], help="generate a pre-shared randomness tape")
     p.add_argument("--plan", required=True, help="plan JSON from `relbc plan --out`")
     p.add_argument("--role", required=True, choices=["alice-secrets", "bob-challenges"])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="seeded (reproducible); omit for system entropy")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_tape)
 
-    p = sub.add_parser("simulate", help="run the discrete-event simulation")
-    p.add_argument("--plan", help="plan JSON (otherwise --config)")
-    p.add_argument("--config", default="case1", help="config path or built-in name")
+    p = sub.add_parser("simulate", parents=[duration, manifest],
+                       help="run the discrete-event simulation")
+    p.add_argument("--plan", help="plan JSON, which refuses every planning flag "
+                                  "(otherwise --config)")
+    p.add_argument("--config", help="config path or built-in name (default case1)")
     p.add_argument("--rounds", type=int, help="override the round count m")
     p.add_argument("--n", type=int, help="override the string width (e.g. 8)")
-    p.add_argument("--duration", help="override commitment duration")
-    p.add_argument("--year-days", type=float, default=365.0)
     p.add_argument("--strategy", default="honest", choices=list(STRATEGIES))
     p.add_argument("--target-round", type=int, default=1,
                    help="round attacked by late-decision")
@@ -372,10 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bit", type=int, default=0, choices=[0, 1])
     p.add_argument("--out", default="transcript.rbcx")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("run", help="run one live agent")
+    p = sub.add_parser("run", parents=[manifest], help="run one live agent")
     p.add_argument("--role", required=True, choices=["A1", "A2", "B1", "B2"])
     p.add_argument("--plan", required=True)
     p.add_argument("--secrets", help="secrets tape (committer roles)")
@@ -387,22 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multiply all plan times by this factor")
     p.add_argument("--bit", type=int, default=0, choices=[0, 1])
     p.add_argument("--out", help="write the assembled transcript here (verifier roles)")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify", help="stream-verify a transcript file")
+    p = sub.add_parser("verify", parents=[manifest], help="stream-verify a transcript file")
     p.add_argument("transcript")
     p.add_argument("--plan", help="plan JSON to pin the plan hash")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="transcript-file generation and verification "
-                                     "throughput and the case-1 projection")
+    p = sub.add_parser("bench", parents=[manifest],
+                       help="transcript-file generation and verification "
+                            "throughput and the case-1 projection")
     p.add_argument("--rounds", type=int, default=20000,
-                   help="rounds in the generated honest n=128 file")
+                   help="rounds in the generated honest n=128 file, planned from case1 "
+                        "(even, or 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="also write machine-readable results here")
-    p.add_argument("--manifest", help="run manifest path")
     p.set_defaults(func=cmd_bench)
 
     return ap

@@ -14,6 +14,7 @@ from relbc.protocol import Verdict, run_honest_protocol
 from relbc.storage import (
     TapeReader,
     VerifyStats,
+    generate_tape,
     read_transcript,
     transcript_to_bytes,
     verify_file,
@@ -165,12 +166,16 @@ class TestSimulateAndVerify:
         pytest.param(["--n", "0"], None, id="--n"),
         pytest.param(["--rounds", "7"], "rounds m down to even", id="--rounds-odd"),
         pytest.param(["--plan", "p.json", "--rounds", "20", "--n", "8"],
-                     "drop --rounds, --n", id="--plan-with-overrides")])
+                     "drop --rounds, --n", id="--plan-with-overrides"),
+        pytest.param(["--plan", "p.json", "--config", "case2"], "drop --config",
+                     id="--plan-with-config"),
+        pytest.param(["--plan", "p.json", "--year-days", "365.25"], "drop --year-days",
+                     id="--plan-with-year-days")])
     def test_zero_override_reaches_planner(self, argv, match):
         """A 0 is an override, not an unset flag: the planner refuses it
         rather than plan case-1's 24 h run. An odd --rounds above 1 is
-        refused too, rather than planned as one round fewer, and so is an
-        override beside --plan, rather than ignored."""
+        refused too, rather than planned as one round fewer, and so is any
+        planning flag beside --plan, rather than ignored."""
         args = cli.build_parser().parse_args(["simulate", *argv, "--out", "t.rbcx"])
         with pytest.raises(PlannerError, match=match):
             cli._plan_for_args(args)
@@ -213,6 +218,26 @@ class TestSimulateAndVerify:
         assert code == 0 and "ACCEPT bit=1" in out
         audit = json.loads((in_tmp / "t.audit.json").read_text())
         assert audit["ok"] and audit["pairs_checked"] == 1000
+
+    def test_verdict_is_verify_files_on_the_written_file(self, in_tmp, capsys,
+                                                          monkeypatch):
+        """The printed verdict is the one `relbc verify OUT --plan` would give:
+        `verify_file` on the file simulate wrote, under the plan it ran."""
+        seen = []
+
+        def spy(path, plan=None):
+            verdict, stats = verify_file(path, plan)
+            seen.append((path, plan, verdict))
+            return verdict, stats
+
+        monkeypatch.setattr(cli, "verify_file", spy)
+        code, out, _ = run_cli(capsys, "simulate", "--rounds", "20", "--n", "8",
+                               "--bit", "1", "--out", "t.rbcx")
+        assert code == 0 and "ACCEPT bit=1" in out
+        [(path, plan, verdict)] = seen
+        assert str(path) == "t.rbcx"
+        assert plan.m == 20 and plan.n == 8
+        assert verdict.accepted and verdict.bit == 1
 
     def test_relay_aborts_with_exit_2(self, in_tmp, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--strategy", "relay",
@@ -341,6 +366,20 @@ class TestBench:
         data = json.loads((in_tmp / "bench.json").read_text())
         assert data["verify_rounds_per_s"] == stats.rounds_per_second
 
+    def test_tapes_are_made_as_relbc_tape_makes_them(self, in_tmp, capsys, monkeypatch):
+        """Case 1 planned at --rounds, one tape per role, seeded S and S + 1
+        as a loopback session seeds them."""
+        made = []
+
+        def spy(plan, role, path, seed=None):
+            made.append((plan.m, plan.n, role, seed))
+            return generate_tape(plan, role, path, seed=seed)
+
+        monkeypatch.setattr(cli, "generate_tape", spy)
+        code, _, _ = run_cli(capsys, "bench", "--rounds", "10", "--seed", "4")
+        assert code == 0
+        assert made == [(10, 128, "alice-secrets", 4), (10, 128, "bob-challenges", 5)]
+
     def test_reject_exits_3(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_file",
                             lambda path, plan=None: (Verdict.reject("bit-mismatch"),
@@ -351,6 +390,13 @@ class TestBench:
     def test_zero_rounds_exit_1(self, in_tmp, capsys):
         code, _, err = run_cli(capsys, "bench", "--rounds", "0")
         assert code == 1 and err.startswith("error:")
+
+    def test_odd_rounds_exit_1(self, in_tmp, capsys):
+        """The bench plans case 1 at --rounds, as simulate does, so an odd
+        count above 1 is refused rather than run as one round fewer."""
+        code, out, err = run_cli(capsys, "bench", "--rounds", "7")
+        assert code == 1 and "transcript-file" not in out
+        assert err.startswith("error:") and "rounds m down to even" in err
 
     def test_projects_from_case1_plan(self, in_tmp, capsys):
         run_cli(capsys, "plan", "case1", "--out", "plan.json")
