@@ -36,7 +36,10 @@ The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
 for even m, B2 for odd m. That station's committer sends it, its verifier
 puts it in its RECORDS payload (reveal flag 1), and the other verifier takes
 it from there. A session needs m >= 2, so that the revealing committer has a
-round of its own to time the reveal from.
+round of its own to time the reveal from. As in the simulator, one arrival
+rule judges every answer and the reveal: 0 <= received - start <= tau. A
+reveal read before round m+1 opens ends the session as `early-reveal` at
+round m+1, announced on both links as a missed deadline is.
 
 Every byte a peer sends goes through `decode_frame` and one `_parse_*`
 function, which raise `MalformedFrameError` on any layout fault (an ABORT
@@ -73,6 +76,7 @@ from .protocol import (
     bob_verify,
     station_of,
 )
+from .simnet import ABORT_DEADLINE, ABORT_EARLY_REVEAL
 from .storage import TapeReader, _record_size, _record_struct, transcript_to_bytes
 
 FRAME_CHALLENGE = 0x01
@@ -100,7 +104,6 @@ ROLES = ("A1", "A2", "B1", "B2")
 
 ABORT_CONFIG = "config"
 ABORT_CONNECTION = "connection"
-ABORT_DEADLINE = "deadline"
 ABORT_TAPE = "tape"
 ABORT_MISMATCH = "transcript-mismatch"
 ABORT_MALFORMED = "malformed-frame"
@@ -604,7 +607,8 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
                     bob_link: socket.socket, challenges: TapeReader) -> None:
     """Issue this station's challenges on schedule, then, at the station that
     hosts round m+1, wait for the reveal. The records and the reveal go to
-    `ses`; a missed deadline is announced over both links and ends the role."""
+    `ses`; an arrival outside 0 <= received - start <= tau is announced over
+    both links and ends the role."""
     steps = list(range(ses.station, ses.m + 1, 2))
     if ses.hosts_reveal:
         steps.append(ses.m + 1)
@@ -626,18 +630,22 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
         except TimeoutError:
             frame = None
         received = time.monotonic_ns()
+        missed = None
         if frame is None or frame.type != expect or frame.round_index != k:
-            missed = f"no {what} within tau"
+            missed = ABORT_DEADLINE, f"no {what} within tau"
         else:
             if k <= ses.m:
                 y = _parse_element(ses.spec, frame.payload)
                 ses.records.append(RoundRecord(k, ses.station, x, y, start, received))
             else:
                 ses.reveal, ses.reveal_at = _parse_reveal(ses.spec, frame.payload), received
-            missed = f"{what} after tau" if received - start > ses.tau_ns else None
+            if received < start:  # only the reveal: an answer's start is its send
+                missed = ABORT_EARLY_REVEAL, f"reveal {start - received} ns before round {k}"
+            elif received - start > ses.tau_ns:
+                missed = ABORT_DEADLINE, f"{what} after tau"
         if missed:
-            _send_abort(ses.sockets.values(), ABORT_DEADLINE, k)
-            raise _Abort(AbortReport(ABORT_DEADLINE, k, missed))
+            _send_abort(ses.sockets.values(), missed[0], k)
+            raise _Abort(AbortReport(missed[0], k, missed[1]))
 
 
 def _run_bob(ses: _Session) -> AgentResult:

@@ -12,8 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from relbc.simnet import run_simulation
 from relbc.field import FieldSpec
-from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord
-from relbc.storage import write_tape
+from relbc.protocol import (
+    ROLE_ALICE_SECRETS,
+    ROLE_BOB_CHALLENGES,
+    AliceAgent,
+    RoundRecord,
+    station_of,
+)
+from relbc.storage import TapeReader, write_tape
 from relbc.transport import (
     EXIT_ABORT,
     EXIT_ACCEPT,
@@ -524,3 +530,59 @@ def test_peer_verifier_junk_between_rounds_is_malformed(tmp_path, junk):
     assert out["B1"].exit_code == EXIT_ABORT
     assert out["B1"].abort.reason == "malformed-frame"
     assert told == WireFrame(FRAME_ABORT, 0, b"malformed-frame")
+
+
+@pytest.mark.parametrize("m, when", [(4, "in-round-m"), (5, "in-round-m"),
+                                     (4, "after-last-answer")])
+def test_early_reveal_aborts_both_verifiers(tmp_path, m, when):
+    """A fake committer at the station that hosts round m+1 answers its
+    rounds honestly over a real socket, then sends the reveal before round
+    m+1 opens: 2 ms into round m, or right after its last answer. Its
+    verifier ends with `early-reveal` at round m+1 and announces it on both
+    links, so the other verifier ends the same way, as the simulator does."""
+    plan = dataclasses.replace(lab_plan(m=m + m % 2), m=m)
+    a_path, x_path = _tapes(tmp_path, plan)
+    s = station_of(m + 1)
+    listeners = {role: socket.create_server(("127.0.0.1", 0)) for role in ("B1", "B2")}
+    addr = {role: lst.getsockname() for role, lst in listeners.items()}
+    common = dict(plan=plan, bit=1, io_timeout_s=5.0)
+    runs = [_run_in_thread(SessionConfig(role="B1", challenges_path=x_path,
+                                         listen_socket=listeners["B1"], **common)),
+            _run_in_thread(SessionConfig(role="B2", challenges_path=x_path,
+                                         listen_socket=listeners["B2"],
+                                         peers={"B1": addr["B1"]}, **common)),
+            _run_in_thread(SessionConfig(role=f"A{3 - s}", secrets_path=a_path,
+                                         peers={f"B{3 - s}": addr[f"B{3 - s}"]}, **common))]
+    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+    spec = FieldSpec(plan.n)
+    sock = socket.create_connection(addr[f"B{s}"], timeout=5.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as a live committer
+    sock.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload(f"A{s}", plan.plan_hash)))
+    assert T.recv_frame(sock, deadline()).type == FRAME_HELLO
+    with TapeReader(a_path) as tape:
+        alice = AliceAgent(s, spec, tape, 1, m)
+        for k in range(s, m, 2):
+            frame = T.recv_frame(sock, deadline())
+            assert (frame.type, frame.round_index) == (FRAME_CHALLENGE, k)
+            arrived = T.time.monotonic_ns()
+            y = alice.handle_challenge(k, T._parse_element(spec, frame.payload))
+            sock.sendall(encode_frame(FRAME_ANSWER, k, spec.encode(y)))
+        if when == "in-round-m":
+            T._sleep_until_ns(arrived + 1000 * (plan.round_start_ns(m)
+                                                - plan.round_start_ns(m - 1)) + 2_000_000)
+        sock.sendall(encode_frame(FRAME_REVEAL, m + 1, T._reveal_payload(spec, alice.reveal())))
+    try:
+        told = T.recv_frame(sock, deadline())
+    except ConnectionError:  # the verifier closed the link without an ABORT
+        told = None
+    for thread, _ in runs:
+        thread.join(20)
+    alive = [thread for thread, _ in runs if thread.is_alive()]
+    for lst in (sock, *listeners.values()):
+        lst.close()
+    assert not alive
+    for role in ("B1", "B2"):
+        [result] = [out[role] for _, out in runs if role in out]
+        assert result.exit_code == EXIT_ABORT, (role, result.abort)
+        assert (result.abort.reason, result.abort.round_index) == ("early-reveal", m + 1)
+    assert told == WireFrame(FRAME_ABORT, m + 1, b"early-reveal")
