@@ -56,6 +56,10 @@ REJECT_MALFORMED = "malformed-transcript"
 # the verifier's memory.
 VERIFY_BLOCK_ROUNDS = 256
 
+# Both stations' answer deadline in an honest transcript on the synthetic
+# schedule of `run_honest_protocol` and `honest_row_blocks`.
+HONEST_TAU_NS = 1_000_000
+
 
 class ProtocolError(Exception):
     """Protocol-logic violation (bad state transition, malformed input)."""
@@ -363,10 +367,10 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
             yield RoundRecord.from_row(row, eb)
 
 
-def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int,
-                        tau1_ns: int = 1_000_000, tau2_ns: int = 1_000_000) -> Transcript:
+def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int) -> Transcript:
     """Drive both committer agents over in-memory tapes, each round's
-    challenge read from the challenge tape; returns a complete transcript.
+    challenge read from the challenge tape; returns a complete transcript
+    with both stations' deadline at HONEST_TAU_NS.
 
     This is the reference that streamed generation is compared against; the
     discrete-event simulator and the live transport produce the same records
@@ -376,7 +380,7 @@ def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int
     if len(challenges) < m:
         raise ProtocolError("challenge tape shorter than the secrets tape")
     alices = {1: AliceAgent(1, spec, secrets, d, m), 2: AliceAgent(2, spec, secrets, d, m)}
-    t = Transcript(spec=spec, m=m, tau1_ns=tau1_ns, tau2_ns=tau2_ns)
+    t = Transcript(spec=spec, m=m, tau1_ns=HONEST_TAU_NS, tau2_ns=HONEST_TAU_NS)
     for k in range(1, m + 1):
         s = station_of(k)
         x_k = challenges[k - 1]

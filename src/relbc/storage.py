@@ -46,6 +46,7 @@ from typing import Iterable, Iterator
 from .field import FieldError, FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
+    HONEST_TAU_NS,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     ProtocolError,
@@ -512,8 +513,8 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
                                     d: int) -> None:
     """Forward-generate an honest m-round transcript file in constant memory.
 
-    The file is byte for byte what `run_honest_protocol` with its default
-    deadlines (1 ms each, no plan hash) writes for the same tapes. The rows
+    The file is byte for byte what `run_honest_protocol` (no plan hash)
+    writes for the same tapes. The rows
     come from `protocol.honest_row_blocks`, a block at a time. `secrets` and
     `challenges` may be TapeReader iterators; a source that ends before
     element m raises StorageError, and a failed write leaves no file.
@@ -529,7 +530,7 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     # the header precedes the rounds and a_m is known only after them, so
     # the header is written with a_m = 0 and its reveal payload patched;
     # the header ends with that payload and the 8-byte reveal timestamp
-    header = Transcript(spec=spec, m=m, tau1_ns=1_000_000, tau2_ns=1_000_000,
+    header = Transcript(spec=spec, m=m, tau1_ns=HONEST_TAU_NS, tau2_ns=HONEST_TAU_NS,
                         reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1)
     try:
         with _new_file(path) as f:

@@ -243,13 +243,15 @@ class TestHiding:
 class TestTimingCheck:
     def test_late_round_rejected(self):
         secrets, challenges = random_tapes(S8, 4, seed=16)
-        t = run_honest_protocol(S8, secrets, challenges, 0, tau1_ns=100, tau2_ns=100)
+        t = run_honest_protocol(S8, secrets, challenges, 0)
+        t.tau1_ns = t.tau2_ns = 100
         t.rounds[2].answer_received_at = t.rounds[2].challenge_issued_at + 101
         assert bob_verify(t).reason == REJECT_TIMING
 
     def test_at_deadline_accepted(self):
         secrets, challenges = random_tapes(S8, 4, seed=17)
-        t = run_honest_protocol(S8, secrets, challenges, 0, tau1_ns=100, tau2_ns=100)
+        t = run_honest_protocol(S8, secrets, challenges, 0)
+        t.tau1_ns = t.tau2_ns = 100
         for rec in t.rounds:
             rec.answer_received_at = rec.challenge_issued_at + 100
         assert bob_verify(t).accepted

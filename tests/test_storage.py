@@ -447,8 +447,7 @@ class TestStreamedGeneration:
         spec = S128
         m = 400
         secrets, challenges = random_tapes(spec, m, seed=9)
-        mem = run_honest_protocol(spec, secrets, challenges, 1,
-                                  tau1_ns=1_000_000, tau2_ns=1_000_000)
+        mem = run_honest_protocol(spec, secrets, challenges, 1)
         path = tmp_path / "s.rbcx"
         generate_honest_transcript_file(path, spec, m, iter(secrets.elements),
                                         iter(challenges.elements), 1)

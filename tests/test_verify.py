@@ -49,7 +49,9 @@ def backward_verdict(t: Transcript) -> Verdict:
 
 def honest(m: int, seed: int, d: int) -> Transcript:
     secrets, challenges = random_tapes(S8, m, seed=seed)
-    return run_honest_protocol(S8, secrets, challenges, d, tau1_ns=TAU_NS, tau2_ns=TAU_NS)
+    t = run_honest_protocol(S8, secrets, challenges, d)
+    t.tau1_ns = t.tau2_ns = TAU_NS
+    return t
 
 
 FAULTS = ("answer", "challenge", "zero-challenge", "late", "early", "station",
