@@ -113,15 +113,13 @@ def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
     return (rounds + 1.5) * compute_tq(cfg) / 2.0
 
 
-PLANNING_FLAGS = ("--config", "--rounds", "--n", "--duration", "--year-days")
-
-
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     """The one place arguments become a plan. `--plan` is loaded as it is and
     refuses every planning flag beside it; otherwise `--config` (case1 unless
     given) is planned with the given overrides, in 365-day years unless
     `--year-days` says otherwise."""
-    given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in PLANNING_FLAGS}
+    given = {flag: getattr(args, flag[2:].replace("-", "_"), None)
+             for flag in ("--config", "--rounds", "--n", "--duration", "--year-days")}
     given = {flag: value for flag, value in given.items() if value is not None}
     if getattr(args, "plan", None):
         if given:
