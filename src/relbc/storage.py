@@ -514,8 +514,8 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     """Forward-generate an honest m-round transcript file in constant memory.
 
     The file is byte for byte what `run_honest_protocol` (no plan hash)
-    writes for the same tapes. The rows
-    come from `protocol.honest_row_blocks`, a block at a time. `secrets` and
+    writes for the same tapes. The rows come from
+    `protocol.honest_row_blocks`, a block at a time. `secrets` and
     `challenges` may be TapeReader iterators; a source that ends before
     element m raises StorageError, and a failed write leaves no file.
     """
