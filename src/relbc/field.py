@@ -11,16 +11,26 @@ whole number of bytes, so every `element_bytes` string decodes to an element.
 Multiplication: operands are "spread" (each coefficient bit placed in its
 own byte-wide slot), multiplied as ordinary integers (slot sums never exceed
 255, so no carry crosses a slot boundary), and the product's per-slot
-parities are the carry-less product. The spread form is built and compacted
-big-endian: the binary digits of `bin(v)`, most significant first, map byte
-for byte onto the slots, so neither conversion reverses a string.
+parities are the carry-less product. The spread form is built big-endian:
+the characters of `bin(v)`, most significant digit first, map byte for byte
+onto the slots ("0b" included, as two zero slots), so no string is reversed.
+
+Compaction gathers the slots with one multiplication. A parity-collapsed
+spread value sv holds coefficient i as bit 8i; times K = sum_{j=1..8} 2^{7j}
+it puts that bit at 8i + 7j for each j. For j = 8 - (i mod 8) the bit lands
+in bit i mod 8 of byte 8*(i div 8) + 7, so bytes 7, 15, 23, ... of the
+product, read little-endian, are v's canonical encoding. No two (i, j) give
+the same position (8(i - i') = 7(j' - j) has no solution with |j' - j| < 8
+other than i = i'), so each product bit is one term and no carry reaches a
+gathered byte.
 
 Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
 over a block of encoded (x, y) pairs, and `FieldSpec.answers` gives the
 honest answers y_j = x_j*a_{j-1} XOR a_j for a block of encoded challenges
 and secrets. Each spreads its whole input with one conversion (`_slots`)
 and keeps the running a spread from the first round to the last; `fold`
-compacts it once, `answers` compacts all its answers in one conversion. The
+compacts it once, and `answers` gathers each answer straight into its
+encoding. The
 product and its reduction are `_smul`'s, the same as in `mul`. The spread
 form never leaves this module: every other layer goes through `mul`,
 `fold` or `answers`.
@@ -57,9 +67,13 @@ DEFAULT_POLYS = {
     128: 0x87,   # x^128 + x^7 + x^2 + x + 1
 }
 
-# bit chars <-> byte slots, for the C-speed spread/compact conversions
-_BIN_TO_SLOTS = bytes.maketrans(b"01", b"\x00\x01")
-_SLOTS_TO_BIN = bytes.maketrans(b"\x00\x01", b"01")
+# the characters of bin(v) -> byte slots, for the C-speed spread conversion;
+# the "b" of its "0b" prefix becomes a zero slot
+_BIN_TO_SLOTS = bytes.maketrans(b"01b", b"\x00\x01\x00")
+
+# multiplier of the gather compaction (see the module docstring): slot i of a
+# spread value, times this, lands in bit i mod 8 of byte 8*(i div 8) + 7
+_GATHER = sum(1 << (7 * j) for j in range(1, 9))
 
 
 def _poly_mod(a: int, mod: int) -> int:
@@ -106,7 +120,7 @@ class FieldSpec:
 
     def _spread(self, v: int) -> int:
         """Compact int -> spread form (coefficient i in byte slot i)."""
-        return int.from_bytes(bin(v)[2:].encode().translate(_BIN_TO_SLOTS), "big")
+        return int.from_bytes(bin(v).encode().translate(_BIN_TO_SLOTS), "big")
 
     def _smul(self, sa: int, sb: int) -> int:
         """Reduced product of two parity-collapsed spread values."""
@@ -119,7 +133,8 @@ class FieldSpec:
 
     def _compact(self, sv: int) -> int:
         """Spread form (parity-collapsed, at most n slots) -> compact int."""
-        return int(sv.to_bytes(self.n, "big").translate(_SLOTS_TO_BIN), 2)
+        n = self.n
+        return int.from_bytes((sv * _GATHER).to_bytes(n + 8, "little")[7:n:8], "little")
 
     # -- raw-int operations ----------------------------------------------
 
@@ -158,8 +173,8 @@ class FieldSpec:
         `xs` is x_1||...||x_r and `secrets` a_1||...||a_r, each element in
         its canonical `element_bytes` encoding; returns y_1||...||y_r in the
         same encoding. Both inputs are spread by one `_slots`, each a_j
-        stays spread as the next round's a_{j-1}, and the r answers are
-        compacted by one conversion.
+        stays spread as the next round's a_{j-1}, and each answer is
+        gathered into its encoding by one multiplication.
         """
         if len(xs) != len(secrets):
             raise FieldError(f"{len(xs)} challenge bytes for {len(secrets)} secret bytes")
@@ -175,8 +190,7 @@ class FieldSpec:
             sn = fb(s[j:j + w], "big")
             ys.append(smul(fb(s[j + off:j + off + w], "big"), sa) ^ sn)
             sa = sn
-        bits = b"".join([y.to_bytes(w, "big") for y in reversed(ys)]).translate(_SLOTS_TO_BIN)
-        return int(bits, 2).to_bytes(len(xs), "little")
+        return b"".join([(y * _GATHER).to_bytes(w + 8, "little")[7:w:8] for y in ys])
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""

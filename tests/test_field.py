@@ -236,6 +236,16 @@ def test_spread_mul_matches_generic(operands):
     assert spec.mul(a, b) == schoolbook_mul(a, b, spec.n, spec.poly)
 
 
+@settings(max_examples=300, deadline=None)
+@given(spread_operands())
+def test_compact_inverts_spread(operands):
+    """The gather compaction reads back every value the spread conversion
+    wrote, the edge values 0, 1 and the all-ones mask among them."""
+    spec, a, b = operands
+    for v in (a, b):
+        assert spec._compact(spec._spread(v)) == v
+
+
 @st.composite
 def fold_blocks(draw):
     """A table field, a start value of 0, 1 or any, and a block of 0, 1 or
@@ -277,14 +287,16 @@ def answer_blocks(draw):
 @given(answer_blocks())
 def test_answers_match_schoolbook(block):
     """`answers` gives y_j = x_j*a_{j-1} XOR a_j from a_0 = a, as the
-    schoolbook oracle does element by element."""
+    schoolbook oracle and the per-round `mul` rule do element by element."""
     spec, a, pairs = block
-    expected, prev = [], a
+    expected, by_mul, prev = [], [], a
     for x, a_j in pairs:
         expected.append(schoolbook_mul(x, prev, spec.n, spec.poly) ^ a_j)
+        by_mul.append(spec.mul(x, prev) ^ a_j)
         prev = a_j
     xs = b"".join(spec.encode(x) for x, _ in pairs)
     secrets = b"".join(spec.encode(a_j) for _, a_j in pairs)
+    assert by_mul == expected
     assert spec.answers(a, xs, secrets) == b"".join(spec.encode(y) for y in expected)
 
 
