@@ -13,7 +13,16 @@ PRL 115, 030502 (2015)). Elements are ints. The rule is written twice,
 each in its own hot loop: `AliceAgent.handle_challenge` answers online, one
 `FieldSpec.mul` per round, reading the tape by index and guarding the round
 order; offline, `FieldSpec.answers` answers a block of rounds at a time, and
-`honest_row_blocks` feeds it from iterators in constant memory.
+`honest_row_blocks` feeds it in constant memory.
+
+Offline generation moves bytes from end to end. `honest_row_blocks` takes
+each source's elements as encoded byte blocks: a `storage.TapeReader`, or
+the iterator it returns, hands over the bytes it read (`read_block`), and
+any other iterable of ints is encoded a block at a time. It yields packed
+record blocks in the file's own layout (`record_block_struct`), built
+column by column from the challenge and answer bytes, so no element is
+decoded and no per-round tuple is built. The record layout is defined here
+once: files and RECORDS frames both carry it.
 
 Verification runs the chain forward from the claimed a_0 = d, one multiply
 per round: a_k = x_k * a_{k-1} XOR y_k, folded a block of rounds at a time
@@ -33,9 +42,11 @@ here (per-round answer deadlines use station-local clock deltas).
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass, field as dfield
-from itertools import islice, repeat
-from typing import Generator, Iterable, Iterator
+from itertools import cycle, islice, repeat, starmap
+from typing import Callable, Generator, Iterable, Iterator
 
 from .field import FieldSpec
 
@@ -120,6 +131,27 @@ class Tape:
 # A round as files, frames and `verify_rounds` carry it: (k, station, x||y,
 # issued, received), the elements in their canonical encodings.
 Row = tuple[int, int, bytes, int, int]
+
+
+@functools.cache
+def record_struct(eb: int) -> struct.Struct:
+    """One round record as files and RECORDS frames hold it: k, station,
+    x||y (each element `eb` bytes, little-endian), issued and received
+    (station-local ns), integers big-endian. It packs and unpacks `Row`s."""
+    return struct.Struct(f">QB{2 * eb}sqq")
+
+
+@functools.lru_cache(maxsize=32)
+def record_block_struct(eb: int, rounds: int) -> struct.Struct:
+    """`rounds` records of `record_struct`'s layout back to back, with x and
+    y as separate fields: six fields per record."""
+    return struct.Struct(">" + f"QB{eb}s{eb}sqq" * rounds)
+
+
+@functools.lru_cache(maxsize=32)
+def element_struct(eb: int, count: int) -> struct.Struct:
+    """`count` encoded elements of `eb` bytes back to back, one field each."""
+    return struct.Struct(f"{eb}s" * count)
 
 
 @dataclass(slots=True)
@@ -260,8 +292,8 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
                   blocks: Iterable[list[Row]]) -> Verdict:
     """Every verdict rule, in one forward pass over blocks of round rows.
 
-    Each block is a list of at most `VERIFY_BLOCK_ROUNDS` `RoundRecord.row`
-    tuples (k, station, x||y, issued, received). `reveal` is None for an
+    Each block is a list of at most `VERIFY_BLOCK_ROUNDS` `Row`s
+    (k, station, x||y, issued, received). `reveal` is None for an
     aborted transcript. The chain is run forward from a_0 = d,
     the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
     docstring), one `FieldSpec.fold` per block, and must end at the revealed
@@ -309,6 +341,14 @@ def row_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[list[Row]]:
         yield rows
 
 
+def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
+    """`records` packed in `record_struct`'s layout, `VERIFY_BLOCK_ROUNDS`
+    at a time: how every `RoundRecord` writer packs its rounds."""
+    pack = record_struct(eb).pack
+    for rows in row_blocks(records, eb):
+        yield b"".join(starmap(pack, rows))
+
+
 def bob_verify(transcript: Transcript) -> Verdict:
     """Full verification of an in-memory transcript (see `verify_rounds`)."""
     t = transcript
@@ -319,40 +359,61 @@ def bob_verify(transcript: Transcript) -> Verdict:
 # -- honest drive (reference harness) ------------------------------------------
 
 
-def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
-                      d: int, m: int) -> Generator[list[Row], None, int]:
-    """The m honest rounds as blocks of `RoundRecord.row` tuples, without
-    materializing the tapes; the generator's return value is a_m.
+def _element_reader(source: Iterable[int], eb: int) -> Callable[[int], bytes]:
+    """Reads up to `count` elements of `source` at a time, encoded. A source
+    with a `read_block` (a `storage.TapeReader`, or the iterator it returns)
+    hands over its own bytes; any other iterable of ints is encoded."""
+    read_block = getattr(source, "read_block", None)
+    if read_block is not None:
+        return read_block
+    it = iter(source)
+    return lambda count: b"".join(map(int.to_bytes, islice(it, count), repeat(eb),
+                                      repeat("little")))
 
-    `secrets` and `challenges` are consumed lazily, `VERIFY_BLOCK_ROUNDS`
-    elements at a time and never past element m, so arbitrarily long
-    transcripts can be generated in constant memory. The answers follow the
-    round rule from a_0 = d, one `FieldSpec.answers` per block. Timestamps
-    are those of `run_honest_protocol`: a synthetic schedule of 1 us per
-    round and a fixed 1 ns turnaround. A source that ends before element m
-    raises ProtocolError; the bit is checked on the call.
+
+def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
+                      d: int, m: int) -> Generator[bytes, None, int]:
+    """The m honest rounds as packed record blocks in the layout of
+    `record_struct`, without materializing the tapes; the generator's return
+    value is a_m.
+
+    `secrets` and `challenges` are read through `_element_reader`,
+    `VERIFY_BLOCK_ROUNDS` elements at a time and never past element m, so
+    arbitrarily long transcripts can be generated in constant memory. The
+    answers follow the round rule from a_0 = d, one `FieldSpec.answers` per
+    block, and each block is packed by one `record_block_struct` from six
+    columns. Timestamps are those of `run_honest_protocol`: a synthetic
+    schedule of 1 us per round and a fixed 1 ns turnaround. A source that
+    ends before element m raises ProtocolError; the bit is checked on the call.
     """
     check_bit(d)
     eb = spec.element_bytes
 
-    def encoded(source: Iterator[int], count: int, name: str, k: int) -> bytes:
-        block = b"".join(map(int.to_bytes, islice(source, count), repeat(eb), repeat("little")))
+    def take(read: Callable[[int], bytes], count: int, name: str, k: int) -> bytes:
+        block = read(count)
         if len(block) != count * eb:
             raise ProtocolError(f"{name} element source exhausted at "
                                 f"{k - 1 + len(block) // eb}/{m}")
         return block
 
-    def blocks() -> Generator[list[Row], None, int]:
-        it_a, it_x = iter(secrets), iter(challenges)
+    def blocks() -> Generator[bytes, None, int]:
+        read_a, read_x = _element_reader(secrets, eb), _element_reader(challenges, eb)
         a = d
         for k0 in range(1, m + 1, VERIFY_BLOCK_ROUNDS):
             r = min(VERIFY_BLOCK_ROUNDS, m + 1 - k0)
-            sec = encoded(it_a, r, "secrets", k0)
-            xs = encoded(it_x, r, "challenge", k0)
+            sec = take(read_a, r, "secrets", k0)
+            xs = take(read_x, r, "challenge", k0)
             ys = spec.answers(a, xs, sec)
             a = int.from_bytes(sec[-eb:], "little")
-            yield [(k, 2 - (k & 1), xs[i:i + eb] + ys[i:i + eb], 1000 * k, 1000 * k + 1)
-                   for k, i in zip(range(k0, k0 + r), range(0, r * eb, eb))]  # station_of(k)
+            split = element_struct(eb, r).unpack
+            flat = [0] * (6 * r)
+            flat[0::6] = range(k0, k0 + r)
+            flat[1::6] = islice(cycle((1, 2)), r)  # station_of(k); k0 is odd, blocks are even
+            flat[2::6] = split(xs)
+            flat[3::6] = split(ys)
+            flat[4::6] = range(1000 * k0, 1000 * (k0 + r), 1000)
+            flat[5::6] = range(1000 * k0 + 1, 1000 * (k0 + r), 1000)
+            yield record_block_struct(eb, r).pack(*flat)
         return a
 
     return blocks()
@@ -362,8 +423,9 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
                         challenges: Iterable[int], d: int, m: int) -> Iterator[RoundRecord]:
     """The rounds of `honest_row_blocks`, one `RoundRecord` each."""
     eb = spec.element_bytes
-    for rows in honest_row_blocks(spec, secrets, challenges, d, m):
-        for row in rows:
+    unpack = record_struct(eb).iter_unpack
+    for block in honest_row_blocks(spec, secrets, challenges, d, m):
+        for row in unpack(block):
             yield RoundRecord.from_row(row, eb)
 
 

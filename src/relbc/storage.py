@@ -7,15 +7,21 @@ of `relbc.field`.
 Tape file ("RBCT"): header (magic, version, field, role, element count,
 seed provenance) followed by fixed-size elements. Challenge tapes contain
 only nonzero elements; the writer and the reader both enforce it. A
-`TapeReader` iterates a block of elements per file read.
+`TapeReader` reads its elements as byte blocks: `read_block` hands over up
+to `count` encoded elements at the cursor from one file read, checked for a
+short read and, on a challenge tape, for a zero element on the bytes
+themselves. Its iterator decodes elements from such blocks and hands the
+bytes over undecoded too, so honest generation never decodes a tape.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
-fixed-size round records (k, station, x, y, two timestamps), so any record
-can be sought in O(1) and verification streams the file forward in blocks
-with memory independent of its length. Records are written a block of
-`RoundRecord.row` tuples at a time; honest generation writes the row blocks
-of `protocol.honest_row_blocks` without building a record per round.
+fixed-size round records (k, station, x, y, two timestamps; the layout is
+`protocol.record_struct`), so any record can be sought in O(1) and
+verification streams the file forward in blocks with memory independent of
+its length. The body is written as packed record blocks: the `RoundRecord`
+writers pack theirs through `protocol.record_blocks`, and honest generation
+writes the blocks `protocol.honest_row_blocks` packs straight from tape
+bytes.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
@@ -32,14 +38,13 @@ removes its file (`_new_file`).
 
 from __future__ import annotations
 
-import functools
 import io
 import random
 import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -58,8 +63,10 @@ from .protocol import (
     Transcript,
     VERIFY_BLOCK_ROUNDS,
     Verdict,
+    element_struct,
     honest_row_blocks,
-    row_blocks,
+    record_blocks,
+    record_struct,
     verify_rounds,
 )
 
@@ -253,22 +260,42 @@ class TapeReader:
             raise TapeFormatError(f"seek to {index} outside 0..{self.count}")
         self._index = index
 
+    def _block(self, start: int, count: int) -> bytes:
+        """Up to `count` encoded elements from element `start` on, fewer only
+        at the tape's end, in one file read. Raises on a short read, or on a
+        zero anywhere in a challenge tape's block; the cursor is not read."""
+        eb = self.spec.element_bytes
+        want = min(count, self.count - start)  # the cursor never passes count
+        self._f.seek(self._base + start * eb)
+        data = self._f.read(want * eb)
+        if len(data) != want * eb:
+            raise TapeFormatError(
+                f"{self.path}: short read at element {start + len(data) // eb}")
+        # an aligned zero element is also a zero substring, which is rare
+        # across element boundaries, so the split runs only after a hit
+        if self._nonzero and (zero := bytes(eb)) in data:
+            elements = element_struct(eb, want).unpack(data)
+            if zero in elements:
+                raise TapeFormatError(
+                    f"{self.path}: challenge element {start + elements.index(zero)} is zero")
+        return data
+
+    def read_block(self, count: int) -> bytes:
+        """Up to `count` encoded elements at the cursor, which moves past
+        them; fewer only at the tape's end. Raises as `read` does, before
+        the cursor moves."""
+        data = self._block(self._index, count)
+        self._index += len(data) // self.spec.element_bytes
+        return data
+
     def read(self) -> int:
         """The element at the cursor, which moves past it; raises on
         exhaustion, a short read, or a zero in a challenge tape."""
-        if self._index >= self.count:
+        i = self._index
+        if i >= self.count:
             raise TapeFormatError(f"{self.path}: tape exhausted at element {self.count}")
-        eb = self.spec.element_bytes
-        self._f.seek(self._base + self._index * eb)
-        data = self._f.read(eb)
-        if len(data) != eb:
-            raise TapeFormatError(
-                f"{self.path}: short read at element {self._index}"
-            )
-        v = int.from_bytes(data, "little")
-        if self._nonzero and v == 0:
-            raise TapeFormatError(f"{self.path}: challenge element {self._index} is zero")
-        self._index += 1
+        v = int.from_bytes(self._block(i, 1), "little")
+        self._index = i + 1
         return v
 
     def __len__(self) -> int:
@@ -279,32 +306,51 @@ class TapeReader:
         self.seek(index)
         return self.read()
 
-    def __iter__(self) -> Iterator[int]:
-        """The elements from the cursor on, which follows each one yielded.
+    def __iter__(self) -> "TapeIterator":
+        return TapeIterator(self)
 
-        Reads `_READ_BLOCK_ELEMENTS` elements per file read, and a zero
-        anywhere in a challenge tape's block raises before the block's first
-        element is yielded. Moving the cursor between two elements (`seek`,
-        `read`, an index) makes the next element the one it names.
-        """
-        eb, fb = self.spec.element_bytes, int.from_bytes
-        while self._index < self.count:
-            start = self._index
-            want = min(self.count - start, _READ_BLOCK_ELEMENTS)
-            self._f.seek(self._base + start * eb)
-            data = self._f.read(want * eb)
-            if len(data) != want * eb:
-                raise TapeFormatError(
-                    f"{self.path}: short read at element {start + len(data) // eb}")
-            block = [fb(data[i:i + eb], "little") for i in range(0, len(data), eb)]
-            if self._nonzero and 0 in block:
-                raise TapeFormatError(
-                    f"{self.path}: challenge element {start + block.index(0)} is zero")
-            for index, v in enumerate(block, start + 1):
-                self._index = index
-                yield v
-                if self._index != index:  # the cursor moved: read from there
-                    break
+
+class TapeIterator:
+    """The elements of a `TapeReader` from its cursor on; the cursor follows
+    each one yielded.
+
+    Elements are decoded from blocks of `_READ_BLOCK_ELEMENTS`, each one
+    `TapeReader` block read, so a zero anywhere in a challenge tape's block
+    raises before the block's first element is yielded. Moving the cursor
+    between two elements (`seek`, `read`, `read_block`, an index) makes the
+    next element the one it names. `read_block` hands over the encoded
+    elements at the cursor instead, as `TapeReader.read_block` does.
+    """
+
+    __slots__ = ("_reader", "_start", "_values")
+
+    def __init__(self, reader: TapeReader):
+        self._reader = reader
+        self._start = 0
+        self._values: list[int] = []
+
+    def __iter__(self) -> "TapeIterator":
+        return self
+
+    def __next__(self) -> int:
+        r = self._reader
+        i = r._index
+        j = i - self._start
+        if not 0 <= j < len(self._values):  # the cursor left the decoded block
+            if i >= r.count:
+                raise StopIteration
+            eb = r.spec.element_bytes
+            data = r._block(i, _READ_BLOCK_ELEMENTS)
+            self._values = list(map(int.from_bytes, element_struct(eb, len(data) // eb)
+                                    .unpack(data), repeat("little")))
+            self._start, j = i, 0
+        r._index = i + 1
+        return self._values[j]
+
+    def read_block(self, count: int) -> bytes:
+        """`TapeReader.read_block` of the reader: what `protocol.honest_row_blocks`
+        reads from this iterator."""
+        return self._reader.read_block(count)
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -317,18 +363,6 @@ _XH_REVEAL = struct.Struct(">BB")          # reveal flag, claimed bit
 
 _STATUS_CODES = {STATUS_COMPLETE: 1, STATUS_ABORTED: 2}
 _STATUS_NAMES = {v: k for k, v in _STATUS_CODES.items()}
-
-
-@functools.cache
-def _record_struct(eb: int) -> struct.Struct:
-    """One round record: k, station, x||y (each element `eb` bytes,
-    little-endian), issued and received (station-local ns). It packs and
-    unpacks `RoundRecord.row` tuples."""
-    return struct.Struct(f">QB{2 * eb}sqq")
-
-
-def _record_size(eb: int) -> int:
-    return _record_struct(eb).size
 
 
 def _write_header(f, t: Transcript, round_count: int) -> None:
@@ -356,14 +390,14 @@ def _write_header(f, t: Transcript, round_count: int) -> None:
         f.write(struct.pack(">q", t.reveal_received_at))
 
 
-def _write_rows(f, eb: int, blocks: Iterable[list[Row]], round_count: int) -> None:
-    """Write round records packed from `blocks` of `RoundRecord.row`
-    tuples, one write per block; there must be exactly `round_count`."""
-    pack = _record_struct(eb).pack
+def _write_records(f, eb: int, blocks: Iterable[bytes], round_count: int) -> None:
+    """Write `blocks` of packed round records, one write per block; there
+    must be exactly `round_count` records."""
+    size = record_struct(eb).size
     written = 0
-    for rows in blocks:
-        f.write(b"".join(starmap(pack, rows)))
-        written += len(rows)
+    for block in blocks:
+        f.write(block)
+        written += len(block) // size
     if written != round_count:
         raise TranscriptFormatError(
             f"round iterator produced {written} records, expected {round_count}"
@@ -375,7 +409,7 @@ def _write_transcript_to(f, t: Transcript, rounds: Iterable[RoundRecord],
     """Write the header of `t` (its own rounds are not read), then `rounds`."""
     eb = t.spec.element_bytes
     _write_header(f, t, round_count)
-    _write_rows(f, eb, row_blocks(rounds, eb), round_count)
+    _write_records(f, eb, record_blocks(rounds, eb), round_count)
 
 
 def write_transcript_stream(path: str | Path, spec: FieldSpec, m: int,
@@ -451,10 +485,10 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
 def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[Row]]]:
     """The header of transcript file `f` (see `read_transcript_header`), its
     round count, checked against the file's size, and an iterator over its
-    round records as blocks of `RoundRecord.row` tuples, read front to back
+    round records as blocks of `Row`s, read front to back
     `VERIFY_BLOCK_ROUNDS` at a time."""
     header, count = read_transcript_header(f)
-    record = _record_struct(header.spec.element_bytes)
+    record = record_struct(header.spec.element_bytes)
     _check_body(path, f.tell(), count, record.size, TranscriptFormatError)
 
     def blocks() -> Iterator[list[Row]]:
@@ -514,18 +548,19 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     """Forward-generate an honest m-round transcript file in constant memory.
 
     The file is byte for byte what `run_honest_protocol` (no plan hash)
-    writes for the same tapes. The rows come from
+    writes for the same tapes. The records come packed from
     `protocol.honest_row_blocks`, a block at a time. `secrets` and
-    `challenges` may be TapeReader iterators; a source that ends before
-    element m raises StorageError, and a failed write leaves no file.
+    `challenges` may be TapeReaders or their iterators, whose byte blocks go
+    to the answer kernel undecoded; a source that ends before element m
+    raises StorageError, and a failed write leaves no file.
     """
     eb = spec.element_bytes
-    rows = honest_row_blocks(spec, secrets, challenges, d, m)
+    records = honest_row_blocks(spec, secrets, challenges, d, m)
     a_m = 0
 
-    def blocks() -> Iterator[list[Row]]:
+    def blocks() -> Iterator[bytes]:
         nonlocal a_m
-        a_m = yield from rows
+        a_m = yield from records
 
     # the header precedes the rounds and a_m is known only after them, so
     # the header is written with a_m = 0 and its reveal payload patched;
@@ -536,7 +571,7 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
         with _new_file(path) as f:
             _write_header(f, header, m)
             reveal_at = f.tell() - 8 - eb
-            _write_rows(f, eb, blocks(), m)
+            _write_records(f, eb, blocks(), m)
             f.seek(reveal_at)
             f.write(a_m.to_bytes(eb, "little"))
     except ProtocolError as exc:  # a source ended early

@@ -74,10 +74,12 @@ from .protocol import (
     Transcript,
     Verdict,
     bob_verify,
+    record_blocks,
+    record_struct,
     station_of,
 )
 from .simnet import ABORT_DEADLINE, ABORT_EARLY_REVEAL
-from .storage import TapeReader, _record_size, _record_struct, transcript_to_bytes
+from .storage import TapeReader, transcript_to_bytes
 
 FRAME_CHALLENGE = 0x01
 FRAME_ANSWER = 0x02
@@ -307,9 +309,7 @@ def _parse_reveal(spec: FieldSpec, data: bytes, pos: int = 0) -> RevealMessage:
 
 def _records_payload(records: list[RoundRecord], spec: FieldSpec,
                      reveal: RevealMessage | None, reveal_at: int) -> bytes:
-    eb = spec.element_bytes
-    pack = _record_struct(eb).pack
-    out = _U32.pack(len(records)) + b"".join(pack(*rec.row(eb)) for rec in records)
+    out = _U32.pack(len(records)) + b"".join(record_blocks(records, spec.element_bytes))
     if reveal is None:
         return out + b"\x00"
     return out + b"\x01" + _reveal_payload(spec, reveal) + _I64.pack(reveal_at)
@@ -322,7 +322,7 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
     if size < _U32.size + 1:
         raise _bad_payload(f"RECORDS payload of {size} bytes is truncated", size)
     (count,) = _U32.unpack_from(payload)
-    rec_size = _record_size(eb)
+    rec_size = record_struct(eb).size
     flag_at = _U32.size + count * rec_size
     if flag_at >= size:
         raise _bad_payload(f"RECORDS count {count} overruns the payload", size)
@@ -334,7 +334,7 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
         raise _bad_payload(f"RECORDS payload is {size} bytes, its layout {end}",
                            min(size, end))
     records = [RoundRecord.from_row(row, eb)
-               for row in _record_struct(eb).iter_unpack(payload[_U32.size:flag_at])]
+               for row in record_struct(eb).iter_unpack(payload[_U32.size:flag_at])]
     if not flag:
         return records, None, 0
     reveal = _parse_reveal(spec, payload[flag_at + 1:end - _I64.size], flag_at + 1)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbc.field import FieldSpec, NonInvertibleError
 from relbc.protocol import (
@@ -20,6 +22,8 @@ from relbc.protocol import (
     bob_verify,
     honest_round_stream,
     honest_row_blocks,
+    record_blocks,
+    record_struct,
     run_honest_protocol,
     station_of,
 )
@@ -132,8 +136,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("m", [1, VERIFY_BLOCK_ROUNDS, VERIFY_BLOCK_ROUNDS + 1])
     def test_row_blocks_match_driver(self, m):
-        """`honest_row_blocks` gives the driver's rows in blocks of
-        `VERIFY_BLOCK_ROUNDS`, reads no element past m, and returns a_m."""
+        """`honest_row_blocks` gives the driver's records packed in blocks
+        of `VERIFY_BLOCK_ROUNDS`, reads no element past m, and returns a_m."""
         spec = FieldSpec(16)
         secrets, challenges = random_tapes(spec, m + 3, seed=m)
         t = run_honest_protocol(spec, Tape(ROLE_ALICE_SECRETS, spec, secrets.elements[:m]),
@@ -144,10 +148,23 @@ class TestRoundTrip:
         with pytest.raises(StopIteration) as stop:
             while True:
                 blocks.append(next(gen))
-        assert [len(b) for b in blocks[:-1]] == [VERIFY_BLOCK_ROUNDS] * (len(blocks) - 1)
-        assert [row for b in blocks for row in b] == [rec.row(2) for rec in t.rounds]
+        size = record_struct(2).size
+        assert [len(b) for b in blocks[:-1]] == [VERIFY_BLOCK_ROUNDS * size] * (len(blocks) - 1)
+        assert b"".join(blocks) == b"".join(record_blocks(t.rounds, 2))
         assert stop.value.value == t.reveal.final_secret
         assert next(it_a) == secrets[m] and next(it_x) == challenges[m]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32, 64, 128]), m=st.integers(1, 1100),
+           d=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+    def test_round_stream_is_the_drivers(self, n, m, d, seed):
+        """`honest_round_stream` yields `run_honest_protocol`'s records, for
+        m on both sides of the 256-round generation block."""
+        spec = FieldSpec(n)
+        secrets, challenges = random_tapes(spec, m, seed)
+        t = run_honest_protocol(spec, secrets, challenges, d)
+        assert list(honest_round_stream(spec, secrets.elements, challenges.elements,
+                                        d, m)) == t.rounds
 
     @pytest.mark.parametrize("short", ["secrets", "challenge"])
     def test_short_source_is_protocol_error(self, short):

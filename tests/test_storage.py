@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbc.field import FieldSpec
@@ -40,6 +40,7 @@ from relbc.storage import (
 from helpers import random_tapes, small_plan, with_header_field
 
 S8 = FieldSpec(8)
+S16 = FieldSpec(16)
 S128 = FieldSpec(128)
 
 # (table width a file is written at, width and polynomial its header then
@@ -231,6 +232,38 @@ class TestTapeFiles:
             assert next(it) == full[11]
             r.seek(r.count - 1)
             assert list(it) == full[-1:]
+
+    def test_read_block_moves_the_cursor(self, tmp_path):
+        """`read_block` hands over the encoded elements at the cursor, from
+        the reader or from its iterator, fewer only at the tape's end, and
+        the iterator goes on after them."""
+        path = tmp_path / "t.tape"
+        generate_tape(small_plan(3000, n=16), "alice-secrets", path, seed=7)
+        with TapeReader(path) as r:
+            full = list(r)
+            enc = b"".join(S16.encode(v) for v in full)
+            r.seek(3)
+            it = iter(r)
+            assert next(it) == full[3]
+            assert it.read_block(1021) == enc[8:2050]
+            assert next(it) == full[1025]
+            assert r.read_block(2) == enc[2052:2056]
+            assert next(it) == full[1028]
+            r.seek(r.count - 2)
+            assert it.read_block(5) == enc[-4:]
+            assert r.read_block(5) == b""
+            assert list(it) == []
+
+    def test_zero_across_two_elements_is_not_a_zero_element(self, tmp_path):
+        """Challenges 0x0001 and 0x0100 encode as 01 00 00 01: a zero
+        substring that is no element."""
+        path = tmp_path / "x.tape"
+        values = [1, 0x100] * 700
+        write_tape(path, S16, "bob-challenges", iter(values), len(values))
+        with TapeReader(path) as r:
+            assert list(r) == values
+            r.seek(0)
+            assert r.read_block(len(values)) == b"\x01\x00\x00\x01" * 700
 
     def test_zero_challenge_in_later_block_names_element(self, tmp_path):
         path = tmp_path / "x.tape"
@@ -492,6 +525,37 @@ class TestStreamedGeneration:
                 generate_honest_transcript_file(out, S8, ar.count + 1, ar, xr, 0)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [8, 128])
+    @pytest.mark.parametrize("fault", ["zero-0", "zero-255", "zero-256", "zero-1023",
+                                       "zero-1024", "zero-1099", "short-secrets",
+                                       "short-challenges"])
+    def test_faulty_tape_is_storage_error_and_no_file(self, tmp_path, n, fault):
+        """A zero challenge at the edges of a generation block (256) and of
+        a tape read block (1024), or a tape one element short of m = 1100,
+        is a StorageError, and the partial file is removed."""
+        spec, m = FieldSpec(n), 1100
+        rng = random.Random(n)
+        counts = {"secrets": m - (fault == "short-secrets"),
+                  "challenges": m - (fault == "short-challenges")}
+        paths = {role: tmp_path / f"{role}.tape" for role in counts}
+        write_tape(paths["secrets"], spec, "alice-secrets",
+                   (spec.random_int(rng) for _ in range(m)), counts["secrets"])
+        write_tape(paths["challenges"], spec, "bob-challenges",
+                   (spec.random_int(rng, nonzero=True) for _ in range(m)), counts["challenges"])
+        match = f"exhausted at {m - 1}/{m}"
+        if fault.startswith("zero"):
+            k, eb = int(fault[5:]), spec.element_bytes
+            data = bytearray(paths["challenges"].read_bytes())
+            at = len(data) - (m - k) * eb
+            data[at:at + eb] = bytes(eb)
+            paths["challenges"].write_bytes(bytes(data))
+            match = f"challenge element {k} is zero"
+        out = tmp_path / "t.rbcx"
+        with TapeReader(paths["secrets"]) as ar, TapeReader(paths["challenges"]) as xr:
+            with pytest.raises(StorageError, match=match):
+                generate_honest_transcript_file(out, spec, m, iter(ar), iter(xr), 1)
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, m", list(GENERATION_GOLDEN))
     def test_generation_golden(self, tmp_path, n, m):
         """The bytes of an honest generated file, fixed before generation
@@ -503,6 +567,34 @@ class TestStreamedGeneration:
         path = tmp_path / "g.rbcx"
         generate_honest_transcript_file(path, spec, m, iter(secrets), iter(challenges), m & 1)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATION_GOLDEN[(n, m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 16, 32, 64, 128]), m=st.integers(1, 1100),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=8, m=1024, seed=1)
+@example(n=128, m=1025, seed=2)
+@example(n=16, m=256, seed=3)
+def test_generation_paths_agree(tmp_path_factory, n, m, seed):
+    """The file generated from two TapeReaders, the file generated from int
+    lists and `transcript_to_bytes` of `run_honest_protocol` are equal, for
+    m on both sides of the 256-round generation block and the 1024-element
+    tape read block."""
+    spec = FieldSpec(n)
+    secrets, challenges = random_tapes(spec, m, seed)
+    work = tmp_path_factory.getbasetemp()
+    a_path, x_path = work / "a.tape", work / "x.tape"
+    write_tape(a_path, spec, "alice-secrets", iter(secrets.elements), m)
+    write_tape(x_path, spec, "bob-challenges", iter(challenges.elements), m)
+    from_tapes, from_lists = work / "tapes.rbcx", work / "lists.rbcx"
+    with TapeReader(a_path) as ar, TapeReader(x_path) as xr:
+        generate_honest_transcript_file(from_tapes, spec, m, ar, xr, seed & 1)
+        assert ar.read_block(1) == xr.read_block(1) == b""
+    generate_honest_transcript_file(from_lists, spec, m, iter(secrets.elements),
+                                    iter(challenges.elements), seed & 1)
+    expected = transcript_to_bytes(run_honest_protocol(spec, secrets, challenges, seed & 1))
+    assert from_tapes.read_bytes() == expected
+    assert from_lists.read_bytes() == expected
 
 
 def _failing(values, exc):

@@ -287,7 +287,7 @@ class TestMalformedPayloads:
 def _records_like(spec):
     """Payloads with a plausible RECORDS shape, so the property also reaches
     the flag and the reveal checks."""
-    rec_size = T._record_size(spec.element_bytes)
+    rec_size = T.record_struct(spec.element_bytes).size
     return st.integers(0, 3).flatmap(lambda count: st.builds(
         lambda body, tail: struct.pack(">I", count) + body + tail,
         st.binary(min_size=count * rec_size, max_size=count * rec_size),
