@@ -78,14 +78,15 @@ def _builtin_config(name: str) -> str | None:
         return None
 
 
-def _resolve_config(arg: str) -> SpacetimeConfig:
-    """Accept a path or a shipped config name (case1, case2)."""
+def _resolve_config(arg: str, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeConfig:
+    """Accept a path or a shipped config name (case1, case2); a `y` duration
+    in it is `year_days` days."""
     p = Path(arg)
     if p.exists():
-        return load_config(p)
+        return load_config(p, year_days)
     text = _builtin_config(arg)
     if text is not None:
-        return parse_config(text)
+        return parse_config(text, year_days)
     raise PlannerError(f"config {arg!r}: no such file or built-in config")
 
 
@@ -116,8 +117,9 @@ def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     """The one place arguments become a plan. `--plan` is loaded as it is and
     refuses every planning flag beside it; otherwise `--config` (case1 unless
-    given) is planned with the given overrides, in 365-day years unless
-    `--year-days` says otherwise."""
+    given) is planned with the given overrides. A `y` duration, in the
+    config or in `--duration`, is 365 days unless `--year-days` says
+    otherwise."""
     given = {flag: getattr(args, flag[2:].replace("-", "_"), None)
              for flag in ("--config", "--rounds", "--n", "--duration", "--year-days")}
     given = {flag: value for flag, value in given.items() if value is not None}
@@ -126,11 +128,11 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
             raise PlannerError(f"--plan fixes the config, round count, width and duration; "
                                f"drop {', '.join(given)}, or drop --plan to plan from them")
         return load_plan(args.plan)
-    cfg = _resolve_config(given.get("--config", "case1"))
+    year_days = given.get("--year-days", DEFAULT_YEAR_DAYS)
+    cfg = _resolve_config(given.get("--config", "case1"), year_days)
     overrides = {}
     if "--duration" in given:
-        overrides["T"] = parse_duration(given["--duration"],
-                                        year_days=given.get("--year-days", DEFAULT_YEAR_DAYS))
+        overrides["T"] = parse_duration(given["--duration"], year_days)
     if "--n" in given:
         overrides["n"] = given["--n"]
     if "--rounds" in given:

@@ -114,12 +114,12 @@ class SpacetimeConfig:
 _CONFIG_KEYS = {"L", "l1", "l2", "tau1", "tau2", "t_m", "T", "n", "c", "name"}
 
 
-def parse_config(text: str) -> SpacetimeConfig:
+def parse_config(text: str, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeConfig:
     """Parse the human-editable `key = value` config format.
 
     Lines are `key = value` with `#` comments; distances in meters, times in
     seconds (duration suffixes like 24h / 3.3us / 1y are accepted for T and
-    the tau/t_m fields).
+    the tau/t_m fields, a year being `year_days` days).
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,7 +135,7 @@ def parse_config(text: str) -> SpacetimeConfig:
         if key == "name":
             values[key] = val
         elif key in ("T", "tau1", "tau2", "t_m"):
-            values[key] = parse_duration(val)
+            values[key] = parse_duration(val, year_days)
         else:
             try:
                 values[key] = int(val) if key == "n" else float(val)
@@ -148,8 +148,8 @@ def parse_config(text: str) -> SpacetimeConfig:
     return SpacetimeConfig(**values)
 
 
-def load_config(path: str | Path) -> SpacetimeConfig:
-    return parse_config(Path(path).read_text())
+def load_config(path: str | Path, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeConfig:
+    return parse_config(Path(path).read_text(), year_days)
 
 
 # -- closed-form quantities ---------------------------------------------------

@@ -101,6 +101,20 @@ class TestPinnedOutputs:
         assert code == 0
         assert json.loads((in_tmp / "plan.json").read_text())["plan_hash"] == plan_hash
 
+    def test_config_year_follows_year_days(self, in_tmp, capsys):
+        """A config file's own `T = 1y` is read in `--year-days` years, so
+        it plans what `--duration 1y` plans on that geometry."""
+        case2 = (cli._builtin_config("case2") or "").replace("T = 24h", "T = 1y")
+        assert "T = 1y" in case2
+        (in_tmp / "y.cfg").write_text(case2)
+        code, _, _ = run_cli(capsys, "plan", "y.cfg", "--year-days", "365.25",
+                             "--out", "plan.json")
+        assert code == 0
+        plan = json.loads((in_tmp / "plan.json").read_text())
+        assert plan["config"]["T"] == 31_557_600
+        assert plan["plan_hash"] == \
+            "49486f66d36e5857f2f3a30defe2505826fcb35610cfd272a7b82cc0c2766b44"
+
     def test_simulate_transcript(self, in_tmp, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--rounds", "200", "--n", "8",
                                "--seed", "3", "--bit", "1", "--out", "t.rbcx")
