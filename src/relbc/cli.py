@@ -78,7 +78,7 @@ def _builtin_config(name: str) -> str | None:
         return None
 
 
-def _resolve_config(arg: str, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeConfig:
+def _resolve_config(arg: str, year_days: float) -> SpacetimeConfig:
     """Accept a path or a shipped config name (case1, case2); a `y` duration
     in it is `year_days` days."""
     p = Path(arg)
@@ -295,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_REJECT
     rate = stats.rounds_per_second
-    case1_rounds = resource_plan(_resolve_config("case1")).m
+    case1_rounds = resource_plan(_resolve_config("case1", DEFAULT_YEAR_DAYS)).m
     case1_hours = case1_rounds / rate / 3600.0
     rows = {
         "gen_rounds_per_s": gen_rate,
