@@ -37,7 +37,8 @@ x_k = challenges[k - 1] straight from the tape; only the committer computes.
 
 Everything here is pure and deterministic; timing is produced by the
 simulator (`simnet`) or the live runner (`transport`) and only *checked*
-here (per-round answer deadlines use station-local clock deltas).
+here, by one arrival rule (`arrival_fault`) on station-local clock deltas.
+Every abort and reject reason of the package is in one table below.
 """
 
 from __future__ import annotations
@@ -56,11 +57,22 @@ ROLE_BOB_CHALLENGES = "bob-challenges"
 STATUS_COMPLETE = "complete"
 STATUS_ABORTED = "aborted"
 
-REJECT_ABORTED = "aborted-transcript"
-REJECT_TIMING = "timing"
-REJECT_ZERO_CHALLENGE = "zero-challenge"
-REJECT_BIT_MISMATCH = "bit-mismatch"
-REJECT_MALFORMED = "malformed-transcript"
+# Every reason a run, a session or a verdict can give, and what it means. An
+# abort, simulated or live, records an ABORT_* reason, and a live ABORT frame
+# carries it; a rejecting verdict gives a REJECT_* one.
+ABORT_DEADLINE = "deadline"             # an answer or the reveal missed its window, late or never
+ABORT_EARLY_REVEAL = "early-reveal"     # the reveal came before round m+1 opened
+ABORT_CONFIG = "config"                 # a peer holds another plan, or is not a peer expected
+ABORT_CONNECTION = "connection"         # a link was refused, dropped or fell silent
+ABORT_TAPE = "tape"                     # a tape holds fewer than m elements
+ABORT_MALFORMED = "malformed-frame"     # a peer's bytes broke the wire layout or frame order
+ABORT_MISMATCH = "transcript-mismatch"  # the two verifiers hold different transcripts or verdicts
+ABORT_PROTOCOL = "protocol"             # the committer was driven out of its round order
+REJECT_ABORTED = "aborted-transcript"   # the transcript records an abort
+REJECT_TIMING = "timing"                # a round's answer came outside its window
+REJECT_ZERO_CHALLENGE = "zero-challenge"  # a challenge among x_1..x_m is zero
+REJECT_BIT_MISMATCH = "bit-mismatch"    # the chain does not end at the revealed a_m
+REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered or misplaced
 
 # Rounds per block of `verify_rounds`. `FieldSpec.fold` spreads a block's
 # elements in one piece, eight bytes for each of their bytes, so this bounds
@@ -89,6 +101,17 @@ def check_bit(d: int) -> int:
     if d not in (0, 1):
         raise ProtocolError(f"commitment bit must be 0 or 1, got {d!r}")
     return d
+
+
+def arrival_fault(issued: int, received: int, tau: int, reveal: bool = False) -> str | None:
+    """The arrival rule for an answer, or the reveal (round m+1), on its
+    verifier's clock: None when it is on time, 0 <= received - issued <= tau
+    from its round's opening; ABORT_EARLY_REVEAL for a reveal received before
+    its round opens; ABORT_DEADLINE for anything else."""
+    turnaround = received - issued
+    if 0 <= turnaround <= tau:
+        return None
+    return ABORT_EARLY_REVEAL if reveal and turnaround < 0 else ABORT_DEADLINE
 
 
 @dataclass(frozen=True)
@@ -297,11 +320,10 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     aborted transcript. The chain is run forward from a_0 = d,
     the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
     docstring), one `FieldSpec.fold` per block, and must end at the revealed
-    a_m. A round is on time when its answer is received no earlier than its
-    challenge was issued and at most its station's deadline later.
-    Precedence, highest first: aborted, malformed (the only early return; no
-    later block is asked for), timing, a zero challenge among x_1..x_m, bit
-    mismatch.
+    a_m. A round is on time by `arrival_fault`'s rule, written inline here
+    because it runs once per round. Precedence, highest first: aborted,
+    malformed (the only early return; no later block is asked for), timing,
+    a zero challenge among x_1..x_m, bit mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)

@@ -22,13 +22,13 @@ estimate until it settles, then stepping to the exact crossing. A
 pps-disciplined clock holds its reading at every pulse, the one at global
 time 0 included, so no clock runs backward.
 
-One arrival rule judges every answer and the reveal, which is round m+1:
-it is on time when 0 <= received - issued <= tau on its verifier's clock.
-An arrival outside that window ends the run as a `deadline` abort, and one
-still missing at its deadline as a `timeout`. Only the reveal can end it as
-`early-reveal`: when it reaches its verifier before round m+1 opens there,
-or when the committer's clock reaches the reveal before she has answered
-her rounds. Parallelism is only across independent runs (`run_many`).
+One arrival rule, `protocol.arrival_fault`, judges every answer and the
+reveal, which is round m+1: it is on time when 0 <= received - issued <= tau
+on its verifier's clock; outside that window, or missing when it closes, it
+ends the run as `deadline`. Only the reveal can end it as `early-reveal`:
+when it reaches its verifier before round m+1 opens there, or when the
+committer's clock reaches the reveal before she has answered her rounds.
+Parallelism is only across independent runs (`run_many`).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from typing import Sequence
 from .field import FieldSpec
 from .planner import ProtocolPlan, NS
 from .protocol import (
+    ABORT_DEADLINE,
+    ABORT_EARLY_REVEAL,
     AliceAgent,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
@@ -52,6 +54,7 @@ from .protocol import (
     SequencingError,
     Tape,
     Transcript,
+    arrival_fault,
     bob_verify,
     station_of,
 )
@@ -65,10 +68,6 @@ WRONG_BIT_REVEAL = "wrong-bit-reveal"
 PLACEMENT_CHEAT = "placement-cheat"
 
 STRATEGIES = (HONEST, LATE_DECISION, RELAY, WRONG_BIT_REVEAL, PLACEMENT_CHEAT)
-
-ABORT_DEADLINE = "deadline"
-ABORT_TIMEOUT = "timeout"
-ABORT_EARLY_REVEAL = "early-reveal"
 
 # a pps-disciplined clock whose error over one second exceeds this is out of spec
 PPS_TOLERANCE_NS = 8
@@ -286,7 +285,7 @@ def run_simulation(plan: ProtocolPlan,
 
     # settled[k] is round k's record once its answer has arrived, on time or
     # not, and settled[m + 1] the reveal once it has arrived on time; a
-    # deadline that finds its entry unset is a timeout
+    # deadline that finds its entry unset ends the run as a deadline abort
     settled: list[RoundRecord | RevealMessage | None] = [None] * (reveal_round + 1)
     issue_local = [0] * (reveal_round + 1)
     # global-frame diagnostics, gathered as rounds are queued: each new
@@ -383,24 +382,22 @@ def run_simulation(plan: ProtocolPlan,
             heappush(queue, (arrive, seq, _EV_ARRIVE, k, y))
             seq += 1
         elif kind == _EV_ARRIVE:
-            # one rule for every answer and the reveal: on time at its
-            # verifier means 0 <= received - issued <= tau on that clock
+            # every answer and the reveal, judged by the one arrival rule on
+            # its verifier's clock
             received = b_local_at[st](t)
-            turnaround = received - issue_local[k]
             if k <= m:
                 settled[k] = RoundRecord(k, st, xs[k - 1], payload,
                                          issue_local[k], received)
             else:
                 reveal_at = received
-            if not 0 <= turnaround <= tau[st]:
-                # of the arrivals, only the reveal can come before its round
-                early = k > m and turnaround < 0
-                abort = (k, ABORT_EARLY_REVEAL if early else ABORT_DEADLINE)
+            fault = arrival_fault(issue_local[k], received, tau[st], k > m)
+            if fault:
+                abort = (k, fault)
             elif k > m:
                 settled[k] = payload
         elif kind == _EV_DEADLINE:
             if settled[k] is None:
-                abort = (k, ABORT_TIMEOUT)
+                abort = (k, ABORT_DEADLINE)
         elif kind == _EV_COVERT:
             covert_known.add(k)
             nxt = k + 1
@@ -480,16 +477,12 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan) -> AuditRepor
     and reports the worst slack (honest schedules leave ~t_M). The committer
     offset allowances cancel: sitting closer to the far station means
     learning the challenge earlier but also having to emit the answer
-    earlier, both at light speed. A round whose answer is received before
-    its challenge was issued or more than tau after it is reported
-    separately, by the rule `protocol.verify_rounds` applies. Timestamps
-    must exist for every recorded round.
+    earlier, both at light speed. A round whose answer misses its window
+    by `protocol.arrival_fault` is reported separately. Timestamps must
+    exist for every recorded round.
     """
-    scale = max(1, transcript.scale_factor)
-    t_l_ns = plan.t_l_ns * scale
-    violations: list[tuple[int, str]] = []
-    late_rounds: list[int] = []
-    worst: int | None = None
+    t_l_ns = plan.t_l_ns * max(1, transcript.scale_factor)
+    tau = (0, transcript.tau1_ns, transcript.tau2_ns)   # by station
     rounds = transcript.rounds
     if not rounds:
         return AuditReport(False, 0, None, [(0, "no rounds to audit")], [])
@@ -497,34 +490,23 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan) -> AuditRepor
         if rec.answer_received_at is None or rec.challenge_issued_at is None:
             return AuditReport(False, 0, None,
                                [(rec.k, "missing timestamps: audit incomplete")], [])
-        turnaround = rec.answer_received_at - rec.challenge_issued_at
-        if not 0 <= turnaround <= transcript.tau_ns(rec.station):
-            late_rounds.append(rec.k)
-    pairs = 0
-    for i in range(len(rounds) - 1):
-        cur, nxt = rounds[i], rounds[i + 1]
-        deadline_next = nxt.challenge_issued_at + transcript.tau_ns(nxt.station)
-        slack = cur.challenge_issued_at + t_l_ns - deadline_next
-        pairs += 1
-        if worst is None or slack < worst:
-            worst = slack
+    late_rounds = [rec.k for rec in rounds if arrival_fault(
+        rec.challenge_issued_at, rec.answer_received_at, tau[rec.station])]
+    # each round against the next; the reveal is round m+1, audited against
+    # round m by its receipt time
+    slacks = [cur.challenge_issued_at + t_l_ns - nxt.challenge_issued_at - tau[nxt.station]
+              for cur, nxt in zip(rounds, rounds[1:])]
+    if transcript.is_complete:
+        slacks.append(rounds[-1].challenge_issued_at + t_l_ns - transcript.reveal_received_at)
+    violations: list[tuple[int, str]] = []
+    for cur, nxt, slack in zip(rounds, [*rounds[1:], None], slacks):
         if slack < 0:
-            violations.append((nxt.k, f"answer window ends {-slack} ns inside "
-                                      f"the light cone of round {cur.k}"))
-    # the reveal is round m+1: audit it against round m using its receipt time
-    if transcript.is_complete and rounds:
-        last = rounds[-1]
-        slack = last.challenge_issued_at + t_l_ns - transcript.reveal_received_at
-        pairs += 1
-        if worst is None or slack < worst:
-            worst = slack
-        if slack < 0:
-            violations.append((transcript.m + 1,
-                               f"reveal arrived {-slack} ns inside the light "
-                               f"cone of round {last.k}"))
-    for k in late_rounds:
-        violations.append((k, "answer received outside its window"))
-    return AuditReport(not violations, pairs, worst, violations, late_rounds)
+            k, what = ((nxt.k, "answer window ends") if nxt
+                       else (transcript.m + 1, "reveal arrived"))
+            violations.append((k, f"{what} {-slack} ns inside the light cone of round {cur.k}"))
+    violations += [(k, "answer received outside its window") for k in late_rounds]
+    return AuditReport(not violations, len(slacks), min(slacks, default=None), violations,
+                       late_rounds)
 
 
 # -- embarrassingly parallel sweeps -------------------------------------------

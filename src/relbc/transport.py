@@ -26,30 +26,27 @@ Topology: A1 and B2's link both terminate at B1's listener; A2 connects to
 B2's listener. Each end of a new link sends its HELLO (role and plan hash)
 and then reads the peer's, so neither side waits for the other to speak
 first; a plan-hash mismatch is answered with ABORT `config`. B1 picks the
-session epoch and ships it to B2 in a SCHEDULE frame; the residual loopback
-skew (microseconds) is absorbed by the scaled margins. Both verifiers run
-the same `_run_bob`; only these two steps depend on the station. A
-verifier reads x_k = challenges[k - 1] from its `TapeReader`; the committer's
-`AliceAgent` refuses a round index out of order, as the peer sends it.
+session epoch and ships it to B2 in a SCHEDULE frame, which B2 reads before
+it accepts A2, so a late committer cannot move station 2's schedule. Both
+verifiers run the same `_run_bob`; only these two steps depend on the
+station. A verifier reads x_k = challenges[k - 1] from its `TapeReader`;
+the committer's `AliceAgent` refuses a round index out of order.
 
 The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
 for even m, B2 for odd m. That station's committer sends it, its verifier
 puts it in its RECORDS payload (reveal flag 1), and the other verifier takes
 it from there. A session needs m >= 2, so that the revealing committer has a
 round of its own to time the reveal from. As in the simulator, one arrival
-rule judges every answer and the reveal: 0 <= received - start <= tau. A
-reveal read before round m+1 opens ends the session as `early-reveal` at
-round m+1, announced on both links as a missed deadline is.
+rule, `protocol.arrival_fault`, judges every answer and the reveal; one
+that misses its window, late or never, ends the session as `deadline`, and
+a reveal read before round m+1 opens as `early-reveal`, on both links.
 
 Every byte a peer sends goes through `decode_frame` and one `_parse_*`
 function, which raise `MalformedFrameError` on any layout fault (an ABORT
 reason is decoded with replacement and cannot fail). Every frame an agent
 waits for goes through `_Session.expect`, the one place a received ABORT
-ends the role. That, a malformed frame, a missed deadline, a dropped or
-timed-out link and a committer-side sequencing error all end in
-`run_agent`, the one place that turns a failure into an `AgentResult` with
-EXIT_ABORT; a verifier's result carries the rounds it holds, marked
-aborted at the abort round.
+ends the role, and every early end reaches `run_agent` (see there). The
+abort reasons are `protocol`'s table.
 """
 
 from __future__ import annotations
@@ -65,6 +62,13 @@ from pathlib import Path
 from .field import FieldError, FieldSpec
 from .planner import ProtocolPlan
 from .protocol import (
+    ABORT_CONFIG,
+    ABORT_CONNECTION,
+    ABORT_DEADLINE,
+    ABORT_MALFORMED,
+    ABORT_MISMATCH,
+    ABORT_PROTOCOL,
+    ABORT_TAPE,
     AliceAgent,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
@@ -73,12 +77,12 @@ from .protocol import (
     RoundRecord,
     Transcript,
     Verdict,
+    arrival_fault,
     bob_verify,
     record_blocks,
     record_struct,
     station_of,
 )
-from .simnet import ABORT_DEADLINE, ABORT_EARLY_REVEAL
 from .storage import TapeReader, transcript_to_bytes
 
 FRAME_CHALLENGE = 0x01
@@ -103,12 +107,6 @@ _I64 = struct.Struct(">q")
 _VERDICT = struct.Struct(">BB32sH")  # accepted, bit, transcript sha256, reason length
 
 ROLES = ("A1", "A2", "B1", "B2")
-
-ABORT_CONFIG = "config"
-ABORT_CONNECTION = "connection"
-ABORT_TAPE = "tape"
-ABORT_MISMATCH = "transcript-mismatch"
-ABORT_MALFORMED = "malformed-frame"
 
 EXIT_ACCEPT = 0
 EXIT_USAGE = 1
@@ -543,7 +541,7 @@ def run_agent(cfg: SessionConfig) -> AgentResult:
         report = AbortReport(ABORT_MALFORMED, None, str(exc))
         _send_abort(ses.sockets.values(), ABORT_MALFORMED, 0)
     except ProtocolError as exc:
-        report = AbortReport("protocol", None, str(exc))
+        report = AbortReport(ABORT_PROTOCOL, None, str(exc))
     finally:
         ses.close()
     transcript = ses.transcript(report) if cfg.role[0] == "B" else None
@@ -607,8 +605,8 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
                     bob_link: socket.socket, challenges: TapeReader) -> None:
     """Issue this station's challenges on schedule, then, at the station that
     hosts round m+1, wait for the reveal. The records and the reveal go to
-    `ses`; an arrival outside 0 <= received - start <= tau is announced over
-    both links and ends the role."""
+    `ses`; an arrival that `arrival_fault` faults, or none within tau, is
+    announced over both links and ends the role."""
     steps = list(range(ses.station, ses.m + 1, 2))
     if ses.hosts_reveal:
         steps.append(ses.m + 1)
@@ -630,22 +628,20 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
         except TimeoutError:
             frame = None
         received = time.monotonic_ns()
-        missed = None
         if frame is None or frame.type != expect or frame.round_index != k:
-            missed = ABORT_DEADLINE, f"no {what} within tau"
+            fault, detail = ABORT_DEADLINE, f"no {what} within tau"
         else:
             if k <= ses.m:
                 y = _parse_element(ses.spec, frame.payload)
                 ses.records.append(RoundRecord(k, ses.station, x, y, start, received))
             else:
                 ses.reveal, ses.reveal_at = _parse_reveal(ses.spec, frame.payload), received
-            if received < start:  # only the reveal: an answer's start is its send
-                missed = ABORT_EARLY_REVEAL, f"reveal {start - received} ns before round {k}"
-            elif received - start > ses.tau_ns:
-                missed = ABORT_DEADLINE, f"{what} after tau"
-        if missed:
-            _send_abort(ses.sockets.values(), missed[0], k)
-            raise _Abort(AbortReport(missed[0], k, missed[1]))
+            # an answer's start is its send, so only the reveal can be early
+            fault = arrival_fault(start, received, ses.tau_ns, k > ses.m)
+            detail = f"{what} at {received - start:+d} ns from round {k}'s opening"
+        if fault:
+            _send_abort(ses.sockets.values(), fault, k)
+            raise _Abort(AbortReport(fault, k, detail))
 
 
 def _run_bob(ses: _Session) -> AgentResult:
@@ -661,9 +657,9 @@ def _run_bob(ses: _Session) -> AgentResult:
         send_frame(bob_link, FRAME_SCHEDULE, 0, _U64.pack(ses.epoch_ns - time.monotonic_ns()))
     else:
         bob_link = _connect_peer(ses, "B1")
-        _accept_role(ses, {"A2"})
         frame = ses.expect(bob_link, FRAME_SCHEDULE, ABORT_CONFIG)
         ses.epoch_ns = time.monotonic_ns() + _parse_schedule(frame.payload)
+        _accept_role(ses, {"A2"})
     _bob_round_loop(ses, ses.sockets[f"A{ses.station}"], bob_link, challenges)
 
     send_frame(bob_link, FRAME_RECORDS, 0,

@@ -11,11 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from relbc.field import FieldSpec
 from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
-from relbc.protocol import REJECT_ABORTED, REJECT_TIMING, bob_verify, station_of
-from relbc.simnet import (
+from relbc.protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
-    ABORT_TIMEOUT,
+    REJECT_ABORTED,
+    REJECT_TIMING,
+    bob_verify,
+    station_of,
+)
+from relbc.simnet import (
     AGENTS,
     STRATEGIES,
     AdversaryStrategy,
@@ -273,9 +277,9 @@ clock_models = st.builds(ClockModel, offset_ns=st.integers(-30_000, 30_000),
 def test_one_arrival_rule_on_random_clocks(clocks, kind, target_round, margin_ns, seed, bit):
     """Every answer and the reveal are on time when 0 <= received - issued
     <= tau at their station: an unaborted run meets that everywhere, and each
-    abort names a round or reveal that missed it. With skewed clocks a round
-    can be recorded after a later round's abort, so the prefix may run past
-    the abort round."""
+    abort names a round or reveal that missed it, late or never, as
+    `deadline`. With skewed clocks a round can be recorded after a later
+    round's abort, so the prefix may run past the abort round."""
     plan, m = PLAN8, PLAN8.m
     t, rep = run_simulation(plan, clocks=clocks, seed=seed, bit=bit,
                             strategy=AdversaryStrategy(kind, target_round, margin_ns))
@@ -291,11 +295,8 @@ def test_one_arrival_rule_on_random_clocks(clocks, kind, target_round, margin_ns
         assert len(t.rounds) == m and all(on_time.values()) and reveal_on_time
         assert bob_verify(t).reason != REJECT_TIMING
     elif k <= m:
-        assert reason in (ABORT_DEADLINE, ABORT_TIMEOUT)
-        if reason == ABORT_DEADLINE:
-            assert not on_time.get(k, False)
-        else:
-            assert len(t.rounds) < k
+        assert reason == ABORT_DEADLINE
+        assert not on_time.get(k, False)
     elif reason in (ABORT_DEADLINE, ABORT_EARLY_REVEAL):
         assert not reveal_on_time
 
@@ -304,7 +305,9 @@ def test_one_arrival_rule_on_random_clocks(clocks, kind, target_round, margin_ns
 # this grid, computed before the event loop and clock model were last
 # reworked. Any change to simulated output changes it. B2's offset puts its
 # round starts beyond t_M, and m=240 gives more than the 100 margin
-# violations a report lists.
+# violations a report lists. It was re-pinned, as were the two pins below,
+# when a missing answer's abort reason `timeout` became `deadline`: each new
+# value is the earlier code's output with only that reason renamed.
 GOLDEN_STRATEGIES = [
     AdversaryStrategy("honest"),
     AdversaryStrategy("relay"),
@@ -321,7 +324,7 @@ GOLDEN_CLOCKS = [
      "B1": ClockModel(offset_ns=71, rate=2e-9, discipline="pps"),
      "B2": ClockModel(offset_ns=-29, rate=-5e-9, discipline="pps")},
 ]
-GOLDEN_DIGEST = "e2fe72f31c3ae5f2df8edf42149c90b597bebd7fd4df38b71a5e2175c02d87d0"
+GOLDEN_DIGEST = "3e241ad3385e42697f322a3e2aefe0291125129344d33a98a5a768d9e4e4f22b"
 
 
 def test_golden_digest():
@@ -350,7 +353,7 @@ CHUNK_GOLDEN_CLOCKS = [
      ClockModel(offset_ns=9_000_029, rate=-5e-9, discipline="pps")),
     (ClockModel(offset_ns=5_000_000, rate=1e-6), ClockModel(offset_ns=-1000, rate=-2e-6)),
 ]
-CHUNK_GOLDEN_DIGEST = "3396f3209f79591e66386f1b6bb78e4077a9fe35cc5361284903bcea658fb9d3"
+CHUNK_GOLDEN_DIGEST = "998f23e84ad484a1266ae295537446995146442648147fde2e5c8440ff24d46e"
 
 
 def test_chunk_crossing_golden_digest():
@@ -371,7 +374,7 @@ def test_chunk_crossing_golden_digest():
 # seeded runs, each with random station and committer clocks (offsets up to
 # 30 us, drift of either sign, both disciplines) and a random strategy,
 # target round and margin.
-RANDOM_CLOCK_GOLDEN_DIGEST = "489e524d3c56def432b87174c09221a78db376f75394289b9e7581de0574ef23"
+RANDOM_CLOCK_GOLDEN_DIGEST = "aebaa9f4fd2d9cbfc95cf73a10506a29ca6aa76b3c4d2b4948933c5e97891aa3"
 
 
 def test_random_clock_golden_digest():

@@ -1,28 +1,45 @@
 """Wire framing and live loopback sessions."""
 
+import contextlib
 import dataclasses
 import os
 import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbc.simnet import run_simulation
+from relbc.simnet import (
+    HONEST,
+    LATE_DECISION,
+    WRONG_BIT_REVEAL,
+    AdversaryStrategy,
+    ClockModel,
+    run_simulation,
+)
 from relbc.field import FieldSpec
 from relbc.protocol import (
+    ABORT_DEADLINE,
+    ABORT_EARLY_REVEAL,
+    REJECT_BIT_MISMATCH,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     AliceAgent,
+    RevealMessage,
     RoundRecord,
+    Tape,
+    Verdict,
+    bob_verify,
     station_of,
 )
 from relbc.storage import TapeReader, write_tape
 from relbc.transport import (
     EXIT_ABORT,
     EXIT_ACCEPT,
+    EXIT_REJECT,
     FRAME_ABORT,
     FRAME_ANSWER,
     FRAME_CHALLENGE,
@@ -337,7 +354,8 @@ def _run_in_thread(cfg):
 
 
 def test_fake_b1_short_schedule_aborts_b2(tmp_path):
-    """A fake B1 shakes hands, then sends B2 a 7-byte SCHEDULE."""
+    """A fake B1 shakes hands, then sends B2 a 7-byte SCHEDULE. B2 reads it
+    before it accepts A2, and ends at once."""
     plan = lab_plan(m=8)
     _, x_path = _tapes(tmp_path, plan)
     fake_b1 = socket.create_server(("127.0.0.1", 0))
@@ -351,14 +369,11 @@ def test_fake_b1_short_schedule_aborts_b2(tmp_path):
     b1_conn, _ = fake_b1.accept()
     assert T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
     b1_conn.sendall(encode_frame(FRAME_HELLO, 0, hello("B1")))
-    a2 = socket.create_connection(b2_listener.getsockname(), timeout=5.0)
-    a2.sendall(encode_frame(FRAME_HELLO, 0, hello("A2")))
-    assert T.recv_frame(a2, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
     b1_conn.sendall(encode_frame(FRAME_SCHEDULE, 0, bytes(7)))
     thread.join(20)
     assert not thread.is_alive()
     told = T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9)
-    for s in (b1_conn, a2, fake_b1, b2_listener):
+    for s in (b1_conn, fake_b1, b2_listener):
         s.close()
     result = out["B2"]
     assert result.exit_code == EXIT_ABORT
@@ -532,57 +547,180 @@ def test_peer_verifier_junk_between_rounds_is_malformed(tmp_path, junk):
     assert told == WireFrame(FRAME_ABORT, 0, b"malformed-frame")
 
 
-@pytest.mark.parametrize("m, when", [(4, "in-round-m"), (5, "in-round-m"),
-                                     (4, "after-last-answer")])
-def test_early_reveal_aborts_both_verifiers(tmp_path, m, when):
-    """A fake committer at the station that hosts round m+1 answers its
-    rounds honestly over a real socket, then sends the reveal before round
-    m+1 opens: 2 ms into round m, or right after its last answer. Its
-    verifier ends with `early-reveal` at round m+1 and announces it on both
-    links, so the other verifier ends the same way, as the simulator does."""
-    plan = dataclasses.replace(lab_plan(m=m + m % 2), m=m)
+def _live_session(tmp_path, plan, fake_station=None, late_roles=(), delay_s=0.0):
+    """Real B1 and B2 on loopback, and a real committer at each station but
+    `fake_station`, whose committer the caller plays over the socket this
+    returns (None without one). The `late_roles` start `delay_s` after the
+    others. Returns the socket, the tape paths and the runs."""
     a_path, x_path = _tapes(tmp_path, plan)
-    s = station_of(m + 1)
     listeners = {role: socket.create_server(("127.0.0.1", 0)) for role in ("B1", "B2")}
     addr = {role: lst.getsockname() for role, lst in listeners.items()}
     common = dict(plan=plan, bit=1, io_timeout_s=5.0)
-    runs = [_run_in_thread(SessionConfig(role="B1", challenges_path=x_path,
-                                         listen_socket=listeners["B1"], **common)),
-            _run_in_thread(SessionConfig(role="B2", challenges_path=x_path,
-                                         listen_socket=listeners["B2"],
-                                         peers={"B1": addr["B1"]}, **common)),
-            _run_in_thread(SessionConfig(role=f"A{3 - s}", secrets_path=a_path,
-                                         peers={f"B{3 - s}": addr[f"B{3 - s}"]}, **common))]
-    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+    cfgs = {"B1": SessionConfig(role="B1", challenges_path=x_path,
+                                listen_socket=listeners["B1"], **common),
+            "B2": SessionConfig(role="B2", challenges_path=x_path,
+                                listen_socket=listeners["B2"], peers={"B1": addr["B1"]},
+                                **common)}
+    for s in (1, 2):
+        if s != fake_station:
+            cfgs[f"A{s}"] = SessionConfig(role=f"A{s}", secrets_path=a_path,
+                                          peers={f"B{s}": addr[f"B{s}"]}, **common)
+    runs = [_run_in_thread(cfg) for role, cfg in cfgs.items() if role not in late_roles]
+    if late_roles:
+        time.sleep(delay_s)
+        runs += [_run_in_thread(cfgs[role]) for role in late_roles]
+    sock = None
+    if fake_station is not None:
+        sock = socket.create_connection(addr[f"B{fake_station}"], timeout=5.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as a live committer
+        sock.sendall(encode_frame(FRAME_HELLO, 0,
+                                  T._hello_payload(f"A{fake_station}", plan.plan_hash)))
+        assert T.recv_frame(sock, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
+    return sock, (a_path, x_path), runs, list(listeners.values())
+
+
+def _finish(runs, sockets):
+    """Join the agent threads, close `sockets`, and return each role's result."""
+    for thread, _ in runs:
+        thread.join(20)
+    alive = [thread for thread, _ in runs if thread.is_alive()]
+    for sock in sockets:
+        sock.close()
+    assert not alive
+    return {role: result for _, out in runs for role, result in out.items()}
+
+
+SCALE = 1000
+GAP_NS = 13_000   # lab_plan's round interval; tau is 10_000 at both stations
+LATE_NS = 1_000   # how far past its window a late answer or reveal is sent
+
+
+@dataclasses.dataclass(frozen=True)
+class Fault:
+    """One committer fault, played by the simulator and by a fake committer
+    over the wire, and the outcome both must reach: the abort's (round,
+    reason), or the verdict. Times are plan ns, scaled by SCALE live."""
+
+    m: int
+    expect: tuple[int, str] | Verdict
+    late: int = 0           # the round answered LATE_NS past its window
+    silent: int = 0         # the round never answered
+    reveal_ns: int = 0      # when the reveal is sent, from round m+1's opening
+    flip_bit: bool = False  # the reveal claims the other bit
+
+    @property
+    def station(self) -> int:
+        return station_of(self.late or self.silent or self.m + 1)
+
+
+FAULTS = {
+    "late-answer": Fault(4, (3, ABORT_DEADLINE), late=3),
+    "no-answer": Fault(4, (2, ABORT_DEADLINE), silent=2),
+    "early-reveal-in-round-m": Fault(4, (5, ABORT_EARLY_REVEAL), reveal_ns=2_000 - GAP_NS),
+    "early-reveal-in-round-m-odd": Fault(5, (6, ABORT_EARLY_REVEAL), reveal_ns=2_000 - GAP_NS),
+    "early-reveal-after-last-answer": Fault(4, (5, ABORT_EARLY_REVEAL), reveal_ns=-2 * GAP_NS),
+    "late-reveal": Fault(5, (6, ABORT_DEADLINE), reveal_ns=10_000 + LATE_NS),
+    "wrong-bit-reveal": Fault(4, Verdict.reject(REJECT_BIT_MISMATCH), flip_bit=True),
+}
+
+
+def _simulated_outcome(plan, fault, a_path, x_path):
+    """The fault as the simulator plays it: a late-decision answer for a late
+    or missing one, and the committer's clock offset for the reveal time."""
+    if fault.late or fault.silent:
+        margin = -LATE_NS if fault.late else -10**15
+        strategy = AdversaryStrategy(LATE_DECISION, fault.late or fault.silent, margin)
+    else:
+        strategy = AdversaryStrategy(WRONG_BIT_REVEAL if fault.flip_bit else HONEST)
     spec = FieldSpec(plan.n)
-    sock = socket.create_connection(addr[f"B{s}"], timeout=5.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as a live committer
-    sock.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload(f"A{s}", plan.plan_hash)))
-    assert T.recv_frame(sock, deadline()).type == FRAME_HELLO
+    with TapeReader(a_path) as ar, TapeReader(x_path) as xr:
+        tapes = (Tape(ROLE_ALICE_SECRETS, spec, list(ar)),
+                 Tape(ROLE_BOB_CHALLENGES, spec, list(xr)))
+    t, rep = run_simulation(plan, clocks={f"A{fault.station}": ClockModel(-fault.reveal_ns)},
+                            strategy=strategy, tapes=tapes, bit=1)
+    return (rep.abort_round, rep.abort_reason) if rep.aborted else bob_verify(t)
+
+
+def _play_committer(sock, plan, fault, a_path):
+    """Committer A{fault.station} over `sock`: answers its rounds from the
+    tape but for the fault, and returns the last frame its verifier sends it
+    (None at EOF). A late send to a verifier that has already closed is let go."""
+    spec, m, s = FieldSpec(plan.n), plan.m, fault.station
+    deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
+
+    def send(ftype, k, payload):
+        with contextlib.suppress(OSError):
+            sock.sendall(encode_frame(ftype, k, payload))
+
     with TapeReader(a_path) as tape:
         alice = AliceAgent(s, spec, tape, 1, m)
-        for k in range(s, m, 2):
+        for k in range(s, m + 1, 2):
             frame = T.recv_frame(sock, deadline())
             assert (frame.type, frame.round_index) == (FRAME_CHALLENGE, k)
             arrived = T.time.monotonic_ns()
             y = alice.handle_challenge(k, T._parse_element(spec, frame.payload))
-            sock.sendall(encode_frame(FRAME_ANSWER, k, spec.encode(y)))
-        if when == "in-round-m":
-            T._sleep_until_ns(arrived + 1000 * (plan.round_start_ns(m)
-                                                - plan.round_start_ns(m - 1)) + 2_000_000)
-        sock.sendall(encode_frame(FRAME_REVEAL, m + 1, T._reveal_payload(spec, alice.reveal())))
+            if k == fault.silent:
+                break
+            if k == fault.late:
+                T._sleep_until_ns(arrived + SCALE * (plan.tau1_ns + LATE_NS))
+            send(FRAME_ANSWER, k, spec.encode(y))
+            if k == fault.late:
+                break
+        else:  # every own round answered: the reveal, when this station hosts it
+            if station_of(m + 1) == s:
+                reveal = alice.reveal()
+                if fault.flip_bit:
+                    reveal = RevealMessage(reveal.bit ^ 1, reveal.final_secret)
+                T._sleep_until_ns(arrived + SCALE * (plan.round_start_ns(m + 1)
+                                                     - plan.round_start_ns(k) + fault.reveal_ns))
+                send(FRAME_REVEAL, m + 1, T._reveal_payload(spec, reveal))
     try:
-        told = T.recv_frame(sock, deadline())
+        return T.recv_frame(sock, deadline())
     except ConnectionError:  # the verifier closed the link without an ABORT
-        told = None
-    for thread, _ in runs:
-        thread.join(20)
-    alive = [thread for thread, _ in runs if thread.is_alive()]
-    for lst in (sock, *listeners.values()):
-        lst.close()
-    assert not alive
+        return None
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_simulator_and_live_session_agree_on_fault(tmp_path, name):
+    """Each fault of the table runs once through `run_simulation` and once
+    through a live session at scale 1000, where a fake committer at the
+    fault's station talks to the real B1 and B2 over sockets. The simulator
+    and both verifiers end with the same (round, reason), or the same
+    verdict, and an abort is announced to the fake committer on its link."""
+    fault = FAULTS[name]
+    plan = dataclasses.replace(lab_plan(m=fault.m + fault.m % 2), m=fault.m)
+    assert plan.round_start_ns(2) - plan.round_start_ns(1) == GAP_NS
+    assert plan.tau1_ns == plan.tau2_ns == 10_000
+    sock, (a_path, x_path), runs, listeners = _live_session(tmp_path, plan, fault.station)
+    told = _play_committer(sock, plan, fault, a_path)
+    results = _finish(runs, [sock, *listeners])
+    assert _simulated_outcome(plan, fault, a_path, x_path) == fault.expect
     for role in ("B1", "B2"):
-        [result] = [out[role] for _, out in runs if role in out]
-        assert result.exit_code == EXIT_ABORT, (role, result.abort)
-        assert (result.abort.reason, result.abort.round_index) == ("early-reveal", m + 1)
-    assert told == WireFrame(FRAME_ABORT, m + 1, b"early-reveal")
+        r = results[role]
+        outcome = (r.abort.round_index, r.abort.reason) if r.abort else r.verdict
+        assert outcome == fault.expect, (role, r.abort)
+    if isinstance(fault.expect, tuple):
+        k, reason = fault.expect
+        assert told == WireFrame(FRAME_ABORT, k, reason.encode())
+    else:
+        assert told is None
+        assert results["B1"].exit_code == results["B2"].exit_code == EXIT_REJECT
+
+
+def test_late_committer_does_not_move_station_2(tmp_path):
+    """A2 starts 150 ms after B1, B2 and A1. B2 reads B1's SCHEDULE before it
+    accepts A2, so station 2 still issues on B1's schedule: in the merged
+    transcript, round 2's issue time less its scaled start agrees with round
+    1's to within half of A2's delay."""
+    delay_s = 0.15
+    plan = lab_plan(m=20)
+    _, _, runs, listeners = _live_session(tmp_path, plan, late_roles=("A2",),
+                                          delay_s=delay_s)
+    results = _finish(runs, listeners)
+    # each verifier's transcript: the merged one, or its own half if it aborted
+    offset = {rec.k: rec.challenge_issued_at - SCALE * plan.round_start_ns(rec.k)
+              for role in ("B1", "B2") for rec in results[role].transcript.rounds}
+    assert abs(offset[2] - offset[1]) <= delay_s * 1e9 / 2, offset[2] - offset[1]
+    for role in ("B1", "B2"):
+        assert results[role].exit_code == EXIT_ACCEPT, (role, results[role].abort)
+    assert results["B1"].transcript_sha == results["B2"].transcript_sha
