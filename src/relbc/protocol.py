@@ -22,15 +22,16 @@ any other iterable of ints is encoded a block at a time. It yields packed
 record blocks in the file's own layout (`record_block_struct`), built
 column by column from the challenge and answer bytes, so no element is
 decoded and no per-round tuple is built. The record layout is defined here
-once: files and RECORDS frames both carry it.
+once; files and RECORDS frames carry it, and no other round form crosses a
+module boundary.
 
-Verification runs the chain forward from the claimed a_0 = d, one multiply
-per round: a_k = x_k * a_{k-1} XOR y_k, folded a block of rounds at a time
-by `FieldSpec.fold`, and the result must equal the revealed a_m. Each step
-is a bijection when x_k != 0, so this accepts exactly when the paper's
-backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach
-a_0 = d. A zero challenge, x_1 included, is rejected: it would let a round
-bind nothing.
+Verification reads packed record blocks and runs the chain forward from the
+claimed a_0 = d, one multiply per round: a_k = x_k * a_{k-1} XOR y_k, folded
+a block of rounds at a time by `FieldSpec.fold`; the result must equal the
+revealed a_m. Each step is a bijection when x_k != 0, so this accepts
+exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1
+from a_m would reach a_0 = d. A zero challenge, x_1 included, is rejected:
+it would let a round bind nothing.
 
 A verifier keeps no state beyond its challenge tape, so its callers send
 x_k = challenges[k - 1] straight from the tape; only the committer computes.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass, field as dfield
-from itertools import cycle, islice, repeat, starmap
+from itertools import cycle, islice, repeat
 from typing import Callable, Generator, Iterable, Iterator
 
 from .field import FieldSpec
@@ -151,16 +152,12 @@ class Tape:
         return self.elements[i]
 
 
-# A round as files, frames and `verify_rounds` carry it: (k, station, x||y,
-# issued, received), the elements in their canonical encodings.
-Row = tuple[int, int, bytes, int, int]
-
-
 @functools.cache
 def record_struct(eb: int) -> struct.Struct:
     """One round record as files and RECORDS frames hold it: k, station,
     x||y (each element `eb` bytes, little-endian), issued and received
-    (station-local ns), integers big-endian. It packs and unpacks `Row`s."""
+    (station-local ns), integers big-endian. `verify_rounds` reads blocks of
+    them as they are; `record_blocks` and `unpack_records` convert."""
     return struct.Struct(f">QB{2 * eb}sqq")
 
 
@@ -188,17 +185,25 @@ class RoundRecord:
     challenge_issued_at: int
     answer_received_at: int
 
-    def row(self, eb: int) -> Row:
-        """This record as a `Row`, the elements `eb` bytes each."""
-        return (self.k, self.station,
-                self.challenge.to_bytes(eb, "little") + self.answer.to_bytes(eb, "little"),
-                self.challenge_issued_at, self.answer_received_at)
 
-    @classmethod
-    def from_row(cls, row: Row, eb: int) -> "RoundRecord":
-        k, station, xy, issued, received = row
-        return cls(k, station, int.from_bytes(xy[:eb], "little"),
-                   int.from_bytes(xy[eb:], "little"), issued, received)
+def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
+    """`records` packed in `record_struct`'s layout, `VERIFY_BLOCK_ROUNDS`
+    at a time by one `record_block_struct` pack: how every `RoundRecord`
+    writer packs. An element wider than `eb` bytes raises OverflowError."""
+    it = iter(records)
+    while recs := list(islice(it, VERIFY_BLOCK_ROUNDS)):
+        flat = []
+        for r in recs:
+            flat += (r.k, r.station, r.challenge.to_bytes(eb, "little"),
+                     r.answer.to_bytes(eb, "little"), r.challenge_issued_at,
+                     r.answer_received_at)
+        yield record_block_struct(eb, len(recs)).pack(*flat)
+
+
+def unpack_records(data: bytes, eb: int) -> list[RoundRecord]:
+    """The records packed in `data`, the inverse of `record_blocks`."""
+    return [RoundRecord(k, s, int.from_bytes(x, "little"), int.from_bytes(y, "little"), i, r)
+            for k, s, x, y, i, r in record_block_struct(eb, 1).iter_unpack(data)]
 
 
 @dataclass
@@ -311,19 +316,18 @@ class AliceAgent:
 
 
 def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
-                  reveal: RevealMessage | None,
-                  blocks: Iterable[list[Row]]) -> Verdict:
-    """Every verdict rule, in one forward pass over blocks of round rows.
+                  reveal: RevealMessage | None, blocks: Iterable[bytes]) -> Verdict:
+    """Every verdict rule, in one forward pass over packed record blocks.
 
-    Each block is a list of at most `VERIFY_BLOCK_ROUNDS` `Row`s
-    (k, station, x||y, issued, received). `reveal` is None for an
-    aborted transcript. The chain is run forward from a_0 = d,
-    the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
-    docstring), one `FieldSpec.fold` per block, and must end at the revealed
-    a_m. A round is on time by `arrival_fault`'s rule, written inline here
-    because it runs once per round. Precedence, highest first: aborted,
-    malformed (the only early return; no later block is asked for), timing,
-    a zero challenge among x_1..x_m, bit mismatch.
+    Each block is a whole number of records in `record_struct`'s layout, as
+    files and frames hold them. `reveal` is None for an aborted transcript.
+    The chain is run forward from a_0 = d, the claimed bit, by
+    a_k = x_k * a_{k-1} XOR y_k (see the module docstring), one
+    `FieldSpec.fold` per block, and must end at the revealed a_m. A round
+    is on time by `arrival_fault`'s rule, written inline here because it
+    runs once per round. Precedence, highest first: aborted, malformed (the
+    only early return; no later block is asked for), timing, a zero
+    challenge among x_1..x_m, bit mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)
@@ -332,11 +336,13 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
         return Verdict.reject(REJECT_MALFORMED)
     fold = spec.fold
     zero_x = bytes(spec.element_bytes)
+    unpack = record_struct(spec.element_bytes).iter_unpack
     taus = (tau2_ns, tau1_ns)  # indexed by k & 1
     mistimed = zero = False
     a, k = d, 0
-    for rows in blocks:
-        for rk, station, xy, issued, received in rows:
+    for block in blocks:
+        xys = []
+        for rk, station, xy, issued, received in unpack(block):
             k += 1
             if k > m or rk != k or station != 2 - (k & 1):  # station_of(k)
                 return Verdict.reject(REJECT_MALFORMED)
@@ -344,7 +350,8 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
                 mistimed = True
             if xy.startswith(zero_x):
                 zero = True
-        a = fold(a, b"".join([row[2] for row in rows]))
+            xys.append(xy)
+        a = fold(a, b"".join(xys))
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
     if mistimed:
@@ -356,26 +363,11 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     return Verdict.reject(REJECT_BIT_MISMATCH)
 
 
-def row_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[list[Row]]:
-    """`records` as blocks of at most `VERIFY_BLOCK_ROUNDS` rows."""
-    it = iter(records)
-    while rows := [rec.row(eb) for rec in islice(it, VERIFY_BLOCK_ROUNDS)]:
-        yield rows
-
-
-def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
-    """`records` packed in `record_struct`'s layout, `VERIFY_BLOCK_ROUNDS`
-    at a time: how every `RoundRecord` writer packs its rounds."""
-    pack = record_struct(eb).pack
-    for rows in row_blocks(records, eb):
-        yield b"".join(starmap(pack, rows))
-
-
 def bob_verify(transcript: Transcript) -> Verdict:
     """Full verification of an in-memory transcript (see `verify_rounds`)."""
     t = transcript
     return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns, t.reveal if t.is_complete else None,
-                         row_blocks(t.rounds, t.spec.element_bytes))
+                         record_blocks(t.rounds, t.spec.element_bytes))
 
 
 # -- honest drive (reference harness) ------------------------------------------
@@ -444,11 +436,8 @@ def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Itera
 def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
                         challenges: Iterable[int], d: int, m: int) -> Iterator[RoundRecord]:
     """The rounds of `honest_row_blocks`, one `RoundRecord` each."""
-    eb = spec.element_bytes
-    unpack = record_struct(eb).iter_unpack
     for block in honest_row_blocks(spec, secrets, challenges, d, m):
-        for row in unpack(block):
-            yield RoundRecord.from_row(row, eb)
+        yield from unpack_records(block, spec.element_bytes)
 
 
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int) -> Transcript:

@@ -18,10 +18,10 @@ recorded round count, scale factor, deadlines, status, reveal) followed by
 fixed-size round records (k, station, x, y, two timestamps; the layout is
 `protocol.record_struct`), so any record can be sought in O(1) and
 verification streams the file forward in blocks with memory independent of
-its length. The body is written as packed record blocks: the `RoundRecord`
-writers pack theirs through `protocol.record_blocks`, and honest generation
-writes the blocks `protocol.honest_row_blocks` packs straight from tape
-bytes.
+its length. The body moves as packed record blocks: `RoundRecord` writers
+pack through `protocol.record_blocks`, honest generation writes what
+`protocol.honest_row_blocks` packs from tape bytes, and `verify_file` hands
+the blocks it reads to `protocol.verify_rounds` undecoded.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
@@ -57,7 +57,6 @@ from .protocol import (
     ProtocolError,
     RevealMessage,
     RoundRecord,
-    Row,
     STATUS_ABORTED,
     STATUS_COMPLETE,
     Transcript,
@@ -67,6 +66,7 @@ from .protocol import (
     honest_row_blocks,
     record_blocks,
     record_struct,
+    unpack_records,
     verify_rounds,
 )
 
@@ -433,7 +433,9 @@ def transcript_to_bytes(transcript: Transcript) -> bytes:
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
-    Path(path).write_bytes(transcript_to_bytes(transcript))
+    """Stream a transcript to its file; a failed write leaves no file."""
+    with _new_file(path) as f:
+        _write_transcript_to(f, transcript, transcript.rounds, len(transcript.rounds))
 
 
 def read_transcript_header(f) -> tuple[Transcript, int]:
@@ -482,20 +484,20 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     return header, round_count
 
 
-def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[list[Row]]]:
+def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[bytes]]:
     """The header of transcript file `f` (see `read_transcript_header`), its
     round count, checked against the file's size, and an iterator over its
-    round records as blocks of `Row`s, read front to back
-    `VERIFY_BLOCK_ROUNDS` at a time."""
+    packed round records as the bytes of each read, front to back
+    `VERIFY_BLOCK_ROUNDS` records at a time."""
     header, count = read_transcript_header(f)
-    record = record_struct(header.spec.element_bytes)
-    _check_body(path, f.tell(), count, record.size, TranscriptFormatError)
+    size = record_struct(header.spec.element_bytes).size
+    _check_body(path, f.tell(), count, size, TranscriptFormatError)
 
-    def blocks() -> Iterator[list[Row]]:
+    def blocks() -> Iterator[bytes]:
         done = 0
         while done < count:
             want = min(count - done, VERIFY_BLOCK_ROUNDS)
-            yield list(record.iter_unpack(_read_exact(f, want * record.size, "round records")))
+            yield _read_exact(f, want * size, "round records")
             done += want
 
     return header, count, blocks()
@@ -506,7 +508,7 @@ def read_transcript(path: str | Path) -> Transcript:
     with open(path, "rb") as f:
         transcript, _, blocks = _open_transcript(f, path)
         eb = transcript.spec.element_bytes
-        transcript.rounds = [RoundRecord.from_row(row, eb) for rows in blocks for row in rows]
+        transcript.rounds = [rec for block in blocks for rec in unpack_records(block, eb)]
     return transcript
 
 
@@ -524,10 +526,10 @@ def verify_file(path: str | Path,
                 plan: ProtocolPlan | None = None) -> tuple[Verdict, VerifyStats]:
     """Stream a transcript file forward and verify it in constant memory.
 
-    Blocks of round rows are read as `read_transcript` reads them and fed to
-    `protocol.verify_rounds`, the same pass `bob_verify` uses. Reading stops
-    once the verdict is settled (an aborted transcript or a malformed round),
-    so a fault in a later record is not reported.
+    The bytes of each block of records are read as `read_transcript` reads
+    them and handed undecoded to `protocol.verify_rounds`, the pass
+    `bob_verify` uses. Reading stops once the verdict is settled (an aborted
+    transcript or a malformed round), so a later fault is not reported.
     """
     t0 = time.perf_counter()
     with open(path, "rb") as f:

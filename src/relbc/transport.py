@@ -82,6 +82,7 @@ from .protocol import (
     record_blocks,
     record_struct,
     station_of,
+    unpack_records,
 )
 from .storage import TapeReader, transcript_to_bytes
 
@@ -173,9 +174,15 @@ def send_frame(sock: socket.socket, ftype: int, round_index: int,
     sock.sendall(encode_frame(ftype, round_index, payload))
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
+def _recv_exact(sock: socket.socket, size: int, deadline_ns: int) -> bytes:
+    """`size` bytes from `sock`; each recv may wait only for what is left
+    before `deadline_ns`, so a peer that trickles bytes cannot hold it open."""
     buf = bytearray()
     while len(buf) < size:
+        remaining = deadline_ns - time.monotonic_ns()
+        if remaining <= 0:
+            raise TimeoutError(f"deadline passed after {len(buf)} of {size} bytes")
+        sock.settimeout(remaining / 1e9)
         chunk = sock.recv(size - len(buf))
         if not chunk:
             raise ConnectionError("peer closed the connection")
@@ -185,17 +192,13 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
 
 def recv_frame(sock: socket.socket, deadline_ns: int) -> WireFrame:
     """Read one frame; raises TimeoutError once monotonic_ns passes
-    `deadline_ns`."""
-    remaining = deadline_ns - time.monotonic_ns()
-    if remaining <= 0:
-        raise TimeoutError("deadline already passed")
-    sock.settimeout(remaining / 1e9)
+    `deadline_ns`, however the frame's bytes arrive."""
     try:
-        head = _recv_exact(sock, 4)
+        head = _recv_exact(sock, 4, deadline_ns)
         (length,) = _U32.unpack(head)
         if length < 9 or length > 9 + MAX_FRAME_PAYLOAD:
             raise MalformedFrameError(f"bad frame length {length}", 0)
-        body = _recv_exact(sock, length)
+        body = _recv_exact(sock, length, deadline_ns)
     except socket.timeout as exc:
         raise TimeoutError(str(exc)) from exc
     return decode_frame(head + body)
@@ -331,8 +334,7 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
     if size != end:
         raise _bad_payload(f"RECORDS payload is {size} bytes, its layout {end}",
                            min(size, end))
-    records = [RoundRecord.from_row(row, eb)
-               for row in record_struct(eb).iter_unpack(payload[_U32.size:flag_at])]
+    records = unpack_records(payload[_U32.size:flag_at], eb)
     if not flag:
         return records, None, 0
     reveal = _parse_reveal(spec, payload[flag_at + 1:end - _I64.size], flag_at + 1)

@@ -26,6 +26,7 @@ from relbc.storage import (
     TapeFormatError,
     TapeReader,
     TranscriptFormatError,
+    VERIFY_BLOCK_ROUNDS,
     generate_honest_transcript_file,
     generate_tape,
     read_transcript,
@@ -628,6 +629,15 @@ def _generate_from_zero_tape(path):
         generate_honest_transcript_file(path, S8, 3, ar, xr, 0)
 
 
+def _write_wide_in_second_block(path):
+    """`write_transcript` of an honest n=8 run whose challenge in the second
+    record block is 9 bits wide: the header and the first block are written
+    before it raises."""
+    t = _transcript(m=VERIFY_BLOCK_ROUNDS + 4)
+    t.rounds[VERIFY_BLOCK_ROUNDS + 1].challenge = 0x103
+    write_transcript(t, path)
+
+
 # every file writer with each way it can fail: (the write, its error, match);
 # a generation source that ends early is in TestStreamedGeneration
 FAILED_WRITES = {
@@ -651,6 +661,8 @@ FAILED_WRITES = {
         lambda p: _stream(p, 10, 5), TranscriptFormatError, "produced 10 records, expected 5"),
     "stream-element-beyond-n-bits": (
         lambda p: _stream(p, 10, 10, challenge=0x103), OverflowError, "too big"),
+    "transcript-element-beyond-n-bits-in-second-block": (
+        _write_wide_in_second_block, OverflowError, "too big"),
     "stream-source-raises": (
         lambda p: write_transcript_stream(p, S8, 10, _failing([], KeyError("boom")), 10,
                                           None, 0, 1000, 1000),

@@ -111,6 +111,36 @@ class TestFraming:
         with pytest.raises(MalformedFrameError):
             decode_frame(wire)
 
+    def test_trickled_frame_times_out_at_deadline(self):
+        """A peer that sends a frame one byte every 30 ms cannot stretch the
+        wait past the deadline: each recv waits only for what is left."""
+        wire = encode_frame(FRAME_ANSWER, 1, b"\x00" * 16)
+        ours, theirs = socket.socketpair()
+        stop = threading.Event()
+
+        def trickle():
+            for i in range(len(wire)):
+                if stop.wait(0.03):
+                    return
+                try:
+                    theirs.sendall(wire[i:i + 1])
+                except OSError:
+                    return
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            start = time.monotonic_ns()
+            with pytest.raises(TimeoutError):
+                T.recv_frame(ours, start + 100_000_000)
+            assert time.monotonic_ns() - start < 100_000_000 + 50_000_000
+        finally:
+            stop.set()
+            sender.join(5)
+            ours.close()
+            theirs.close()
+        assert not sender.is_alive()
+
 
 class TestLoopback:
     def test_full_session_accepts(self, tmp_path):

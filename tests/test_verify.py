@@ -1,6 +1,8 @@
 """One verdict per transcript: bob_verify, verify_file and the paper's
 backward recursion agree, faults and all."""
 
+from itertools import cycle, islice
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,8 +17,11 @@ from relbc.protocol import (
     Transcript,
     Verdict,
     bob_verify,
+    record_blocks,
+    record_struct,
     run_honest_protocol,
     station_of,
+    verify_rounds,
 )
 from relbc.storage import VERIFY_BLOCK_ROUNDS, read_transcript, verify_file, write_transcript
 
@@ -93,12 +98,24 @@ fault = st.tuples(st.sampled_from(FAULTS), st.integers(0, 10**6), st.integers(0,
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(m=st.integers(1, 40), seed=st.integers(0, 2**32), d=st.integers(0, 1),
-       faults=st.lists(fault, max_size=3))
-def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults):
+       faults=st.lists(fault, max_size=3),
+       sizes=st.lists(st.sampled_from([1, 255, 256, 257]), min_size=1, max_size=4))
+def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults, sizes):
     t = honest(m, seed, d)
     for kind, where, bit in faults:
         apply_fault(t, kind, where % m, bit)
-    verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
+    path = tmp_path / "t.rbcx"
+    verdict = assert_one_verdict(t, path)
+    # the file's packed body, cut into blocks of `sizes` records in turn
+    size = record_struct(S8.element_bytes).size
+    body = path.read_bytes()[-m * size:]
+    blocks, at = [], 0
+    for count in cycle(sizes):
+        if at == len(body):
+            break
+        blocks.append(body[at:at + count * size])
+        at += len(blocks[-1])
+    assert verify_rounds(S8, m, TAU_NS, TAU_NS, t.reveal, blocks) == verdict
     if not faults:
         assert verdict == Verdict.accept(d)
 
@@ -121,6 +138,20 @@ def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
         apply_fault(t, kind, i, bit)
     verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
     assert verdict.accepted == (not faults)
+
+
+def test_no_block_is_read_after_a_malformed_one():
+    """A misnumbered round settles the verdict: `verify_rounds` returns
+    without asking for the next block, as `verify_file` promises."""
+    t = honest(2 * VERIFY_BLOCK_ROUNDS, seed=3, d=1)
+    t.rounds[3].k = 99
+
+    def blocks():
+        yield from islice(record_blocks(t.rounds, S8.element_bytes), 1)
+        pytest.fail("a block was read after the malformed one")
+
+    assert verify_rounds(S8, t.m, TAU_NS, TAU_NS, t.reveal, blocks()) == \
+        Verdict.reject(REJECT_MALFORMED)
 
 
 def test_zero_rounds_is_malformed(tmp_path):
