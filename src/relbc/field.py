@@ -25,20 +25,26 @@ other than i = i'), so each product bit is one term and no carry reaches a
 gathered byte.
 
 Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
-over a block of encoded (x, y) pairs, and `FieldSpec.answers` gives the
-honest answers y_j = x_j*a_{j-1} XOR a_j for a block of encoded challenges
-and secrets. Each spreads its whole input with one conversion (`_slots`)
-and keeps the running a spread from the first round to the last; `fold`
-compacts it once, and `answers` gathers each answer straight into its
-encoding. The
-product and its reduction are `_smul`'s, the same as in `mul`. The spread
-form never leaves this module: every other layer goes through `mul`,
-`fold` or `answers`.
+over a block's encoded x and y columns, and `FieldSpec.answers` gives the
+honest answers y_j = x_j*a_{j-1} XOR a_j for a block's encoded challenge
+and secret columns. Each concatenates its two columns and spreads them with
+one block spreader (`_spread_block`): one `bin`/`translate` conversion, one
+`element_struct` unpack that splits the slots into elements, and one
+`int.from_bytes` map, so the result is a list of spread ints, last element
+first. Each kernel walks that list with `zip`, pairing round j's two
+columns, and keeps the running a spread from the first round to the last;
+`fold` compacts it once, and `answers` gathers each answer straight into
+its encoding. The product and its reduction are `_smul`'s, the same as in
+`mul`. The spread form never leaves this module: every other layer goes
+through `mul`, `fold` or `answers`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import struct
+from itertools import repeat
 from typing import Sequence
 
 class FieldError(Exception):
@@ -55,6 +61,7 @@ __all__ = [
     "FieldSpec",
     "batch_inverse",
     "DEFAULT_POLYS",
+    "element_struct",
 ]
 
 
@@ -74,6 +81,13 @@ _BIN_TO_SLOTS = bytes.maketrans(b"01b", b"\x00\x01\x00")
 # multiplier of the gather compaction (see the module docstring): slot i of a
 # spread value, times this, lands in bit i mod 8 of byte 8*(i div 8) + 7
 _GATHER = sum(1 << (7 * j) for j in range(1, 9))
+
+
+@functools.lru_cache(maxsize=32)
+def element_struct(eb: int, count: int) -> struct.Struct:
+    """`count` encoded elements of `eb` bytes back to back, one field each:
+    how tapes, record columns and `FieldSpec`'s spread slots are split."""
+    return struct.Struct(f"{eb}s" * count)
 
 
 def _poly_mod(a: int, mod: int) -> int:
@@ -127,7 +141,11 @@ class FieldSpec:
         p = (sa * sb) & self._par_mask
         hi = p >> (8 * self.n)
         while hi:
-            p = ((p & self._lo_mask) + ((hi * self._s_poly) & self._par_mask)) & self._par_mask
+            # every table polynomial's tail has four terms, so a slot of
+            # hi * _s_poly sums at most 4 ones and, with p & lo's 0 or 1, a
+            # slot sum is at most 5: no carry crosses a slot, and one mask
+            # after the add takes the parities
+            p = ((p & self._lo_mask) + hi * self._s_poly) & self._par_mask
             hi = p >> (8 * self.n)
         return p
 
@@ -141,30 +159,36 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         return self._compact(self._smul(self._spread(a), self._spread(b)))
 
-    def _slots(self, block: bytes) -> bytes:
-        """Every element of a block of encodings spread at once: one byte per
-        coefficient. Read little-endian, the block is one int whose binary
-        digits hold every element most significant bit first, which is the
-        spread layout, so element i of the block (counted from 1) begins i
-        element widths from the end of the result. The 0x01 byte past the
-        block keeps bin() from dropping leading zeros: three bytes from its
-        "0b1" precede the block's slots."""
-        return bin(int.from_bytes(block + b"\x01", "little")).encode().translate(_BIN_TO_SLOTS)
+    def _spread_block(self, block: bytes) -> list[int]:
+        """Every element of a block of encodings in spread form, last element
+        first, from one conversion. Read little-endian, the block is one int
+        whose binary digits hold every element most significant bit first,
+        which is the spread layout; the 0x01 byte past the block keeps bin()
+        from dropping leading zeros, so the three slots of its "0b1" precede
+        the elements' n slots each, and one `element_struct` unpack splits
+        them."""
+        slots = bin(int.from_bytes(block + b"\x01", "little")).encode().translate(_BIN_TO_SLOTS)
+        count = len(block) // self.element_bytes
+        return list(map(int.from_bytes, element_struct(self.n, count).unpack_from(slots, 3),
+                        repeat("big")))
 
-    def fold(self, a: int, pairs: bytes) -> int:
-        """Run the chain a <- x*a XOR y over a block of pairs; returns the last a.
+    def fold(self, a: int, xs: bytes, ys: bytes) -> int:
+        """Run the chain a <- x_j*a XOR y_j over a block of rounds; returns the
+        last a.
 
-        `pairs` is x_1||y_1||...||x_r||y_r, each element in its canonical
-        `element_bytes` encoding. The whole block is spread by one `_slots`
-        and `a` stays spread from the first pair to the last: x_j begins 2j-1
-        and y_j 2j element widths from the end of the slots.
+        `xs` is x_1||...||x_r and `ys` y_1||...||y_r, each element in its
+        canonical `element_bytes` encoding. Both columns are spread by one
+        `_spread_block`, and `a` stays spread from the first round to the
+        last.
         """
-        w = self.n  # slots per element
-        s = self._slots(pairs)
-        smul, fb = self._smul, int.from_bytes
+        if len(xs) != len(ys):
+            raise FieldError(f"{len(xs)} challenge bytes for {len(ys)} answer bytes")
+        r = len(xs) // self.element_bytes
+        s = self._spread_block(xs + ys)  # y_r..y_1, then x_r..x_1
+        smul = self._smul
         sa = self._spread(a)
-        for j in range(len(s) - w, 3, -2 * w):  # s[j:j + w] is x, s[j - w:j] is y
-            sa = smul(fb(s[j:j + w], "big"), sa) ^ fb(s[j - w:j], "big")
+        for sx, sy in zip(reversed(s[r:]), reversed(s[:r])):
+            sa = smul(sx, sa) ^ sy
         return self._compact(sa)
 
     def answers(self, a: int, xs: bytes, secrets: bytes) -> bytes:
@@ -172,23 +196,20 @@ class FieldSpec:
 
         `xs` is x_1||...||x_r and `secrets` a_1||...||a_r, each element in
         its canonical `element_bytes` encoding; returns y_1||...||y_r in the
-        same encoding. Both inputs are spread by one `_slots`, each a_j
-        stays spread as the next round's a_{j-1}, and each answer is
+        same encoding. Both columns are spread by one `_spread_block`, each
+        a_j stays spread as the next round's a_{j-1}, and each answer is
         gathered into its encoding by one multiplication.
         """
         if len(xs) != len(secrets):
             raise FieldError(f"{len(xs)} challenge bytes for {len(secrets)} secret bytes")
-        if not xs:
-            return b""
         w = self.n
-        s = self._slots(xs + secrets)
-        off = 8 * len(xs)  # x_j sits this many slots after a_j
-        smul, fb = self._smul, int.from_bytes
+        r = len(xs) // self.element_bytes
+        s = self._spread_block(xs + secrets)  # a_r..a_1, then x_r..x_1
+        smul = self._smul
         sa = self._spread(a)
         ys = []
-        for j in range(len(s) - off - w, 2, -w):  # s[j:j + w] is a round's a, s[j + off:] its x
-            sn = fb(s[j:j + w], "big")
-            ys.append(smul(fb(s[j + off:j + off + w], "big"), sa) ^ sn)
+        for sx, sn in zip(reversed(s[r:]), reversed(s[:r])):
+            ys.append(smul(sx, sa) ^ sn)
             sa = sn
         return b"".join([(y * _GATHER).to_bytes(w + 8, "little")[7:w:8] for y in ys])
 

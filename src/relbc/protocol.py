@@ -25,9 +25,11 @@ decoded and no per-round tuple is built. The record layout is defined here
 once; files and RECORDS frames carry it, and no other round form crosses a
 module boundary.
 
-Verification reads packed record blocks and runs the chain forward from the
-claimed a_0 = d, one multiply per round: a_k = x_k * a_{k-1} XOR y_k, folded
-a block of rounds at a time by `FieldSpec.fold`; the result must equal the
+Verification reads packed record blocks column by column: one
+`record_block_struct` unpack per block, whose k, station, timestamp and
+challenge columns are checked whole, and whose x and y columns go to
+`FieldSpec.fold`, which runs the chain forward from the claimed a_0 = d, one
+multiply per round: a_k = x_k * a_{k-1} XOR y_k. The result must equal the
 revealed a_m. Each step is a bijection when x_k != 0, so this accepts
 exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1
 from a_m would reach a_0 = d. A zero challenge, x_1 included, is rejected:
@@ -48,9 +50,10 @@ import functools
 import struct
 from dataclasses import dataclass, field as dfield
 from itertools import cycle, islice, repeat
+from operator import sub
 from typing import Callable, Generator, Iterable, Iterator
 
-from .field import FieldSpec
+from .field import FieldSpec, element_struct
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -156,8 +159,8 @@ class Tape:
 def record_struct(eb: int) -> struct.Struct:
     """One round record as files and RECORDS frames hold it: k, station,
     x||y (each element `eb` bytes, little-endian), issued and received
-    (station-local ns), integers big-endian. `verify_rounds` reads blocks of
-    them as they are; `record_blocks` and `unpack_records` convert."""
+    (station-local ns), integers big-endian. `verify_rounds` unpacks blocks
+    of them into columns; `record_blocks` and `unpack_records` convert."""
     return struct.Struct(f">QB{2 * eb}sqq")
 
 
@@ -166,12 +169,6 @@ def record_block_struct(eb: int, rounds: int) -> struct.Struct:
     """`rounds` records of `record_struct`'s layout back to back, with x and
     y as separate fields: six fields per record."""
     return struct.Struct(">" + f"QB{eb}s{eb}sqq" * rounds)
-
-
-@functools.lru_cache(maxsize=32)
-def element_struct(eb: int, count: int) -> struct.Struct:
-    """`count` encoded elements of `eb` bytes back to back, one field each."""
-    return struct.Struct(f"{eb}s" * count)
 
 
 @dataclass(slots=True)
@@ -319,39 +316,49 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
                   reveal: RevealMessage | None, blocks: Iterable[bytes]) -> Verdict:
     """Every verdict rule, in one forward pass over packed record blocks.
 
-    Each block is a whole number of records in `record_struct`'s layout, as
-    files and frames hold them. `reveal` is None for an aborted transcript.
-    The chain is run forward from a_0 = d, the claimed bit, by
-    a_k = x_k * a_{k-1} XOR y_k (see the module docstring), one
-    `FieldSpec.fold` per block, and must end at the revealed a_m. A round
-    is on time by `arrival_fault`'s rule, written inline here because it
-    runs once per round. Precedence, highest first: aborted, malformed (the
-    only early return; no later block is asked for), timing, a zero
-    challenge among x_1..x_m, bit mismatch.
+    Each block holds records in `record_struct`'s layout, as files and
+    frames hold them, and is unpacked whole into columns. `reveal` is None
+    for an aborted transcript. A block is malformed when it is not a whole
+    number of records, runs past round m, or its k or station column is not
+    the one its position gives. A round is on time by `arrival_fault`'s
+    rule, written here on the block's turnaround column: each station's
+    half lies within 0 and its deadline. The chain is run forward from
+    a_0 = d, the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the
+    module docstring), one `FieldSpec.fold` of the x and y columns per
+    block, and must end at the revealed a_m. Precedence, highest first:
+    aborted, malformed (the only early return; no later block is asked
+    for), timing, a zero challenge among x_1..x_m, bit mismatch.
     """
     if reveal is None:
         return Verdict.reject(REJECT_ABORTED)
     d = reveal.bit
     if m < 1 or d not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
+    eb = spec.element_bytes
     fold = spec.fold
-    zero_x = bytes(spec.element_bytes)
-    unpack = record_struct(spec.element_bytes).iter_unpack
-    taus = (tau2_ns, tau1_ns)  # indexed by k & 1
+    zero_x = bytes(eb)
+    size = record_struct(eb).size
+    taus = {1: tau1_ns, 2: tau2_ns}
     mistimed = zero = False
     a, k = d, 0
     for block in blocks:
-        xys = []
-        for rk, station, xy, issued, received in unpack(block):
-            k += 1
-            if k > m or rk != k or station != 2 - (k & 1):  # station_of(k)
-                return Verdict.reject(REJECT_MALFORMED)
-            if not 0 <= received - issued <= taus[k & 1]:
+        r, partial = divmod(len(block), size)
+        if partial or k + r > m:
+            return Verdict.reject(REJECT_MALFORMED)
+        cols = record_block_struct(eb, r).unpack(block)
+        s0 = station_of(k + 1)
+        if (cols[0::6] != tuple(range(k + 1, k + r + 1))
+                or cols[1::6] != tuple(islice(cycle((s0, 3 - s0)), r))):
+            return Verdict.reject(REJECT_MALFORMED)
+        turnarounds = list(map(sub, cols[5::6], cols[4::6]))
+        for half, station in ((turnarounds[0::2], s0), (turnarounds[1::2], 3 - s0)):
+            if half and (min(half) < 0 or max(half) > taus[station]):
                 mistimed = True
-            if xy.startswith(zero_x):
-                zero = True
-            xys.append(xy)
-        a = fold(a, b"".join(xys))
+        xs = cols[2::6]
+        if zero_x in xs:
+            zero = True
+        a = fold(a, b"".join(xs), b"".join(cols[3::6]))
+        k += r
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
     if mistimed:

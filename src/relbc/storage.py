@@ -48,7 +48,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .field import FieldError, FieldSpec
+from .field import FieldError, FieldSpec, element_struct
 from .planner import ProtocolPlan
 from .protocol import (
     HONEST_TAU_NS,
@@ -62,7 +62,6 @@ from .protocol import (
     Transcript,
     VERIFY_BLOCK_ROUNDS,
     Verdict,
-    element_struct,
     honest_row_blocks,
     record_blocks,
     record_struct,
@@ -484,11 +483,12 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     return header, round_count
 
 
-def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[bytes]]:
-    """The header of transcript file `f` (see `read_transcript_header`), its
-    round count, checked against the file's size, and an iterator over its
-    packed round records as the bytes of each read, front to back
-    `VERIFY_BLOCK_ROUNDS` records at a time."""
+def _open_transcript(f, path) -> tuple[Transcript, Iterator[bytes]]:
+    """The header of transcript file `f` (see `read_transcript_header`),
+    whose round count is checked against the file's size, and an iterator
+    over its packed round records as the bytes of each read, front to back
+    `VERIFY_BLOCK_ROUNDS` records at a time; `f` is not read until the
+    iterator is."""
     header, count = read_transcript_header(f)
     size = record_struct(header.spec.element_bytes).size
     _check_body(path, f.tell(), count, size, TranscriptFormatError)
@@ -500,13 +500,13 @@ def _open_transcript(f, path) -> tuple[Transcript, int, Iterator[bytes]]:
             yield _read_exact(f, want * size, "round records")
             done += want
 
-    return header, count, blocks()
+    return header, blocks()
 
 
 def read_transcript(path: str | Path) -> Transcript:
     """Load a whole transcript into memory (use verify_file for huge ones)."""
     with open(path, "rb") as f:
-        transcript, _, blocks = _open_transcript(f, path)
+        transcript, blocks = _open_transcript(f, path)
         eb = transcript.spec.element_bytes
         transcript.rounds = [rec for block in blocks for rec in unpack_records(block, eb)]
     return transcript
@@ -514,6 +514,9 @@ def read_transcript(path: str | Path) -> Transcript:
 
 @dataclass
 class VerifyStats:
+    """What a `verify_file` pass did: the round records it read, which are
+    all of them unless the verdict settled early, and its wall time."""
+
     rounds: int
     seconds: float
 
@@ -529,11 +532,13 @@ def verify_file(path: str | Path,
     The bytes of each block of records are read as `read_transcript` reads
     them and handed undecoded to `protocol.verify_rounds`, the pass
     `bob_verify` uses. Reading stops once the verdict is settled (an aborted
-    transcript or a malformed round), so a later fault is not reported.
+    transcript or a malformed round), so a later fault is not reported, and
+    the stats count the records read: none for an aborted transcript.
     """
     t0 = time.perf_counter()
     with open(path, "rb") as f:
-        h, count, blocks = _open_transcript(f, path)
+        h, blocks = _open_transcript(f, path)
+        body = f.tell()
         if plan is not None and h.plan_hash != plan.plan_hash:
             raise PlanHashMismatchError(
                 f"{path}: transcript plan hash {h.plan_hash[:12] or '(none)'} does not "
@@ -541,7 +546,8 @@ def verify_file(path: str | Path,
             )
         verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns,
                                 h.reveal if h.is_complete else None, blocks)
-    return verdict, VerifyStats(count, time.perf_counter() - t0)
+        rounds = (f.tell() - body) // record_struct(h.spec.element_bytes).size
+    return verdict, VerifyStats(rounds, time.perf_counter() - t0)
 
 
 def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,

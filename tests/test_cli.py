@@ -259,6 +259,18 @@ class TestSimulateAndVerify:
         assert code == 2
         assert "ABORT at round 2" in out
 
+    def test_relay_file_verifies_no_round(self, in_tmp, capsys):
+        """The relay run's file records its abort, so `relbc verify` rejects
+        it without reading a round record, and reports none read."""
+        code, _, _ = run_cli(capsys, "simulate", "--strategy", "relay",
+                             "--rounds", "2000", "--n", "8", "--out", "r.rbcx")
+        assert code == 2
+        verdict, stats = verify_file("r.rbcx")
+        assert verdict.reason == "aborted-transcript" and stats.rounds == 0
+        code, out, _ = run_cli(capsys, "verify", "r.rbcx")
+        assert code == 3 and "REJECT: aborted-transcript" in out
+        assert "rounds: 0 " in out
+
     def test_wrong_bit_reveal_rejects_with_exit_3(self, in_tmp, capsys):
         """The run completes, so the abort exit does not apply; the verifier
         rejects the flipped bit."""

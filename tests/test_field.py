@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbc.field import (
@@ -33,11 +33,13 @@ class TestFieldSpec:
     def test_known_polys_accepted(self):
         """The table is n = 8..128 and each polynomial f is irreducible, by
         Rabin's test: x^(2^n) = x mod f, and x^(2^(n/2)) - x shares no
-        factor with f (2 is the only prime dividing a power-of-two n)."""
+        factor with f (2 is the only prime dividing a power-of-two n).
+        Each tail has four terms, the slot-sum bound `_smul` relies on."""
         assert sorted(DEFAULT_POLYS) == [8, 16, 32, 64, 128]
         for n, poly in DEFAULT_POLYS.items():
             spec = FieldSpec(n)
             assert spec.poly == poly and spec.element_bytes * 8 == n
+            assert bin(poly).count("1") == 4
             r = 2  # x
             for i in range(n):
                 if i == n // 2:
@@ -248,28 +250,42 @@ def test_compact_inverts_spread(operands):
 
 @st.composite
 def fold_blocks(draw):
-    """A table field, a start value of 0, 1 or any, and a block of 0, 1 or
-    many (x, y) pairs in which x is often 0."""
+    """A table field, a start value of 0, 1 or any, and a block of 0, 1,
+    many, 255, 256 or 257 (x, y) pairs in which x is often 0."""
     spec = draw(st.sampled_from(TABLE_SPECS))
     value = st.integers(0, spec.mask)
     a = draw(st.one_of(st.sampled_from([0, 1]), value))
-    count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    count = draw(st.one_of(st.sampled_from([0, 1, 255, 256, 257]), st.integers(2, 40)))
     x = st.one_of(st.just(0), value)
     pairs = draw(st.lists(st.tuples(x, value), min_size=count, max_size=count))
     return spec, a, pairs
 
 
+def _block_edge_examples(test):
+    """`test` with explicit examples: a block of 255, 256 and 257 (x, y)
+    pairs, one side of each block boundary of the verifier, at every
+    table width."""
+    rng = random.Random(257)
+    for spec in TABLE_SPECS:
+        for count in (255, 256, 257):
+            pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+            test = example((spec, spec.random_int(rng), pairs))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(fold_blocks())
+@_block_edge_examples
 def test_fold_matches_mul_loop(block):
-    """`fold` runs a <- x*a XOR y over a block of encoded pairs exactly as
-    the per-pair `mul` loop does."""
+    """`fold` runs a <- x*a XOR y over a block's encoded x and y columns
+    exactly as the per-pair `mul` loop does."""
     spec, a, pairs = block
-    encoded = b"".join(spec.encode(x) + spec.encode(y) for x, y in pairs)
+    xs = b"".join(spec.encode(x) for x, _ in pairs)
+    ys = b"".join(spec.encode(y) for _, y in pairs)
     expected = a
     for x, y in pairs:
         expected = spec.mul(x, expected) ^ y
-    assert spec.fold(a, encoded) == expected
+    assert spec.fold(a, xs, ys) == expected
 
 
 @st.composite
@@ -302,5 +318,8 @@ def test_answers_match_schoolbook(block):
 
 def test_answers_empty_and_unequal_blocks():
     assert S8.answers(1, b"", b"") == b""
+    assert S8.fold(0x53, b"", b"") == 0x53
     with pytest.raises(FieldError):
         S8.answers(1, b"\x01\x02", b"\x01")
+    with pytest.raises(FieldError):
+        S8.fold(1, b"\x01\x02", b"\x01")

@@ -154,6 +154,57 @@ def test_no_block_is_read_after_a_malformed_one():
         Verdict.reject(REJECT_MALFORMED)
 
 
+@pytest.mark.parametrize("station, turnaround, reason", [
+    (1, 100, None),
+    (1, 101, REJECT_TIMING),
+    (2, 5000, None),
+    (2, 5001, REJECT_TIMING),
+])
+@pytest.mark.parametrize("m", [6, VERIFY_BLOCK_ROUNDS + 3])
+def test_each_station_has_its_own_deadline(tmp_path, station, turnaround, reason, m):
+    """Station 1's answers are held to tau1 and station 2's to tau2, in
+    every block whichever station opens it."""
+    t = honest(m, seed=2, d=1)
+    t.tau1_ns, t.tau2_ns = 100, 5000
+    rec = [r for r in t.rounds if r.station == station][-1]
+    rec.answer_received_at = rec.challenge_issued_at + turnaround
+    verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
+    assert verdict == (Verdict.accept(1) if reason is None else Verdict.reject(reason))
+
+
+@pytest.mark.parametrize("cut", [1, 5, -1])
+def test_partial_record_block_is_malformed(cut):
+    """A block that is not a whole number of records is a malformed
+    transcript, wherever the cut falls, and not a decoding error."""
+    t = honest(6, seed=4, d=1)
+    body = b"".join(record_blocks(t.rounds, S8.element_bytes))
+    blocks = [body[:cut], body[cut:]]
+    assert verify_rounds(S8, t.m, TAU_NS, TAU_NS, t.reveal, blocks) == \
+        Verdict.reject(REJECT_MALFORMED)
+
+
+@pytest.mark.parametrize("fault, read", [
+    (None, 3 * VERIFY_BLOCK_ROUNDS + 1),
+    ("misnumbered", VERIFY_BLOCK_ROUNDS),
+    ("aborted", 0),
+])
+def test_verify_stats_count_the_records_read(tmp_path, fault, read):
+    """`verify_file` reports the records its pass read: all of an honest
+    file, at most one block when round 1 is misnumbered, and none of an
+    aborted transcript, whatever count its header holds."""
+    t = honest(3 * VERIFY_BLOCK_ROUNDS + 1, seed=9, d=0)
+    if fault == "misnumbered":
+        t.rounds[0].k = 2
+    elif fault == "aborted":
+        t.reveal = None
+        t.mark_aborted("deadline", t.m)
+    path = tmp_path / "t.rbcx"
+    write_transcript(t, path)
+    verdict, stats = verify_file(path)
+    assert verdict == bob_verify(t)
+    assert stats.rounds == read
+
+
 def test_zero_rounds_is_malformed(tmp_path):
     t = Transcript(spec=S8, m=0, tau1_ns=TAU_NS, tau2_ns=TAU_NS,
                    reveal=RevealMessage(0, 0))
