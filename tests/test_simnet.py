@@ -32,7 +32,7 @@ from relbc.simnet import (
 )
 from relbc.storage import transcript_to_bytes
 
-from helpers import plan_grid, small_plan
+from helpers import plan_grid, random_tapes, small_plan
 
 PLAN8 = small_plan(20, n=8)
 
@@ -48,6 +48,18 @@ class TestDeterminism:
         t1, _ = run_simulation(PLAN8, seed=5, bit=1)
         t2, _ = run_simulation(PLAN8, seed=6, bit=1)
         assert transcript_to_bytes(t1) != transcript_to_bytes(t2)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_make_tapes_is_the_per_element_pair(self, n):
+        """Secrets, then nonzero challenges, as `random_int` draws them one
+        at a time from one seeded stream; at seed 25 the n=16 challenges
+        redraw one zero, and the n=8 ones several."""
+        spec = FieldSpec(n)
+        plan = small_plan(2000, n=n)
+        secrets, challenges = make_tapes(plan, spec, 25)
+        ref_secrets, ref_challenges = random_tapes(spec, plan.m, 25)
+        assert secrets.elements == ref_secrets.elements
+        assert challenges.elements == ref_challenges.elements
 
     def test_explicit_tapes_used(self):
         tapes = make_tapes(PLAN8, FieldSpec(8), 123)

@@ -65,6 +65,49 @@ GENERATION_GOLDEN = {
     (128, 1000): "ab7ac92f06b6e3fd8304f1069b65f3aef3d336e0d92fdf4007cb67777066fc40",
 }
 
+# sha256 of `generate_tape`'s file for a TAPE_GOLDEN_M-element tape by (n,
+# role): the seed it was drawn from and the digest. The n=8 challenge seed
+# redraws 20 zero elements and the n=16 one redraws one.
+TAPE_GOLDEN_M = 5000
+TAPE_GOLDEN = {
+    (8, "alice-secrets"): (8001, "b6c84e5df3a22a4e287907bbfa5252e22531c2775f134b41f2d2d346cf646b71"),
+    (8, "bob-challenges"): (8010, "202ed3dd0d4f8aa827f021c62ba29863376209cf910503ee2c82c941dfc843c8"),
+    (16, "alice-secrets"): (16001, "89e6fb830b398793d676140b8ef00655c0b7bc739d6f8238b0a318da7583418b"),
+    (16, "bob-challenges"): (16006, "b40833fca4e0f2688bf10b713bdd7816e8e2cc5749c0b1176257eed8db015288"),
+    (32, "alice-secrets"): (32001, "bc597be6b1e95a8e3919a146300b4565d081735e87dce77fe7ac26913361a797"),
+    (32, "bob-challenges"): (32002, "c1d4b3cc4f1631fd6cf78fd1a7e3cb1e4e37975c9774d360aa6e2cd3c00ab4bf"),
+    (64, "alice-secrets"): (64001, "192681ddbecb17f9c53bf82e9f2d89d25e286b1ad5a62804f96cc73f5b6b2394"),
+    (64, "bob-challenges"): (64002, "3dd4301dd5844b1e8ffa0522ca7a13d52897e6a2e18a30ea96914b410774f3e4"),
+    (128, "alice-secrets"): (128001, "c60eafac1f95c255d19c5e6ffdd736db121208aba5830de0740e743e01ccf4a5"),
+    (128, "bob-challenges"): (128002, "adc3e4a45c513d11c87b875721bf024d8b205db82ccdb7a6fde0816b8e520f0b"),
+}
+
+
+def _zero_redraws(n: int, seed: int, count: int) -> int:
+    """How many zero draws a seeded stream of `count` nonzero n-bit
+    elements skips, drawn one `getrandbits(n)` at a time."""
+    rng, zeros, kept = random.Random(seed), 0, 0
+    while kept < count:
+        if rng.getrandbits(n):
+            kept += 1
+        else:
+            zeros += 1
+    return zeros
+
+
+@pytest.mark.parametrize("n, role", sorted(TAPE_GOLDEN))
+def test_generated_tape_golden(tmp_path, n, role):
+    """Seeded tape files are pinned byte for byte at every width and role."""
+    seed, digest = TAPE_GOLDEN[(n, role)]
+    path = tmp_path / "t.tape"
+    generate_tape(small_plan(TAPE_GOLDEN_M, n=n), role, path, seed=seed)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_tape_goldens_cover_zero_redraws():
+    assert _zero_redraws(8, TAPE_GOLDEN[(8, "bob-challenges")][0], TAPE_GOLDEN_M) == 20
+    assert _zero_redraws(16, TAPE_GOLDEN[(16, "bob-challenges")][0], TAPE_GOLDEN_M) == 1
+
 
 class TestTapeFiles:
     def test_seeded_determinism(self, tmp_path):
