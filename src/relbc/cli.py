@@ -283,8 +283,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         secrets, challenges, path = work / "a.tape", work / "x.tape", work / "bench.rbcx"
+        t0 = time.perf_counter()
         generate_tape(plan, ROLE_ALICE_SECRETS, secrets, seed=args.seed)
         generate_tape(plan, ROLE_BOB_CHALLENGES, challenges, seed=args.seed + 1)
+        tape_rate = 2 * m / (time.perf_counter() - t0)
         t0 = time.perf_counter()
         with TapeReader(secrets) as a, TapeReader(challenges) as x:
             generate_honest_transcript_file(path, spec, m, a, x, 1)
@@ -297,16 +299,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rate = stats.rounds_per_second
     case1_rounds = resource_plan(_resolve_config("case1", DEFAULT_YEAR_DAYS)).m
     case1_hours = case1_rounds / rate / 3600.0
+    case1_tapes_hours = 2 * case1_rounds / tape_rate / 3600.0
     rows = {
+        "tape_elements_per_s": tape_rate,
         "gen_rounds_per_s": gen_rate,
         "verify_rounds_per_s": rate,
         "case1_rounds": case1_rounds,
+        "case1_tapes_hours_projected": case1_tapes_hours,
         "case1_verify_hours_projected": case1_hours,
     }
+    print(f"{'tape generation':34s} {tape_rate:12,.0f} elements/s (two seeded tapes)")
     print(f"{'transcript-file generation':34s} {gen_rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'transcript-file verification':34s} {rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
           f"({case1_rounds:.3g} rounds)")
+    print(f"{'projected case-1 tapes':34s} {case1_tapes_hours:12,.1f} hours "
+          f"(two tapes of {case1_rounds:.3g} elements)")
     outputs = []
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2))
@@ -389,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", parents=[manifest],
-                       help="transcript-file generation and verification "
-                            "throughput and the case-1 projection")
+                       help="tape and transcript-file generation and verification "
+                            "throughput and the case-1 projections")
     p.add_argument("--rounds", type=int, default=20000,
                    help="rounds in the generated honest n=128 file, planned from case1 "
                         "(even, or 1)")

@@ -8,6 +8,14 @@ takes only the width, n in {8, 16, 32, 64, 128}, and every layer multiplies,
 inverts, draws and serializes elements through its methods. Every width is a
 whole number of bytes, so every `element_bytes` string decodes to an element.
 
+Draws: `random_block` draws a block of encoded elements from one
+`randbytes` call, byte for byte the stream of one `random_int`
+(`getrandbits(n)`) per element, and leaves the generator in the same state.
+At n >= 32 that stream is `randbytes` itself; at n = 8 and 16 each draw
+keeps the top n bits of one 32-bit word. A nonzero draw drops the block's
+zero elements and draws as many again, which is what a per-element redraw
+does. `decode_block` turns a block back into ints with one unpack.
+
 Multiplication: operands are "spread" (each coefficient bit placed in its
 own byte-wide slot), multiplied as ordinary integers (slot sums never exceed
 255, so no carry crosses a slot boundary), and the product's per-slot
@@ -232,10 +240,65 @@ class FieldSpec:
         return _poly_mod(g1, self.full_poly)
 
     def random_int(self, rng: random.Random, nonzero: bool = False) -> int:
+        """One element drawn by `getrandbits(n)`, redrawn while zero if
+        `nonzero`: the per-element reference that `random_block` draws
+        byte for byte a block at a time."""
         v = rng.getrandbits(self.n)
         while nonzero and v == 0:
             v = rng.getrandbits(self.n)
         return v
+
+    def _draw_block(self, rng: random.Random, count: int) -> bytes:
+        """The encodings of `count` successive `getrandbits(n)` draws, from
+        one `randbytes` call. `randbytes(r)` is `getrandbits(8r)` in
+        little-endian bytes, built from 32-bit words, least significant
+        first. At n >= 32 an element is whole words, so the stream is
+        already the elements' encodings. Below 32, `getrandbits(n)` keeps
+        the top n bits of one word: the last n/8 bytes of each 4."""
+        eb = self.element_bytes
+        if eb >= 4:
+            return rng.randbytes(count * eb)
+        words = rng.randbytes(4 * count)
+        out = bytearray(count * eb)
+        for i in range(eb):
+            out[i::eb] = words[4 - eb + i::4]
+        return bytes(out)
+
+    def random_block(self, rng: random.Random, count: int, nonzero: bool = False) -> bytes:
+        """The encodings of `count` elements, byte for byte what `count`
+        `random_int` calls draw, and leaving `rng` in the same state.
+
+        A zero is redrawn by the next element's worth of the stream, so the
+        per-element output is the block stream with its zero elements
+        dropped: a block with zeros keeps the rest, and more elements are
+        drawn for the ones dropped. The zero search runs on the bytes, and
+        the block is split into elements only on a hit.
+        """
+        eb = self.element_bytes
+        data = self._draw_block(rng, count)
+        if not nonzero:
+            return data
+        zero = bytes(eb)
+        kept = []
+        while zero in data:
+            if eb == 1:
+                rest = data.replace(zero, b"")
+            else:  # a zero substring across two elements is no zero element
+                rest = b"".join([e for e in element_struct(eb, len(data) // eb).unpack(data)
+                                 if e != zero])
+                if len(rest) == len(data):
+                    break
+            kept.append(rest)
+            data = self._draw_block(rng, (len(data) - len(rest)) // eb)
+        kept.append(data)
+        return b"".join(kept)
+
+    def decode_block(self, data: bytes) -> list[int]:
+        """Every element of a block of encodings, from one `element_struct`
+        unpack."""
+        eb = self.element_bytes
+        return list(map(int.from_bytes, element_struct(eb, len(data) // eb).unpack(data),
+                        repeat("little")))
 
     # -- serialization ---------------------------------------------------
 

@@ -221,13 +221,13 @@ def default_placements(plan: ProtocolPlan,
 
 def make_tapes(plan: ProtocolPlan, spec: FieldSpec, seed: int) -> tuple[Tape, Tape]:
     """Seeded pre-shared randomness: secrets a_1..a_m, then challenges
-    x_1..x_m (nonzero), drawn in that order from one stream."""
+    x_1..x_m (nonzero), drawn in that order from one stream, each as one
+    `FieldSpec.random_block`."""
     rng = random.Random(seed)
-    m = plan.m
-    secrets = [spec.random_int(rng) for _ in range(m)]
-    challenges = [spec.random_int(rng, nonzero=True) for _ in range(m)]
-    return (Tape(ROLE_ALICE_SECRETS, spec, secrets),
-            Tape(ROLE_BOB_CHALLENGES, spec, challenges))
+    secrets = spec.random_block(rng, plan.m)
+    challenges = spec.random_block(rng, plan.m, nonzero=True)
+    return (Tape(ROLE_ALICE_SECRETS, spec, spec.decode_block(secrets)),
+            Tape(ROLE_BOB_CHALLENGES, spec, spec.decode_block(challenges)))
 
 
 def _travel_ns(pos_a: float, pos_b: float, c: float) -> int:

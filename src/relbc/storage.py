@@ -6,12 +6,19 @@ of `relbc.field`.
 
 Tape file ("RBCT"): header (magic, version, field, role, element count,
 seed provenance) followed by fixed-size elements. Challenge tapes contain
-only nonzero elements; the writer and the reader both enforce it. A
-`TapeReader` reads its elements as byte blocks: `read_block` hands over up
-to `count` encoded elements at the cursor from one file read, checked for a
-short read and, on a challenge tape, for a zero element on the bytes
-themselves. Its iterator decodes elements from such blocks and hands the
-bytes over undecoded too, so honest generation never decodes a tape.
+only nonzero elements; the writer and the reader both enforce it, on the
+encoded bytes. Tapes move as byte blocks end to end. `generate_tape` draws
+each block of `_WRITE_CHUNK_ELEMENTS` with one `FieldSpec.random_block` and
+writes it as drawn, seeded or from system entropy; the bytes are those of
+one `random_int` per element, because a zero challenge is redrawn from the
+next element's worth of the stream, so dropping the block's zero elements
+and drawing as many more is the same draw. `write_tape` encodes a chunk of
+ints with one `int.to_bytes` map. A `TapeReader` reads its elements as byte
+blocks: `read_block` hands over up to `count` encoded elements at the
+cursor from one file read, checked for a short read and, on a challenge
+tape, for a zero element on the bytes themselves. Its iterator decodes
+elements from such blocks and hands the bytes over undecoded too, so honest
+generation never decodes a tape.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
@@ -44,7 +51,7 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -78,6 +85,7 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
 PROVENANCE_ENTROPY = 0
 PROVENANCE_SEEDED = 1
+_SEED_MAX = (1 << 64) - 1  # a tape header records its seed in 8 bytes
 
 _WRITE_CHUNK_ELEMENTS = 1 << 14
 _READ_BLOCK_ELEMENTS = 1 << 10
@@ -160,55 +168,83 @@ _TAPE_HEAD = struct.Struct(">4sHIH")       # magic, version, n, poly byte length
 _TAPE_META = struct.Struct(">BQBQ")        # role, count, provenance, seed
 
 
+def _tape_header(spec: FieldSpec, role: str, count: int, provenance: int,
+                 seed: int) -> bytes:
+    """The header of a tape file of `count` elements."""
+    if role not in _ROLE_CODES:
+        raise StorageError(f"unknown tape role {role!r}")
+    poly_bytes = _poly_bytes(spec)
+    return (_TAPE_HEAD.pack(TAPE_MAGIC, FORMAT_VERSION, spec.n, len(poly_bytes))
+            + poly_bytes + _TAPE_META.pack(_ROLE_CODES[role], count, provenance, seed))
+
+
 def write_tape(path: str | Path, spec: FieldSpec, role: str,
                elements: Iterable[int], count: int,
                provenance: int = PROVENANCE_SEEDED, seed: int = 0) -> None:
-    """Stream `count` elements to a tape file; each must fit in n bits, and
-    a challenge tape's must be nonzero. A failed write leaves no file."""
-    if role not in _ROLE_CODES:
-        raise StorageError(f"unknown tape role {role!r}")
-    eb, mask = spec.element_bytes, spec.mask
-    poly_bytes = _poly_bytes(spec)
-    nonzero_required = role == ROLE_BOB_CHALLENGES
+    """Stream the first `count` elements of `elements` to a tape file; each
+    must be an n-bit element, and a challenge tape's must be nonzero.
+
+    Elements are taken `_WRITE_CHUNK_ELEMENTS` at a time and encoded by one
+    `int.to_bytes` map, which refuses any value outside 0..2^n - 1; the
+    zero check runs on the encoded bytes, as `TapeReader`'s does. A failed
+    write leaves no file.
+    """
+    header = _tape_header(spec, role, count, provenance, seed)
+    eb = spec.element_bytes
+    zero = bytes(eb)
+    source = iter(elements)
     with _new_file(path) as f:
-        f.write(_TAPE_HEAD.pack(TAPE_MAGIC, FORMAT_VERSION, spec.n, len(poly_bytes)))
-        f.write(poly_bytes)
-        f.write(_TAPE_META.pack(_ROLE_CODES[role], count, provenance, seed))
-        buf = bytearray()
-        written = 0
-        for v in elements:
-            if written == count:
-                break
-            if v > mask:
-                raise StorageError(f"tape element {written} exceeds {spec.n} bits")
-            if nonzero_required and v == 0:
-                raise StorageError("challenge tapes must not contain zero elements")
-            buf += v.to_bytes(eb, "little")
-            written += 1
-            if len(buf) >= _WRITE_CHUNK_ELEMENTS * eb:
-                f.write(buf)
-                buf.clear()
-        if written != count:
-            raise StorageError(f"element source exhausted at {written}/{count}")
-        f.write(buf)
+        f.write(header)
+        for done in range(0, count, _WRITE_CHUNK_ELEMENTS):
+            want = min(_WRITE_CHUNK_ELEMENTS, count - done)
+            chunk = list(islice(source, want))
+            try:
+                data = b"".join(map(int.to_bytes, chunk, repeat(eb), repeat("little")))
+            except OverflowError:
+                i, v = next((i, v) for i, v in enumerate(chunk) if not 0 <= v <= spec.mask)
+                problem = "is negative" if v < 0 else f"exceeds {spec.n} bits"
+                raise StorageError(f"tape element {done + i} {problem}") from None
+            if len(chunk) < want:
+                raise StorageError(f"element source exhausted at {done + len(chunk)}/{count}")
+            if role == ROLE_BOB_CHALLENGES and zero in data:
+                encoded = element_struct(eb, want).unpack(data)
+                if zero in encoded:
+                    raise StorageError(f"challenge tapes must not contain zero elements: "
+                                       f"element {done + encoded.index(zero)} is zero")
+            f.write(data)
 
 
 def generate_tape(plan: ProtocolPlan, role: str, path: str | Path,
                   seed: int | None = None) -> int:
     """Generate a tape of `plan.m` elements for `role` (seeded = reproducible,
     None = system entropy); returns the element count. Either role's tape
-    holds the full sequence: each agent consumes only its station's parity."""
-    spec = FieldSpec(plan.n)
-    count = plan.m
+    holds the full sequence: each agent consumes only its station's parity.
+
+    A seeded tape is drawn from `random.Random(seed)`, and its header
+    records the seed, which must lie in 0..2^64 - 1 so that the header can
+    regenerate the tape. Entropy tapes are drawn from `random.SystemRandom`,
+    whose `randbytes` is `os.urandom`. Either way the body is drawn and
+    written `_WRITE_CHUNK_ELEMENTS` at a time by `FieldSpec.random_block`,
+    so memory stays constant, and its bytes are those of one
+    `FieldSpec.random_int` call per element.
+    """
     if seed is None:
         rng: random.Random = random.SystemRandom()
-        provenance, seed_field = PROVENANCE_ENTROPY, 0
-    else:
+        provenance, seed = PROVENANCE_ENTROPY, 0
+    elif 0 <= seed <= _SEED_MAX:
         rng = random.Random(seed)
-        provenance, seed_field = PROVENANCE_SEEDED, seed & 0xFFFFFFFFFFFFFFFF
+        provenance = PROVENANCE_SEEDED
+    else:
+        raise StorageError(f"tape seed {seed} is outside 0..{_SEED_MAX}, the seeds a "
+                           f"tape header records")
+    spec = FieldSpec(plan.n)
+    count = plan.m
+    header = _tape_header(spec, role, count, provenance, seed)
     nonzero = role == ROLE_BOB_CHALLENGES
-    elements = (spec.random_int(rng, nonzero=nonzero) for _ in range(count))
-    write_tape(path, spec, role, elements, count, provenance, seed_field)
+    with _new_file(path) as f:
+        f.write(header)
+        for done in range(0, count, _WRITE_CHUNK_ELEMENTS):
+            f.write(spec.random_block(rng, min(_WRITE_CHUNK_ELEMENTS, count - done), nonzero))
     return count
 
 
@@ -338,10 +374,7 @@ class TapeIterator:
         if not 0 <= j < len(self._values):  # the cursor left the decoded block
             if i >= r.count:
                 raise StopIteration
-            eb = r.spec.element_bytes
-            data = r._block(i, _READ_BLOCK_ELEMENTS)
-            self._values = list(map(int.from_bytes, element_struct(eb, len(data) // eb)
-                                    .unpack(data), repeat("little")))
+            self._values = r.spec.decode_block(r._block(i, _READ_BLOCK_ELEMENTS))
             self._start, j = i, 0
         r._index = i + 1
         return self._values[j]

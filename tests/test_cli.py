@@ -134,6 +134,17 @@ class TestTape:
         with TapeReader(in_tmp / "a.tape") as r:
             assert r.count == 24 and r.seed == 5
 
+    @pytest.mark.parametrize("seed", ["18446744073709551621", "-3"])
+    def test_seed_a_header_cannot_record_exit_1(self, in_tmp, capsys, seed):
+        """2^64 + 5 and -3 would be recorded as seeds that draw another
+        tape, so no tape and no manifest is written."""
+        save_plan(small_plan(24, n=128), in_tmp / "plan.json")
+        code, _, err = run_cli(capsys, "tape", "--plan", "plan.json",
+                               "--role", "alice-secrets", "--out", "a.tape",
+                               "--seed", seed, "--manifest", "m.json")
+        assert code == 1 and err.startswith("error:") and f"tape seed {seed}" in err
+        assert not (in_tmp / "a.tape").exists() and not (in_tmp / "m.json").exists()
+
 
 class TestRun:
     def test_plan_below_two_rounds_exit_1(self, in_tmp, capsys):
@@ -365,12 +376,17 @@ class TestBench:
         assert code == 0
         assert "projected case-1 verification" in out
         assert "transcript-file generation" in out
+        assert "tape generation" in out and "projected case-1 tapes" in out
         data = json.loads((in_tmp / "bench.json").read_text())
-        assert set(data) == {"gen_rounds_per_s", "verify_rounds_per_s", "case1_rounds",
+        assert set(data) == {"tape_elements_per_s", "gen_rounds_per_s", "verify_rounds_per_s",
+                             "case1_rounds", "case1_tapes_hours_projected",
                              "case1_verify_hours_projected"}
+        assert data["tape_elements_per_s"] > 0
         assert data["gen_rounds_per_s"] > 0 and data["verify_rounds_per_s"] > 0
         assert data["case1_verify_hours_projected"] == pytest.approx(
             data["case1_rounds"] / data["verify_rounds_per_s"] / 3600)
+        assert data["case1_tapes_hours_projected"] == pytest.approx(
+            2 * data["case1_rounds"] / data["tape_elements_per_s"] / 3600)
         manifest = json.loads((in_tmp / "bench.json.manifest.json").read_text())
         assert manifest["seeds"] == [0]
 

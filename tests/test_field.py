@@ -323,3 +323,52 @@ def test_answers_empty_and_unequal_blocks():
         S8.answers(1, b"\x01\x02", b"\x01")
     with pytest.raises(FieldError):
         S8.fold(1, b"\x01\x02", b"\x01")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLE_SPECS), st.booleans(), st.integers(0, 2**64 - 1),
+       st.one_of(st.sampled_from([0, 1, 256, 257]), st.integers(2, 3000)))
+@example(S8, True, 8010, 3000)
+def test_random_block_is_the_random_int_stream(spec, nonzero, seed, count):
+    """`random_block` draws the encodings of `count` `random_int` calls and
+    leaves the rng as they leave it; the explicit n=8 example redraws 11
+    zeros."""
+    by_int, by_block = random.Random(seed), random.Random(seed)
+    expected = b"".join(spec.encode(spec.random_int(by_int, nonzero)) for _ in range(count))
+    assert spec.random_block(by_block, count, nonzero) == expected
+    assert by_block.getstate() == by_int.getstate()
+
+
+class _ScriptedBytes:
+    """An rng whose `randbytes` hands out a fixed byte stream in order."""
+
+    def __init__(self, stream: bytes):
+        self.stream = stream
+
+    def randbytes(self, size: int) -> bytes:
+        out, self.stream = self.stream[:size], self.stream[size:]
+        return out
+
+
+def test_random_block_drops_aligned_zero_elements_only():
+    """At n=32 an element is four stream bytes. 01000000 00000002 holds a
+    zero run across its two elements, which is no zero element and is
+    kept; an aligned zero element is dropped and the stream's next element
+    takes its place."""
+    spec = FieldSpec(32)
+    one, two, zero, three = (spec.encode(v) for v in (1, 2 << 24, 0, 3))
+    rng = _ScriptedBytes(one + two + zero + three + one)
+    assert spec.random_block(rng, 2, nonzero=True) == one + two
+    assert spec.random_block(rng, 2, nonzero=True) == three + one
+    assert rng.stream == b""
+    rng = _ScriptedBytes(zero + zero + one + zero + two)
+    assert spec.random_block(rng, 2, nonzero=True) == one + two
+    assert spec.random_block(_ScriptedBytes(zero), 1) == zero
+
+
+def test_decode_block_reads_every_element():
+    rng = random.Random(3)
+    for spec in TABLE_SPECS:
+        values = [spec.random_int(rng) for _ in range(300)] + [0, spec.mask]
+        assert spec.decode_block(b"".join(map(spec.encode, values))) == values
+    assert S8.decode_block(b"") == []

@@ -5,6 +5,7 @@ import io
 import random
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from relbc.storage import (
     TapeReader,
     TranscriptFormatError,
     VERIFY_BLOCK_ROUNDS,
+    _WRITE_CHUNK_ELEMENTS,
     generate_honest_transcript_file,
     generate_tape,
     read_transcript,
@@ -93,6 +95,26 @@ def _zero_redraws(n: int, seed: int, count: int) -> int:
         else:
             zeros += 1
     return zeros
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 16, 32, 64, 128]), st.sampled_from(["alice-secrets", "bob-challenges"]),
+       st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(0, 300),
+                 st.sampled_from([_WRITE_CHUNK_ELEMENTS - 1, _WRITE_CHUNK_ELEMENTS,
+                                  _WRITE_CHUNK_ELEMENTS + 1, 2 * _WRITE_CHUNK_ELEMENTS + 2])))
+def test_generated_tape_is_the_random_int_stream(tmp_path_factory, n, role, seed, count):
+    """A seeded tape's body is the encodings of one `random_int` call per
+    element, nonzero for challenges, on either side of the
+    `_WRITE_CHUNK_ELEMENTS` chunk boundaries."""
+    spec = FieldSpec(n)
+    path = tmp_path_factory.getbasetemp() / "drawn.tape"
+    generate_tape(replace(small_plan(2, n=n), m=count), role, path, seed=seed)
+    rng = random.Random(seed)
+    with TapeReader(path) as r:
+        body = r.read_block(count)
+    assert body == b"".join(spec.encode(spec.random_int(rng, role == "bob-challenges"))
+                            for _ in range(count))
 
 
 @pytest.mark.parametrize("n, role", sorted(TAPE_GOLDEN))
@@ -216,6 +238,43 @@ class TestTapeFiles:
         with pytest.raises(TapeFormatError, match="bad field"):
             TapeReader(path)
 
+    def test_negative_element(self, tmp_path):
+        """-2 is no n-bit element: the writer names it as it names a wide
+        one, also in its second chunk of `_WRITE_CHUNK_ELEMENTS`, where a
+        zero challenge is named too."""
+        path = tmp_path / "t.tape"
+        with pytest.raises(StorageError, match="element 1 is negative"):
+            write_tape(path, S8, "alice-secrets", iter([1, -2, 3]), 3)
+        values = [1] * (_WRITE_CHUNK_ELEMENTS + 9)
+        values[_WRITE_CHUNK_ELEMENTS + 7] = -1
+        with pytest.raises(StorageError,
+                           match=f"element {_WRITE_CHUNK_ELEMENTS + 7} is negative"):
+            write_tape(path, S8, "alice-secrets", iter(values), len(values))
+        values[_WRITE_CHUNK_ELEMENTS + 7] = 0
+        with pytest.raises(StorageError,
+                           match=f"element {_WRITE_CHUNK_ELEMENTS + 7} is zero"):
+            write_tape(path, S8, "bob-challenges", iter(values), len(values))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, -3], ids=["2^64+5", "-3"])
+    def test_seed_a_header_cannot_record(self, tmp_path, seed):
+        """A header records its seed in 8 bytes: 2^64 + 5 would be stored
+        as 5, and -3 draws `Random(3)`'s stream, so neither header could
+        regenerate its tape, and neither tape is written."""
+        path = tmp_path / "t.tape"
+        with pytest.raises(StorageError, match=f"tape seed {seed} is outside 0..{2**64 - 1}"):
+            generate_tape(small_plan(4, n=8), "alice-secrets", path, seed=seed)
+        assert not path.exists()
+
+    def test_seed_range_ends_are_recorded(self, tmp_path):
+        path = tmp_path / "t.tape"
+        for seed in (0, 2**64 - 1):
+            generate_tape(small_plan(4, n=8), "alice-secrets", path, seed=seed)
+            rng = random.Random(seed)
+            with TapeReader(path) as r:
+                assert r.seed == seed and r.provenance == 1
+                assert list(r) == [S8.random_int(rng) for _ in range(4)]
+
     def test_zero_challenge_read_is_format_error(self, tmp_path):
         path = tmp_path / "x.tape"
         write_tape(path, S8, "bob-challenges", iter([5, 6, 7]), 3)
@@ -243,6 +302,15 @@ class TestTapeFiles:
         generate_tape(plan, "alice-secrets", path, seed=None)
         with TapeReader(path) as r:
             assert r.count == 16 and r.provenance == 0
+
+    def test_entropy_challenges_drop_zeros(self, tmp_path):
+        """4096 n=8 entropy challenges read back with no zero; the chance
+        that no zero was drawn and dropped is (255/256)^4096, about 1e-7."""
+        path = tmp_path / "e.tape"
+        generate_tape(small_plan(4096, n=8), "bob-challenges", path, seed=None)
+        with TapeReader(path) as r:
+            assert r.count == 4096 and r.provenance == 0 and r.seed == 0
+            assert 0 not in list(r)
 
 
     def test_seek_then_iterate_across_blocks(self, tmp_path):
@@ -693,8 +761,17 @@ FAILED_WRITES = {
     "tape-element-beyond-n-bits": (
         lambda p: write_tape(p, S8, "alice-secrets", iter([1, 0x103, 2]), 3),
         StorageError, "exceeds 8 bits"),
+    "tape-negative-element": (
+        lambda p: write_tape(p, S8, "alice-secrets", iter([1, -2, 3]), 3),
+        StorageError, "element 1 is negative"),
     "tape-unknown-role": (
         lambda p: write_tape(p, S8, "nope", iter([1]), 1), StorageError, "role"),
+    "tape-seed-beyond-64-bits": (
+        lambda p: generate_tape(small_plan(4, n=8), "alice-secrets", p, seed=2**64 + 5),
+        StorageError, "outside 0.."),
+    "tape-negative-seed": (
+        lambda p: generate_tape(small_plan(4, n=8), "alice-secrets", p, seed=-3),
+        StorageError, "outside 0.."),
     "tape-source-raises": (
         lambda p: write_tape(p, S8, "alice-secrets", _failing([1, 2], KeyError("boom")), 5),
         KeyError, "boom"),
