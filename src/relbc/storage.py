@@ -168,6 +168,19 @@ _TAPE_HEAD = struct.Struct(">4sHIH")       # magic, version, n, poly byte length
 _TAPE_META = struct.Struct(">BQBQ")        # role, count, provenance, seed
 
 
+def _zero_element(data: bytes, eb: int) -> int | None:
+    """The index of the first zero element in a block of `eb`-byte
+    encodings, or None. An aligned zero element is also a zero substring,
+    which is rare across element boundaries, so the block is split into
+    elements only after a hit."""
+    zero = bytes(eb)
+    if zero in data:
+        elements = element_struct(eb, len(data) // eb).unpack(data)
+        if zero in elements:
+            return elements.index(zero)
+    return None
+
+
 def _tape_header(spec: FieldSpec, role: str, count: int, provenance: int,
                  seed: int) -> bytes:
     """The header of a tape file of `count` elements."""
@@ -191,7 +204,6 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
     """
     header = _tape_header(spec, role, count, provenance, seed)
     eb = spec.element_bytes
-    zero = bytes(eb)
     source = iter(elements)
     with _new_file(path) as f:
         f.write(header)
@@ -206,11 +218,9 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
                 raise StorageError(f"tape element {done + i} {problem}") from None
             if len(chunk) < want:
                 raise StorageError(f"element source exhausted at {done + len(chunk)}/{count}")
-            if role == ROLE_BOB_CHALLENGES and zero in data:
-                encoded = element_struct(eb, want).unpack(data)
-                if zero in encoded:
-                    raise StorageError(f"challenge tapes must not contain zero elements: "
-                                       f"element {done + encoded.index(zero)} is zero")
+            if role == ROLE_BOB_CHALLENGES and (i := _zero_element(data, eb)) is not None:
+                raise StorageError(f"challenge tapes must not contain zero elements: "
+                                   f"element {done + i} is zero")
             f.write(data)
 
 
@@ -306,13 +316,8 @@ class TapeReader:
         if len(data) != want * eb:
             raise TapeFormatError(
                 f"{self.path}: short read at element {start + len(data) // eb}")
-        # an aligned zero element is also a zero substring, which is rare
-        # across element boundaries, so the split runs only after a hit
-        if self._nonzero and (zero := bytes(eb)) in data:
-            elements = element_struct(eb, want).unpack(data)
-            if zero in elements:
-                raise TapeFormatError(
-                    f"{self.path}: challenge element {start + elements.index(zero)} is zero")
+        if self._nonzero and (i := _zero_element(data, eb)) is not None:
+            raise TapeFormatError(f"{self.path}: challenge element {start + i} is zero")
         return data
 
     def read_block(self, count: int) -> bytes:
