@@ -14,7 +14,9 @@ Draws: `random_block` draws a block of encoded elements from one
 At n >= 32 that stream is `randbytes` itself; at n = 8 and 16 each draw
 keeps the top n bits of one 32-bit word. A nonzero draw drops the block's
 zero elements and draws as many again, which is what a per-element redraw
-does. `decode_block` turns a block back into ints with one unpack.
+does; `zero_elements` finds them, as it finds a zero challenge in a tape's
+bytes. `decode_block` turns a block back into ints, one bounded unpack per
+256 elements.
 
 Multiplication: operands are "spread" (each coefficient bit placed in its
 own byte-wide slot), multiplied as ordinary integers (slot sums never exceed
@@ -53,7 +55,7 @@ import functools
 import random
 import struct
 from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 class FieldError(Exception):
     """Base class for field arithmetic errors."""
@@ -70,6 +72,7 @@ __all__ = [
     "batch_inverse",
     "DEFAULT_POLYS",
     "element_struct",
+    "zero_elements",
 ]
 
 
@@ -96,6 +99,26 @@ def element_struct(eb: int, count: int) -> struct.Struct:
     """`count` encoded elements of `eb` bytes back to back, one field each:
     how tapes, record columns and `FieldSpec`'s spread slots are split."""
     return struct.Struct(f"{eb}s" * count)
+
+
+# elements per `element_struct` unpack of `FieldSpec.decode_block`, which
+# bounds the structs it builds and caches, and the tuple each unpack makes
+_DECODE_ELEMENTS = 256
+
+
+def zero_elements(data: bytes, eb: int) -> Iterator[int]:
+    """The byte offsets of the zero elements in a block of `eb`-byte
+    encodings, in order, found by searching the bytes: a zero run found at
+    an offset that is no element boundary lies across two elements, and the
+    search goes on from the next boundary."""
+    zero = bytes(eb)
+    i = data.find(zero)
+    while i >= 0:
+        if i % eb:
+            i = data.find(zero, i - i % eb + eb)
+        else:
+            yield i
+            i = data.find(zero, i + eb)
 
 
 def _poly_mod(a: int, mod: int) -> int:
@@ -270,35 +293,35 @@ class FieldSpec:
 
         A zero is redrawn by the next element's worth of the stream, so the
         per-element output is the block stream with its zero elements
-        dropped: a block with zeros keeps the rest, and more elements are
-        drawn for the ones dropped. The zero search runs on the bytes, and
-        the block is split into elements only on a hit.
+        dropped: a block with zeros keeps the slices between them, and more
+        elements are drawn for the ones dropped. `zero_elements` finds them
+        on the bytes.
         """
         eb = self.element_bytes
         data = self._draw_block(rng, count)
         if not nonzero:
             return data
-        zero = bytes(eb)
         kept = []
-        while zero in data:
-            if eb == 1:
-                rest = data.replace(zero, b"")
-            else:  # a zero substring across two elements is no zero element
-                rest = b"".join([e for e in element_struct(eb, len(data) // eb).unpack(data)
-                                 if e != zero])
-                if len(rest) == len(data):
-                    break
-            kept.append(rest)
-            data = self._draw_block(rng, (len(data) - len(rest)) // eb)
+        while zeros := list(zero_elements(data, eb)):
+            start = 0
+            for z in zeros:
+                kept.append(data[start:z])
+                start = z + eb
+            kept.append(data[start:])
+            data = self._draw_block(rng, len(zeros))
         kept.append(data)
         return b"".join(kept)
 
     def decode_block(self, data: bytes) -> list[int]:
-        """Every element of a block of encodings, from one `element_struct`
-        unpack."""
+        """Every element of a block of encodings, unpacked `_DECODE_ELEMENTS`
+        at a time, so no struct or tuple the size of a long block is built."""
         eb = self.element_bytes
-        return list(map(int.from_bytes, element_struct(eb, len(data) // eb).unpack(data),
-                        repeat("little")))
+        out: list[int] = []
+        for i in range(0, len(data), eb * _DECODE_ELEMENTS):
+            count = min(_DECODE_ELEMENTS, (len(data) - i) // eb)
+            out += map(int.from_bytes, element_struct(eb, count).unpack_from(data, i),
+                       repeat("little"))
+        return out
 
     # -- serialization ---------------------------------------------------
 

@@ -12,18 +12,21 @@ so y_1 = a_1 commits 0 and y_1 = x_1 XOR a_1 commits 1 (Lunghi et al.,
 PRL 115, 030502 (2015)). Elements are ints. The rule is written twice,
 each in its own hot loop: `AliceAgent.handle_challenge` answers online, one
 `FieldSpec.mul` per round, reading the tape by index and guarding the round
-order; offline, `FieldSpec.answers` answers a block of rounds at a time, and
-`honest_row_blocks` feeds it in constant memory.
+order, for the live transport and the `run_honest_protocol` reference;
+`FieldSpec.answers` answers a block of rounds at a time, and
+`honest_answer_blocks` feeds it in constant memory. That generator is the
+one offline answer path: `honest_row_blocks` packs its blocks into records,
+and the simulator answers from them, `VERIFY_BLOCK_ROUNDS` rounds at a time.
 
-Offline generation moves bytes from end to end. `honest_row_blocks` takes
-each source's elements as encoded byte blocks: a `storage.TapeReader`, or
-the iterator it returns, hands over the bytes it read (`read_block`), and
-any other iterable of ints is encoded a block at a time. It yields packed
-record blocks in the file's own layout (`record_block_struct`), built
-column by column from the challenge and answer bytes, so no element is
-decoded and no per-round tuple is built. The record layout is defined here
-once; files and RECORDS frames carry it, and no other round form crosses a
-module boundary.
+Offline generation moves bytes from end to end. `honest_answer_blocks`
+takes each source's elements as encoded byte blocks: a `storage.TapeReader`,
+or the iterator it returns, hands over the bytes it read (`read_block`), and
+any other iterable of ints is encoded a block at a time. `honest_row_blocks`
+yields packed record blocks in the file's own layout
+(`record_block_struct`), built column by column from the challenge and
+answer bytes, so no element is decoded and no per-round tuple is built. The
+record layout is defined here once; files and RECORDS frames carry it, and
+no other round form crosses a module boundary.
 
 Verification reads packed record blocks column by column: one
 `record_block_struct` unpack per block, whose k, station, timestamp and
@@ -392,20 +395,17 @@ def _element_reader(source: Iterable[int], eb: int) -> Callable[[int], bytes]:
                                       repeat("little")))
 
 
-def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
-                      d: int, m: int) -> Generator[bytes, None, int]:
-    """The m honest rounds as packed record blocks in the layout of
-    `record_struct`, without materializing the tapes; the generator's return
-    value is a_m.
+def honest_answer_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
+                         d: int, m: int) -> Generator[tuple[bytes, bytes], None, int]:
+    """The committer's answers to the m honest rounds, `VERIFY_BLOCK_ROUNDS`
+    at a time: each block's encoded challenge and answer columns x||... and
+    y||...; the generator's return value is a_m.
 
-    `secrets` and `challenges` are read through `_element_reader`,
-    `VERIFY_BLOCK_ROUNDS` elements at a time and never past element m, so
-    arbitrarily long transcripts can be generated in constant memory. The
-    answers follow the round rule from a_0 = d, one `FieldSpec.answers` per
-    block, and each block is packed by one `record_block_struct` from six
-    columns. Timestamps are those of `run_honest_protocol`: a synthetic
-    schedule of 1 us per round and a fixed 1 ns turnaround. A source that
-    ends before element m raises ProtocolError; the bit is checked on the call.
+    `secrets` and `challenges` are read through `_element_reader` and never
+    past element m, so arbitrarily long runs are answered in constant
+    memory. The answers follow the round rule from a_0 = d, one
+    `FieldSpec.answers` per block. A source that ends before element m
+    raises ProtocolError; the bit is checked on the call.
     """
     check_bit(d)
     eb = spec.element_bytes
@@ -417,15 +417,43 @@ def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Itera
                                 f"{k - 1 + len(block) // eb}/{m}")
         return block
 
-    def blocks() -> Generator[bytes, None, int]:
+    def blocks() -> Generator[tuple[bytes, bytes], None, int]:
         read_a, read_x = _element_reader(secrets, eb), _element_reader(challenges, eb)
         a = d
         for k0 in range(1, m + 1, VERIFY_BLOCK_ROUNDS):
             r = min(VERIFY_BLOCK_ROUNDS, m + 1 - k0)
             sec = take(read_a, r, "secrets", k0)
             xs = take(read_x, r, "challenge", k0)
-            ys = spec.answers(a, xs, sec)
+            yield xs, spec.answers(a, xs, sec)
             a = int.from_bytes(sec[-eb:], "little")
+        return a
+
+    return blocks()
+
+
+def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
+                      d: int, m: int) -> Generator[bytes, None, int]:
+    """The m honest rounds as packed record blocks in the layout of
+    `record_struct`, without materializing the tapes; the generator's return
+    value is a_m.
+
+    Each block of `honest_answer_blocks` is packed by one
+    `record_block_struct` from six columns, so the sources are read as that
+    generator reads them and its errors are raised here. Timestamps are
+    those of `run_honest_protocol`: a synthetic schedule of 1 us per round
+    and a fixed 1 ns turnaround.
+    """
+    eb = spec.element_bytes
+    answers = honest_answer_blocks(spec, secrets, challenges, d, m)
+
+    def blocks() -> Generator[bytes, None, int]:
+        k0 = 1
+        while True:
+            try:
+                xs, ys = next(answers)
+            except StopIteration as done:
+                return done.value
+            r = len(xs) // eb
             split = element_struct(eb, r).unpack
             flat = [0] * (6 * r)
             flat[0::6] = range(k0, k0 + r)
@@ -435,7 +463,7 @@ def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Itera
             flat[4::6] = range(1000 * k0, 1000 * (k0 + r), 1000)
             flat[5::6] = range(1000 * k0 + 1, 1000 * (k0 + r), 1000)
             yield record_block_struct(eb, r).pack(*flat)
-        return a
+            k0 += r
 
     return blocks()
 

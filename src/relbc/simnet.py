@@ -22,6 +22,15 @@ estimate until it settles, then stepping to the exact crossing. A
 pps-disciplined clock holds its reading at every pulse, the one at global
 time 0 included, so no clock runs backward.
 
+The committer computes no answer of her own. Her answers come from
+`protocol.honest_answer_blocks`, the offline answer path that honest
+transcript generation packs too, `VERIFY_BLOCK_ROUNDS` rounds at a time: a
+block is computed when the run first queues a round past the answers held,
+so a run that aborts early answers one block, not m rounds. Each of her two
+agents answers its station's rounds in order, and a counter per station
+keeps that order, as `AliceAgent` does over the wire; the reveal is the
+tape's a_m with her bit, flipped by `wrong-bit-reveal`.
+
 One arrival rule, `protocol.arrival_fault`, judges every answer and the
 reveal, which is round m+1: it is on time when 0 <= received - issued <= tau
 on its verifier's clock; outside that window, or missing when it closes, it
@@ -44,7 +53,6 @@ from .planner import ProtocolPlan, NS
 from .protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
-    AliceAgent,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     RevealMessage,
@@ -56,6 +64,7 @@ from .protocol import (
     Transcript,
     arrival_fault,
     bob_verify,
+    honest_answer_blocks,
     station_of,
 )
 
@@ -278,7 +287,21 @@ def run_simulation(plan: ProtocolPlan,
     travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
     tau = (0, plan.tau1_ns, plan.tau2_ns)
 
-    alice = (None, AliceAgent(1, spec, secrets, bit, m), AliceAgent(2, spec, secrets, bit, m))
+    # The committer's answers come a block at a time from
+    # honest_answer_blocks. Rounds are queued in order, so the block is
+    # decoded into ys when the run first queues a round past the ones held,
+    # and each round's answer rides on its events from there: the stations
+    # answer in their own orders, which clock offsets can set far apart.
+    # next_answer[st] is the round her agent at station st answers next.
+    answer_blocks = honest_answer_blocks(spec, secrets.elements, challenges.elements, bit, m)
+    ys: list[int] = []
+    ys_from = 1   # the round of ys[0]
+    next_answer = [0, 1, 2]
+
+    def answer(k: int, st: int) -> None:
+        if k != next_answer[st]:
+            raise SequencingError(f"A{st} expected round {next_answer[st]}, got {k}")
+        next_answer[st] = k + 2
 
     reveal_round = m + 1
     xs = challenges.elements   # x_k is xs[k - 1]
@@ -301,7 +324,8 @@ def run_simulation(plan: ProtocolPlan,
         start_local = issue_local[k] = plan.round_start_ns(k)
         return b_global_at[1 if k & 1 else 2](start_local)
 
-    # One queue of (time, seq, kind, k, payload). seq is fixed for the
+    # One queue of (time, seq, kind, k, payload); a round's start, challenge
+    # and answer events carry its answer y as payload. seq is fixed for the
     # scheduled events: 2k-2 starts round k, 2k-1 is its deadline, 2m is the
     # reveal deadline and 2m+1 the reveal send; events created while running
     # (arrivals, covert relays) number on from 2m+2. Rounds are queued as the
@@ -326,7 +350,7 @@ def run_simulation(plan: ProtocolPlan,
     skind = strategy.kind
     # relay-strategy bookkeeping
     covert_known: set[int] = set()   # challenge indexes relayed to the peer
-    relay_waiting: dict[int, int] = {}  # round stalled on a relay -> station
+    relay_waiting: dict[int, tuple[int, int]] = {}  # round stalled on a relay -> station, y
 
     abort: tuple[int, str] | None = None   # (round, reason)
     reveal_at = 0   # when the reveal reached its verifier, on its clock
@@ -350,7 +374,9 @@ def run_simulation(plan: ProtocolPlan,
             # a deadline fires one tick past it so an arrival exactly at the
             # deadline is still counted as on time
             if k <= m:
-                heappush(queue, (g_start, 2 * k - 2, _EV_START, k, None))
+                if k - ys_from == len(ys):
+                    ys_from, ys = k, spec.decode_block(next(answer_blocks)[1])
+                heappush(queue, (g_start, 2 * k - 2, _EV_START, k, ys[k - ys_from]))
                 heappush(queue, (g_deadline + 1, 2 * k - 1, _EV_DEADLINE, k, None))
             else:
                 heappush(queue, (g_deadline + 1, 2 * m, _EV_DEADLINE, k, None))
@@ -363,7 +389,7 @@ def run_simulation(plan: ProtocolPlan,
         events += 1
         st = 1 if k & 1 else 2
         if kind == _EV_START:
-            heappush(queue, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, 0))
+            heappush(queue, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, payload))
             seq += 1
         elif kind == _EV_CH_ARRIVE:
             arrive = t + travel_ba[st]
@@ -373,13 +399,13 @@ def run_simulation(plan: ProtocolPlan,
                 heappush(queue, (t + travel_aa, seq, _EV_COVERT, k, 0))
                 seq += 1
                 if k > 1 and k - 1 not in covert_known:
-                    relay_waiting[k] = st
+                    relay_waiting[k] = (st, payload)
                     continue
             elif skind == LATE_DECISION and k == strategy.target_round:
                 deadline = b_global_at[st](issue_local[k] + tau[st])
                 arrive = max(arrive, deadline - strategy.margin_ns)
-            y = alice[st].handle_challenge(k, xs[k - 1])
-            heappush(queue, (arrive, seq, _EV_ARRIVE, k, y))
+            answer(k, st)
+            heappush(queue, (arrive, seq, _EV_ARRIVE, k, payload))
             seq += 1
         elif kind == _EV_ARRIVE:
             # every answer and the reveal, judged by the one arrival rule on
@@ -402,19 +428,17 @@ def run_simulation(plan: ProtocolPlan,
             covert_known.add(k)
             nxt = k + 1
             if nxt in relay_waiting:
-                st = relay_waiting.pop(nxt)
-                y = alice[st].handle_challenge(nxt, xs[nxt - 1])
+                st, y = relay_waiting.pop(nxt)
+                answer(nxt, st)
                 heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, nxt, y))
                 seq += 1
         elif kind == _EV_REVEAL_SEND:
-            try:
-                msg = alice[st].reveal()
-            except SequencingError:
+            if next_answer[st] != reveal_round:
                 # her clock reached the reveal before she answered her rounds
                 abort = (k, ABORT_EARLY_REVEAL)
                 continue
-            if skind == WRONG_BIT_REVEAL:
-                msg = RevealMessage(msg.bit ^ 1, msg.final_secret)
+            msg = RevealMessage(bit ^ 1 if skind == WRONG_BIT_REVEAL else bit,
+                                secrets[m - 1])
             heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, k, msg))
             seq += 1
 

@@ -55,7 +55,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .field import FieldError, FieldSpec, element_struct
+from .field import FieldError, FieldSpec, zero_elements
 from .planner import ProtocolPlan
 from .protocol import (
     HONEST_TAU_NS,
@@ -168,19 +168,6 @@ _TAPE_HEAD = struct.Struct(">4sHIH")       # magic, version, n, poly byte length
 _TAPE_META = struct.Struct(">BQBQ")        # role, count, provenance, seed
 
 
-def _zero_element(data: bytes, eb: int) -> int | None:
-    """The index of the first zero element in a block of `eb`-byte
-    encodings, or None. An aligned zero element is also a zero substring,
-    which is rare across element boundaries, so the block is split into
-    elements only after a hit."""
-    zero = bytes(eb)
-    if zero in data:
-        elements = element_struct(eb, len(data) // eb).unpack(data)
-        if zero in elements:
-            return elements.index(zero)
-    return None
-
-
 def _tape_header(spec: FieldSpec, role: str, count: int, provenance: int,
                  seed: int) -> bytes:
     """The header of a tape file of `count` elements."""
@@ -218,9 +205,10 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
                 raise StorageError(f"tape element {done + i} {problem}") from None
             if len(chunk) < want:
                 raise StorageError(f"element source exhausted at {done + len(chunk)}/{count}")
-            if role == ROLE_BOB_CHALLENGES and (i := _zero_element(data, eb)) is not None:
+            z = next(zero_elements(data, eb), None) if role == ROLE_BOB_CHALLENGES else None
+            if z is not None:
                 raise StorageError(f"challenge tapes must not contain zero elements: "
-                                   f"element {done + i} is zero")
+                                   f"element {done + z // eb} is zero")
             f.write(data)
 
 
@@ -316,8 +304,8 @@ class TapeReader:
         if len(data) != want * eb:
             raise TapeFormatError(
                 f"{self.path}: short read at element {start + len(data) // eb}")
-        if self._nonzero and (i := _zero_element(data, eb)) is not None:
-            raise TapeFormatError(f"{self.path}: challenge element {start + i} is zero")
+        if self._nonzero and (z := next(zero_elements(data, eb), None)) is not None:
+            raise TapeFormatError(f"{self.path}: challenge element {start + z // eb} is zero")
         return data
 
     def read_block(self, count: int) -> bytes:

@@ -354,7 +354,10 @@ def test_random_block_drops_aligned_zero_elements_only():
     """At n=32 an element is four stream bytes. 01000000 00000002 holds a
     zero run across its two elements, which is no zero element and is
     kept; an aligned zero element is dropped and the stream's next element
-    takes its place."""
+    takes its place. At n=16 an element is the last two bytes of a
+    four-byte stream word: 0100 0002 and 0100 0003 0002 0004 hold zero runs
+    across elements and are kept, and in 0100 0000 0003 the search skips
+    the run at offset 1 and drops the zero element at offset 2."""
     spec = FieldSpec(32)
     one, two, zero, three = (spec.encode(v) for v in (1, 2 << 24, 0, 3))
     rng = _ScriptedBytes(one + two + zero + three + one)
@@ -364,6 +367,16 @@ def test_random_block_drops_aligned_zero_elements_only():
     rng = _ScriptedBytes(zero + zero + one + zero + two)
     assert spec.random_block(rng, 2, nonzero=True) == one + two
     assert spec.random_block(_ScriptedBytes(zero), 1) == zero
+
+    spec = FieldSpec(16)
+    one, two, three, four = (spec.encode(v) for v in (1, 2 << 8, 3 << 8, 4 << 8))
+    rng = _ScriptedBytes(b"".join(b"\xff\0" + e for e in (one, two, one, three, two, four)))
+    assert spec.random_block(rng, 2, nonzero=True) == one + two
+    assert spec.random_block(rng, 4, nonzero=True) == one + three + two + four
+    zero = spec.encode(0)
+    rng = _ScriptedBytes(b"".join(b"\xff\0" + e for e in (one, zero, three, zero, zero, four)))
+    assert spec.random_block(rng, 3, nonzero=True) == one + three + four
+    assert rng.stream == b""
 
 
 def test_decode_block_reads_every_element():

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relbc.field import FieldSpec
+from relbc.field import FieldSpec, element_struct
 from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
 from relbc.protocol import (
     ABORT_DEADLINE,
@@ -17,6 +18,7 @@ from relbc.protocol import (
     REJECT_ABORTED,
     REJECT_TIMING,
     bob_verify,
+    run_honest_protocol,
     station_of,
 )
 from relbc.simnet import (
@@ -61,6 +63,23 @@ class TestDeterminism:
         assert secrets.elements == ref_secrets.elements
         assert challenges.elements == ref_challenges.elements
 
+    def test_make_tapes_keeps_only_its_tapes(self):
+        """Decoding the two tapes leaves no struct or tuple the size of a
+        tape behind: what `make_tapes` retains is its two decoded lists,
+        within a small margin."""
+        plan = small_plan(10_000, n=128)
+        spec = FieldSpec(128)
+        element_struct.cache_clear()
+        tracemalloc.start()
+        try:
+            tapes = make_tapes(plan, spec, 1)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        decoded = sum(sys.getsizeof(t.elements) + sum(map(sys.getsizeof, t.elements))
+                      for t in tapes)
+        assert retained < decoded + 64 * 1024, (retained, decoded)
+
     def test_explicit_tapes_used(self):
         tapes = make_tapes(PLAN8, FieldSpec(8), 123)
         t1, _ = run_simulation(PLAN8, seed=0, bit=0, tapes=tapes)
@@ -76,6 +95,23 @@ class TestHonest:
             assert not rep.aborted
             v = bob_verify(t)
             assert v.accepted and v.bit == bit
+
+    @pytest.mark.parametrize("m", [2, 256, 258, 514])
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_answers_are_the_reference_drivers(self, n, bit, m):
+        """An honest run on exact clocks records the challenges, answers and
+        reveal of `run_honest_protocol` on the same tapes, for m on both
+        sides of a 256-round answer block."""
+        spec = FieldSpec(n)
+        plan = small_plan(m, n=n)
+        tapes = make_tapes(plan, spec, m + n)
+        t, rep = run_simulation(plan, bit=bit, tapes=tapes, spec=spec)
+        ref = run_honest_protocol(spec, *tapes, bit)
+        assert not rep.aborted and t.m == m
+        assert [(r.k, r.challenge, r.answer) for r in t.rounds] == \
+            [(r.k, r.challenge, r.answer) for r in ref.rounds]
+        assert t.reveal == ref.reveal
 
     def test_no_false_aborts_on_grid(self):
         for plan in plan_grid(20):
@@ -120,6 +156,22 @@ class TestAdversaries:
         assert rep.aborted
         # rerun honestly to get the deadline the relay missed
         assert rep.abort_round == 2
+
+    def test_relay_answers_one_block(self, monkeypatch):
+        """A relay run aborts at round 2, so the committer answers the first
+        256-round block and no other."""
+        calls = []
+        answers = FieldSpec.answers
+
+        def counting_answers(spec, a, xs, secrets):
+            calls.append(len(xs) // spec.element_bytes)
+            return answers(spec, a, xs, secrets)
+
+        monkeypatch.setattr(FieldSpec, "answers", counting_answers)
+        _, rep = run_simulation(small_plan(2000, n=128), strategy=AdversaryStrategy("relay"),
+                                seed=1, bit=0)
+        assert rep.aborted and rep.abort_round == 2
+        assert calls == [256]
 
     def test_late_decision_boundary(self):
         ok, _ = run_simulation(PLAN8, strategy=AdversaryStrategy(
