@@ -84,6 +84,75 @@ class TestPlan:
         assert not (in_tmp / "plan.json").exists()
 
 
+# Exit code and sha256 of the transcript and of the .audit.json that
+# `relbc simulate --n 128` writes at round counts on either side of the
+# 256-round answer block and inside its fifth block, for every strategy;
+# late-decision makes its run's last round late by 1 ns. The audit file
+# carries the simulator's report, its event count included.
+BLOCK_EDGE_PINS = {
+    (254, "honest"): (0,
+        "f4edc0241767ca3040d5d3ac387723e8bec8b7767e8c2eb7e677d88b5556b4fd",
+        "24707e0d40ebdac9ba86dc657f21ff4782e36824efbdd1ef78afbc9b996d9380"),
+    (254, "late-decision"): (2,
+        "2da9178bff1b4a4907dcbc590e7ab820667894a986720b5888a4faf5e6c0d930",
+        "4f84367fc2b8b6f3a62442b0a0a1419b68a48dd4b43f586a29b21c7cb4cbfcce"),
+    (254, "relay"): (2,
+        "4bcd8cc81ef227d750ef350ac06223956694bec9d938b2062e21c840eb674165",
+        "78438b73371f60581c97b80870e30e599ecb8a741bbfaf51a6f21951f894541c"),
+    (254, "wrong-bit-reveal"): (3,
+        "208d95c1a603e62a6a340d8ce747279f1017ac6733ae3d71f0ee4574280e6aad",
+        "088f4e162417ba39980d5cba0c43b487e406e7a9290b04bd39e070ecb8b53e7a"),
+    (254, "placement-cheat"): (2,
+        "4bdb713f1d2a03dbfa84c33f78da2c823e15e908179506ce5358e31edcc6908d",
+        "c8a28435f69fda5313255b2325bc3a06e0c7ad6408c43e043018b8412930a96a"),
+    (256, "honest"): (0,
+        "4a717071498548827f43b87b63dca039df98501f166658afaffe67087146b1f8",
+        "d068b1b64fcd2a7cfe71c47256d02eaf6a3cced178fb275a2f9116bd151badfa"),
+    (256, "late-decision"): (2,
+        "7d2bf847ef730a6c74f11842cc947f1ddad36f39ea76bd0f29995ebaa5de60e2",
+        "f6ac654196a9fd8853e68380eff5262a2f48b432c728d0d2a5face40d0a80ce4"),
+    (256, "relay"): (2,
+        "5ce2b66142b9a4ad70f2a828da9b7f46558f3bfb81f0be5839fd553ba91dca57",
+        "78438b73371f60581c97b80870e30e599ecb8a741bbfaf51a6f21951f894541c"),
+    (256, "wrong-bit-reveal"): (3,
+        "fdcd5d2773ffaf595b29668d3eebd3021de693af6c55e43d9a62a70d020b5c74",
+        "0a8106e58d23671cb3ce3fd1fad34f7f9de8093e797ba6f56388092ee59fbe41"),
+    (256, "placement-cheat"): (2,
+        "51060f3db6542802cb0ef79ccad11f293c1e0572e30012f7af003aba19c0c2ef",
+        "c8a28435f69fda5313255b2325bc3a06e0c7ad6408c43e043018b8412930a96a"),
+    (258, "honest"): (0,
+        "393699397aa9839c9bc9a12e701c46f5f24be9519730036ad31db0e3a31cbc56",
+        "2bad219aa9c16d4befce69950f94224c27f1ceabf657951d82905e4b4a9a1e47"),
+    (258, "late-decision"): (2,
+        "9d076457a7adc5be328ad63f07eedafceebbba4efe8dd26def97e6c900d88535",
+        "0936cf21f04deb82681fd253fdfd954f587f030adf1e5cd57506fceb793740e6"),
+    (258, "relay"): (2,
+        "256c2a1da847d228a1040c5164c5bda3987ee8d075a663283c996b8bed51522f",
+        "78438b73371f60581c97b80870e30e599ecb8a741bbfaf51a6f21951f894541c"),
+    (258, "wrong-bit-reveal"): (3,
+        "d6f436f9f27a93e9181088048c187a3809c2aa724c9018dae770df9b3a7a98ef",
+        "0dd78f6339f21a3bff53a29aa0fe15dc245f342162a8cf5f53cf9a87f1dc14c3"),
+    (258, "placement-cheat"): (2,
+        "75e74c912b8e260ab3b8dd075f0e36f47de291f317e996028fa2a6e95c0300d6",
+        "c8a28435f69fda5313255b2325bc3a06e0c7ad6408c43e043018b8412930a96a"),
+    (1030, "honest"): (0,
+        "d25217663f69edf1a1a5927adc6ed40d0af7f135802cc22cbea6cf288908c6f4",
+        "d6d316c11120ce963f3eeb2c556c46f0d8d957fbfb0fd64ed4172ef9af7f544c"),
+    (1030, "late-decision"): (2,
+        "c5f4ca46cdc6ab5375773da93d74af5ff99b630b5d2cc0c700d5e48bad17fa6d",
+        "18632302c05e3b7b59952f4ed885739df3a17f92f8bca57683a27e568b4595b0"),
+    (1030, "relay"): (2,
+        "50ac62a457880b1b3a6b0a3994ed28244af48b3b95f2e990364cec1539da194b",
+        "78438b73371f60581c97b80870e30e599ecb8a741bbfaf51a6f21951f894541c"),
+    (1030, "wrong-bit-reveal"): (3,
+        "d9c07cd3c8643efd79d5d4309f0592ef31562a0d591eb0e503a9ac021d186103",
+        "fcbeb8a5982fabd233424fdc21a6d8dc300643ec95ee5c3ca521d2814fdad3e7"),
+    (1030, "placement-cheat"): (2,
+        "8a45746e8fe56cfd55eb558f8c8789b54fd3bee3c2e6d23d4a1044c5d0c245fa",
+        "c8a28435f69fda5313255b2325bc3a06e0c7ad6408c43e043018b8412930a96a"),
+}
+
+
 class TestPinnedOutputs:
     """Plan hashes and a simulate transcript pinned byte for byte: every
     agent checks the plan by its hash, so the way arguments become a plan
@@ -121,6 +190,17 @@ class TestPinnedOutputs:
         assert code == 0 and "ACCEPT bit=1" in out.splitlines()
         assert hashlib.sha256((in_tmp / "t.rbcx").read_bytes()).hexdigest() == \
             "3c99dc793e9b8adc93968d84c74eff413d7d07b90364c49615fca3dd37654d1d"
+
+    @pytest.mark.parametrize("rounds, strategy", list(BLOCK_EDGE_PINS),
+                             ids=lambda v: str(v))
+    def test_simulate_at_answer_block_edges(self, in_tmp, capsys, rounds, strategy):
+        late = (["--target-round", str(rounds), "--margin-ns", "-1"]
+                if strategy == "late-decision" else [])
+        code, _, _ = run_cli(capsys, "simulate", "--n", "128", "--rounds", str(rounds),
+                             "--strategy", strategy, *late, "--out", "t.rbcx")
+        digests = [hashlib.sha256((in_tmp / name).read_bytes()).hexdigest()
+                   for name in ("t.rbcx", "t.audit.json")]
+        assert (code, *digests) == BLOCK_EDGE_PINS[rounds, strategy]
 
 
 class TestTape:
