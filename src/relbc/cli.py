@@ -47,7 +47,8 @@ from .planner import (
     save_plan,
 )
 from .protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, Verdict
-from .simnet import AdversaryStrategy, STRATEGIES, no_signaling_audit, run_simulation
+from .simnet import (AdversaryStrategy, STRATEGIES, SimulationError, no_signaling_audit,
+                     run_simulation)
 from .storage import (
     PlanHashMismatchError,
     StorageError,
@@ -414,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (PlannerError, StorageError, TransportError, FileNotFoundError) as exc:
+    except (PlannerError, SimulationError, StorageError, TransportError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,25 +11,31 @@ Round k+1 starts t_L - (tau_{station(k+1)} + t_M) after round k starts, so an
 answer that depends on the previous round's challenge cannot arrive on time:
 light itself would miss the deadline by t_M.
 
-The engine is single-threaded and reproducible: events are processed in
-(time, sequence) order and identical inputs give byte-identical transcripts
-and reports. Every event waits in one queue. A round's start and deadline
-are converted to the global frame once each and queued as the run reaches
-the round, so the queue holds only the rounds in flight and a run that
-aborts early stops converting. A clock with zero rate is a pure offset and
-converts in closed form; a drifting clock is inverted by iterating its drift
-estimate until it settles, then stepping to the exact crossing. A
-pps-disciplined clock holds its reading at every pulse, the one at global
-time 0 included, so no clock runs backward.
+The engine is single-threaded and reproducible: identical inputs give
+byte-identical transcripts and reports. It keeps no event queue: a round's
+events (start, challenge arrival, covert relay, answer arrival, deadline)
+are computed in closed form when the run reaches the round, its start and
+deadline converted to the global frame once each. Every event has an order
+key, (t, 0, seq) for a scheduled one, seq being 2k-2 for round k's start,
+2k-1 for its deadline, 2m for the reveal's deadline and 2m+1 for its send,
+and (t, 1, parent key, i) for an event that another one creates, i ordering
+one parent's events. The abort is the fault with the smallest key, and the
+run's events are the keys at or below it. Rounds are visited in index
+order until the earliest fault lies before the next two rounds' global
+starts, so a run that aborts early stops converting. A clock with zero rate
+is a pure offset and converts in closed form; a drifting clock is inverted
+by iterating its drift estimate until it settles, then stepping to the
+exact crossing. A pps-disciplined clock holds its reading at every pulse,
+the one at global time 0 included, so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
 transcript generation packs too, `VERIFY_BLOCK_ROUNDS` rounds at a time: a
-block is computed when the run first queues a round past the answers held,
-so a run that aborts early answers one block, not m rounds. Each of her two
-agents answers its station's rounds in order, and a counter per station
-keeps that order, as `AliceAgent` does over the wire; the reveal is the
-tape's a_m with her bit, flipped by `wrong-bit-reveal`.
+block is computed when the run first reaches a round past the answers held,
+so a run that aborts early answers one block, not m rounds. Visiting rounds
+in index order gives each of her two agents its station's rounds in order,
+as `AliceAgent` keeps them over the wire; the reveal is the tape's a_m with
+her bit, flipped by `wrong-bit-reveal`.
 
 One arrival rule, `protocol.arrival_fault`, judges every answer and the
 reveal, which is round m+1: it is on time when 0 <= received - issued <= tau
@@ -44,8 +50,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappush, heappop
 from typing import Sequence
 
 from .field import FieldSpec
@@ -59,7 +65,6 @@ from .protocol import (
     RoundRecord,
     STATUS_ABORTED,
     STATUS_COMPLETE,
-    SequencingError,
     Tape,
     Transcript,
     arrival_fault,
@@ -83,15 +88,6 @@ PPS_TOLERANCE_NS = 8
 
 # placement-cheat puts A1 at this multiple of its allowed offset l1
 CHEAT_OFFSET_FACTOR = 2.0
-
-# event kinds (processed in (time, seq) order)
-_EV_START = 0
-_EV_CH_ARRIVE = 1
-_EV_ARRIVE = 2       # an answer at its verifier, or the reveal (k = m+1)
-_EV_DEADLINE = 3
-_EV_COVERT = 4
-_EV_REVEAL_SEND = 5
-
 
 class SimulationError(Exception):
     """Malformed simulation input (placement, plan, strategy)."""
@@ -200,7 +196,7 @@ class SimReport:
     abort_round: int | None
     abort_reason: str | None
     rounds_recorded: int
-    event_count: int
+    event_count: int   # events at or below the abort: 4 a round, 5 under relay, 3 for the reveal
     worst_true_slack_ns: int | None   # min over pairs of issued(k)+t_L-deadline(k+1)
     margin_violation_rounds: list[int]   # rounds starting > t_M from nominal
     discipline_violations: list[str]     # agents whose pps clock is out of spec
@@ -262,6 +258,10 @@ def run_simulation(plan: ProtocolPlan,
     m = plan.m
     if m < 1:
         raise SimulationError("plan has no rounds")
+    skind = strategy.kind
+    target = strategy.target_round if skind == LATE_DECISION else 0
+    if skind == LATE_DECISION and not 1 <= target <= m:
+        raise SimulationError(f"late-decision target round {target} is outside 1..{m}")
     if tapes is None:
         tapes = make_tapes(plan, spec, seed)
     secrets, challenges = tapes
@@ -286,184 +286,146 @@ def run_simulation(plan: ProtocolPlan,
     travel_ba = (0, _travel_ns(pos["B1"], pos["A1"], c), _travel_ns(pos["B2"], pos["A2"], c))
     travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
     tau = (0, plan.tau1_ns, plan.tau2_ns)
-
-    # The committer's answers come a block at a time from
-    # honest_answer_blocks. Rounds are queued in order, so the block is
-    # decoded into ys when the run first queues a round past the ones held,
-    # and each round's answer rides on its events from there: the stations
-    # answer in their own orders, which clock offsets can set far apart.
-    # next_answer[st] is the round her agent at station st answers next.
-    answer_blocks = honest_answer_blocks(spec, secrets.elements, challenges.elements, bit, m)
-    ys: list[int] = []
-    ys_from = 1   # the round of ys[0]
-    next_answer = [0, 1, 2]
-
-    def answer(k: int, st: int) -> None:
-        if k != next_answer[st]:
-            raise SequencingError(f"A{st} expected round {next_answer[st]}, got {k}")
-        next_answer[st] = k + 2
-
     reveal_round = m + 1
     xs = challenges.elements   # x_k is xs[k - 1]
 
-    # settled[k] is round k's record once its answer has arrived, on time or
-    # not, and settled[m + 1] the reveal once it has arrived on time; a
-    # deadline that finds its entry unset ends the run as a deadline abort
-    settled: list[RoundRecord | RevealMessage | None] = [None] * (reveal_round + 1)
-    issue_local = [0] * (reveal_round + 1)
-    # global-frame diagnostics, gathered as rounds are queued: each new
+    # The committer's answers come a block at a time from
+    # honest_answer_blocks, decoded into ys when the run first reaches a
+    # round past the ones held.
+    answer_blocks = honest_answer_blocks(spec, secrets.elements, challenges.elements, bit, m)
+    ys: list[int] = []
+    ys_from = 1   # the round of ys[0]
+
+    abort_key: tuple = (math.inf,)   # the smallest fault's key so far
+    abort: tuple[int, str] | None = None   # its (round, reason)
+
+    def fault(key: tuple, k: int, reason: str) -> None:
+        nonlocal abort_key, abort
+        if key < abort_key:
+            abort_key, abort = key, (k, reason)
+
+    # The committer self-schedules the reveal on her own clock, so its send
+    # and arrival are known up front; whether she had answered her last round
+    # at its station when she sent it is judged once the rounds are known.
+    st = station_of(reveal_round)
+    reveal_issued = plan.round_start_ns(reveal_round)
+    t_send = clk[f"A{st}"].global_at_local(reveal_issued)
+    send_key = (t_send, 0, 2 * m + 1)
+    reveal_key = (t_send + travel_ba[st], 1, send_key, 1)
+    reveal_at = b_local_at[st](reveal_key[0])
+    if reason := arrival_fault(reveal_issued, reveal_at, tau[st], True):
+        fault(reveal_key, reveal_round, reason)
+    answered = (math.inf,)   # the key of the event that answered round m-1
+
+    def start(k: int) -> tuple[int, float]:
+        """Round k's local and global start, the global one inf past the reveal."""
+        if k > reveal_round:
+            return 0, math.inf
+        local = plan.round_start_ns(k)
+        return local, b_global_at[1 if k & 1 else 2](local)
+
+    rounds: list[RoundRecord] = []
+    # (latest key, k, answer arrival key, keys) for each visited round whose
+    # events are not yet all known to lie below the abort, in round order
+    pending: deque[tuple] = deque()
+    events = 0   # the events of the rounds dropped from pending
+    covert: tuple = ()   # the previous round's covert relay, under relay
+    # global-frame diagnostics, gathered as rounds are visited: each new
     # minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
     # (k, min over pairs 1..k), and the first rounds starting > t_M off nominal
     slack_steps: list[tuple[int, int]] = []
     margin_rounds: list[int] = []
     t_m_ns = plan.t_m_ns
-
-    def global_start(k: int) -> int:
-        """Round k's start in the global frame, its local start recorded as
-        issue_local[k]."""
-        start_local = issue_local[k] = plan.round_start_ns(k)
-        return b_global_at[1 if k & 1 else 2](start_local)
-
-    # One queue of (time, seq, kind, k, payload); a round's start, challenge
-    # and answer events carry its answer y as payload. seq is fixed for the
-    # scheduled events: 2k-2 starts round k, 2k-1 is its deadline, 2m is the
-    # reveal deadline and 2m+1 the reveal send; events created while running
-    # (arrivals, covert relays) number on from 2m+2. Rounds are queued as the
-    # run reaches them, so an aborted run stops converting: the first round
-    # not queued, k, is queued once the queue is empty or its head is no
-    # earlier than the horizon, the global start of round k or k+1, whichever
-    # is earlier. Each station's starts rise in local time and global_at_local
-    # never decreases, so no unqueued event can come before the horizon, and
-    # queueing on a tie lets seq order it. The committer self-schedules the
-    # reveal on her own clock, so it is queued up front.
-    issue_local[reveal_round] = plan.round_start_ns(reveal_round)
-    a_clk = clk[f"A{station_of(reveal_round)}"]
-    queue: list[tuple] = [(a_clk.global_at_local(issue_local[reveal_round]),
-                           2 * m + 1, _EV_REVEAL_SEND, reveal_round, None)]
-    seq = 2 * m + 2
-    next_k = 1   # the first round not queued yet
-    # its global start and the next round's, inf past the reveal
-    g_next, g_after = global_start(1), global_start(2)
-    horizon = min(g_next, g_after)
     prev_start = 0
-
-    skind = strategy.kind
-    # relay-strategy bookkeeping
-    covert_known: set[int] = set()   # challenge indexes relayed to the peer
-    relay_waiting: dict[int, tuple[int, int]] = {}  # round stalled on a relay -> station, y
-
-    abort: tuple[int, str] | None = None   # (round, reason)
-    reveal_at = 0   # when the reveal reached its verifier, on its clock
-    events = 0
-
-    while abort is None:
-        if not queue or queue[0][0] >= horizon:
-            if next_k > reveal_round:
-                break
-            k = next_k
-            st = 1 if k & 1 else 2
-            g_start = g_next
-            g_deadline = b_global_at[st](issue_local[k] + tau[st])
-            if k > 1:
-                slack = prev_start + t_l_ns - g_deadline
-                if not slack_steps or slack < slack_steps[-1][1]:
-                    slack_steps.append((k - 1, slack))
-            prev_start = g_start
-            if len(margin_rounds) < 100 and abs(g_start - issue_local[k]) > t_m_ns:
-                margin_rounds.append(k)
-            # a deadline fires one tick past it so an arrival exactly at the
-            # deadline is still counted as on time
-            if k <= m:
-                if k - ys_from == len(ys):
-                    ys_from, ys = k, spec.decode_block(next(answer_blocks)[1])
-                heappush(queue, (g_start, 2 * k - 2, _EV_START, k, ys[k - ys_from]))
-                heappush(queue, (g_deadline + 1, 2 * k - 1, _EV_DEADLINE, k, None))
-            else:
-                heappush(queue, (g_deadline + 1, 2 * m, _EV_DEADLINE, k, None))
-            next_k = k + 1
-            g_next, g_after = g_after, (global_start(k + 2) if k + 2 <= reveal_round
-                                        else math.inf)
-            horizon = min(g_next, g_after)
-            continue
-        t, _, kind, k, payload = heappop(queue)
-        events += 1
-        st = 1 if k & 1 else 2
-        if kind == _EV_START:
-            heappush(queue, (t + travel_ba[st], seq, _EV_CH_ARRIVE, k, payload))
-            seq += 1
-        elif kind == _EV_CH_ARRIVE:
-            arrive = t + travel_ba[st]
-            if skind == RELAY:
-                # covertly forward this challenge to the peer agent, and hold
-                # a sustain round until the previous challenge has come over
-                heappush(queue, (t + travel_aa, seq, _EV_COVERT, k, 0))
-                seq += 1
-                if k > 1 and k - 1 not in covert_known:
-                    relay_waiting[k] = (st, payload)
-                    continue
-            elif skind == LATE_DECISION and k == strategy.target_round:
-                deadline = b_global_at[st](issue_local[k] + tau[st])
-                arrive = max(arrive, deadline - strategy.margin_ns)
-            answer(k, st)
-            heappush(queue, (arrive, seq, _EV_ARRIVE, k, payload))
-            seq += 1
-        elif kind == _EV_ARRIVE:
-            # every answer and the reveal, judged by the one arrival rule on
-            # its verifier's clock
-            received = b_local_at[st](t)
-            if k <= m:
-                settled[k] = RoundRecord(k, st, xs[k - 1], payload,
-                                         issue_local[k], received)
-            else:
-                reveal_at = received
-            fault = arrival_fault(issue_local[k], received, tau[st], k > m)
-            if fault:
-                abort = (k, fault)
-            elif k > m:
-                settled[k] = payload
-        elif kind == _EV_DEADLINE:
-            if settled[k] is None:
-                abort = (k, ABORT_DEADLINE)
-        elif kind == _EV_COVERT:
-            covert_known.add(k)
-            nxt = k + 1
-            if nxt in relay_waiting:
-                st, y = relay_waiting.pop(nxt)
-                answer(nxt, st)
-                heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, nxt, y))
-                seq += 1
-        elif kind == _EV_REVEAL_SEND:
-            if next_answer[st] != reveal_round:
-                # her clock reached the reveal before she answered her rounds
-                abort = (k, ABORT_EARLY_REVEAL)
-                continue
-            msg = RevealMessage(bit ^ 1 if skind == WRONG_BIT_REVEAL else bit,
-                                secrets[m - 1])
-            heappush(queue, (t + travel_ba[st], seq, _EV_ARRIVE, k, msg))
-            seq += 1
-
-    # the contiguous round prefix
-    rounds: list[RoundRecord] = []
-    for rec in settled[1:reveal_round]:
-        if rec is None:
+    (issued, g_start), (next_issued, g_next) = start(1), start(2)
+    horizon = min(g_start, g_next)
+    for k in range(1, reveal_round + 1):
+        # every event of rounds k on lies at or after the horizon, the earlier
+        # of their next two global starts (each station's starts rise in
+        # local time, and global_at_local never decreases), so a fault
+        # before it is the abort
+        if abort_key[0] < horizon:
             break
-        rounds.append(rec)
-    reveal_received = settled[reveal_round] is not None
+        st = 1 if k & 1 else 2
+        g_deadline = b_global_at[st](issued + tau[st])
+        if k > 1:
+            slack = prev_start + t_l_ns - g_deadline
+            if not slack_steps or slack < slack_steps[-1][1]:
+                slack_steps.append((k - 1, slack))
+        prev_start = g_start
+        if len(margin_rounds) < 100 and abs(g_start - issued) > t_m_ns:
+            margin_rounds.append(k)
+        # a deadline fires one tick past it so an arrival exactly at the
+        # deadline is still counted as on time
+        if k > m:
+            deadline_key = (g_deadline + 1, 0, 2 * m)
+            if reveal_key > deadline_key:
+                fault(deadline_key, k, ABORT_DEADLINE)
+            pending.append((deadline_key, k, reveal_key, (deadline_key,)))
+            break
+        if k - ys_from == len(ys):
+            ys_from, ys = k, spec.decode_block(next(answer_blocks)[1])
+        start_key = (g_start, 0, 2 * k - 2)
+        deadline_key = (g_deadline + 1, 0, 2 * k - 1)
+        t_sent = g_start + travel_ba[st]   # the challenge reaches A, who answers
+        by = ch_key = (t_sent, 1, start_key, 0)
+        keys = [start_key, ch_key, deadline_key]
+        if skind == RELAY:
+            # covertly forward this challenge to the peer agent, and hold a
+            # sustain round until the previous challenge has come over
+            if covert > ch_key:
+                t_sent, by = covert[0], covert
+            covert = (ch_key[0] + travel_aa, 1, ch_key, 0)
+            keys.append(covert)
+        t_answer = t_sent + travel_ba[st]
+        if k == target:
+            t_answer = max(t_answer, g_deadline - strategy.margin_ns)
+        answer_key = (t_answer, 1, by, 1)
+        keys.append(answer_key)
+        if k == m - 1:
+            answered = by
+        # every answer is judged by the one arrival rule on its verifier's clock
+        received = b_local_at[st](t_answer)
+        rounds.append(RoundRecord(k, st, xs[k - 1], ys[k - ys_from], issued, received))
+        if answer_key > deadline_key:
+            fault(deadline_key, k, ABORT_DEADLINE)
+        elif reason := arrival_fault(issued, received, tau[st]):
+            fault(answer_key, k, reason)
+        pending.append((max(keys), k, answer_key, keys))
+        (issued, g_start), (next_issued, g_next) = (next_issued, g_next), start(k + 2)
+        horizon = min(g_start, g_next)
+        # a round whose latest event lies below all that is still unknown
+        # (the horizon, the reveal's send, the abort) is counted and dropped
+        cutoff = min((horizon,), send_key, abort_key)
+        while pending and pending[0][0] < cutoff:
+            events += len(pending.popleft()[3])
+
+    if m > 1 and answered > send_key:
+        # her clock reached the reveal before she answered her rounds
+        fault(send_key, reveal_round, ABORT_EARLY_REVEAL)
+    events += (send_key <= abort_key) + (reveal_key <= abort_key)
+    for _, k, answer_key, keys in pending:
+        events += sum(key <= abort_key for key in keys)
+        # a round is recorded when its answer arrived by the abort, and the
+        # transcript keeps the contiguous round prefix
+        if answer_key > abort_key:
+            del rounds[k - 1:]
+    reveal_received = reveal_key < abort_key
     abort_round, abort_reason = abort or (None, None)
+    reveal = None if abort else RevealMessage(bit ^ 1 if skind == WRONG_BIT_REVEAL else bit,
+                                              secrets[m - 1])
     transcript = Transcript(spec=spec, m=m, tau1_ns=plan.tau1_ns, tau2_ns=plan.tau2_ns,
-                            rounds=rounds,
-                            reveal=None if abort else settled[reveal_round],
-                            reveal_received_at=reveal_at,
+                            rounds=rounds, reveal=reveal,
+                            reveal_received_at=reveal_at if reveal_key <= abort_key else 0,
                             status=STATUS_ABORTED if abort else STATUS_COMPLETE,
                             abort_reason=abort_reason, abort_round=abort_round,
                             plan_hash=plan.plan_hash)
 
     # global-frame diagnostics over the pairs and rounds the run reached; a
-    # run queues round m+1 before the reveal can land inside its window, and
+    # run visits round m+1 before the reveal can land inside its window, and
     # a run that ends unaborted has received the reveal
     worst_slack: int | None = None
     last_pair = reveal_round if reveal_received else len(rounds)
-    assert next_k > last_pair
     for k, slack in slack_steps:
         if k >= last_pair:
             break

@@ -295,6 +295,17 @@ class TestSimulateAndVerify:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["0", "201"])
+    def test_late_decision_target_outside_the_run_exit_1(self, in_tmp, capsys, target):
+        """A late-decision target that names no round of the run is a usage
+        error, not an honest session, and leaves no file behind."""
+        code, _, err = run_cli(capsys, "simulate", "--rounds", "200", "--n", "8",
+                               "--strategy", "late-decision", "--target-round", target,
+                               "--out", "t.rbcx")
+        assert code == 1
+        assert err.startswith(f"error: late-decision target round {target} is outside 1..200")
+        assert list(in_tmp.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]],
                              ids="-".join)
     def test_help_and_version_exit_0(self, capsys, argv):

@@ -189,6 +189,13 @@ class TestAdversaries:
             kind="late-decision", target_round=7, margin_ns=-50), seed=1, bit=1)
         assert rep.aborted and rep.abort_round == 7
 
+    @pytest.mark.parametrize("target", [0, PLAN8.m + 1])
+    def test_late_decision_target_outside_the_run_rejected(self, target):
+        """A late-decision target that names no round of the run is refused,
+        not played as an honest session."""
+        with pytest.raises(SimulationError, match=f"round {target} is outside 1..20"):
+            run_simulation(PLAN8, strategy=AdversaryStrategy("late-decision", target), seed=1)
+
     def test_wrong_bit_reveal_completes_then_rejects(self):
         t, rep = run_simulation(PLAN8, strategy=AdversaryStrategy(
             kind="wrong-bit-reveal"), seed=1, bit=0)
@@ -499,6 +506,29 @@ def test_aborted_run_builds_only_what_it_reaches():
     assert rep.aborted and rep.abort_round == 2
     # the starts and deadlines of at most four rounds, and the reveal send
     assert calls[0] <= 2 * 4 + 1, calls[0]
+
+
+def test_event_count_by_hand():
+    """With exact clocks and each committer agent at its station, a relay
+    run's events are round 1's start, challenge arrival at A1, answer
+    arrival and deadline, then round 2's start, challenge arrival at A2 and
+    deadline, where it aborts: round 1's challenge, relayed to A2, lands at
+    t_L, past that deadline. An honest run counts each round's start,
+    challenge arrival, answer arrival and deadline, and the reveal's send,
+    arrival and deadline: 4m+3."""
+    plan = PLAN8
+    start2 = plan.round_start_ns(2)
+    events = [(1, "start", 0), (1, "challenge arrival", 0), (1, "answer arrival", 0),
+              (1, "deadline", plan.tau1_ns + 1), (2, "start", start2),
+              (2, "challenge arrival", start2), (2, "deadline", start2 + plan.tau2_ns + 1)]
+    assert [t for _, _, t in events] == sorted(t for _, _, t in events)
+    assert plan.t_l_ns > events[-1][2]
+    _, rep = run_simulation(plan, strategy=AdversaryStrategy("relay"), seed=1)
+    assert (rep.abort_round, rep.abort_reason) == (2, ABORT_DEADLINE)
+    assert rep.rounds_recorded == 1
+    assert rep.event_count == len(events)
+    _, rep = run_simulation(plan, seed=1)
+    assert not rep.aborted and rep.event_count == 4 * plan.m + 3
 
 
 def test_abort_after_reveal_reports_every_pair():
