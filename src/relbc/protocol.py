@@ -19,24 +19,23 @@ one offline answer path: `honest_row_blocks` packs its blocks into records,
 and the simulator answers from them, `VERIFY_BLOCK_ROUNDS` rounds at a time.
 
 Offline generation moves bytes from end to end. `honest_answer_blocks`
-takes each source's elements as encoded byte blocks: a `storage.TapeReader`,
-or the iterator it returns, hands over the bytes it read (`read_block`), and
-any other iterable of ints is encoded a block at a time. `honest_row_blocks`
-yields packed record blocks in the file's own layout
-(`record_block_struct`), built column by column from the challenge and
-answer bytes, so no element is decoded and no per-round tuple is built. The
-record layout is defined here once; files and RECORDS frames carry it, and
-no other round form crosses a module boundary.
+takes each source's elements as encoded byte blocks: a `storage.TapeReader`
+hands over the bytes it read (`read_block`), and any other iterable of ints
+is encoded a block at a time. `honest_row_blocks` yields packed record
+blocks in the file's own layout (`record_struct`), built column by column
+from the challenge and answer bytes, so no element is decoded and no
+per-round tuple is built. The record layout is defined here once; files and
+RECORDS frames carry it, and no other round form crosses a module boundary.
 
 Verification reads packed record blocks column by column: one
-`record_block_struct` unpack per block, whose k, station, timestamp and
-challenge columns are checked whole, and whose x and y columns go to
-`FieldSpec.fold`, which runs the chain forward from the claimed a_0 = d, one
-multiply per round: a_k = x_k * a_{k-1} XOR y_k. The result must equal the
-revealed a_m. Each step is a bijection when x_k != 0, so this accepts
-exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1
-from a_m would reach a_0 = d. A zero challenge, x_1 included, is rejected:
-it would let a round bind nothing.
+`record_struct` unpack per block, whose k, station, timestamp and challenge
+columns are checked whole, and whose x and y columns go to `FieldSpec.fold`,
+which runs the chain forward from the claimed a_0 = d, one multiply per
+round: a_k = x_k * a_{k-1} XOR y_k. The result must equal the revealed a_m.
+Each step is a bijection when x_k != 0, so this accepts exactly when the
+paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would
+reach a_0 = d. A zero challenge, x_1 included, is rejected: it would let a
+round bind nothing.
 
 A verifier keeps no state beyond its challenge tape, so its callers send
 x_k = challenges[k - 1] straight from the tape; only the committer computes.
@@ -158,19 +157,13 @@ class Tape:
         return self.elements[i]
 
 
-@functools.cache
-def record_struct(eb: int) -> struct.Struct:
-    """One round record as files and RECORDS frames hold it: k, station,
-    x||y (each element `eb` bytes, little-endian), issued and received
-    (station-local ns), integers big-endian. `verify_rounds` unpacks blocks
-    of them into columns; `record_blocks` and `unpack_records` convert."""
-    return struct.Struct(f">QB{2 * eb}sqq")
-
-
 @functools.lru_cache(maxsize=32)
-def record_block_struct(eb: int, rounds: int) -> struct.Struct:
-    """`rounds` records of `record_struct`'s layout back to back, with x and
-    y as separate fields: six fields per record."""
+def record_struct(eb: int, rounds: int = 1) -> struct.Struct:
+    """`rounds` round records back to back, as files and RECORDS frames hold
+    them: k, station, x, y (each element `eb` bytes, little-endian), issued
+    and received (station-local ns), integers big-endian; six fields per
+    record. `verify_rounds` unpacks blocks of them into columns;
+    `record_blocks` and `unpack_records` convert."""
     return struct.Struct(">" + f"QB{eb}s{eb}sqq" * rounds)
 
 
@@ -188,8 +181,8 @@ class RoundRecord:
 
 def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
     """`records` packed in `record_struct`'s layout, `VERIFY_BLOCK_ROUNDS`
-    at a time by one `record_block_struct` pack: how every `RoundRecord`
-    writer packs. An element wider than `eb` bytes raises OverflowError."""
+    at a time by one pack: how every `RoundRecord` writer packs. An element
+    wider than `eb` bytes raises OverflowError."""
     it = iter(records)
     while recs := list(islice(it, VERIFY_BLOCK_ROUNDS)):
         flat = []
@@ -197,13 +190,13 @@ def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
             flat += (r.k, r.station, r.challenge.to_bytes(eb, "little"),
                      r.answer.to_bytes(eb, "little"), r.challenge_issued_at,
                      r.answer_received_at)
-        yield record_block_struct(eb, len(recs)).pack(*flat)
+        yield record_struct(eb, len(recs)).pack(*flat)
 
 
 def unpack_records(data: bytes, eb: int) -> list[RoundRecord]:
     """The records packed in `data`, the inverse of `record_blocks`."""
     return [RoundRecord(k, s, int.from_bytes(x, "little"), int.from_bytes(y, "little"), i, r)
-            for k, s, x, y, i, r in record_block_struct(eb, 1).iter_unpack(data)]
+            for k, s, x, y, i, r in record_struct(eb).iter_unpack(data)]
 
 
 @dataclass
@@ -231,9 +224,6 @@ class Transcript:
     @property
     def is_complete(self) -> bool:
         return self.status == STATUS_COMPLETE and self.reveal is not None
-
-    def tau_ns(self, station: int) -> int:
-        return self.tau1_ns if station == 1 else self.tau2_ns
 
     def mark_aborted(self, reason: str, k: int) -> None:
         self.status = STATUS_ABORTED
@@ -348,7 +338,7 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
         r, partial = divmod(len(block), size)
         if partial or k + r > m:
             return Verdict.reject(REJECT_MALFORMED)
-        cols = record_block_struct(eb, r).unpack(block)
+        cols = record_struct(eb, r).unpack(block)
         s0 = station_of(k + 1)
         if (cols[0::6] != tuple(range(k + 1, k + r + 1))
                 or cols[1::6] != tuple(islice(cycle((s0, 3 - s0)), r))):
@@ -385,8 +375,8 @@ def bob_verify(transcript: Transcript) -> Verdict:
 
 def _element_reader(source: Iterable[int], eb: int) -> Callable[[int], bytes]:
     """Reads up to `count` elements of `source` at a time, encoded. A source
-    with a `read_block` (a `storage.TapeReader`, or the iterator it returns)
-    hands over its own bytes; any other iterable of ints is encoded."""
+    with a `read_block` (a `storage.TapeReader`) hands over its own bytes;
+    any other iterable of ints is encoded."""
     read_block = getattr(source, "read_block", None)
     if read_block is not None:
         return read_block
@@ -437,11 +427,11 @@ def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Itera
     `record_struct`, without materializing the tapes; the generator's return
     value is a_m.
 
-    Each block of `honest_answer_blocks` is packed by one
-    `record_block_struct` from six columns, so the sources are read as that
-    generator reads them and its errors are raised here. Timestamps are
-    those of `run_honest_protocol`: a synthetic schedule of 1 us per round
-    and a fixed 1 ns turnaround.
+    Each block of `honest_answer_blocks` is packed by one `record_struct`
+    from six columns, so the sources are read as that generator reads them
+    and its errors are raised here. Timestamps are those of
+    `run_honest_protocol`: a synthetic schedule of 1 us per round and a
+    fixed 1 ns turnaround.
     """
     eb = spec.element_bytes
     answers = honest_answer_blocks(spec, secrets, challenges, d, m)
@@ -462,7 +452,7 @@ def honest_row_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Itera
             flat[3::6] = split(ys)
             flat[4::6] = range(1000 * k0, 1000 * (k0 + r), 1000)
             flat[5::6] = range(1000 * k0 + 1, 1000 * (k0 + r), 1000)
-            yield record_block_struct(eb, r).pack(*flat)
+            yield record_struct(eb, r).pack(*flat)
             k0 += r
 
     return blocks()

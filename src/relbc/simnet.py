@@ -43,7 +43,6 @@ on its verifier's clock; outside that window, or missing when it closes, it
 ends the run as `deadline`. Only the reveal can end it as `early-reveal`:
 when it reaches its verifier before round m+1 opens there, or when the
 committer's clock reaches the reveal before she has answered her rounds.
-Parallelism is only across independent runs (`run_many`).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from .field import FieldSpec
 from .planner import ProtocolPlan, NS
@@ -68,7 +66,6 @@ from .protocol import (
     Tape,
     Transcript,
     arrival_fault,
-    bob_verify,
     honest_answer_blocks,
     station_of,
 )
@@ -493,41 +490,3 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan) -> AuditRepor
     violations += [(k, "answer received outside its window") for k in late_rounds]
     return AuditReport(not violations, len(slacks), min(slacks, default=None), violations,
                        late_rounds)
-
-
-# -- embarrassingly parallel sweeps -------------------------------------------
-
-
-def _run_one_summary(args) -> dict:
-    """Worker for run_many: returns a small, picklable summary."""
-    plan, strategy, seed, bit = args
-    transcript, report = run_simulation(plan, strategy=strategy, seed=seed, bit=bit)
-    verdict = bob_verify(transcript)
-    audit = no_signaling_audit(transcript, plan)
-    return {
-        "seed": seed,
-        "bit": bit,
-        "strategy": strategy.kind,
-        "aborted": report.aborted,
-        "abort_round": report.abort_round,
-        "abort_reason": report.abort_reason,
-        "accepted": verdict.accepted,
-        "verdict_bit": verdict.bit,
-        "reject_reason": verdict.reason,
-        "audit_ok": audit.ok,
-        "audit_worst_slack_ns": audit.worst_slack_ns,
-    }
-
-
-def run_many(plan: ProtocolPlan, strategy: AdversaryStrategy,
-             seeds: Sequence[int], bits: Sequence[int],
-             processes: int | None = None) -> list[dict]:
-    """Run the (seed, bit) grid of independent simulations, optionally on a
-    process pool; results are ordered like the input grid."""
-    jobs = [(plan, strategy, seed, bit) for seed in seeds for bit in bits]
-    if processes is not None and processes > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(processes) as pool:
-            return pool.map(_run_one_summary, jobs, chunksize=4)
-    return [_run_one_summary(job) for job in jobs]

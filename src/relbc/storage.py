@@ -16,9 +16,9 @@ and drawing as many more is the same draw. `write_tape` encodes a chunk of
 ints with one `int.to_bytes` map. A `TapeReader` reads its elements as byte
 blocks: `read_block` hands over up to `count` encoded elements at the
 cursor from one file read, checked for a short read and, on a challenge
-tape, for a zero element on the bytes themselves. Its iterator decodes
-elements from such blocks and hands the bytes over undecoded too, so honest
-generation never decodes a tape.
+tape, for a zero element on the bytes themselves. A reader is its own
+iterator: it decodes elements from such blocks, and honest generation reads
+its bytes through `read_block` undecoded, so it never decodes a tape.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
@@ -272,6 +272,8 @@ class TapeReader:
             self.seed = seed
             self._base = self._f.tell()
             self._index = 0
+            self._start = 0                 # the element `_values` begins at
+            self._values: list[int] = []    # the block `__next__` last decoded
             _check_body(self.path, self._base, count, self.spec.element_bytes,
                         TapeFormatError)
         except Exception:
@@ -334,48 +336,23 @@ class TapeReader:
         self.seek(index)
         return self.read()
 
-    def __iter__(self) -> "TapeIterator":
-        return TapeIterator(self)
-
-
-class TapeIterator:
-    """The elements of a `TapeReader` from its cursor on; the cursor follows
-    each one yielded.
-
-    Elements are decoded from blocks of `_READ_BLOCK_ELEMENTS`, each one
-    `TapeReader` block read, so a zero anywhere in a challenge tape's block
-    raises before the block's first element is yielded. Moving the cursor
-    between two elements (`seek`, `read`, `read_block`, an index) makes the
-    next element the one it names. `read_block` hands over the encoded
-    elements at the cursor instead, as `TapeReader.read_block` does.
-    """
-
-    __slots__ = ("_reader", "_start", "_values")
-
-    def __init__(self, reader: TapeReader):
-        self._reader = reader
-        self._start = 0
-        self._values: list[int] = []
-
-    def __iter__(self) -> "TapeIterator":
+    def __iter__(self) -> "TapeReader":
         return self
 
     def __next__(self) -> int:
-        r = self._reader
-        i = r._index
+        """The element at the cursor, which moves past it, decoded from one
+        `_block` of `_READ_BLOCK_ELEMENTS` at a time: a zero in a challenge
+        tape's block raises at the block's first element. Moving the cursor
+        (`seek`, `read`, `read_block`, an index) names the next element."""
+        i = self._index
         j = i - self._start
         if not 0 <= j < len(self._values):  # the cursor left the decoded block
-            if i >= r.count:
+            if i >= self.count:
                 raise StopIteration
-            self._values = r.spec.decode_block(r._block(i, _READ_BLOCK_ELEMENTS))
+            self._values = self.spec.decode_block(self._block(i, _READ_BLOCK_ELEMENTS))
             self._start, j = i, 0
-        r._index = i + 1
+        self._index = i + 1
         return self._values[j]
-
-    def read_block(self, count: int) -> bytes:
-        """`TapeReader.read_block` of the reader: what `protocol.honest_row_blocks`
-        reads from this iterator."""
-        return self._reader.read_block(count)
 
 
 # -- transcripts -----------------------------------------------------------------
@@ -584,9 +561,9 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     The file is byte for byte what `run_honest_protocol` (no plan hash)
     writes for the same tapes. The records come packed from
     `protocol.honest_row_blocks`, a block at a time. `secrets` and
-    `challenges` may be TapeReaders or their iterators, whose byte blocks go
-    to the answer kernel undecoded; a source that ends before element m
-    raises StorageError, and a failed write leaves no file.
+    `challenges` may be TapeReaders, whose byte blocks go to the answer
+    kernel undecoded; a source that ends before element m raises
+    StorageError, and a failed write leaves no file.
     """
     eb = spec.element_bytes
     records = honest_row_blocks(spec, secrets, challenges, d, m)

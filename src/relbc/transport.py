@@ -252,6 +252,12 @@ class SessionConfig:
             raise TransportError(
                 f"a live session needs m >= 2 rounds, got m={self.plan.m}: the "
                 "revealing committer times the reveal from its own last round")
+        # each verifier sends its half in one RECORDS frame; station 1's is the
+        # larger: (m + 1) // 2 rounds, and the reveal when m is even
+        half = _records_size((self.plan.m + 1) // 2, self.plan.n // 8, self.plan.m % 2 == 0)
+        if half > MAX_FRAME_PAYLOAD:
+            raise TransportError(f"m={self.plan.m} rounds need a RECORDS frame of {half} "
+                                 f"bytes, above the {MAX_FRAME_PAYLOAD}-byte frame limit")
 
 
 def _sleep_until_ns(target_ns: int) -> int:
@@ -316,6 +322,12 @@ def _records_payload(records: list[RoundRecord], spec: FieldSpec,
     return out + b"\x01" + _reveal_payload(spec, reveal) + _I64.pack(reveal_at)
 
 
+def _records_size(count: int, eb: int, with_reveal: bool) -> int:
+    """Bytes of a RECORDS payload of `count` records and, if `with_reveal`,
+    the reveal and its receipt time."""
+    return _U32.size + count * record_struct(eb).size + 1 + with_reveal * (1 + eb + _I64.size)
+
+
 def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], RevealMessage | None, int]:
     """A peer's RECORDS: count, that many records, a reveal flag byte and,
     when the flag is 1, the reveal and its receipt time. Nothing may trail."""
@@ -323,14 +335,13 @@ def _parse_records(payload: bytes, spec: FieldSpec) -> tuple[list[RoundRecord], 
     if size < _U32.size + 1:
         raise _bad_payload(f"RECORDS payload of {size} bytes is truncated", size)
     (count,) = _U32.unpack_from(payload)
-    rec_size = record_struct(eb).size
-    flag_at = _U32.size + count * rec_size
+    flag_at = _U32.size + count * record_struct(eb).size
     if flag_at >= size:
         raise _bad_payload(f"RECORDS count {count} overruns the payload", size)
     flag = payload[flag_at]
     if flag > 1:
         raise _bad_payload(f"reveal flag {flag} is neither 0 nor 1", flag_at)
-    end = flag_at + 1 + flag * (1 + eb + _I64.size)
+    end = _records_size(count, eb, flag)
     if size != end:
         raise _bad_payload(f"RECORDS payload is {size} bytes, its layout {end}",
                            min(size, end))
@@ -352,6 +363,10 @@ def _parse_verdict(payload: bytes) -> tuple[Verdict, bytes]:
         raise _bad_payload(f"VERDICT payload of {len(payload)} bytes is truncated",
                            len(payload))
     accepted, bit, sha, reason_len = _VERDICT.unpack_from(payload)
+    if accepted > 1:
+        raise _bad_payload(f"VERDICT accepted byte {accepted} is neither 0 nor 1", 0)
+    if accepted and bit > 1:
+        raise _bad_payload(f"VERDICT accepts bit {bit}, which is neither 0 nor 1", 1)
     if len(payload) != _VERDICT.size + reason_len:
         raise _bad_payload(f"VERDICT reason is {len(payload) - _VERDICT.size} bytes, "
                            f"its length field {reason_len}", _VERDICT.size)
@@ -678,7 +693,7 @@ def _run_bob(ses: _Session) -> AgentResult:
     send_frame(bob_link, FRAME_VERDICT, 0, _verdict_payload(verdict, sha))
     peer_verdict, peer_sha = _parse_verdict(
         ses.expect(bob_link, FRAME_VERDICT, ABORT_MISMATCH).payload)
-    if peer_sha != sha or peer_verdict.accepted != verdict.accepted:
+    if peer_sha != sha or peer_verdict != verdict:
         report = AbortReport(ABORT_MISMATCH, None, "verifiers disagree")
         return AgentResult(ses.cfg.role, EXIT_ABORT, transcript=transcript,
                            verdict=verdict, transcript_sha=sha.hex(),

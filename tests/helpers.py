@@ -8,7 +8,7 @@ import time
 from relbc import transport
 from relbc.field import FieldSpec
 from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
-from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord, Tape
+from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord, Tape, Transcript
 
 
 def schoolbook_mul(a: int, b: int, n: int, poly: int) -> int:
@@ -37,6 +37,11 @@ def with_header_field(data: bytes, n_at: int, n: int, poly: int) -> bytes:
     size = int.from_bytes(data[n_at + 4:start], "big")
     return (data[:n_at] + n.to_bytes(4, "big") + data[n_at + 4:start]
             + poly.to_bytes(size, "little") + data[start + size:])
+
+
+def tau_at(t: Transcript, station: int) -> int:
+    """The answer deadline that transcript `t` records for `station`."""
+    return t.tau1_ns if station == 1 else t.tau2_ns
 
 
 def backward_chain(spec: FieldSpec, rounds: list[RoundRecord], a_m: int) -> list[int]:

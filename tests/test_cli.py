@@ -238,6 +238,16 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and "m >= 2" in err
 
+    def test_plan_too_long_for_one_records_frame_exit_1(self, in_tmp, capsys):
+        """Case 1 over 11 s is about 645,000 rounds at n=128: each verifier's
+        half would overflow one 16 MiB RECORDS frame, so a live role refuses
+        the plan before it listens."""
+        assert run_cli(capsys, "plan", "case1", "--duration", "11s", "--out", "plan.json")[0] == 0
+        code, _, err = run_cli(capsys, "run", "--role", "B1", "--plan", "plan.json",
+                               "--challenges", "x.tape", "--listen", "127.0.0.1:0")
+        assert code == 1
+        assert err.startswith("error:") and "16777216-byte frame limit" in err
+
     @pytest.mark.parametrize("role, tape_flag, other", [
         ("B1", "--challenges", "alice-secrets"),
         ("A1", "--secrets", "bob-challenges"),

@@ -29,12 +29,11 @@ from relbc.simnet import (
     SimulationError,
     make_tapes,
     no_signaling_audit,
-    run_many,
     run_simulation,
 )
 from relbc.storage import transcript_to_bytes
 
-from helpers import plan_grid, random_tapes, small_plan
+from helpers import plan_grid, random_tapes, small_plan, tau_at
 
 PLAN8 = small_plan(20, n=8)
 
@@ -358,9 +357,9 @@ def test_one_arrival_rule_on_random_clocks(clocks, kind, target_round, margin_ns
     assert [rec.k for rec in t.rounds] == list(range(1, len(t.rounds) + 1))
     assert (t.abort_round, t.abort_reason) == (rep.abort_round, rep.abort_reason)
     on_time = {rec.k: 0 <= rec.answer_received_at - rec.challenge_issued_at
-               <= t.tau_ns(rec.station) for rec in t.rounds}
+               <= tau_at(t, rec.station) for rec in t.rounds}
     reveal_turnaround = t.reveal_received_at - plan.round_start_ns(m + 1)
-    reveal_on_time = 0 <= reveal_turnaround <= t.tau_ns(station_of(m + 1))
+    reveal_on_time = 0 <= reveal_turnaround <= tau_at(t, station_of(m + 1))
     k, reason = rep.abort_round, rep.abort_reason
     if not rep.aborted:
         assert len(t.rounds) == m and all(on_time.values()) and reveal_on_time
@@ -610,7 +609,7 @@ class TestAudit:
         t, _ = run_simulation(PLAN8, seed=1, bit=0)
         k_bad = 9
         rec = t.rounds[k_bad - 1]
-        rec.answer_received_at = rec.challenge_issued_at + t.tau_ns(rec.station) + 5
+        rec.answer_received_at = rec.challenge_issued_at + tau_at(t, rec.station) + 5
         audit = no_signaling_audit(t, PLAN8)
         assert not audit.ok
         assert k_bad in audit.late_answer_rounds
@@ -641,13 +640,3 @@ class TestAudit:
         audit = no_signaling_audit(t, PLAN8)
         assert not audit.ok
         assert "incomplete" in audit.violations[0][1]
-
-
-class TestSweep:
-    def test_run_many_serial_equals_parallel(self):
-        plan = small_plan(8, n=8)
-        seeds = [1, 2, 3]
-        serial = run_many(plan, AdversaryStrategy(), seeds, [0, 1], processes=None)
-        parallel = run_many(plan, AdversaryStrategy(), seeds, [0, 1], processes=2)
-        assert serial == parallel
-        assert all(r["accepted"] and r["verdict_bit"] == r["bit"] for r in serial)

@@ -490,7 +490,7 @@ class TestTranscriptFiles:
 
     def test_verify_file_rejects_late_round(self, tmp_path):
         t = _transcript(m=10)
-        t.rounds[4].answer_received_at = t.rounds[4].challenge_issued_at + t.tau_ns(1) + 1
+        t.rounds[4].answer_received_at = t.rounds[4].challenge_issued_at + t.tau1_ns + 1
         path = tmp_path / "t.rbcx"
         write_transcript(t, path)
         verdict, _ = verify_file(path)

@@ -24,6 +24,7 @@ from relbc.field import FieldSpec
 from relbc.protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
+    ABORT_MISMATCH,
     REJECT_BIT_MISMATCH,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
@@ -48,6 +49,7 @@ from relbc.transport import (
     FRAME_REVEAL,
     FRAME_SCHEDULE,
     FRAME_VERDICT,
+    MAX_FRAME_PAYLOAD,
     MalformedFrameError,
     SessionConfig,
     TransportError,
@@ -307,6 +309,18 @@ class TestMalformedPayloads:
         with pytest.raises(MalformedFrameError):
             T._parse_verdict(b"\x01\x00")
 
+    def test_verdict_accepted_byte_not_0_or_1(self):
+        for accepted in (2, 0xFF):
+            with pytest.raises(MalformedFrameError, match="accepted byte"):
+                T._parse_verdict(struct.pack(">BB32sH", accepted, 0, bytes(32), 0))
+
+    def test_verdict_accepts_a_bit_not_0_or_1(self):
+        good = T._verdict_payload(Verdict.accept(1), bytes(32))
+        assert T._parse_verdict(good) == (Verdict.accept(1), bytes(32))
+        for bit in (2, 0xFF):
+            with pytest.raises(MalformedFrameError, match="accepts bit"):
+                T._parse_verdict(struct.pack(">BB32sH", 1, bit, bytes(32), 0))
+
     def test_verdict_reason_not_utf8(self):
         payload = struct.pack(">BB32sH", 0, 0xFF, bytes(32), 2) + b"\xff\xfe"
         with pytest.raises(MalformedFrameError):
@@ -507,6 +521,53 @@ def test_session_refuses_fewer_than_two_rounds():
     for role in ("A2", "B1"):
         with pytest.raises(TransportError, match="m >= 2"):
             SessionConfig(role=role, plan=plan)
+
+
+def test_session_refuses_a_plan_too_long_for_one_records_frame(monkeypatch):
+    """Each verifier sends its half of the rounds, and the reveal if it holds
+    it, in one RECORDS frame. A plan whose larger half would not fit in
+    MAX_FRAME_PAYLOAD bytes is refused before any link, exactly when one of
+    the two payloads `_records_payload` builds would be too large."""
+    base = lab_plan(m=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "MAX_FRAME_PAYLOAD", 400)
+        for m in range(2, 20):
+            plan = dataclasses.replace(base, m=m)
+            halves = [T._records_payload(
+                [RoundRecord(k, s, 1, 1, 0, 0) for k in range(s, m + 1, 2)], S128,
+                RevealMessage(0, 1) if station_of(m + 1) == s else None, 0) for s in (1, 2)]
+            if max(map(len, halves)) > 400:
+                with pytest.raises(TransportError, match="400-byte frame limit"):
+                    SessionConfig(role="B1", plan=plan)
+            else:
+                SessionConfig(role="B1", plan=plan)
+    # at n=128 a record is 57 bytes and the reveal 25: m=588,673 gives B1
+    # 294,337 records in 16,777,214 bytes; m=588,674 adds the reveal
+    assert MAX_FRAME_PAYLOAD == 1 << 24
+    SessionConfig(role="A1", plan=dataclasses.replace(base, m=588_673))
+    for role in ("A1", "B2"):
+        with pytest.raises(TransportError, match="16777239 bytes"):
+            SessionConfig(role=role, plan=dataclasses.replace(base, m=588_674))
+
+
+def test_verifiers_that_disagree_on_the_bit_abort(tmp_path, monkeypatch):
+    """A peer VERDICT over the same transcript that accepts the other bit is
+    a disagreement, not an agreement on `accepted`: both verifiers end as
+    `transcript-mismatch`."""
+    real_parse = T._parse_verdict
+
+    def other_bit(payload):
+        verdict, sha = real_parse(payload)
+        return (Verdict.accept(verdict.bit ^ 1) if verdict.accepted else verdict), sha
+
+    monkeypatch.setattr(T, "_parse_verdict", other_bit)
+    results = run_loopback_session(lab_plan(m=4), tmp_path, bit=1, scale_factor=1000, seed=41)
+    for role in ("B1", "B2"):
+        r = results[role]
+        assert r.exit_code == EXIT_ABORT, (role, r.abort)
+        assert r.abort.reason == ABORT_MISMATCH
+        assert r.verdict == Verdict.accept(1) and r.peer_agrees is False
+    assert results["B1"].transcript_sha == results["B2"].transcript_sha
 
 
 def test_unexpected_peer_role_aborts_b1(tmp_path):

@@ -25,7 +25,7 @@ from relbc.protocol import (
 )
 from relbc.storage import VERIFY_BLOCK_ROUNDS, read_transcript, verify_file, write_transcript
 
-from helpers import backward_chain, random_tapes
+from helpers import backward_chain, random_tapes, tau_at
 
 S8 = FieldSpec(8)
 TAU_NS = 1_000
@@ -40,7 +40,7 @@ def backward_verdict(t: Transcript) -> Verdict:
             or any(r.k != k or r.station != station_of(k)
                    for k, r in enumerate(t.rounds, start=1))):
         return Verdict.reject(REJECT_MALFORMED)
-    if not all(0 <= r.answer_received_at - r.challenge_issued_at <= t.tau_ns(r.station)
+    if not all(0 <= r.answer_received_at - r.challenge_issued_at <= tau_at(t, r.station)
                for r in t.rounds):
         return Verdict.reject(REJECT_TIMING)
     try:
