@@ -26,7 +26,7 @@ import json
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -143,7 +143,7 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
                                f"to even, so an odd count above 1 cannot be planned")
         overrides["T"] = _duration_for_rounds(cfg, rounds)
     if overrides:
-        cfg = SpacetimeConfig(**{**cfg.to_dict(), **overrides})
+        cfg = replace(cfg, **overrides)
     return resource_plan(cfg)
 
 

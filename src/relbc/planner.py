@@ -87,8 +87,12 @@ class SpacetimeConfig:
 
     def __post_init__(self):
         for fname in ("L", "l1", "l2", "tau1", "tau2", "t_m", "T", "c"):
-            if getattr(self, fname) <= 0:
-                raise PlannerError(f"config field {fname} must be strictly positive")
+            value = getattr(self, fname)
+            if not (math.isfinite(value) and value > 0):
+                raise PlannerError(f"config field {fname} = {value} is not a finite, "
+                                   f"strictly positive number")
+        if type(self.n) is not int:  # a bool or 8.0 is no width
+            raise PlannerError(f"string width n = {self.n!r} is not an integer")
         if self.l1 + self.l2 >= self.L:
             raise InfeasibleGeometryError(
                 f"allowances exceed the separation: l1 + l2 = {self.l1 + self.l2} m "
@@ -105,10 +109,6 @@ class SpacetimeConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpacetimeConfig":
-        return cls(**d)
 
 
 _CONFIG_KEYS = {"L", "l1", "l2", "tau1", "tau2", "t_m", "T", "n", "c", "name"}
@@ -282,15 +282,13 @@ class ProtocolPlan:
         return evens * self.gap_to_station2_ns + odds * self.gap_to_station1_ns
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items()}
-        d["config"] = self.config.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolPlan":
         d = dict(d)
         d.pop("plan_hash", None)
-        d["config"] = SpacetimeConfig.from_dict(d["config"])
+        d["config"] = SpacetimeConfig(**d["config"])
         return cls(**d)
 
     @property
@@ -337,9 +335,17 @@ def resource_plan(cfg: SpacetimeConfig) -> ProtocolPlan:
     )
 
 
+# the schedule fields `load_plan` rebuilds from the config: integers of IEEE
+# arithmetic and `round`, so they rebuild the same on any host (the epsilons
+# go through libm's pow and log2, which need not)
+_REBUILT_FIELDS = ("m", "n", "t_l_ns", "t_m_ns", "tau1_ns", "tau2_ns",
+                   "gap_to_station1_ns", "gap_to_station2_ns")
+
+
 def load_plan(path: str | Path) -> ProtocolPlan:
-    """The plan saved at `path`; PlannerError if the file holds no plan or
-    its stored hash is not the plan's."""
+    """The plan saved at `path`; PlannerError if the file holds no plan, if
+    its stored hash is not the plan's, or if a schedule field differs from
+    what `resource_plan` makes of its config."""
     try:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
@@ -352,6 +358,12 @@ def load_plan(path: str | Path) -> ProtocolPlan:
     if stored is not None and stored != plan.plan_hash:
         raise PlannerError(f"plan file {path} hash mismatch: stored {str(stored)[:12]}..., "
                            f"recomputed {plan.plan_hash[:12]}...")
+    rebuilt = resource_plan(plan.config)
+    for name in _REBUILT_FIELDS:
+        saved, planned = getattr(plan, name), getattr(rebuilt, name)
+        if type(saved) is not int or saved != planned:
+            raise PlannerError(f"plan file {path}: {name} = {saved!r} contradicts its "
+                               f"config, which plans {planned}")
     return plan
 
 

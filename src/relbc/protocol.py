@@ -145,10 +145,9 @@ class Tape:
     def __post_init__(self):
         if self.role not in (ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES):
             raise ProtocolError(f"unknown tape role {self.role!r}")
-        if self.role == ROLE_BOB_CHALLENGES:
-            for i, v in enumerate(self.elements):
-                if v == 0:
-                    raise ProtocolError(f"challenge tape has zero element at index {i}")
+        if self.role == ROLE_BOB_CHALLENGES and 0 in self.elements:
+            raise ProtocolError(
+                f"challenge tape has zero element at index {self.elements.index(0)}")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -17,8 +17,10 @@ ints with one `int.to_bytes` map. A `TapeReader` reads its elements as byte
 blocks: `read_block` hands over up to `count` encoded elements at the
 cursor from one file read, checked for a short read and, on a challenge
 tape, for a zero element on the bytes themselves. A reader is its own
-iterator: it decodes elements from such blocks, and honest generation reads
-its bytes through `read_block` undecoded, so it never decodes a tape.
+iterator: it decodes elements from such blocks, and `read` and indexing take
+their element from the iterator's block, so a live role that indexes its
+tape every round reads the file once per block. Honest generation reads its
+bytes through `read_block` undecoded, so it never decodes a tape.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, scale factor, deadlines, status, reveal) followed by
@@ -295,11 +297,12 @@ class TapeReader:
             raise TapeFormatError(f"seek to {index} outside 0..{self.count}")
         self._index = index
 
-    def _block(self, start: int, count: int) -> bytes:
-        """Up to `count` encoded elements from element `start` on, fewer only
-        at the tape's end, in one file read. Raises on a short read, or on a
-        zero anywhere in a challenge tape's block; the cursor is not read."""
-        eb = self.spec.element_bytes
+    def read_block(self, count: int) -> bytes:
+        """Up to `count` encoded elements at the cursor, which moves past
+        them, in one file read; fewer only at the tape's end. Raises on a
+        short read, or on a zero anywhere in a challenge tape's block,
+        before the cursor moves."""
+        start, eb = self._index, self.spec.element_bytes
         want = min(count, self.count - start)  # the cursor never passes count
         self._f.seek(self._base + start * eb)
         data = self._f.read(want * eb)
@@ -308,25 +311,15 @@ class TapeReader:
                 f"{self.path}: short read at element {start + len(data) // eb}")
         if self._nonzero and (z := next(zero_elements(data, eb), None)) is not None:
             raise TapeFormatError(f"{self.path}: challenge element {start + z // eb} is zero")
-        return data
-
-    def read_block(self, count: int) -> bytes:
-        """Up to `count` encoded elements at the cursor, which moves past
-        them; fewer only at the tape's end. Raises as `read` does, before
-        the cursor moves."""
-        data = self._block(self._index, count)
-        self._index += len(data) // self.spec.element_bytes
+        self._index += want
         return data
 
     def read(self) -> int:
-        """The element at the cursor, which moves past it; raises on
-        exhaustion, a short read, or a zero in a challenge tape."""
-        i = self._index
-        if i >= self.count:
+        """The element at the cursor, which moves past it, taken as
+        `__next__` takes it; raises on exhaustion and as `read_block` does."""
+        if self._index >= self.count:
             raise TapeFormatError(f"{self.path}: tape exhausted at element {self.count}")
-        v = int.from_bytes(self._block(i, 1), "little")
-        self._index = i + 1
-        return v
+        return next(self)
 
     def __len__(self) -> int:
         return self.count
@@ -341,15 +334,16 @@ class TapeReader:
 
     def __next__(self) -> int:
         """The element at the cursor, which moves past it, decoded from one
-        `_block` of `_READ_BLOCK_ELEMENTS` at a time: a zero in a challenge
-        tape's block raises at the block's first element. Moving the cursor
-        (`seek`, `read`, `read_block`, an index) names the next element."""
+        `read_block` of `_READ_BLOCK_ELEMENTS` at a time: a zero in a
+        challenge tape's block raises at the block's first read. Moving the
+        cursor (`seek`, `read_block`, an index) names the next element, read
+        from the decoded block while it holds that element."""
         i = self._index
         j = i - self._start
         if not 0 <= j < len(self._values):  # the cursor left the decoded block
             if i >= self.count:
                 raise StopIteration
-            self._values = self.spec.decode_block(self._block(i, _READ_BLOCK_ELEMENTS))
+            self._values = self.spec.decode_block(self.read_block(_READ_BLOCK_ELEMENTS))
             self._start, j = i, 0
         self._index = i + 1
         return self._values[j]

@@ -45,8 +45,10 @@ Every byte a peer sends goes through `decode_frame` and one `_parse_*`
 function, which raise `MalformedFrameError` on any layout fault (an ABORT
 reason is decoded with replacement and cannot fail). Every frame an agent
 waits for goes through `_Session.expect`, the one place a received ABORT
-ends the role, and every early end reaches `run_agent` (see there). The
-abort reasons are `protocol`'s table.
+ends the role, and every early end reaches `run_agent` (see there),
+a fault in a role's tape included: a `StorageError`, met at the first read
+of the tape block that holds it, ends the role as `tape`. The abort reasons
+are `protocol`'s table.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .protocol import (
     station_of,
     unpack_records,
 )
-from .storage import TapeReader, transcript_to_bytes
+from .storage import StorageError, TapeReader, transcript_to_bytes
 
 FRAME_CHALLENGE = 0x01
 FRAME_ANSWER = 0x02
@@ -265,7 +267,9 @@ def _sleep_until_ns(target_ns: int) -> int:
 
     Plain sleeps only: a busy tail would starve the peer threads of the
     loopback harness. Sub-millisecond wakeup error is absorbed by the scaled
-    deadlines.
+    deadlines. It polls, sleeping half the time left, rather than sleep once
+    to the target: a lone single sleep wakes sooner, but in loopback sessions
+    it widened the spread of issue times and the verifiers' turnaround tail.
     """
     while True:
         now = time.monotonic_ns()
@@ -543,9 +547,9 @@ def run_agent(cfg: SessionConfig) -> AgentResult:
 
     This is where every early end of a role turns into EXIT_ABORT with its
     cause: a peer ABORT, a missed deadline, a dropped or timed-out link, a
-    malformed frame (also announced to the other peers with an ABORT), or an
-    out-of-sequence round. A verifier's result carries the transcript it
-    holds, marked aborted.
+    malformed frame or a fault in the role's tape (each also announced to
+    the other peers with an ABORT), or an out-of-sequence round. A
+    verifier's result carries the transcript it holds, marked aborted.
     """
     ses = _Session(cfg)
     try:
@@ -554,9 +558,10 @@ def run_agent(cfg: SessionConfig) -> AgentResult:
         (report,) = exc.args
     except (ConnectionError, TimeoutError) as exc:
         report = AbortReport(ABORT_CONNECTION, None, str(exc))
-    except MalformedFrameError as exc:
-        report = AbortReport(ABORT_MALFORMED, None, str(exc))
-        _send_abort(ses.sockets.values(), ABORT_MALFORMED, 0)
+    except (MalformedFrameError, StorageError) as exc:
+        reason = ABORT_TAPE if isinstance(exc, StorageError) else ABORT_MALFORMED
+        report = AbortReport(reason, None, str(exc))
+        _send_abort(ses.sockets.values(), reason, 0)
     except ProtocolError as exc:
         report = AbortReport(ABORT_PROTOCOL, None, str(exc))
     finally:
@@ -602,7 +607,11 @@ def _bob_listener(ses: _Session) -> socket.socket:
         return ses.cfg.listen_socket
     if ses.cfg.listen is None:
         raise TransportError(f"{ses.cfg.role} needs a listen address")
-    return socket.create_server(ses.cfg.listen, backlog=2)
+    try:
+        return socket.create_server(ses.cfg.listen, backlog=2)
+    except OSError as exc:
+        host, port = ses.cfg.listen
+        raise TransportError(f"{ses.cfg.role} cannot listen on {host}:{port}: {exc}") from exc
 
 
 def _accept_role(ses: _Session, expect: set[str]) -> None:

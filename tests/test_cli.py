@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import socket
 
 import pytest
 
@@ -82,6 +83,26 @@ class TestPlan:
         assert code == 1
         assert err.startswith("error:") and "n = 24" in err
         assert not (in_tmp / "plan.json").exists()
+
+    @pytest.mark.parametrize("case", ["duration-1e400", "config-nan", "plan-n-float"])
+    def test_value_not_finite_or_width_not_int_exit_1(self, in_tmp, capsys, case):
+        """An infinite duration, a NaN in a config file and a width of 8.0 in
+        a hashless plan file are refused as plan errors, with no traceback."""
+        if case == "duration-1e400":
+            argv, named = ["plan", "case1", "--duration", "1e400"], "T = inf"
+        elif case == "config-nan":
+            (in_tmp / "nan.cfg").write_text("L = nan\nl1 = 450\nl2 = 450\ntau1 = 3us\n"
+                                            "tau2 = 3us\nt_m = 3.3us\nT = 1s\n")
+            argv, named = ["plan", "nan.cfg"], "L = nan"
+        else:
+            data = json.loads(small_plan(20).to_json())
+            del data["plan_hash"]
+            (in_tmp / "plan.json").write_text(json.dumps({**data, "n": 8.0}))
+            argv, named = ["simulate", "--plan", "plan.json", "--out", "t.rbcx"], "n = 8.0"
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert not (in_tmp / "t.rbcx").exists()
 
 
 # Exit code and sha256 of the transcript and of the .audit.json that
@@ -230,9 +251,7 @@ class TestRun:
     def test_plan_below_two_rounds_exit_1(self, in_tmp, capsys):
         """At m=1 the revealing committer has no round to time the reveal
         from, so a live role refuses the plan before it listens."""
-        import dataclasses
-
-        save_plan(dataclasses.replace(small_plan(8, n=128), m=1), in_tmp / "plan.json")
+        save_plan(small_plan(1, n=128), in_tmp / "plan.json")
         code, _, err = run_cli(capsys, "run", "--role", "B1", "--plan", "plan.json",
                                "--challenges", "x.tape", "--listen", "127.0.0.1:0")
         assert code == 1
@@ -264,6 +283,19 @@ class TestRun:
                                "--peer", "B1=127.0.0.1:1")
         assert code == 1
         assert err.startswith("error:") and f"{other} tape" in err
+
+    def test_listen_address_in_use_exit_1(self, in_tmp, capsys):
+        """A verifier whose listen port is taken says so and exits 1; its
+        tape is loaded, and checked, before it listens."""
+        save_plan(small_plan(8, n=128), in_tmp / "plan.json")
+        assert run_cli(capsys, "tape", "--plan", "plan.json", "--role", "bob-challenges",
+                       "--out", "x.tape", "--seed", "1")[0] == 0
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            code, _, err = run_cli(capsys, "run", "--role", "B1", "--plan", "plan.json",
+                                   "--challenges", "x.tape", "--listen", f"127.0.0.1:{port}")
+        assert code == 1
+        assert err.startswith(f"error: B1 cannot listen on 127.0.0.1:{port}")
 
     @pytest.mark.parametrize("flag, value", [
         ("--peer", "B1=nohost"), ("--peer", "B1"), ("--listen", "127.0.0.1:99999")])

@@ -28,7 +28,7 @@ from relbc.planner import (
     schedule_gaps,
 )
 
-from helpers import small_plan
+from helpers import plan_grid, small_plan
 
 DAY = SECONDS_PER_DAY
 
@@ -87,6 +87,20 @@ class TestConfigParsing:
     def test_invalid_geometry_named(self):
         with pytest.raises(InfeasibleGeometryError, match="l1 \\+ l2"):
             parse_config("L = 100\nl1 = 60\nl2 = 60\ntau1=1us\ntau2=1us\nt_m=1us\nT=1h")
+
+    @pytest.mark.parametrize("field, value, match", [
+        *((f, v, f"{f} = {v} is not a finite, strictly positive number")
+          for f in ("L", "l1", "l2", "tau1", "tau2", "t_m", "T", "c")
+          for v in (math.inf, math.nan)),
+        ("n", 8.0, "n = 8.0 is not an integer"),
+        ("n", True, "n = True is not an integer")])
+    def test_config_value_not_finite_or_width_not_int(self, field, value, match):
+        """An infinite or NaN quantity, or a width that is not an int, is
+        refused where the config is made, not met later as an overflow or
+        a field error."""
+        fields = {**case1().to_dict(), field: value}
+        with pytest.raises(PlannerError, match=match):
+            SpacetimeConfig(**fields)
 
 
 class TestTq:
@@ -270,6 +284,31 @@ class TestResourcePlan:
         path.write_text(json.dumps(data))
         with pytest.raises(PlannerError, match="hash mismatch"):
             load_plan(path)
+
+    @pytest.mark.parametrize("field", ["m", "n", "t_l_ns", "t_m_ns", "tau1_ns", "tau2_ns",
+                                       "gap_to_station1_ns", "gap_to_station2_ns"])
+    def test_load_rejects_schedule_that_contradicts_config(self, tmp_path, field):
+        """A hashless plan file is still held to its config: every schedule
+        field must be the one `resource_plan` makes of it, as an int."""
+        path = tmp_path / "plan.json"
+        save_plan(small_plan(20), path)
+        data = json.loads(path.read_text())
+        del data["plan_hash"]
+        for value in (data[field] + 2, float(data[field])):
+            path.write_text(json.dumps({**data, field: value}))
+            with pytest.raises(PlannerError, match=f"{field} = {value!r} contradicts"):
+                load_plan(path)
+        path.write_text(json.dumps(data))
+        assert load_plan(path) == small_plan(20)
+
+    def test_saved_plans_rebuild_from_their_config(self, tmp_path):
+        path = tmp_path / "plan.json"
+        for plan in [*plan_grid(40), *(small_plan(m, n=n) for m in (1, 2, 8, 200)
+                                       for n in (8, 128)),
+                     resource_plan(case1()), resource_plan(case2()),
+                     resource_plan(case1(T=0.01))]:
+            save_plan(plan, path)
+            assert load_plan(path) == plan
 
 
 class TestSchedule:

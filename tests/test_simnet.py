@@ -634,9 +634,3 @@ class TestAudit:
         audit = no_signaling_audit(t, PLAN8)
         assert not audit.ok
 
-    def test_missing_timestamps_incomplete(self):
-        t, _ = run_simulation(PLAN8, seed=1, bit=0)
-        t.rounds[3].answer_received_at = None
-        audit = no_signaling_audit(t, PLAN8)
-        assert not audit.ok
-        assert "incomplete" in audit.violations[0][1]

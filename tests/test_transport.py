@@ -216,6 +216,31 @@ class TestLoopback:
         assert live.reveal == sim.reveal
         assert live.m == sim.m
 
+    def test_zero_challenge_aborts_both_verifiers_as_tape(self, tmp_path, monkeypatch):
+        """A zero challenge on the tape (element 6, round 7) is a tape fault:
+        each verifier meets it at its first read of the block that holds it
+        and ends as `tape`, announced to its peers, instead of crashing."""
+        import relbc.storage as storage
+
+        real_generate_tape = storage.generate_tape
+
+        def generate_with_zero(plan, role, path, seed=None):
+            count = real_generate_tape(plan, role, path, seed=seed)
+            if role == ROLE_BOB_CHALLENGES:
+                eb, data = plan.n // 8, bytearray(path.read_bytes())
+                at = len(data) - (count - 6) * eb
+                data[at:at + eb] = bytes(eb)
+                path.write_bytes(bytes(data))
+            return count
+
+        monkeypatch.setattr(storage, "generate_tape", generate_with_zero)
+        results = run_loopback_session(small_plan(20, n=128), tmp_path, seed=5)
+        assert {role: r.exit_code for role, r in results.items()} == \
+            dict.fromkeys(("A1", "A2", "B1", "B2"), EXIT_ABORT)
+        for role in ("B1", "B2"):
+            assert results[role].abort.reason == "tape"
+            assert "challenge element 6 is zero" in results[role].abort.detail
+
     def test_short_tape_aborts_before_connecting(self, tmp_path):
         plan = lab_plan(m=10)
         spec = FieldSpec(plan.n)
