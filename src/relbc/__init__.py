@@ -17,36 +17,4 @@ Subpackages by concern:
 - :mod:`relbc.cli` — the `relbc` command.
 """
 
-from .field import (
-    FieldError,
-    FieldSpec,
-    NonInvertibleError,
-    batch_inverse,
-)
-from .planner import (
-    InfeasibleGeometryError,
-    PlannerError,
-    ProtocolPlan,
-    SpacetimeConfig,
-    compute_round_count,
-    compute_tq,
-    drift_budget,
-    epsilon_exponential,
-    epsilon_linear,
-    min_separation,
-    resource_plan,
-)
-from .protocol import (
-    AliceAgent,
-    ProtocolError,
-    RevealMessage,
-    RoundRecord,
-    SequencingError,
-    Tape,
-    Transcript,
-    Verdict,
-    bob_verify,
-    run_honest_protocol,
-)
-
 __version__ = "0.1.0"

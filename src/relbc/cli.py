@@ -112,7 +112,10 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
 
 def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
     """The duration T at which the planner lands exactly on `rounds` (even)."""
-    return (rounds + 1.5) * compute_tq(cfg) / 2.0
+    try:
+        return (rounds + 1.5) * compute_tq(cfg) / 2.0
+    except OverflowError:
+        raise PlannerError("--rounds: the count is too large to plan") from None
 
 
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
@@ -191,14 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     write_transcript(transcript, out)
     audit_path = out.with_suffix(".audit.json")
-    audit_path.write_text(json.dumps({
-        "ok": audit.ok,
-        "pairs_checked": audit.pairs_checked,
-        "worst_slack_ns": audit.worst_slack_ns,
-        "violations": audit.violations,
-        "late_answer_rounds": audit.late_answer_rounds,
-        "report": asdict(report),
-    }, indent=2))
+    audit_path.write_text(json.dumps({**asdict(audit), "report": asdict(report)}, indent=2))
     print(f"strategy={args.strategy} seed={args.seed} bit={args.bit} m={plan.m}")
     if report.aborted:
         print(f"ABORT at round {report.abort_round}: {report.abort_reason}")
@@ -415,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (PlannerError, SimulationError, StorageError, TransportError,
-            FileNotFoundError) as exc:
+    except (PlannerError, SimulationError, StorageError, TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

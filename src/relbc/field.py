@@ -65,17 +65,6 @@ class NonInvertibleError(FieldError):
     """Inversion of zero (or a non-unit) was requested."""
 
 
-__all__ = [
-    "FieldError",
-    "NonInvertibleError",
-    "FieldSpec",
-    "batch_inverse",
-    "DEFAULT_POLYS",
-    "element_struct",
-    "zero_elements",
-]
-
-
 # The field table: each width's reduction polynomial, without its x^n term.
 DEFAULT_POLYS = {
     8: 0x1B,     # x^8 + x^4 + x^3 + x + 1

@@ -149,7 +149,11 @@ def parse_config(text: str, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeCo
 
 
 def load_config(path: str | Path, year_days: float = DEFAULT_YEAR_DAYS) -> SpacetimeConfig:
-    return parse_config(Path(path).read_text(), year_days)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PlannerError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text, year_days)
 
 
 # -- closed-form quantities ---------------------------------------------------

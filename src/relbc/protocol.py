@@ -86,7 +86,7 @@ REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered 
 VERIFY_BLOCK_ROUNDS = 256
 
 # Both stations' answer deadline in an honest transcript on the synthetic
-# schedule of `run_honest_protocol` and `honest_row_blocks`.
+# schedule of `honest_header` and `honest_row_blocks`.
 HONEST_TAU_NS = 1_000_000
 
 
@@ -304,25 +304,27 @@ class AliceAgent:
 # -- verification --------------------------------------------------------------
 
 
-def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
-                  reveal: RevealMessage | None, blocks: Iterable[bytes]) -> Verdict:
+def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     """Every verdict rule, in one forward pass over packed record blocks.
 
+    `header` is the transcript judged, whose rounds are not read: its field,
+    m, deadlines, completeness and reveal are the verdict's other inputs.
     Each block holds records in `record_struct`'s layout, as files and
-    frames hold them, and is unpacked whole into columns. `reveal` is None
-    for an aborted transcript. A block is malformed when it is not a whole
-    number of records, runs past round m, or its k or station column is not
-    the one its position gives. A round is on time by `arrival_fault`'s
-    rule, written here on the block's turnaround column: each station's
-    half lies within 0 and its deadline. The chain is run forward from
-    a_0 = d, the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the
-    module docstring), one `FieldSpec.fold` of the x and y columns per
-    block, and must end at the revealed a_m. Precedence, highest first:
-    aborted, malformed (the only early return; no later block is asked
-    for), timing, a zero challenge among x_1..x_m, bit mismatch.
+    frames hold them, and is unpacked whole into columns. A block is
+    malformed when it is not a whole number of records, runs past round m,
+    or its k or station column is not the one its position gives. A round
+    is on time by `arrival_fault`'s rule, written here on the block's
+    turnaround column: each station's half lies within 0 and its deadline.
+    The chain is run forward from a_0 = d, the claimed bit, by
+    a_k = x_k * a_{k-1} XOR y_k (see the module docstring), one
+    `FieldSpec.fold` of the x and y columns per block, and must end at the
+    revealed a_m. Precedence, highest first: aborted, malformed (the only
+    early return; no later block is asked for), timing, a zero challenge
+    among x_1..x_m, bit mismatch.
     """
-    if reveal is None:
+    if not header.is_complete:
         return Verdict.reject(REJECT_ABORTED)
+    spec, m, reveal = header.spec, header.m, header.reveal
     d = reveal.bit
     if m < 1 or d not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
@@ -330,7 +332,7 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
     fold = spec.fold
     zero_x = bytes(eb)
     size = record_struct(eb).size
-    taus = {1: tau1_ns, 2: tau2_ns}
+    taus = {1: header.tau1_ns, 2: header.tau2_ns}
     mistimed = zero = False
     a, k = d, 0
     for block in blocks:
@@ -363,10 +365,9 @@ def verify_rounds(spec: FieldSpec, m: int, tau1_ns: int, tau2_ns: int,
 
 
 def bob_verify(transcript: Transcript) -> Verdict:
-    """Full verification of an in-memory transcript (see `verify_rounds`)."""
+    """Full verification of an in-memory transcript: `verify_rounds` over its own rounds."""
     t = transcript
-    return verify_rounds(t.spec, t.m, t.tau1_ns, t.tau2_ns, t.reveal if t.is_complete else None,
-                         record_blocks(t.rounds, t.spec.element_bytes))
+    return verify_rounds(t, record_blocks(t.rounds, t.spec.element_bytes))
 
 
 # -- honest drive (reference harness) ------------------------------------------
@@ -464,10 +465,17 @@ def honest_round_stream(spec: FieldSpec, secrets: Iterable[int],
         yield from unpack_records(block, spec.element_bytes)
 
 
+def honest_header(spec: FieldSpec, m: int, d: int) -> Transcript:
+    """An honest m-round transcript's header, no rounds, on the schedule of
+    `honest_row_blocks`; the reveal's a_m is 0 until its writer knows it."""
+    return Transcript(spec=spec, m=m, tau1_ns=HONEST_TAU_NS, tau2_ns=HONEST_TAU_NS,
+                      reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1)
+
+
 def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int) -> Transcript:
     """Drive both committer agents over in-memory tapes, each round's
     challenge read from the challenge tape; returns a complete transcript
-    with both stations' deadline at HONEST_TAU_NS.
+    with the header of `honest_header`.
 
     This is the reference that streamed generation is compared against; the
     discrete-event simulator and the live transport produce the same records
@@ -477,14 +485,12 @@ def run_honest_protocol(spec: FieldSpec, secrets: Tape, challenges: Tape, d: int
     if len(challenges) < m:
         raise ProtocolError("challenge tape shorter than the secrets tape")
     alices = {1: AliceAgent(1, spec, secrets, d, m), 2: AliceAgent(2, spec, secrets, d, m)}
-    t = Transcript(spec=spec, m=m, tau1_ns=HONEST_TAU_NS, tau2_ns=HONEST_TAU_NS)
+    t = honest_header(spec, m, d)
     for k in range(1, m + 1):
         s = station_of(k)
         x_k = challenges[k - 1]
         y_k = alices[s].handle_challenge(k, x_k)
         issued = k * 1000
         t.rounds.append(RoundRecord(k, s, x_k, y_k, issued, issued + 1))
-    reveal_station = station_of(m + 1)
-    t.reveal = alices[reveal_station].reveal()
-    t.reveal_received_at = (m + 1) * 1000 + 1
+    t.reveal = alices[station_of(m + 1)].reveal()
     return t

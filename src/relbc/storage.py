@@ -60,7 +60,6 @@ from typing import Iterable, Iterator
 from .field import FieldError, FieldSpec, zero_elements
 from .planner import ProtocolPlan
 from .protocol import (
-    HONEST_TAU_NS,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     ProtocolError,
@@ -71,6 +70,7 @@ from .protocol import (
     Transcript,
     VERIFY_BLOCK_ROUNDS,
     Verdict,
+    honest_header,
     honest_row_blocks,
     record_blocks,
     record_struct,
@@ -376,14 +376,11 @@ def _write_header(f, t: Transcript, round_count: int) -> None:
     f.write(_XH_META.pack(t.m, round_count, t.scale_factor, t.tau1_ns, t.tau2_ns))
     f.write(_XH_STATUS.pack(_STATUS_CODES[t.status], t.abort_round or 0, len(reason)))
     f.write(reason)
-    if t.reveal is None:
-        f.write(_XH_REVEAL.pack(0, 0))
-        f.write(b"\x00" * eb)
-        f.write(struct.pack(">q", 0))
-    else:
-        f.write(_XH_REVEAL.pack(1, t.reveal.bit))
-        f.write(t.reveal.final_secret.to_bytes(eb, "little"))
-        f.write(struct.pack(">q", t.reveal_received_at))
+    r = t.reveal
+    flag, bit, a_m, at = (1, r.bit, r.final_secret, t.reveal_received_at) if r else (0, 0, 0, 0)
+    f.write(_XH_REVEAL.pack(flag, bit))
+    f.write(a_m.to_bytes(eb, "little"))
+    f.write(struct.pack(">q", at))
 
 
 def _write_records(f, eb: int, blocks: Iterable[bytes], round_count: int) -> None:
@@ -541,8 +538,7 @@ def verify_file(path: str | Path,
                 f"{path}: transcript plan hash {h.plan_hash[:12] or '(none)'} does not "
                 f"match the supplied plan's {plan.plan_hash[:12]}"
             )
-        verdict = verify_rounds(h.spec, h.m, h.tau1_ns, h.tau2_ns,
-                                h.reveal if h.is_complete else None, blocks)
+        verdict = verify_rounds(h, blocks)
         rounds = (f.tell() - body) // record_struct(h.spec.element_bytes).size
     return verdict, VerifyStats(rounds, time.perf_counter() - t0)
 
@@ -553,7 +549,8 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
     """Forward-generate an honest m-round transcript file in constant memory.
 
     The file is byte for byte what `run_honest_protocol` (no plan hash)
-    writes for the same tapes. The records come packed from
+    writes for the same tapes: both take their header from
+    `protocol.honest_header`, and the records come packed from
     `protocol.honest_row_blocks`, a block at a time. `secrets` and
     `challenges` may be TapeReaders, whose byte blocks go to the answer
     kernel undecoded; a source that ends before element m raises
@@ -568,13 +565,11 @@ def generate_honest_transcript_file(path: str | Path, spec: FieldSpec, m: int,
         a_m = yield from records
 
     # the header precedes the rounds and a_m is known only after them, so
-    # the header is written with a_m = 0 and its reveal payload patched;
-    # the header ends with that payload and the 8-byte reveal timestamp
-    header = Transcript(spec=spec, m=m, tau1_ns=HONEST_TAU_NS, tau2_ns=HONEST_TAU_NS,
-                        reveal=RevealMessage(d, 0), reveal_received_at=(m + 1) * 1000 + 1)
+    # its reveal payload, 0 in `honest_header`, is patched; the header ends
+    # with that payload and the 8-byte reveal timestamp
     try:
         with _new_file(path) as f:
-            _write_header(f, header, m)
+            _write_header(f, honest_header(spec, m, d), m)
             reveal_at = f.tell() - 8 - eb
             _write_records(f, eb, blocks(), m)
             f.seek(reveal_at)

@@ -195,15 +195,11 @@ def _recv_exact(sock: socket.socket, size: int, deadline_ns: int) -> bytes:
 def recv_frame(sock: socket.socket, deadline_ns: int) -> WireFrame:
     """Read one frame; raises TimeoutError once monotonic_ns passes
     `deadline_ns`, however the frame's bytes arrive."""
-    try:
-        head = _recv_exact(sock, 4, deadline_ns)
-        (length,) = _U32.unpack(head)
-        if length < 9 or length > 9 + MAX_FRAME_PAYLOAD:
-            raise MalformedFrameError(f"bad frame length {length}", 0)
-        body = _recv_exact(sock, length, deadline_ns)
-    except socket.timeout as exc:
-        raise TimeoutError(str(exc)) from exc
-    return decode_frame(head + body)
+    head = _recv_exact(sock, 4, deadline_ns)
+    (length,) = _U32.unpack(head)
+    if length < 9 or length > 9 + MAX_FRAME_PAYLOAD:
+        raise MalformedFrameError(f"bad frame length {length}", 0)
+    return decode_frame(head + _recv_exact(sock, length, deadline_ns))
 
 
 @dataclass
@@ -412,16 +408,12 @@ class _Session:
     def start_ns(self, k: int) -> int:
         return self.plan.round_start_ns(k) * self.scale
 
-    def recv(self, sock: socket.socket) -> WireFrame:
-        """The next frame, within the session's I/O timeout."""
-        return recv_frame(sock, time.monotonic_ns() + int(self.cfg.io_timeout_s * 1e9))
-
     def expect(self, sock: socket.socket, ftype: int, on_abort: str,
                detail: str = "") -> WireFrame:
-        """The next frame, which must be of type `ftype`. A received ABORT
-        ends the role with the ABORT's reason, or `on_abort` when it gives
-        none; any other type is malformed."""
-        frame = self.recv(sock)
+        """The next frame, within the session's I/O timeout, which must be of
+        type `ftype`. A received ABORT ends the role with the ABORT's reason,
+        or `on_abort` when it gives none; any other type is malformed."""
+        frame = recv_frame(sock, time.monotonic_ns() + int(self.cfg.io_timeout_s * 1e9))
         if frame.type == FRAME_ABORT:
             raise _Abort(AbortReport(frame.payload.decode(errors="replace") or on_abort,
                                      frame.round_index or None, detail))

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, manifests."""
 
+import errno
 import hashlib
 import json
+import os
 import re
 import socket
 
@@ -501,6 +503,45 @@ class TestSimulateAndVerify:
         assert manifest["seeds"] == [77]
         assert manifest["outputs"] == ["t.rbcx", str(in_tmp / "t.audit.json")] or \
             manifest["outputs"][0] == "t.rbcx"
+
+
+class TestInputsRefusedWithoutTraceback:
+    """A count, a path or a file the commands cannot use ends in one `error:`
+    line and exit 1, and nothing is written: no output file, no manifest."""
+
+    @staticmethod
+    def run_refused(in_tmp, capsys, *argv) -> str:
+        before = sorted(in_tmp.rglob("*"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(in_tmp.rglob("*")) == before
+        return err
+
+    def test_rounds_too_large_for_a_float(self, in_tmp, capsys):
+        err = self.run_refused(in_tmp, capsys, "simulate", "--rounds", "1" + "0" * 400,
+                               "--n", "8")
+        assert "--rounds" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "d"],
+        ["tape", "--plan", "plan.json", "--role", "alice-secrets", "--out", "d"],
+        ["simulate", "--rounds", "20", "--n", "8", "--out", "d"],
+        ["plan", "case1", "--out", "d"],
+    ], ids=["verify", "tape", "simulate", "plan"])
+    def test_directory_given_as_a_file(self, in_tmp, capsys, argv):
+        save_plan(small_plan(24, n=128), in_tmp / "plan.json")
+        (in_tmp / "d").mkdir()
+        err = self.run_refused(in_tmp, capsys, *argv)
+        assert os.strerror(errno.EISDIR) in err
+
+    def test_config_that_is_not_text(self, in_tmp, capsys):
+        """A transcript file named as a config is refused, by name."""
+        spec = FieldSpec(8)
+        write_transcript(run_honest_protocol(spec, *random_tapes(spec, 4, seed=1), 1),
+                         in_tmp / "h.rbcx")
+        err = self.run_refused(in_tmp, capsys, "plan", "h.rbcx")
+        assert "config file h.rbcx is not UTF-8 text" in err
 
 
 class TestBench:

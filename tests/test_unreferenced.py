@@ -5,9 +5,8 @@ whose name no module of `src/relbc` references, and compares the list with
 a pinned set. It goes by name only: a `Name`, an attribute or an import of
 the same name anywhere in the package counts as a reference. So a method
 that shares its name with an attribute elsewhere escapes it, as
-`Transcript.tau_ns` did while `transport._Session.tau_ns` existed, and a
-name the package `__init__` re-exports counts as used. Dunder methods are
-called by the language and are skipped.
+`Transcript.tau_ns` did while `transport._Session.tau_ns` existed. Dunder
+methods are called by the language and are skipped.
 
 A name may join the pinned set only with its reason written beside it;
 the change that adds it says so.
@@ -28,6 +27,8 @@ PINNED = {
     "write_tape": "perfbench",
     "write_transcript_stream": "perfbench",
     "random_int": "the per-element reference that `FieldSpec.random_block` matches",
+    "batch_inverse": "perfbench",
+    "run_honest_protocol": "the reference that streamed generation is compared against; perfbench",
 }
 
 

@@ -115,7 +115,7 @@ def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults, sizes):
             break
         blocks.append(body[at:at + count * size])
         at += len(blocks[-1])
-    assert verify_rounds(S8, m, TAU_NS, TAU_NS, t.reveal, blocks) == verdict
+    assert verify_rounds(t, blocks) == verdict
     if not faults:
         assert verdict == Verdict.accept(d)
 
@@ -150,8 +150,7 @@ def test_no_block_is_read_after_a_malformed_one():
         yield from islice(record_blocks(t.rounds, S8.element_bytes), 1)
         pytest.fail("a block was read after the malformed one")
 
-    assert verify_rounds(S8, t.m, TAU_NS, TAU_NS, t.reveal, blocks()) == \
-        Verdict.reject(REJECT_MALFORMED)
+    assert verify_rounds(t, blocks()) == Verdict.reject(REJECT_MALFORMED)
 
 
 @pytest.mark.parametrize("station, turnaround, reason", [
@@ -179,8 +178,7 @@ def test_partial_record_block_is_malformed(cut):
     t = honest(6, seed=4, d=1)
     body = b"".join(record_blocks(t.rounds, S8.element_bytes))
     blocks = [body[:cut], body[cut:]]
-    assert verify_rounds(S8, t.m, TAU_NS, TAU_NS, t.reveal, blocks) == \
-        Verdict.reject(REJECT_MALFORMED)
+    assert verify_rounds(t, blocks) == Verdict.reject(REJECT_MALFORMED)
 
 
 @pytest.mark.parametrize("fault, read", [
