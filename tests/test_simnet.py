@@ -530,6 +530,139 @@ def test_event_count_by_hand():
     assert not rep.aborted and rep.event_count == 4 * plan.m + 3
 
 
+# Runs that abort at or next to the edges of the simulator's blocks and of
+# the 256-round answer blocks, m=1030 at n=8, computed before rounds were
+# settled a block at a time: late-decision on rounds 2, 255..257, 512, 513,
+# 1029 and 1030 at margins -1, 0 and +1, on exact and pps clocks; relay on
+# both (abort at round 2), and relay with station 2's agents 6 ms behind
+# (abort at round 3). Each value is the abort, event_count, rounds_recorded,
+# worst_true_slack_ns, margin_violation_rounds and the transcript's sha256.
+BLOCK_EDGE_CLOCKS = {
+    "exact": {},
+    "pps": {agent: ClockModel(*params) for agent, params in PPS_CLOCK_PARAMS.items()},
+    "skew": {"A2": ClockModel(offset_ns=-6_000_000), "B2": ClockModel(offset_ns=-6_000_000)},
+}
+BLOCK_EDGE_PINS = {
+    ("exact", "late-decision", 2, -1): ((2, "deadline"), 7, 1, None, [],
+        "b027164386ee183a78108a42eb45677d2418231bbd68b9bf4fe141d94ec2c8fd"),
+    ("exact", "late-decision", 2, 0): (None, 4123, 1030, 3300, [],
+        "20c0920e33911e0c241bd054a74d148ca4807af1ff18b991d61ae4a220fb8ce6"),
+    ("exact", "late-decision", 2, 1): (None, 4123, 1030, 3300, [],
+        "18ff8aa0687baa97c72477e248f6db144a77b336c0db29e2608ea52d2a2bfb14"),
+    ("exact", "late-decision", 255, -1): ((255, "deadline"), 1019, 254, 3300, [],
+        "f1dbeeae00bd00ff1839176bb403da85ebff839a5742df590e5d22ef25d46f50"),
+    ("exact", "late-decision", 255, 0): (None, 4123, 1030, 3300, [],
+        "dd384204d3cdc3ee1c82d6c2b15fe580c5e32edefc0f70853d9d51a6899a5b39"),
+    ("exact", "late-decision", 255, 1): (None, 4123, 1030, 3300, [],
+        "19d8960d85265c767947957b62f2adfda5eb0059cac9622d5e8a32a94fc39fe2"),
+    ("exact", "late-decision", 256, -1): ((256, "deadline"), 1023, 255, 3300, [],
+        "bf7c00030d1fab1d5fcdaa95be33af884fe69f0cda58ccf0ec72eabeae999bd6"),
+    ("exact", "late-decision", 256, 0): (None, 4123, 1030, 3300, [],
+        "aadc5f06713552ea72851522f787929ddd29513b6b122166046bdce5a6a1b3af"),
+    ("exact", "late-decision", 256, 1): (None, 4123, 1030, 3300, [],
+        "cdaf0caba44d31bf78df4341ba93475fefb56fb7df82e48557b0e7c4ddecb954"),
+    ("exact", "late-decision", 257, -1): ((257, "deadline"), 1027, 256, 3300, [],
+        "f6f409fdf0711ca9b7f36277dca1ff5eadbd5647d9cfee9cabbe95f06117faf9"),
+    ("exact", "late-decision", 257, 0): (None, 4123, 1030, 3300, [],
+        "561e4128dc98bd52cceba817e5617987c0f9147f702ab6688d6895092d31ba08"),
+    ("exact", "late-decision", 257, 1): (None, 4123, 1030, 3300, [],
+        "e59b29eae429c4f141e59dadf7e3beee96eb2ae1ffb3544fefa01a129aff630d"),
+    ("exact", "late-decision", 512, -1): ((512, "deadline"), 2047, 511, 3300, [],
+        "f82408a6178357bbd9f13085bfc1c0fc579894e51ec709b8cec76c675f0d7430"),
+    ("exact", "late-decision", 512, 0): (None, 4123, 1030, 3300, [],
+        "2a69040e8ab3644a5b174aaf5187fc34549065f96dbea84e5eb980771df80828"),
+    ("exact", "late-decision", 512, 1): (None, 4123, 1030, 3300, [],
+        "0b8a97b52c42e2ca77d79551a337f4f8e6d1c65bcef4fc7a002aee62affbac07"),
+    ("exact", "late-decision", 513, -1): ((513, "deadline"), 2051, 512, 3300, [],
+        "9590614cb289c014b08a277eb616b47718d3856eef310a39be616f4d198a1b09"),
+    ("exact", "late-decision", 513, 0): (None, 4123, 1030, 3300, [],
+        "50f6bec58f3640d7b3086cc434986a358503967385e4ada6d67b7bd9d7e0bee2"),
+    ("exact", "late-decision", 513, 1): (None, 4123, 1030, 3300, [],
+        "227e334bf2b71bd8899790e11c6a1c58b8facc2ec8953183db23bc151a75817a"),
+    ("exact", "late-decision", 1029, -1): ((1029, "deadline"), 4115, 1028, 3300, [],
+        "bcca1fa964b34156604b8af06b5d85c0adebeeb1f9b50f6f71723bc4196d95c3"),
+    ("exact", "late-decision", 1029, 0): (None, 4123, 1030, 3300, [],
+        "ec4b0c30ad55e2993f1b59c9dd88239d409adc67d61ff6e80a071ce8a285d99c"),
+    ("exact", "late-decision", 1029, 1): (None, 4123, 1030, 3300, [],
+        "3e6310e4aeb01e3d13376ee373da0e6205f96d613bb0f7ad4767d3bc8ff484de"),
+    ("exact", "late-decision", 1030, -1): ((1030, "deadline"), 4119, 1029, 3300, [],
+        "51400ea7db8706596796a5fd7832bd37ca36e8fcf522734f27107c13b4d6a181"),
+    ("exact", "late-decision", 1030, 0): (None, 4123, 1030, 3300, [],
+        "6cc4a70736a2541a644f658e86d2643d9531f6a548c3b71d7dad0ab5ac79f2eb"),
+    ("exact", "late-decision", 1030, 1): (None, 4123, 1030, 3300, [],
+        "55ec641c2221547e108738e933baf342871b99e00e4b6cf134c4a655ab5da98b"),
+    ("exact", "relay", 0, 0): ((2, "deadline"), 7, 1, None, [],
+        "b027164386ee183a78108a42eb45677d2418231bbd68b9bf4fe141d94ec2c8fd"),
+    ("pps", "late-decision", 2, -1): ((2, "deadline"), 7, 1, None, [],
+        "b027164386ee183a78108a42eb45677d2418231bbd68b9bf4fe141d94ec2c8fd"),
+    ("pps", "late-decision", 2, 0): (None, 4123, 1030, 3198, [],
+        "f719327202ff4f71584a2d3d1eba1b0bec3c5811276ffbae7d725f182eb2b86a"),
+    ("pps", "late-decision", 2, 1): (None, 4123, 1030, 3198, [],
+        "90af4e89b3eb1f18d68caa54ca83f9fcc1a51376e061738070e2d3b9cdc9117d"),
+    ("pps", "late-decision", 255, -1): ((255, "deadline"), 1019, 254, 3198, [],
+        "f1dbeeae00bd00ff1839176bb403da85ebff839a5742df590e5d22ef25d46f50"),
+    ("pps", "late-decision", 255, 0): (None, 4123, 1030, 3198, [],
+        "1f52721940042fc504e565aa246599f04b0c7d2d615a2dd4e8ed8a521f79b93c"),
+    ("pps", "late-decision", 255, 1): (None, 4123, 1030, 3198, [],
+        "cb9bc5ad5064f6d8cba8cbadcd77d90b009d390f3a126f81f9516108b4c792fe"),
+    ("pps", "late-decision", 256, -1): ((256, "deadline"), 1023, 255, 3198, [],
+        "bf7c00030d1fab1d5fcdaa95be33af884fe69f0cda58ccf0ec72eabeae999bd6"),
+    ("pps", "late-decision", 256, 0): (None, 4123, 1030, 3198, [],
+        "fd7085be5288f61900601db8d10f0fc7e0fe245f3fbf91f2581346ed3f4bd467"),
+    ("pps", "late-decision", 256, 1): (None, 4123, 1030, 3198, [],
+        "64365e71d30ec2823184295cc66b9c4338ef01b7706223aa2ddb5be7eeb1dd78"),
+    ("pps", "late-decision", 257, -1): ((257, "deadline"), 1027, 256, 3198, [],
+        "f6f409fdf0711ca9b7f36277dca1ff5eadbd5647d9cfee9cabbe95f06117faf9"),
+    ("pps", "late-decision", 257, 0): (None, 4123, 1030, 3198, [],
+        "2f57073dd5153c99f94f06bb016997d5122143f4007887aac209d126d4798486"),
+    ("pps", "late-decision", 257, 1): (None, 4123, 1030, 3198, [],
+        "657958500e50e6886c34ef7e7fefb3cfb0ee0488da56d8fc90e75467e93c7131"),
+    ("pps", "late-decision", 512, -1): ((512, "deadline"), 2047, 511, 3198, [],
+        "f82408a6178357bbd9f13085bfc1c0fc579894e51ec709b8cec76c675f0d7430"),
+    ("pps", "late-decision", 512, 0): (None, 4123, 1030, 3198, [],
+        "27d064ba9431e1632db5f81177adc33c0447abdd3986bf6ef1bae605a1520c18"),
+    ("pps", "late-decision", 512, 1): (None, 4123, 1030, 3198, [],
+        "40ed265c93c2a6e21418bfe944cea2bea3bab127847828ba813c961b292057e8"),
+    ("pps", "late-decision", 513, -1): ((513, "deadline"), 2051, 512, 3198, [],
+        "9590614cb289c014b08a277eb616b47718d3856eef310a39be616f4d198a1b09"),
+    ("pps", "late-decision", 513, 0): (None, 4123, 1030, 3198, [],
+        "74e139149c6685b068c28199a20657e4dfd6d2a5ac6fb354ebb73c368ee14e70"),
+    ("pps", "late-decision", 513, 1): (None, 4123, 1030, 3198, [],
+        "f66aa15f39981feb187cd27bf321ee0558625717c400e023838a7a12e7df2ea4"),
+    ("pps", "late-decision", 1029, -1): ((1029, "deadline"), 4115, 1028, 3198, [],
+        "bcca1fa964b34156604b8af06b5d85c0adebeeb1f9b50f6f71723bc4196d95c3"),
+    ("pps", "late-decision", 1029, 0): (None, 4123, 1030, 3198, [],
+        "519b0e6d6b691b616617673a672d0c57661c77466dbfff04e9898109f95afa99"),
+    ("pps", "late-decision", 1029, 1): (None, 4123, 1030, 3198, [],
+        "63e18cec7c508a7cd3be066937def1fff49593c62b28afc472f0c16d67fb36a7"),
+    ("pps", "late-decision", 1030, -1): ((1030, "deadline"), 4119, 1029, 3198, [],
+        "51400ea7db8706596796a5fd7832bd37ca36e8fcf522734f27107c13b4d6a181"),
+    ("pps", "late-decision", 1030, 0): (None, 4123, 1030, 3198, [],
+        "1955eadf66d86eee6be044adb275777c69bb592f1d5aa9272333483fd5593018"),
+    ("pps", "late-decision", 1030, 1): (None, 4123, 1030, 3198, [],
+        "b60d4c529d1854ba22de9208ca51f8658acf8b88d0df73284b623cb330ed79d8"),
+    ("pps", "relay", 0, 0): ((2, "deadline"), 7, 1, None, [],
+        "b027164386ee183a78108a42eb45677d2418231bbd68b9bf4fe141d94ec2c8fd"),
+    ("skew", "relay", 0, 0): ((3, "deadline"), 8, 1, None, [],
+        "b07564a06e26328744f05c206e230a98488929285d8c64614d27837ba6bd7d31"),
+}
+
+
+@pytest.mark.parametrize("clocks, kind, target, margin", list(BLOCK_EDGE_PINS),
+                         ids=lambda v: str(v))
+def test_block_edge_aborts(clocks, kind, target, margin):
+    plan = small_plan(1030, n=8)
+    strategy = (AdversaryStrategy(kind, target, margin) if kind == "late-decision"
+                else AdversaryStrategy(kind))
+    t, rep = run_simulation(plan, clocks=BLOCK_EDGE_CLOCKS[clocks], strategy=strategy,
+                            seed=1, bit=0)
+    abort = (rep.abort_round, rep.abort_reason) if rep.aborted else None
+    assert (abort, rep.event_count, rep.rounds_recorded, rep.worst_true_slack_ns,
+            rep.margin_violation_rounds,
+            hashlib.sha256(transcript_to_bytes(t)).hexdigest()) == \
+        BLOCK_EDGE_PINS[clocks, kind, target, margin]
+
+
 def test_abort_after_reveal_reports_every_pair():
     """The reveal (round m+1 = 257) leaves A1, 300 m from B1 on an exact
     clock, and lands inside round 257's window on B1's clock, which is
