@@ -466,6 +466,32 @@ def test_random_clock_golden_digest():
     assert h.hexdigest() == RANDOM_CLOCK_GOLDEN_DIGEST
 
 
+# A fourth output pin, computed before rounds were settled a block at a time,
+# on a geometry the pins above lack: deadlines of 2 and 5 us, then 6 and 1
+# us, at the two stations, so their gaps differ; m=514.
+ASYMMETRIC_STRATEGIES = GOLDEN_STRATEGIES + [
+    AdversaryStrategy("late-decision", target_round=257, margin_ns=-1),
+    AdversaryStrategy("late-decision", target_round=514, margin_ns=0)]
+ASYMMETRIC_GOLDEN_DIGEST = "7d35f64d9dedf5776c3b9f0a612ca6a46c34b95c70b1f7fa50db1bcd38a16964"
+
+
+def test_asymmetric_golden_digest():
+    h = hashlib.sha256()
+    for tau1, tau2 in ((2e-6, 5e-6), (6e-6, 1e-6)):
+        plan = resource_plan(SpacetimeConfig(
+            L=9000.0, l1=SPEED_OF_LIGHT * tau1 / 2, l2=SPEED_OF_LIGHT * tau2 / 2,
+            tau1=tau1, tau2=tau2, t_m=3.3e-6, T=1.2e-2, n=8))
+        assert plan.m == 514 and plan.gap_to_station1_ns != plan.gap_to_station2_ns
+        for clocks in GOLDEN_CLOCKS:
+            for strategy in ASYMMETRIC_STRATEGIES:
+                for seed, bit in ((1, 0), (2, 1)):
+                    t, rep = run_simulation(plan, clocks=clocks, strategy=strategy,
+                                            seed=seed, bit=bit)
+                    h.update(transcript_to_bytes(t))
+                    h.update(json.dumps(asdict(rep), sort_keys=True).encode())
+    assert h.hexdigest() == ASYMMETRIC_GOLDEN_DIGEST
+
+
 def counting_clocks(params: dict) -> tuple[dict, list[int]]:
     """A clock for every agent, built from its (offset, rate, discipline) in
     `params` or exact, and a list whose one entry counts their conversions
