@@ -110,6 +110,19 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _check_manifest_path(args: argparse.Namespace) -> None:
+    """Refuse a `--manifest` path that cannot be written, before the command
+    writes or prints anything: a directory, or a file in a missing one."""
+    path = getattr(args, "manifest", None)
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise OSError(f"--manifest {path}: is a directory")
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise OSError(f"--manifest {path}: no directory {parent}")
+
+
 def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
     """The duration T at which the planner lands exactly on `rounds` (even)."""
     try:
@@ -410,6 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_manifest_path(args)
         return args.func(args)
     except (PlannerError, SimulationError, StorageError, TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

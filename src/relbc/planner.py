@@ -27,6 +27,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, asdict
+from itertools import count, islice
 from pathlib import Path
 
 from .field import DEFAULT_POLYS
@@ -284,6 +285,15 @@ class ProtocolPlan:
         evens = k // 2
         odds = (k - 1) // 2
         return evens * self.gap_to_station2_ns + odds * self.gap_to_station1_ns
+
+    def round_starts_ns(self, k: int, size: int) -> list[int]:
+        """`round_start_ns` of rounds k..k+size-1. A station's rounds start
+        one gap_to_station1_ns + gap_to_station2_ns apart."""
+        period = self.gap_to_station1_ns + self.gap_to_station2_ns
+        starts = [0] * size
+        starts[0::2] = islice(count(self.round_start_ns(k), period), (size + 1) // 2)
+        starts[1::2] = islice(count(self.round_start_ns(k + 1), period), size // 2)
+        return starts
 
     def to_dict(self) -> dict:
         return asdict(self)

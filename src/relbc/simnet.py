@@ -12,28 +12,37 @@ answer that depends on the previous round's challenge cannot arrive on time:
 light itself would miss the deadline by t_M.
 
 The engine is single-threaded and reproducible: identical inputs give
-byte-identical transcripts and reports. It keeps no event queue: a round's
-events (start, challenge arrival, covert relay, answer arrival, deadline)
-are computed in closed form when the run reaches the round, its start and
-deadline converted to the global frame once each. Every event has an order
-key, (t, 0, seq) for a scheduled one, seq being 2k-2 for round k's start,
-2k-1 for its deadline, 2m for the reveal's deadline and 2m+1 for its send,
-and (t, 1, parent key, i) for an event that another one creates, i ordering
-one parent's events. The abort is the fault with the smallest key, and the
-run's events are the keys at or below it. Rounds are visited in index
-order until the earliest fault lies before the next two rounds' global
-starts, so a run that aborts early stops converting. A clock with zero rate
-is a pure offset and converts in closed form; a drifting clock is inverted
-by iterating its drift estimate until it settles, then stepping to the
-exact crossing. A pps-disciplined clock holds its reading at every pulse,
-the one at global time 0 included, so no clock runs backward.
+byte-identical transcripts and reports. It keeps no event queue. Rounds are
+settled a block at a time: 2 rounds, then as many as have run, up to
+`VERIFY_BLOCK_ROUNDS`, so each block lies inside one answer block. A
+block's events (start, challenge arrival, covert relay, answer arrival,
+deadline) are columns of global times, one entry a round; its starts and
+deadlines are converted to the global frame by `map`, once each, and its
+receipts back to the stations' clocks. Its faults are read off the
+columns: an answer after its deadline, or a turnaround outside
+`arrival_fault`'s window. Every event has an order key, (t, 0, seq) for a
+scheduled one, seq being 2k-2 for round k's start, 2k-1 for its deadline,
+2m for the reveal's deadline and 2m+1 for its send, and (t, 1, parent key,
+i) for an event that another one creates, i ordering one parent's events.
+The abort is the fault with the smallest key, and the run's events are the
+keys at or below it. Keys are built only where times may tie: for a
+block's earliest faults, and at the end of the run for the blocks that
+straddle the abort; a block wholly below it counts 4 events a round, 5
+under relay. The run stops before a block whose first two global starts lie
+past the earliest fault, so a run that aborts early stops converting.
+
+A clock with zero rate is a pure offset and converts in closed form; a
+drifting clock is inverted by iterating its drift estimate until it
+settles, then stepping to the exact crossing. A pps-disciplined clock holds
+its reading at every pulse, the one at global time 0 included, so no clock
+runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
 transcript generation packs too, `VERIFY_BLOCK_ROUNDS` rounds at a time: a
 block is computed when the run first reaches a round past the answers held,
-so a run that aborts early answers one block, not m rounds. Visiting rounds
-in index order gives each of her two agents its station's rounds in order,
+so a run that aborts early answers one block, not m rounds. Settling blocks
+in round order gives each of her two agents its station's rounds in order,
 as `AliceAgent` keeps them over the wire; the reveal is the tape's a_m with
 her bit, flipped by `wrong-bit-reveal`.
 
@@ -51,6 +60,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import cycle
+from operator import add, gt, sub
 
 from .field import FieldSpec
 from .planner import ProtocolPlan, NS
@@ -65,6 +76,7 @@ from .protocol import (
     STATUS_COMPLETE,
     Tape,
     Transcript,
+    VERIFY_BLOCK_ROUNDS,
     arrival_fault,
     honest_answer_blocks,
     station_of,
@@ -238,6 +250,53 @@ def _travel_ns(pos_a: float, pos_b: float, c: float) -> int:
     return math.ceil(abs(pos_a - pos_b) * NS / c)
 
 
+def _by_station(convert: tuple, col: list) -> list:
+    """`col`, whose entries alternate station 1 and 2, each through its
+    station's `convert`, indexed by station number."""
+    out = col[:]
+    out[0::2] = map(convert[1], col[0::2])
+    out[1::2] = map(convert[2], col[1::2])
+    return out
+
+
+@dataclass
+class _Block:
+    """The global times of rounds k0, k0+1, ... in columns, one entry a
+    round, and the key of the covert relay of the round before k0."""
+
+    k0: int
+    starts: list[int]
+    arrivals: list[int]    # the challenge at the committer's agent
+    deadlines: list[int]
+    answers: list[int]     # the answer at the verifier
+    relayed: list[int]     # the challenge at the other agent; empty but under relay
+    covert_in: tuple
+    slacks: list           # start(k-1) - deadline(k): the light-cone slack less t_L
+    last: int              # the latest event time
+
+    def covert(self, i: int) -> tuple:
+        """The key of round k0+i's covert relay; i = -1 is the previous round's."""
+        if i < 0:
+            return self.covert_in
+        start = (self.starts[i], 0, 2 * (self.k0 + i) - 2)
+        return (self.relayed[i], 1, (self.arrivals[i], 1, start, 0), 0)
+
+    def keys(self, i: int) -> list[tuple]:
+        """Round k0+i's event keys: start, challenge arrival, deadline, answer
+        arrival and, under relay, the covert relay."""
+        k = self.k0 + i
+        start = (self.starts[i], 0, 2 * k - 2)
+        by = arrival = (self.arrivals[i], 1, start, 0)
+        if self.relayed:
+            # a sustain round is answered once the previous challenge has come over
+            by = max(arrival, self.covert(i - 1))
+        keys = [start, arrival, (self.deadlines[i] + 1, 0, 2 * k - 1),
+                (self.answers[i], 1, by, 1)]
+        if self.relayed:
+            keys.append(self.covert(i))
+        return keys
+
+
 def run_simulation(plan: ProtocolPlan,
                    placements: dict[str, float] | None = None,
                    clocks: dict[str, ClockModel] | None = None,
@@ -278,7 +337,6 @@ def run_simulation(plan: ProtocolPlan,
     clocks = clocks or {}
     clk = {agent: clocks.get(agent, EXACT_CLOCK) for agent in AGENTS}
     c = plan.config.c
-    t_l_ns = plan.t_l_ns
     # per-station lookups, indexed by station number (1 or 2)
     b_local_at = (None, clk["B1"].local_at_global, clk["B2"].local_at_global)
     b_global_at = (None, clk["B1"].global_at_local, clk["B2"].global_at_local)
@@ -316,99 +374,128 @@ def run_simulation(plan: ProtocolPlan,
         fault(reveal_key, reveal_round, reason)
     answered = (math.inf,)   # the key of the event that answered round m-1
 
-    def start(k: int) -> tuple[int, float]:
-        """Round k's local and global start, the global one inf past the reveal."""
-        if k > reveal_round:
-            return 0, math.inf
-        local = plan.round_start_ns(k)
-        return local, b_global_at[1 if k & 1 else 2](local)
-
+    relay = skind == RELAY
+    per_round = 5 if relay else 4   # events a round
     rounds: list[RoundRecord] = []
-    # (latest key, k, answer arrival key, keys) for each visited round whose
-    # events are not yet all known to lie below the abort, in round order
-    pending: deque[tuple] = deque()
-    events = 0   # the events of the rounds dropped from pending
-    covert: tuple = ()   # the previous round's covert relay, under relay
-    # global-frame diagnostics, gathered as rounds are visited: each new
-    # minimum of the light-cone slack issued(k) + t_L - deadline(k+1) as
-    # (k, min over pairs 1..k), and the first rounds starting > t_M off nominal
-    slack_steps: list[tuple[int, int]] = []
-    margin_rounds: list[int] = []
+    # the visited blocks whose events are not yet all known to lie below the
+    # abort, in round order
+    pending: deque[_Block] = deque()
+    events = 0   # the events of the blocks dropped from pending
+    settled_slack = math.inf   # their least start(k-1) - deadline(k)
+    margin_rounds: list[int] = []   # the first rounds starting > t_M off nominal
     t_m_ns = plan.t_m_ns
-    prev_start = 0
-    (issued, g_start), (next_issued, g_next) = start(1), start(2)
-    horizon = min(g_start, g_next)
-    for k in range(1, reveal_round + 1):
-        # every event of rounds k on lies at or after the horizon, the earlier
-        # of their next two global starts (each station's starts rise in
-        # local time, and global_at_local never decreases), so a fault
-        # before it is the abort
-        if abort_key[0] < horizon:
+    covert: tuple = ()   # the previous round's covert relay, under relay
+    prev_start = math.inf   # no pair ends at round 1
+    # the global starts of the next block's first two rounds
+    ahead = [b_global_at[1](plan.round_start_ns(1)), b_global_at[2](plan.round_start_ns(2))]
+    k1 = 0
+    while k1 < m:
+        # blocks of 2 rounds, then of as many rounds as have run, up to
+        # VERIFY_BLOCK_ROUNDS: each lies inside one answer block, and an early
+        # abort converts only the few rounds it reaches
+        k0, k1 = k1 + 1, min(m, k1 + min(max(k1, 2), VERIFY_BLOCK_ROUNDS))
+        # every event of rounds k0 on lies at or after the earlier of their
+        # two global starts (each station's starts rise in local time, and
+        # global_at_local never decreases), so a fault before it is the abort
+        if abort_key[0] < min(ahead):
             break
-        st = 1 if k & 1 else 2
-        g_deadline = b_global_at[st](issued + tau[st])
-        if k > 1:
-            slack = prev_start + t_l_ns - g_deadline
-            if not slack_steps or slack < slack_steps[-1][1]:
-                slack_steps.append((k - 1, slack))
-        prev_start = g_start
-        if len(margin_rounds) < 100 and abs(g_start - issued) > t_m_ns:
-            margin_rounds.append(k)
-        # a deadline fires one tick past it so an arrival exactly at the
-        # deadline is still counted as on time
-        if k > m:
-            deadline_key = (g_deadline + 1, 0, 2 * m)
-            if reveal_key > deadline_key:
-                fault(deadline_key, k, ABORT_DEADLINE)
-            pending.append((deadline_key, k, reveal_key, (deadline_key,)))
-            break
-        if k - ys_from == len(ys):
-            ys_from, ys = k, spec.decode_block(next(answer_blocks)[1])
-        start_key = (g_start, 0, 2 * k - 2)
-        deadline_key = (g_deadline + 1, 0, 2 * k - 1)
-        t_sent = g_start + travel_ba[st]   # the challenge reaches A, who answers
-        by = ch_key = (t_sent, 1, start_key, 0)
-        keys = [start_key, ch_key, deadline_key]
-        if skind == RELAY:
-            # covertly forward this challenge to the peer agent, and hold a
+        n = k1 - k0 + 1
+        # the local starts of the block's rounds and of the next block's
+        # first two; k0 is odd, so each column alternates station 1 and 2
+        issued = plan.round_starts_ns(k0, min(k1 + 2, reveal_round) - k0 + 1)
+        starts = ahead + _by_station(b_global_at, issued[2:])
+        ahead = (starts[n:] + [math.inf, math.inf])[:2]
+        starts, issued = starts[:n], issued[:n]
+        deadlines = _by_station(b_global_at, list(map(add, issued, cycle(tau[1:]))))
+        arrivals = list(map(add, starts, cycle(travel_ba[1:])))
+        sent = arrivals
+        relayed: list[int] = []
+        if relay:
+            # covertly forward each challenge to the peer agent, and hold a
             # sustain round until the previous challenge has come over
-            if covert > ch_key:
-                t_sent, by = covert[0], covert
-            covert = (ch_key[0] + travel_aa, 1, ch_key, 0)
-            keys.append(covert)
-        t_answer = t_sent + travel_ba[st]
-        if k == target:
-            t_answer = max(t_answer, g_deadline - strategy.margin_ns)
-        answer_key = (t_answer, 1, by, 1)
-        keys.append(answer_key)
-        if k == m - 1:
-            answered = by
-        # every answer is judged by the one arrival rule on its verifier's clock
-        received = b_local_at[st](t_answer)
-        rounds.append(RoundRecord(k, st, xs[k - 1], ys[k - ys_from], issued, received))
-        if answer_key > deadline_key:
-            fault(deadline_key, k, ABORT_DEADLINE)
-        elif reason := arrival_fault(issued, received, tau[st]):
-            fault(answer_key, k, reason)
-        pending.append((max(keys), k, answer_key, keys))
-        (issued, g_start), (next_issued, g_next) = (next_issued, g_next), start(k + 2)
-        horizon = min(g_start, g_next)
-        # a round whose latest event lies below all that is still unknown
-        # (the horizon, the reveal's send, the abort) is counted and dropped
-        cutoff = min((horizon,), send_key, abort_key)
-        while pending and pending[0][0] < cutoff:
-            events += len(pending.popleft()[3])
+            relayed = [t + travel_aa for t in arrivals]
+            sent = list(map(max, arrivals, [covert[0] if covert else -math.inf, *relayed[:-1]]))
+        answers = list(map(add, sent, cycle(travel_ba[1:])))
+        if k0 <= target <= k1:
+            i = target - k0
+            answers[i] = max(answers[i], deadlines[i] - strategy.margin_ns)
+        received = _by_station(b_local_at, answers)
+        if k0 - ys_from == len(ys):
+            ys_from, ys = k0, spec.decode_block(next(answer_blocks)[1])
+        rounds += map(RoundRecord, range(k0, k1 + 1), cycle((1, 2)), xs[k0 - 1:k1],
+                      ys[k0 - ys_from:], issued, received)
+        block = _Block(k0, starts, arrivals, deadlines, answers, relayed, covert,
+                       list(map(sub, [prev_start, *starts[:-1]], deadlines)),
+                       max(max(deadlines) + 1, max(answers + relayed)))
+        if relay:
+            covert = block.covert(n - 1)
+        prev_start = starts[-1]
+        if k0 <= m - 1 <= k1:
+            answered = block.keys(m - 1 - k0)[3][2]   # its answer's parent
+
+        # the block's faults: an answer after its deadline (its key above the
+        # deadline's), or one outside `arrival_fault`'s window on its
+        # verifier's clock, 0 <= turnaround <= tau
+        turnarounds = list(map(sub, received, issued))
+        if (any(map(gt, answers, deadlines)) or min(turnarounds) < 0
+                or any(map(gt, turnarounds, cycle(tau[1:])))):
+            faults = []   # (time, row, index of the fault's key in keys(row), reason)
+            for i, (a, d) in enumerate(zip(answers, deadlines)):
+                if a > d:
+                    faults.append((d + 1, i, 2, ABORT_DEADLINE))
+                elif why := arrival_fault(issued[i], received[i], tau[1 + (i & 1)]):
+                    faults.append((a, i, 3, why))
+            first = min(faults)[0]
+            for t, i, which, why in faults:
+                if t == first:   # only the earliest can be the abort
+                    fault(block.keys(i)[which], k0 + i, why)
+        if len(margin_rounds) < 100:
+            off = list(map(sub, starts, issued))
+            if max(map(abs, off)) > t_m_ns:
+                margin_rounds += [k for k, d in zip(range(k0, k1 + 1), off)
+                                  if abs(d) > t_m_ns][:100 - len(margin_rounds)]
+
+        # a block whose latest event lies below all that is still unknown
+        # (the next block's starts, the reveal's send, the abort) is counted
+        # and dropped
+        pending.append(block)
+        cutoff = min(min(ahead), send_key[0], abort_key[0])
+        while pending and pending[0].last < cutoff:
+            block = pending.popleft()
+            events += per_round * len(block.starts)
+            settled_slack = min(settled_slack, min(block.slacks))
+
+    # a deadline fires one tick past it so an arrival exactly at the deadline
+    # is still counted as on time; a run that stopped short leaves the abort
+    # below round m+1's start
+    reveal_deadline: tuple = ()
+    reveal_slack = math.inf
+    if abort_key[0] >= ahead[0]:
+        g_deadline = b_global_at[st](reveal_issued + tau[st])
+        reveal_slack = prev_start - g_deadline
+        if len(margin_rounds) < 100 and abs(ahead[0] - reveal_issued) > t_m_ns:
+            margin_rounds.append(reveal_round)
+        reveal_deadline = (g_deadline + 1, 0, 2 * m)
+        if reveal_key > reveal_deadline:
+            fault(reveal_deadline, reveal_round, ABORT_DEADLINE)
 
     if m > 1 and answered > send_key:
         # her clock reached the reveal before she answered her rounds
         fault(send_key, reveal_round, ABORT_EARLY_REVEAL)
     events += (send_key <= abort_key) + (reveal_key <= abort_key)
-    for _, k, answer_key, keys in pending:
-        events += sum(key <= abort_key for key in keys)
-        # a round is recorded when its answer arrived by the abort, and the
-        # transcript keeps the contiguous round prefix
-        if answer_key > abort_key:
-            del rounds[k - 1:]
+    if reveal_deadline:
+        events += reveal_deadline <= abort_key
+    for block in pending:
+        if block.last < abort_key[0]:   # wholly below the abort
+            events += per_round * len(block.starts)
+            continue
+        for i in range(len(block.starts)):
+            keys = block.keys(i)
+            events += sum(key <= abort_key for key in keys)
+            # a round is recorded when its answer arrived by the abort, and
+            # the transcript keeps the contiguous round prefix
+            if keys[3] > abort_key:
+                del rounds[block.k0 + i - 1:]
     reveal_received = reveal_key < abort_key
     abort_round, abort_reason = abort or (None, None)
     reveal = None if abort else RevealMessage(bit ^ 1 if skind == WRONG_BIT_REVEAL else bit,
@@ -423,12 +510,12 @@ def run_simulation(plan: ProtocolPlan,
     # global-frame diagnostics over the pairs and rounds the run reached; a
     # run visits round m+1 before the reveal can land inside its window, and
     # a run that ends unaborted has received the reveal
-    worst_slack: int | None = None
     last_pair = reveal_round if reveal_received else len(rounds)
-    for k, slack in slack_steps:
-        if k >= last_pair:
-            break
-        worst_slack = slack
+    worst = min([settled_slack, *(s for block in pending
+                                  for s in block.slacks[:max(0, last_pair - block.k0 + 1)])])
+    if reveal_received:
+        worst = min(worst, reveal_slack)
+    worst_slack = None if worst == math.inf else worst + plan.t_l_ns
     last_round = len(rounds) if abort else reveal_round
     margin_violations = [k for k in margin_rounds if k <= last_round]
     discipline = [a for a in AGENTS if clk[a].pps_violation]

@@ -535,6 +535,27 @@ class TestInputsRefusedWithoutTraceback:
         err = self.run_refused(in_tmp, capsys, *argv)
         assert os.strerror(errno.EISDIR) in err
 
+    @pytest.mark.parametrize("manifest, why", [("d", "is a directory"),
+                                               ("missing/m.json", "no directory missing")],
+                             ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rounds", "20", "--n", "8", "--out", "t.rbcx"],
+        ["verify", "h.rbcx"],
+    ], ids=["simulate", "verify"])
+    def test_unwritable_manifest(self, in_tmp, capsys, argv, manifest, why):
+        """A `--manifest` path that cannot be written is refused before the
+        command runs: no verdict is printed and no transcript, audit or
+        manifest is written."""
+        spec = FieldSpec(8)
+        write_transcript(run_honest_protocol(spec, *random_tapes(spec, 4, seed=1), 1),
+                         in_tmp / "h.rbcx")
+        (in_tmp / "d").mkdir()
+        before = sorted(in_tmp.rglob("*"))
+        code, out, err = run_cli(capsys, *argv, "--manifest", manifest)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --manifest {manifest}: {why}") and "Traceback" not in err
+        assert sorted(in_tmp.rglob("*")) == before
+
     def test_config_that_is_not_text(self, in_tmp, capsys):
         """A transcript file named as a config is refused, by name."""
         spec = FieldSpec(8)

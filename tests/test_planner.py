@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -329,6 +330,16 @@ class TestSchedule:
             lhs = plan.round_start_ns(k + 1) + tau + plan.t_m_ns
             rhs = plan.round_start_ns(k) + plan.t_l_ns
             assert abs(lhs - rhs) <= 1
+
+    @pytest.mark.parametrize("gaps", [(17049, 17049), (7, 11), (11, 0)])
+    def test_round_starts_are_round_start_ns(self, gaps):
+        """A column of starts from either station's round equals
+        `round_start_ns` of each round, whichever gap is longer."""
+        plan = replace(small_plan(10), gap_to_station1_ns=gaps[0], gap_to_station2_ns=gaps[1])
+        for k in (1, 2, 3, 10):
+            for size in (1, 2, 3, 6):
+                assert plan.round_starts_ns(k, size) == [
+                    plan.round_start_ns(j) for j in range(k, k + size)]
 
     def test_infeasible_gap_guard(self):
         # deadlines longer than the light travel time leave no gap
