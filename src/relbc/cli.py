@@ -43,6 +43,7 @@ from .planner import (
     load_plan,
     parse_config,
     parse_duration,
+    rehearsal,
     resource_plan,
     save_plan,
 )
@@ -134,8 +135,9 @@ def _duration_for_rounds(cfg: SpacetimeConfig, rounds: int) -> float:
 def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
     """The one place arguments become a plan. `--plan` is loaded as it is and
     refuses every planning flag beside it; otherwise `--config` (case1 unless
-    given) is planned with the given overrides. A `y` duration, in the
-    config or in `--duration`, is 365 days unless `--year-days` says
+    given) is planned with the given overrides, and `relbc plan --scale`
+    plans the rehearsal of the result (`planner.rehearsal`). A `y` duration,
+    in the config or in `--duration`, is 365 days unless `--year-days` says
     otherwise."""
     given = {flag: getattr(args, flag[2:].replace("-", "_"), None)
              for flag in ("--config", "--rounds", "--n", "--duration", "--year-days")}
@@ -160,7 +162,7 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
         overrides["T"] = _duration_for_rounds(cfg, rounds)
     if overrides:
         cfg = replace(cfg, **overrides)
-    return resource_plan(cfg)
+    return resource_plan(rehearsal(cfg, getattr(args, "scale", 1)))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -170,6 +172,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
           f"m = {plan.m}   eps_old = {plan.epsilon_exponential:.3g}")
     print(f"min separation for these deadlines: {plan.min_separation_m / 1000:.3f} km")
     print(f"drift budget (t_m/T): {plan.drift_budget:.3g}")
+    if args.scale != 1:
+        print(f"rehearsal: every time x{args.scale} and c / {args.scale}; its transcripts "
+              f"certify no commitment")
     outputs = []
     if args.out:
         save_plan(plan, args.out)
@@ -262,7 +267,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = SessionConfig(
         role=args.role,
         plan=plan,
-        scale_factor=args.scale,
         bit=args.bit,
         secrets_path=args.secrets,
         challenges_path=args.challenges,
@@ -360,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", parents=[duration, manifest], help="evaluate a spacetime config")
     p.add_argument("config", help="config file path or built-in name (case1, case2)")
     p.add_argument("--out", help="write the machine-readable plan JSON here")
+    p.add_argument("--scale", type=int, default=1,
+                   help="plan a rehearsal instead: every time x SCALE and c / SCALE, for a "
+                        "live session on hosts that cannot keep the real light-cone gaps")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("tape", parents=[manifest], help="generate a pre-shared randomness tape")
@@ -395,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", help="host:port to listen on (verifier roles)")
     p.add_argument("--peer", action="append", metavar="ROLE=HOST:PORT",
                    help="peer address, repeatable")
-    p.add_argument("--scale", type=int, default=1000,
-                   help="multiply all plan times by this factor")
     p.add_argument("--bit", type=int, default=0, choices=[0, 1])
     p.add_argument("--out", help="write the assembled transcript here (verifier roles)")
     p.set_defaults(func=cmd_run)

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from itertools import count, islice
 from pathlib import Path
 
@@ -232,6 +232,18 @@ def min_separation(cfg: SpacetimeConfig) -> float:
     reference deployment's ~2.8 km.
     """
     return cfg.l1 + cfg.l2 + cfg.c * (cfg.t_m + (cfg.tau1 + cfg.tau2) / 2.0)
+
+
+def rehearsal(cfg: SpacetimeConfig, s: int) -> SpacetimeConfig:
+    """`cfg` slowed down `s` times, for hosts that cannot keep its
+    microsecond light-cone gaps: tau1, tau2, t_m and T times s, c divided by
+    s. m, the epsilons, the minimum separation and the drift budget stay.
+    Its plan has a hash of its own, so its transcripts certify no
+    commitment under `cfg`."""
+    if s < 1:
+        raise PlannerError(f"rehearsal scale must be >= 1, got {s}")
+    return replace(cfg, tau1=cfg.tau1 * s, tau2=cfg.tau2 * s, t_m=cfg.t_m * s,
+                   T=cfg.T * s, c=cfg.c / s)
 
 
 def drift_budget(t_m: float, T: float) -> float:

@@ -202,9 +202,10 @@ def unpack_records(data: bytes, eb: int) -> list[RoundRecord]:
 class Transcript:
     """Ordered record of all rounds plus the reveal; the unit of verification.
 
-    ``tau1_ns``/``tau2_ns`` are the enforced per-station answer deadlines in
-    the same (already scale-adjusted) units as the record timestamps, making
-    the transcript self-verifying without the plan.
+    ``tau1_ns``/``tau2_ns`` are the enforced per-station answer deadlines,
+    the plan's, in the units of the record timestamps, making the transcript
+    self-verifying without the plan. A live rehearsal's deadlines and
+    `plan_hash` are those of its rehearsal plan.
     """
 
     spec: FieldSpec
@@ -218,7 +219,6 @@ class Transcript:
     abort_reason: str | None = None
     abort_round: int | None = None
     plan_hash: str = ""
-    scale_factor: int = 1
 
     @property
     def is_complete(self) -> bool:

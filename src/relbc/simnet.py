@@ -33,9 +33,9 @@ past the earliest fault, so a run that aborts early stops converting.
 
 A clock with zero rate is a pure offset and converts in closed form; a
 drifting clock is inverted by iterating its drift estimate until it
-settles, then stepping to the exact crossing. A pps-disciplined clock holds
-its reading at every pulse, the one at global time 0 included, so no clock
-runs backward.
+settles, then bracketing the exact crossing by doubling steps and
+bisecting. A pps-disciplined clock holds its reading at every pulse, the
+one at global time 0 included, so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
@@ -144,23 +144,40 @@ class ClockModel:
         """The global time g at which this clock reaches `local_ns`:
         local_at_global(g) >= local_ns > local_at_global(g - 1),
         found by iterating the drift estimate until it stops changing and
-        then a step search."""
+        then a search from it. The clock never runs backward, so that g is
+        unique and bisection finds it."""
         base = local_ns - self.offset_ns
         if not self.rate:  # the closed form of the search below
             return base
         # the drift estimate usually settles after one or two steps; stop
-        # there, or after four, and let the step search make it exact
+        # there, or after four, and let the search make it exact
         g = base
         for _ in range(4):
             nxt = base - self.drift_ns(g)
             if nxt == g:
                 break
             g = nxt
-        while self.local_at_global(g) < local_ns:
-            g += 1
-        while self.local_at_global(g - 1) >= local_ns:
-            g -= 1
-        return g
+        # bracket the crossing, reading(lo) < local_ns <= reading(hi), by
+        # steps that double away from the estimate, then bisect: the crossing
+        # is usually g or g + 1 (two readings), and one inside a pps hold of
+        # rate * NS ns takes about 2 * log2 of that
+        reading = self.local_at_global
+        step = 1
+        if reading(g) < local_ns:
+            while reading(g + step) < local_ns:
+                step *= 2
+            lo, hi = g + step // 2, g + step
+        else:
+            while reading(g - step) >= local_ns:
+                step *= 2
+            lo, hi = g - step, g - step // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if reading(mid) < local_ns:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
     @property
     def pps_violation(self) -> bool:
@@ -544,15 +561,16 @@ def no_signaling_audit(transcript: Transcript, plan: ProtocolPlan) -> AuditRepor
     speed, information from the challenge issued at issued(k) reaches the
     other station only t_L later, so the audit requires
 
-        deadline(k+1) <= issued(k) + t_L * scale
+        deadline(k+1) <= issued(k) + t_L
 
-    and reports the worst slack (honest schedules leave ~t_M). The committer
-    offset allowances cancel: sitting closer to the far station means
-    learning the challenge earlier but also having to emit the answer
+    in the ns of the plan the transcript ran (a live rehearsal's own plan),
+    and reports the worst slack (honest schedules leave ~t_M). The
+    committer offset allowances cancel: sitting closer to the far station
+    means learning the challenge earlier but also having to emit the answer
     earlier, both at light speed. A round whose answer misses its window
     by `protocol.arrival_fault` is reported separately.
     """
-    t_l_ns = plan.t_l_ns * max(1, transcript.scale_factor)
+    t_l_ns = plan.t_l_ns
     tau = (0, transcript.tau1_ns, transcript.tau2_ns)   # by station
     rounds = transcript.rounds
     if not rounds:

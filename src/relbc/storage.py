@@ -23,14 +23,16 @@ tape every round reads the file once per block. Honest generation reads its
 bytes through `read_block` undecoded, so it never decodes a tape.
 
 Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
-recorded round count, scale factor, deadlines, status, reveal) followed by
+recorded round count, time scale, deadlines, status, reveal) followed by
 fixed-size round records (k, station, x, y, two timestamps; the layout is
 `protocol.record_struct`), so any record can be sought in O(1) and
 verification streams the file forward in blocks with memory independent of
-its length. The body moves as packed record blocks: `RoundRecord` writers
-pack through `protocol.record_blocks`, honest generation writes what
-`protocol.honest_row_blocks` packs from tape bytes, and `verify_file` hands
-the blocks it reads to `protocol.verify_rounds` undecoded.
+its length. The time scale is always 1: a live rehearsal's times are those
+of its own plan (`planner.rehearsal`). The body moves as packed record
+blocks: `RoundRecord` writers pack through `protocol.record_blocks`, honest
+generation writes what `protocol.honest_row_blocks` packs from tape bytes,
+and `verify_file` hands the blocks it reads to `protocol.verify_rounds`
+undecoded.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
@@ -39,10 +41,10 @@ Each header names a field of the `relbc.field` table: a width in
 any other width or polynomial is a format error. Every table width fills
 whole bytes, so every element a body can hold is a field element. Every
 reader checks that the body holds exactly the elements or records the header
-counts. Each header has one valid encoding: the reveal flag is 0 or 1, and
-behind flag 0 the bit, a_m and timestamp are 0. So writing back what a
-reader returned rebuilds the file byte for byte. A writer that fails
-removes its file (`_new_file`).
+counts. Each header has one valid encoding: the time scale is 1, the reveal
+flag is 0 or 1, and behind flag 0 the bit, a_m and timestamp are 0. So
+writing back what a reader returned rebuilds the file byte for byte. A
+writer that fails removes its file (`_new_file`).
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ class TapeReader:
 
 
 _XH_FIXED = struct.Struct(">4sH32sIH")     # magic, version, plan hash, n, poly len
-_XH_META = struct.Struct(">QQIqq")         # m, round count, scale, tau1, tau2
+_XH_META = struct.Struct(">QQIqq")         # m, round count, scale (1), tau1, tau2
 _XH_STATUS = struct.Struct(">BQH")         # status, abort round, reason length
 _XH_REVEAL = struct.Struct(">BB")          # reveal flag, claimed bit
 
@@ -373,7 +375,7 @@ def _write_header(f, t: Transcript, round_count: int) -> None:
     f.write(_XH_FIXED.pack(TRANSCRIPT_MAGIC, FORMAT_VERSION, hash_bytes,
                            spec.n, len(poly_bytes)))
     f.write(poly_bytes)
-    f.write(_XH_META.pack(t.m, round_count, t.scale_factor, t.tau1_ns, t.tau2_ns))
+    f.write(_XH_META.pack(t.m, round_count, 1, t.tau1_ns, t.tau2_ns))
     f.write(_XH_STATUS.pack(_STATUS_CODES[t.status], t.abort_round or 0, len(reason)))
     f.write(reason)
     r = t.reveal
@@ -444,6 +446,8 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
     spec = _header_spec(n, poly, TranscriptFormatError, "transcript")
     m, round_count, scale, tau1, tau2 = _XH_META.unpack(
         _read_exact(f, _XH_META.size, "transcript metadata"))
+    if scale != 1:
+        raise TranscriptFormatError(f"time scale is {scale}, not 1")
     status_code, abort_round, reason_len = _XH_STATUS.unpack(
         _read_exact(f, _XH_STATUS.size, "transcript status"))
     if status_code not in _STATUS_NAMES:
@@ -472,7 +476,6 @@ def read_transcript_header(f) -> tuple[Transcript, int]:
         abort_reason=reason,
         abort_round=abort_round or None,
         plan_hash=hash_bytes.hex() if hash_bytes != b"\x00" * 32 else "",
-        scale_factor=scale,
     )
     return header, round_count
 

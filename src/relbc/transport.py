@@ -17,10 +17,12 @@ and cross-check the serialized transcript byte-for-byte (by hash) along with
 the verdict.
 
 All deadline decisions use time.monotonic_ns(); wall-clock adjustments
-cannot forge timeliness. Light-cone gaps at field scale (microseconds over
-kilometers) are not reachable on commodity hosts, so a session scales
-every plan time by `scale_factor` (default 1000), preserving all ratios;
-the transcript records the factor so audits scale alongside.
+cannot forge timeliness. A session keeps its plan's times as they are.
+Light-cone gaps at field scale (microseconds over kilometers) are not
+reachable on commodity hosts, so a session on one host runs a rehearsal
+plan (`planner.rehearsal`); its transcript carries the rehearsal's plan
+hash, so it verifies against that plan and is a plan mismatch against the
+real one.
 
 Topology: A1 and B2's link both terminate at B1's listener; A2 connects to
 B2's listener. Each end of a new link sends its HELLO (role and plan hash)
@@ -58,11 +60,11 @@ import socket
 import struct
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from pathlib import Path
 
 from .field import FieldError, FieldSpec
-from .planner import ProtocolPlan
+from .planner import ProtocolPlan, rehearsal, resource_plan
 from .protocol import (
     ABORT_CONFIG,
     ABORT_CONNECTION,
@@ -231,7 +233,6 @@ class SessionConfig:
 
     role: str
     plan: ProtocolPlan
-    scale_factor: int = 1000
     bit: int = 0                          # committer roles only
     secrets_path: str | Path | None = None
     challenges_path: str | Path | None = None
@@ -244,8 +245,6 @@ class SessionConfig:
     def __post_init__(self):
         if self.role not in ROLES:
             raise TransportError(f"unknown role {self.role!r}")
-        if self.scale_factor < 1:
-            raise TransportError("scale factor must be >= 1")
         if self.plan.m < 2:
             raise TransportError(
                 f"a live session needs m >= 2 rounds, got m={self.plan.m}: the "
@@ -262,9 +261,9 @@ def _sleep_until_ns(target_ns: int) -> int:
     """Sleep to roughly `target_ns` (monotonic); returns the wakeup time.
 
     Plain sleeps only: a busy tail would starve the peer threads of the
-    loopback harness. Sub-millisecond wakeup error is absorbed by the scaled
-    deadlines. It polls, sleeping half the time left, rather than sleep once
-    to the target: a lone single sleep wakes sooner, but in loopback sessions
+    loopback harness. Sub-millisecond wakeup error is absorbed by a
+    rehearsal's stretched deadlines. It polls, sleeping half the time left,
+    rather than sleep once to the target: a lone single sleep wakes sooner, but in loopback sessions
     it widened the spread of issue times and the verifiers' turnaround tail.
     """
     while True:
@@ -391,12 +390,10 @@ class _Session:
         self.cfg = cfg
         self.plan = cfg.plan
         self.spec = FieldSpec(self.plan.n)
-        self.scale = cfg.scale_factor
         self.station = int(cfg.role[1])
         self.m = self.plan.m
         self.hosts_reveal = station_of(self.m + 1) == self.station
-        tau = self.plan.tau1_ns if self.station == 1 else self.plan.tau2_ns
-        self.tau_ns = tau * self.scale   # this station's scaled answer deadline
+        self.tau_ns = self.plan.tau1_ns if self.station == 1 else self.plan.tau2_ns
         self.sockets: dict[str, socket.socket] = {}
         self.listener: socket.socket | None = None
         self.tape: TapeReader | None = None
@@ -404,9 +401,6 @@ class _Session:
         self.records: list[RoundRecord] = []   # own rounds, then the peer's
         self.reveal: RevealMessage | None = None
         self.reveal_at = 0
-
-    def start_ns(self, k: int) -> int:
-        return self.plan.round_start_ns(k) * self.scale
 
     def expect(self, sock: socket.socket, ftype: int, on_abort: str,
                detail: str = "") -> WireFrame:
@@ -430,11 +424,10 @@ class _Session:
         t = Transcript(
             spec=self.spec,
             m=self.m,
-            tau1_ns=self.plan.tau1_ns * self.scale,
-            tau2_ns=self.plan.tau2_ns * self.scale,
+            tau1_ns=self.plan.tau1_ns,
+            tau2_ns=self.plan.tau2_ns,
             rounds=sorted(self.records, key=lambda r: r.k),
             plan_hash=self.plan.plan_hash,
-            scale_factor=self.scale,
         )
         if aborted is None:
             t.reveal, t.reveal_received_at = self.reveal, self.reveal_at
@@ -580,7 +573,8 @@ def _run_alice(ses: _Session) -> AgentResult:
     if ses.hosts_reveal:
         # self-schedule the reveal one schedule interval after the last
         # own-round challenge arrived
-        _sleep_until_ns(last_recv_ns + ses.start_ns(ses.m + 1) - ses.start_ns(ses.m - 1))
+        start = ses.plan.round_start_ns
+        _sleep_until_ns(last_recv_ns + start(ses.m + 1) - start(ses.m - 1))
         send_frame(sock, FRAME_REVEAL, ses.m + 1, _reveal_payload(ses.spec, agent.reveal()))
     # wait for the verifier's outcome: an ABORT, or EOF (or silence past the
     # I/O timeout) on completion; the verifier sends nothing else here
@@ -629,7 +623,7 @@ def _bob_round_loop(ses: _Session, alice_sock: socket.socket,
     if ses.hosts_reveal:
         steps.append(ses.m + 1)
     for k in steps:
-        start = ses.epoch_ns + ses.start_ns(k)
+        start = ses.epoch_ns + ses.plan.round_start_ns(k)
         if k <= ses.m:
             x = challenges[k - 1]
             _sleep_until_ns(start)
@@ -708,6 +702,8 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
                          scale_factor: int = 1000, seed: int = 0) -> dict[str, AgentResult]:
     """Convenience harness: generate tapes, run all four agents in threads on
     loopback sockets, return each role's result. Used by tests and the demo.
+    The roles run `plan`'s rehearsal at `scale_factor` (`planner.rehearsal`),
+    with `plan`'s own m, which a caller may have set apart from its config's.
 
     The agent threads run on one CPU. They share the GIL, so they never run
     Python in parallel; on one CPU each challenge or answer wakes its reader
@@ -722,6 +718,7 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
 
     from .storage import generate_tape
 
+    plan = replace(resource_plan(rehearsal(plan.config, scale_factor)), m=plan.m)
     tape_dir = Path(tape_dir)
     tape_dir.mkdir(parents=True, exist_ok=True)
     secrets_path = tape_dir / "alice.tape"
@@ -734,7 +731,7 @@ def run_loopback_session(plan: ProtocolPlan, tape_dir: str | Path, bit: int = 0,
     addrs = {role: lst.getsockname() for role, lst in listeners.items()}
 
     def cfg_for(role: str) -> SessionConfig:
-        common = dict(plan=plan, scale_factor=scale_factor, bit=bit)
+        common = dict(plan=plan, bit=bit)
         if role == "B1":
             return SessionConfig(role=role, challenges_path=challenges_path,
                                  listen_socket=listeners["B1"], **common)

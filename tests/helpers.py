@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
 from relbc import transport
 from relbc.field import FieldSpec
-from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
+from relbc.planner import SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, rehearsal, resource_plan
 from relbc.protocol import ROLE_ALICE_SECRETS, ROLE_BOB_CHALLENGES, RoundRecord, Tape, Transcript
 
 
@@ -68,6 +69,12 @@ def small_plan(m_target: int, n: int = 8, tau: float = 3e-6, t_m: float = 3.3e-6
     plan = resource_plan(cfg)
     assert plan.m == m_target, (plan.m, m_target)
     return plan
+
+
+def rehearsal_plan(plan, s: int):
+    """`plan`'s rehearsal at scale `s` with `plan`'s own m, which may differ
+    from its config's: the plan `run_loopback_session` hands its roles."""
+    return dataclasses.replace(resource_plan(rehearsal(plan.config, s)), m=plan.m)
 
 
 def random_tapes(spec: FieldSpec, m: int, seed: int) -> tuple[Tape, Tape]:

@@ -14,6 +14,8 @@ import random
 import time
 import tracemalloc
 
+import pytest
+
 from relbc.cli import main as cli_main
 from relbc.field import FieldSpec
 from relbc.planner import (
@@ -32,14 +34,15 @@ from relbc.simnet import (
     run_simulation,
 )
 from relbc.storage import (
+    PlanHashMismatchError,
     generate_honest_transcript_file,
     verify_file,
     write_transcript,
 )
 from relbc.transport import EXIT_ABORT, EXIT_ACCEPT, run_loopback_session
 
-from helpers import (plan_grid, random_tapes, schoolbook_mul, small_plan, stall_committer,
-                     tau_at)
+from helpers import (plan_grid, random_tapes, rehearsal_plan, schoolbook_mul, small_plan,
+                     stall_committer, tau_at)
 
 DAY = SECONDS_PER_DAY
 YEAR_DAYS = 365.0  # documented year convention (365.25 also accepted, see test 4)
@@ -275,6 +278,11 @@ def test_criterion_10_live_loopback(tmp_path, monkeypatch):
     out = tmp_path / "live.rbcx"
     write_transcript(results["B1"].transcript, out)
     verdict, _ = verify_file(out)
+    assert verdict.accepted and verdict.bit == 1
+    # the session ran the rehearsal: it certifies that plan, not this one
+    with pytest.raises(PlanHashMismatchError):
+        verify_file(out, plan)
+    verdict, _ = verify_file(out, rehearsal_plan(plan, 1000))
     assert verdict.accepted and verdict.bit == 1
 
     stall_committer(monkeypatch, station=1, k=7, seconds=0.1)

@@ -447,6 +447,19 @@ class TestSimulateAndVerify:
         code, _, err = run_cli(capsys, "verify", "bad.rbcx")
         assert code == 1 and err.startswith("error:")
 
+    def test_verify_time_scale_other_than_one_exit_1(self, in_tmp, capsys):
+        """An honest file whose header's time scale says 1000 is refused: a
+        rehearsal carries its own plan, and the field is always 1."""
+        code, _, _ = run_cli(capsys, "simulate", "--rounds", "20", "--n", "8",
+                             "--out", "t.rbcx")
+        assert code == 0
+        data = bytearray((in_tmp / "t.rbcx").read_bytes())
+        data[61:65] = (1000).to_bytes(4, "big")  # after the n=8 polynomial, m and count
+        (in_tmp / "scaled.rbcx").write_bytes(bytes(data))
+        code, out, err = run_cli(capsys, "verify", "scaled.rbcx")
+        assert code == 1 and "ACCEPT" not in out
+        assert err.startswith("error:") and "time scale is 1000" in err
+
     @pytest.mark.parametrize("text, message", [
         ("not json", "holds no plan"),
         ('{"m": 4}', "holds no plan"),

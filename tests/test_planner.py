@@ -24,6 +24,7 @@ from relbc.planner import (
     min_separation,
     parse_config,
     parse_duration,
+    rehearsal,
     resource_plan,
     save_plan,
     schedule_gaps,
@@ -310,6 +311,40 @@ class TestResourcePlan:
                      resource_plan(case1(T=0.01))]:
             save_plan(plan, path)
             assert load_plan(path) == plan
+
+
+class TestRehearsal:
+    SCHEDULE_NS = ("t_l_ns", "t_m_ns", "tau1_ns", "tau2_ns", "gap_to_station1_ns",
+                   "gap_to_station2_ns")
+
+    @pytest.mark.parametrize("s", [1, 10, 1000])
+    @pytest.mark.parametrize("cfg", [case1(), case2(), small_plan(20).config,
+                                     small_plan(200, n=128).config],
+                             ids=["case1", "case2", "small-20", "small-200"])
+    def test_rehearsal_is_an_ordinary_plan(self, tmp_path, cfg, s):
+        """The rehearsal at s stretches every time by s and keeps what the
+        binding argument counts: m, both epsilons, the minimum separation
+        and the drift budget (these two to within float rounding). Its ns
+        fields are rounded from the stretched seconds, so each lies within
+        s of the real plan's times s; at s = 1 it is the real plan, hash and
+        all, and otherwise it has a hash of its own."""
+        real, rehearsed = resource_plan(cfg), resource_plan(rehearsal(cfg, s))
+        assert (rehearsed.plan_hash == real.plan_hash) == (s == 1)
+        assert rehearsed.m == real.m
+        assert rehearsed.epsilon_linear == real.epsilon_linear
+        assert rehearsed.epsilon_exponential == real.epsilon_exponential
+        assert rehearsed.min_separation_m == pytest.approx(real.min_separation_m, rel=1e-12)
+        assert rehearsed.drift_budget == pytest.approx(real.drift_budget, rel=1e-12)
+        for name in self.SCHEDULE_NS:
+            assert abs(getattr(rehearsed, name) - s * getattr(real, name)) < s, name
+        path = tmp_path / "rehearsal.json"
+        save_plan(rehearsed, path)
+        assert load_plan(path) == rehearsed
+
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_scale_below_one_is_refused(self, s):
+        with pytest.raises(PlannerError, match="rehearsal scale"):
+            rehearsal(case1(), s)
 
 
 class TestSchedule:

@@ -542,6 +542,22 @@ class TestTranscriptFiles:
         with pytest.raises(TranscriptFormatError, match="reveal"):
             verify_file(path)
 
+    @pytest.mark.parametrize("scale", [0, 1000])
+    def test_time_scale_is_one(self, tmp_path, scale):
+        """The header's time-scale field is written as 1 and read only as 1: a
+        rehearsal's times are its own plan's, and each header keeps one
+        encoding."""
+        data = bytearray(transcript_to_bytes(_transcript(m=8)))
+        at = 44 + 1 + 16  # fixed fields to the polynomial's length, 1-byte polynomial, m, count
+        assert data[at:at + 4] == (1).to_bytes(4, "big")
+        data[at:at + 4] = scale.to_bytes(4, "big")
+        path = tmp_path / "t.rbcx"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TranscriptFormatError, match=f"time scale is {scale}, not 1"):
+            read_transcript(path)
+        with pytest.raises(TranscriptFormatError, match="time scale"):
+            verify_file(path)
+
     def test_long_polynomial_field_is_format_error(self, tmp_path):
         data = bytearray(transcript_to_bytes(_transcript(m=4)))
         data[42:44] = (2).to_bytes(2, "big")  # the polynomial's byte length

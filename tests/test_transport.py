@@ -60,7 +60,7 @@ from relbc.transport import (
     run_loopback_session,
 )
 
-from helpers import small_plan, stall_committer
+from helpers import rehearsal_plan, small_plan, stall_committer
 
 ALL_TYPES = (FRAME_CHALLENGE, FRAME_ANSWER, FRAME_REVEAL, FRAME_ABORT,
              FRAME_HELLO, FRAME_SCHEDULE, FRAME_RECORDS, FRAME_VERDICT)
@@ -253,41 +253,42 @@ class TestLoopback:
         assert result.abort.reason == "tape"
 
     def test_plan_hash_mismatch_aborts_before_round_one(self, tmp_path):
-        plan = lab_plan(m=8)
-        other = lab_plan(m=10)
-        spec = FieldSpec(plan.n)
+        """B1 and A1 on different plans end at HELLO with `config`: plans of
+        another m, and the same plan rehearsed at two scales."""
+        spec = FieldSpec(128)
         rng = random.Random(0)
-        count = max(plan.m, other.m)
-        secrets = [spec.random_int(rng) for _ in range(count)]
-        challenges = [spec.random_int(rng, nonzero=True) for _ in range(count)]
+        secrets = [spec.random_int(rng) for _ in range(10)]
+        challenges = [spec.random_int(rng, nonzero=True) for _ in range(10)]
         a_path, x_path = tmp_path / "a.tape", tmp_path / "x.tape"
         write_tape(a_path, spec, ROLE_ALICE_SECRETS, iter(secrets), len(secrets))
         write_tape(x_path, spec, ROLE_BOB_CHALLENGES, iter(challenges), len(challenges))
+        for plan, other in ((lab_plan(m=8), lab_plan(m=10)),
+                            (rehearsal_plan(lab_plan(m=8), 1000),
+                             rehearsal_plan(lab_plan(m=8), 300))):
+            lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            lst.bind(("127.0.0.1", 0))
+            lst.listen(2)
+            addr = lst.getsockname()
 
-        lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lst.bind(("127.0.0.1", 0))
-        lst.listen(2)
-        addr = lst.getsockname()
+            b1_cfg = SessionConfig(role="B1", plan=plan, challenges_path=x_path,
+                                   listen_socket=lst, io_timeout_s=5.0)
+            a1_cfg = SessionConfig(role="A1", plan=other, secrets_path=a_path,
+                                   peers={"B1": addr}, io_timeout_s=5.0)
+            out = {}
 
-        b1_cfg = SessionConfig(role="B1", plan=plan, challenges_path=x_path,
-                               listen_socket=lst, io_timeout_s=5.0)
-        a1_cfg = SessionConfig(role="A1", plan=other, secrets_path=a_path,
-                               peers={"B1": addr}, io_timeout_s=5.0)
-        out = {}
+            def run(role, cfg):
+                out[role] = run_agent(cfg)
 
-        def run(role, cfg):
-            out[role] = run_agent(cfg)
-
-        t1 = threading.Thread(target=run, args=("B1", b1_cfg), daemon=True)
-        ta = threading.Thread(target=run, args=("A1", a1_cfg), daemon=True)
-        t1.start(), ta.start()
-        ta.join(20)
-        t1.join(20)
-        lst.close()
-        assert out["A1"].exit_code == EXIT_ABORT
-        assert out["A1"].abort.reason == "config"
-        assert out["B1"].exit_code == EXIT_ABORT
-        assert out["B1"].abort.reason == "config"
+            t1 = threading.Thread(target=run, args=("B1", b1_cfg), daemon=True)
+            ta = threading.Thread(target=run, args=("A1", a1_cfg), daemon=True)
+            t1.start(), ta.start()
+            ta.join(20)
+            t1.join(20)
+            lst.close()
+            assert out["A1"].exit_code == EXIT_ABORT
+            assert out["A1"].abort.reason == "config"
+            assert out["B1"].exit_code == EXIT_ABORT
+            assert out["B1"].abort.reason == "config"
 
 
 # -- hostile peer bytes ---------------------------------------------------------
@@ -666,8 +667,9 @@ def test_peer_verifier_junk_between_rounds_is_malformed(tmp_path, junk):
 def _live_session(tmp_path, plan, fake_station=None, late_roles=(), delay_s=0.0):
     """Real B1 and B2 on loopback, and a real committer at each station but
     `fake_station`, whose committer the caller plays over the socket this
-    returns (None without one). The `late_roles` start `delay_s` after the
-    others. Returns the socket, the tape paths and the runs."""
+    returns (None without one), all on `plan`: a rehearsal plan, for a
+    session that keeps its deadlines. The `late_roles` start `delay_s` after
+    the others. Returns the socket, the tape paths and the runs."""
     a_path, x_path = _tapes(tmp_path, plan)
     listeners = {role: socket.create_server(("127.0.0.1", 0)) for role in ("B1", "B2")}
     addr = {role: lst.getsockname() for role, lst in listeners.items()}
@@ -706,7 +708,7 @@ def _finish(runs, sockets):
     return {role: result for _, out in runs for role, result in out.items()}
 
 
-SCALE = 1000
+SCALE = 1000      # the live sessions' rehearsal scale
 GAP_NS = 13_000   # lab_plan's round interval; tau is 10_000 at both stations
 LATE_NS = 1_000   # how far past its window a late answer or reveal is sent
 
@@ -715,7 +717,8 @@ LATE_NS = 1_000   # how far past its window a late answer or reveal is sent
 class Fault:
     """One committer fault, played by the simulator and by a fake committer
     over the wire, and the outcome both must reach: the abort's (round,
-    reason), or the verdict. Times are plan ns, scaled by SCALE live."""
+    reason), or the verdict. Times are the unscaled plan's ns; live, the
+    fake committer plays them SCALE times as long on the rehearsal plan."""
 
     m: int
     expect: tuple[int, str] | Verdict
@@ -758,9 +761,10 @@ def _simulated_outcome(plan, fault, a_path, x_path):
 
 
 def _play_committer(sock, plan, fault, a_path):
-    """Committer A{fault.station} over `sock`: answers its rounds from the
-    tape but for the fault, and returns the last frame its verifier sends it
-    (None at EOF). A late send to a verifier that has already closed is let go."""
+    """Committer A{fault.station} over `sock`, on the rehearsal `plan`:
+    answers its rounds from the tape but for the fault, and returns the last
+    frame its verifier sends it (None at EOF). A late send to a verifier
+    that has already closed is let go."""
     spec, m, s = FieldSpec(plan.n), plan.m, fault.station
     deadline = lambda: T.time.monotonic_ns() + 5 * 10**9  # noqa: E731
 
@@ -778,7 +782,7 @@ def _play_committer(sock, plan, fault, a_path):
             if k == fault.silent:
                 break
             if k == fault.late:
-                T._sleep_until_ns(arrived + SCALE * (plan.tau1_ns + LATE_NS))
+                T._sleep_until_ns(arrived + plan.tau1_ns + SCALE * LATE_NS)
             send(FRAME_ANSWER, k, spec.encode(y))
             if k == fault.late:
                 break
@@ -787,8 +791,8 @@ def _play_committer(sock, plan, fault, a_path):
                 reveal = alice.reveal()
                 if fault.flip_bit:
                     reveal = RevealMessage(reveal.bit ^ 1, reveal.final_secret)
-                T._sleep_until_ns(arrived + SCALE * (plan.round_start_ns(m + 1)
-                                                     - plan.round_start_ns(k) + fault.reveal_ns))
+                T._sleep_until_ns(arrived + plan.round_start_ns(m + 1)
+                                  - plan.round_start_ns(k) + SCALE * fault.reveal_ns)
                 send(FRAME_REVEAL, m + 1, T._reveal_payload(spec, reveal))
     try:
         return T.recv_frame(sock, deadline())
@@ -807,8 +811,9 @@ def test_simulator_and_live_session_agree_on_fault(tmp_path, name):
     plan = dataclasses.replace(lab_plan(m=fault.m + fault.m % 2), m=fault.m)
     assert plan.round_start_ns(2) - plan.round_start_ns(1) == GAP_NS
     assert plan.tau1_ns == plan.tau2_ns == 10_000
-    sock, (a_path, x_path), runs, listeners = _live_session(tmp_path, plan, fault.station)
-    told = _play_committer(sock, plan, fault, a_path)
+    live = rehearsal_plan(plan, SCALE)
+    sock, (a_path, x_path), runs, listeners = _live_session(tmp_path, live, fault.station)
+    told = _play_committer(sock, live, fault, a_path)
     results = _finish(runs, [sock, *listeners])
     assert _simulated_outcome(plan, fault, a_path, x_path) == fault.expect
     for role in ("B1", "B2"):
@@ -826,15 +831,15 @@ def test_simulator_and_live_session_agree_on_fault(tmp_path, name):
 def test_late_committer_does_not_move_station_2(tmp_path):
     """A2 starts 150 ms after B1, B2 and A1. B2 reads B1's SCHEDULE before it
     accepts A2, so station 2 still issues on B1's schedule: in the merged
-    transcript, round 2's issue time less its scaled start agrees with round
-    1's to within half of A2's delay."""
+    transcript, round 2's issue time less its start in the rehearsal plan
+    agrees with round 1's to within half of A2's delay."""
     delay_s = 0.15
-    plan = lab_plan(m=20)
+    plan = rehearsal_plan(lab_plan(m=20), SCALE)
     _, _, runs, listeners = _live_session(tmp_path, plan, late_roles=("A2",),
                                           delay_s=delay_s)
     results = _finish(runs, listeners)
     # each verifier's transcript: the merged one, or its own half if it aborted
-    offset = {rec.k: rec.challenge_issued_at - SCALE * plan.round_start_ns(rec.k)
+    offset = {rec.k: rec.challenge_issued_at - plan.round_start_ns(rec.k)
               for role in ("B1", "B2") for rec in results[role].transcript.rounds}
     assert abs(offset[2] - offset[1]) <= delay_s * 1e9 / 2, offset[2] - offset[1]
     for role in ("B1", "B2"):
