@@ -701,6 +701,47 @@ def test_block_edge_aborts(clocks, kind, target, margin):
         BLOCK_EDGE_PINS[clocks, kind, target, margin]
 
 
+# Runs on pps clocks whose schedule crosses whole seconds of global time,
+# where the pulse steps each clock: stations 15,000 km apart put rounds about
+# 50 ms apart, so round 21 starts past 1 s and the reveal, round 41, past
+# 2 s. No pin above reaches 1 s. Computed before the clocks converted a
+# column at a time; each value is the transcript's sha256 and the report.
+WHOLE_SECOND_PINS = {
+    ("honest", 0, 0): (
+        "4168464117259b4448dcceb959f20f9c51a949bee903735fa19d60b90dd4b050",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=40,
+             event_count=163, worst_true_slack_ns=3193, reveal_received=True)),
+    ("relay", 0, 0): (
+        "d348c627521b2a0f0f8276f70edc6ed5006e52c7d64e09e73faad95364825169",
+        dict(aborted=True, abort_round=2, abort_reason="deadline", rounds_recorded=1,
+             event_count=7, worst_true_slack_ns=None, reveal_received=False)),
+    ("late-decision", 25, -1): (
+        "5c09b2aa428a8d58a03d8a0f80524510031267cd6b5ecd042893990b0fe930e7",
+        dict(aborted=True, abort_round=25, abort_reason="deadline", rounds_recorded=24,
+             event_count=99, worst_true_slack_ns=3193, reveal_received=False)),
+    ("late-decision", 25, 0): (
+        "af9bc24d1f7f3a55c26092a335b27f8f54ce0cf74e4c8e7e45873a6676895117",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=40,
+             event_count=163, worst_true_slack_ns=3193, reveal_received=True)),
+}
+
+
+@pytest.mark.parametrize("kind, target, margin", list(WHOLE_SECOND_PINS),
+                         ids=lambda v: str(v))
+def test_runs_across_whole_seconds(kind, target, margin):
+    plan = small_plan(40, n=8, L=1.5e7)
+    assert plan.round_start_ns(20) < NS < plan.round_start_ns(21)
+    assert plan.round_start_ns(40) < 2 * NS < plan.round_start_ns(41)
+    strategy = (AdversaryStrategy(kind, target, margin) if kind == "late-decision"
+                else AdversaryStrategy(kind))
+    t, rep = run_simulation(plan, clocks=BLOCK_EDGE_CLOCKS["pps"], strategy=strategy,
+                            seed=1, bit=0)
+    digest, fields = WHOLE_SECOND_PINS[kind, target, margin]
+    assert hashlib.sha256(transcript_to_bytes(t)).hexdigest() == digest
+    assert asdict(rep) == {"strategy": kind, "seed": 1, "bit": 0, **fields,
+                           "margin_violation_rounds": [], "discipline_violations": []}
+
+
 def test_abort_after_reveal_reports_every_pair():
     """The reveal (round m+1 = 257) leaves A1, 300 m from B1 on an exact
     clock, and lands inside round 257's window on B1's clock, which is
