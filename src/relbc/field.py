@@ -94,6 +94,10 @@ def element_struct(eb: int, count: int) -> struct.Struct:
 # bounds the structs it builds and caches, and the tuple each unpack makes
 _DECODE_ELEMENTS = 256
 
+# the most bytes one `randbytes` call draws: it asks `getrandbits` for 8 bits
+# a byte, and `getrandbits` takes its bit count as a C int
+_RANDBYTES_MAX = (2**31 - 1) // 8
+
 
 def zero_elements(data: bytes, eb: int) -> Iterator[int]:
     """The byte offsets of the zero elements in a block of `eb`-byte
@@ -275,6 +279,12 @@ class FieldSpec:
         for i in range(eb):
             out[i::eb] = words[4 - eb + i::4]
         return bytes(out)
+
+    @property
+    def max_block(self) -> int:
+        """The most elements one `random_block` call draws: `_draw_block`'s
+        one `randbytes` call takes `max(element_bytes, 4)` bytes an element."""
+        return _RANDBYTES_MAX // max(self.element_bytes, 4)
 
     def random_block(self, rng: random.Random, count: int, nonzero: bool = False) -> bytes:
         """The encodings of `count` elements, byte for byte what `count`

@@ -17,25 +17,30 @@ settled a block at a time: 2 rounds, then as many as have run, up to
 `VERIFY_BLOCK_ROUNDS`, so each block lies inside one answer block. A
 block's events (start, challenge arrival, covert relay, answer arrival,
 deadline) are columns of global times, one entry a round; its starts and
-deadlines are converted to the global frame by `map`, once each, and its
-receipts back to the stations' clocks. Its faults are read off the
-columns: an answer after its deadline, or a turnaround outside
-`arrival_fault`'s window. Every event has an order key, (t, 0, seq) for a
-scheduled one, seq being 2k-2 for round k's start, 2k-1 for its deadline,
-2m for the reveal's deadline and 2m+1 for its send, and (t, 1, parent key,
-i) for an event that another one creates, i ordering one parent's events.
-The abort is the fault with the smallest key, and the run's events are the
-keys at or below it. Keys are built only where times may tie: for a
-block's earliest faults, and at the end of the run for the blocks that
-straddle the abort; a block wholly below it counts 4 events a round, 5
-under relay. The run stops before a block whose first two global starts lie
-past the earliest fault, so a run that aborts early stops converting.
+deadlines are converted to the global frame once each, and its receipts
+back to the stations' clocks, a station's half-column at a time. Its faults
+are read off the columns: an answer after its deadline, or a turnaround
+outside `arrival_fault`'s window. Every event has an order key, (t, 0, seq)
+for a scheduled one, seq being 2k-2 for round k's start, 2k-1 for its
+deadline, 2m for the reveal's deadline and 2m+1 for its send, and (t, 1,
+parent key, i) for an event that another one creates, i ordering one
+parent's events. The abort is the fault with the smallest key, and the
+run's events are the keys at or below it. Keys are built only where times
+may tie: for a block's earliest faults, and at the end of the run for the
+blocks that straddle the abort; a block wholly below it counts 4 events a
+round, 5 under relay. The run stops before a block whose first two global
+starts lie past the earliest fault, so a run that aborts early stops
+converting.
 
-A clock with zero rate is a pure offset and converts in closed form; a
-drifting clock is inverted by iterating its drift estimate until it
-settles, then bracketing the exact crossing by doubling steps and
-bisecting. A pps-disciplined clock holds its reading at every pulse, the
-one at global time 0 included, so no clock runs backward.
+A clock is a pure offset over any stretch of global time where its drift
+term holds still: every stretch at zero rate, and under pps one inside a
+second, past the pulse's hold. A column that lies in such a stretch
+converts by adding or subtracting that offset; any other column converts
+entry by entry, and one entry by the same rule where it can. Elsewhere (a
+drift step, a pulse or its hold) a drifting clock is inverted by iterating
+its drift estimate until it settles, then bracketing the exact crossing by
+doubling steps and bisecting. A pps-disciplined clock holds its reading at
+every pulse, the one at global time 0 included, so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
@@ -121,34 +126,30 @@ class ClockModel:
         return round(self.rate * global_ns)
 
     def local_at_global(self, global_ns: int) -> int:
-        # drift_ns written out: this runs several times per simulated round.
-        # `global_at_local` keeps `drift_ns` for its estimate: a step through
-        # this method, pps hold included, made each conversion slower
-        rate = self.rate
-        if not rate:  # exact rate: no drift, a pure offset
-            return global_ns + self.offset_ns
-        if self.discipline != "pps":
-            return global_ns + self.offset_ns + round(rate * global_ns)
+        local = global_ns + self.offset_ns + self.drift_ns(global_ns)
         into = global_ns % NS
-        local = global_ns + self.offset_ns + round(rate * into)
-        if into <= rate * NS:
+        if self.discipline == "pps" and into <= self.rate * NS:
             # the pulse pulls a fast clock (rate > 0) back at each whole
             # second, 0 included; it holds its last reading until global time
             # catches up, which takes at most rate * NS ns, so it never runs
             # backward
-            held = global_ns - into - 1 + self.offset_ns + round(rate * (NS - 1))
-            return max(local, held)
+            return max(local, global_ns - into - 1 + self.offset_ns + self.drift_ns(NS - 1))
         return local
 
     def global_at_local(self, local_ns: int) -> int:
         """The global time g at which this clock reaches `local_ns`:
-        local_at_global(g) >= local_ns > local_at_global(g - 1),
-        found by iterating the drift estimate until it stops changing and
-        then a search from it. The clock never runs backward, so that g is
-        unique and bisection finds it."""
+        local_at_global(g) >= local_ns > local_at_global(g - 1). Where the
+        clock is a pure offset around g it is local_ns less that offset;
+        elsewhere (a drift step, a pulse or its hold) it is found by iterating
+        the drift estimate until it stops changing and then a search from it.
+        The clock never runs backward, so that g is unique and bisection
+        finds it."""
         base = local_ns - self.offset_ns
         if not self.rate:  # the closed form of the search below
             return base
+        off = self._offset_at_local(local_ns, local_ns)
+        if off is not None:
+            return local_ns - off
         # the drift estimate usually settles after one or two steps; stop
         # there, or after four, and let the search make it exact
         g = base
@@ -178,6 +179,38 @@ class ClockModel:
             else:
                 hi = mid
         return hi
+
+    def _offset_at_global(self, lo: int, hi: int) -> int | None:
+        """local - global over global times lo..hi, where the drift term
+        holds still so the clock is a pure offset; None where it may not.
+        The term is monotone, so equal at both ends means constant between,
+        and under pps lo..hi must lie in one second, past its pulse's hold."""
+        drift = self.drift_ns(lo)
+        if self.rate and (drift != self.drift_ns(hi) or self.discipline == "pps" and (
+                lo // NS != hi // NS or lo % NS <= self.rate * NS)):
+            return None
+        return self.offset_ns + drift
+
+    def _offset_at_local(self, lo: int, hi: int) -> int | None:
+        """The offset off for which L - off is the first global time the
+        clock reads L, for every L in lo..hi: the clock reads g + off from
+        g = lo - off - 1 through hi - off. None where that does not hold."""
+        off = self.offset_ns + self.drift_ns(lo - self.offset_ns)
+        return off if self._offset_at_global(lo - off - 1, hi - off) == off else None
+
+    def locals_at_global(self, col: list[int]) -> list[int]:
+        """`local_at_global` of each entry of `col`."""
+        off = self._offset_at_global(min(col, default=0), max(col, default=0))
+        if off is None:
+            return list(map(self.local_at_global, col))
+        return [g + off for g in col]
+
+    def globals_at_local(self, col: list[int]) -> list[int]:
+        """`global_at_local` of each entry of `col`."""
+        off = self._offset_at_local(min(col, default=0), max(col, default=0))
+        if off is None:
+            return list(map(self.global_at_local, col))
+        return [local - off for local in col]
 
     @property
     def pps_violation(self) -> bool:
@@ -255,7 +288,11 @@ def default_placements(plan: ProtocolPlan,
 def make_tapes(plan: ProtocolPlan, spec: FieldSpec, seed: int) -> tuple[Tape, Tape]:
     """Seeded pre-shared randomness: secrets a_1..a_m, then challenges
     x_1..x_m (nonzero), drawn in that order from one stream, each as one
-    `FieldSpec.random_block`."""
+    `FieldSpec.random_block`. A tape longer than one block can draw is
+    refused before either draw."""
+    if plan.m > spec.max_block:
+        raise SimulationError(f"{plan.m} rounds: the simulator draws each tape in one "
+                              f"block, at most {spec.max_block} elements at n={spec.n}")
     rng = random.Random(seed)
     secrets = spec.random_block(rng, plan.m)
     challenges = spec.random_block(rng, plan.m, nonzero=True)
@@ -268,11 +305,11 @@ def _travel_ns(pos_a: float, pos_b: float, c: float) -> int:
 
 
 def _by_station(convert: tuple, col: list) -> list:
-    """`col`, whose entries alternate station 1 and 2, each through its
-    station's `convert`, indexed by station number."""
+    """`col`, whose entries alternate station 1 and 2, each station's half
+    through its column conversion in `convert`, indexed by station number."""
     out = col[:]
-    out[0::2] = map(convert[1], col[0::2])
-    out[1::2] = map(convert[2], col[1::2])
+    out[0::2] = convert[1](col[0::2])
+    out[1::2] = convert[2](col[1::2])
     return out
 
 
@@ -355,8 +392,8 @@ def run_simulation(plan: ProtocolPlan,
     clk = {agent: clocks.get(agent, EXACT_CLOCK) for agent in AGENTS}
     c = plan.config.c
     # per-station lookups, indexed by station number (1 or 2)
-    b_local_at = (None, clk["B1"].local_at_global, clk["B2"].local_at_global)
-    b_global_at = (None, clk["B1"].global_at_local, clk["B2"].global_at_local)
+    b_locals_at = (None, clk["B1"].locals_at_global, clk["B2"].locals_at_global)
+    b_globals_at = (None, clk["B1"].globals_at_local, clk["B2"].globals_at_local)
     travel_ba = (0, _travel_ns(pos["B1"], pos["A1"], c), _travel_ns(pos["B2"], pos["A2"], c))
     travel_aa = _travel_ns(pos["A1"], pos["A2"], c)
     tau = (0, plan.tau1_ns, plan.tau2_ns)
@@ -386,7 +423,7 @@ def run_simulation(plan: ProtocolPlan,
     t_send = clk[f"A{st}"].global_at_local(reveal_issued)
     send_key = (t_send, 0, 2 * m + 1)
     reveal_key = (t_send + travel_ba[st], 1, send_key, 1)
-    reveal_at = b_local_at[st](reveal_key[0])
+    reveal_at = clk[f"B{st}"].local_at_global(reveal_key[0])
     if reason := arrival_fault(reveal_issued, reveal_at, tau[st], True):
         fault(reveal_key, reveal_round, reason)
     answered = (math.inf,)   # the key of the event that answered round m-1
@@ -404,7 +441,8 @@ def run_simulation(plan: ProtocolPlan,
     covert: tuple = ()   # the previous round's covert relay, under relay
     prev_start = math.inf   # no pair ends at round 1
     # the global starts of the next block's first two rounds
-    ahead = [b_global_at[1](plan.round_start_ns(1)), b_global_at[2](plan.round_start_ns(2))]
+    ahead = [clk["B1"].global_at_local(plan.round_start_ns(1)),
+             clk["B2"].global_at_local(plan.round_start_ns(2))]
     k1 = 0
     while k1 < m:
         # blocks of 2 rounds, then of as many rounds as have run, up to
@@ -420,10 +458,10 @@ def run_simulation(plan: ProtocolPlan,
         # the local starts of the block's rounds and of the next block's
         # first two; k0 is odd, so each column alternates station 1 and 2
         issued = plan.round_starts_ns(k0, min(k1 + 2, reveal_round) - k0 + 1)
-        starts = ahead + _by_station(b_global_at, issued[2:])
+        starts = ahead + _by_station(b_globals_at, issued[2:])
         ahead = (starts[n:] + [math.inf, math.inf])[:2]
         starts, issued = starts[:n], issued[:n]
-        deadlines = _by_station(b_global_at, list(map(add, issued, cycle(tau[1:]))))
+        deadlines = _by_station(b_globals_at, list(map(add, issued, cycle(tau[1:]))))
         arrivals = list(map(add, starts, cycle(travel_ba[1:])))
         sent = arrivals
         relayed: list[int] = []
@@ -436,7 +474,7 @@ def run_simulation(plan: ProtocolPlan,
         if k0 <= target <= k1:
             i = target - k0
             answers[i] = max(answers[i], deadlines[i] - strategy.margin_ns)
-        received = _by_station(b_local_at, answers)
+        received = _by_station(b_locals_at, answers)
         if k0 - ys_from == len(ys):
             ys_from, ys = k0, spec.decode_block(next(answer_blocks)[1])
         rounds += map(RoundRecord, range(k0, k1 + 1), cycle((1, 2)), xs[k0 - 1:k1],
@@ -488,7 +526,7 @@ def run_simulation(plan: ProtocolPlan,
     reveal_deadline: tuple = ()
     reveal_slack = math.inf
     if abort_key[0] >= ahead[0]:
-        g_deadline = b_global_at[st](reveal_issued + tau[st])
+        g_deadline = clk[f"B{st}"].global_at_local(reveal_issued + tau[st])
         reveal_slack = prev_start - g_deadline
         if len(margin_rounds) < 100 and abs(ahead[0] - reveal_issued) > t_m_ns:
             margin_rounds.append(reveal_round)

@@ -536,6 +536,14 @@ class TestInputsRefusedWithoutTraceback:
                                "--n", "8")
         assert "--rounds" in err
 
+    @pytest.mark.parametrize("n, rounds", [(8, 2_000_000_000), (128, 16_777_216)])
+    def test_rounds_beyond_one_tape_draw(self, in_tmp, capsys, n, rounds):
+        """The simulator draws each tape with one `randbytes` call; a round
+        count past the most that call draws is refused before any draw."""
+        err = self.run_refused(in_tmp, capsys, "simulate", "--rounds", str(rounds),
+                               "--n", str(n), "--out", "t.rbcx")
+        assert f"{rounds} rounds" in err and f"at n={n}" in err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "d"],
         ["tape", "--plan", "plan.json", "--role", "alice-secrets", "--out", "d"],

@@ -379,6 +379,25 @@ def test_random_block_drops_aligned_zero_elements_only():
     assert rng.stream == b""
 
 
+def test_max_block_is_the_most_one_randbytes_call_draws():
+    """`max_block` elements ask `randbytes` for at most 2^31 - 1 bits, the
+    most `getrandbits` takes, and one more element overflows that call
+    before a byte is drawn."""
+    class Asked(Exception):
+        pass
+
+    class SizeOnly:
+        def randbytes(self, size: int) -> bytes:
+            raise Asked(size)
+
+    for spec in TABLE_SPECS:
+        with pytest.raises(Asked) as asked:
+            spec.random_block(SizeOnly(), spec.max_block)
+        assert 8 * asked.value.args[0] <= 2**31 - 1
+        with pytest.raises(OverflowError):
+            spec.random_block(random.Random(1), spec.max_block + 1)
+
+
 def test_decode_block_reads_every_element():
     rng = random.Random(3)
     for spec in TABLE_SPECS:

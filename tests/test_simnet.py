@@ -317,6 +317,67 @@ class TestClocks:
         g = clk.global_at_local(local)
         assert clk.local_at_global(g) >= local > clk.local_at_global(g - 1)
 
+    @settings(max_examples=500, deadline=None)
+    @given(offset=st.integers(-10**9, 10**9),
+           rate=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+           discipline=st.sampled_from(["none", "pps"]),
+           base=st.one_of(st.integers(0, 10**13),
+                          st.tuples(st.integers(0, 10**4), st.integers(-2 * 10**6, 2 * 10**6))),
+           spread=st.sampled_from([0, 3, 1000, 10**6, 10**9, 3 * 10**9]),
+           steps=st.lists(st.floats(0, 1), min_size=1, max_size=40))
+    @example(offset=0, rate=1e-3, discipline="pps", base=(1, -3), spread=10**6,
+             steps=[0.9, 0.0, 0.5])
+    @example(offset=-71, rate=5e-9, discipline="pps", base=(0, 0), spread=1000,
+             steps=[1.0, 0.5, 0.0])
+    @example(offset=5, rate=-4e-9, discipline="pps", base=(7, 400), spread=0, steps=[0.0])
+    # drift terms equal at both ends and not between: across one pulse, and
+    # from one second to the same point of the next
+    @example(offset=0, rate=1e-9, discipline="pps", base=(0, 9 * 10**8), spread=10**9,
+             steps=[0.0, 0.2, 0.7])
+    @example(offset=0, rate=1e-6, discipline="pps", base=(1, 100), spread=10**9,
+             steps=[0.0, 0.5, 1.0])
+    def test_columns_convert_as_the_scalars(self, offset, rate, discipline, base, spread,
+                                            steps):
+        """Each column conversion equals `map` of its scalar one, entry for
+        entry: for columns in any order, of one entry or many, near a whole
+        second of either clock and across one, inside a pps hold and across
+        one, at any offset, at zero rate and at rates up to 1e-3."""
+        clk = ClockModel(offset_ns=offset, rate=rate, discipline=discipline)
+        if isinstance(base, tuple):
+            second, delta = base
+            base = max(0, second * NS + delta)
+        col = [base + int(f * spread) for f in steps]
+        for times in (col, [t + offset for t in col]):
+            assert clk.locals_at_global(times) == list(map(clk.local_at_global, times))
+            assert clk.globals_at_local(times) == list(map(clk.global_at_local, times))
+
+    @pytest.mark.parametrize("rate", [0.0, 5e-9, -4e-9])
+    def test_column_where_the_drift_holds_still_is_an_offset(self, rate):
+        """A column inside one second, past the pulse's hold, converts
+        without a scalar call; one across a whole second falls back to the
+        scalar conversion on a drifting pps clock, and not at rate 0."""
+        scalar = []
+
+        class CountingClock(ClockModel):
+            def local_at_global(self, global_ns):
+                scalar.append(global_ns)
+                return super().local_at_global(global_ns)
+
+            def global_at_local(self, local_ns):
+                scalar.append(local_ns)
+                return super().global_at_local(local_ns)
+
+        clk = CountingClock(offset_ns=71, rate=rate, discipline="pps")
+        still = [NS // 3 + 13 * i for i in range(256)]
+        off = 71 + round(rate * NS / 3)
+        assert clk.globals_at_local(still) == [t - off for t in still]
+        assert clk.locals_at_global(still) == [t + off for t in still]
+        assert scalar == []
+        across = [NS - 1000 + 13 * i for i in range(256)]
+        clk.globals_at_local(across)
+        clk.locals_at_global(across)
+        assert len(scalar) >= 2 * len(across) if rate else scalar == []
+
     @pytest.mark.parametrize("ahead_ns", [40_000, 1_000_000])
     def test_early_reveal_is_an_abort(self, ahead_ns):
         """A committer clock ahead of her station's by more than a round
@@ -506,14 +567,25 @@ def test_asymmetric_golden_digest():
 
 def counting_clocks(params: dict) -> tuple[dict, list[int]]:
     """A clock for every agent, built from its (offset, rate, discipline) in
-    `params` or exact, and a list whose one entry counts their conversions
-    to the global frame."""
+    `params` or exact, and a list whose one entry counts the times handed to
+    their conversions to the global frame, one for each entry of a column
+    and one for each scalar call. A column that falls back to the scalar
+    conversion is not counted again."""
     calls = [0]
+    in_column = [False]
 
     class CountingClock(ClockModel):
         def global_at_local(self, local_ns):
-            calls[0] += 1
+            calls[0] += not in_column[0]
             return super().global_at_local(local_ns)
+
+        def globals_at_local(self, col):
+            calls[0] += len(col)
+            in_column[0] = True
+            try:
+                return super().globals_at_local(col)
+            finally:
+                in_column[0] = False
 
     return {agent: CountingClock(*params.get(agent, ())) for agent in AGENTS}, calls
 
