@@ -773,6 +773,67 @@ def test_block_edge_aborts(clocks, kind, target, margin):
         BLOCK_EDGE_PINS[clocks, kind, target, margin]
 
 
+# Runs at m=2050, n=128 that abort on either side of the committer's
+# 1024-round answer block, and relay, which aborts at round 2 and answers one
+# block, on exact and pps clocks. Computed while the committer was answered
+# 256 rounds at a time, by the spread-form kernel; each value is the
+# transcript's sha256 and the report.
+ANSWER_EDGE_PINS = {
+    ("exact", "late-decision", 1024, -1): (
+        "57169b35cd55662b158a53b75276e3cda0d77f2d2e5e99b0e41099f51730815a",
+        dict(aborted=True, abort_round=1024, abort_reason="deadline", rounds_recorded=1023,
+             event_count=4095, worst_true_slack_ns=3300, reveal_received=False)),
+    ("exact", "late-decision", 1024, 0): (
+        "77fd1109151021e747d5bcb6f4318c7ddcf9a21d9ebb32e8fac9a6964dbb1b2f",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=2050,
+             event_count=8203, worst_true_slack_ns=3300, reveal_received=True)),
+    ("exact", "late-decision", 1025, -1): (
+        "f5694fbfc4afd464c7dc069429aa4c5280b1154bb675d62681036690784c74c5",
+        dict(aborted=True, abort_round=1025, abort_reason="deadline", rounds_recorded=1024,
+             event_count=4099, worst_true_slack_ns=3300, reveal_received=False)),
+    ("exact", "late-decision", 1025, 0): (
+        "beac4ef82a6a04de0797e194b22004427715a85365460aed1e67ad689cbce4a1",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=2050,
+             event_count=8203, worst_true_slack_ns=3300, reveal_received=True)),
+    ("exact", "relay", 0, 0): (
+        "3e47826d70d12bb7602b9b2d0a2a30cc88cd7a042f2f7452ddeb4c84beec6425",
+        dict(aborted=True, abort_round=2, abort_reason="deadline", rounds_recorded=1,
+             event_count=7, worst_true_slack_ns=None, reveal_received=False)),
+    ("pps", "late-decision", 1024, -1): (
+        "57169b35cd55662b158a53b75276e3cda0d77f2d2e5e99b0e41099f51730815a",
+        dict(aborted=True, abort_round=1024, abort_reason="deadline", rounds_recorded=1023,
+             event_count=4095, worst_true_slack_ns=3198, reveal_received=False)),
+    ("pps", "late-decision", 1024, 0): (
+        "869bfe13d9bce2931cac2db038983c15987a6e19d64484f6d25ab4518a54caab",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=2050,
+             event_count=8203, worst_true_slack_ns=3198, reveal_received=True)),
+    ("pps", "late-decision", 1025, -1): (
+        "f5694fbfc4afd464c7dc069429aa4c5280b1154bb675d62681036690784c74c5",
+        dict(aborted=True, abort_round=1025, abort_reason="deadline", rounds_recorded=1024,
+             event_count=4099, worst_true_slack_ns=3198, reveal_received=False)),
+    ("pps", "late-decision", 1025, 0): (
+        "5e3629a90cdbdbc36bab81d5ee9b8594dee11b66602edf6626b8af8a85c5626c",
+        dict(aborted=False, abort_round=None, abort_reason=None, rounds_recorded=2050,
+             event_count=8203, worst_true_slack_ns=3198, reveal_received=True)),
+    ("pps", "relay", 0, 0): (
+        "3e47826d70d12bb7602b9b2d0a2a30cc88cd7a042f2f7452ddeb4c84beec6425",
+        dict(aborted=True, abort_round=2, abort_reason="deadline", rounds_recorded=1,
+             event_count=7, worst_true_slack_ns=None, reveal_received=False)),
+}
+
+
+@pytest.mark.parametrize("clocks, kind, target, margin", list(ANSWER_EDGE_PINS),
+                         ids=lambda v: str(v))
+def test_answer_block_edge_runs(clocks, kind, target, margin):
+    strategy = (AdversaryStrategy(kind, target, margin) if kind == "late-decision"
+                else AdversaryStrategy(kind))
+    t, rep = run_simulation(small_plan(2050, n=128), clocks=BLOCK_EDGE_CLOCKS[clocks],
+                            strategy=strategy, seed=1, bit=0)
+    digest, fields = ANSWER_EDGE_PINS[clocks, kind, target, margin]
+    assert hashlib.sha256(transcript_to_bytes(t)).hexdigest() == digest
+    assert asdict(rep) == {"strategy": kind, "seed": 1, "bit": 0, **fields,
+                           "margin_violation_rounds": [], "discipline_violations": []}
+
 # Runs on pps clocks whose schedule crosses whole seconds of global time,
 # where the pulse steps each clock: stations 15,000 km apart put rounds about
 # 50 ms apart, so round 21 starts past 1 s and the reveal, round 41, past
