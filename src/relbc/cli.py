@@ -313,6 +313,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rate = stats.rounds_per_second
     case1_rounds = resource_plan(_resolve_config("case1", DEFAULT_YEAR_DAYS)).m
     case1_hours = case1_rounds / rate / 3600.0
+    case1_gen_hours = case1_rounds / gen_rate / 3600.0
     case1_tapes_hours = 2 * case1_rounds / tape_rate / 3600.0
     rows = {
         "tape_elements_per_s": tape_rate,
@@ -320,11 +321,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "verify_rounds_per_s": rate,
         "case1_rounds": case1_rounds,
         "case1_tapes_hours_projected": case1_tapes_hours,
+        "case1_gen_hours_projected": case1_gen_hours,
         "case1_verify_hours_projected": case1_hours,
     }
     print(f"{'tape generation':34s} {tape_rate:12,.0f} elements/s (two seeded tapes)")
     print(f"{'transcript-file generation':34s} {gen_rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'transcript-file verification':34s} {rate:12,.0f} rounds/s   (m = {m})")
+    print(f"{'projected case-1 generation':34s} {case1_gen_hours:12,.1f} hours "
+          f"({case1_rounds:.3g} rounds)")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
           f"({case1_rounds:.3g} rounds)")
     print(f"{'projected case-1 tapes':34s} {case1_tapes_hours:12,.1f} hours "

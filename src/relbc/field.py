@@ -35,18 +35,28 @@ other than i = i'), so each product bit is one term and no carry reaches a
 gathered byte.
 
 Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
-over a block's encoded x and y columns, and `FieldSpec.answers` gives the
-honest answers y_j = x_j*a_{j-1} XOR a_j for a block's encoded challenge
-and secret columns. Each concatenates its two columns and spreads them with
-one block spreader (`_spread_block`): one `bin`/`translate` conversion, one
-`element_struct` unpack that splits the slots into elements, and one
-`int.from_bytes` map, so the result is a list of spread ints, last element
-first. Each kernel walks that list with `zip`, pairing round j's two
-columns, and keeps the running a spread from the first round to the last;
-`fold` compacts it once, and `answers` gathers each answer straight into
-its encoding. The product and its reduction are `_smul`'s, the same as in
-`mul`. The spread form never leaves this module: every other layer goes
-through `mul`, `fold` or `answers`.
+over a block's encoded x and y columns. It concatenates the two columns and
+spreads them with one block spreader (`_spread_block`): one `bin`/`translate`
+conversion, one `element_struct` unpack that splits the slots into elements,
+and one `int.from_bytes` map, so the result is a list of spread ints, last
+element first. It walks that list with `zip`, pairing round j's two columns,
+keeps the running a spread from the first round to the last, and compacts it
+once. Each step's product and reduction are `_smul`'s, the same as in `mul`.
+
+`FieldSpec.answers` gives the honest answers y_j = x_j*a_{j-1} XOR a_j for a
+block's encoded challenge and secret columns. These products do not depend
+on each other, so it computes them bitsliced (Biham, FSE 1997): bit plane i
+of a column is one int whose bit j is bit i of element j, so one AND or XOR
+acts on every round of the block. A column becomes planes by strided byte
+slices, which lay byte b of every element end to end, and an 8x8 bit
+transpose of every 64-bit word of that int at once (SWAR, three masked
+swaps); the planes go back the same way. The a_{j-1} planes are the secret
+planes moved up one lane, with a_0's bits in lane 0. The x and a_{j-1} plane
+vectors are multiplied by Karatsuba down to a 16-plane schoolbook of ANDs and
+XORs; the product planes at or above n are folded back down by the table
+polynomial's taps, and the secret planes XORed in. The spread form and the
+planes never leave this module: every other layer goes through `mul`, `fold`
+or `answers`.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ import functools
 import random
 import struct
 from itertools import repeat
+from operator import and_, xor
 from typing import Iterator, Sequence
 
 class FieldError(Exception):
@@ -122,6 +133,88 @@ def _poly_mod(a: int, mod: int) -> int:
     return a
 
 
+# The 8x8 bit transpose of every 64-bit word of an int, as three swaps of
+# ever larger blocks (Warren, "Hacker's Delight", 7-3): each step's shift, and
+# the little-endian bytes of one word of its mask, which marks the bits that
+# swap with the bits `shift` above them. No swap crosses a word.
+_TRANSPOSE_STEPS = (
+    (7, bytes.fromhex("aa00aa00aa00aa00")),
+    (14, bytes.fromhex("cccc0000cccc0000")),
+    (28, bytes.fromhex("f0f0f0f000000000")),
+)
+
+
+@functools.lru_cache(maxsize=8)
+def _transpose_masks(size: int) -> tuple[int, ...]:
+    """`_TRANSPOSE_STEPS`' masks over `size` bytes, a whole number of words."""
+    return tuple(int.from_bytes(word * (size // 8), "little") for _, word in _TRANSPOSE_STEPS)
+
+
+def _transpose8(data: bytes) -> bytes:
+    """`data` with each 8-byte word's bits turned around, bit j of byte i
+    becoming bit i of byte j, by `_TRANSPOSE_STEPS` on the whole int."""
+    size = len(data)
+    v = int.from_bytes(data, "little")
+    for (shift, _), mask in zip(_TRANSPOSE_STEPS, _transpose_masks(size)):
+        t = (v ^ v >> shift) & mask
+        v ^= t ^ t << shift
+    return v.to_bytes(size, "little")
+
+
+def _planes(col: bytes, eb: int, lanes: int) -> list[int]:
+    """The 8*eb bit planes of a column of `lanes` encoded elements, `lanes`
+    a multiple of 8: plane i is a `lanes`-bit int whose bit j is bit i of
+    element j. The column's byte planes (byte b of every element, by one
+    strided slice) are laid end to end, so each word holds byte b of 8
+    elements; `_transpose8` puts bit t of those 8 in its byte t, so every
+    eighth byte from t on is bit t of each byte plane in turn."""
+    rows = _transpose8(b"".join([col[b::eb] for b in range(eb)]))
+    q = lanes // 8
+    planes = [0] * (8 * eb)
+    for t in range(8):
+        bits = rows[t::8]
+        planes[t::8] = [int.from_bytes(bits[i:i + q], "little") for i in range(0, len(bits), q)]
+    return planes
+
+
+def _elements(planes: list[int], eb: int, lanes: int) -> bytes:
+    """The column of `lanes` encoded elements whose bit planes are `planes`,
+    the inverse of `_planes`."""
+    q = lanes // 8
+    rows = bytearray(lanes * eb)
+    for t in range(8):
+        rows[t::8] = b"".join([p.to_bytes(q, "little") for p in planes[t::8]])
+    byte_planes = _transpose8(rows)
+    col = bytearray(lanes * eb)
+    for b in range(eb):
+        col[b::eb] = byte_planes[b * lanes:(b + 1) * lanes]
+    return bytes(col)
+
+
+# plane vectors this long or shorter are multiplied by schoolbook
+_SCHOOLBOOK_PLANES = 16
+
+
+def _plane_mul(a: list[int], b: list[int]) -> list[int]:
+    """The 2s-1 planes of the lane-wise carry-less products of two vectors
+    of s planes, s a power of 2, unreduced: Karatsuba on the vectors'
+    halves, a0*b0, a1*b1 and (a0+a1)*(b0+b1), down to `_SCHOOLBOOK_PLANES`,
+    where each product plane is the XOR of the ANDs of its plane pairs."""
+    s = len(a)
+    if s <= _SCHOOLBOOK_PLANES:
+        c = [0] * (2 * s - 1)
+        for i, ai in enumerate(a):
+            c[i:i + s] = map(xor, c[i:i + s], map(and_, b, repeat(ai)))
+        return c
+    h = s // 2
+    lo = _plane_mul(a[:h], b[:h])
+    hi = _plane_mul(a[h:], b[h:])
+    mid = _plane_mul(list(map(xor, a[:h], a[h:])), list(map(xor, b[:h], b[h:])))
+    out = lo + [0] + hi
+    out[h:3 * h - 1] = map(xor, out[h:3 * h - 1], map(xor, map(xor, mid, lo), hi))
+    return out
+
+
 class FieldSpec:
     """The GF(2^n) of width ``n`` from the `DEFAULT_POLYS` table.
 
@@ -131,7 +224,7 @@ class FieldSpec:
 
     __slots__ = (
         "n", "poly", "mask", "full_poly", "element_bytes",
-        "_par_mask", "_lo_mask", "_s_poly",
+        "_par_mask", "_lo_mask", "_s_poly", "_taps",
     )
 
     def __init__(self, n: int):
@@ -145,6 +238,7 @@ class FieldSpec:
         self._par_mask = int.from_bytes(b"\x01" * (2 * n), "little")
         self._lo_mask = (1 << (8 * n)) - 1
         self._s_poly = self._spread(self.poly)
+        self._taps = [i for i in range(self.poly.bit_length()) if self.poly >> i & 1]
 
     # -- spread-domain primitives -----------------------------------------
     #
@@ -220,22 +314,34 @@ class FieldSpec:
 
         `xs` is x_1||...||x_r and `secrets` a_1||...||a_r, each element in
         its canonical `element_bytes` encoding; returns y_1||...||y_r in the
-        same encoding. Both columns are spread by one `_spread_block`, each
-        a_j stays spread as the next round's a_{j-1}, and each answer is
-        gathered into its encoding by one multiplication.
+        same encoding. The products do not depend on each other, so the
+        block is computed bitsliced (see the module docstring): the columns
+        become bit planes with one lane a round, padded to a multiple of 8;
+        the a_{j-1} planes are the secret planes moved up one lane, with a's
+        bits in lane 0; and every round's product comes out of one
+        `_plane_mul` of the x and a_{j-1} planes.
         """
         if len(xs) != len(secrets):
             raise FieldError(f"{len(xs)} challenge bytes for {len(secrets)} secret bytes")
-        w = self.n
-        r = len(xs) // self.element_bytes
-        s = self._spread_block(xs + secrets)  # a_r..a_1, then x_r..x_1
-        smul = self._smul
-        sa = self._spread(a)
-        ys = []
-        for sx, sn in zip(reversed(s[r:]), reversed(s[:r])):
-            ys.append(smul(sx, sa) ^ sn)
-            sa = sn
-        return b"".join([(y * _GATHER).to_bytes(w + 8, "little")[7:w:8] for y in ys])
+        eb = self.element_bytes
+        r = len(xs) // eb
+        if r == 0:
+            return b""
+        lanes = -(-r // 8) * 8
+        pad = bytes((lanes - r) * eb)
+        sp = _planes(secrets + pad, eb, lanes)
+        full = (1 << lanes) - 1
+        prev = [(p << 1 | a >> i & 1) & full for i, p in enumerate(sp)]
+        c = _plane_mul(_planes(xs + pad, eb, lanes), prev)
+        # fold planes n and up back down by the table polynomial's taps, all
+        # at once; a second pass folds the few that the taps carried past n
+        n, taps = self.n, self._taps
+        while len(c) > n:
+            hi = c[n:]
+            c = c[:n] + [0] * (len(hi) + taps[-1] - n)
+            for t in taps:
+                c[t:t + len(hi)] = map(xor, c[t:t + len(hi)], hi)
+        return _elements(list(map(xor, c, sp)), eb, lanes)[:r * eb]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""

@@ -13,10 +13,12 @@ PRL 115, 030502 (2015)). Elements are ints. The rule is written twice,
 each in its own hot loop: `AliceAgent.handle_challenge` answers online, one
 `FieldSpec.mul` per round, reading the tape by index and guarding the round
 order, for the live transport and the `run_honest_protocol` reference;
-`FieldSpec.answers` answers a block of rounds at a time, and
-`honest_answer_blocks` feeds it in constant memory. That generator is the
-one offline answer path: `honest_row_blocks` packs its blocks into records,
-and the simulator answers from them, `VERIFY_BLOCK_ROUNDS` rounds at a time.
+`FieldSpec.answers` answers `ANSWER_BLOCK_ROUNDS` rounds per call, and
+`honest_answer_blocks` feeds it in constant memory and hands its answers on
+`VERIFY_BLOCK_ROUNDS` rounds at a time. That generator is the one offline
+answer path: `honest_row_blocks` packs its blocks into records, and the
+simulator answers from them, so a run that aborts early has computed one
+`ANSWER_BLOCK_ROUNDS` block.
 
 Offline generation moves bytes from end to end. `honest_answer_blocks`
 takes each source's elements as encoded byte blocks: a `storage.TapeReader`
@@ -84,6 +86,16 @@ REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered 
 # elements in one piece, eight bytes for each of their bytes, so this bounds
 # the verifier's memory.
 VERIFY_BLOCK_ROUNDS = 256
+
+# Rounds per `FieldSpec.answers` call of `honest_answer_blocks`, a multiple
+# of VERIFY_BLOCK_ROUNDS. The bitsliced kernel's cost is mostly per call,
+# so it falls per round as more rounds share its planes: at n=128 on one
+# CPU, 2.8 us a round at 512 rounds, 1.5 us at 1024 and 0.73 us at 4096,
+# against about 3 us for the spread-form loop at any size. Longer blocks
+# wait for perfbench's AnswerProbe to stop keeping every pass (ROADMAP item
+# 3): it reads a faster cycle as a higher peak_rss_mb. An early abort
+# computes one block.
+ANSWER_BLOCK_ROUNDS = 1024
 
 # Both stations' answer deadline in an honest transcript on the synthetic
 # schedule of `honest_header` and `honest_row_blocks`.
@@ -391,11 +403,13 @@ def honest_answer_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: It
     at a time: each block's encoded challenge and answer columns x||... and
     y||...; the generator's return value is a_m.
 
-    `secrets` and `challenges` are read through `_element_reader` and never
-    past element m, so arbitrarily long runs are answered in constant
-    memory. The answers follow the round rule from a_0 = d, one
-    `FieldSpec.answers` per block. A source that ends before element m
-    raises ProtocolError; the bit is checked on the call.
+    `secrets` and `challenges` are read through `_element_reader`,
+    `ANSWER_BLOCK_ROUNDS` elements at a time and never past element m, so
+    arbitrarily long runs are answered in constant memory. The answers
+    follow the round rule from a_0 = d, one `FieldSpec.answers` per
+    `ANSWER_BLOCK_ROUNDS` rounds, handed out in slices of
+    `VERIFY_BLOCK_ROUNDS`. A source that ends before element m raises
+    ProtocolError; the bit is checked on the call.
     """
     check_bit(d)
     eb = spec.element_bytes
@@ -409,12 +423,15 @@ def honest_answer_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: It
 
     def blocks() -> Generator[tuple[bytes, bytes], None, int]:
         read_a, read_x = _element_reader(secrets, eb), _element_reader(challenges, eb)
+        step = VERIFY_BLOCK_ROUNDS * eb
         a = d
-        for k0 in range(1, m + 1, VERIFY_BLOCK_ROUNDS):
-            r = min(VERIFY_BLOCK_ROUNDS, m + 1 - k0)
+        for k0 in range(1, m + 1, ANSWER_BLOCK_ROUNDS):
+            r = min(ANSWER_BLOCK_ROUNDS, m + 1 - k0)
             sec = take(read_a, r, "secrets", k0)
             xs = take(read_x, r, "challenge", k0)
-            yield xs, spec.answers(a, xs, sec)
+            ys = spec.answers(a, xs, sec)
+            for i in range(0, r * eb, step):
+                yield xs[i:i + step], ys[i:i + step]
             a = int.from_bytes(sec[-eb:], "little")
         return a
 

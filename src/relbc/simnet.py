@@ -14,7 +14,7 @@ light itself would miss the deadline by t_M.
 The engine is single-threaded and reproducible: identical inputs give
 byte-identical transcripts and reports. It keeps no event queue. Rounds are
 settled a block at a time: 2 rounds, then as many as have run, up to
-`VERIFY_BLOCK_ROUNDS`, so each block lies inside one answer block. A
+`VERIFY_BLOCK_ROUNDS`, so each block lies inside one slice of answers. A
 block's events (start, challenge arrival, covert relay, answer arrival,
 deadline) are columns of global times, one entry a round; its starts and
 deadlines are converted to the global frame once each, and its receipts
@@ -44,12 +44,13 @@ every pulse, the one at global time 0 included, so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
-transcript generation packs too, `VERIFY_BLOCK_ROUNDS` rounds at a time: a
-block is computed when the run first reaches a round past the answers held,
-so a run that aborts early answers one block, not m rounds. Settling blocks
-in round order gives each of her two agents its station's rounds in order,
-as `AliceAgent` keeps them over the wire; the reveal is the tape's a_m with
-her bit, flipped by `wrong-bit-reveal`.
+transcript generation packs too: it computes `ANSWER_BLOCK_ROUNDS` rounds
+per call and hands them out `VERIFY_BLOCK_ROUNDS` at a time, and a slice is
+taken when the run first reaches a round past the answers held, so a run
+that aborts early answers one `ANSWER_BLOCK_ROUNDS` block, not m rounds.
+Settling blocks in round order gives each of her two agents its station's
+rounds in order, as `AliceAgent` keeps them over the wire; the reveal is the
+tape's a_m with her bit, flipped by `wrong-bit-reveal`.
 
 One arrival rule, `protocol.arrival_fault`, judges every answer and the
 reveal, which is round m+1: it is on time when 0 <= received - issued <= tau

@@ -591,16 +591,19 @@ class TestBench:
         code, out, _ = run_cli(capsys, "bench", "--rounds", "500", "--json", "bench.json")
         assert code == 0
         assert "projected case-1 verification" in out
+        assert "projected case-1 generation" in out
         assert "transcript-file generation" in out
         assert "tape generation" in out and "projected case-1 tapes" in out
         data = json.loads((in_tmp / "bench.json").read_text())
         assert set(data) == {"tape_elements_per_s", "gen_rounds_per_s", "verify_rounds_per_s",
                              "case1_rounds", "case1_tapes_hours_projected",
-                             "case1_verify_hours_projected"}
+                             "case1_gen_hours_projected", "case1_verify_hours_projected"}
         assert data["tape_elements_per_s"] > 0
         assert data["gen_rounds_per_s"] > 0 and data["verify_rounds_per_s"] > 0
         assert data["case1_verify_hours_projected"] == pytest.approx(
             data["case1_rounds"] / data["verify_rounds_per_s"] / 3600)
+        assert data["case1_gen_hours_projected"] == pytest.approx(
+            data["case1_rounds"] / data["gen_rounds_per_s"] / 3600)
         assert data["case1_tapes_hours_projected"] == pytest.approx(
             2 * data["case1_rounds"] / data["tape_elements_per_s"] / 3600)
         manifest = json.loads((in_tmp / "bench.json.manifest.json").read_text())

@@ -290,13 +290,19 @@ def test_fold_matches_mul_loop(block):
 
 @st.composite
 def answer_blocks(draw):
-    """A table field, a start value, and a block of 1, 2, 255 or 256
-    (x, a) pairs, every element often 0, 1 or the all-ones mask."""
+    """A table field, a start value, and a block of (x, a) pairs, every
+    element often 0, 1 or the all-ones mask. The block sizes reach a
+    partial and a whole 8-lane transpose word, and either side of 256 and
+    1024 rounds. The elements come from a generator with a drawn seed, so
+    the longest blocks fit in one example's data."""
     spec = draw(st.sampled_from(TABLE_SPECS))
-    value = st.one_of(st.sampled_from([0, 1, spec.mask]), st.integers(0, spec.mask))
-    count = draw(st.sampled_from([1, 2, 255, 256]))
-    pairs = draw(st.lists(st.tuples(value, value), min_size=count, max_size=count))
-    return spec, draw(value), pairs
+    count = draw(st.sampled_from([1, 2, 7, 8, 9, 255, 256, 1023, 1024, 1025]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value() -> int:
+        return rng.choice([0, 1, spec.mask]) if rng.random() < 0.25 else rng.getrandbits(spec.n)
+
+    return spec, value(), [(value(), value()) for _ in range(count)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,6 +320,17 @@ def test_answers_match_schoolbook(block):
     secrets = b"".join(spec.encode(a_j) for _, a_j in pairs)
     assert by_mul == expected
     assert spec.answers(a, xs, secrets) == b"".join(spec.encode(y) for y in expected)
+
+
+def test_answers_every_n8_pair():
+    """One 65,536-round `answers` call at n=8 meets every (x, a_{j-1}) pair
+    of GF(2^8): round j's x is j mod 256 and its a_{j-1} is j div 256, the
+    secret a_j being the next round's a_{j-1}."""
+    rounds = range(1 << 16)
+    xs = bytes(j & 0xFF for j in rounds)
+    secrets = bytes((j + 1) >> 8 & 0xFF for j in rounds)
+    expected = bytes(schoolbook_mul(j & 0xFF, j >> 8, 8, S8.poly) ^ secrets[j] for j in rounds)
+    assert S8.answers(0, xs, secrets) == expected
 
 
 def test_answers_empty_and_unequal_blocks():

@@ -173,6 +173,12 @@ class TestRoundTrip:
         with pytest.raises(ProtocolError, match=f"{short} element source exhausted at 3/5"):
             list(honest_round_stream(S8, sources["secrets"], sources["challenge"], 1, 5))
 
+    def test_source_ending_inside_an_answer_block(self):
+        """A secrets source that ends at element 1100 of 1500, inside the
+        second answer block, names the count it reached."""
+        with pytest.raises(ProtocolError, match="secrets element source exhausted at 1100/1500"):
+            list(honest_round_stream(S8, [1] * 1100, [1] * 1500, 1, 1500))
+
     def test_bad_bit_raises_on_call(self):
         with pytest.raises(ProtocolError):
             honest_row_blocks(S8, [1], [1], 2, 1)

@@ -15,6 +15,7 @@ from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resou
 from relbc.protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
+    ANSWER_BLOCK_ROUNDS,
     REJECT_ABORTED,
     REJECT_TIMING,
     bob_verify,
@@ -158,7 +159,7 @@ class TestAdversaries:
 
     def test_relay_answers_one_block(self, monkeypatch):
         """A relay run aborts at round 2, so the committer answers the first
-        256-round block and no other."""
+        `ANSWER_BLOCK_ROUNDS`-round block of the 2000 and no other."""
         calls = []
         answers = FieldSpec.answers
 
@@ -170,7 +171,7 @@ class TestAdversaries:
         _, rep = run_simulation(small_plan(2000, n=128), strategy=AdversaryStrategy("relay"),
                                 seed=1, bit=0)
         assert rep.aborted and rep.abort_round == 2
-        assert calls == [256]
+        assert calls == [ANSWER_BLOCK_ROUNDS]
 
     def test_late_decision_boundary(self):
         ok, _ = run_simulation(PLAN8, strategy=AdversaryStrategy(

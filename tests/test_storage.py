@@ -622,6 +622,17 @@ class TestStreamedGeneration:
         verdict, _ = verify_file(path)
         assert verdict.accepted and verdict.bit == 1
 
+    @pytest.mark.parametrize("m", [1023, 1024, 1025, 2049])
+    def test_generation_across_answer_blocks(self, tmp_path, m):
+        """The streamed file is `run_honest_protocol`'s bytes for m on either
+        side of the 1024-round answer block and past two of them."""
+        secrets, challenges = random_tapes(S128, m, seed=m)
+        path = tmp_path / "s.rbcx"
+        generate_honest_transcript_file(path, S128, m, iter(secrets.elements),
+                                        iter(challenges.elements), m & 1)
+        assert path.read_bytes() == transcript_to_bytes(
+            run_honest_protocol(S128, secrets, challenges, m & 1))
+
     def test_generation_from_tape_files(self, tmp_path):
         plan = small_plan(60, n=128)
         a_path, x_path = tmp_path / "a.tape", tmp_path / "x.tape"
