@@ -835,6 +835,60 @@ def test_answer_block_edge_runs(clocks, kind, target, margin):
     assert asdict(rep) == {"strategy": kind, "seed": 1, "bit": 0, **fields,
                            "margin_violation_rounds": [], "discipline_violations": []}
 
+
+# Runs at m=3000, n=8 that abort, or just keep their deadline, on either side
+# of round 768|769, an edge of 256-round settle blocks, and of 2048|2049, the
+# edge of the second 1024-round answer block: late-decision at margins -1
+# and 0, on exact and pps clocks. Computed while the simulator settled at
+# most 256 rounds a block; each value is as in BLOCK_EDGE_PINS.
+SETTLE_EDGE_PINS = {
+    ("exact", "late-decision", 768, -1): ((768, "deadline"), 3071, 767, 3300, [],
+        "f5c15f0fbe7e74633b0360bb82d089753a58810bca7a94d9ce8180e49f9102c8"),
+    ("exact", "late-decision", 768, 0): (None, 12003, 3000, 3300, [],
+        "14753af2e2554ea86beb945d2c5d87bc44647fd8e3914d52df57d3f71ad3a7a5"),
+    ("exact", "late-decision", 769, -1): ((769, "deadline"), 3075, 768, 3300, [],
+        "f0401440562f7919899c79b0aacaf728d95ee9c044d25cedbe5ae6d01128be78"),
+    ("exact", "late-decision", 769, 0): (None, 12003, 3000, 3300, [],
+        "af9cf6d4fe8b4523a4dd5be396751499ad4de0de043ea5c5505b38675df3d274"),
+    ("exact", "late-decision", 2048, -1): ((2048, "deadline"), 8191, 2047, 3300, [],
+        "d25a501198e06f81096a2e148423f39084fa77bc5aea8423c6f290ec4d1c168a"),
+    ("exact", "late-decision", 2048, 0): (None, 12003, 3000, 3300, [],
+        "747d46c99a47b160e89506677b9956c5ff3d7edf790e43029880e4d93f14ec43"),
+    ("exact", "late-decision", 2049, -1): ((2049, "deadline"), 8195, 2048, 3300, [],
+        "3c1e605eabec37007678925b3f8fc7f8364418a2d593050ce81306a346e57d79"),
+    ("exact", "late-decision", 2049, 0): (None, 12003, 3000, 3300, [],
+        "917adab84f80f72e99935810e774aa16e1b865d471ed2269ad9fe4a34a3141a3"),
+    ("pps", "late-decision", 768, -1): ((768, "deadline"), 3071, 767, 3198, [],
+        "f5c15f0fbe7e74633b0360bb82d089753a58810bca7a94d9ce8180e49f9102c8"),
+    ("pps", "late-decision", 768, 0): (None, 12003, 3000, 3198, [],
+        "782e90afacd121fde296d06029f98a0fc88119561709552c128a4946bda860ff"),
+    ("pps", "late-decision", 769, -1): ((769, "deadline"), 3075, 768, 3198, [],
+        "f0401440562f7919899c79b0aacaf728d95ee9c044d25cedbe5ae6d01128be78"),
+    ("pps", "late-decision", 769, 0): (None, 12003, 3000, 3198, [],
+        "bcccdabd490b0615c373c4653f53dc601abce16ed97f698d184281b24145c36f"),
+    ("pps", "late-decision", 2048, -1): ((2048, "deadline"), 8191, 2047, 3198, [],
+        "d25a501198e06f81096a2e148423f39084fa77bc5aea8423c6f290ec4d1c168a"),
+    ("pps", "late-decision", 2048, 0): (None, 12003, 3000, 3198, [],
+        "e505e4f6de94c1877b3feb3779bb6c96e8cf93907a741bc3d012e908ef86cbf8"),
+    ("pps", "late-decision", 2049, -1): ((2049, "deadline"), 8195, 2048, 3198, [],
+        "3c1e605eabec37007678925b3f8fc7f8364418a2d593050ce81306a346e57d79"),
+    ("pps", "late-decision", 2049, 0): (None, 12003, 3000, 3198, [],
+        "e1800c4e8737b64dc9c8c7a0cadcca71d2dbff47cbec68c3e638dc70ab982568"),
+}
+
+
+@pytest.mark.parametrize("clocks, kind, target, margin", list(SETTLE_EDGE_PINS),
+                         ids=lambda v: str(v))
+def test_settle_block_edge_runs(clocks, kind, target, margin):
+    t, rep = run_simulation(small_plan(3000, n=8), clocks=BLOCK_EDGE_CLOCKS[clocks],
+                            strategy=AdversaryStrategy(kind, target, margin), seed=1, bit=0)
+    abort = (rep.abort_round, rep.abort_reason) if rep.aborted else None
+    assert (abort, rep.event_count, rep.rounds_recorded, rep.worst_true_slack_ns,
+            rep.margin_violation_rounds,
+            hashlib.sha256(transcript_to_bytes(t)).hexdigest()) == \
+        SETTLE_EDGE_PINS[clocks, kind, target, margin]
+
+
 # Runs on pps clocks whose schedule crosses whole seconds of global time,
 # where the pulse steps each clock: stations 15,000 km apart put rounds about
 # 50 ms apart, so round 21 starts past 1 s and the reveal, round 41, past
