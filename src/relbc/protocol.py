@@ -13,12 +13,12 @@ PRL 115, 030502 (2015)). Elements are ints. The rule is written twice,
 each in its own hot loop: `AliceAgent.handle_challenge` answers online, one
 `FieldSpec.mul` per round, reading the tape by index and guarding the round
 order, for the live transport and the `run_honest_protocol` reference;
-`FieldSpec.answers` answers `ANSWER_BLOCK_ROUNDS` rounds per call, and
-`honest_answer_blocks` feeds it in constant memory and hands its answers on
-`VERIFY_BLOCK_ROUNDS` rounds at a time. That generator is the one offline
-answer path: `honest_row_blocks` packs its blocks into records, and the
-simulator answers from them, so a run that aborts early has computed one
-`ANSWER_BLOCK_ROUNDS` block.
+`FieldSpec.answers` answers `BLOCK_ROUNDS` rounds per call, and
+`honest_answer_blocks` feeds it in constant memory, one block a call. That
+generator is the one offline answer path: `honest_row_blocks` packs its
+blocks into records, and the simulator answers from them, so a run that
+aborts early has computed one block. Tape reads, record blocks and
+transcript reads move `BLOCK_ROUNDS` at a time too.
 
 Offline generation moves bytes from end to end. `honest_answer_blocks`
 takes each source's elements as encoded byte blocks: a `storage.TapeReader`
@@ -70,7 +70,8 @@ STATUS_ABORTED = "aborted"
 # carries it; a rejecting verdict gives a REJECT_* one.
 ABORT_DEADLINE = "deadline"             # an answer or the reveal missed its window, late or never
 ABORT_EARLY_REVEAL = "early-reveal"     # the reveal came before round m+1 opened
-ABORT_CONFIG = "config"                 # a peer holds another plan, or is not a peer expected
+ABORT_CONFIG = "config"                 # a peer holds another plan, is not a peer expected, or
+                                        # schedules the epoch past the I/O timeout
 ABORT_CONNECTION = "connection"         # a link was refused, dropped or fell silent
 ABORT_TAPE = "tape"                     # a tape holds fewer than m elements
 ABORT_MALFORMED = "malformed-frame"     # a peer's bytes broke the wire layout or frame order
@@ -82,20 +83,17 @@ REJECT_ZERO_CHALLENGE = "zero-challenge"  # a challenge among x_1..x_m is zero
 REJECT_BIT_MISMATCH = "bit-mismatch"    # the chain does not end at the revealed a_m
 REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered or misplaced
 
-# Rounds per block of `verify_rounds`. `FieldSpec.fold` spreads a block's
-# elements in one piece, eight bytes for each of their bytes, so this bounds
-# the verifier's memory.
-VERIFY_BLOCK_ROUNDS = 256
-
-# Rounds per `FieldSpec.answers` call of `honest_answer_blocks`, a multiple
-# of VERIFY_BLOCK_ROUNDS. The bitsliced kernel's cost is mostly per call,
-# so it falls per round as more rounds share its planes: at n=128 on one
-# CPU, 2.8 us a round at 512 rounds, 1.5 us at 1024 and 0.73 us at 4096,
-# against about 3 us for the spread-form loop at any size. Longer blocks
-# wait for perfbench's AnswerProbe to stop keeping every pass (ROADMAP item
-# 3): it reads a faster cycle as a higher peak_rss_mb. An early abort
-# computes one block.
-ANSWER_BLOCK_ROUNDS = 1024
+# The package's one block size: rounds per `FieldSpec.answers` call, per
+# record block (`honest_row_blocks`, `record_blocks`), per transcript-file
+# read and per largest simulator settle block, and elements per tape read,
+# draw and write. The bitsliced kernel's cost is mostly per call: at n=128 on
+# one CPU, 2.8 us a round at 512 rounds, 1.5 us at 1024 and 0.73 us at 4096,
+# against about 3 us for the spread-form loop. Longer blocks wait for
+# perfbench's AnswerProbe to stop keeping every pass (ROADMAP item 3): it
+# reads a faster cycle as a higher peak_rss_mb. An early abort computes one
+# block. Memory sets no smaller size: `FieldSpec.fold` spreads 256 rounds at
+# a time (`field._DECODE_ELEMENTS`), so `verify_file` stays under 1 MiB.
+BLOCK_ROUNDS = 1024
 
 # Both stations' answer deadline in an honest transcript on the synthetic
 # schedule of `honest_header` and `honest_row_blocks`.
@@ -191,11 +189,11 @@ class RoundRecord:
 
 
 def record_blocks(records: Iterable[RoundRecord], eb: int) -> Iterator[bytes]:
-    """`records` packed in `record_struct`'s layout, `VERIFY_BLOCK_ROUNDS`
-    at a time by one pack: how every `RoundRecord` writer packs. An element
+    """`records` packed in `record_struct`'s layout, `BLOCK_ROUNDS` at a
+    time by one pack: how every `RoundRecord` writer packs. An element
     wider than `eb` bytes raises OverflowError."""
     it = iter(records)
-    while recs := list(islice(it, VERIFY_BLOCK_ROUNDS)):
+    while recs := list(islice(it, BLOCK_ROUNDS)):
         flat = []
         for r in recs:
             flat += (r.k, r.station, r.challenge.to_bytes(eb, "little"),
@@ -399,17 +397,16 @@ def _element_reader(source: Iterable[int], eb: int) -> Callable[[int], bytes]:
 
 def honest_answer_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: Iterable[int],
                          d: int, m: int) -> Generator[tuple[bytes, bytes], None, int]:
-    """The committer's answers to the m honest rounds, `VERIFY_BLOCK_ROUNDS`
-    at a time: each block's encoded challenge and answer columns x||... and
+    """The committer's answers to the m honest rounds, `BLOCK_ROUNDS` at a
+    time: each block's encoded challenge and answer columns x||... and
     y||...; the generator's return value is a_m.
 
     `secrets` and `challenges` are read through `_element_reader`,
-    `ANSWER_BLOCK_ROUNDS` elements at a time and never past element m, so
+    `BLOCK_ROUNDS` elements at a time and never past element m, so
     arbitrarily long runs are answered in constant memory. The answers
-    follow the round rule from a_0 = d, one `FieldSpec.answers` per
-    `ANSWER_BLOCK_ROUNDS` rounds, handed out in slices of
-    `VERIFY_BLOCK_ROUNDS`. A source that ends before element m raises
-    ProtocolError; the bit is checked on the call.
+    follow the round rule from a_0 = d, one `FieldSpec.answers` a block. A
+    source that ends before element m raises ProtocolError; the bit is
+    checked on the call.
     """
     check_bit(d)
     eb = spec.element_bytes
@@ -423,15 +420,12 @@ def honest_answer_blocks(spec: FieldSpec, secrets: Iterable[int], challenges: It
 
     def blocks() -> Generator[tuple[bytes, bytes], None, int]:
         read_a, read_x = _element_reader(secrets, eb), _element_reader(challenges, eb)
-        step = VERIFY_BLOCK_ROUNDS * eb
         a = d
-        for k0 in range(1, m + 1, ANSWER_BLOCK_ROUNDS):
-            r = min(ANSWER_BLOCK_ROUNDS, m + 1 - k0)
+        for k0 in range(1, m + 1, BLOCK_ROUNDS):
+            r = min(BLOCK_ROUNDS, m + 1 - k0)
             sec = take(read_a, r, "secrets", k0)
             xs = take(read_x, r, "challenge", k0)
-            ys = spec.answers(a, xs, sec)
-            for i in range(0, r * eb, step):
-                yield xs[i:i + step], ys[i:i + step]
+            yield xs, spec.answers(a, xs, sec)
             a = int.from_bytes(sec[-eb:], "little")
         return a
 

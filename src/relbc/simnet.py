@@ -14,11 +14,11 @@ light itself would miss the deadline by t_M.
 The engine is single-threaded and reproducible: identical inputs give
 byte-identical transcripts and reports. It keeps no event queue. Rounds are
 settled a block at a time: 2 rounds, then as many as have run, up to
-`VERIFY_BLOCK_ROUNDS`, so each block lies inside one slice of answers. A
-block's events (start, challenge arrival, covert relay, answer arrival,
-deadline) are columns of global times, one entry a round; its starts and
-deadlines are converted to the global frame once each, and its receipts
-back to the stations' clocks, a station's half-column at a time. Its faults
+`protocol.BLOCK_ROUNDS`, the package's one block size. A block's events
+(start, challenge arrival, covert relay, answer arrival, deadline) are
+columns of global times, one entry a round; its starts and deadlines are
+converted to the global frame once each, and its receipts back to the
+stations' clocks, a station's half-column at a time. Its faults
 are read off the columns: an answer after its deadline, or a turnaround
 outside `arrival_fault`'s window. Every event has an order key, (t, 0, seq)
 for a scheduled one, seq being 2k-2 for round k's start, 2k-1 for its
@@ -44,10 +44,9 @@ every pulse, the one at global time 0 included, so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
-transcript generation packs too: it computes `ANSWER_BLOCK_ROUNDS` rounds
-per call and hands them out `VERIFY_BLOCK_ROUNDS` at a time, and a slice is
-taken when the run first reaches a round past the answers held, so a run
-that aborts early answers one `ANSWER_BLOCK_ROUNDS` block, not m rounds.
+transcript generation packs too: one `FieldSpec.answers` call per
+`BLOCK_ROUNDS` rounds, made when the run first reaches a round past the
+answers held, so a run that aborts early answers one block, not m rounds.
 Settling blocks in round order gives each of her two agents its station's
 rounds in order, as `AliceAgent` keeps them over the wire; the reveal is the
 tape's a_m with her bit, flipped by `wrong-bit-reveal`.
@@ -74,6 +73,7 @@ from .planner import ProtocolPlan, NS
 from .protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
+    BLOCK_ROUNDS,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     RevealMessage,
@@ -82,7 +82,6 @@ from .protocol import (
     STATUS_COMPLETE,
     Tape,
     Transcript,
-    VERIFY_BLOCK_ROUNDS,
     arrival_fault,
     honest_answer_blocks,
     station_of,
@@ -405,8 +404,7 @@ def run_simulation(plan: ProtocolPlan,
     # honest_answer_blocks, decoded into ys when the run first reaches a
     # round past the ones held.
     answer_blocks = honest_answer_blocks(spec, secrets.elements, challenges.elements, bit, m)
-    ys: list[int] = []
-    ys_from = 1   # the round of ys[0]
+    ys: list[int] = []   # the answers of the block of BLOCK_ROUNDS that round k0 is in
 
     abort_key: tuple = (math.inf,)   # the smallest fault's key so far
     abort: tuple[int, str] | None = None   # its (round, reason)
@@ -447,9 +445,9 @@ def run_simulation(plan: ProtocolPlan,
     k1 = 0
     while k1 < m:
         # blocks of 2 rounds, then of as many rounds as have run, up to
-        # VERIFY_BLOCK_ROUNDS: each lies inside one answer block, and an early
-        # abort converts only the few rounds it reaches
-        k0, k1 = k1 + 1, min(m, k1 + min(max(k1, 2), VERIFY_BLOCK_ROUNDS))
+        # BLOCK_ROUNDS, so that each lies inside one block of answers and an
+        # early abort converts only the few rounds it reaches
+        k0, k1 = k1 + 1, min(m, k1 + min(max(k1, 2), BLOCK_ROUNDS))
         # every event of rounds k0 on lies at or after the earlier of their
         # two global starts (each station's starts rise in local time, and
         # global_at_local never decreases), so a fault before it is the abort
@@ -476,10 +474,10 @@ def run_simulation(plan: ProtocolPlan,
             i = target - k0
             answers[i] = max(answers[i], deadlines[i] - strategy.margin_ns)
         received = _by_station(b_locals_at, answers)
-        if k0 - ys_from == len(ys):
-            ys_from, ys = k0, spec.decode_block(next(answer_blocks)[1])
+        if (k0 - 1) % BLOCK_ROUNDS == 0:
+            ys = spec.decode_block(next(answer_blocks)[1])
         rounds += map(RoundRecord, range(k0, k1 + 1), cycle((1, 2)), xs[k0 - 1:k1],
-                      ys[k0 - ys_from:], issued, received)
+                      ys[(k0 - 1) % BLOCK_ROUNDS:], issued, received)
         block = _Block(k0, starts, arrivals, deadlines, answers, relayed, covert,
                        list(map(sub, [prev_start, *starts[:-1]], deadlines)),
                        max(max(deadlines) + 1, max(answers + relayed)))

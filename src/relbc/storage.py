@@ -7,12 +7,13 @@ of `relbc.field`.
 Tape file ("RBCT"): header (magic, version, field, role, element count,
 seed provenance) followed by fixed-size elements. Challenge tapes contain
 only nonzero elements; the writer and the reader both enforce it, on the
-encoded bytes. Tapes move as byte blocks end to end. `generate_tape` draws
-each block of `_WRITE_CHUNK_ELEMENTS` with one `FieldSpec.random_block` and
+encoded bytes. Tapes move as byte blocks end to end, of
+`protocol.BLOCK_ROUNDS` elements, the package's one block size.
+`generate_tape` draws each block with one `FieldSpec.random_block` and
 writes it as drawn, seeded or from system entropy; the bytes are those of
 one `random_int` per element, because a zero challenge is redrawn from the
 next element's worth of the stream, so dropping the block's zero elements
-and drawing as many more is the same draw. `write_tape` encodes a chunk of
+and drawing as many more is the same draw. `write_tape` encodes a block of
 ints with one `int.to_bytes` map. A `TapeReader` reads its elements as byte
 blocks: `read_block` hands over up to `count` encoded elements at the
 cursor from one file read, checked for a short read and, on a challenge
@@ -26,13 +27,13 @@ Transcript file ("RBCX"): header (magic, version, plan hash, field, m,
 recorded round count, time scale, deadlines, status, reveal) followed by
 fixed-size round records (k, station, x, y, two timestamps; the layout is
 `protocol.record_struct`), so any record can be sought in O(1) and
-verification streams the file forward in blocks with memory independent of
-its length. The time scale is always 1: a live rehearsal's times are those
-of its own plan (`planner.rehearsal`). The body moves as packed record
-blocks: `RoundRecord` writers pack through `protocol.record_blocks`, honest
-generation writes what `protocol.honest_row_blocks` packs from tape bytes,
-and `verify_file` hands the blocks it reads to `protocol.verify_rounds`
-undecoded.
+verification streams the file forward, `BLOCK_ROUNDS` records a read, with
+memory independent of its length. The time scale is always 1: a live
+rehearsal's times are those of its own plan (`planner.rehearsal`). The body
+moves as packed record blocks: `RoundRecord` writers pack through
+`protocol.record_blocks`, honest generation writes what
+`protocol.honest_row_blocks` packs from tape bytes, and `verify_file` hands
+the blocks it reads to `protocol.verify_rounds` undecoded.
 
 In memory a transcript file is a `protocol.Transcript`: the writer takes its
 header fields from one, and the header reader returns one with no rounds.
@@ -62,6 +63,7 @@ from typing import Iterable, Iterator
 from .field import FieldError, FieldSpec, zero_elements
 from .planner import ProtocolPlan
 from .protocol import (
+    BLOCK_ROUNDS,
     ROLE_ALICE_SECRETS,
     ROLE_BOB_CHALLENGES,
     ProtocolError,
@@ -70,7 +72,6 @@ from .protocol import (
     STATUS_ABORTED,
     STATUS_COMPLETE,
     Transcript,
-    VERIFY_BLOCK_ROUNDS,
     Verdict,
     honest_header,
     honest_row_blocks,
@@ -90,9 +91,6 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 PROVENANCE_ENTROPY = 0
 PROVENANCE_SEEDED = 1
 _SEED_MAX = (1 << 64) - 1  # a tape header records its seed in 8 bytes
-
-_WRITE_CHUNK_ELEMENTS = 1 << 14
-_READ_BLOCK_ELEMENTS = 1 << 10
 
 
 class StorageError(Exception):
@@ -188,7 +186,7 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
     """Stream the first `count` elements of `elements` to a tape file; each
     must be an n-bit element, and a challenge tape's must be nonzero.
 
-    Elements are taken `_WRITE_CHUNK_ELEMENTS` at a time and encoded by one
+    Elements are taken `BLOCK_ROUNDS` at a time and encoded by one
     `int.to_bytes` map, which refuses any value outside 0..2^n - 1; the
     zero check runs on the encoded bytes, as `TapeReader`'s does. A failed
     write leaves no file.
@@ -198,8 +196,8 @@ def write_tape(path: str | Path, spec: FieldSpec, role: str,
     source = iter(elements)
     with _new_file(path) as f:
         f.write(header)
-        for done in range(0, count, _WRITE_CHUNK_ELEMENTS):
-            want = min(_WRITE_CHUNK_ELEMENTS, count - done)
+        for done in range(0, count, BLOCK_ROUNDS):
+            want = min(BLOCK_ROUNDS, count - done)
             chunk = list(islice(source, want))
             try:
                 data = b"".join(map(int.to_bytes, chunk, repeat(eb), repeat("little")))
@@ -226,7 +224,7 @@ def generate_tape(plan: ProtocolPlan, role: str, path: str | Path,
     records the seed, which must lie in 0..2^64 - 1 so that the header can
     regenerate the tape. Entropy tapes are drawn from `random.SystemRandom`,
     whose `randbytes` is `os.urandom`. Either way the body is drawn and
-    written `_WRITE_CHUNK_ELEMENTS` at a time by `FieldSpec.random_block`,
+    written `BLOCK_ROUNDS` elements at a time by `FieldSpec.random_block`,
     so memory stays constant, and its bytes are those of one
     `FieldSpec.random_int` call per element.
     """
@@ -245,8 +243,8 @@ def generate_tape(plan: ProtocolPlan, role: str, path: str | Path,
     nonzero = role == ROLE_BOB_CHALLENGES
     with _new_file(path) as f:
         f.write(header)
-        for done in range(0, count, _WRITE_CHUNK_ELEMENTS):
-            f.write(spec.random_block(rng, min(_WRITE_CHUNK_ELEMENTS, count - done), nonzero))
+        for done in range(0, count, BLOCK_ROUNDS):
+            f.write(spec.random_block(rng, min(BLOCK_ROUNDS, count - done), nonzero))
     return count
 
 
@@ -336,7 +334,7 @@ class TapeReader:
 
     def __next__(self) -> int:
         """The element at the cursor, which moves past it, decoded from one
-        `read_block` of `_READ_BLOCK_ELEMENTS` at a time: a zero in a
+        `read_block` of `BLOCK_ROUNDS` elements at a time: a zero in a
         challenge tape's block raises at the block's first read. Moving the
         cursor (`seek`, `read_block`, an index) names the next element, read
         from the decoded block while it holds that element."""
@@ -345,7 +343,7 @@ class TapeReader:
         if not 0 <= j < len(self._values):  # the cursor left the decoded block
             if i >= self.count:
                 raise StopIteration
-            self._values = self.spec.decode_block(self.read_block(_READ_BLOCK_ELEMENTS))
+            self._values = self.spec.decode_block(self.read_block(BLOCK_ROUNDS))
             self._start, j = i, 0
         self._index = i + 1
         return self._values[j]
@@ -484,18 +482,15 @@ def _open_transcript(f, path) -> tuple[Transcript, Iterator[bytes]]:
     """The header of transcript file `f` (see `read_transcript_header`),
     whose round count is checked against the file's size, and an iterator
     over its packed round records as the bytes of each read, front to back
-    `VERIFY_BLOCK_ROUNDS` records at a time; `f` is not read until the
+    `BLOCK_ROUNDS` records at a time; `f` is not read until the
     iterator is."""
     header, count = read_transcript_header(f)
     size = record_struct(header.spec.element_bytes).size
     _check_body(path, f.tell(), count, size, TranscriptFormatError)
 
     def blocks() -> Iterator[bytes]:
-        done = 0
-        while done < count:
-            want = min(count - done, VERIFY_BLOCK_ROUNDS)
-            yield _read_exact(f, want * size, "round records")
-            done += want
+        for done in range(0, count, BLOCK_ROUNDS):
+            yield _read_exact(f, min(count - done, BLOCK_ROUNDS) * size, "round records")
 
     return header, blocks()
 

@@ -29,10 +29,12 @@ B2's listener. Each end of a new link sends its HELLO (role and plan hash)
 and then reads the peer's, so neither side waits for the other to speak
 first; a plan-hash mismatch is answered with ABORT `config`. B1 picks the
 session epoch and ships it to B2 in a SCHEDULE frame, which B2 reads before
-it accepts A2, so a late committer cannot move station 2's schedule. Both
-verifiers run the same `_run_bob`; only these two steps depend on the
-station. A verifier reads x_k = challenges[k - 1] from its `TapeReader`;
-the committer's `AliceAgent` refuses a round index out of order.
+it accepts A2, so a late committer cannot move station 2's schedule; an
+epoch further off than B2's I/O timeout, which A2 would not wait out, is
+answered with ABORT `config`. Both verifiers run the same `_run_bob`; only
+these two steps depend on the station. A verifier reads x_k =
+challenges[k - 1] from its `TapeReader`; the committer's `AliceAgent`
+refuses a round index out of order.
 
 The reveal is round m+1, so it lands at station `station_of(m + 1)`: B1
 for even m, B2 for odd m. That station's committer sends it, its verifier
@@ -670,7 +672,11 @@ def _run_bob(ses: _Session) -> AgentResult:
     else:
         bob_link = _connect_peer(ses, "B1")
         frame = ses.expect(bob_link, FRAME_SCHEDULE, ABORT_CONFIG)
-        ses.epoch_ns = time.monotonic_ns() + _parse_schedule(frame.payload)
+        delay = _parse_schedule(frame.payload)
+        if delay > ses.cfg.io_timeout_s * 1e9:   # A2 would time out first
+            _send_abort([bob_link], ABORT_CONFIG, 0)
+            raise _Abort(AbortReport(ABORT_CONFIG, None, f"epoch {delay} ns away"))
+        ses.epoch_ns = time.monotonic_ns() + delay
         _accept_role(ses, {"A2"})
     _bob_round_loop(ses, ses.sockets[f"A{ses.station}"], bob_link, challenges)
 

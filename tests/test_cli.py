@@ -108,8 +108,9 @@ class TestPlan:
 
 
 # Exit code and sha256 of the transcript and of the .audit.json that
-# `relbc simulate --n 128` writes at round counts on either side of the
-# 256-round answer block and inside its fifth block, for every strategy;
+# `relbc simulate --n 128` writes at round counts on either side of round
+# 256, a settle-block edge, and at 1030, just past the first 1024-round
+# block, for every strategy;
 # late-decision makes its run's last round late by 1 ns. The audit file
 # carries the simulator's report, its event count included.
 BLOCK_EDGE_PINS = {

@@ -248,27 +248,44 @@ def test_compact_inverts_spread(operands):
         assert spec._compact(spec._spread(v)) == v
 
 
+# block lengths on either side of `FieldSpec.fold`'s 256-round seams and of
+# the 1024-round block edge
+FOLD_EDGE_COUNTS = (255, 256, 257, 511, 512, 513, 1023, 1024, 1025)
+
+
 @st.composite
 def fold_blocks(draw):
     """A table field, a start value of 0, 1 or any, and a block of 0, 1,
-    many, 255, 256 or 257 (x, y) pairs in which x is often 0."""
+    many or `FOLD_EDGE_COUNTS` (x, y) pairs in which x is often 0. A long
+    block's pairs come from a generator with a drawn seed, so that it fits
+    in one example's data, and its x is 0 at drawn rounds next to a seam."""
     spec = draw(st.sampled_from(TABLE_SPECS))
     value = st.integers(0, spec.mask)
     a = draw(st.one_of(st.sampled_from([0, 1]), value))
-    count = draw(st.one_of(st.sampled_from([0, 1, 255, 256, 257]), st.integers(2, 40)))
-    x = st.one_of(st.just(0), value)
-    pairs = draw(st.lists(st.tuples(x, value), min_size=count, max_size=count))
+    count = draw(st.one_of(st.sampled_from((0, 1) + FOLD_EDGE_COUNTS), st.integers(2, 40)))
+    if count <= 40:
+        x = st.one_of(st.just(0), value)
+        return spec, a, draw(st.lists(st.tuples(x, value), min_size=count, max_size=count))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+    for i in draw(st.lists(st.sampled_from([254, 255, 256, 511, 512]), max_size=2)):
+        if i < count:
+            pairs[i] = (0, pairs[i][1])
     return spec, a, pairs
 
 
 def _block_edge_examples(test):
-    """`test` with explicit examples: a block of 255, 256 and 257 (x, y)
-    pairs, one side of each block boundary of the verifier, at every
-    table width."""
+    """`test` with explicit examples: a block of each of `FOLD_EDGE_COUNTS`
+    (x, y) pairs at every table width, with x = 0 at the last round before
+    the first seam in the 511..513 blocks and at the first round after it
+    in the 1023..1025 blocks."""
     rng = random.Random(257)
     for spec in TABLE_SPECS:
-        for count in (255, 256, 257):
+        for count in FOLD_EDGE_COUNTS:
             pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+            if count > 500:
+                i = 255 if count < 1000 else 256
+                pairs[i] = (0, pairs[i][1])
             test = example((spec, spec.random_int(rng), pairs))(test)
     return test
 

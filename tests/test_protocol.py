@@ -14,11 +14,11 @@ from relbc.protocol import (
     REJECT_ZERO_CHALLENGE,
     ROLE_ALICE_SECRETS,
     AliceAgent,
+    BLOCK_ROUNDS,
     ProtocolError,
     RevealMessage,
     SequencingError,
     Tape,
-    VERIFY_BLOCK_ROUNDS,
     bob_verify,
     honest_round_stream,
     honest_row_blocks,
@@ -134,10 +134,12 @@ class TestRoundTrip:
         assert [(r.k, r.challenge, r.answer) for r in stream] == \
             [(r.k, r.challenge, r.answer) for r in t.rounds]
 
-    @pytest.mark.parametrize("m", [1, VERIFY_BLOCK_ROUNDS, VERIFY_BLOCK_ROUNDS + 1])
+    @pytest.mark.parametrize("m", [1, 256, 257, BLOCK_ROUNDS, BLOCK_ROUNDS + 1])
     def test_row_blocks_match_driver(self, m):
         """`honest_row_blocks` gives the driver's records packed in blocks
-        of `VERIFY_BLOCK_ROUNDS`, reads no element past m, and returns a_m."""
+        of `BLOCK_ROUNDS`, reads no element past m, and returns a_m: for one
+        round, a short block of whole and of partial 8-lane words, and
+        either side of a block edge."""
         spec = FieldSpec(16)
         secrets, challenges = random_tapes(spec, m + 3, seed=m)
         t = run_honest_protocol(spec, Tape(ROLE_ALICE_SECRETS, spec, secrets.elements[:m]),
@@ -149,7 +151,7 @@ class TestRoundTrip:
             while True:
                 blocks.append(next(gen))
         size = record_struct(2).size
-        assert [len(b) for b in blocks[:-1]] == [VERIFY_BLOCK_ROUNDS * size] * (len(blocks) - 1)
+        assert [len(b) for b in blocks[:-1]] == [BLOCK_ROUNDS * size] * (len(blocks) - 1)
         assert b"".join(blocks) == b"".join(record_blocks(t.rounds, 2))
         assert stop.value.value == t.reveal.final_secret
         assert next(it_a) == secrets[m] and next(it_x) == challenges[m]
@@ -159,7 +161,7 @@ class TestRoundTrip:
            d=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
     def test_round_stream_is_the_drivers(self, n, m, d, seed):
         """`honest_round_stream` yields `run_honest_protocol`'s records, for
-        m on both sides of the 256-round generation block."""
+        m on both sides of the 1024-round block edge."""
         spec = FieldSpec(n)
         secrets, challenges = random_tapes(spec, m, seed)
         t = run_honest_protocol(spec, secrets, challenges, d)

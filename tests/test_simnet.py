@@ -15,7 +15,7 @@ from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resou
 from relbc.protocol import (
     ABORT_DEADLINE,
     ABORT_EARLY_REVEAL,
-    ANSWER_BLOCK_ROUNDS,
+    BLOCK_ROUNDS,
     REJECT_ABORTED,
     REJECT_TIMING,
     bob_verify,
@@ -102,7 +102,7 @@ class TestHonest:
     def test_answers_are_the_reference_drivers(self, n, bit, m):
         """An honest run on exact clocks records the challenges, answers and
         reveal of `run_honest_protocol` on the same tapes, for m on both
-        sides of a 256-round answer block."""
+        sides of round 256, a settle-block edge."""
         spec = FieldSpec(n)
         plan = small_plan(m, n=n)
         tapes = make_tapes(plan, spec, m + n)
@@ -159,7 +159,7 @@ class TestAdversaries:
 
     def test_relay_answers_one_block(self, monkeypatch):
         """A relay run aborts at round 2, so the committer answers the first
-        `ANSWER_BLOCK_ROUNDS`-round block of the 2000 and no other."""
+        `BLOCK_ROUNDS`-round block of the 2000 and no other."""
         calls = []
         answers = FieldSpec.answers
 
@@ -171,7 +171,7 @@ class TestAdversaries:
         _, rep = run_simulation(small_plan(2000, n=128), strategy=AdversaryStrategy("relay"),
                                 seed=1, bit=0)
         assert rep.aborted and rep.abort_round == 2
-        assert calls == [ANSWER_BLOCK_ROUNDS]
+        assert calls == [BLOCK_ROUNDS]
 
     def test_late_decision_boundary(self):
         ok, _ = run_simulation(PLAN8, strategy=AdversaryStrategy(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from relbc.field import FieldSpec
 from relbc.protocol import (
+    BLOCK_ROUNDS,
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
     REJECT_TIMING,
@@ -27,8 +28,6 @@ from relbc.storage import (
     TapeFormatError,
     TapeReader,
     TranscriptFormatError,
-    VERIFY_BLOCK_ROUNDS,
-    _WRITE_CHUNK_ELEMENTS,
     generate_honest_transcript_file,
     generate_tape,
     read_transcript,
@@ -101,12 +100,12 @@ def _zero_redraws(n: int, seed: int, count: int) -> int:
 @given(st.sampled_from([8, 16, 32, 64, 128]), st.sampled_from(["alice-secrets", "bob-challenges"]),
        st.integers(0, 2**64 - 1),
        st.one_of(st.integers(0, 300),
-                 st.sampled_from([_WRITE_CHUNK_ELEMENTS - 1, _WRITE_CHUNK_ELEMENTS,
-                                  _WRITE_CHUNK_ELEMENTS + 1, 2 * _WRITE_CHUNK_ELEMENTS + 2])))
+                 st.sampled_from([BLOCK_ROUNDS - 1, BLOCK_ROUNDS, BLOCK_ROUNDS + 1,
+                                  2 * BLOCK_ROUNDS + 2])))
 def test_generated_tape_is_the_random_int_stream(tmp_path_factory, n, role, seed, count):
     """A seeded tape's body is the encodings of one `random_int` call per
-    element, nonzero for challenges, on either side of the
-    `_WRITE_CHUNK_ELEMENTS` chunk boundaries."""
+    element, nonzero for challenges, on either side of the `BLOCK_ROUNDS`
+    block boundaries."""
     spec = FieldSpec(n)
     path = tmp_path_factory.getbasetemp() / "drawn.tape"
     generate_tape(replace(small_plan(2, n=n), m=count), role, path, seed=seed)
@@ -240,19 +239,17 @@ class TestTapeFiles:
 
     def test_negative_element(self, tmp_path):
         """-2 is no n-bit element: the writer names it as it names a wide
-        one, also in its second chunk of `_WRITE_CHUNK_ELEMENTS`, where a
-        zero challenge is named too."""
+        one, also in its second block of `BLOCK_ROUNDS`, where a zero
+        challenge is named too."""
         path = tmp_path / "t.tape"
         with pytest.raises(StorageError, match="element 1 is negative"):
             write_tape(path, S8, "alice-secrets", iter([1, -2, 3]), 3)
-        values = [1] * (_WRITE_CHUNK_ELEMENTS + 9)
-        values[_WRITE_CHUNK_ELEMENTS + 7] = -1
-        with pytest.raises(StorageError,
-                           match=f"element {_WRITE_CHUNK_ELEMENTS + 7} is negative"):
+        values = [1] * (BLOCK_ROUNDS + 9)
+        values[BLOCK_ROUNDS + 7] = -1
+        with pytest.raises(StorageError, match=f"element {BLOCK_ROUNDS + 7} is negative"):
             write_tape(path, S8, "alice-secrets", iter(values), len(values))
-        values[_WRITE_CHUNK_ELEMENTS + 7] = 0
-        with pytest.raises(StorageError,
-                           match=f"element {_WRITE_CHUNK_ELEMENTS + 7} is zero"):
+        values[BLOCK_ROUNDS + 7] = 0
+        with pytest.raises(StorageError, match=f"element {BLOCK_ROUNDS + 7} is zero"):
             write_tape(path, S8, "bob-challenges", iter(values), len(values))
         assert not path.exists()
 
@@ -672,9 +669,10 @@ class TestStreamedGeneration:
                                        "zero-1024", "zero-1099", "short-secrets",
                                        "short-challenges"])
     def test_faulty_tape_is_storage_error_and_no_file(self, tmp_path, n, fault):
-        """A zero challenge at the edges of a generation block (256) and of
-        a tape read block (1024), or a tape one element short of m = 1100,
-        is a StorageError, and the partial file is removed."""
+        """A zero challenge in the first block (0, 255, 256), on either side
+        of a block edge (1023, 1024) or in the short last block (1099), or a
+        tape one element short of m = 1100, is a StorageError, and the
+        partial file is removed."""
         spec, m = FieldSpec(n), 1100
         rng = random.Random(n)
         counts = {"secrets": m - (fault == "short-secrets"),
@@ -701,7 +699,7 @@ class TestStreamedGeneration:
     @pytest.mark.parametrize("n, m", list(GENERATION_GOLDEN))
     def test_generation_golden(self, tmp_path, n, m):
         """The bytes of an honest generated file, fixed before generation
-        went a block at a time: m on both sides of a 256-round block."""
+        went a block at a time: m on both sides of round 256."""
         spec = FieldSpec(n)
         rng = random.Random(1000 * n + m)
         secrets = [spec.random_int(rng) for _ in range(m)]
@@ -720,8 +718,7 @@ class TestStreamedGeneration:
 def test_generation_paths_agree(tmp_path_factory, n, m, seed):
     """The file generated from two TapeReaders, the file generated from int
     lists and `transcript_to_bytes` of `run_honest_protocol` are equal, for
-    m on both sides of the 256-round generation block and the 1024-element
-    tape read block."""
+    m on both sides of the 1024-round block edge."""
     spec = FieldSpec(n)
     secrets, challenges = random_tapes(spec, m, seed)
     work = tmp_path_factory.getbasetemp()
@@ -774,8 +771,8 @@ def _write_wide_in_second_block(path):
     """`write_transcript` of an honest n=8 run whose challenge in the second
     record block is 9 bits wide: the header and the first block are written
     before it raises."""
-    t = _transcript(m=VERIFY_BLOCK_ROUNDS + 4)
-    t.rounds[VERIFY_BLOCK_ROUNDS + 1].challenge = 0x103
+    t = _transcript(m=BLOCK_ROUNDS + 4)
+    t.rounds[BLOCK_ROUNDS + 1].challenge = 0x103
     write_transcript(t, path)
 
 
@@ -864,7 +861,8 @@ class TestConstantMemory:
             assert verdict.accepted
             peaks.append(peak)
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
-        # FieldSpec.fold spreads each block whole, so the block size shows here
+        # FieldSpec.fold spreads a block 256 rounds at a time, or the 1024-round
+        # read block would show here
         assert peaks[1] < 1 << 20
 
 

@@ -451,6 +451,38 @@ def test_fake_b1_short_schedule_aborts_b2(tmp_path):
     assert told.type == FRAME_ABORT and told.payload == b"malformed-frame"
 
 
+def test_fake_b1_distant_schedule_aborts_b2(tmp_path):
+    """A fake B1 shakes hands, then sends B2 a SCHEDULE whose epoch is 30 s
+    away, past B2's 1 s I/O timeout, which its committer would not wait
+    out, and a fake A2 says HELLO to B2. B2 ends at once with a `config`
+    abort, before it accepts A2, and tells B1."""
+    plan = lab_plan(m=8)
+    _, x_path = _tapes(tmp_path, plan)
+    fake_b1 = socket.create_server(("127.0.0.1", 0))
+    b2_listener = socket.create_server(("127.0.0.1", 0))
+    cfg = SessionConfig(role="B2", plan=plan, challenges_path=x_path,
+                        listen_socket=b2_listener,
+                        peers={"B1": fake_b1.getsockname()}, io_timeout_s=1.0)
+    thread, out = _run_in_thread(cfg)
+    fake_b1.settimeout(5.0)
+    b1_conn, _ = fake_b1.accept()
+    assert T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9).type == FRAME_HELLO
+    b1_conn.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("B1", plan.plan_hash)))
+    b1_conn.sendall(encode_frame(FRAME_SCHEDULE, 0, (30 * 10**9).to_bytes(8, "big")))
+    a2 = socket.create_connection(b2_listener.getsockname(), timeout=5.0)
+    a2.sendall(encode_frame(FRAME_HELLO, 0, T._hello_payload("A2", plan.plan_hash)))
+    thread.join(5)
+    alive = thread.is_alive()
+    told = None if alive else T.recv_frame(b1_conn, T.time.monotonic_ns() + 5 * 10**9)
+    for s in (a2, b1_conn, fake_b1, b2_listener):
+        s.close()
+    assert not alive, "B2 still waits for a distant epoch"
+    result = out["B2"]
+    assert result.exit_code == EXIT_ABORT
+    assert result.abort.reason == "config"
+    assert told.type == FRAME_ABORT and told.payload == b"config"
+
+
 def test_silent_verifier_does_not_hold_committer(tmp_path):
     """A fake B1 at m=2 reads A1's reveal and then keeps the link open in
     silence; A1 counts the I/O timeout as completion instead of waiting

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbc.field import FieldSpec, NonInvertibleError
 from relbc.protocol import (
+    BLOCK_ROUNDS,
     REJECT_ABORTED,
     REJECT_BIT_MISMATCH,
     REJECT_MALFORMED,
@@ -23,7 +24,7 @@ from relbc.protocol import (
     station_of,
     verify_rounds,
 )
-from relbc.storage import VERIFY_BLOCK_ROUNDS, read_transcript, verify_file, write_transcript
+from relbc.storage import read_transcript, verify_file, write_transcript
 
 from helpers import backward_chain, random_tapes, tau_at
 
@@ -122,17 +123,23 @@ def test_verifiers_agree_under_faults(tmp_path, m, seed, d, faults, sizes):
 
 @pytest.mark.parametrize("faults", [
     [],
-    [("answer", VERIFY_BLOCK_ROUNDS, 3)],
-    [("challenge", 2 * VERIFY_BLOCK_ROUNDS + 1, 5)],
+    [("answer", BLOCK_ROUNDS, 3)],
+    [("challenge", 2 * BLOCK_ROUNDS + 1, 5)],
     [("zero-challenge", -1, 0)],
     [("late", 0, 0), ("zero-challenge", -1, 0)],
     [("station", 0, 0), ("zero-challenge", -1, 0)],
-    [("late", VERIFY_BLOCK_ROUNDS - 1, 0), ("station", 2 * VERIFY_BLOCK_ROUNDS, 0)],
-    [("answer", VERIFY_BLOCK_ROUNDS - 1, 0), ("challenge", VERIFY_BLOCK_ROUNDS, 7)],
+    [("late", BLOCK_ROUNDS - 1, 0), ("station", 2 * BLOCK_ROUNDS, 0)],
+    [("answer", BLOCK_ROUNDS - 1, 0), ("challenge", BLOCK_ROUNDS, 7)],
+    [("answer", 255, 4)],
+    [("challenge", 256, 6)],
 ], ids=["honest", "answer", "challenge", "zero", "late+zero", "station+zero",
-        "late+station", "answer+challenge-at-seam"])
+        "late+station", "answer+challenge-at-seam", "answer-at-fold-seam",
+        "challenge-past-fold-seam"])
 def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
-    m = 2 * VERIFY_BLOCK_ROUNDS + 3
+    """Faults on either side of a read block's edge, of round 1024|1025,
+    and of a seam inside one, round 256|257, where `FieldSpec.fold` takes
+    its next 256 rounds."""
+    m = 2 * BLOCK_ROUNDS + 3
     t = honest(m, seed=5, d=1)
     for kind, i, bit in faults:
         apply_fault(t, kind, i, bit)
@@ -143,7 +150,7 @@ def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
 def test_no_block_is_read_after_a_malformed_one():
     """A misnumbered round settles the verdict: `verify_rounds` returns
     without asking for the next block, as `verify_file` promises."""
-    t = honest(2 * VERIFY_BLOCK_ROUNDS, seed=3, d=1)
+    t = honest(2 * BLOCK_ROUNDS, seed=3, d=1)
     t.rounds[3].k = 99
 
     def blocks():
@@ -159,10 +166,10 @@ def test_no_block_is_read_after_a_malformed_one():
     (2, 5000, None),
     (2, 5001, REJECT_TIMING),
 ])
-@pytest.mark.parametrize("m", [6, VERIFY_BLOCK_ROUNDS + 3])
+@pytest.mark.parametrize("m", [6, 259, BLOCK_ROUNDS + 3])
 def test_each_station_has_its_own_deadline(tmp_path, station, turnaround, reason, m):
     """Station 1's answers are held to tau1 and station 2's to tau2, in
-    every block whichever station opens it."""
+    every block whichever station opens it, and past a fold seam (m=259)."""
     t = honest(m, seed=2, d=1)
     t.tau1_ns, t.tau2_ns = 100, 5000
     rec = [r for r in t.rounds if r.station == station][-1]
@@ -182,15 +189,15 @@ def test_partial_record_block_is_malformed(cut):
 
 
 @pytest.mark.parametrize("fault, read", [
-    (None, 3 * VERIFY_BLOCK_ROUNDS + 1),
-    ("misnumbered", VERIFY_BLOCK_ROUNDS),
+    (None, 3 * BLOCK_ROUNDS + 1),
+    ("misnumbered", BLOCK_ROUNDS),
     ("aborted", 0),
 ])
 def test_verify_stats_count_the_records_read(tmp_path, fault, read):
     """`verify_file` reports the records its pass read: all of an honest
     file, at most one block when round 1 is misnumbered, and none of an
     aborted transcript, whatever count its header holds."""
-    t = honest(3 * VERIFY_BLOCK_ROUNDS + 1, seed=9, d=0)
+    t = honest(3 * BLOCK_ROUNDS + 1, seed=9, d=0)
     if fault == "misnumbered":
         t.rounds[0].k = 2
     elif fault == "aborted":
