@@ -35,28 +35,40 @@ other than i = i'), so each product bit is one term and no carry reaches a
 gathered byte.
 
 Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
-over a block's encoded x and y columns, 256 rounds (`_DECODE_ELEMENTS`) at a
-time: one block spreader (`_spread_block`) turns the two columns' slices into
-a list of spread ints, last element first, by one `bin`/`translate`
-conversion, one `element_struct` unpack and one `int.from_bytes` map. Fold
-walks that list with `zip`, pairing round j's two columns, keeps the running
-a spread from the block's first round to its last, and compacts it once.
-Each step's product and reduction are `_smul`'s, the same as in `mul`.
+over a block's encoded x and y columns. A step is an affine map of a, and
+maps compose: (P2, Q2) after (P1, Q1) is (P2*P1, P2*Q1 XOR Q2). A block of
+r >= 2*`_FOLD_LANES` rounds is cut into `_FOLD_LANES` lanes of
+L = r // `_FOLD_LANES` consecutive rounds, and `_lane_maps` composes each
+lane's L steps into one (P, Q), bitsliced as `answers` is below: P and Q
+lie side by side in planes 2*`_FOLD_LANES` bits wide, round j of every lane
+is gathered into planes by strided slices of the columns, and a step is one
+`_plane_mul` of both halves by the lanes' x planes, duplicated, reduced,
+with the y planes XORed into the Q half: L - 1 multiplies for the block.
+The spread loop then runs the chain over the lanes' maps, in lane order,
+and over the r mod `_FOLD_LANES` rounds left (every round when L <= 1),
+256 (`_DECODE_ELEMENTS`) at a time: one block spreader (`_spread_block`)
+turns the two columns' slices into a list of spread ints, last element
+first, by one `bin`/`translate` conversion, one `element_struct` unpack and
+one `int.from_bytes` map. The loop walks that list with `zip`, pairing a
+step's two columns, keeps the running a spread from the first step to the
+last, and compacts it once. Each step's product and reduction are
+`_smul`'s, the same as in `mul`.
 
 `FieldSpec.answers` gives the honest answers y_j = x_j*a_{j-1} XOR a_j for a
 block's encoded challenge and secret columns. These products do not depend
 on each other, so it computes them bitsliced (Biham, FSE 1997): bit plane i
 of a column is one int whose bit j is bit i of element j, so one AND or XOR
-acts on every round of the block. A column becomes planes by strided byte
-slices, which lay byte b of every element end to end, and an 8x8 bit
-transpose of every 64-bit word of that int at once (SWAR, three masked
-swaps); the planes go back the same way. The a_{j-1} planes are the secret
-planes moved up one lane, with a_0's bits in lane 0. The x and a_{j-1} plane
-vectors are multiplied by Karatsuba down to a 16-plane schoolbook of ANDs and
-XORs; the product planes at or above n are folded back down by the table
-polynomial's taps, and the secret planes XORed in. The spread form and the
-planes never leave this module: every other layer goes through `mul`, `fold`
-or `answers`.
+acts on every round of the block. Elements become planes (`_planes`, which
+`fold` shares) by strided byte slices, which lay byte b of every element
+end to end, and an 8x8 bit transpose of every 64-bit word of that int at
+once (SWAR, three masked swaps); the planes go back the same way. The
+a_{j-1} planes are the secret planes moved up one lane, with a_0's bits in
+lane 0. The x and a_{j-1} plane vectors are multiplied by Karatsuba down to
+a 16-plane schoolbook of ANDs and XORs; the product planes at or above n
+are folded back down by the table polynomial's taps (`_reduce`, which
+`fold` shares), and the secret planes XORed in. The spread form and the
+planes never leave this module: every other layer goes through `mul`,
+`fold` or `answers`.
 """
 
 from __future__ import annotations
@@ -102,11 +114,18 @@ def element_struct(eb: int, count: int) -> struct.Struct:
 
 
 # elements per `element_struct` unpack of `FieldSpec.decode_block` and per
-# spread of `FieldSpec.fold`, whatever the block: it bounds the structs they
-# cache, each unpack's tuple and the spread slots, 8 bytes an element byte.
-# At n=128, `verify_file`'s traced peak on 1024-round reads is 682 KiB, and
-# 1323 KiB when fold spreads each block whole.
+# spread of `FieldSpec.fold`'s loop, whatever the block: it bounds the
+# structs they cache, each unpack's tuple and the spread slots, 8 bytes an
+# element byte. The loop spreads the 1024 lanes' maps of a composed fold and
+# the rounds left over: at n=128, `verify_file`'s traced peak on a
+# 32,000-round file is 785 KiB, and 1540 KiB when 1024 are spread at once.
 _DECODE_ELEMENTS = 256
+
+# lanes of `FieldSpec.fold`'s composition. At n=128 on one CPU an
+# 8192-round fold takes 2.8 us a round on 512 lanes, 1.75 on 1024 and 1.65
+# on 2048; but 2048 lanes take `verify_file`'s traced peak on a 32,000-round
+# file from 785 to 1282 KiB, over its 1 MiB bound.
+_FOLD_LANES = 1024
 
 # the most bytes one `randbytes` call draws: it asks `getrandbits` for 8 bits
 # a byte, and `getrandbits` takes its bit count as a C int
@@ -164,14 +183,16 @@ def _transpose8(data: bytes) -> bytes:
     return v.to_bytes(size, "little")
 
 
-def _planes(col: bytes, eb: int, lanes: int) -> list[int]:
-    """The 8*eb bit planes of a column of `lanes` encoded elements, `lanes`
-    a multiple of 8: plane i is a `lanes`-bit int whose bit j is bit i of
-    element j. The column's byte planes (byte b of every element, by one
-    strided slice) are laid end to end, so each word holds byte b of 8
-    elements; `_transpose8` puts bit t of those 8 in its byte t, so every
-    eighth byte from t on is bit t of each byte plane in turn."""
-    rows = _transpose8(b"".join([col[b::eb] for b in range(eb)]))
+def _planes(data: bytes, eb: int, lanes: int, start: int, step: int) -> list[int]:
+    """The 8*eb bit planes of `lanes` encoded elements of `data`, the first
+    at byte `start` and each `step` bytes after the last, `lanes` a multiple
+    of 8: plane i is a `lanes`-bit int whose bit j is bit i of element j.
+    The elements' byte planes (byte b of every element, by one strided
+    slice) are laid end to end, so each word holds byte b of 8 elements;
+    `_transpose8` puts bit t of those 8 in its byte t, so every eighth byte
+    from t on is bit t of each byte plane in turn."""
+    stop = start + lanes * step
+    rows = _transpose8(b"".join([data[start + b:stop:step] for b in range(eb)]))
     q = lanes // 8
     planes = [0] * (8 * eb)
     for t in range(8):
@@ -293,18 +314,61 @@ class FieldSpec:
         return list(map(int.from_bytes, element_struct(self.n, count).unpack_from(slots, 3),
                         repeat("big")))
 
+    def _reduce(self, c: list[int]) -> list[int]:
+        """The n planes of a product's planes `c` reduced by the table
+        polynomial: planes n and up are folded back down by its taps, all at
+        once; a second pass folds the few that the taps carried past n."""
+        n, taps = self.n, self._taps
+        while len(c) > n:
+            hi = c[n:]
+            c = c[:n] + [0] * (len(hi) + taps[-1] - n)
+            for t in taps:
+                c[t:t + len(hi)] = map(xor, c[t:t + len(hi)], hi)
+        return c
+
+    def _lane_maps(self, xs: bytes, ys: bytes, L: int) -> bytes:
+        """The affine maps a <- P*a XOR Q of the first L*`_FOLD_LANES` rounds
+        of the x and y columns `xs` and `ys`, cut into `_FOLD_LANES` lanes of
+        L consecutive rounds: every lane's P in lane order, then every Q,
+        encoded. Plane
+        bit w holds lane w's P and bit `_FOLD_LANES` + w its Q; a step
+        (x, y) multiplies both halves by the lane's x, duplicated, in one
+        `_plane_mul`, and XORs y into the Q half."""
+        eb = self.element_bytes
+        step = L * eb
+
+        def planes(col: bytes, j: int) -> list[int]:  # round j of every lane
+            return _planes(col, eb, _FOLD_LANES, j, step)
+
+        pq = [p | q << _FOLD_LANES for p, q in zip(planes(xs, 0), planes(ys, 0))]
+        for j in range(eb, step, eb):
+            c = self._reduce(_plane_mul([p | p << _FOLD_LANES for p in planes(xs, j)], pq))
+            pq = [ci ^ q << _FOLD_LANES for ci, q in zip(c, planes(ys, j))]
+        return _elements(pq, eb, 2 * _FOLD_LANES)
+
     def fold(self, a: int, xs: bytes, ys: bytes) -> int:
         """Run the chain a <- x_j*a XOR y_j over a block of rounds; returns the
         last a.
 
         `xs` is x_1||...||x_r and `ys` y_1||...||y_r, each element in its
-        canonical `element_bytes` encoding. Both columns are spread by one
-        `_spread_block` per `_DECODE_ELEMENTS` rounds, and `a` stays spread
-        from the first round to the last.
+        canonical `element_bytes` encoding. With L = r // `_FOLD_LANES` >= 2,
+        the first L*`_FOLD_LANES` rounds are cut into `_FOLD_LANES` lanes of
+        L consecutive rounds, and each lane's steps are composed into one
+        affine map (`_lane_maps`). The spread loop then runs the chain over
+        the lanes' maps in order and over the r mod `_FOLD_LANES` rounds
+        left (all r rounds when L <= 1), spreading `_DECODE_ELEMENTS` of them
+        at a time; `a` stays spread from the first to the last.
         """
         if len(xs) != len(ys):
             raise FieldError(f"{len(xs)} challenge bytes for {len(ys)} answer bytes")
-        step = self.element_bytes * _DECODE_ELEMENTS
+        eb = self.element_bytes
+        L = len(xs) // (eb * _FOLD_LANES)
+        if L > 1:
+            maps = self._lane_maps(xs, ys, L)
+            head = L * _FOLD_LANES * eb
+            xs = maps[:_FOLD_LANES * eb] + xs[head:]
+            ys = maps[_FOLD_LANES * eb:] + ys[head:]
+        step = eb * _DECODE_ELEMENTS
         smul = self._smul
         sa = self._spread(a)
         for i in range(0, len(xs), step):
@@ -312,6 +376,7 @@ class FieldSpec:
             r = len(s) // 2
             for sx, sy in zip(reversed(s[r:]), reversed(s[:r])):
                 sa = smul(sx, sa) ^ sy
+            del s  # two slices' spread ints at once would add 60 KiB to the peak
         return self._compact(sa)
 
     def answers(self, a: int, xs: bytes, secrets: bytes) -> bytes:
@@ -334,18 +399,10 @@ class FieldSpec:
             return b""
         lanes = -(-r // 8) * 8
         pad = bytes((lanes - r) * eb)
-        sp = _planes(secrets + pad, eb, lanes)
+        sp = _planes(secrets + pad, eb, lanes, 0, eb)
         full = (1 << lanes) - 1
         prev = [(p << 1 | a >> i & 1) & full for i, p in enumerate(sp)]
-        c = _plane_mul(_planes(xs + pad, eb, lanes), prev)
-        # fold planes n and up back down by the table polynomial's taps, all
-        # at once; a second pass folds the few that the taps carried past n
-        n, taps = self.n, self._taps
-        while len(c) > n:
-            hi = c[n:]
-            c = c[:n] + [0] * (len(hi) + taps[-1] - n)
-            for t in taps:
-                c[t:t + len(hi)] = map(xor, c[t:t + len(hi)], hi)
+        c = self._reduce(_plane_mul(_planes(xs + pad, eb, lanes, 0, eb), prev))
         return _elements(list(map(xor, c, sp)), eb, lanes)[:r * eb]
 
     def inv(self, a: int) -> int:

@@ -29,15 +29,17 @@ from the challenge and answer bytes, so no element is decoded and no
 per-round tuple is built. The record layout is defined here once; files and
 RECORDS frames carry it, and no other round form crosses a module boundary.
 
-Verification reads packed record blocks column by column: one
-`record_struct` unpack per block, whose k, station, timestamp and challenge
-columns are checked whole, and whose x and y columns go to `FieldSpec.fold`,
-which runs the chain forward from the claimed a_0 = d, one multiply per
-round: a_k = x_k * a_{k-1} XOR y_k. The result must equal the revealed a_m.
-Each step is a bijection when x_k != 0, so this accepts exactly when the
-paper's backward recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would
-reach a_0 = d. A zero challenge, x_1 included, is rejected: it would let a
-round bind nothing.
+Verification reads packed record blocks column by column, by strided byte
+slices, with no per-record tuple: the k, station and timestamp columns are
+checked whole, and the x and y columns are gathered into two buffers of
+`_FOLD_ROUNDS` rounds. Each full buffer, and the rounds left at the end,
+go to `FieldSpec.fold`, which runs the chain forward from the claimed
+a_0 = d: a_k = x_k * a_{k-1} XOR y_k, composed a lane of rounds at a time
+(see `field`). The result must equal the revealed a_m. Each step is a
+bijection when x_k != 0, so this accepts exactly when the paper's backward
+recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach a_0 = d. A
+zero challenge, x_1 included, is rejected: it would let a round bind
+nothing.
 
 A verifier keeps no state beyond its challenge tape, so its callers send
 x_k = challenges[k - 1] straight from the tape; only the committer computes.
@@ -52,12 +54,14 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field as dfield
 from itertools import cycle, islice, repeat
 from operator import sub
 from typing import Callable, Generator, Iterable, Iterator
 
-from .field import FieldSpec, element_struct
+from .field import FieldSpec, element_struct, zero_elements
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -91,9 +95,16 @@ REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered 
 # against about 3 us for the spread-form loop. Longer blocks wait for
 # perfbench's AnswerProbe to stop keeping every pass (ROADMAP item 3): it
 # reads a faster cycle as a higher peak_rss_mb. An early abort computes one
-# block. Memory sets no smaller size: `FieldSpec.fold` spreads 256 rounds at
-# a time (`field._DECODE_ELEMENTS`), so `verify_file` stays under 1 MiB.
+# block. `verify_rounds` reads a block's columns by strided slices and no
+# tuple of its records, so its memory is set by `_FOLD_ROUNDS`, not here.
 BLOCK_ROUNDS = 1024
+
+# rounds per `FieldSpec.fold` call of `verify_rounds`, whose x and y columns
+# wait in two buffers this long. At n=128 on one CPU, `verify_file` on a
+# 50,000-round file runs at up to 443k rounds/s with 4096-round buffers, 490k
+# with these and 511k with 16,384; on a 32,000-round file the traced peaks are
+# 657, 785 and 1017 KiB, and the bound is 1 MiB.
+_FOLD_ROUNDS = 8 * BLOCK_ROUNDS
 
 # Both stations' answer deadline in an honest transcript on the synthetic
 # schedule of `honest_header` and `honest_row_blocks`.
@@ -166,14 +177,26 @@ class Tape:
         return self.elements[i]
 
 
-@functools.lru_cache(maxsize=32)
 def record_struct(eb: int, rounds: int = 1) -> struct.Struct:
     """`rounds` round records back to back, as files and RECORDS frames hold
     them: k, station, x, y (each element `eb` bytes, little-endian), issued
     and received (station-local ns), integers big-endian; six fields per
-    record. `verify_rounds` unpacks blocks of them into columns;
-    `record_blocks` and `unpack_records` convert."""
+    record. `record_blocks` and `honest_row_blocks` pack blocks of them,
+    `unpack_records` unpacks them, and `verify_rounds` reads their columns.
+    Only the one-record and the `BLOCK_ROUNDS` structs are kept: a struct
+    holds 32 bytes a field, about 200 KiB at 1000 records, so a short last
+    block's struct is built for its one pack and dropped."""
+    if rounds in (1, BLOCK_ROUNDS):
+        return _kept_record_struct(eb, rounds)
+    return _record_struct(eb, rounds)
+
+
+def _record_struct(eb: int, rounds: int) -> struct.Struct:
     return struct.Struct(">" + f"QB{eb}s{eb}sqq" * rounds)
+
+
+# two structs for each of the five table widths
+_kept_record_struct = functools.lru_cache(maxsize=10)(_record_struct)
 
 
 @dataclass(slots=True)
@@ -314,23 +337,39 @@ class AliceAgent:
 # -- verification --------------------------------------------------------------
 
 
+def _int_column(block: bytes, at: int, size: int, r: int) -> array:
+    """The big-endian 8-byte integer field at byte `at` of each of the `r`
+    records of `size` bytes in `block`, as native ints: eight strided
+    slices and one byteswap."""
+    col = bytearray(8 * r)
+    for b in range(8):
+        col[b::8] = block[at + b::size]
+    ints = array("q", col)
+    if sys.byteorder == "little":
+        ints.byteswap()
+    return ints
+
+
 def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     """Every verdict rule, in one forward pass over packed record blocks.
 
     `header` is the transcript judged, whose rounds are not read: its field,
     m, deadlines, completeness and reveal are the verdict's other inputs.
     Each block holds records in `record_struct`'s layout, as files and
-    frames hold them, and is unpacked whole into columns. A block is
-    malformed when it is not a whole number of records, runs past round m,
-    or its k or station column is not the one its position gives. A round
-    is on time by `arrival_fault`'s rule, written here on the block's
-    turnaround column: each station's half lies within 0 and its deadline.
-    The chain is run forward from a_0 = d, the claimed bit, by
-    a_k = x_k * a_{k-1} XOR y_k (see the module docstring), one
-    `FieldSpec.fold` of the x and y columns per block, and must end at the
-    revealed a_m. Precedence, highest first: aborted, malformed (the only
-    early return; no later block is asked for), timing, a zero challenge
-    among x_1..x_m, bit mismatch.
+    frames hold them, and is read column by column by strided slices: the
+    k, issued and received columns through `_int_column`, the station
+    column as bytes. A block is malformed when it is not a whole number of
+    records, runs past round m, or its k or station column is not the one
+    its position gives. A round is on time by `arrival_fault`'s rule,
+    written here on the block's turnaround column: each station's half lies
+    within 0 and its deadline. The x and y columns are copied into two
+    buffers of `_FOLD_ROUNDS` rounds; the chain is run forward from a_0 = d,
+    the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
+    docstring), one `FieldSpec.fold` per full buffer and one for the rounds
+    left, and must end at the revealed a_m. `field.zero_elements` looks for
+    a zero challenge in each buffer before it is folded. Precedence, highest
+    first: aborted, malformed (the only early return; no later block is
+    asked for), timing, a zero challenge among x_1..x_m, bit mismatch.
     """
     if not header.is_complete:
         return Verdict.reject(REJECT_ABORTED)
@@ -340,31 +379,51 @@ def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
         return Verdict.reject(REJECT_MALFORMED)
     eb = spec.element_bytes
     fold = spec.fold
-    zero_x = bytes(eb)
     size = record_struct(eb).size
+    at_x, at_y, at_issued = 9, 9 + eb, 9 + 2 * eb  # past k's 8 bytes and station's 1
     taus = {1: header.tau1_ns, 2: header.tau2_ns}
     mistimed = zero = False
+    xbuf, ybuf = bytearray(_FOLD_ROUNDS * eb), bytearray(_FOLD_ROUNDS * eb)
+    held = 0  # rounds in the buffers, not yet folded
+
+    def fold_held() -> None:
+        nonlocal a, zero, held
+        if next(zero_elements(xbuf, eb), None) is not None:
+            zero = True
+        a = fold(a, xbuf, ybuf)
+        held = 0
+
     a, k = d, 0
     for block in blocks:
         r, partial = divmod(len(block), size)
         if partial or k + r > m:
             return Verdict.reject(REJECT_MALFORMED)
-        cols = record_struct(eb, r).unpack(block)
         s0 = station_of(k + 1)
-        if (cols[0::6] != tuple(range(k + 1, k + r + 1))
-                or cols[1::6] != tuple(islice(cycle((s0, 3 - s0)), r))):
+        if (_int_column(block, 0, size, r) != array("q", range(k + 1, k + r + 1))
+                or block[8::size] != (bytes((s0, 3 - s0)) * (r // 2 + 1))[:r]):
             return Verdict.reject(REJECT_MALFORMED)
-        turnarounds = list(map(sub, cols[5::6], cols[4::6]))
+        turnarounds = list(map(sub, _int_column(block, at_issued + 8, size, r),
+                               _int_column(block, at_issued, size, r)))
         for half, station in ((turnarounds[0::2], s0), (turnarounds[1::2], 3 - s0)):
             if half and (min(half) < 0 or max(half) > taus[station]):
                 mistimed = True
-        xs = cols[2::6]
-        if zero_x in xs:
-            zero = True
-        a = fold(a, b"".join(xs), b"".join(cols[3::6]))
+        i = 0
+        while i < r:
+            take = min(r - i, _FOLD_ROUNDS - held)
+            start, stop = i * size, (i + take) * size
+            for b in range(eb):
+                xbuf[held * eb + b:(held + take) * eb:eb] = block[start + at_x + b:stop:size]
+                ybuf[held * eb + b:(held + take) * eb:eb] = block[start + at_y + b:stop:size]
+            held += take
+            i += take
+            if held == _FOLD_ROUNDS:
+                fold_held()
         k += r
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
+    if held:
+        del xbuf[held * eb:], ybuf[held * eb:]
+        fold_held()
     if mistimed:
         return Verdict.reject(REJECT_TIMING)
     if zero:

@@ -11,6 +11,7 @@ from relbc.field import (
     FieldError,
     FieldSpec,
     NonInvertibleError,
+    _FOLD_LANES,
     batch_inverse,
 )
 
@@ -296,6 +297,66 @@ def _block_edge_examples(test):
 def test_fold_matches_mul_loop(block):
     """`fold` runs a <- x*a XOR y over a block's encoded x and y columns
     exactly as the per-pair `mul` loop does."""
+    spec, a, pairs = block
+    xs = b"".join(spec.encode(x) for x, _ in pairs)
+    ys = b"".join(spec.encode(y) for _, y in pairs)
+    expected = a
+    for x, y in pairs:
+        expected = spec.mul(x, expected) ^ y
+    assert spec.fold(a, xs, ys) == expected
+
+
+# block lengths that `FieldSpec.fold` cuts into lanes of L = r // 1024 rounds:
+# either side of 2 and 8 lanes' worth, and 3 with 5 rounds left over
+LANE_COUNTS = (2047, 2048, 2049, 3 * 1024 + 5, 8191, 8192, 8193)
+
+
+def lane_seams(count: int) -> tuple[int, ...]:
+    """The rounds (0-based) on either side of the first and a middle lane
+    seam of a `count`-round fold, and of its last lane's edge."""
+    L = count // _FOLD_LANES
+    mid = _FOLD_LANES // 2 * L
+    return (L - 1, L, mid - 1, mid, _FOLD_LANES * L - 1, _FOLD_LANES * L)
+
+
+@st.composite
+def lane_blocks(draw):
+    """n=8 or n=128, a start value, and a block of `LANE_COUNTS` (x, y)
+    pairs from a generator with a drawn seed, x = 0 at up to three drawn
+    rounds of `lane_seams`."""
+    spec = draw(st.sampled_from([S8, S128]))
+    count = draw(st.sampled_from(LANE_COUNTS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+    for i in draw(st.lists(st.sampled_from(lane_seams(count)), max_size=3)):
+        if i < count:
+            pairs[i] = (0, pairs[i][1])
+    return spec, spec.random_int(rng), pairs
+
+
+def _lane_edge_examples(test):
+    """`test` with explicit examples: a block of each of `LANE_COUNTS` pairs
+    at n=8 and n=128, with x = 0 before the first lane seam and after the
+    last lane's edge, or after the first seam and before the edge."""
+    rng = random.Random(1024)
+    for spec in (S8, S128):
+        for count in LANE_COUNTS:
+            pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+            seams = lane_seams(count)
+            for i in (seams[0::5] if count % 2 else seams[1:5:3]):
+                if i < count:
+                    pairs[i] = (0, pairs[i][1])
+            test = example((spec, spec.random_int(rng), pairs))(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(lane_blocks())
+@_lane_edge_examples
+def test_fold_lanes_match_mul_loop(block):
+    """Past two lanes' worth of rounds, where `fold` composes each lane into
+    one map and joins the lanes, it still runs a <- x*a XOR y as the
+    per-pair `mul` loop does, a zero challenge at any lane seam included."""
     spec, a, pairs = block
     xs = b"".join(spec.encode(x) for x, _ in pairs)
     ys = b"".join(spec.encode(y) for _, y in pairs)

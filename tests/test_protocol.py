@@ -1,6 +1,7 @@
 """Protocol logic: answers, agents, chain recovery, verification."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,22 @@ class TestRoundTrip:
     def test_bad_bit_raises_on_call(self):
         with pytest.raises(ProtocolError):
             honest_row_blocks(S8, [1], [1], 2, 1)
+
+    def test_short_blocks_leave_no_structs_behind(self):
+        """Packing 40 short blocks of distinct lengths retains no struct of
+        theirs. A struct of about 1000 n=128 records holds some 200 KiB, so
+        keeping the 40 would retain about 8 MiB; the bound is 256 KiB."""
+        recs = run_honest_protocol(S128, *random_tapes(S128, BLOCK_ROUNDS, 3), 0).rounds
+        tracemalloc.start()
+        try:
+            for r in range(BLOCK_ROUNDS - 40, BLOCK_ROUNDS):
+                packed = list(record_blocks(recs[:r], S128.element_bytes))
+                assert len(packed) == 1
+            del packed
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024
 
 
 class TestRecoverChain:

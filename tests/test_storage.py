@@ -861,8 +861,10 @@ class TestConstantMemory:
             assert verdict.accepted
             peaks.append(peak)
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
-        # FieldSpec.fold spreads a block 256 rounds at a time, or the 1024-round
-        # read block would show here
+        # verify_rounds reads columns by strided slices into two 8192-round
+        # buffers, one FieldSpec.fold each, whose lane maps and leftover rounds
+        # are spread 256 at a time; wider buffers, more lanes or a wider spread
+        # would show here (785 KiB on this file when written)
         assert peaks[1] < 1 << 20
 
 

@@ -79,6 +79,8 @@ def apply_fault(t: Transcript, kind: str, i: int, bit: int) -> None:
         rec.answer_received_at = rec.challenge_issued_at - 1
     elif kind == "station":
         rec.station = 3 - rec.station
+    elif kind == "misnumbered":
+        rec.k += 1
     elif kind == "reveal-bit":
         t.reveal = RevealMessage(t.reveal.bit ^ 1, t.reveal.final_secret)
     else:
@@ -145,6 +147,32 @@ def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
         apply_fault(t, kind, i, bit)
     verdict = assert_one_verdict(t, tmp_path / "t.rbcx")
     assert verdict.accepted == (not faults)
+
+
+# each fault of `test_verifiers_agree_at_fold_seams` and its verdict, and the
+# file lengths around `verify_rounds`' 8192-round folds
+SEAM_FAULTS = {"zero-challenge": REJECT_ZERO_CHALLENGE, "answer": REJECT_BIT_MISMATCH,
+               "late": REJECT_TIMING, "misnumbered": REJECT_MALFORMED}
+FOLD_SEAM_ROUNDS = (8191, 8192, 8193, 16385)
+
+
+@pytest.mark.parametrize("m", FOLD_SEAM_ROUNDS)
+def test_verifiers_accept_honest_files_around_a_fold(tmp_path, m):
+    """Honest files that end short of, at and past `verify_rounds`' first
+    fold of 8 read blocks, and past its second, are accepted."""
+    assert assert_one_verdict(honest(m, seed=m, d=1), tmp_path / "t.rbcx") == Verdict.accept(1)
+
+
+@pytest.mark.parametrize("m, i", [(m, i) for m in FOLD_SEAM_ROUNDS
+                                  for i in (7, 8, 8191, 8192) if i < m])
+@pytest.mark.parametrize("kind", SEAM_FAULTS)
+def test_verifiers_agree_at_fold_seams(tmp_path, m, i, kind):
+    """A fault on either side of round 8192|8193, where `verify_rounds`
+    folds its first full buffer of 8 read blocks, and of round 8|9, a lane
+    seam inside that fold."""
+    t = honest(m, seed=m, d=1)
+    apply_fault(t, kind, i, 2)
+    assert assert_one_verdict(t, tmp_path / "t.rbcx") == Verdict.reject(SEAM_FAULTS[kind])
 
 
 def test_no_block_is_read_after_a_malformed_one():
