@@ -63,12 +63,17 @@ acts on every round of the block. Elements become planes (`_planes`, which
 end to end, and an 8x8 bit transpose of every 64-bit word of that int at
 once (SWAR, three masked swaps); the planes go back the same way. The
 a_{j-1} planes are the secret planes moved up one lane, with a_0's bits in
-lane 0. The x and a_{j-1} plane vectors are multiplied by Karatsuba down to
-a 16-plane schoolbook of ANDs and XORs; the product planes at or above n
-are folded back down by the table polynomial's taps (`_reduce`, which
-`fold` shares), and the secret planes XORed in. The spread form and the
-planes never leave this module: every other layer goes through `mul`,
-`fold` or `answers`.
+lane 0. The x and a_{j-1} plane vectors are multiplied by Karatsuba
+(`_plane_mul`) down to a 16-plane schoolbook of ANDs and XORs. Its three
+half products act lane by lane, so it stacks them side by side in planes
+three times as wide and makes them one multiply, while those stay within
+`_STACK_BITS`: a 1024-round block is stacked once, a short block two or
+three times, and `fold`'s 2048-lane planes not at all, which keeps each
+AND and XOR's fixed cost from dominating a narrow plane. The product
+planes at or above n are folded back down by the table polynomial's taps
+(`_reduce`, which `fold` shares), and the secret planes XORed in. The
+spread form and the planes never leave this module: every other layer goes
+through `mul`, `fold` or `answers`.
 """
 
 from __future__ import annotations
@@ -106,11 +111,23 @@ _BIN_TO_SLOTS = bytes.maketrans(b"01b", b"\x00\x01\x00")
 _GATHER = sum(1 << (7 * j) for j in range(1, 9))
 
 
-@functools.lru_cache(maxsize=32)
 def element_struct(eb: int, count: int) -> struct.Struct:
     """`count` encoded elements of `eb` bytes back to back, one field each:
-    how tapes, record columns and `FieldSpec`'s spread slots are split."""
+    how tapes, record columns and `FieldSpec`'s spread slots are split.
+    Only the structs of whole multiples of `_DECODE_ELEMENTS` elements are
+    kept, which every full block is: a decode or spread slice, and a
+    `protocol.BLOCK_ROUNDS` column. A struct holds about 32 bytes a field,
+    so a short last block's struct is built for its one unpack and dropped."""
+    if count % _DECODE_ELEMENTS:
+        return _element_struct(eb, count)
+    return _kept_element_struct(eb, count)
+
+
+def _element_struct(eb: int, count: int) -> struct.Struct:
     return struct.Struct(f"{eb}s" * count)
+
+
+_kept_element_struct = functools.lru_cache(maxsize=32)(_element_struct)
 
 
 # elements per `element_struct` unpack of `FieldSpec.decode_block` and per
@@ -174,10 +191,14 @@ def _transpose_masks(size: int) -> tuple[int, ...]:
 
 def _transpose8(data: bytes) -> bytes:
     """`data` with each 8-byte word's bits turned around, bit j of byte i
-    becoming bit i of byte j, by `_TRANSPOSE_STEPS` on the whole int."""
+    becoming bit i of byte j, by `_TRANSPOSE_STEPS` on the whole int. The
+    masks span the next power of 2 bytes: an AND with a longer mask acts on
+    `data`'s bytes alone, so a short block shares its full block's masks and
+    the cache keeps a few sizes, not one for every short block."""
     size = len(data)
     v = int.from_bytes(data, "little")
-    for (shift, _), mask in zip(_TRANSPOSE_STEPS, _transpose_masks(size)):
+    masks = _transpose_masks(1 << (size - 1).bit_length())
+    for (shift, _), mask in zip(_TRANSPOSE_STEPS, masks):
         t = (v ^ v >> shift) & mask
         v ^= t ^ t << shift
     return v.to_bytes(size, "little")
@@ -215,15 +236,41 @@ def _elements(planes: list[int], eb: int, lanes: int) -> bytes:
     return bytes(col)
 
 
-# plane vectors this long or shorter are multiplied by schoolbook
+# plane vectors this long or shorter are multiplied by schoolbook. At n=128
+# on one CPU (Python 3.11.7), `answers` takes 0.89 us a round at 1024 rounds
+# with 16, against 0.95 with 8 or 32, and 0.94 at 2048 unstacked lanes (the
+# fold's width) against 1.01 and 0.98.
 _SCHOOLBOOK_PLANES = 16
 
+# the widest plane that `_plane_mul` stacks its three half products into.
+# An AND or XOR of a plane costs a fixed overhead besides its bits, 36 ns at
+# 1024 bits and 42 at 3072 (436 bytes, inside CPython's small-object
+# allocator; past 512 bytes it is 56), so one multiply of planes three
+# times as wide beats three: at n=128 `answers` takes 0.94 us a round at
+# 1024 rounds, stacked once, against 1.59 unstacked, and 0.24 ms for 6
+# rounds against 0.78. The transient planes triple with each stacking.
+# Without a cap, `fold`'s 2048-lane P|Q planes are stacked too, and
+# `verify_file`'s traced peak on a 32,000-round file is 1288 KiB, over its
+# 1 MiB bound (670 KiB under this cap). At a cap of 6144 they are stacked
+# once: the 2048-lane multiply is 1.6x faster and the peak 837 KiB, but
+# perfbench's transcript-file `peak_rss_mb` then read +10.2% and +2.3% on
+# two seeds (74 and 64 cycles against 56 and 60), since its answer probe
+# keeps every pass and a faster cycle runs more passes (ROADMAP item 3).
+# Stacking the fold waits for that probe.
+_STACK_BITS = 4096
 
-def _plane_mul(a: list[int], b: list[int]) -> list[int]:
+
+def _plane_mul(a: list[int], b: list[int], lanes: int) -> list[int]:
     """The 2s-1 planes of the lane-wise carry-less products of two vectors
-    of s planes, s a power of 2, unreduced: Karatsuba on the vectors'
-    halves, a0*b0, a1*b1 and (a0+a1)*(b0+b1), down to `_SCHOOLBOOK_PLANES`,
-    where each product plane is the XOR of the ANDs of its plane pairs."""
+    of s planes, s a power of 2, each plane below 2^`lanes`, unreduced.
+
+    Karatsuba on the vectors' halves, a0*b0, a1*b1 and (a0+a1)*(b0+b1),
+    down to `_SCHOOLBOOK_PLANES`, where each product plane is the XOR of
+    the ANDs of its plane pairs. The three half products act lane by lane,
+    so while 3*`lanes` stays within `_STACK_BITS` they are one multiply of
+    stacked planes: lanes [0, W) carry a0*b0, [W, 2W) a1*b1 and [2W, 3W)
+    the middle product, split back out by one mask and two shifts. Above
+    the cap they are three multiplies of `lanes`-bit planes."""
     s = len(a)
     if s <= _SCHOOLBOOK_PLANES:
         c = [0] * (2 * s - 1)
@@ -231,9 +278,19 @@ def _plane_mul(a: list[int], b: list[int]) -> list[int]:
             c[i:i + s] = map(xor, c[i:i + s], map(and_, b, repeat(ai)))
         return c
     h = s // 2
-    lo = _plane_mul(a[:h], b[:h])
-    hi = _plane_mul(a[h:], b[h:])
-    mid = _plane_mul(list(map(xor, a[:h], a[h:])), list(map(xor, b[:h], b[h:])))
+    a0, a1, b0, b1 = a[:h], a[h:], b[:h], b[h:]
+    if 3 * lanes <= _STACK_BITS:
+        w2 = 2 * lanes
+        c = _plane_mul([x | y << lanes | (x ^ y) << w2 for x, y in zip(a0, a1)],
+                       [x | y << lanes | (x ^ y) << w2 for x, y in zip(b0, b1)], 3 * lanes)
+        m = (1 << lanes) - 1
+        lo = [p & m for p in c]
+        hi = [p >> lanes & m for p in c]
+        mid = [p >> w2 for p in c]
+    else:
+        lo = _plane_mul(a0, b0, lanes)
+        hi = _plane_mul(a1, b1, lanes)
+        mid = _plane_mul(list(map(xor, a0, a1)), list(map(xor, b0, b1)), lanes)
     out = lo + [0] + hi
     out[h:3 * h - 1] = map(xor, out[h:3 * h - 1], map(xor, map(xor, mid, lo), hi))
     return out
@@ -342,7 +399,8 @@ class FieldSpec:
 
         pq = [p | q << _FOLD_LANES for p, q in zip(planes(xs, 0), planes(ys, 0))]
         for j in range(eb, step, eb):
-            c = self._reduce(_plane_mul([p | p << _FOLD_LANES for p in planes(xs, j)], pq))
+            c = self._reduce(_plane_mul([p | p << _FOLD_LANES for p in planes(xs, j)], pq,
+                                        2 * _FOLD_LANES))
             pq = [ci ^ q << _FOLD_LANES for ci, q in zip(c, planes(ys, j))]
         return _elements(pq, eb, 2 * _FOLD_LANES)
 
@@ -402,7 +460,7 @@ class FieldSpec:
         sp = _planes(secrets + pad, eb, lanes, 0, eb)
         full = (1 << lanes) - 1
         prev = [(p << 1 | a >> i & 1) & full for i, p in enumerate(sp)]
-        c = self._reduce(_plane_mul(_planes(xs + pad, eb, lanes, 0, eb), prev))
+        c = self._reduce(_plane_mul(_planes(xs + pad, eb, lanes, 0, eb), prev, lanes))
         return _elements(list(map(xor, c, sp)), eb, lanes)[:r * eb]
 
     def inv(self, a: int) -> int:

@@ -12,6 +12,8 @@ from relbc.field import (
     FieldSpec,
     NonInvertibleError,
     _FOLD_LANES,
+    _STACK_BITS,
+    _plane_mul,
     batch_inverse,
 )
 
@@ -366,15 +368,71 @@ def test_fold_lanes_match_mul_loop(block):
     assert spec.fold(a, xs, ys) == expected
 
 
+# the most lanes, a multiple of 8, whose planes `_plane_mul` stacks k times
+# for k = 1, 2 and 3, n=128's three Karatsuba levels: 1360, 448 and 144 lanes
+# at a cap of 4096 bits
+STACK_EDGES = tuple(_STACK_BITS // 3**k // 8 * 8 for k in (1, 2, 3))
+
+# lane counts on both sides of every stacking edge, from 8 to 8192, with
+# the fold's 2048 on the way
+PLANE_LANES = (8, *(w + d for w in STACK_EDGES for d in (0, 8)), 2048, 8192)
+
+
+def _element_values(spec: FieldSpec, rng: random.Random, count: int) -> list[int]:
+    """`count` elements from `rng`, a quarter of them 0, 1 or the all-ones mask."""
+    edge = [0, 1, spec.mask]
+    return [rng.choice(edge) if rng.random() < 0.25 else rng.getrandbits(spec.n)
+            for _ in range(count)]
+
+
+def _bit_planes(elements: list[int], n: int) -> list[int]:
+    """The n bit planes of `elements`, by strings: bit j of plane i is bit
+    i of element j."""
+    rows = [format(e, f"0{n}b")[::-1] for e in reversed(elements)]
+    return [int("".join(row[i] for row in rows), 2) for i in range(n)]
+
+
+def _stack_edge_examples(test):
+    """`test` with explicit examples: every table width at every `PLANE_LANES`."""
+    for spec in TABLE_SPECS:
+        for lanes in PLANE_LANES:
+            test = example((spec, lanes, lanes))(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.sampled_from(TABLE_SPECS),
+                 st.one_of(st.sampled_from(PLANE_LANES), st.integers(8, 8192)),
+                 st.integers(0, 2**32 - 1)))
+@_stack_edge_examples
+def test_plane_mul_matches_schoolbook(case):
+    """The reduced planes of `_plane_mul` are the planes of the products
+    that the schoolbook oracle gives lane by lane, whether the half
+    products are stacked into wider planes or not, with no bit at or above
+    lane `lanes`."""
+    spec, lanes, seed = case
+    rng = random.Random(seed)
+    xs, ys = _element_values(spec, rng, lanes), _element_values(spec, rng, lanes)
+    c = spec._reduce(_plane_mul(_bit_planes(xs, spec.n), _bit_planes(ys, spec.n), lanes))
+    expected = [schoolbook_mul(x, y, spec.n, spec.poly) for x, y in zip(xs, ys)]
+    assert c == _bit_planes(expected, spec.n)
+
+
+# answer block sizes on both sides of every stacking edge: a block of r
+# rounds is padded to -(-r // 8) * 8 lanes
+STACK_EDGE_COUNTS = tuple(r for w in STACK_EDGES if w < 1024 for r in (w, w + 1, w + 7, w + 8))
+
+
 @st.composite
 def answer_blocks(draw):
     """A table field, a start value, and a block of (x, a) pairs, every
     element often 0, 1 or the all-ones mask. The block sizes reach a
-    partial and a whole 8-lane transpose word, and either side of 256 and
-    1024 rounds. The elements come from a generator with a drawn seed, so
-    the longest blocks fit in one example's data."""
+    partial and a whole 8-lane transpose word, either side of 256 and 1024
+    rounds and of every stacking edge. The elements come from a generator
+    with a drawn seed, so the longest blocks fit in one example's data."""
     spec = draw(st.sampled_from(TABLE_SPECS))
-    count = draw(st.sampled_from([1, 2, 7, 8, 9, 255, 256, 1023, 1024, 1025]))
+    count = draw(st.sampled_from([1, 2, 7, 8, 9, 255, 256, 1023, 1024, 1025,
+                                  *STACK_EDGE_COUNTS]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def value() -> int:

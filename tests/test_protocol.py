@@ -202,6 +202,25 @@ class TestRoundTrip:
             tracemalloc.stop()
         assert retained < 256 * 1024
 
+    def test_short_row_blocks_leave_no_structs_behind(self):
+        """Answering and packing 40 runs of distinct short lengths retains
+        no element struct or transpose masks of theirs. At n=128 a short
+        block's column struct holds some 35 KiB and its three masks 48 KiB,
+        so keeping them for every length would retain over 1 MiB; the bound
+        is 256 KiB."""
+        secrets, challenges = random_tapes(S128, BLOCK_ROUNDS, 4)
+        tracemalloc.start()
+        try:
+            for m in range(BLOCK_ROUNDS - 40, BLOCK_ROUNDS):
+                blocks = list(honest_row_blocks(S128, secrets.elements, challenges.elements,
+                                                0, m))
+                assert len(blocks) == 1
+            del blocks
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, retained
+
 
 class TestRecoverChain:
     """The paper's backward recursion (the `backward_chain` oracle the verifier

@@ -10,7 +10,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relbc.field import FieldSpec, element_struct
+from relbc.field import FieldSpec, _kept_element_struct
 from relbc.planner import NS, SPEED_OF_LIGHT, SpacetimeConfig, compute_tq, resource_plan
 from relbc.protocol import (
     ABORT_DEADLINE,
@@ -69,7 +69,7 @@ class TestDeterminism:
         within a small margin."""
         plan = small_plan(10_000, n=128)
         spec = FieldSpec(128)
-        element_struct.cache_clear()
+        _kept_element_struct.cache_clear()
         tracemalloc.start()
         try:
             tapes = make_tapes(plan, spec, 1)
