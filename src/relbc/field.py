@@ -36,23 +36,24 @@ gathered byte.
 
 Block kernels: `FieldSpec.fold` runs the verifier's chain a <- x*a XOR y
 over a block's encoded x and y columns. A step is an affine map of a, and
-maps compose: (P2, Q2) after (P1, Q1) is (P2*P1, P2*Q1 XOR Q2). A block of
-r >= 2*`_FOLD_LANES` rounds is cut into `_FOLD_LANES` lanes of
-L = r // `_FOLD_LANES` consecutive rounds, and `_lane_maps` composes each
+maps compose: (P2, Q2) after (P1, Q1) is (P2*P1, P2*Q1 XOR Q2); the identity
+step x = 1, y = 0 maps a to a. A block of r >= `_FOLD_LANES` rounds is
+padded with identity steps to `padded_rounds(r)`, a whole number of W lanes
+(`_FOLD_LANES` lanes from 2*`_FOLD_LANES` rounds on, half as many below),
+and cut into W lanes of L consecutive rounds; `_lane_maps` composes each
 lane's L steps into one (P, Q), bitsliced as `answers` is below: P and Q
-lie side by side in planes 2*`_FOLD_LANES` bits wide, round j of every lane
-is gathered into planes by strided slices of the columns, and a step is one
+lie side by side in planes 2W bits wide, round j of every lane is gathered
+into planes by strided slices of the columns, and a step is one
 `_plane_mul` of both halves by the lanes' x planes, duplicated, reduced,
 with the y planes XORed into the Q half: L - 1 multiplies for the block.
-The spread loop then runs the chain over the lanes' maps, in lane order,
-and over the r mod `_FOLD_LANES` rounds left (every round when L <= 1),
-256 (`_DECODE_ELEMENTS`) at a time: one block spreader (`_spread_block`)
-turns the two columns' slices into a list of spread ints, last element
-first, by one `bin`/`translate` conversion, one `element_struct` unpack and
-one `int.from_bytes` map. The loop walks that list with `zip`, pairing a
-step's two columns, keeps the running a spread from the first step to the
-last, and compacts it once. Each step's product and reduction are
-`_smul`'s, the same as in `mul`.
+The spread loop then runs the chain over the W lanes' maps, in lane order
+(over every round when r < `_FOLD_LANES`), 256 (`_DECODE_ELEMENTS`) at a
+time: one block spreader (`_spread_block`) turns the two columns' slices
+into a list of spread ints, last element first, by one `bin`/`translate`
+conversion, one `element_struct` unpack and one `int.from_bytes` map. The
+loop walks that list with `zip`, pairing a step's two columns, keeps the
+running a spread from the first step to the last, and compacts it once.
+Each step's product and reduction are `_smul`'s, the same as in `mul`.
 
 `FieldSpec.answers` gives the honest answers y_j = x_j*a_{j-1} XOR a_j for a
 block's encoded challenge and secret columns. These products do not depend
@@ -67,9 +68,9 @@ lane 0. The x and a_{j-1} plane vectors are multiplied by Karatsuba
 (`_plane_mul`) down to a 16-plane schoolbook of ANDs and XORs. Its three
 half products act lane by lane, so it stacks them side by side in planes
 three times as wide and makes them one multiply, while those stay within
-`_STACK_BITS`: a 1024-round block is stacked once, a short block two or
-three times, and `fold`'s 2048-lane planes not at all, which keeps each
-AND and XOR's fixed cost from dominating a narrow plane. The product
+`_STACK_BITS`: a 1024-round block and `fold`'s 2048-lane P|Q planes are
+stacked once, a short block two or three times, which keeps each AND and
+XOR's fixed cost from dominating a narrow plane. The product
 planes at or above n are folded back down by the table polynomial's taps
 (`_reduce`, which `fold` shares), and the secret planes XORed in. The
 spread form and the planes never leave this module: every other layer goes
@@ -133,16 +134,43 @@ _kept_element_struct = functools.lru_cache(maxsize=32)(_element_struct)
 # elements per `element_struct` unpack of `FieldSpec.decode_block` and per
 # spread of `FieldSpec.fold`'s loop, whatever the block: it bounds the
 # structs they cache, each unpack's tuple and the spread slots, 8 bytes an
-# element byte. The loop spreads the 1024 lanes' maps of a composed fold and
-# the rounds left over: at n=128, `verify_file`'s traced peak on a
-# 32,000-round file is 785 KiB, and 1540 KiB when 1024 are spread at once.
+# element byte. The loop spreads the 1024 lanes' maps of a composed fold: at
+# n=128, `verify_file`'s traced peak on a 32,000-round file was 785 KiB with
+# 256, and 1540 KiB when 1024 were spread at once.
 _DECODE_ELEMENTS = 256
 
-# lanes of `FieldSpec.fold`'s composition. At n=128 on one CPU an
+# lanes of `FieldSpec.fold`'s composition, and the floor below which it
+# runs the spread loop instead (`_fold_lanes`). At n=128 on one CPU an
 # 8192-round fold takes 2.8 us a round on 512 lanes, 1.75 on 1024 and 1.65
 # on 2048; but 2048 lanes take `verify_file`'s traced peak on a 32,000-round
-# file from 785 to 1282 KiB, over its 1 MiB bound.
+# file from 785 to 1282 KiB, over its 1 MiB bound. The spread loop costs
+# about 2.9 us a round at any length; padded to whole lanes of 512, a fold
+# of 512 to 1024 rounds costs about 2.6 ms, so padding breaks even near 900
+# rounds and pays from 1024 on (2.5 against 2.9 us a round at 1024, 2.2
+# against 2.9 at 1808). From 2048 rounds 512 and 1024 lanes time within
+# the spread of repeated runs of each other up to about 3072, and 1024 are
+# ahead past it (1.45 against 1.66 us a round at 6144).
 _FOLD_LANES = 1024
+
+
+def _fold_lanes(r: int) -> int:
+    """The lanes that `FieldSpec.fold` composes r rounds in: `_FOLD_LANES`
+    from 2*`_FOLD_LANES` rounds on, half as many from `_FOLD_LANES`, and
+    none below, where the spread loop runs every round."""
+    if r >= 2 * _FOLD_LANES:
+        return _FOLD_LANES
+    if r >= _FOLD_LANES:
+        return _FOLD_LANES // 2
+    return 0
+
+
+def padded_rounds(r: int) -> int:
+    """The rounds that `FieldSpec.fold` runs for r: r padded with identity
+    steps (x = 1, y = 0) to a whole number of its lanes, which is never
+    past the next multiple of `_FOLD_LANES`; r itself below `_FOLD_LANES`."""
+    lanes = _fold_lanes(r)
+    return -(-r // lanes) * lanes if lanes else r
+
 
 # the most bytes one `randbytes` call draws: it asks `getrandbits` for 8 bits
 # a byte, and `getrandbits` takes its bit count as a C int
@@ -248,16 +276,14 @@ _SCHOOLBOOK_PLANES = 16
 # allocator; past 512 bytes it is 56), so one multiply of planes three
 # times as wide beats three: at n=128 `answers` takes 0.94 us a round at
 # 1024 rounds, stacked once, against 1.59 unstacked, and 0.24 ms for 6
-# rounds against 0.78. The transient planes triple with each stacking.
-# Without a cap, `fold`'s 2048-lane P|Q planes are stacked too, and
-# `verify_file`'s traced peak on a 32,000-round file is 1288 KiB, over its
-# 1 MiB bound (670 KiB under this cap). At a cap of 6144 they are stacked
-# once: the 2048-lane multiply is 1.6x faster and the peak 837 KiB, but
-# perfbench's transcript-file `peak_rss_mb` then read +10.2% and +2.3% on
-# two seeds (74 and 64 cycles against 56 and 60), since its answer probe
-# keeps every pass and a faster cycle runs more passes (ROADMAP item 3).
-# Stacking the fold waits for that probe.
-_STACK_BITS = 4096
+# rounds against 0.78. The transient planes triple with each stacking. At
+# this cap `fold`'s 2048-lane P|Q planes are stacked once: one multiply and
+# reduce at that width takes 0.78 ms against 1.27 at a cap of 4096, which
+# left them unstacked, and `verify_file`'s traced peak on a 32,000-round
+# file is 837 KiB (670 at 4096). At 18,432 they are stacked twice, 0.63 ms,
+# but the peak is 1181 KiB, over its 1 MiB bound. A 1024-round `answers`
+# block is stacked once at either cap, 0.95 us a round.
+_STACK_BITS = 6144
 
 
 def _plane_mul(a: list[int], b: list[int], lanes: int) -> list[int]:
@@ -383,49 +409,49 @@ class FieldSpec:
                 c[t:t + len(hi)] = map(xor, c[t:t + len(hi)], hi)
         return c
 
-    def _lane_maps(self, xs: bytes, ys: bytes, L: int) -> bytes:
-        """The affine maps a <- P*a XOR Q of the first L*`_FOLD_LANES` rounds
-        of the x and y columns `xs` and `ys`, cut into `_FOLD_LANES` lanes of
-        L consecutive rounds: every lane's P in lane order, then every Q,
-        encoded. Plane
-        bit w holds lane w's P and bit `_FOLD_LANES` + w its Q; a step
-        (x, y) multiplies both halves by the lane's x, duplicated, in one
-        `_plane_mul`, and XORs y into the Q half."""
+    def _lane_maps(self, xs: bytes, ys: bytes, lanes: int) -> bytes:
+        """The affine maps a <- P*a XOR Q of the x and y columns `xs` and
+        `ys`, cut into `lanes` lanes of L consecutive rounds, L*`lanes` the
+        columns' length: every lane's P in lane order, then every Q,
+        encoded. Plane bit w holds lane w's P and bit `lanes` + w its Q; a
+        step (x, y) multiplies both halves by the lane's x, duplicated, in
+        one `_plane_mul`, and XORs y into the Q half."""
         eb = self.element_bytes
-        step = L * eb
+        step = len(xs) // lanes
 
         def planes(col: bytes, j: int) -> list[int]:  # round j of every lane
-            return _planes(col, eb, _FOLD_LANES, j, step)
+            return _planes(col, eb, lanes, j, step)
 
-        pq = [p | q << _FOLD_LANES for p, q in zip(planes(xs, 0), planes(ys, 0))]
+        pq = [p | q << lanes for p, q in zip(planes(xs, 0), planes(ys, 0))]
         for j in range(eb, step, eb):
-            c = self._reduce(_plane_mul([p | p << _FOLD_LANES for p in planes(xs, j)], pq,
-                                        2 * _FOLD_LANES))
-            pq = [ci ^ q << _FOLD_LANES for ci, q in zip(c, planes(ys, j))]
-        return _elements(pq, eb, 2 * _FOLD_LANES)
+            c = self._reduce(_plane_mul([p | p << lanes for p in planes(xs, j)], pq, 2 * lanes))
+            pq = [ci ^ q << lanes for ci, q in zip(c, planes(ys, j))]
+        return _elements(pq, eb, 2 * lanes)
 
     def fold(self, a: int, xs: bytes, ys: bytes) -> int:
         """Run the chain a <- x_j*a XOR y_j over a block of rounds; returns the
         last a.
 
         `xs` is x_1||...||x_r and `ys` y_1||...||y_r, each element in its
-        canonical `element_bytes` encoding. With L = r // `_FOLD_LANES` >= 2,
-        the first L*`_FOLD_LANES` rounds are cut into `_FOLD_LANES` lanes of
-        L consecutive rounds, and each lane's steps are composed into one
-        affine map (`_lane_maps`). The spread loop then runs the chain over
-        the lanes' maps in order and over the r mod `_FOLD_LANES` rounds
-        left (all r rounds when L <= 1), spreading `_DECODE_ELEMENTS` of them
-        at a time; `a` stays spread from the first to the last.
+        canonical `element_bytes` encoding. From `_FOLD_LANES` rounds on,
+        the columns are padded with identity steps (x = 1, y = 0) to
+        `padded_rounds(r)`, unless the caller has padded them, and cut into
+        W = `_fold_lanes(r)` lanes of consecutive rounds; each lane's steps
+        are composed into one affine map (`_lane_maps`). The spread loop
+        then runs the chain over the W lanes' maps in order (over all r
+        rounds below `_FOLD_LANES`), spreading `_DECODE_ELEMENTS` of them at
+        a time; `a` stays spread from the first to the last.
         """
         if len(xs) != len(ys):
             raise FieldError(f"{len(xs)} challenge bytes for {len(ys)} answer bytes")
         eb = self.element_bytes
-        L = len(xs) // (eb * _FOLD_LANES)
-        if L > 1:
-            maps = self._lane_maps(xs, ys, L)
-            head = L * _FOLD_LANES * eb
-            xs = maps[:_FOLD_LANES * eb] + xs[head:]
-            ys = maps[_FOLD_LANES * eb:] + ys[head:]
+        rounds = len(xs) // eb
+        lanes = _fold_lanes(rounds)
+        if lanes:
+            if pad := padded_rounds(rounds) - rounds:  # never a copy of a padded buffer
+                xs, ys = xs + self.encode(1) * pad, ys + bytes(pad * eb)
+            maps = self._lane_maps(xs, ys, lanes)
+            xs, ys = maps[:lanes * eb], maps[lanes * eb:]
         step = eb * _DECODE_ELEMENTS
         smul = self._smul
         sa = self._spread(a)

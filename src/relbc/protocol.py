@@ -32,14 +32,14 @@ RECORDS frames carry it, and no other round form crosses a module boundary.
 Verification reads packed record blocks column by column, by strided byte
 slices, with no per-record tuple: the k, station and timestamp columns are
 checked whole, and the x and y columns are gathered into two buffers of
-`_FOLD_ROUNDS` rounds. Each full buffer, and the rounds left at the end,
-go to `FieldSpec.fold`, which runs the chain forward from the claimed
-a_0 = d: a_k = x_k * a_{k-1} XOR y_k, composed a lane of rounds at a time
-(see `field`). The result must equal the revealed a_m. Each step is a
-bijection when x_k != 0, so this accepts exactly when the paper's backward
-recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach a_0 = d. A
-zero challenge, x_1 included, is rejected: it would let a round bind
-nothing.
+`_FOLD_ROUNDS` rounds. Each full buffer, and the last one padded with
+identity steps to whole lanes, goes to `FieldSpec.fold`, which runs the
+chain forward from the claimed a_0 = d: a_k = x_k * a_{k-1} XOR y_k,
+composed a lane of rounds at a time (see `field`). The result must equal
+the revealed a_m. Each step is a bijection when x_k != 0, so this accepts
+exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) *
+x_k^-1 from a_m would reach a_0 = d. A zero challenge, x_1 included, is
+rejected: it would let a round bind nothing.
 
 A verifier keeps no state beyond its challenge tape, so its callers send
 x_k = challenges[k - 1] straight from the tape; only the committer computes.
@@ -61,7 +61,7 @@ from itertools import cycle, islice, repeat
 from operator import sub
 from typing import Callable, Generator, Iterable, Iterator
 
-from .field import FieldSpec, element_struct, zero_elements
+from .field import FieldSpec, element_struct, padded_rounds, zero_elements
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -100,10 +100,12 @@ REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered 
 BLOCK_ROUNDS = 1024
 
 # rounds per `FieldSpec.fold` call of `verify_rounds`, whose x and y columns
-# wait in two buffers this long. At n=128 on one CPU, `verify_file` on a
-# 50,000-round file runs at up to 443k rounds/s with 4096-round buffers, 490k
-# with these and 511k with 16,384; on a 32,000-round file the traced peaks are
-# 657, 785 and 1017 KiB, and the bound is 1 MiB.
+# wait in two buffers this long; a multiple of `field.padded_rounds`' lanes,
+# so the last buffer is padded inside its own bytes. At n=128 on one CPU,
+# with the fold's P|Q planes stacked, `verify_file` on a 50,000-round file
+# runs at up to 533k rounds/s with 4096-round buffers, 581k with these and
+# 626k with 16,384; on a 32,000-round file the traced peaks are 830, 837 and
+# 1093 KiB, and the bound is 1 MiB.
 _FOLD_ROUNDS = 8 * BLOCK_ROUNDS
 
 # Both stations' answer deadline in an honest transcript on the synthetic
@@ -365,8 +367,11 @@ def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     within 0 and its deadline. The x and y columns are copied into two
     buffers of `_FOLD_ROUNDS` rounds; the chain is run forward from a_0 = d,
     the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
-    docstring), one `FieldSpec.fold` per full buffer and one for the rounds
-    left, and must end at the revealed a_m. `field.zero_elements` looks for
+    docstring), one `FieldSpec.fold` per full buffer and one for the last,
+    and must end at the revealed a_m. The last buffer is cut to
+    `field.padded_rounds` of the rounds it holds, and the rest of it filled
+    with identity steps (x = 1, y = 0) in place, so `fold` composes it by
+    whole lanes without copying it. `field.zero_elements` looks for
     a zero challenge in each buffer before it is folded. Precedence, highest
     first: aborted, malformed (the only early return; no later block is
     asked for), timing, a zero challenge among x_1..x_m, bit mismatch.
@@ -422,7 +427,12 @@ def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     if k != m:
         return Verdict.reject(REJECT_MALFORMED)
     if held:
-        del xbuf[held * eb:], ybuf[held * eb:]
+        # pad the last buffer to `fold`'s whole lanes in place: identity steps
+        # x = 1, y = 0, whose nonzero x no zero-challenge search finds
+        padded = padded_rounds(held)
+        del xbuf[padded * eb:], ybuf[padded * eb:]
+        xbuf[held * eb:] = spec.encode(1) * (padded - held)
+        ybuf[held * eb:] = bytes((padded - held) * eb)
         fold_held()
     if mistimed:
         return Verdict.reject(REJECT_TIMING)

@@ -13,9 +13,12 @@ from relbc.field import (
     NonInvertibleError,
     _FOLD_LANES,
     _STACK_BITS,
+    _fold_lanes,
     _plane_mul,
     batch_inverse,
+    padded_rounds,
 )
+from relbc.protocol import _FOLD_ROUNDS
 
 from helpers import schoolbook_mul
 
@@ -308,17 +311,22 @@ def test_fold_matches_mul_loop(block):
     assert spec.fold(a, xs, ys) == expected
 
 
-# block lengths that `FieldSpec.fold` cuts into lanes of L = r // 1024 rounds:
-# either side of 2 and 8 lanes' worth, and 3 with 5 rounds left over
-LANE_COUNTS = (2047, 2048, 2049, 3 * 1024 + 5, 8191, 8192, 8193)
+# block lengths that `FieldSpec.fold` pads to whole lanes: either side of
+# 1024 (no lanes | 512 lanes) and 2048 (512 | 1024 lanes), the 1808-round
+# tail of a 10,000-round file, 3 lanes' worth and 5 rounds, and either side
+# of an 8192-round buffer
+LANE_COUNTS = (1023, 1024, 1025, 1808, 2047, 2048, 2049, 3 * 1024 + 5, 8191, 8192, 8193)
 
 
 def lane_seams(count: int) -> tuple[int, ...]:
     """The rounds (0-based) on either side of the first and a middle lane
-    seam of a `count`-round fold, and of its last lane's edge."""
-    L = count // _FOLD_LANES
-    mid = _FOLD_LANES // 2 * L
-    return (L - 1, L, mid - 1, mid, _FOLD_LANES * L - 1, _FOLD_LANES * L)
+    seam of a `count`-round fold, the first round of its last lane, and its
+    last real round, which the padding follows. Below `_FOLD_LANES` rounds,
+    where no lanes are composed, each round stands for a lane."""
+    lanes = _fold_lanes(count) or count
+    L = padded_rounds(count) // lanes
+    mid = lanes // 2 * L
+    return (L - 1, L, mid - 1, mid, (lanes - 1) * L, count - 1)
 
 
 @st.composite
@@ -337,18 +345,17 @@ def lane_blocks(draw):
 
 
 def _lane_edge_examples(test):
-    """`test` with explicit examples: a block of each of `LANE_COUNTS` pairs
-    at n=8 and n=128, with x = 0 before the first lane seam and after the
-    last lane's edge, or after the first seam and before the edge."""
+    """`test` with explicit examples: two blocks of each of `LANE_COUNTS`
+    pairs at n=8 and n=128, one with x = 0 at the last real round before
+    the padding, one with x = 0 at the last round of the first lane. A zero
+    challenge wipes out every round before it, so each block has one."""
     rng = random.Random(1024)
     for spec in (S8, S128):
         for count in LANE_COUNTS:
-            pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
-            seams = lane_seams(count)
-            for i in (seams[0::5] if count % 2 else seams[1:5:3]):
-                if i < count:
-                    pairs[i] = (0, pairs[i][1])
-            test = example((spec, spec.random_int(rng), pairs))(test)
+            for i in (count - 1, lane_seams(count)[0]):
+                pairs = [(spec.random_int(rng), spec.random_int(rng)) for _ in range(count)]
+                pairs[i] = (0, pairs[i][1])
+                test = example((spec, spec.random_int(rng), pairs))(test)
     return test
 
 
@@ -356,9 +363,11 @@ def _lane_edge_examples(test):
 @given(lane_blocks())
 @_lane_edge_examples
 def test_fold_lanes_match_mul_loop(block):
-    """Past two lanes' worth of rounds, where `fold` composes each lane into
-    one map and joins the lanes, it still runs a <- x*a XOR y as the
-    per-pair `mul` loop does, a zero challenge at any lane seam included."""
+    """From `_FOLD_LANES` rounds on, where `fold` pads the block with
+    identity steps to whole lanes, composes each lane into one map and
+    joins the lanes, it still runs a <- x*a XOR y as the per-pair `mul`
+    loop does, a zero challenge at any lane seam or at the last round
+    before the padding included."""
     spec, a, pairs = block
     xs = b"".join(spec.encode(x) for x, _ in pairs)
     ys = b"".join(spec.encode(y) for _, y in pairs)
@@ -368,14 +377,32 @@ def test_fold_lanes_match_mul_loop(block):
     assert spec.fold(a, xs, ys) == expected
 
 
+def test_padded_rounds_fill_whole_lanes_within_a_fold_buffer():
+    """`padded_rounds` leaves a block below `_FOLD_LANES` rounds as it is,
+    pads any longer one to whole lanes of `_fold_lanes`, never past the
+    next multiple of `_FOLD_LANES` (so never past a fold buffer of
+    `verify_rounds`), and gives a padded block back unchanged."""
+    for r in range(1, _FOLD_ROUNDS + 1):
+        p = padded_rounds(r)
+        lanes = _fold_lanes(r)
+        if r < _FOLD_LANES:
+            assert lanes == 0 and p == r
+        else:
+            assert lanes == (_FOLD_LANES if r >= 2 * _FOLD_LANES else _FOLD_LANES // 2)
+            assert p % lanes == 0 and r <= p < r + lanes
+            assert p <= -(-r // _FOLD_LANES) * _FOLD_LANES
+        assert padded_rounds(p) == p
+    assert _FOLD_ROUNDS % _FOLD_LANES == 0
+
+
 # the most lanes, a multiple of 8, whose planes `_plane_mul` stacks k times
-# for k = 1, 2 and 3, n=128's three Karatsuba levels: 1360, 448 and 144 lanes
-# at a cap of 4096 bits
+# for k = 1, 2 and 3, n=128's three Karatsuba levels: 2048 (the fold's P|Q
+# planes), 680 and 224 lanes at a cap of 6144 bits
 STACK_EDGES = tuple(_STACK_BITS // 3**k // 8 * 8 for k in (1, 2, 3))
 
 # lane counts on both sides of every stacking edge, from 8 to 8192, with
-# the fold's 2048 on the way
-PLANE_LANES = (8, *(w + d for w in STACK_EDGES for d in (0, 8)), 2048, 8192)
+# the 1024 of a 512-lane fold's P|Q planes on the way
+PLANE_LANES = (8, *(w + d for w in STACK_EDGES for d in (0, 8)), 1024, 8192)
 
 
 def _element_values(spec: FieldSpec, rng: random.Random, count: int) -> list[int]:

@@ -862,9 +862,11 @@ class TestConstantMemory:
             peaks.append(peak)
         assert peaks[1] < peaks[0] * 1.5 + 1_000_000
         # verify_rounds reads columns by strided slices into two 8192-round
-        # buffers, one FieldSpec.fold each, whose lane maps and leftover rounds
-        # are spread 256 at a time; wider buffers, more lanes or a wider spread
-        # would show here (785 KiB on this file when written)
+        # buffers, one FieldSpec.fold each, whose 1024 lane maps are spread
+        # 256 at a time; the last buffer is padded in place from 7424 rounds
+        # to 8192 and peaks as a full one does; wider buffers, more lanes, a
+        # wider spread, a deeper stacked multiply or a padding copy of the
+        # last buffer would show here (837 KiB on this file when written)
         assert peaks[1] < 1 << 20
 
 

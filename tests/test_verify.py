@@ -149,27 +149,34 @@ def test_verifiers_agree_beyond_two_read_blocks(tmp_path, faults):
     assert verdict.accepted == (not faults)
 
 
-# each fault of `test_verifiers_agree_at_fold_seams` and its verdict, and the
-# file lengths around `verify_rounds`' 8192-round folds
+# each fault of `test_verifiers_agree_at_fold_seams` and its verdict, the
+# file lengths around `verify_rounds`' 8192-round folds, and lengths whose
+# last fold buffer is padded with identity steps: 1025 rounds to 1536 (512
+# lanes), the 1808-round tail of a 10,000-round file and 2047 to 2048
 SEAM_FAULTS = {"zero-challenge": REJECT_ZERO_CHALLENGE, "answer": REJECT_BIT_MISMATCH,
                "late": REJECT_TIMING, "misnumbered": REJECT_MALFORMED}
 FOLD_SEAM_ROUNDS = (8191, 8192, 8193, 16385)
+PADDED_TAIL_ROUNDS = (8192 + 1025, 8192 + 1808, 8192 + 2047)
 
 
-@pytest.mark.parametrize("m", FOLD_SEAM_ROUNDS)
+@pytest.mark.parametrize("m", FOLD_SEAM_ROUNDS + PADDED_TAIL_ROUNDS)
 def test_verifiers_accept_honest_files_around_a_fold(tmp_path, m):
     """Honest files that end short of, at and past `verify_rounds`' first
-    fold of 8 read blocks, and past its second, are accepted."""
+    fold of 8 read blocks, and past its second, or with a padded last fold,
+    are accepted."""
     assert assert_one_verdict(honest(m, seed=m, d=1), tmp_path / "t.rbcx") == Verdict.accept(1)
 
 
 @pytest.mark.parametrize("m, i", [(m, i) for m in FOLD_SEAM_ROUNDS
-                                  for i in (7, 8, 8191, 8192) if i < m])
+                                  for i in (7, 8, 8191, 8192) if i < m]
+                         + [(m, m - 1) for m in PADDED_TAIL_ROUNDS])
 @pytest.mark.parametrize("kind", SEAM_FAULTS)
 def test_verifiers_agree_at_fold_seams(tmp_path, m, i, kind):
     """A fault on either side of round 8192|8193, where `verify_rounds`
-    folds its first full buffer of 8 read blocks, and of round 8|9, a lane
-    seam inside that fold."""
+    folds its first full buffer of 8 read blocks, of round 8|9, a lane
+    seam inside that fold, and in round m, the last real round before the
+    identity steps that pad the last fold, is the same named reject for
+    `bob_verify`, `verify_file` and the backward recursion."""
     t = honest(m, seed=m, d=1)
     apply_fault(t, kind, i, 2)
     assert assert_one_verdict(t, tmp_path / "t.rbcx") == Verdict.reject(SEAM_FAULTS[kind])
