@@ -156,6 +156,8 @@ def _plan_for_args(args: argparse.Namespace) -> ProtocolPlan:
         overrides["n"] = given["--n"]
     if "--rounds" in given:
         rounds = given["--rounds"]
+        if rounds < 1:
+            raise PlannerError(f"--rounds {rounds}: a commitment needs at least one round")
         if rounds > 1 and rounds % 2:
             raise PlannerError(f"--rounds {rounds}: the planner rounds m down "
                                f"to even, so an odd count above 1 cannot be planned")
@@ -311,15 +313,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_REJECT
     rate = stats.rounds_per_second
-    case1_rounds = resource_plan(_resolve_config("case1", DEFAULT_YEAR_DAYS)).m
-    case1_hours = case1_rounds / rate / 3600.0
-    case1_gen_hours = case1_rounds / gen_rate / 3600.0
-    case1_tapes_hours = 2 * case1_rounds / tape_rate / 3600.0
+    case1_hours = CASE1_ROUNDS / rate / 3600.0
+    case1_gen_hours = CASE1_ROUNDS / gen_rate / 3600.0
+    case1_tapes_hours = 2 * CASE1_ROUNDS / tape_rate / 3600.0
     rows = {
         "tape_elements_per_s": tape_rate,
         "gen_rounds_per_s": gen_rate,
         "verify_rounds_per_s": rate,
-        "case1_rounds": case1_rounds,
+        "case1_rounds": CASE1_ROUNDS,
         "case1_tapes_hours_projected": case1_tapes_hours,
         "case1_gen_hours_projected": case1_gen_hours,
         "case1_verify_hours_projected": case1_hours,
@@ -328,11 +329,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'transcript-file generation':34s} {gen_rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'transcript-file verification':34s} {rate:12,.0f} rounds/s   (m = {m})")
     print(f"{'projected case-1 generation':34s} {case1_gen_hours:12,.1f} hours "
-          f"({case1_rounds:.3g} rounds)")
+          f"({CASE1_ROUNDS:.3g} rounds)")
     print(f"{'projected case-1 verification':34s} {case1_hours:12,.1f} hours "
-          f"({case1_rounds:.3g} rounds)")
+          f"({CASE1_ROUNDS:.3g} rounds)")
     print(f"{'projected case-1 tapes':34s} {case1_tapes_hours:12,.1f} hours "
-          f"(two tapes of {case1_rounds:.3g} elements)")
+          f"(two tapes of {CASE1_ROUNDS:.3g} elements)")
     outputs = []
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2))

@@ -31,15 +31,15 @@ RECORDS frames carry it, and no other round form crosses a module boundary.
 
 Verification reads packed record blocks column by column, by strided byte
 slices, with no per-record tuple: the k, station and timestamp columns are
-checked whole, and the x and y columns are gathered into two buffers of
-`_FOLD_ROUNDS` rounds. Each full buffer, and the last one padded with
-identity steps to whole lanes, goes to `FieldSpec.fold`, which runs the
-chain forward from the claimed a_0 = d: a_k = x_k * a_{k-1} XOR y_k,
-composed a lane of rounds at a time (see `field`). The result must equal
-the revealed a_m. Each step is a bijection when x_k != 0, so this accepts
-exactly when the paper's backward recursion a_{k-1} = (y_k XOR a_k) *
-x_k^-1 from a_m would reach a_0 = d. A zero challenge, x_1 included, is
-rejected: it would let a round bind nothing.
+checked whole, and each checked block goes on as it is to one
+`FieldSpec.fold` over the whole transcript, which gathers the x and y
+columns into buffers of its own and runs the chain forward from the claimed
+a_0 = d: a_k = x_k * a_{k-1} XOR y_k, composed a lane of rounds at a time
+(see `field`). The result must equal the revealed a_m. Each step is a
+bijection when x_k != 0, so this accepts exactly when the paper's backward
+recursion a_{k-1} = (y_k XOR a_k) * x_k^-1 from a_m would reach a_0 = d. A
+zero challenge, x_1 included, is rejected: it would let a round bind
+nothing.
 
 A verifier keeps no state beyond its challenge tape, so its callers send
 x_k = challenges[k - 1] straight from the tape; only the committer computes.
@@ -61,7 +61,7 @@ from itertools import cycle, islice, repeat
 from operator import sub
 from typing import Callable, Generator, Iterable, Iterator
 
-from .field import FieldSpec, element_struct, padded_rounds, zero_elements
+from .field import FieldSpec, element_struct
 
 ROLE_ALICE_SECRETS = "alice-secrets"
 ROLE_BOB_CHALLENGES = "bob-challenges"
@@ -96,17 +96,9 @@ REJECT_MALFORMED = "malformed-transcript"  # rounds missing, extra, misnumbered 
 # perfbench's AnswerProbe to stop keeping every pass (ROADMAP item 3): it
 # reads a faster cycle as a higher peak_rss_mb. An early abort computes one
 # block. `verify_rounds` reads a block's columns by strided slices and no
-# tuple of its records, so its memory is set by `_FOLD_ROUNDS`, not here.
+# tuple of its records, so its memory is set by the buffers of
+# `FieldSpec.fold` (`field._FOLD_ROUNDS`), not here.
 BLOCK_ROUNDS = 1024
-
-# rounds per `FieldSpec.fold` call of `verify_rounds`, whose x and y columns
-# wait in two buffers this long; a multiple of `field.padded_rounds`' lanes,
-# so the last buffer is padded inside its own bytes. At n=128 on one CPU,
-# with the fold's P|Q planes stacked, `verify_file` on a 50,000-round file
-# runs at up to 533k rounds/s with 4096-round buffers, 581k with these and
-# 626k with 16,384; on a 32,000-round file the traced peaks are 830, 837 and
-# 1093 KiB, and the bound is 1 MiB.
-_FOLD_ROUNDS = 8 * BLOCK_ROUNDS
 
 # Both stations' answer deadline in an honest transcript on the synthetic
 # schedule of `honest_header` and `honest_row_blocks`.
@@ -364,17 +356,14 @@ def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     records, runs past round m, or its k or station column is not the one
     its position gives. A round is on time by `arrival_fault`'s rule,
     written here on the block's turnaround column: each station's half lies
-    within 0 and its deadline. The x and y columns are copied into two
-    buffers of `_FOLD_ROUNDS` rounds; the chain is run forward from a_0 = d,
-    the claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module
-    docstring), one `FieldSpec.fold` per full buffer and one for the last,
-    and must end at the revealed a_m. The last buffer is cut to
-    `field.padded_rounds` of the rounds it holds, and the rest of it filled
-    with identity steps (x = 1, y = 0) in place, so `fold` composes it by
-    whole lanes without copying it. `field.zero_elements` looks for
-    a zero challenge in each buffer before it is folded. Precedence, highest
-    first: aborted, malformed (the only early return; no later block is
-    asked for), timing, a zero challenge among x_1..x_m, bit mismatch.
+    within 0 and its deadline. Each checked block goes on to one
+    `FieldSpec.fold` as a slice whose x lies at byte 9 of each record and
+    its y right after; the fold runs the chain forward from a_0 = d, the
+    claimed bit, by a_k = x_k * a_{k-1} XOR y_k (see the module docstring),
+    gives None for a zero challenge, and must end at the revealed a_m.
+    Precedence, highest first: aborted, malformed (no block after the first
+    malformed one is asked for), timing, a zero challenge among x_1..x_m,
+    bit mismatch.
     """
     if not header.is_complete:
         return Verdict.reject(REJECT_ABORTED)
@@ -382,61 +371,35 @@ def verify_rounds(header: Transcript, blocks: Iterable[bytes]) -> Verdict:
     d = reveal.bit
     if m < 1 or d not in (0, 1):
         return Verdict.reject(REJECT_MALFORMED)
-    eb = spec.element_bytes
-    fold = spec.fold
-    size = record_struct(eb).size
-    at_x, at_y, at_issued = 9, 9 + eb, 9 + 2 * eb  # past k's 8 bytes and station's 1
+    size = record_struct(spec.element_bytes).size
+    at_issued = 9 + 2 * spec.element_bytes  # past k's 8 bytes, station's 1, x and y
     taus = {1: header.tau1_ns, 2: header.tau2_ns}
-    mistimed = zero = False
-    xbuf, ybuf = bytearray(_FOLD_ROUNDS * eb), bytearray(_FOLD_ROUNDS * eb)
-    held = 0  # rounds in the buffers, not yet folded
+    k, malformed, mistimed = 0, False, False
 
-    def fold_held() -> None:
-        nonlocal a, zero, held
-        if next(zero_elements(xbuf, eb), None) is not None:
-            zero = True
-        a = fold(a, xbuf, ybuf)
-        held = 0
+    def checked() -> Iterator[tuple[bytes, int, int]]:
+        nonlocal k, malformed, mistimed
+        for block in blocks:
+            r, partial = divmod(len(block), size)
+            s0 = station_of(k + 1)
+            if (partial or k + r > m
+                    or _int_column(block, 0, size, r) != array("q", range(k + 1, k + r + 1))
+                    or block[8::size] != (bytes((s0, 3 - s0)) * (r // 2 + 1))[:r]):
+                malformed = True
+                return
+            turnarounds = list(map(sub, _int_column(block, at_issued + 8, size, r),
+                                   _int_column(block, at_issued, size, r)))
+            for half, station in ((turnarounds[0::2], s0), (turnarounds[1::2], 3 - s0)):
+                if half and (min(half) < 0 or max(half) > taus[station]):
+                    mistimed = True
+            k += r
+            yield block, 9, size
 
-    a, k = d, 0
-    for block in blocks:
-        r, partial = divmod(len(block), size)
-        if partial or k + r > m:
-            return Verdict.reject(REJECT_MALFORMED)
-        s0 = station_of(k + 1)
-        if (_int_column(block, 0, size, r) != array("q", range(k + 1, k + r + 1))
-                or block[8::size] != (bytes((s0, 3 - s0)) * (r // 2 + 1))[:r]):
-            return Verdict.reject(REJECT_MALFORMED)
-        turnarounds = list(map(sub, _int_column(block, at_issued + 8, size, r),
-                               _int_column(block, at_issued, size, r)))
-        for half, station in ((turnarounds[0::2], s0), (turnarounds[1::2], 3 - s0)):
-            if half and (min(half) < 0 or max(half) > taus[station]):
-                mistimed = True
-        i = 0
-        while i < r:
-            take = min(r - i, _FOLD_ROUNDS - held)
-            start, stop = i * size, (i + take) * size
-            for b in range(eb):
-                xbuf[held * eb + b:(held + take) * eb:eb] = block[start + at_x + b:stop:size]
-                ybuf[held * eb + b:(held + take) * eb:eb] = block[start + at_y + b:stop:size]
-            held += take
-            i += take
-            if held == _FOLD_ROUNDS:
-                fold_held()
-        k += r
-    if k != m:
+    a = spec.fold(d, checked())
+    if malformed or k != m:
         return Verdict.reject(REJECT_MALFORMED)
-    if held:
-        # pad the last buffer to `fold`'s whole lanes in place: identity steps
-        # x = 1, y = 0, whose nonzero x no zero-challenge search finds
-        padded = padded_rounds(held)
-        del xbuf[padded * eb:], ybuf[padded * eb:]
-        xbuf[held * eb:] = spec.encode(1) * (padded - held)
-        ybuf[held * eb:] = bytes((padded - held) * eb)
-        fold_held()
     if mistimed:
         return Verdict.reject(REJECT_TIMING)
-    if zero:
+    if a is None:
         return Verdict.reject(REJECT_ZERO_CHALLENGE)
     if a == reveal.final_secret:
         return Verdict.accept(d)

@@ -37,10 +37,10 @@ term holds still: every stretch at zero rate, and under pps one inside a
 second, past the pulse's hold. A column that lies in such a stretch
 converts by adding or subtracting that offset; any other column converts
 entry by entry, and one entry by the same rule where it can. Elsewhere (a
-drift step, a pulse or its hold) a drifting clock is inverted by iterating
-its drift estimate until it settles, then bracketing the exact crossing by
-doubling steps and bisecting. A pps-disciplined clock holds its reading at
-every pulse, the one at global time 0 included, so no clock runs backward.
+drift step, a pulse or its hold) a drifting clock is inverted by one
+bisection over a bracket as wide as its drift can reach. A pps-disciplined
+clock holds its reading at every pulse, the one at global time 0 included,
+so no clock runs backward.
 
 The committer computes no answer of her own. Her answers come from
 `protocol.honest_answer_blocks`, the offline answer path that honest
@@ -140,41 +140,23 @@ class ClockModel:
         """The global time g at which this clock reaches `local_ns`:
         local_at_global(g) >= local_ns > local_at_global(g - 1). Where the
         clock is a pure offset around g it is local_ns less that offset;
-        elsewhere (a drift step, a pulse or its hold) it is found by iterating
-        the drift estimate until it stops changing and then a search from it.
-        The clock never runs backward, so that g is unique and bisection
-        finds it."""
+        elsewhere (a drift step, a pulse or its hold) it is found by one
+        bisection. The drift term and a pulse's hold move g from base =
+        local_ns - offset_ns by at most |rate| * (|g| + NS) ns and a little
+        rounding, and |g| <= |base| + |g - base|, so g lies within `reach`
+        of base. The clock never runs backward, so that g is unique and
+        bisection finds it."""
         base = local_ns - self.offset_ns
         if not self.rate:  # the closed form of the search below
             return base
         off = self._offset_at_local(local_ns, local_ns)
         if off is not None:
             return local_ns - off
-        # the drift estimate usually settles after one or two steps; stop
-        # there, or after four, and let the search make it exact
-        g = base
-        for _ in range(4):
-            nxt = base - self.drift_ns(g)
-            if nxt == g:
-                break
-            g = nxt
-        # bracket the crossing, reading(lo) < local_ns <= reading(hi), by
-        # steps that double away from the estimate, then bisect: the crossing
-        # is usually g or g + 1 (two readings), and one inside a pps hold of
-        # rate * NS ns takes about 2 * log2 of that
-        reading = self.local_at_global
-        step = 1
-        if reading(g) < local_ns:
-            while reading(g + step) < local_ns:
-                step *= 2
-            lo, hi = g + step // 2, g + step
-        else:
-            while reading(g - step) >= local_ns:
-                step *= 2
-            lo, hi = g - step, g - step // 2
+        reach = math.ceil(abs(self.rate) * (abs(base) + NS) / (1 - abs(self.rate))) + 2
+        lo, hi = base - reach, base + reach  # reading(lo) < local_ns <= reading(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if reading(mid) < local_ns:
+            if self.local_at_global(mid) < local_ns:
                 lo = mid
             else:
                 hi = mid

@@ -312,7 +312,10 @@ class TestRun:
 
 class TestSimulateAndVerify:
     @pytest.mark.parametrize("argv, match", [
-        pytest.param(["--rounds", "0"], None, id="--rounds"),
+        pytest.param(["--rounds", "0"], "--rounds 0: a commitment needs at least one round",
+                     id="--rounds"),
+        pytest.param(["--rounds", "-4"], "--rounds -4: a commitment needs at least one round",
+                     id="--rounds-negative"),
         pytest.param(["--n", "0"], None, id="--n"),
         pytest.param(["--rounds", "7"], "rounds m down to even", id="--rounds-odd"),
         pytest.param(["--plan", "p.json", "--rounds", "20", "--n", "8"],
@@ -322,10 +325,11 @@ class TestSimulateAndVerify:
         pytest.param(["--plan", "p.json", "--year-days", "365.25"], "drop --year-days",
                      id="--plan-with-year-days")])
     def test_zero_override_reaches_planner(self, argv, match):
-        """A 0 is an override, not an unset flag: the planner refuses it
-        rather than plan case-1's 24 h run. An odd --rounds above 1 is
-        refused too, rather than planned as one round fewer, and so is any
-        planning flag beside --plan, rather than ignored."""
+        """A 0 is an override, not an unset flag: it is refused rather than
+        planned as case-1's 24 h run, a --rounds below 1 by name. An odd
+        --rounds above 1 is refused too, rather than planned as one round
+        fewer, and so is any planning flag beside --plan, rather than
+        ignored."""
         args = cli.build_parser().parse_args(["simulate", *argv, "--out", "t.rbcx"])
         with pytest.raises(PlannerError, match=match):
             cli._plan_for_args(args)
@@ -652,6 +656,7 @@ class TestBench:
     def test_zero_rounds_exit_1(self, in_tmp, capsys):
         code, _, err = run_cli(capsys, "bench", "--rounds", "0")
         assert code == 1 and err.startswith("error:")
+        assert "--rounds 0: a commitment needs at least one round" in err
 
     def test_odd_rounds_exit_1(self, in_tmp, capsys):
         """The bench plans case 1 at --rounds, as simulate does, so an odd

@@ -12,13 +12,13 @@ from relbc.field import (
     FieldSpec,
     NonInvertibleError,
     _FOLD_LANES,
+    _FOLD_ROUNDS,
     _STACK_BITS,
     _fold_lanes,
+    _padded_rounds,
     _plane_mul,
     batch_inverse,
-    padded_rounds,
 )
-from relbc.protocol import _FOLD_ROUNDS
 
 from helpers import schoolbook_mul
 
@@ -296,19 +296,38 @@ def _block_edge_examples(test):
     return test
 
 
+def fold_records(spec: FieldSpec, a: int, pairs: list[tuple[int, int]]) -> int | None:
+    """`fold` from a over `pairs` as one slice of encoded x||y records."""
+    data = b"".join(spec.encode(x) + spec.encode(y) for x, y in pairs)
+    return spec.fold(a, [(data, 0, 2 * spec.element_bytes)])
+
+
+def mul_loop(spec: FieldSpec, a: int, pairs: list[tuple[int, int]]) -> int | None:
+    """The chain a <- x*a XOR y over `pairs` by the per-pair `mul` loop, or
+    None, as `fold` gives, when some x is zero."""
+    if any(x == 0 for x, _ in pairs):
+        return None
+    for x, y in pairs:
+        a = spec.mul(x, a) ^ y
+    return a
+
+
+def assert_fold_is_mul_loop(spec: FieldSpec, a: int, pairs: list[tuple[int, int]]) -> None:
+    """`fold` and the `mul` loop agree over `pairs`, and again with each zero
+    x set to 1, so a block whose x is 0 at a seam still checks a value there."""
+    assert fold_records(spec, a, pairs) == mul_loop(spec, a, pairs)
+    ones = [(x or 1, y) for x, y in pairs]
+    assert fold_records(spec, a, ones) == mul_loop(spec, a, ones)
+
+
 @settings(max_examples=300, deadline=None)
 @given(fold_blocks())
 @_block_edge_examples
 def test_fold_matches_mul_loop(block):
-    """`fold` runs a <- x*a XOR y over a block's encoded x and y columns
-    exactly as the per-pair `mul` loop does."""
-    spec, a, pairs = block
-    xs = b"".join(spec.encode(x) for x, _ in pairs)
-    ys = b"".join(spec.encode(y) for _, y in pairs)
-    expected = a
-    for x, y in pairs:
-        expected = spec.mul(x, expected) ^ y
-    assert spec.fold(a, xs, ys) == expected
+    """`fold` runs a <- x*a XOR y over a block's encoded x and y records
+    exactly as the per-pair `mul` loop does, and gives None when some x is
+    zero."""
+    assert_fold_is_mul_loop(*block)
 
 
 # block lengths that `FieldSpec.fold` pads to whole lanes: either side of
@@ -324,7 +343,7 @@ def lane_seams(count: int) -> tuple[int, ...]:
     last real round, which the padding follows. Below `_FOLD_LANES` rounds,
     where no lanes are composed, each round stands for a lane."""
     lanes = _fold_lanes(count) or count
-    L = padded_rounds(count) // lanes
+    L = _padded_rounds(count) // lanes
     mid = lanes // 2 * L
     return (L - 1, L, mid - 1, mid, (lanes - 1) * L, count - 1)
 
@@ -366,24 +385,18 @@ def test_fold_lanes_match_mul_loop(block):
     """From `_FOLD_LANES` rounds on, where `fold` pads the block with
     identity steps to whole lanes, composes each lane into one map and
     joins the lanes, it still runs a <- x*a XOR y as the per-pair `mul`
-    loop does, a zero challenge at any lane seam or at the last round
-    before the padding included."""
-    spec, a, pairs = block
-    xs = b"".join(spec.encode(x) for x, _ in pairs)
-    ys = b"".join(spec.encode(y) for _, y in pairs)
-    expected = a
-    for x, y in pairs:
-        expected = spec.mul(x, expected) ^ y
-    assert spec.fold(a, xs, ys) == expected
+    loop does, and finds a zero challenge at any lane seam or at the last
+    round before the padding."""
+    assert_fold_is_mul_loop(*block)
 
 
 def test_padded_rounds_fill_whole_lanes_within_a_fold_buffer():
-    """`padded_rounds` leaves a block below `_FOLD_LANES` rounds as it is,
+    """`_padded_rounds` leaves a block below `_FOLD_LANES` rounds as it is,
     pads any longer one to whole lanes of `_fold_lanes`, never past the
-    next multiple of `_FOLD_LANES` (so never past a fold buffer of
-    `verify_rounds`), and gives a padded block back unchanged."""
+    next multiple of `_FOLD_LANES` (so never past a buffer of `fold`), and
+    gives a padded block back unchanged."""
     for r in range(1, _FOLD_ROUNDS + 1):
-        p = padded_rounds(r)
+        p = _padded_rounds(r)
         lanes = _fold_lanes(r)
         if r < _FOLD_LANES:
             assert lanes == 0 and p == r
@@ -391,8 +404,55 @@ def test_padded_rounds_fill_whole_lanes_within_a_fold_buffer():
             assert lanes == (_FOLD_LANES if r >= 2 * _FOLD_LANES else _FOLD_LANES // 2)
             assert p % lanes == 0 and r <= p < r + lanes
             assert p <= -(-r // _FOLD_LANES) * _FOLD_LANES
-        assert padded_rounds(p) == p
+        assert _padded_rounds(p) == p
     assert _FOLD_ROUNDS % _FOLD_LANES == 0
+
+
+# slices, in rounds, of one `fold` stream whose buffers fill across their
+# edges: the first two fill one buffer exactly, the third fills the second
+# and carries one round into the third, and the last, longer than two
+# buffers, completes the third, fills the fourth and leaves 3008 rounds to
+# pad
+CARRY_SLICES = (1, 8191, 8193, 3000, 2 * _FOLD_ROUNDS + 7)
+CARRY_ROUNDS = sum(CARRY_SLICES)
+
+# the rounds (0-based) given a zero x: the first, either side of each buffer
+# edge, and the last, which the padding follows
+CARRY_ZEROS = (0, *(edge + d for edge in range(_FOLD_ROUNDS, CARRY_ROUNDS, _FOLD_ROUNDS)
+                    for d in (-1, 0)), CARRY_ROUNDS - 1)
+
+
+def carry_stream(spec: FieldSpec, pairs: list[tuple[int, int]]) -> list[tuple[bytes, int, int]]:
+    """`pairs` cut into `CARRY_SLICES` slices of records that hold x at a
+    different offset and stride in each slice, with a partial record after
+    the last whole one that `fold` must not read."""
+    eb, slices, done = spec.element_bytes, [], 0
+    for i, count in enumerate(CARRY_SLICES):
+        at, stride = i % 3, i % 3 + 2 * eb + 5 * (i % 2)
+        tail = bytes(stride - at - 2 * eb)
+        data = b"".join(bytes(at) + spec.encode(x) + spec.encode(y) + tail
+                        for x, y in pairs[done:done + count])
+        slices.append((data + bytes(stride - 1), at, stride))
+        done += count
+    return slices
+
+
+@pytest.mark.parametrize("spec", [S8, S128], ids=["n8", "n128"])
+@pytest.mark.parametrize("zero", [None, *CARRY_ZEROS])
+def test_fold_carries_slices_across_buffer_edges(spec, zero):
+    """A stream of uneven slices that cross `fold`'s buffer edges runs the
+    chain as the per-pair `mul` loop does, and gives None exactly when an x
+    is zero: in the first round, on either side of each buffer edge, or in
+    the last round before the padding."""
+    rng = random.Random(CARRY_ROUNDS if zero is None else zero)
+    pairs = [(spec.random_int(rng, nonzero=True), spec.random_int(rng))
+             for _ in range(CARRY_ROUNDS)]
+    if zero is not None:
+        pairs[zero] = (0, pairs[zero][1])
+    a = spec.random_int(rng)
+    folded = spec.fold(a, carry_stream(spec, pairs))
+    assert folded == mul_loop(spec, a, pairs)
+    assert (folded is None) == (zero is not None)
 
 
 # the most lanes, a multiple of 8, whose planes `_plane_mul` stacks k times
@@ -498,11 +558,14 @@ def test_answers_every_n8_pair():
 
 def test_answers_empty_and_unequal_blocks():
     assert S8.answers(1, b"", b"") == b""
-    assert S8.fold(0x53, b"", b"") == 0x53
+    assert S8.fold(0x53, []) == 0x53
+    assert S8.fold(0x53, [(b"", 0, 2)]) == 0x53
     with pytest.raises(FieldError):
         S8.answers(1, b"\x01\x02", b"\x01")
     with pytest.raises(FieldError):
-        S8.fold(1, b"\x01\x02", b"\x01")
+        S8.fold(1, [(b"\x01\x02", 0, 1)])
+    with pytest.raises(FieldError):
+        S8.fold(1, [(b"\x01\x02\x03", 2, 3)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relbc
 from relbc.field import FieldSpec
 from relbc.protocol import (
     BLOCK_ROUNDS,
@@ -868,6 +872,35 @@ class TestConstantMemory:
         # wider spread, a deeper stacked multiply or a padding copy of the
         # last buffer would show here (837 KiB on this file when written)
         assert peaks[1] < 1 << 20
+
+    def test_verify_peak_in_a_fresh_process(self, tmp_path):
+        """The first file a process verifies fills the caches that later
+        verifications reuse (transpose masks, element structs) inside the
+        traced window, so its peak is the higher one: it must stay within
+        the same 1 MiB on the 32,000-round n=128 file (1011 KiB when
+        written, 838 KiB warm)."""
+        m, spec = 32000, S128
+        rng = random.Random(m)
+        path = tmp_path / "t.rbcx"
+        generate_honest_transcript_file(
+            path, spec, m,
+            (spec.random_int(rng) for _ in range(m)),
+            (spec.random_int(rng, nonzero=True) for _ in range(m)),
+            1,
+        )
+        script = ("import sys, tracemalloc\n"
+                  "from relbc.storage import verify_file\n"
+                  "tracemalloc.start()\n"
+                  "verdict, _ = verify_file(sys.argv[1])\n"
+                  "print(verdict.accepted, tracemalloc.get_traced_memory()[1])\n")
+        src = str(Path(relbc.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        accepted, peak = out.split()
+        assert accepted == "True"
+        assert int(peak) < 1 << 20
 
 
 def _seed_transcripts() -> list[bytes]:

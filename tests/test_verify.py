@@ -182,6 +182,26 @@ def test_verifiers_agree_at_fold_seams(tmp_path, m, i, kind):
     assert assert_one_verdict(t, tmp_path / "t.rbcx") == Verdict.reject(SEAM_FAULTS[kind])
 
 
+@pytest.mark.parametrize("m, i, kind", [(m, None, None) for m in (8193, 16385)]
+                         + [(m, i, kind) for m in (8193, 16385)
+                            for i in (8191, 8192, 16383, 16384) if i < m for kind in SEAM_FAULTS])
+def test_blocks_that_cross_a_fold_buffer_edge(tmp_path, m, i, kind):
+    """Blocks of 1000 records, which do not fill `FieldSpec.fold`'s
+    8192-round buffers evenly, so one is carried across each buffer edge: a
+    fault on either side of the edge is the same named reject for
+    `verify_rounds` over those blocks, `verify_file` and the backward
+    recursion, and an honest file is accepted."""
+    t = honest(m, seed=m, d=1)
+    if kind is not None:
+        apply_fault(t, kind, i, 2)
+    path = tmp_path / "t.rbcx"
+    verdict = assert_one_verdict(t, path)
+    assert verdict == (Verdict.accept(1) if kind is None else Verdict.reject(SEAM_FAULTS[kind]))
+    size = record_struct(S8.element_bytes).size
+    body, step = path.read_bytes()[-m * size:], 1000 * size
+    assert verify_rounds(t, [body[at:at + step] for at in range(0, len(body), step)]) == verdict
+
+
 def test_no_block_is_read_after_a_malformed_one():
     """A misnumbered round settles the verdict: `verify_rounds` returns
     without asking for the next block, as `verify_file` promises."""
